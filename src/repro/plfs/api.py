@@ -19,11 +19,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import cache as index_cache
 from . import constants
 from .container import Container, is_container, readdir_logical, rmdir_logical
 from .errors import BadFlagsError, ContainerNotFoundError, NotAContainerError
-from .index import pack_records
+from .index import pack_records, segment_records
 from .reader import ReadFile
 from .util import hostname, unique_timestamp
 from .writer import WriteFile
@@ -481,15 +483,15 @@ def plfs_flatten_index(path: str, *, clip: int | None = None) -> int:
     container = Container(path)
     reader = ReadFile(container)
     try:
-        segments = reader.index.segments()
+        starts, ends, _, _ = reader.index.as_arrays()
         if clip is not None:
-            segments = [
-                (s, min(e, clip), d, p) for (s, e, d, p) in segments if s < clip
-            ]
+            keep = int(np.searchsorted(starts, clip, side="left"))
+            starts, ends = starts[:keep], np.minimum(ends[:keep], clip)
         # Read every surviving extent *before* wiping the droppings.
-        chunks: list[tuple[int, bytes]] = []
-        for start, end, _, _ in segments:
-            chunks.append((start, reader.read(end - start, start)))
+        chunks: list[tuple[int, bytes]] = [
+            (start, reader.read(length, start))
+            for start, length in zip(starts.tolist(), (ends - starts).tolist())
+        ]
     finally:
         reader.close()
 
@@ -541,18 +543,10 @@ def plfs_dump_index(path: str) -> bytes:
     container = Container(path)
     reader = ReadFile(container)
     try:
-        import numpy as np
-
-        from .index import INDEX_DTYPE
-
-        segs = reader.index.segments()
-        recs = np.zeros(len(segs), dtype=INDEX_DTYPE)
-        for i, (start, end, dropping, phys) in enumerate(segs):
-            recs[i]["logical_offset"] = start
-            recs[i]["length"] = end - start
-            recs[i]["dropping"] = dropping
-            recs[i]["physical_offset"] = phys
-            recs[i]["timestamp"] = unique_timestamp()
+        recs = segment_records(reader.index.as_arrays())
+        # Flattened segments are disjoint: there is no recency between
+        # them to record, so all carry the time of the dump.
+        recs["timestamp"] = unique_timestamp()
         return pack_records(recs)
     finally:
         reader.close()

@@ -10,7 +10,8 @@ container over and over.  This module removes the tax twice over:
 1. **Persistent compacted global index** — on clean close (and via
    ``repro-plfs compact``) the merged index is flattened into a single
    ``global.index`` file in the container root.  :func:`load_index` loads
-   it back with one read + one NumPy parse instead of re-merging N
+   it back with one read + one NumPy parse (its records are the index's
+   sorted columns, field by field) instead of re-reading and re-sorting N
    droppings.  The file carries the *container epoch* it was built at
    (:meth:`~repro.plfs.container.Container.index_epoch`); a mismatch —
    any dropping added, appended or repaired since — silently re-routes to
@@ -61,15 +62,23 @@ class LoadedIndex:
     source: str
 
 
-def load_index(container: Container, *, epoch: str | None = None) -> LoadedIndex:
+def load_index(
+    container: Container,
+    *,
+    droppings: list[tuple[str, str]] | None = None,
+    epoch: str | None = None,
+) -> LoadedIndex:
     """Build the container's global index, preferring the compacted file.
 
     The compacted ``global.index`` is used only when it parses *and* its
     recorded epoch matches the container's current one; any staleness or
     corruption falls back to merging the per-writer index droppings — the
-    compacted file is an accelerator, never a source of truth.
+    compacted file is an accelerator, never a source of truth.  The epoch
+    and the index come from one listing of the container's droppings: a
+    caller that already has the listing passes it (and its *epoch*) in.
     """
-    droppings = container.droppings()
+    if droppings is None:
+        droppings = container.droppings()
     if epoch is None:
         epoch = container.index_epoch(droppings)
     gpath = container.global_index_path()
@@ -106,12 +115,11 @@ def compact(container: Container) -> int:
     """
     loaded = load_index(container)
     rel = [os.path.relpath(p, container.path) for p in loaded.data_paths]
-    segments = loaded.index.segments()
     payload = pack_compacted(
-        segments, rel, loaded.epoch, loaded.index.logical_size
+        loaded.index.as_arrays(), rel, loaded.epoch, loaded.index.logical_size
     )
     backing.current().write_global_index(container.global_index_path(), payload)
-    return len(segments)
+    return len(loaded.index)
 
 
 # ---------------------------------------------------------------------- #
@@ -190,7 +198,8 @@ class IndexCache:
         via :func:`load_index` and caches the result.
         """
         path = container.path
-        epoch = container.index_epoch()
+        droppings = container.droppings()
+        epoch = container.index_epoch(droppings)
         with self._lock:
             entry = self._entries.get(path)
             if entry is not None and not refresh:
@@ -202,7 +211,7 @@ class IndexCache:
                 self.stats["stale_epoch_evictions"] += 1
             elif entry is not None:
                 self._entries.pop(path, None)
-        loaded = load_index(container, epoch=epoch)
+        loaded = load_index(container, droppings=droppings, epoch=epoch)
         with self._lock:
             self.stats["misses"] += 1
             self.stats[

@@ -14,6 +14,7 @@ import hashlib
 import os
 import shutil
 import stat as stat_module
+import threading
 from dataclasses import dataclass
 
 from . import backing, constants, util
@@ -23,6 +24,13 @@ from .errors import (
     IsAContainerError,
     NotAContainerError,
 )
+
+
+#: Write handles this process holds per ``openhosts/`` marker path.  The
+#: marker is named ``host.pid``, so every handle one process opens on a
+#: container shares one file; it must outlive all of them but the last.
+_marker_refs: dict[str, int] = {}
+_marker_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -303,15 +311,30 @@ class Container:
         )
 
     def register_open(self, pid: int, host: str | None = None) -> None:
-        os.makedirs(os.path.join(self.path, constants.OPENHOSTS_DIR), exist_ok=True)
-        with open(self._openhost_marker(pid, host), "w") as fh:
-            fh.write(f"{util.unique_timestamp():.9f}\n")
+        marker = self._openhost_marker(pid, host)
+        with _marker_lock:
+            held = _marker_refs.get(marker, 0)
+            if held and not os.path.exists(marker):
+                # Recovery swept the marker: the handles counted so far
+                # were declared dead and will never unregister.
+                held = 0
+            os.makedirs(os.path.dirname(marker), exist_ok=True)
+            with open(marker, "w") as fh:
+                fh.write(f"{util.unique_timestamp():.9f}\n")
+            _marker_refs[marker] = held + 1
 
     def unregister_open(self, pid: int, host: str | None = None) -> None:
-        try:
-            os.unlink(self._openhost_marker(pid, host))
-        except FileNotFoundError:
-            pass
+        """Drop one handle's claim; the last one out removes the marker."""
+        marker = self._openhost_marker(pid, host)
+        with _marker_lock:
+            held = _marker_refs.pop(marker, 1) - 1
+            if held > 0:
+                _marker_refs[marker] = held
+                return
+            try:
+                os.unlink(marker)
+            except FileNotFoundError:
+                pass
 
     def open_writers(self) -> list[str]:
         """Names of openhost markers currently present."""

@@ -10,16 +10,18 @@ logical extent of the file onto a physical extent of one data dropping:
 Reads require the *global index*: the union of all records from all index
 droppings, with overlaps resolved in favour of the most recent write (by the
 record's completion timestamp).  This module stores records as a NumPy
-structured array, resolves overlaps with a sweep over an ordered extent map,
-and answers range queries with ``np.searchsorted`` over the flattened,
-non-overlapping extents — the vectorised formulation recommended by the
-project's performance guides.
+structured array and the flattened index as four sorted int64 columns
+(starts, ends, droppings, physical offsets): a batch of records becomes
+those columns with one stable sort (Thakur et al.'s flattened offset/length
+lists), range queries are ``np.searchsorted`` over them, and compaction
+packs them field by field.  Only a batch that is observed to overlap is
+resolved by the :class:`ExtentMap` sweep, whose result is frozen straight
+back into columns.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -148,6 +150,8 @@ class ExtentMap:
     resolution rule of the PLFS global index (later writes shadow earlier
     ones).  Backed by three parallel Python lists kept sorted by start
     offset; inserts are O(log n + k) for k displaced segments.
+    :class:`GlobalIndex` sweeps only overlapping batches through it; the
+    tests hold every index build against it.
     """
 
     __slots__ = ("_starts", "_ends", "_payloads")
@@ -157,6 +161,15 @@ class ExtentMap:
         self._ends: list[int] = []
         # payload = (dropping, physical_offset at segment start)
         self._payloads: list[tuple[int, int]] = []
+
+    @classmethod
+    def from_arrays(cls, starts, ends, droppings, physical_offsets) -> "ExtentMap":
+        """Inverse of :meth:`as_arrays`; the caller guarantees the segments
+        are sorted and non-overlapping."""
+        m = cls()
+        m._starts, m._ends = starts.tolist(), ends.tolist()
+        m._payloads = list(zip(droppings.tolist(), physical_offsets.tolist()))
+        return m
 
     def __len__(self) -> int:
         return len(self._starts)
@@ -224,18 +237,24 @@ class ExtentMap:
         return starts, ends, drops, phys
 
 
+#: (starts, ends, droppings, physical_offsets): parallel int64 columns
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+_NO_SEGMENTS: Columns = (np.empty(0, dtype=np.int64),) * 4
+_SEGMENT_FIELDS = ("logical_offset", "length", "dropping", "physical_offset")
+
+
 class GlobalIndex:
     """The flattened, queryable index of one logical PLFS file.
 
     Built from any number of record arrays (one per index dropping, plus any
-    not-yet-flushed in-memory records of open writers).  Records are merged
-    in timestamp order so later writes shadow earlier ones, then frozen into
-    sorted NumPy arrays for O(log n) range queries.
+    not-yet-flushed in-memory records of open writers).  Its whole state is
+    the sorted, non-overlapping segments as four int64 columns; later
+    records shadow earlier ones (by timestamp) wherever a batch overlaps.
     """
 
     def __init__(self, record_arrays: list[np.ndarray] | None = None):
-        self._map = ExtentMap()
-        self._frozen: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._cols = _NO_SEGMENTS
         if record_arrays:
             self.add_records(np.concatenate(record_arrays) if len(record_arrays) > 1 else record_arrays[0])
 
@@ -248,9 +267,9 @@ class GlobalIndex:
         physical_offsets: np.ndarray,
     ) -> "GlobalIndex":
         """Build directly from already-flattened, sorted, non-overlapping
-        segments (a compacted global index), skipping the merge sweep.
+        segments (a compacted global index), skipping the merge.
 
-        The caller guarantees the invariants the sweep would otherwise
+        The caller guarantees the invariants the merge would otherwise
         establish; nothing here re-checks them beyond monotonicity.
         """
         idx = cls()
@@ -264,43 +283,64 @@ class GlobalIndex:
             raise CorruptIndexError(
                 "compacted segments are not sorted and non-overlapping"
             )
-        m = idx._map
-        m._starts = starts.tolist()
-        m._ends = ends.tolist()
-        m._payloads = list(zip(droppings.tolist(), physical_offsets.tolist()))
-        idx._frozen = (starts, ends, droppings, physical_offsets)
+        idx._cols = (starts, ends, droppings, physical_offsets)
         return idx
 
     def add_records(self, records: np.ndarray) -> None:
-        """Merge *records* (with global dropping ids) into the index."""
+        """Merge *records* (with global dropping ids) into the index.
+
+        Sorted by logical start, a batch whose extents turn out disjoint —
+        from each other and from the segments already held — *is* the
+        flattened index, whatever its timestamps.  Any observed overlap is
+        resolved by the :class:`ExtentMap` sweep instead.
+        """
         if records.size == 0:
             return
-        self._frozen = None
-        # Stable sort by completion timestamp: later records must be applied
-        # last so they shadow earlier ones.  kind="stable" preserves the
-        # append order of records with equal timestamps from one dropping.
-        order = np.argsort(records["timestamp"], kind="stable")
-        recs = records[order]
-        assign = self._map.assign
-        lo = recs["logical_offset"].astype(np.int64)
-        ln = recs["length"].astype(np.int64)
-        po = recs["physical_offset"].astype(np.int64)
-        dr = recs["dropping"]
-        for i in range(recs.shape[0]):
-            assign(int(lo[i]), int(lo[i] + ln[i]), int(dr[i]), int(po[i]))
+        # Unsigned fields reinterpreted, not converted: the same wrap as
+        # ``astype(int64)`` without a temporary per column.
+        lo, ln, dr, po = (records[name].view(np.int64) for name in _SEGMENT_FIELDS)
+        cols = (lo, lo + ln, dr, po)
+        if self._cols[0].size:
+            cols = tuple(np.concatenate(pair) for pair in zip(self._cols, cols))
+        # One argsort, one gather per column.  Gathering the struct array
+        # whole, or converting every column before the sort, doubles the
+        # mid-sized temporaries of each rebuild, and the allocator fragments
+        # over them (peak RSS).  A lone record (a one-write file) is in order.
+        order = np.argsort(cols[0], kind="stable") if cols[0].size > 1 else [0]
+        starts, ends, drops, phys = (col[order] for col in cols)
+        live = ends > starts
+        if not live.all():
+            starts, ends, drops, phys = starts[live], ends[live], drops[live], phys[live]
+        if (starts[1:] >= ends[:-1]).all():
+            self._cols = (starts, ends, drops, phys)
+        else:
+            self._cols = self._sweep(records)
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if self._frozen is None:
-            self._frozen = self._map.as_arrays()
-        return self._frozen
+    def _sweep(self, records: np.ndarray) -> Columns:
+        """The overlap fallback: assign *records* over the held segments in
+        completion order, so later writes shadow earlier ones."""
+        extents = ExtentMap.from_arrays(*self._cols)
+        # kind="stable" preserves the append order of records with equal
+        # timestamps from one dropping.
+        order = np.argsort(records["timestamp"], kind="stable")
+        lo, ln, dr, po = (records[name].view(np.int64)[order] for name in _SEGMENT_FIELDS)
+        for extent in zip(lo.tolist(), (lo + ln).tolist(), dr.tolist(), po.tolist()):
+            extents.assign(*extent)
+        return extents.as_arrays()
+
+    def as_arrays(self) -> Columns:
+        """The flattened segments as parallel columns (shared, read-only
+        by convention: compaction and the tools compute on them in bulk)."""
+        return self._cols
 
     @property
     def logical_size(self) -> int:
         """Size of the logical file: one past the last written byte."""
-        return self._map.extent_end()
+        ends = self._cols[1]
+        return int(ends[-1]) if ends.size else 0
 
     def __len__(self) -> int:
-        return len(self._map)
+        return self._cols[0].size
 
     def query(self, offset: int, length: int) -> list[ReadSlice]:
         """Plan a read of [offset, offset+length).
@@ -317,7 +357,7 @@ class GlobalIndex:
             return []
         end = min(offset + length, size)
 
-        starts, ends, drops, phys = self._arrays()
+        starts, ends, drops, phys = self._cols
         # Batched lookup: locate the whole window of overlapping segments
         # with two bisections, clip them against [offset, end) vectorised,
         # and convert to Python ints in bulk — the per-slice loop below
@@ -341,8 +381,9 @@ class GlobalIndex:
         return plan
 
     def segments(self) -> list[tuple[int, int, int, int]]:
-        """Expose the flattened extents (for compaction and inspection)."""
-        return self._map.segments()
+        """The flattened extents as (start, end, dropping, physical_offset)
+        tuples — a view of :meth:`as_arrays` for inspection."""
+        return list(zip(*(col.tolist() for col in self._cols)))
 
 
 def load_global_index(
@@ -364,9 +405,12 @@ def load_global_index(
     data_paths: list[str] = []
     for global_id, (index_path, data_path) in enumerate(droppings):
         data_paths.append(data_path)
-        if not os.path.exists(index_path):
+        try:
+            recs = read_index_dropping(index_path)
+        except FileNotFoundError:
+            # No index dropping (yet, or any more): the data dropping keeps
+            # its id, it just contributes no records.
             continue
-        recs = read_index_dropping(index_path)
         if recs.size:
             recs["dropping"] = global_id
             arrays.append(recs)
@@ -384,7 +428,7 @@ def load_global_index(
 # ---------------------------------------------------------------------- #
 
 def pack_compacted(
-    segments: list[tuple[int, int, int, int]],
+    segments: Columns,
     data_paths: list[str],
     epoch: str,
     logical_size: int,
@@ -394,21 +438,17 @@ def pack_compacted(
     Layout: one JSON header line (magic, version, container epoch, record
     count, data-dropping paths relative to the container root, logical
     size), then ``records`` packed :data:`INDEX_DTYPE` entries holding the
-    non-overlapping segments sorted by logical offset.  ``pid`` and
-    ``timestamp`` are zeroed: a compacted index has no recency to resolve.
+    non-overlapping *segments* (the columns of :meth:`GlobalIndex.as_arrays`)
+    sorted by logical offset.  ``pid`` and ``timestamp`` are zeroed: a
+    compacted index has no recency to resolve.
     """
-    recs = np.zeros(len(segments), dtype=INDEX_DTYPE)
-    for i, (start, end, dropping, phys) in enumerate(segments):
-        recs[i]["logical_offset"] = start
-        recs[i]["length"] = end - start
-        recs[i]["dropping"] = dropping
-        recs[i]["physical_offset"] = phys
+    recs = segment_records(segments)
     header = json.dumps(
         {
             "magic": constants.GLOBAL_INDEX_MAGIC,
             "version": constants.GLOBAL_INDEX_VERSION,
             "epoch": epoch,
-            "records": len(segments),
+            "records": len(recs),
             "data_paths": list(data_paths),
             "logical_size": logical_size,
         },
@@ -477,6 +517,18 @@ def index_from_compacted(records: np.ndarray) -> GlobalIndex:
         starts, ends, records["dropping"].astype(np.int64),
         records["physical_offset"].astype(np.int64),
     )
+
+
+def segment_records(segments: Columns) -> np.ndarray:
+    """Flattened segment columns as :data:`INDEX_DTYPE` records (``pid``
+    and ``timestamp`` zero); the inverse of :func:`index_from_compacted`."""
+    starts, ends, droppings, physical_offsets = segments
+    recs = np.zeros(starts.size, dtype=INDEX_DTYPE)
+    recs["logical_offset"] = starts
+    recs["length"] = ends - starts
+    recs["dropping"] = droppings
+    recs["physical_offset"] = physical_offsets
+    return recs
 
 
 def make_record(

@@ -175,7 +175,8 @@ def plfs_check(path: str) -> ContainerReport:
     if report.ok:
         index, _ = load_global_index(pairs)
         report.logical_size = index.logical_size
-        live_bytes = sum(end - start for start, end, _, _ in index.segments())
+        starts, ends, _, _ = index.as_arrays()
+        live_bytes = int((ends - starts).sum())
         report.garbage_bytes = max(0, report.physical_bytes - live_bytes)
 
         cached = container.cached_size()

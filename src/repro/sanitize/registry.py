@@ -67,12 +67,14 @@ def lock_from_guard(guard: GuardSpec) -> LockSpec:
     return LockSpec(guard.module, "", guard.guard)
 
 
-#: PR 2's core guards plus the shared index cache and the backing global
+#: PR 2's core guards plus the shared index cache, the backing global and
+#: the per-process openhost-marker claims
 EXTENDED_GUARDS: list[GuardSpec] = [
     *DEFAULT_GUARDS,
     GuardSpec("repro.plfs.cache", "IndexCache", "_entries", "self._lock"),
     GuardSpec("repro.plfs.cache", "IndexCache", "_generations", "self._lock"),
     GuardSpec("repro.plfs.backing", "", "_current", "_lock"),
+    GuardSpec("repro.plfs.container", "", "_marker_refs", "_marker_lock"),
 ]
 
 

@@ -324,3 +324,46 @@ class TestCrossDescriptorFreshness:
         assert os.pread(rfd, 6, 0) == b"SECOND"
         os.close(wfd)
         os.close(rfd)
+
+
+class TestSiblingWriters:
+    """Regression: the ``openhosts/`` marker is named ``host.pid``, so
+    every write descriptor one process opens on a file shares it.  The
+    first close used to unlink it under its siblings' feet: ``stat`` then
+    trusted the closed writer's ``meta/`` size, and every close looked like
+    the last and compacted."""
+
+    def test_stat_after_sibling_close_matches_flat_file(
+        self, interposer, f, tmp_path
+    ):
+        sizes = []
+        for path in (str(tmp_path / "flat"), f):
+            a = os.open(path, os.O_CREAT | os.O_WRONLY)
+            b = os.open(path, os.O_WRONLY)
+            os.pwrite(a, b"a" * 100, 0)
+            os.close(a)
+            os.pwrite(b, b"b" * 100, 1000)
+            os.fsync(b)
+            sizes.append(os.stat(path).st_size)
+            os.close(b)
+            sizes.append(os.stat(path).st_size)
+        assert sizes == [1100, 1100, 1100, 1100]
+
+    def test_sibling_close_keeps_marker_and_defers_compaction(
+        self, interposer, f, backend
+    ):
+        from repro.plfs.container import Container
+
+        container = Container(os.path.join(backend, "file"))
+        a = os.open(f, os.O_CREAT | os.O_WRONLY)
+        b = os.open(f, os.O_WRONLY)
+        os.pwrite(a, b"a" * 100, 0)
+        os.pwrite(b, b"b" * 100, 100)
+        real_exists = interposer.real.path_exists
+        assert len(container.open_writers()) == 1  # one marker, two holders
+        os.close(a)
+        assert len(container.open_writers()) == 1
+        assert not real_exists(container.global_index_path())
+        os.close(b)
+        assert container.open_writers() == []
+        assert real_exists(container.global_index_path())

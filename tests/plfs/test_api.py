@@ -292,12 +292,20 @@ class TestMaintenance:
     def test_dump_index_roundtrip(self, container_path):
         fd = plfs.plfs_open(container_path, os.O_CREAT | os.O_WRONLY)
         plfs.plfs_write(fd, b"ab", 2, 0)
+        plfs.plfs_write(fd, b"cde", 3, 10)
         plfs.plfs_close(fd)
         from repro.plfs.index import parse_records
 
         records = parse_records(plfs.plfs_dump_index(container_path))
-        assert records.shape == (1,)
+        assert records.shape == (2,)
         assert records[0]["length"] == 2
+        dumped = [
+            (r["logical_offset"], r["logical_offset"] + r["length"],
+             r["dropping"], r["physical_offset"])
+            for r in records
+        ]
+        assert dumped == plfs.plfs_map(container_path)
+        assert (records["timestamp"] > 0).all() and (records["pid"] == 0).all()
 
     def test_readdir_mkdir_rmdir(self, backend):
         d = os.path.join(backend, "dir")

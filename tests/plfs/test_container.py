@@ -123,6 +123,30 @@ class TestOpenhostsAndMeta:
         c.unregister_open(pid=12)
         assert c.open_writers() == []
 
+    def test_marker_outlives_all_but_the_last_holder(self, container_path):
+        # One process, several write handles: they share the host.pid marker.
+        c = Container(container_path)
+        c.create()
+        c.register_open(pid=11)
+        Container(container_path).register_open(pid=11)
+        assert len(c.open_writers()) == 1
+        c.unregister_open(pid=11)
+        assert len(c.open_writers()) == 1
+        Container(container_path).unregister_open(pid=11)
+        assert c.open_writers() == []
+
+    def test_swept_marker_forgets_its_dead_holders(self, container_path):
+        # Recovery removes the markers of writers it declares dead; their
+        # claims must not keep a later writer's marker alive for ever.
+        c = Container(container_path)
+        c.create()
+        c.register_open(pid=11)  # never unregistered: the "crashed" handle
+        os.unlink(c._openhost_marker(11))
+        c.register_open(pid=11)
+        assert len(c.open_writers()) == 1
+        c.unregister_open(pid=11)
+        assert c.open_writers() == []
+
     def test_unregister_missing_is_noop(self, container_path):
         c = Container(container_path)
         c.create()

@@ -1,0 +1,222 @@
+"""Differential tests: the array-native index build against the sweep.
+
+``GlobalIndex.add_records`` turns a batch whose extents it observes to be
+disjoint into the index with one sort, and hands every other batch to the
+``ExtentMap`` sweep.  The sweep applied record by record in completion
+order is the reference here: whatever path the kernel takes, segments,
+read plans and compacted bytes must equal the reference's.
+"""
+
+from __future__ import annotations
+
+import os
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import plfs
+from repro.plfs.index import (
+    INDEX_DTYPE,
+    ExtentMap,
+    GlobalIndex,
+    pack_compacted,
+    read_index_dropping,
+)
+
+
+def records_from(rows) -> np.ndarray:
+    """(logical_offset, length, dropping, physical_offset, timestamp) rows."""
+    recs = np.zeros(len(rows), dtype=INDEX_DTYPE)
+    for i, (lo, ln, dr, po, ts) in enumerate(rows):
+        recs[i] = (lo, po, ln, dr, 7, ts)
+    return recs
+
+
+def sweep(batches, base: ExtentMap | None = None) -> ExtentMap:
+    """The reference: every record assigned in completion order, batch
+    after batch, over *base*."""
+    extents = base if base is not None else ExtentMap()
+    for records in batches:
+        for i in np.argsort(records["timestamp"], kind="stable").tolist():
+            lo = int(records["logical_offset"][i])
+            extents.assign(
+                lo,
+                lo + int(records["length"][i]),
+                int(records["dropping"][i]),
+                int(records["physical_offset"][i]),
+            )
+    return extents
+
+
+def assert_same_index(index: GlobalIndex, reference: ExtentMap) -> None:
+    assert index.segments() == reference.segments()
+    assert len(index) == len(reference)
+    assert index.logical_size == reference.extent_end()
+    expected = GlobalIndex.from_flat_segments(*reference.as_arrays())
+    size = reference.extent_end()
+    for offset, length in ((0, size + 10), (size // 3, size // 2 + 1), (size, 5)):
+        assert index.query(offset, length) == expected.query(offset, length)
+    paths = [f"hostdir.0/dropping.data.{i}" for i in range(4)]
+    assert pack_compacted(index.as_arrays(), paths, "epoch", size) == pack_compacted(
+        reference.as_arrays(), paths, "epoch", size
+    )
+
+
+# A handful of timestamps, so equal ones (resolved by append order) are common.
+timestamps = st.sampled_from([1.0, 2.0, 2.0, 3.5, 9.0])
+droppings = st.integers(0, 3)
+physical = st.integers(0, 1 << 20)
+
+#: any records: overlapping, nested, duplicated, zero-length
+arbitrary_rows = st.lists(
+    st.tuples(st.integers(0, 300), st.integers(0, 40), droppings, physical, timestamps),
+    min_size=1,
+    max_size=30,
+)
+
+
+@st.composite
+def disjoint_rows(draw):
+    """Extents that never overlap (holes and zero-length records mixed in),
+    in shuffled order and with arbitrary timestamps: the strided N-1
+    pattern the kernel serves without the sweep."""
+    pieces = draw(
+        st.lists(
+            st.tuples(st.integers(0, 20), st.integers(0, 40), droppings, physical, timestamps),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    rows, pos = [], draw(st.integers(0, 50))
+    for gap, length, dr, po, ts in pieces:
+        pos += gap
+        rows.append((pos, length, dr, po, ts))
+        pos += length
+    return draw(st.permutations(rows))
+
+
+batches = st.lists(st.one_of(arbitrary_rows, disjoint_rows()), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches=batches)
+def test_add_records_matches_sweep(batches):
+    arrays = [records_from(rows) for rows in batches]
+    index = GlobalIndex()
+    for records in arrays:
+        index.add_records(records)
+    assert_same_index(index, sweep(arrays))
+
+
+@settings(max_examples=100, deadline=None)
+@given(batches=batches)
+def test_constructor_concatenation_matches_sweep(batches):
+    arrays = [records_from(rows) for rows in batches]
+    assert_same_index(GlobalIndex(arrays), sweep([np.concatenate(arrays)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=disjoint_rows(), batches=batches)
+def test_batches_over_flat_segments_match_sweep(base, batches):
+    flat = sweep([records_from(base)]).as_arrays()
+    index = GlobalIndex.from_flat_segments(*flat)
+    arrays = [records_from(rows) for rows in batches]
+    for records in arrays:
+        index.add_records(records)
+    assert_same_index(index, sweep(arrays, ExtentMap.from_arrays(*flat)))
+
+
+class TestPathSelection:
+    """Which path served a batch is decided by what the kernel sees in it."""
+
+    @staticmethod
+    def count_assigns(monkeypatch) -> list:
+        calls = []
+        original = ExtentMap.assign
+
+        def spy(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(ExtentMap, "assign", spy)
+        return calls
+
+    def test_disjoint_batch_skips_the_sweep(self, monkeypatch):
+        # 4 writers x 8 strided blocks, concatenated writer by writer, with
+        # timestamps running against the offsets.
+        rows = [
+            (4096 * (4 * k + w), 4096, w, 4096 * k, 100.0 - k)
+            for w in range(4)
+            for k in range(8)
+        ]
+        records = records_from(rows)
+        reference = sweep([records])
+        calls = self.count_assigns(monkeypatch)
+        index = GlobalIndex([records])
+        assert calls == []
+        assert index.segments() == reference.segments()
+        assert len(index) == 32
+
+    def test_overlapping_batch_takes_the_sweep(self, monkeypatch):
+        rows = [(0, 100, 0, 0, 1.0), (200, 100, 0, 100, 2.0), (50, 100, 1, 0, 3.0)]
+        records = records_from(rows)
+        reference = sweep([records])
+        calls = self.count_assigns(monkeypatch)
+        index = GlobalIndex([records])
+        assert len(calls) == 3
+        assert index.segments() == reference.segments()
+        assert index.segments() == [(0, 50, 0, 0), (50, 150, 1, 0), (200, 300, 0, 100)]
+
+    def test_disjoint_batch_over_held_segments_skips_the_sweep(self, monkeypatch):
+        index = GlobalIndex([records_from([(0, 10, 0, 0, 5.0), (40, 10, 0, 10, 6.0)])])
+        calls = self.count_assigns(monkeypatch)
+        index.add_records(records_from([(20, 10, 1, 0, 1.0), (10, 0, 1, 0, 1.0)]))
+        assert calls == []
+        assert index.segments() == [(0, 10, 0, 0), (20, 30, 1, 0), (40, 50, 0, 10)]
+
+    def test_batch_overlapping_held_segments_shadows_them(self, monkeypatch):
+        # The batch is older by timestamp, but whatever is already held is
+        # flattened history: a later add_records always lands on top.
+        index = GlobalIndex([records_from([(0, 10, 0, 0, 5.0)])])
+        calls = self.count_assigns(monkeypatch)
+        index.add_records(records_from([(5, 10, 1, 0, 1.0)]))
+        assert len(calls) == 1
+        assert index.segments() == [(0, 5, 0, 0), (5, 15, 1, 0)]
+
+
+def test_global_index_of_strided_writers_is_byte_identical_to_the_sweep(tmp_path):
+    """16 write handles of one process, strided 4 KiB blocks (the N-1
+    checkpoint): the ``global.index`` the last close leaves behind is
+    exactly what the reference sweep over the index droppings packs."""
+    path = str(tmp_path / "checkpoint")
+    writers, rounds, block = 16, 24, 4096
+    flags = os.O_CREAT | os.O_WRONLY
+    fds = [plfs.plfs_open(path, flags) for _ in range(writers)]
+    for k in range(rounds):
+        for w, fd in enumerate(fds):
+            payload = bytes([w + 1]) * block
+            plfs.plfs_write(fd, payload, block, (k * writers + w) * block)
+    container = plfs.Container(path)
+    for fd in fds[:-1]:
+        plfs.plfs_close(fd)
+        assert not os.path.exists(container.global_index_path())
+    plfs.plfs_close(fds[-1])
+
+    pairs = container.droppings()
+    assert len(pairs) == writers
+    arrays = []
+    for gid, (index_path, _) in enumerate(pairs):
+        records = read_index_dropping(index_path)
+        records["dropping"] = gid
+        arrays.append(records)
+    reference = sweep([np.concatenate(arrays)])
+    assert len(reference) == writers * rounds
+    expected = pack_compacted(
+        reference.as_arrays(),
+        [os.path.relpath(data, path) for _, data in pairs],
+        container.index_epoch(pairs),
+        reference.extent_end(),
+    )
+    with open(container.global_index_path(), "rb") as fh:
+        assert fh.read() == expected

@@ -23,7 +23,7 @@ from repro.plfs.api import (
 from repro.plfs.cache import IndexCache, compact, load_index, shared_cache
 from repro.plfs.container import Container
 from repro.plfs.errors import CorruptIndexError
-from repro.plfs.index import parse_compacted
+from repro.plfs.index import load_global_index, parse_compacted
 from repro.plfs.reader import ReadFile, coalesce_plan, logical_size
 from repro.plfs.writer import WriteFile
 
@@ -213,6 +213,34 @@ class TestSharedIndexCache:
             cache.get(c)
             paths.append(p)
         assert len(cache._entries) == 2
+
+    def test_miss_lists_the_container_once(self, container, monkeypatch):
+        """The cached epoch and the cached index come from one listing."""
+        write_stripes(container, droppings=3)
+        listings = []
+        original = Container.droppings
+
+        def counting(self):
+            listings.append(self.path)
+            return original(self)
+
+        monkeypatch.setattr(Container, "droppings", counting)
+        cache = IndexCache()
+        cache.get(container)
+        assert len(listings) == 1
+        cache.get(container)  # a hit revalidates with one more
+        assert len(listings) == 2
+
+    def test_index_dropping_vanishing_mid_build_is_not_an_error(self, container):
+        """A listed dropping whose index file is gone by the time it is
+        opened contributes no records (no exists-then-open window)."""
+        whole = write_stripes(container, droppings=2, stripe=4)
+        pairs = container.droppings()
+        os.unlink(pairs[1][0])
+        index, data_paths = load_global_index(pairs)
+        assert data_paths == [data for _, data in pairs]
+        assert index.segments() == [(0, 4, 0, 0)]
+        assert index.logical_size < len(whole)
 
     def test_writer_flush_invalidates_readers(self, container):
         r = ReadFile(container)
