@@ -22,6 +22,7 @@ cursor semantics and also never leaks a directory entry.
 
 from __future__ import annotations
 
+import errno
 import os
 import tempfile
 import threading
@@ -71,13 +72,22 @@ class FdTable:
 
     def _open_shadow_fd(self) -> int:
         """Reserve a genuine POSIX descriptor backed by an unlinked temp
-        file whose offset serves as the emulated PLFS file pointer."""
-        fd, path = tempfile.mkstemp(prefix="ldplfs-shadow-")
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-        return fd
+        file whose offset serves as the emulated PLFS file pointer:
+        ``mkstemp`` (random name, ``O_EXCL``, bounded tries) in real calls."""
+        real = self._real
+        flags = os.O_RDWR | os.O_CREAT | os.O_EXCL | getattr(os, "O_NOFOLLOW", 0)
+        for _ in range(tempfile.TMP_MAX):
+            path = os.path.join(tempfile.gettempdir(), f"ldplfs-shadow-{os.urandom(8).hex()}")
+            try:
+                fd = real.open(path, flags, 0o600)
+            except FileExistsError:
+                continue
+            try:
+                real.unlink(path)
+            except OSError:
+                pass
+            return fd
+        raise FileExistsError(errno.EEXIST, "no usable shadow file name found")
 
     # ------------------------------------------------------------------ #
     # table operations

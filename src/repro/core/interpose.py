@@ -17,9 +17,11 @@ import os
 import threading
 from contextlib import contextmanager
 
+from repro.plfs.route import RealOS, posix
+
 from . import config
 from .mounts import MountTable
-from .shim import RealOS, Shim
+from .shim import Shim
 
 #: os attributes patched to same-named Shim methods.
 _OS_PATCHES = [
@@ -129,20 +131,23 @@ class Interposer:
         import io
 
         shim = self.shim
+        # Looked up first: a Shim lacking one fails with nothing patched.
+        targets = {
+            name: getattr(shim, "unlink" if name == "remove" else name)
+            for name in _OS_PATCHES
+            if hasattr(os, name)  # platform dependent
+        }
         # ``io.open`` is the same entry point as ``builtins.open`` but is
         # referenced directly by pathlib and parts of the stdlib; both
         # names must be rebound (they are two dynamic symbols for one
         # libc function, in ELF terms).
         self._saved = {"builtins.open": builtins.open, "io.open": io.open}
-        for name in _OS_PATCHES:
-            original = getattr(os, name, None)
-            if original is None:  # pragma: no cover - platform dependent
-                continue
-            self._saved[f"os.{name}"] = original
-            target = getattr(shim, "unlink" if name == "remove" else name)
+        self._saved.update((f"os.{name}", getattr(os, name)) for name in targets)
+        # From the first rebound symbol on, PLFS goes around the shim.
+        posix.bind(self.real)
+        for name, target in targets.items():
             setattr(os, name, target)
-        builtins.open = shim.builtin_open
-        io.open = shim.builtin_open
+        builtins.open = io.open = shim.builtin_open
 
     def _unpatch(self) -> None:
         import io
@@ -156,6 +161,7 @@ class Interposer:
             else:
                 builtins.open = original
         self._saved = {}
+        posix.unbind()
 
     # ------------------------------------------------------------------ #
 

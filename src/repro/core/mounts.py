@@ -28,11 +28,9 @@ class Mount:
     daemon: str | None = None
 
     def translate(self, logical_path: str) -> str:
-        """Backend physical path for *logical_path* (must be under us)."""
-        rel = os.path.relpath(logical_path, self.mount_point)
-        if rel == ".":
-            return self.backend
-        return os.path.join(self.backend, rel)
+        """Backend physical path for *logical_path* (normalised and under
+        us): the mount-point prefix is swapped for the backend."""
+        return self.backend + logical_path[len(self.mount_point):]
 
 
 def _normalise(path) -> str:
@@ -41,7 +39,10 @@ def _normalise(path) -> str:
     fspath = os.fspath(path)
     if isinstance(fspath, bytes):
         fspath = os.fsdecode(fspath)
-    return os.path.normpath(os.path.join(os.getcwd(), fspath))
+    if not fspath.startswith(os.sep):
+        # Only a relative path needs the cwd (which may have been removed).
+        fspath = os.path.join(os.getcwd(), fspath)
+    return os.path.normpath(fspath)
 
 
 class MountTable:
@@ -109,19 +110,17 @@ class MountTable:
 
     def find(self, path) -> Mount | None:
         """The mount containing *path*, or None."""
+        resolved = self.resolve(path)
+        return resolved[0] if resolved else None
+
+    def resolve(self, path) -> tuple[Mount, str] | None:
+        """(mount, backend_path) for *path* if it is under a mount."""
         p = _normalise(path)
         with self._lock:
             for mount in self._mounts:
                 if p == mount.mount_point or p.startswith(mount.mount_point + os.sep):
-                    return mount
+                    return mount, mount.translate(p)
         return None
-
-    def resolve(self, path) -> tuple[Mount, str] | None:
-        """(mount, backend_path) for *path* if it is under a mount."""
-        mount = self.find(path)
-        if mount is None:
-            return None
-        return mount, mount.translate(_normalise(path))
 
     def __len__(self) -> int:
         with self._lock:

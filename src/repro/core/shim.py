@@ -19,106 +19,16 @@ import time
 from dataclasses import dataclass, field
 
 from repro.plfs import api as plfs_api
+from repro.plfs import constants
+from repro.plfs.container import CONTAINER, DIRECTORY, FILE, Container, classify
 from repro.plfs.container import is_container, readdir_logical, rmdir_logical
-from repro.plfs.errors import PlfsError
+from repro.plfs.errors import ContainerNotFoundError, NotAContainerError, PlfsError
+from repro.plfs.route import RealOS
 
 from .fdtable import FdEntry, FdTable
 from .mounts import Mount, MountTable
 
 _ACCMODE = os.O_RDONLY | os.O_WRONLY | os.O_RDWR
-
-
-@dataclass(frozen=True)
-class RealOS:
-    """Snapshot of the original functions taken before patching."""
-
-    open: callable
-    close: callable
-    read: callable
-    write: callable
-    pread: callable
-    pwrite: callable
-    lseek: callable
-    dup: callable
-    dup2: callable
-    stat: callable
-    lstat: callable
-    fstat: callable
-    access: callable
-    unlink: callable
-    rename: callable
-    replace: callable
-    truncate: callable
-    ftruncate: callable
-    fsync: callable
-    mkdir: callable
-    rmdir: callable
-    listdir: callable
-    scandir: callable
-    chmod: callable
-    utime: callable
-    path_exists: callable
-    builtins_open: callable
-    sendfile: callable | None = None
-    fdatasync: callable | None = None
-    statvfs: callable | None = None
-    fstatvfs: callable | None = None
-    link: callable | None = None
-    symlink: callable | None = None
-    readlink: callable | None = None
-    copy_file_range: callable | None = None
-    readv: callable | None = None
-    writev: callable | None = None
-    preadv: callable | None = None
-    pwritev: callable | None = None
-    splice: callable | None = None
-
-    @classmethod
-    def snapshot(cls) -> "RealOS":
-        import builtins
-
-        return cls(
-            open=os.open,
-            close=os.close,
-            read=os.read,
-            write=os.write,
-            pread=os.pread,
-            pwrite=os.pwrite,
-            lseek=os.lseek,
-            dup=os.dup,
-            dup2=os.dup2,
-            stat=os.stat,
-            lstat=os.lstat,
-            fstat=os.fstat,
-            access=os.access,
-            unlink=os.unlink,
-            rename=os.rename,
-            replace=os.replace,
-            truncate=os.truncate,
-            ftruncate=os.ftruncate,
-            fsync=os.fsync,
-            mkdir=os.mkdir,
-            rmdir=os.rmdir,
-            listdir=os.listdir,
-            scandir=os.scandir,
-            chmod=os.chmod,
-            utime=os.utime,
-            path_exists=os.path.exists,
-            builtins_open=builtins.open,
-            sendfile=getattr(os, "sendfile", None),
-            fdatasync=getattr(os, "fdatasync", None),
-            statvfs=getattr(os, "statvfs", None),
-            fstatvfs=getattr(os, "fstatvfs", None),
-            link=getattr(os, "link", None),
-            symlink=getattr(os, "symlink", None),
-            readlink=getattr(os, "readlink", None),
-            copy_file_range=getattr(os, "copy_file_range", None),
-            readv=getattr(os, "readv", None),
-            writev=getattr(os, "writev", None),
-            preadv=getattr(os, "preadv", None),
-            pwritev=getattr(os, "pwritev", None),
-            splice=getattr(os, "splice", None),
-        )
 
 
 @dataclass
@@ -166,6 +76,29 @@ def _enotdir(path) -> OSError:
 
 def _exdev(src, dst) -> OSError:
     return OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, None, dst)
+
+
+def _readdir(path, backend: str) -> list[str]:
+    """Entries of the logical directory *path*: a container is a file
+    (ENOTDIR), anything else that will not list is reported missing."""
+    try:
+        return readdir_logical(backend)
+    except NotAContainerError:
+        raise _enotdir(path) from None
+    except (FileNotFoundError, NotADirectoryError):
+        raise _enoent(path) from None
+
+
+def _may_execute(st, mode: int) -> bool:
+    """``access(X_OK)`` for a regular file owned like *st* with permission
+    bits *mode*, as the kernel decides it for the real uid/gid."""
+    uid = os.getuid()
+    if uid == 0:
+        return bool(mode & 0o111)
+    if uid == st.st_uid:
+        return bool(mode & 0o100)
+    in_group = st.st_gid == os.getgid() or st.st_gid in os.getgroups()
+    return bool(mode & (0o010 if in_group else 0o001))
 
 
 class Shim:
@@ -253,12 +186,9 @@ class Shim:
         if isinstance(path, int):  # fd-relative path APIs pass ints
             return None
         try:
-            fspath = os.fspath(path)
-        except TypeError:
+            return self.mounts.resolve(path)
+        except TypeError:  # not path-like: the real call will say so
             return None
-        if isinstance(fspath, bytes):
-            fspath = os.fsdecode(fspath)
-        return self.mounts.resolve(fspath)
 
     def _count(self, plfs: bool) -> None:
         self.stats["plfs_calls" if plfs else "passthrough_calls"] += 1
@@ -318,32 +248,28 @@ class Shim:
         if resolved is None:
             self._count(False)
             return self.real.open(path, flags, mode, dir_fd=dir_fd, **kwargs)
+        return self._open_resolved(path, resolved, flags, mode)
+
+    def _open_resolved(self, path, resolved: tuple[Mount, str], flags: int, mode: int) -> int:
         mount, backend = resolved
         self._count(True)
 
-        if is_container(backend):
-            pass  # logical file
-        elif os.path.isdir(backend):
-            # A logical directory: give the caller a real directory fd on
-            # the backend so fchdir()/O_DIRECTORY users keep working.
-            return self.real.open(backend, flags, mode)
-        elif os.path.exists(backend):
-            # Plain (non-PLFS) file living inside the backend tree.
-            return self.real.open(backend, flags, mode)
-        elif not flags & os.O_CREAT:
-            raise _enoent(path)
-
-        plfs_fd = None
-        if mount.daemon is not None:
-            try:
+        # plfs_open takes the one look at the backend and says what it saw.
+        try:
+            plfs_fd = None
+            if mount.daemon is not None:
                 plfs_fd = self._daemon_open(mount.daemon, backend, flags, mode & 0o777)
-            except PlfsError as exc:
-                raise type(exc)(str(exc.args[1] if len(exc.args) > 1 else exc), exc.errno) from None
-        if plfs_fd is None:
-            try:
+            if plfs_fd is None:
                 plfs_fd = plfs_api.plfs_open(backend, flags, os.getpid(), mode & 0o777)
-            except PlfsError as exc:
-                raise type(exc)(str(exc.args[1] if len(exc.args) > 1 else exc), exc.errno) from None
+        except ContainerNotFoundError:
+            raise _enoent(path) from None
+        except NotAContainerError:
+            # A logical directory (the caller gets a real directory fd on
+            # the backend, so fchdir()/O_DIRECTORY users keep working) or
+            # a plain non-PLFS file living inside the backend tree.
+            return self.real.open(backend, flags, mode)
+        except PlfsError as exc:
+            raise type(exc)(str(exc.args[1] if len(exc.args) > 1 else exc), exc.errno) from None
         try:
             entry = self.table.insert(plfs_fd, flags, os.fspath(path))
         except Exception:
@@ -676,13 +602,16 @@ class Shim:
             return self.real.statvfs(path)
         _, backend = resolved
         self._count(True)
+        # The nearest existing ancestor answers for a path not made yet.
         probe = backend
-        while not os.path.exists(probe):
-            parent = os.path.dirname(probe)
-            if parent == probe:
-                break
-            probe = parent
-        return self.real.statvfs(probe)
+        while True:
+            try:
+                return self.real.statvfs(probe)
+            except FileNotFoundError:
+                parent = os.path.dirname(probe)
+                if parent == probe:
+                    raise
+                probe = parent
 
     # ------------------------------------------------------------------ #
     # links: PLFS containers cannot be hard-linked (they are directories
@@ -721,20 +650,24 @@ class Shim:
         if resolved is None:
             self._count(False)
             return self.real.stat(path, dir_fd=dir_fd, follow_symlinks=follow_symlinks)
-        _, backend = resolved
+        return self._stat_resolved(path, resolved[1], follow_symlinks)
+
+    def _stat_resolved(self, path, backend: str, follow_symlinks: bool):
         self._count(True)
         if is_container(backend):
             return plfs_api.plfs_getattr(backend)
-        if os.path.exists(backend):
+        try:
             return self.real.stat(backend, follow_symlinks=follow_symlinks)
-        raise _enoent(path)
+        except (FileNotFoundError, NotADirectoryError):
+            raise _enoent(path) from None
 
     def lstat(self, path, *, dir_fd=None):
-        if self._resolve(path) is None or dir_fd is not None:
+        resolved = self._resolve(path) if dir_fd is None else None
+        if resolved is None:
             self._count(False)
             return self.real.lstat(path, dir_fd=dir_fd)
         # No symlinks inside logical PLFS trees: lstat == stat.
-        return self.stat(path)
+        return self._stat_resolved(path, resolved[1], True)
 
     def access(self, path, amode, **kwargs):
         resolved = self._resolve(path) if not kwargs.get("dir_fd") else None
@@ -743,8 +676,13 @@ class Shim:
             return self.real.access(path, amode, **kwargs)
         _, backend = resolved
         self._count(True)
-        if not os.path.exists(backend):
-            return False
+        if amode & os.X_OK and is_container(backend):
+            # The backend directory is searchable; the logical *file* is
+            # executable only if its recorded mode bits say so.  The rest
+            # (existence, R_OK, W_OK) is the container directory's answer.
+            if not _may_execute(self.real.stat(backend), Container(backend).mode()):
+                return False
+            amode &= ~os.X_OK
         return self.real.access(backend, amode)
 
     def chmod(self, path, mode, **kwargs):
@@ -755,8 +693,6 @@ class Shim:
         _, backend = resolved
         self._count(True)
         if is_container(backend):
-            from repro.plfs import constants
-
             with self.real.builtins_open(
                 os.path.join(backend, constants.ACCESS_FILE), "w"
             ) as fh:
@@ -771,9 +707,10 @@ class Shim:
             return self.real.utime(path, times, **kwargs)
         _, backend = resolved
         self._count(True)
-        if not os.path.exists(backend):
-            raise _enoent(path)
-        return self.real.utime(backend, times)
+        try:
+            return self.real.utime(backend, times)
+        except (FileNotFoundError, NotADirectoryError):
+            raise _enoent(path) from None
 
     # ------------------------------------------------------------------ #
     # namespace operations
@@ -786,13 +723,16 @@ class Shim:
             return self.real.unlink(path, dir_fd=dir_fd)
         _, backend = resolved
         self._count(True)
-        if is_container(backend):
+        try:
             return plfs_api.plfs_unlink(backend)
-        if os.path.isdir(backend):
-            raise _eisdir(path)
-        if not os.path.exists(backend):
-            raise _enoent(path)
-        return self.real.unlink(backend)
+        except ContainerNotFoundError:
+            raise _enoent(path) from None
+        except NotAContainerError:
+            pass  # a plain file inside the backend tree, or a directory
+        try:
+            return self.real.unlink(backend)
+        except IsADirectoryError:
+            raise _eisdir(path) from None
 
     # os.remove is the same function object as os.unlink in CPython, but we
     # expose a distinct alias in case callers saved one of them.
@@ -809,11 +749,12 @@ class Shim:
             raise _exdev(src, dst)
         _, bsrc = rsrc
         _, bdst = rdst
-        if is_container(bsrc):
+        try:
             return plfs_api.plfs_rename(bsrc, bdst)
-        if not os.path.exists(bsrc):
-            raise _enoent(src)
-        return real_fn(bsrc, bdst)
+        except ContainerNotFoundError:
+            raise _enoent(src) from None
+        except NotAContainerError:
+            return real_fn(bsrc, bdst)
 
     def rename(self, src, dst, **kwargs):
         if kwargs.get("src_dir_fd") is not None or kwargs.get("dst_dir_fd") is not None:
@@ -838,9 +779,10 @@ class Shim:
         self._count(True)
         if is_container(backend):
             return plfs_api.plfs_trunc(backend, length)
-        if not os.path.exists(backend):
-            raise _enoent(path)
-        return self.real.truncate(backend, length)
+        try:
+            return self.real.truncate(backend, length)
+        except (FileNotFoundError, NotADirectoryError):
+            raise _enoent(path) from None
 
     def mkdir(self, path, mode=0o777, *, dir_fd=None):
         resolved = self._resolve(path) if dir_fd is None else None
@@ -870,11 +812,7 @@ class Shim:
             return self.real.listdir(path)
         _, backend = resolved
         self._count(True)
-        if is_container(backend):
-            raise _enotdir(path)
-        if not os.path.isdir(backend):
-            raise _enoent(path)
-        return readdir_logical(backend)
+        return _readdir(path, backend)
 
     def scandir(self, path="."):
         resolved = self._resolve(path) if not isinstance(path, int) else None
@@ -914,9 +852,7 @@ class Shim:
             return self.real.builtins_open(
                 file, mode, buffering, encoding, errors, newline, closefd, opener
             )
-        self._count(True)
-        flags = _mode_to_flags(mode)
-        fd = self.open(file, flags, 0o666)
+        fd = self._open_resolved(file, resolved, _mode_to_flags(mode), 0o666)
         try:
             return self._wrap_fd(fd, mode, buffering, encoding, errors, newline, True)
         except Exception:
@@ -1037,10 +973,10 @@ class _PlfsDirEntry:
         self._backend = os.path.join(backend_dir, name)
 
     def is_dir(self, *, follow_symlinks=True) -> bool:
-        return os.path.isdir(self._backend) and not is_container(self._backend)
+        return classify(self._backend) == DIRECTORY
 
     def is_file(self, *, follow_symlinks=True) -> bool:
-        return is_container(self._backend) or os.path.isfile(self._backend)
+        return classify(self._backend) in (CONTAINER, FILE)
 
     def is_symlink(self) -> bool:
         return False
@@ -1049,7 +985,7 @@ class _PlfsDirEntry:
         return self._shim.stat(self.path)
 
     def inode(self) -> int:
-        return os.stat(self._backend).st_ino
+        return self._shim.real.stat(self._backend).st_ino
 
     def __fspath__(self) -> str:
         return self.path
@@ -1062,13 +998,9 @@ class _PlfsScandirIterator:
     """Context-manager iterator matching ``os.scandir``'s protocol."""
 
     def __init__(self, shim: Shim, logical_dir: str, backend_dir: str):
-        if is_container(backend_dir):
-            raise _enotdir(logical_dir)
-        if not os.path.isdir(backend_dir):
-            raise _enoent(logical_dir)
         self._entries = iter(
             _PlfsDirEntry(shim, name, logical_dir, backend_dir)
-            for name in readdir_logical(backend_dir)
+            for name in _readdir(logical_dir, backend_dir)
         )
 
     def __iter__(self):

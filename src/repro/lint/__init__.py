@@ -40,6 +40,7 @@ from .coverage import (
     AuditReport,
     audit_findings,
     audit_interposition,
+    audit_route,
     realos_gaps,
 )
 from .findings import RULES, LintFinding, RuleSpec, Severity, sort_findings
@@ -68,6 +69,7 @@ __all__ = [
     "as_static_evidence",
     "audit_findings",
     "audit_interposition",
+    "audit_route",
     "check_source",
     "findings_to_dict",
     "findings_to_json",

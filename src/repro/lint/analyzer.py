@@ -7,7 +7,8 @@ Two front doors, matching the two halves of the subsystem:
   (including the mount prefixes the script declares), run every registered
   rule visitor.
 - :func:`self_audit` — the repo's own static gate: the interposition
-  coverage audit, the whole-system interprocedural lock analysis and the
+  coverage audit, the one-route audit (no bare OS call in PLFS or the
+  shim), the whole-system interprocedural lock analysis and the
   ordering-contract checker (both from :mod:`repro.sanitize`), combined
   into one finding list so CI has a single pass/fail.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .concurrency import GuardSpec
-from .coverage import AuditReport, audit_findings, audit_interposition
+from .coverage import AuditReport, audit_findings, audit_interposition, audit_route
 from .findings import LintFinding, RULES, sort_findings
 from .rules import run_rule_visitors
 from .visitors import ScriptContext
@@ -99,6 +100,7 @@ def self_audit(
 
     coverage = audit_interposition(patches=patches)
     findings = audit_findings(coverage)
+    findings.extend(audit_route())
     static = analyze(targets, guards=guards)
     findings.extend(static.findings)
     findings.extend(check_contracts(contracts))

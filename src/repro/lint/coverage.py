@@ -20,12 +20,15 @@ closed in PR 2.
 
 from __future__ import annotations
 
+import ast
 import builtins
 import inspect
 import io
 import os
+import pkgutil
 from dataclasses import dataclass, field
 
+import repro.plfs
 from repro.core import interpose
 from repro.core.shim import RealOS, Shim
 
@@ -246,26 +249,29 @@ def audit_interposition(
     return report
 
 
+def _finding(
+    spec: RuleSpec, detail: str, file: str = "repro.core.interpose", line: int = 0, col: int = 0,
+    **evidence,
+) -> LintFinding:
+    return LintFinding(
+        rule=spec.rule_id,
+        name=spec.name,
+        severity=spec.severity,
+        file=file,
+        line=line,
+        col=col,
+        detail=detail,
+        recommendation=spec.recommendation,
+        evidence=dict(sorted(evidence.items())),
+    )
+
+
 def audit_findings(report: AuditReport) -> list[LintFinding]:
     """Render an audit's failures as lint findings (empty when clean)."""
-
-    def finding(spec: RuleSpec, detail: str, **evidence) -> LintFinding:
-        return LintFinding(
-            rule=spec.rule_id,
-            name=spec.name,
-            severity=spec.severity,
-            file="repro.core.interpose",
-            line=0,
-            col=0,
-            detail=detail,
-            recommendation=spec.recommendation,
-            evidence=dict(sorted(evidence.items())),
-        )
-
     findings: list[LintFinding] = []
     for name in report.uncovered:
         findings.append(
-            finding(
+            _finding(
                 RULES["LDP001"],
                 f"os.{name} touches files but is neither patched nor "
                 "acknowledged: while interposition is installed it runs "
@@ -276,7 +282,7 @@ def audit_findings(report: AuditReport) -> list[LintFinding]:
         )
     for surface in report.builtin_uncovered:
         findings.append(
-            finding(
+            _finding(
                 RULES["LDP001"],
                 f"{surface} is not rebound by Interposer._patch; "
                 "applications opening through it bypass PLFS",
@@ -285,7 +291,7 @@ def audit_findings(report: AuditReport) -> list[LintFinding]:
         )
     for name in report.missing_shim:
         findings.append(
-            finding(
+            _finding(
                 RULES["LDP002"],
                 f"os.{name} is listed in _OS_PATCHES but the Shim class "
                 "has no matching method; install() would bind None",
@@ -294,13 +300,58 @@ def audit_findings(report: AuditReport) -> list[LintFinding]:
         )
     for name in report.stale:
         findings.append(
-            finding(
+            _finding(
                 RULES["LDP005"],
                 f"_OS_PATCHES lists os.{name}, which does not exist on "
                 "this platform's os module; the entry is dead weight",
                 symbol=f"os.{name}",
             )
         )
+    return sort_findings(findings)
+
+
+#: beyond ``os.<patched name>`` and the builtin ``open``: the stdlib
+#: composites that call those by name underneath
+OFF_ROUTE_COMPOSITES = frozenset(
+    "os.makedirs os.path.exists os.path.isfile os.path.isdir os.path.getsize shutil.rmtree "
+    "shutil.copy shutil.copy2 shutil.copyfile shutil.copytree tempfile.mkstemp".split()
+)
+
+
+def routed_modules() -> list[str]:
+    """The modules that may touch files only through ``repro.plfs.route``:
+    ``repro/plfs/*.py`` (bar the route itself) and the shim's two."""
+    plfs = pkgutil.iter_modules(repro.plfs.__path__, "repro.plfs.")
+    names = [m.name for m in plfs if not m.ispkg and m.name != "repro.plfs.route"]
+    return sorted(names + ["repro.core.shim", "repro.core.fdtable"])
+
+
+def audit_route(sources: dict[str, str] | None = None) -> list[LintFinding]:
+    """LDP006: every bare OS call in the routed modules (or in *sources*,
+    name -> text, which is how the seeded-violation fixture is checked)."""
+    from repro.sanitize.static import _load_source
+
+    if sources is None:
+        sources = {name: _load_source(name) for name in routed_modules()}
+    patched = set(interpose._OS_PATCHES)
+    findings: list[LintFinding] = []
+    for name, text in sorted(sources.items()):
+        for node in ast.walk(ast.parse(text, filename=name)):
+            if not isinstance(node, (ast.Attribute, ast.Name)) or not isinstance(node.ctx, ast.Load):
+                continue
+            symbol = ast.unparse(node)  # "os.path.exists", "open", "self.real.stat", ...
+            if (
+                symbol == "open"
+                or symbol in OFF_ROUTE_COMPOSITES
+                or (symbol.startswith("os.") and symbol[3:] in patched)
+            ):
+                findings.append(_finding(
+                    RULES["LDP006"],
+                    f"{symbol} is called by name: under an installed "
+                    "Interposer it dispatches through the shim and the mount "
+                    "table just to be passed through to the real function",
+                    name, node.lineno, node.col_offset, symbol=symbol,
+                ))
     return sort_findings(findings)
 
 

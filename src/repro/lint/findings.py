@@ -144,6 +144,16 @@ RULES: dict[str, RuleSpec] = {
             "an _OS_PATCHES entry does not exist in the os module",
             "remove the dead entry (or gate it per platform)",
         ),
+        _spec(
+            "LDP006",
+            "off-route-os-call",
+            Severity.HIGH,
+            "PLFS or shim code reaches the OS around repro.plfs.route",
+            "spell it posix.<call> (repro.plfs.route: posix.stat, "
+            "posix.builtins_open, posix.ensure_dir, posix.rmtree, ...) or, "
+            "for the shim's own pass-through, self.real.<call>; a bare os "
+            "call re-enters the installed shim",
+        ),
         # -- application anti-patterns (AST linter) ----------------------- #
         _spec(
             "LDP101",

@@ -23,11 +23,13 @@ import numpy as np
 
 from . import cache as index_cache
 from . import constants
-from .container import Container, is_container, readdir_logical, rmdir_logical
-from .errors import BadFlagsError, ContainerNotFoundError, NotAContainerError
+from .container import ABSENT, CONTAINER, DIRECTORY, Container, classify
+from .container import is_container, readdir_logical, rmdir_logical
+from .errors import BadFlagsError, ContainerExistsError, ContainerNotFoundError, NotAContainerError
 from .index import pack_records, segment_records
 from .reader import ReadFile
-from .util import hostname, unique_timestamp
+from .route import posix
+from .util import unique_timestamp
 from .writer import WriteFile
 
 _ACCMODE = os.O_RDONLY | os.O_WRONLY | os.O_RDWR
@@ -137,23 +139,22 @@ def plfs_open(
     """Open (optionally creating) the logical file backed at *path*."""
     pid = os.getpid() if pid is None else pid
     container = Container(path)
-    exists = container.exists()
-
-    if not exists:
-        if os.path.isdir(path) and not container.exists():
-            # Container creation is atomic, so an on-disk directory that
-            # is not a container is a foreign directory (the re-check
-            # closes the window where a concurrent creator renamed the
-            # skeleton into place between our two looks).
-            raise NotAContainerError(f"is a directory: {path}")
-        if os.path.exists(path) and not os.path.isdir(path):
-            raise NotAContainerError(f"exists and is not a PLFS file: {path}")
-        if not flags & os.O_CREAT and not container.exists():
-            raise ContainerNotFoundError(f"no such file: {path}")
-        if flags & os.O_CREAT:
-            container.create(mode, exclusive=bool(flags & os.O_EXCL), pid=pid)
-    elif flags & os.O_CREAT and flags & os.O_EXCL:
-        container.create(mode, exclusive=True, pid=pid)
+    kind = classify(path)  # the one look at the backend an open takes
+    if kind == DIRECTORY and container.exists():
+        # Creation is atomic, so a directory that is no container is
+        # foreign — unless a creator renamed between classify()'s two looks.
+        kind = CONTAINER
+    if kind == CONTAINER:
+        if flags & os.O_CREAT and flags & os.O_EXCL:
+            raise ContainerExistsError(f"container exists: {path}")
+    elif kind == DIRECTORY:
+        raise NotAContainerError(f"is a directory: {path}")
+    elif kind != ABSENT:
+        raise NotAContainerError(f"exists and is not a PLFS file: {path}")
+    elif not flags & os.O_CREAT:
+        raise ContainerNotFoundError(f"no such file: {path}")
+    else:
+        container._build(mode, bool(flags & os.O_EXCL), pid)
 
     if flags & os.O_TRUNC and (flags & _ACCMODE) != os.O_RDONLY:
         container.wipe_data()
@@ -364,7 +365,7 @@ def plfs_access(path: str, amode: int) -> bool:
     if not container.exists():
         raise ContainerNotFoundError(f"no such file: {path}")
     # Containers are directories on the backend; delegate permission checks.
-    return os.access(path, amode)
+    return posix.access(path, amode)
 
 
 def plfs_exists(path: str) -> bool:
@@ -455,7 +456,7 @@ def plfs_rename(path: str, new_path: str) -> None:
 
 
 def plfs_mkdir(path: str, mode: int = 0o755) -> None:
-    os.mkdir(path, mode)
+    posix.mkdir(path, mode)
 
 
 def plfs_rmdir(path: str) -> None:

@@ -10,8 +10,9 @@ suite drives every fault in the matrix without patching library internals.
 
 The indirection is deliberately narrow: only operations whose *failure
 mid-flight* leaves a container in a state ``repro-fsck`` must reason about
-are routed here.  Reads, directory listings and unlinks stay direct — a
-failed read corrupts nothing.
+are routed here.  Reads, listings and unlinks bypass the store (a failed
+read corrupts nothing) but, like the default store itself, reach the OS
+only through :data:`repro.plfs.route.posix`, never an installed shim.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from __future__ import annotations
 import os
 import threading
 
+from .route import posix
+
 
 class BackingStore:
-    """Default persistence operations (direct ``os`` calls).
+    """Default persistence operations (straight to the routed OS).
 
     Subclass and :func:`install` to interpose.  Each method carries the
     *path* of the file being touched purely as context for wrappers; the
@@ -30,7 +33,7 @@ class BackingStore:
 
     def write_data(self, fd: int, buf, path: str) -> int:
         """Append *buf* to an open data dropping; returns bytes written."""
-        return os.write(fd, buf)
+        return posix.write(fd, buf)
 
     def write_datav(self, fd: int, buffers, path: str) -> int:
         """Vectored append to an open data dropping; returns bytes written.
@@ -41,10 +44,10 @@ class BackingStore:
         the return exactly like a short :meth:`write_data`.
         """
         if hasattr(os, "writev"):
-            return os.writev(fd, list(buffers))
+            return posix.writev(fd, list(buffers))
         total = 0
         for buf in buffers:
-            n = os.write(fd, buf)
+            n = posix.write(fd, buf)
             total += n
             if n < len(buf):
                 break
@@ -52,16 +55,16 @@ class BackingStore:
 
     def append_index(self, path: str, payload: bytes) -> int:
         """Append packed index records to an index dropping."""
-        with open(path, "ab") as fh:
+        with posix.builtins_open(path, "ab") as fh:
             return fh.write(payload)
 
     def write_wal(self, fd: int, payload: bytes, path: str) -> int:
         """Append one packed record to a write-ahead index dropping."""
-        return os.write(fd, payload)
+        return posix.write(fd, payload)
 
     def create_meta(self, path: str) -> None:
         """Create one (empty) meta dropping."""
-        with open(path, "w"):
+        with posix.builtins_open(path, "w"):
             pass
 
     def write_global_index(self, path: str, payload: bytes) -> None:
@@ -75,12 +78,12 @@ class BackingStore:
         sweeps leftovers.
         """
         tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as fh:
+        with posix.builtins_open(tmp, "wb") as fh:
             fh.write(payload)
-        os.replace(tmp, path)
+        posix.replace(tmp, path)
 
     def fsync(self, fd: int) -> None:
-        os.fsync(fd)
+        posix.fsync(fd)
 
     # ------------------------------------------------------------------ #
     # object-store layer (repro.plfs.objectstore)
@@ -101,14 +104,14 @@ class BackingStore:
         a half-written blob under its content hash.
         """
         tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as fh:
+        with posix.builtins_open(tmp, "wb") as fh:
             n = fh.write(payload)
-        os.replace(tmp, path)
+        posix.replace(tmp, path)
         return n
 
     def write_part(self, fd: int, payload: bytes, path: str) -> int:
         """Append one multipart-upload part to its staging file."""
-        return os.write(fd, payload)
+        return posix.write(fd, payload)
 
     def commit_key(self, path: str, payload: bytes, key: str) -> None:
         """Atomically commit the key manifest that makes an object visible.
@@ -117,9 +120,9 @@ class BackingStore:
         the object does not exist no matter how many blob bytes landed.
         """
         tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as fh:
+        with posix.builtins_open(tmp, "wb") as fh:
             fh.write(payload)
-        os.replace(tmp, path)
+        posix.replace(tmp, path)
 
     def get_object(self, path: str, key: str) -> bytes:
         """Read one committed blob back (the restore / fault-in path).
@@ -130,7 +133,7 @@ class BackingStore:
         here lets the injector model a corrupt or vanished object, and the
         store's etag check turn that into a detected error.
         """
-        with open(path, "rb") as fh:
+        with posix.builtins_open(path, "rb") as fh:
             return fh.read()
 
 
@@ -139,7 +142,7 @@ _current = BackingStore()
 
 
 def current() -> BackingStore:
-    """The installed backing store (default: direct ``os`` calls)."""
+    """The installed backing store (default: the routed OS calls)."""
     return _current
 
 

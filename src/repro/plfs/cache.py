@@ -47,6 +47,7 @@ from .index import (
     pack_compacted,
     parse_compacted,
 )
+from .route import posix
 
 
 @dataclass
@@ -83,7 +84,7 @@ def load_index(
         epoch = container.index_epoch(droppings)
     gpath = container.global_index_path()
     try:
-        with open(gpath, "rb") as fh:
+        with posix.builtins_open(gpath, "rb") as fh:
             raw = fh.read()
     except OSError:
         raw = None

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import shutil
 import stat as stat_module
 import threading
 from dataclasses import dataclass
@@ -24,6 +23,10 @@ from .errors import (
     IsAContainerError,
     NotAContainerError,
 )
+from .route import posix
+
+#: What a backend path is, as :func:`classify` answers it.
+ABSENT, FILE, DIRECTORY, CONTAINER = range(4)
 
 
 #: Write handles this process holds per ``openhosts/`` marker path.  The
@@ -44,13 +47,27 @@ class MetaDropping:
 
 def is_container(path: str) -> bool:
     """True if *path* is a PLFS container directory."""
-    return os.path.isfile(os.path.join(path, constants.ACCESS_FILE))
+    return posix.isfile(os.path.join(path, constants.ACCESS_FILE))
+
+
+def classify(path: str) -> int:
+    """What *path* is: :data:`CONTAINER`, :data:`DIRECTORY`, :data:`FILE`
+    (anything else that exists) or :data:`ABSENT` — in one ``stat`` (of
+    the access file) for a container, two for everything else."""
+    if is_container(path):
+        return CONTAINER
+    try:
+        mode = posix.stat(path).st_mode
+    except (OSError, ValueError):
+        return ABSENT
+    return DIRECTORY if stat_module.S_ISDIR(mode) else FILE
 
 
 def assert_container(path: str) -> None:
-    if not os.path.exists(path):
+    kind = classify(path)
+    if kind == ABSENT:
         raise ContainerNotFoundError(f"no such container: {path}")
-    if not is_container(path):
+    if kind != CONTAINER:
         raise NotAContainerError(f"not a PLFS container: {path}")
 
 
@@ -80,20 +97,28 @@ class Container:
         rename race to another creator is not an error unless
         *exclusive*.
         """
-        if self.exists():
+        kind = classify(self.path)
+        if kind == CONTAINER:
             if exclusive:
                 raise ContainerExistsError(f"container exists: {self.path}")
             return
-        if os.path.exists(self.path):
+        if kind != ABSENT:
             raise NotAContainerError(
                 f"path exists and is not a container: {self.path}"
             )
-        parent = os.path.dirname(self.path) or "."
-        os.makedirs(parent, exist_ok=True)
+        self._build(mode, exclusive, pid)
+
+    def _build(self, mode: int, exclusive: bool, pid: int) -> None:
+        """:meth:`create`, for a caller that just saw the path absent."""
         tmp = f"{self.path}.plfs_mkdir.{util.hostname()}.{os.getpid()}"
-        os.makedirs(os.path.join(tmp, constants.OPENHOSTS_DIR))
-        os.makedirs(os.path.join(tmp, constants.META_DIR))
-        with open(os.path.join(tmp, constants.CREATOR_FILE), "w") as fh:
+        try:
+            posix.mkdir(tmp)
+        except FileNotFoundError:  # the parent is not there yet
+            posix.ensure_dir(os.path.dirname(self.path))
+            posix.mkdir(tmp)
+        posix.mkdir(os.path.join(tmp, constants.OPENHOSTS_DIR))
+        posix.mkdir(os.path.join(tmp, constants.META_DIR))
+        with posix.builtins_open(os.path.join(tmp, constants.CREATOR_FILE), "w") as fh:
             fh.write(
                 f"version={constants.FORMAT_VERSION}\n"
                 f"host={util.hostname()}\npid={pid}\n"
@@ -101,14 +126,14 @@ class Container:
             )
         # The access file stores the logical file's mode bits; writing it
         # last inside tmp means a renamed container is always complete.
-        with open(os.path.join(tmp, constants.ACCESS_FILE), "w") as fh:
+        with posix.builtins_open(os.path.join(tmp, constants.ACCESS_FILE), "w") as fh:
             fh.write(f"{mode:o}\n")
         try:
-            os.rename(tmp, self.path)
+            posix.rename(tmp, self.path)
         except OSError:
             # Lost the race: another creator renamed first (the target is
             # now a non-empty directory).  Their container serves.
-            shutil.rmtree(tmp, ignore_errors=True)
+            posix.rmtree(tmp, ignore_errors=True)
             if self.exists():
                 if exclusive:
                     raise ContainerExistsError(
@@ -118,10 +143,14 @@ class Container:
             raise
 
     def mode(self) -> int:
-        """Logical file mode bits recorded at create time."""
-        assert_container(self.path)
-        with open(os.path.join(self.path, constants.ACCESS_FILE)) as fh:
-            return int(fh.read().strip() or "644", 8)
+        """Logical file mode bits recorded at create time (reading the
+        access file *is* the container check)."""
+        try:
+            with posix.builtins_open(os.path.join(self.path, constants.ACCESS_FILE)) as fh:
+                return int(fh.read().strip() or "644", 8)
+        except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
+            assert_container(self.path)
+            raise
 
     # ------------------------------------------------------------------ #
     # hostdirs and droppings
@@ -134,24 +163,26 @@ class Container:
 
     def ensure_hostdir(self, host: str | None = None) -> str:
         path = self.hostdir_path(host)
-        os.makedirs(path, exist_ok=True)
+        posix.ensure_dir(path)
         return path
 
     def droppings(self) -> list[tuple[str, str]]:
         """All (index_path, data_path) dropping pairs, deterministically
-        ordered (by hostdir bucket then dropping name)."""
-        assert_container(self.path)
+        ordered (by hostdir bucket then dropping name).  The root
+        listing doubles as the container check."""
         pairs: list[tuple[str, str]] = []
         try:
-            entries = sorted(os.listdir(self.path))
-        except FileNotFoundError:
-            return []
+            entries = sorted(posix.listdir(self.path))
+        except (FileNotFoundError, NotADirectoryError):
+            entries = []
+        if constants.ACCESS_FILE not in entries:
+            assert_container(self.path)
         for entry in entries:
             if not entry.startswith(constants.HOSTDIR_PREFIX):
                 continue
             hostdir = os.path.join(self.path, entry)
             try:
-                names = sorted(os.listdir(hostdir))
+                names = sorted(posix.listdir(hostdir))
             except NotADirectoryError:
                 continue
             for name in names:
@@ -166,14 +197,14 @@ class Container:
     def hostdirs(self) -> list[str]:
         """Paths of the container's existing ``hostdir.N`` buckets."""
         try:
-            entries = sorted(os.listdir(self.path))
+            entries = sorted(posix.listdir(self.path))
         except FileNotFoundError:
             return []
         out = []
         for entry in entries:
             if entry.startswith(constants.HOSTDIR_PREFIX):
                 p = os.path.join(self.path, entry)
-                if os.path.isdir(p):
+                if posix.isdir(p):
                     out.append(p)
         return out
 
@@ -203,7 +234,7 @@ class Container:
         for index_path, data_path in pairs:
             for p in (index_path, data_path):
                 try:
-                    st = os.stat(p)
+                    st = posix.stat(p)
                     h.update(
                         f"|{os.path.basename(p)}:{st.st_size}:{st.st_mtime_ns}".encode()
                     )
@@ -234,12 +265,12 @@ class Container:
         gen = self.generation_path()
         tmp = f"{gen}.tmp.{os.getpid()}"
         try:
-            with open(tmp, "w") as fh:
+            with posix.builtins_open(tmp, "w") as fh:
                 fh.write(f"{util.unique_timestamp():.9f}\n")
-            os.replace(tmp, gen)
+            posix.replace(tmp, gen)
         except OSError:
             try:
-                os.unlink(tmp)
+                posix.unlink(tmp)
             except OSError:
                 pass
 
@@ -248,7 +279,7 @@ class Container:
         when the container has never been written through the generation
         protocol (or the file is unreadable)."""
         try:
-            st = os.stat(self.generation_path())
+            st = posix.stat(self.generation_path())
         except OSError:
             return None
         return (st.st_ino, st.st_mtime_ns)
@@ -257,7 +288,7 @@ class Container:
         """Delete the compacted global index if present (it is a cache:
         deleting it only re-routes readers onto the slow merge path)."""
         try:
-            os.unlink(self.global_index_path())
+            posix.unlink(self.global_index_path())
             return True
         except FileNotFoundError:
             return False
@@ -267,7 +298,7 @@ class Container:
         running) WAL-enabled writers, deterministically ordered."""
         out: list[str] = []
         for hostdir in self.hostdirs():
-            for name in sorted(os.listdir(hostdir)):
+            for name in sorted(posix.listdir(hostdir)):
                 if name.startswith(constants.WAL_PREFIX):
                     out.append(os.path.join(hostdir, name))
         return out
@@ -284,8 +315,8 @@ class Container:
         restored = []
         for name in (constants.OPENHOSTS_DIR, constants.META_DIR):
             p = os.path.join(self.path, name)
-            if not os.path.isdir(p):
-                os.makedirs(p, exist_ok=True)
+            if not posix.isdir(p):
+                posix.ensure_dir(p)
                 restored.append(name)
         return restored
 
@@ -295,7 +326,7 @@ class Container:
         total = 0
         for _, data_path in self.droppings():
             try:
-                total += os.path.getsize(data_path)
+                total += posix.getsize(data_path)
             except FileNotFoundError:
                 pass
         return total
@@ -312,15 +343,20 @@ class Container:
 
     def register_open(self, pid: int, host: str | None = None) -> None:
         marker = self._openhost_marker(pid, host)
+        stamp = f"{util.unique_timestamp():.9f}\n"
         with _marker_lock:
             held = _marker_refs.get(marker, 0)
-            if held and not os.path.exists(marker):
+            if held and not posix.exists(marker):
                 # Recovery swept the marker: the handles counted so far
                 # were declared dead and will never unregister.
                 held = 0
-            os.makedirs(os.path.dirname(marker), exist_ok=True)
-            with open(marker, "w") as fh:
-                fh.write(f"{util.unique_timestamp():.9f}\n")
+            try:
+                fh = posix.builtins_open(marker, "w")
+            except FileNotFoundError:  # ``openhosts/`` lost: it holds no state
+                posix.ensure_dir(os.path.dirname(marker))
+                fh = posix.builtins_open(marker, "w")
+            with fh:
+                fh.write(stamp)
             _marker_refs[marker] = held + 1
 
     def unregister_open(self, pid: int, host: str | None = None) -> None:
@@ -332,7 +368,7 @@ class Container:
                 _marker_refs[marker] = held
                 return
             try:
-                os.unlink(marker)
+                posix.unlink(marker)
             except FileNotFoundError:
                 pass
 
@@ -340,7 +376,7 @@ class Container:
         """Names of openhost markers currently present."""
         d = os.path.join(self.path, constants.OPENHOSTS_DIR)
         try:
-            return sorted(os.listdir(d))
+            return sorted(posix.listdir(d))
         except FileNotFoundError:
             return []
 
@@ -348,15 +384,18 @@ class Container:
         """Record cached size metadata at close time (``meta/`` dropping)."""
         host = host or util.hostname()
         d = os.path.join(self.path, constants.META_DIR)
-        os.makedirs(d, exist_ok=True)
-        name = f"{last_offset}.{total_bytes}.{host}"
-        backing.current().create_meta(os.path.join(d, name))
+        path = os.path.join(d, f"{last_offset}.{total_bytes}.{host}")
+        try:
+            backing.current().create_meta(path)
+        except FileNotFoundError:
+            posix.ensure_dir(d)  # ``meta/`` went missing: see register_open
+            backing.current().create_meta(path)
 
     def meta_droppings(self) -> list[MetaDropping]:
         d = os.path.join(self.path, constants.META_DIR)
         out: list[MetaDropping] = []
         try:
-            names = os.listdir(d)
+            names = posix.listdir(d)
         except FileNotFoundError:
             return out
         for name in names:
@@ -372,9 +411,9 @@ class Container:
     def clear_meta(self) -> None:
         d = os.path.join(self.path, constants.META_DIR)
         try:
-            for name in os.listdir(d):
+            for name in posix.listdir(d):
                 try:
-                    os.unlink(os.path.join(d, name))
+                    posix.unlink(os.path.join(d, name))
                 except FileNotFoundError:
                     pass
         except FileNotFoundError:
@@ -400,15 +439,14 @@ class Container:
         ``size`` lets callers that already computed the logical size (via a
         :class:`~repro.plfs.index.GlobalIndex`) avoid a second index build.
         """
-        assert_container(self.path)
-        st = os.stat(self.path)
+        mode = stat_module.S_IFREG | self.mode()
+        st = posix.stat(self.path)
         if size is None:
             size = self.cached_size()
             if size is None:
                 from .reader import logical_size  # local import: avoid cycle
 
                 size = logical_size(self)
-        mode = stat_module.S_IFREG | self.mode()
         return os.stat_result(
             (
                 mode,
@@ -427,24 +465,29 @@ class Container:
     def unlink(self) -> None:
         """Remove the container (the logical file) entirely."""
         assert_container(self.path)
-        shutil.rmtree(self.path)
+        posix.rmtree(self.path)
 
     def wipe_data(self) -> None:
         """Drop all data (truncate to zero): remove droppings, meta and the
         compacted global index (which described the removed droppings)."""
         assert_container(self.path)
-        for entry in os.listdir(self.path):
+        for entry in posix.listdir(self.path):
             if entry.startswith(constants.HOSTDIR_PREFIX):
-                shutil.rmtree(os.path.join(self.path, entry), ignore_errors=True)
+                posix.rmtree(os.path.join(self.path, entry), ignore_errors=True)
         self.clear_meta()
         self.drop_global_index()
         self.bump_generation()
 
     def rename(self, new_path: str) -> "Container":
         assert_container(self.path)
-        if is_container(new_path):
-            shutil.rmtree(new_path)
-        os.rename(self.path, new_path)
+        try:
+            posix.rename(self.path, new_path)
+        except OSError:
+            # The one non-empty directory a logical rename replaces.
+            if not is_container(new_path):
+                raise
+            posix.rmtree(new_path)
+            posix.rename(self.path, new_path)
         return Container(new_path)
 
 
@@ -457,11 +500,11 @@ def readdir_logical(path: str) -> list[str]:
     """
     if is_container(path):
         raise NotAContainerError(f"is a logical file, not a directory: {path}")
-    return sorted(os.listdir(path))
+    return sorted(posix.listdir(path))
 
 
 def rmdir_logical(path: str) -> None:
     """Remove a logical directory; refuses to remove containers."""
     if is_container(path):
         raise IsAContainerError(f"is a logical file: {path}")
-    os.rmdir(path)
+    posix.rmdir(path)

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import constants
 from .errors import CorruptIndexError
+from .route import posix
 
 #: On-disk/in-memory layout of one index record.  ``dropping`` is the id of
 #: the data dropping *within one index dropping's scope* when on disk (always
@@ -120,7 +121,7 @@ def clip_to_physical(records: np.ndarray, data_size: int) -> tuple[np.ndarray, i
 
 def read_index_dropping(path: str) -> np.ndarray:
     """Read and parse one index dropping file."""
-    with open(path, "rb") as fh:
+    with posix.builtins_open(path, "rb") as fh:
         return parse_records(fh.read(), source=path)
 
 

@@ -25,6 +25,7 @@ from .cache import shared_cache
 from .container import Container
 from .errors import CorruptIndexError
 from .index import GlobalIndex, ReadSlice, load_global_index
+from .route import posix
 from .writer import WriteFile
 
 
@@ -194,14 +195,14 @@ class ReadFile:
             cache.move_to_end(dropping)
             self._fd_last_use[dropping] = time.monotonic()
             return fd
-        fd = os.open(self._data_paths[dropping], os.O_RDONLY)
+        fd = posix.open(self._data_paths[dropping], os.O_RDONLY)
         cache[dropping] = fd
         self._fd_last_use[dropping] = time.monotonic()
         while len(cache) > self._fd_limit:
             key, evicted = cache.popitem(last=False)
             self._fd_last_use.pop(key, None)
             try:
-                os.close(evicted)
+                posix.close(evicted)
             except OSError:  # pragma: no cover - defensive
                 pass
         return fd
@@ -225,7 +226,7 @@ class ReadFile:
             fd = self._fd_cache.pop(dropping)
             self._fd_last_use.pop(dropping, None)
             try:
-                os.close(fd)
+                posix.close(fd)
             except OSError:  # pragma: no cover - defensive
                 pass
             reaped += 1
@@ -239,7 +240,7 @@ class ReadFile:
             key, fd = self._fd_cache.popitem()
             self._fd_last_use.pop(key, None)
             try:
-                os.close(fd)
+                posix.close(fd)
             except OSError:  # pragma: no cover - defensive
                 pass
 
@@ -259,7 +260,7 @@ class ReadFile:
         fd = self._fd_for(first.dropping)
         span_start = first.physical_offset
         span_len = last.physical_offset + last.length - span_start
-        data = os.pread(fd, span_len, span_start)
+        data = posix.pread(fd, span_len, span_start)
         self.stats["preads"] += 1
         self.stats["coalesced_slices"] += len(group) - 1
         if len(group) == 1:
@@ -282,7 +283,7 @@ class ReadFile:
         if piece.is_hole:
             return b"\x00" * piece.length
         fd = self._fd_for(piece.dropping)
-        data = os.pread(fd, piece.length, piece.physical_offset)
+        data = posix.pread(fd, piece.length, piece.physical_offset)
         self.stats["preads"] += 1
         if len(data) < piece.length:
             # The index promised bytes the data dropping does not hold.

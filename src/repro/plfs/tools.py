@@ -22,6 +22,7 @@ from . import constants, util
 from .container import Container, assert_container
 from .errors import CorruptIndexError
 from .index import load_global_index, parse_compacted, read_index_dropping, split_torn
+from .route import posix
 
 
 @dataclass
@@ -91,7 +92,7 @@ def plfs_check(path: str) -> ContainerReport:
     live_bytes = 0
     for index_path, data_path in pairs:
         try:
-            data_size = os.path.getsize(data_path)
+            data_size = posix.getsize(data_path)
         except FileNotFoundError:
             report.problem(f"data dropping missing: {data_path}")
             continue
@@ -100,16 +101,16 @@ def plfs_check(path: str) -> ContainerReport:
             os.path.dirname(data_path),
             util.wal_name_for_data(os.path.basename(data_path)),
         )
-        has_wal = os.path.exists(wal_path)
+        has_wal = posix.exists(wal_path)
         if has_wal:
             report.warn(
                 f"write-ahead index present for {data_path}: writer "
                 "crashed or still running (repro-fsck can rebuild)"
             )
-        if not os.path.exists(index_path):
+        if not posix.exists(index_path):
             report.problem(f"index dropping missing for {data_path}")
             continue
-        with open(index_path, "rb") as fh:
+        with posix.builtins_open(index_path, "rb") as fh:
             raw = fh.read()
         records, torn = split_torn(raw)
         if torn:
@@ -140,24 +141,24 @@ def plfs_check(path: str) -> ContainerReport:
             )
 
     # Orphan index droppings (index without data).
-    for entry in sorted(os.listdir(path)):
+    for entry in sorted(posix.listdir(path)):
         if not entry.startswith(constants.HOSTDIR_PREFIX):
             continue
         hostdir = os.path.join(path, entry)
-        if not os.path.isdir(hostdir):
+        if not posix.isdir(hostdir):
             continue
-        for name in sorted(os.listdir(hostdir)):
+        for name in sorted(posix.listdir(hostdir)):
             if name.startswith(constants.INDEX_PREFIX):
                 data_name = constants.DATA_PREFIX + name[len(constants.INDEX_PREFIX):]
-                if not os.path.exists(os.path.join(hostdir, data_name)):
+                if not posix.exists(os.path.join(hostdir, data_name)):
                     report.warn(f"orphan index dropping: {os.path.join(entry, name)}")
 
     # Compacted global index: a cache, never an authority — staleness or
     # corruption only costs the fast lane, so both are warnings.
     gpath = container.global_index_path()
-    if os.path.exists(gpath):
+    if posix.exists(gpath):
         try:
-            with open(gpath, "rb") as fh:
+            with posix.builtins_open(gpath, "rb") as fh:
                 _, _, file_epoch, _ = parse_compacted(fh.read(), source=gpath)
         except (OSError, CorruptIndexError) as exc:
             report.warn(
@@ -205,7 +206,7 @@ def plfs_recover(path: str) -> ContainerReport:
     # the C tool requires).
     for marker in container.open_writers():
         try:
-            os.unlink(os.path.join(path, constants.OPENHOSTS_DIR, marker))
+            posix.unlink(os.path.join(path, constants.OPENHOSTS_DIR, marker))
         except FileNotFoundError:
             pass
 
@@ -219,10 +220,10 @@ def plfs_recover(path: str) -> ContainerReport:
     # cache gone stale: delete it (like repro-fsck) rather than leave the
     # post-repair check warning about it.
     gpath = container.global_index_path()
-    if os.path.exists(gpath):
+    if posix.exists(gpath):
         stale = True
         try:
-            with open(gpath, "rb") as fh:
+            with posix.builtins_open(gpath, "rb") as fh:
                 _, _, file_epoch, _ = parse_compacted(fh.read(), source=gpath)
             stale = file_epoch != container.index_epoch()
         except (OSError, CorruptIndexError):
@@ -246,7 +247,7 @@ def plfs_compact(path: str) -> dict[str, int | str]:
     return {
         "path": container.global_index_path(),
         "segments": segments,
-        "bytes": os.path.getsize(container.global_index_path()),
+        "bytes": posix.getsize(container.global_index_path()),
     }
 
 

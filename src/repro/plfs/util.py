@@ -9,6 +9,7 @@ import threading
 import time
 
 from . import constants
+from .route import posix
 
 _seq_lock = threading.Lock()
 _seq = itertools.count()
@@ -81,8 +82,8 @@ def index_name_for_data(data_name: str) -> str:
 
 def fsync_dir(path: str) -> None:
     """fsync a directory so freshly created entries survive a crash."""
-    fd = os.open(path, os.O_RDONLY)
+    fd = posix.open(path, os.O_RDONLY)
     try:
-        os.fsync(fd)
+        posix.fsync(fd)
     finally:
-        os.close(fd)
+        posix.close(fd)

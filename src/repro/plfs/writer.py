@@ -44,6 +44,7 @@ from .cache import invalidate_cross_process as _invalidate_cross_process
 from .container import Container
 from .errors import BadFlagsError
 from .index import INDEX_DTYPE
+from .route import posix
 
 #: Flush buffered index records to disk after this many accumulate, bounding
 #: memory for very write-heavy workloads.  This is the *base* threshold; see
@@ -135,13 +136,13 @@ class _Dropping:
         self.wal_path = (
             os.path.join(hostdir, util.wal_dropping_name(host, pid, ts)) if wal else None
         )
-        self.data_fd = os.open(
+        self.data_fd = posix.open(
             self.data_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
         )
         self.wal_fd = -1
         try:
             if wal:
-                self.wal_fd = os.open(
+                self.wal_fd = posix.open(
                     self.wal_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
                 )
             # Touch the index dropping immediately so readers pair it with
@@ -156,7 +157,7 @@ class _Dropping:
             for fd in (self.data_fd, self.wal_fd):
                 if fd >= 0:
                     try:
-                        os.close(fd)
+                        posix.close(fd)
                     except OSError:
                         pass
             self.data_fd = self.wal_fd = -1
@@ -164,7 +165,7 @@ class _Dropping:
                 if p is None:
                     continue
                 try:
-                    os.unlink(p)
+                    posix.unlink(p)
                 except OSError:
                     pass
             raise
@@ -340,7 +341,7 @@ class _Dropping:
             setattr(self, attr, -1)
             if fd >= 0:
                 try:
-                    os.close(fd)
+                    posix.close(fd)
                 except OSError as exc:
                     if close_exc is None:
                         close_exc = exc
@@ -350,7 +351,7 @@ class _Dropping:
             # even when a descriptor close failed above — the flush itself
             # succeeded.
             try:
-                os.unlink(self.wal_path)
+                posix.unlink(self.wal_path)
             except OSError:
                 pass
         if flush_exc is not None:
@@ -369,7 +370,7 @@ class _Dropping:
             setattr(self, attr, -1)
             if fd >= 0:
                 try:
-                    os.close(fd)
+                    posix.close(fd)
                 except OSError:
                     pass
 

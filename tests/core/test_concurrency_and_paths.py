@@ -63,6 +63,28 @@ class TestPathResolution:
         assert os.stat(rel).st_size == 17
         assert os.path.exists(f"{mnt}/relative.dat")
 
+    def test_absolute_paths_survive_a_deleted_cwd(
+        self, interposer, mnt, monkeypatch, tmp_path
+    ):
+        """Only a relative path needs the working directory: with the cwd
+        removed, absolute paths — on the mount and off it — must behave
+        exactly as they do without the shim."""
+        outside = tmp_path / "outside.txt"
+        outside.write_bytes(b"12345")
+        doomed = tmp_path / "doomed"
+        doomed.mkdir()
+        monkeypatch.chdir(doomed)
+        os.rmdir(str(doomed))
+        with pytest.raises(FileNotFoundError):
+            os.getcwd()
+        assert os.stat(str(outside)).st_size == 5  # pass-through
+        with open(f"{mnt}/abs.dat", "wb") as fh:  # retargeted
+            fh.write(b"abc")
+        assert os.stat(f"{mnt}/abs.dat").st_size == 3
+        assert os.listdir(mnt) == ["abs.dat"]
+        with pytest.raises(FileNotFoundError):  # as the flat OS answers
+            os.stat("relative.dat")
+
     def test_dot_segments(self, interposer, mnt):
         with open(f"{mnt}/x.dat", "wb") as fh:
             fh.write(b"abc")

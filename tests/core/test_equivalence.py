@@ -71,7 +71,7 @@ class MountEquivalence(RuleBasedStateMachine):
     @rule(name=names)
     def unlink_file(self, name):
         existed_sut = os.path.exists(f"{self.mnt}/{name}")
-        existed_ref = self.real.path_exists(f"{self.ref_dir}/{name}")
+        existed_ref = os.path.exists(f"{self.ref_dir}/{name}")
         assert existed_sut == existed_ref
         if existed_ref:
             os.unlink(f"{self.mnt}/{name}")

@@ -1,0 +1,297 @@
+"""The one route to the OS: PLFS and the shim reach it through
+``repro.plfs.route.posix`` — bound to the installed interposer's
+``RealOS`` snapshot, late-bound to ``os`` otherwise — so no application
+call re-enters the shim, resolves its path twice, or probes the backend
+for what it was already told.
+"""
+
+from __future__ import annotations
+
+import builtins
+import io
+import os
+import sys
+import tempfile
+import threading
+import time
+from collections import Counter
+
+import pytest
+
+from repro.core import interpose
+from repro.core.interpose import Interposer, _OS_PATCHES
+from repro.plfs.route import RealOS, posix
+
+
+def _create(path: str, payload: bytes = b"x" * 512) -> None:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+    os.write(fd, payload)
+    os.close(fd)
+
+
+def _read(path: str) -> bytes:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return os.read(fd, 1 << 20)
+    finally:
+        os.close(fd)
+
+
+class TestNoReentry:
+    """(a) one dispatch, one resolve per path argument, zero pass-through."""
+
+    def test_each_path_is_resolved_once_and_nothing_passes_through(
+        self, interposer, mnt, monkeypatch
+    ):
+        table = interposer.mount_table
+        resolved: list = []
+        real_resolve = table.resolve
+
+        def counting(path):
+            resolved.append(path)
+            return real_resolve(path)
+
+        monkeypatch.setattr(table, "resolve", counting)
+        tempfile.gettempdir()  # its one-off probing is not the shim's
+        interposer.shim.stats["passthrough_calls"] = 0
+
+        steps = [
+            (lambda: _create(f"{mnt}/a"), 1),
+            (lambda: os.stat(f"{mnt}/a"), 1),
+            (lambda: _read(f"{mnt}/a"), 1),
+            (lambda: os.rename(f"{mnt}/a", f"{mnt}/b"), 2),
+            (lambda: os.unlink(f"{mnt}/b"), 1),
+        ]
+        for step, paths in steps:
+            del resolved[:]
+            step()
+            assert len(resolved) == paths, resolved
+        assert interposer.shim.stats["passthrough_calls"] == 0
+
+
+@pytest.fixture
+def counted(monkeypatch, mnt, backend):
+    """An installed interposer whose ``RealOS`` snapshot counts: every
+    patched ``os`` name (and ``open``) is wrapped *before* the snapshot is
+    taken, the way an outer tracer would be."""
+    counts: Counter = Counter()
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in _OS_PATCHES:
+        if hasattr(os, name):
+            monkeypatch.setattr(os, name, counting(name, getattr(os, name)))
+    opener = counting("builtins.open", builtins.open)
+    monkeypatch.setattr(builtins, "open", opener)
+    monkeypatch.setattr(io, "open", opener)
+    tempfile.gettempdir()
+    with Interposer([(mnt, backend)]) as ip:
+        yield ip, counts
+
+
+def _spent(counts: Counter, step) -> Counter:
+    before = Counter(counts)
+    step()
+    return counts - before
+
+
+class TestRealCallBudget:
+    """(b) real calls per operation; a re-introduced probe shows by name."""
+
+    def test_create_stat_open_unlink_budgets(self, counted, mnt):
+        _ip, counts = counted
+        path = f"{mnt}/f"
+        fds: list = []
+
+        create = _spent(counts, lambda: fds.append(
+            os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)))
+        assert sum(create.values()) <= 14, create
+        # the backend is classified once: access file, then the path
+        assert create["stat"] == 2, create
+
+        os.write(fds[0], b"x" * 512)
+        close = _spent(counts, lambda: os.close(fds.pop()))
+        assert sum(close.values()) <= 21, close  # what it cost before the route
+        assert close["stat"] <= 2, close  # the epoch's two, nothing else
+
+        stat = _spent(counts, lambda: os.stat(path))
+        assert sum(stat.values()) <= 5, stat
+        assert stat["stat"] == 2, stat  # access file + container directory
+
+        ropen = _spent(counts, lambda: fds.append(os.open(path, os.O_RDONLY)))
+        assert sum(ropen.values()) <= 3, ropen
+        assert ropen["stat"] == 1, ropen
+        assert os.read(fds[0], 1024) == b"x" * 512
+        os.close(fds.pop())
+
+        rename = _spent(counts, lambda: os.rename(path, f"{mnt}/g"))
+        assert sum(rename.values()) <= 2, rename
+
+        unlink = _spent(counts, lambda: os.unlink(f"{mnt}/g"))
+        assert sum(unlink.values()) <= 17, unlink
+        assert unlink["stat"] == 1, unlink
+
+
+class TestBinding:
+    """(e) bound exactly while an interposer is installed."""
+
+    def test_unbound_is_os_by_name_at_call_time(self, monkeypatch):
+        assert vars(posix) == {}
+        assert posix.stat is os.stat and posix.builtins_open is builtins.open
+        marker = object()
+        monkeypatch.setattr(os, "stat", marker)
+        assert posix.stat is marker  # looked up now, not at import
+
+    def test_bound_to_the_installed_snapshot_across_nesting(self, mnt, backend):
+        ip = Interposer([(mnt, backend)])
+        ip.install()
+        try:
+            assert posix.stat is ip.real.stat
+            assert posix.builtins_open is ip.real.builtins_open
+            assert posix.stat is not os.stat  # os.stat is the shim's now
+            ip.install()
+            ip.uninstall()
+            assert posix.stat is ip.real.stat  # still one level deep
+        finally:
+            ip.uninstall()
+        assert vars(posix) == {}
+        assert posix.stat is os.stat
+
+    def test_failed_patch_leaves_nothing_installed_or_bound(
+        self, mnt, backend, monkeypatch
+    ):
+        before = {name: getattr(os, name) for name in _OS_PATCHES if hasattr(os, name)}
+        # a patch the Shim has no method for: _patch() fails half-way
+        monkeypatch.setattr(interpose, "_OS_PATCHES", [*_OS_PATCHES, "getcwd"])
+        ip = Interposer([(mnt, backend)])
+        with pytest.raises(AttributeError):
+            ip.install()
+        assert not ip.installed and interpose.current() is None
+        assert vars(posix) == {}
+        assert all(getattr(os, name) is fn for name, fn in before.items())
+        assert builtins.open is io.open is ip.real.builtins_open
+
+    def test_rebinding_under_concurrent_plfs_io_loses_nothing(self, mnt, backend, tmp_path):
+        """Threads inside PLFS while another installs and uninstalls: they
+        see the route bound, unbound or half-way — every one of which is a
+        real function, so no call may fail or land anywhere but on disk."""
+        from repro import plfs
+
+        stop = threading.Event()
+        errors: list = []
+        done = [0] * 4
+
+        def worker(slot: int) -> None:
+            path = str(tmp_path / f"direct{slot}")
+            payload = bytes([65 + slot]) * 257
+            try:
+                while not stop.is_set():
+                    fd = plfs.plfs_open(path, os.O_CREAT | os.O_RDWR | os.O_TRUNC)
+                    plfs.plfs_write(fd, payload, len(payload), 0)
+                    assert plfs.plfs_read(fd, 1024, 0) == payload
+                    plfs.plfs_close(fd)
+                    assert plfs.plfs_getattr(path).st_size == len(payload)
+                    plfs.plfs_unlink(path)
+                    done[slot] += 1
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(done))]
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 1.5
+            flips = 0
+            while time.monotonic() < deadline and not errors:
+                with Interposer([(mnt, backend)]):
+                    assert vars(posix)
+                flips += 1
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert flips > 10 and all(n > 0 for n in done), (flips, done)
+        assert vars(posix) == {}
+
+    def test_snapshot_has_no_path_exists(self):
+        # os.path.exists calls os.stat *by name*: it never was "real"
+        assert not hasattr(RealOS.snapshot(), "path_exists")
+
+
+class TestHelpers:
+    def test_rmtree_refuses_a_symlinked_root_like_shutil(self, tmp_path):
+        from repro.plfs.container import Container
+
+        target = Container(str(tmp_path / "real"))
+        target.create()
+        link = str(tmp_path / "link")
+        os.symlink(target.path, link)
+        before = sorted(os.listdir(target.path))
+        with pytest.raises(OSError, match="symbolic link"):
+            Container(link).unlink()  # is_container() follows the link
+        posix.rmtree(link, ignore_errors=True)
+        assert sorted(os.listdir(target.path)) == before and os.path.islink(link)
+
+    def test_rmtree_unlinks_symlinks_inside_without_following(self, tmp_path):
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "keep").write_text("x")
+        tree = tmp_path / "tree"
+        (tree / "sub").mkdir(parents=True)
+        os.symlink(str(outside), str(tree / "sub" / "link"))
+        posix.rmtree(str(tree))
+        assert not tree.exists() and (outside / "keep").read_text() == "x"
+
+
+class TestShadowDescriptor:
+    def test_names_are_unguessable_and_collisions_are_stepped_over(self, monkeypatch):
+        from repro.core.fdtable import FdTable
+
+        opened: list = []
+        real = RealOS.snapshot()
+
+        class Spy:
+            unlink = staticmethod(real.unlink)
+
+            @staticmethod
+            def open(path, flags, mode):
+                opened.append(path)
+                return real.open(path, flags, mode)
+
+        tokens = iter([b"\x01" * 8, b"\x02" * 8])
+        monkeypatch.setattr(os, "urandom", lambda n: next(tokens))  # the name's only variable
+        squatter = os.path.join(tempfile.gettempdir(), "ldplfs-shadow-" + "01" * 8)
+        with open(squatter, "w"):
+            pass
+        try:
+            os.close(FdTable(Spy)._open_shadow_fd())
+            assert opened == [squatter, squatter.replace("01", "02")]
+            assert not os.path.exists(opened[1])  # unlinked at once
+        finally:
+            os.unlink(squatter)
+
+    def test_retries_are_bounded(self, monkeypatch):
+        from repro.core.fdtable import FdTable
+
+        tries: list = []
+
+        class Full:
+            @staticmethod
+            def open(path, flags, mode):
+                tries.append(path)
+                raise FileExistsError(path)
+
+        monkeypatch.setattr(tempfile, "TMP_MAX", 25)
+        with pytest.raises(FileExistsError):
+            FdTable(Full)._open_shadow_fd()
+        assert len(tries) == 25

@@ -50,6 +50,20 @@ class TestStat:
         assert os.access(f"{mnt}/f", os.R_OK)
         assert not os.access(f"{mnt}/missing", os.F_OK)
 
+    @pytest.mark.parametrize("mode", [None, 0o644, 0o755, 0o700, 0o600])
+    def test_access_answers_like_a_flat_file(self, interposer, mnt, tmp_path, mode):
+        """A container is a (searchable) directory on the backend; the
+        logical file is executable only if its own mode bits say so."""
+        flat = str(tmp_path / "flat")
+        for path in (flat, f"{mnt}/f"):
+            with open(path, "wb") as fh:
+                fh.write(b"data")
+            if mode is not None:
+                os.chmod(path, mode)
+        for amode in (os.F_OK, os.R_OK, os.W_OK, os.X_OK, os.R_OK | os.X_OK):
+            assert os.access(f"{mnt}/f", amode) == os.access(flat, amode), (mode, amode)
+        assert os.access(mnt, os.X_OK)  # logical directories stay searchable
+
     def test_utime(self, interposer, mnt):
         make_file(f"{mnt}/f")
         os.utime(f"{mnt}/f", (1000000, 1000000))

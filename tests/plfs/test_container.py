@@ -67,6 +67,69 @@ class TestCreate:
         assert "pid=123" in text
 
 
+class TestCreateRaces:
+    def test_creator_that_saw_the_path_absent_still_loses_the_race(
+        self, container_path, monkeypatch
+    ):
+        # plfs_open looked before another creator won: the skeleton's
+        # rename fails, and the lost-race re-check turns that into EEXIST.
+        from repro.plfs import api, plfs_close, plfs_open
+        from repro.plfs.container import ABSENT
+
+        Container(container_path).create()
+        monkeypatch.setattr(api, "classify", lambda path: ABSENT)
+        with pytest.raises(ContainerExistsError):
+            plfs_open(container_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        plfs_close(plfs_open(container_path, os.O_CREAT | os.O_WRONLY))  # theirs serves
+        assert os.listdir(os.path.dirname(container_path)) == [
+            os.path.basename(container_path)
+        ]
+
+    def test_create_makes_a_missing_parent(self, backend):
+        path = os.path.join(backend, "not", "yet", "there", "file")
+        Container(path).create()
+        assert is_container(path)
+
+
+class TestMissingDirectoryFallbacks:
+    """Try first, create the directory only on ENOENT: each fallback."""
+
+    def test_register_open_recreates_openhosts(self, container_path):
+        c = Container(container_path)
+        c.create()
+        os.rmdir(os.path.join(container_path, constants.OPENHOSTS_DIR))
+        c.register_open(pid=7)
+        assert len(c.open_writers()) == 1
+        c.unregister_open(pid=7)
+
+    def test_drop_meta_recreates_meta(self, container_path):
+        c = Container(container_path)
+        c.create()
+        os.rmdir(os.path.join(container_path, constants.META_DIR))
+        c.drop_meta(10, 10)
+        assert c.cached_size() == 10
+
+    def test_ensure_hostdir_recreates_a_vanished_container_dir(self, container_path):
+        import shutil
+
+        c = Container(container_path)
+        c.create()
+        shutil.rmtree(container_path)
+        assert os.path.isdir(c.ensure_hostdir("somehost"))
+
+    def test_writer_close_survives_losing_meta_and_openhosts_midlife(self, container_path):
+        from repro.plfs import plfs_close, plfs_getattr, plfs_open, plfs_write
+
+        fd = plfs_open(container_path, os.O_CREAT | os.O_WRONLY)
+        plfs_write(fd, b"x" * 100, 100, 0)
+        for name in (constants.OPENHOSTS_DIR, constants.META_DIR):
+            for entry in os.listdir(os.path.join(container_path, name)):
+                os.unlink(os.path.join(container_path, name, entry))
+            os.rmdir(os.path.join(container_path, name))
+        plfs_close(fd)
+        assert plfs_getattr(container_path).st_size == 100
+
+
 class TestHostdirs:
     def test_hostdir_bucket_stable(self):
         assert util.hostdir_bucket("nodeA") == util.hostdir_bucket("nodeA")

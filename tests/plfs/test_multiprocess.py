@@ -56,6 +56,47 @@ def test_concurrent_subprocess_writers(container_path, block):
     assert plfs.plfs_getattr(container_path).st_size == 16 * block
 
 
+CREATOR = """
+import os, sys, time
+from repro import plfs
+
+root, go, files = sys.argv[1], sys.argv[2], int(sys.argv[3])
+while not os.path.exists(go):
+    time.sleep(0.001)
+won = 0
+for i in range(files):
+    plfs.plfs_create(f"{root}/shared{i}")  # idempotent: losing is not an error
+    try:
+        fd = plfs.plfs_open(f"{root}/excl{i}", os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except plfs.ContainerExistsError:
+        continue
+    plfs.plfs_close(fd)
+    won += 1
+print(won)
+"""
+
+
+def test_concurrent_creators_one_winner_no_leftovers(backend, tmp_path):
+    """Creators in different processes race the atomic build-then-rename:
+    every path ends up one complete container, ``O_EXCL`` has exactly one
+    winner per path, and no loser's temporary skeleton survives."""
+    files, go = 40, str(tmp_path / "go")
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", CREATOR, backend, go, str(files)],
+            stdout=subprocess.PIPE, text=True,
+        )
+        for _ in range(4)
+    ]
+    open(go, "w").close()
+    wins = [int(p.communicate()[0]) for p in procs]
+    assert [p.returncode for p in procs] == [0] * 4
+    assert sum(wins) == files
+    expected = sorted(f"{kind}{i}" for kind in ("shared", "excl") for i in range(files))
+    assert sorted(os.listdir(backend)) == expected
+    assert all(plfs.is_container(os.path.join(backend, name)) for name in expected)
+
+
 SHIM_WRITER = """
 import contextlib, os, sys
 from repro.core.interpose import Interposer
