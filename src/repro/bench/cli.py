@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from . import guard as guard_mod
 from . import record as record_mod
@@ -64,12 +63,6 @@ def _parser() -> argparse.ArgumentParser:
         default=None,
         help="embed a guard tolerance into the emitted records "
         "(what committed baselines use to widen CI headroom)",
-    )
-    run_p.add_argument(
-        "--no-history",
-        action="store_true",
-        help="skip appending trajectory lines to the history sibling of "
-        "the out dir ($REPRO_BENCH_HISTORY overrides the location)",
     )
     _add_common(run_p)
 
@@ -137,11 +130,6 @@ def _cmd_run(args) -> int:
                 guard_policy=guard_policy,
             )
             path = record_mod.save(rec, out_dir)
-            if not args.no_history:
-                stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-                record_mod.append_history(
-                    rec, record_mod.history_dir_for(out_dir), timestamp=stamp
-                )
             wall = rec["timings"]["wall_seconds"]
             norm = rec["derived"]["normalized"]["wall_over_calibration"]
             print(

@@ -13,7 +13,8 @@ Two consumers:
 The comparison rules are deliberately asymmetric:
 
 - **counters** are deterministic under a fixed seed, so any drift is a
-  behaviour change and fails exactly;
+  behaviour change and fails exactly (byte totals that embed the
+  hostname/pid are not, and travel in ``derived.bytes`` instead);
 - **timings** are never compared across runs — only the *dimensionless*
   ``derived.normalized`` (timings over the record's own calibration
   probe) and ``derived.ratios`` (within-run ratios) are, and only as
@@ -160,7 +161,7 @@ def compare_records(
                 "(counters are deterministic; exact match required)"
             )
 
-    for section in ("normalized", "ratios"):
+    for section in record_mod.DERIVED_SECTIONS:
         base_sub = baseline.get("derived", {}).get(section, {})
         cur_sub = current.get("derived", {}).get(section, {})
         for key, base_val in sorted(base_sub.items()):

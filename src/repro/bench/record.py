@@ -16,7 +16,11 @@ this schema.  Records split cleanly into:
     calibration probe) and within-run ``ratios`` (e.g. queue-wait
     inflection).  Hardware largely cancels out of both, so guards
     compare them across runs as *ratios with a tolerance* instead of
-    absolute times — the property that keeps CI from flaking.
+    absolute times — the property that keeps CI from flaking.  ``bytes``
+    holds byte totals whose payloads embed the hostname and pid (the
+    object-store tiers move the container's access file): the host
+    does not cancel out of those exactly, so they are tolerance-compared
+    here rather than exact ``counters``.
 
 Validation is hand-rolled (no jsonschema in the image): it checks the
 required keys, their types, and the split above, and returns a list of
@@ -25,7 +29,6 @@ problems so callers can report all of them at once.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import platform
@@ -55,6 +58,9 @@ _REQUIRED: dict[str, type | tuple[type, ...]] = {
     "derived": dict,
     "environment": dict,
 }
+
+#: the ``derived`` sub-sections guards compare as current/baseline ratios
+DERIVED_SECTIONS = ("normalized", "ratios", "bytes")
 
 _OPTIONAL: dict[str, type | tuple[type, ...]] = {
     "op_stream": dict,
@@ -136,7 +142,7 @@ def validate(record) -> list[str]:
     for key, value in record["counters"].items():
         if not isinstance(value, Number) or isinstance(value, bool):
             problems.append(f"counters[{key!r}] must be a number")
-    for section in ("normalized", "ratios"):
+    for section in DERIVED_SECTIONS:
         sub = record["derived"].get(section, {})
         if not isinstance(sub, dict):
             problems.append(f"derived.{section} must be a dict")
@@ -210,76 +216,4 @@ def load_all(directory: str) -> dict[str, dict]:
     for name in names:
         if name.startswith("BENCH_") and name.endswith(".json"):
             out[name] = load(os.path.join(directory, name))
-    return out
-
-
-# ---------------------------------------------------------------------- #
-# the append-only history (ROADMAP item 3): one line per run, forever
-# ---------------------------------------------------------------------- #
-
-HISTORY_FILENAME = "trajectory.jsonl"
-
-
-def history_dir_for(out_dir: str) -> str:
-    """The history directory paired with a trajectory *out_dir*:
-    ``$REPRO_BENCH_HISTORY`` when set, else the ``history`` sibling of
-    *out_dir* (so ``benchmarks/out`` runs append to
-    ``benchmarks/history`` and scratch-dir test runs stay in scratch)."""
-    env = os.environ.get("REPRO_BENCH_HISTORY", "").strip()
-    if env:
-        return env
-    parent = os.path.dirname(os.path.abspath(out_dir))
-    return os.path.join(parent, "history")
-
-
-def history_line(record: dict, *, timestamp: str | None = None) -> dict:
-    """The compact trajectory line for one record: identity (scenario /
-    config / seed / op-stream digest), a digest of the exact-guarded
-    counters, and the dimensionless derived metrics — enough to plot a
-    perf trajectory across commits without replaying anything."""
-    assert_valid(record)
-    counters_digest = hashlib.sha256(
-        canonical_json(record["counters"]).encode()
-    ).hexdigest()
-    line = {
-        "scenario": record["scenario"],
-        "profile": record["profile"],
-        "config": record["config"],
-        "seed": record["seed"],
-        "op_digest": record.get("op_stream", {}).get("digest", ""),
-        "counters_digest": counters_digest,
-        "normalized": record["derived"].get("normalized", {}),
-        "ratios": record["derived"].get("ratios", {}),
-        "python": record["environment"].get("python", ""),
-    }
-    if timestamp is not None:
-        line["timestamp"] = timestamp
-    return line
-
-
-def append_history(
-    record: dict, history_dir: str, *, timestamp: str | None = None
-) -> str:
-    """Append *record*'s trajectory line to the append-only history file
-    (one JSON object per line; never rewritten); returns the path."""
-    os.makedirs(history_dir, exist_ok=True)
-    path = os.path.join(history_dir, HISTORY_FILENAME)
-    with open(path, "a") as fh:
-        fh.write(json.dumps(history_line(record, timestamp=timestamp), sort_keys=True))
-        fh.write("\n")
-    return path
-
-
-def load_history(history_dir: str) -> list[dict]:
-    """Every line of the append-only history, oldest first."""
-    path = os.path.join(history_dir, HISTORY_FILENAME)
-    out: list[dict] = []
-    try:
-        with open(path) as fh:
-            for raw in fh:
-                raw = raw.strip()
-                if raw:
-                    out.append(json.loads(raw))
-    except OSError:
-        return out
     return out

@@ -105,6 +105,22 @@ class ExecutionResult:
     wall_seconds: float = 0.0
     #: scenario-specific extra timing observations (never guarded)
     observed: dict = field(default_factory=dict)
+    #: object-store byte totals (see :data:`HOST_SIZED_BYTES`)
+    host_sized_bytes: dict = field(default_factory=dict)
+
+
+#: Byte totals of the object-store backend.  Their payloads include the
+#: access file (``host=<hostname>\npid=<pid>``), so they move with
+#: hostname length and pid width: they travel in the ratio-compared
+#: ``derived.bytes`` section; the matching *counts* stay exact counters.
+HOST_SIZED_BYTES = (
+    "object_put_bytes",
+    "object_get_bytes",
+    "tier_writeback_bytes",
+    "tier_evicted_bytes",
+    "tier_cycle_evicted_bytes",
+    "tier_restored_bytes",
+)
 
 
 def _accumulate(totals: dict, stats: dict) -> None:
@@ -196,9 +212,7 @@ class _DirectExecutor:
             from repro.collective import CollectiveFile
             from repro.mpiio.hints import MPIHints
 
-            # tenant name selects the path under test; "inline" exchange
-            # keeps the counters host-independent (no shm availability
-            # dependence in the guarded record)
+            # tenant name selects the path under test
             cb = op.tenant != "indep"
             eng = CollectiveFile(
                 self._path(op.file),
@@ -206,7 +220,6 @@ class _DirectExecutor:
                 ppn=int(self.params.get("ppn", 4)),
                 hints=MPIHints(romio_cb_write=cb, romio_cb_read=cb),
                 open_opt=self.config.open_options(),
-                exchange="inline",
             )
             eng.set_interleaved(int(self.params.get("record_bytes", 4096)))
             self.engines[op.file] = eng
@@ -503,6 +516,9 @@ def execute_stream(
     result.wall_seconds = time.perf_counter() - t_start
     if backend is not None:
         result.counters.update(backend.counters())
+        for key in HOST_SIZED_BYTES:
+            if key in result.counters:
+                result.host_sized_bytes[key] = result.counters.pop(key)
     result.counters["ops_total"] = len(ops)
     for kind, n in sorted(by_kind.items()):
         result.counters[f"ops_{kind}"] = n
@@ -698,6 +714,9 @@ def run_scenario(
         "per_tenant": per_tenant,
     }
     timings.update(result.observed)
+    derived = derive_metrics(per_kind, per_tenant, result.wall_seconds, calibration)
+    if result.host_sized_bytes:
+        derived["bytes"] = result.host_sized_bytes
     return record_mod.assert_valid(
         record_mod.make_record(
             scenario=scenario_name,
@@ -708,9 +727,7 @@ def run_scenario(
             op_stream=stream_summary(ops),
             counters=result.counters,
             timings=timings,
-            derived=derive_metrics(
-                per_kind, per_tenant, result.wall_seconds, calibration
-            ),
+            derived=derived,
             guard=guard_policy,
         )
     )

@@ -19,7 +19,6 @@ from .datatype import (
     file_runs,
     interleaved_view,
 )
-from .exchange import ExchangePlane
 from .file import CollectiveFile
 from .listio import list_read, list_write
 
@@ -27,7 +26,6 @@ __all__ = [
     "Aggregator",
     "CollectiveFile",
     "ContiguousView",
-    "ExchangePlane",
     "Extent",
     "FileView",
     "IrregularView",

@@ -8,11 +8,10 @@ sharing one logical file.  Each rank describes its layout with a
 then honors the :class:`~repro.mpiio.hints.MPIHints` exactly as ROMIO
 would:
 
-- ``romio_cb_write``/``romio_cb_read`` **on** (default): phase 1 routes
-  every rank's flattened pieces through the
-  :class:`~repro.collective.exchange.ExchangePlane` (zero-copy inline
-  handoff, shm staging for plfsd-threshold payloads) to the
-  ``cb_nodes`` aggregators owning the round's file domains; phase 2 has
+- ``romio_cb_write``/``romio_cb_read`` **on** (default): phase 1 hands
+  every rank's flattened pieces — zero-copy slices of the member's
+  buffer, which outlives the round because the call is collective — to
+  the ``cb_nodes`` aggregators owning the round's file domains; phase 2 has
   each aggregator issue single ``plfs_writev`` / coalesced ``plfs_read``
   calls in ``cb_buffer_size`` chunks on its *own* handle, concurrently
   on worker threads (or against a plfsd daemon — per-process
@@ -38,7 +37,6 @@ from repro.plfs import api as plfs_api
 from . import listio
 from .aggregator import Aggregator, partition_domains, split_extent
 from .datatype import FileView, coalesce, interleaved_view
-from .exchange import ExchangePlane
 
 #: pid namespace for per-worker handles (keeps aggregator/rank droppings
 #: distinct from the host process's own)
@@ -59,7 +57,6 @@ class CollectiveFile:
         mode: int = 0o644,
         open_opt=None,
         workers: str = "thread",
-        exchange: str = "auto",
         daemon: str | None = None,
     ):
         if nodes < 1 or ppn < 1:
@@ -76,7 +73,6 @@ class CollectiveFile:
         self.open_opt = open_opt
         self.daemon = daemon
         self.aggregator_count = hints.aggregator_count(nodes)
-        self.plane = ExchangePlane(exchange)
         self.stats: dict[str, int] = {}
         self._views: dict[int, FileView] = {}
         self._positions: dict[int, int] = {r: 0 for r in range(self.ranks)}
@@ -257,8 +253,8 @@ class CollectiveFile:
         domains = partition_domains(lo, hi, len(aggs))
         starts = [d[0] for d in domains]
         last = len(domains) - 1
-        post = self.plane.post
         deliver = [agg.deliver for agg in aggs]
+        messages = 0
         for rank, extents in per_rank.items():
             buf = data[rank]
             for extent in extents:
@@ -267,17 +263,19 @@ class CollectiveFile:
                 if idx < 0:
                     idx = 0
                 if off + length <= domains[idx][1] or idx == last:
-                    deliver[idx](off, post(buf[boff : boff + length]))
+                    deliver[idx](off, buf[boff : boff + length])
+                    messages += 1
                     continue
                 for didx, piece in split_extent(extent, domains, starts):
                     deliver[didx](
-                        piece.file_offset,
-                        post(buf[piece.buf_offset : piece.buf_end]),
+                        piece.file_offset, buf[piece.buf_offset : piece.buf_end]
                     )
+                    messages += 1
+        self._count("exchange_messages", messages)
+        self._count("exchange_bytes", sum(len(buf) for buf in data.values()))
 
         # phase 2: aggregators flush concurrently, then the barrier
         total = sum(self._run_workers([agg.flush_writes for agg in aggs]))
-        self.plane.round_complete()
         self._merge_worker_stats(aggs)
         if position is None:
             for rank in per_rank:
@@ -387,7 +385,6 @@ class CollectiveFile:
         self._daemon_clients.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-        self.plane.close()
 
     def __enter__(self) -> "CollectiveFile":
         return self
@@ -412,6 +409,4 @@ class CollectiveFile:
     @property
     def counters(self) -> dict[str, int]:
         """Engine + exchange counters, insights-export ready."""
-        merged = dict(self.plane.stats)
-        merged.update(self.stats)
-        return merged
+        return dict(self.stats)

@@ -517,14 +517,6 @@ class Shim:
     # fd metadata
     # ------------------------------------------------------------------ #
 
-    def plfs_handle(self, fd):
-        """The underlying PLFS handle for a shimmed fd, or ``None`` if the
-        fd is pass-through.  Lets layered engines (e.g. the collective
-        buffering path) take a shim-opened file onto the native PLFS API
-        without reopening the container."""
-        entry = self.table.lookup(fd)
-        return None if entry is None else entry.plfs_fd
-
     def fstat(self, fd):
         entry = self.table.lookup(fd)
         if entry is None:

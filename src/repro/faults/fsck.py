@@ -51,15 +51,12 @@ from dataclasses import dataclass, field
 from repro.plfs import constants, util
 from repro.plfs.cache import invalidate as invalidate_index_cache
 from repro.plfs.container import Container, assert_container
-from repro.plfs.errors import CorruptIndexError
 from repro.plfs.index import (
     clip_to_physical,
-    load_global_index,
     pack_records,
-    parse_compacted,
     split_torn,
 )
-from repro.plfs.tools import ContainerReport, plfs_check
+from repro.plfs.tools import ContainerReport, plfs_check, repair_derived_state
 
 #: prefix quarantined (orphaned) data droppings are renamed under, taking
 #: them out of the ``dropping.data.`` namespace the reader enumerates
@@ -402,55 +399,14 @@ def fsck(
             if not dry_run:
                 os.unlink(os.path.join(hostdir, name))
 
-    # 4. stale openhost markers
-    for marker in container.open_writers():
-        report.act(
-            "clear-openhost",
-            os.path.join(constants.OPENHOSTS_DIR, marker),
-            "stale marker (fsck runs offline; no writer can be live)",
-        )
-        if not dry_run:
-            try:
-                os.unlink(os.path.join(path, constants.OPENHOSTS_DIR, marker))
-            except FileNotFoundError:
-                pass
+    # 4-6. stale openhost markers, cached metadata rebuilt from the
+    # repaired index, compacted global index audited: the routine
+    # `repro-plfs recover` runs.  Rebuilding meta/ alone is not a repair.
+    def act(kind: str, target: str, detail: str) -> None:
+        if kind != "rebuild-meta" or report.repaired:
+            report.act(kind, target, detail)
 
-    # 5. rebuild cached metadata from the repaired index
-    if not dry_run:
-        index, _ = load_global_index(container.droppings())
-        container.clear_meta()
-        physical = container.physical_bytes()
-        if physical or index.logical_size:
-            container.drop_meta(index.logical_size, physical)
-        if report.repaired:
-            report.act(
-                "rebuild-meta",
-                constants.META_DIR,
-                f"cached size {index.logical_size} from the repaired index",
-            )
-
-    # 6. compacted global index: a cache, never an authority — anything
-    # not byte-for-byte trustworthy against the repaired droppings goes.
-    gpath = container.global_index_path()
-    if os.path.exists(gpath):
-        reason = None
-        try:
-            with open(gpath, "rb") as fh:
-                _, _, file_epoch, _ = parse_compacted(fh.read(), source=gpath)
-        except (OSError, CorruptIndexError):
-            reason = "does not parse"
-        else:
-            if file_epoch != container.index_epoch():
-                reason = "epoch no longer matches the droppings"
-        if reason is not None:
-            report.act(
-                "drop-stale-compacted",
-                constants.GLOBAL_INDEX_FILE,
-                f"compacted global index {reason}; readers re-merge "
-                "(repro-plfs compact rebuilds it)",
-            )
-            if not dry_run:
-                container.drop_global_index()
+    repair_derived_state(container, act, dry_run=dry_run)
     for name in sorted(os.listdir(path)):
         if name.startswith(constants.GLOBAL_INDEX_FILE + ".tmp."):
             report.act(

@@ -16,10 +16,7 @@ phenomena, and renders deterministic text/JSON advisory reports.
 
 from .metrics import (
     IORunProfile,
-    attach_daemon_evidence,
     attach_fault_evidence,
-    attach_read_path_evidence,
-    attach_write_path_evidence,
     profile_from_run,
     profile_from_trace,
 )
@@ -34,10 +31,7 @@ from .rules import ALL_RULES, Finding, Severity, run_rules, validate_thresholds
 
 __all__ = [
     "IORunProfile",
-    "attach_daemon_evidence",
     "attach_fault_evidence",
-    "attach_read_path_evidence",
-    "attach_write_path_evidence",
     "profile_from_run",
     "profile_from_trace",
     "Finding",

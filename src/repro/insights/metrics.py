@@ -18,7 +18,7 @@ skew, dropping-create pressure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.cluster.machine import MachineSpec
 from repro.core.trace import TraceReport
@@ -109,52 +109,6 @@ class IORunProfile:
     mds_outage_seconds: float = 0.0
     mds_ops_delayed_by_outage: int = 0
 
-    # read-path fast lane evidence (repro.plfs.cache / ReadFile counters)
-    index_cache_hits: int = 0
-    index_cache_misses: int = 0
-    compacted_index_loads: int = 0
-    read_preads: int = 0
-    read_preads_coalesced: int = 0
-
-    # write-path fast lane evidence (repro.plfs.writer WriteFile counters)
-    write_appends: int = 0
-    write_records_merged: int = 0
-    write_index_flushes: int = 0
-    wal_records: int = 0
-    wal_batches: int = 0
-    write_vectored_appends: int = 0
-    write_zero_copy_appends: int = 0
-
-    # collective-buffering / noncontiguous evidence (repro.collective
-    # engine counters: the real-path twin of the simulated two-phase cost
-    # model above — `collective`/`strided_independent` describe what the
-    # workload asked for, these describe what the engine actually did)
-    cb_rounds: int = 0
-    cb_member_extents: int = 0
-    cb_backend_writes: int = 0
-    cb_backend_reads: int = 0
-    cb_exchange_bytes: float = 0.0
-    cb_exchange_shm_bytes: float = 0.0
-    #: member extents per backend access (the two-phase win: high means
-    #: many small pieces rode down in few large calls)
-    cb_aggregation_ratio: float = 0.0
-    listio_runs: int = 0
-    ds_sieve_hits: int = 0
-    ds_sieve_read_bytes: float = 0.0
-
-    # daemon evidence (repro.plfsd server accounting: the shared-service
-    # analogue of the dedicated-MDS counters above)
-    daemon_clients: int = 0
-    daemon_opens: int = 0
-    daemon_creates: int = 0
-    daemon_appends: int = 0
-    daemon_reads: int = 0
-    daemon_bytes_written: float = 0.0
-    daemon_bytes_read: float = 0.0
-    daemon_queue_wait_seconds: float = 0.0
-    daemon_max_queue_wait_seconds: float = 0.0
-    daemon_fds_reaped: int = 0
-
     # trace-only bookkeeping
     buffered_opaque_files: int = 0
     files: list[dict] = field(default_factory=list)
@@ -170,91 +124,15 @@ class IORunProfile:
         return self.total_bytes_written / MB / self.elapsed_seconds
 
     def as_dict(self) -> dict:
-        """JSON-ready summary (canonical key order left to the dumper)."""
-        return {
-            "source": self.source,
-            "workload": self.workload,
-            "machine": self.machine,
-            "method": self.method,
-            "nodes": self.nodes,
-            "ppn": self.ppn,
-            "ranks": self.ranks,
-            "writers": self.writers,
-            "openers": self.openers,
-            "elapsed_seconds": self.elapsed_seconds,
-            "total_bytes_written": self.total_bytes_written,
-            "total_bytes_read": self.total_bytes_read,
-            "write_calls": self.write_calls,
-            "read_calls": self.read_calls,
-            "opens": self.opens,
-            "closes": self.closes,
-            "seeks": self.seeks,
-            "typical_write_size": self.typical_write_size,
-            "write_size_histogram": self.write_size_histogram,
-            "read_size_histogram": self.read_size_histogram,
-            "small_write_threshold": self.small_write_threshold,
-            "small_write_fraction": self.small_write_fraction,
-            "sequentiality": self.sequentiality,
-            "collective": self.collective,
-            "strided_independent": self.strided_independent,
-            "per_file_skew": self.per_file_skew,
-            "file_count": self.file_count,
-            "uses_plfs": self.uses_plfs,
-            "fuse_transport": self.fuse_transport,
-            "shared_file": self.shared_file,
-            "metadata_ops": self.metadata_ops,
-            "metadata_op_counts": self.metadata_op_counts,
-            "metadata_op_rate": self.metadata_op_rate,
-            "dropping_creates": self.dropping_creates,
-            "mds_dedicated": self.mds_dedicated,
-            "mds_count": self.mds_count,
-            "mds_utilisation": self.mds_utilisation,
-            "mds_peak_create_depth": self.mds_peak_create_depth,
-            "index_rebuild_ops": self.index_rebuild_ops,
-            "lock_wait_share": self.lock_wait_share,
-            "io_servers": self.io_servers,
-            "injected_faults": self.injected_faults,
-            "fault_points": self.fault_points,
-            "transient_retries": self.transient_retries,
-            "short_write_resumes": self.short_write_resumes,
-            "mds_outages": self.mds_outages,
-            "mds_outage_seconds": self.mds_outage_seconds,
-            "mds_ops_delayed_by_outage": self.mds_ops_delayed_by_outage,
-            "index_cache_hits": self.index_cache_hits,
-            "index_cache_misses": self.index_cache_misses,
-            "compacted_index_loads": self.compacted_index_loads,
-            "read_preads": self.read_preads,
-            "read_preads_coalesced": self.read_preads_coalesced,
-            "write_appends": self.write_appends,
-            "write_records_merged": self.write_records_merged,
-            "write_index_flushes": self.write_index_flushes,
-            "wal_records": self.wal_records,
-            "wal_batches": self.wal_batches,
-            "write_vectored_appends": self.write_vectored_appends,
-            "write_zero_copy_appends": self.write_zero_copy_appends,
-            "cb_rounds": self.cb_rounds,
-            "cb_member_extents": self.cb_member_extents,
-            "cb_backend_writes": self.cb_backend_writes,
-            "cb_backend_reads": self.cb_backend_reads,
-            "cb_exchange_bytes": self.cb_exchange_bytes,
-            "cb_exchange_shm_bytes": self.cb_exchange_shm_bytes,
-            "cb_aggregation_ratio": self.cb_aggregation_ratio,
-            "listio_runs": self.listio_runs,
-            "ds_sieve_hits": self.ds_sieve_hits,
-            "ds_sieve_read_bytes": self.ds_sieve_read_bytes,
-            "daemon_clients": self.daemon_clients,
-            "daemon_opens": self.daemon_opens,
-            "daemon_creates": self.daemon_creates,
-            "daemon_appends": self.daemon_appends,
-            "daemon_reads": self.daemon_reads,
-            "daemon_bytes_written": self.daemon_bytes_written,
-            "daemon_bytes_read": self.daemon_bytes_read,
-            "daemon_queue_wait_seconds": self.daemon_queue_wait_seconds,
-            "daemon_max_queue_wait_seconds": self.daemon_max_queue_wait_seconds,
-            "daemon_fds_reaped": self.daemon_fds_reaped,
-            "buffered_opaque_files": self.buffered_opaque_files,
-            "write_bandwidth_mbps": self.write_bandwidth_mbps,
+        """JSON-ready summary (canonical key order left to the dumper):
+        every field but the per-file detail, plus the derived bandwidth."""
+        out = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "files"
         }
+        out["write_bandwidth_mbps"] = self.write_bandwidth_mbps
+        return out
 
 
 def attach_fault_evidence(
@@ -289,100 +167,6 @@ def attach_fault_evidence(
     return profile
 
 
-def attach_read_path_evidence(
-    profile: IORunProfile,
-    *,
-    cache_stats: dict | None = None,
-    read_stats: dict | None = None,
-) -> IORunProfile:
-    """Fold read-path fast-lane counters into *profile* (returns it).
-
-    *cache_stats* is an :class:`repro.plfs.cache.IndexCache` ``stats``
-    dict; *read_stats* a :class:`repro.plfs.reader.ReadFile` ``stats``
-    dict.  Decoupled the same way as :func:`attach_fault_evidence`:
-    insights consumes plain counter dicts, never plfs objects.
-    """
-    if cache_stats:
-        profile.index_cache_hits += int(cache_stats.get("hits", 0))
-        profile.index_cache_misses += int(cache_stats.get("misses", 0))
-        profile.compacted_index_loads += int(
-            cache_stats.get("compacted_loads", 0)
-        )
-        profile.index_rebuild_ops += int(cache_stats.get("merged_builds", 0))
-    if read_stats:
-        profile.read_preads += int(read_stats.get("preads", 0))
-        profile.read_preads_coalesced += int(
-            read_stats.get("coalesced_slices", 0)
-        )
-    return profile
-
-
-def attach_write_path_evidence(
-    profile: IORunProfile,
-    *,
-    writer_stats: dict | None = None,
-) -> IORunProfile:
-    """Fold write-path fast-lane counters into *profile* (returns it).
-
-    *writer_stats* is a :class:`repro.plfs.writer.WriteFile` ``stats``
-    dict (appends, merge/flush counts, WAL group-commit batches, vectored
-    and zero-copy appends).  Decoupled like the other evidence hooks:
-    insights consumes a plain counter dict, never plfs objects.
-    """
-    if writer_stats:
-        profile.write_appends += int(writer_stats.get("appends", 0))
-        profile.write_records_merged += int(
-            writer_stats.get("records_merged", 0)
-        )
-        profile.write_index_flushes += int(
-            writer_stats.get("index_flushes", 0)
-        )
-        profile.wal_records += int(writer_stats.get("wal_records", 0))
-        profile.wal_batches += int(writer_stats.get("wal_batches", 0))
-        profile.write_vectored_appends += int(
-            writer_stats.get("vectored_appends", 0)
-        )
-        profile.write_zero_copy_appends += int(
-            writer_stats.get("zero_copy_appends", 0)
-        )
-    return profile
-
-
-def attach_daemon_evidence(
-    profile: IORunProfile,
-    *,
-    server_stats: dict | None = None,
-) -> IORunProfile:
-    """Fold plfsd daemon accounting into *profile* (returns it).
-
-    *server_stats* is a :meth:`repro.plfsd.server.PlfsdServer.stats`
-    snapshot (also what the wire ``stats`` request returns): per-client
-    opens/appends/bytes rolled up into an ``aggregate`` dict plus server
-    ``totals``.  Queue-wait is the daemon's dedicated-MDS meltdown signal,
-    so it lands next to the simulated MDS counters.  Decoupled like the
-    other evidence hooks: insights consumes a plain dict, never a server.
-    """
-    if server_stats:
-        agg = server_stats.get("aggregate", {})
-        totals = server_stats.get("totals", {})
-        profile.daemon_clients += int(server_stats.get("clients", 0))
-        profile.daemon_opens += int(agg.get("opens", 0))
-        profile.daemon_creates += int(agg.get("creates", 0))
-        profile.daemon_appends += int(agg.get("appends", 0))
-        profile.daemon_reads += int(agg.get("reads", 0))
-        profile.daemon_bytes_written += float(agg.get("bytes_written", 0))
-        profile.daemon_bytes_read += float(agg.get("bytes_read", 0))
-        profile.daemon_queue_wait_seconds += float(
-            agg.get("queue_wait_seconds", 0.0)
-        )
-        profile.daemon_max_queue_wait_seconds = max(
-            profile.daemon_max_queue_wait_seconds,
-            float(agg.get("max_queue_wait_seconds", 0.0)),
-        )
-        profile.daemon_fds_reaped += int(totals.get("fds_reaped", 0))
-    return profile
-
-
 def _cb_aggregation_ratio(stats: dict) -> float:
     accesses = int(stats.get("cb_backend_writes", 0)) + int(
         stats.get("cb_backend_reads", 0)
@@ -390,48 +174,6 @@ def _cb_aggregation_ratio(stats: dict) -> float:
     if accesses <= 0:
         return 0.0
     return int(stats.get("cb_member_extents", 0)) / accesses
-
-
-def attach_collective_evidence(
-    profile: IORunProfile,
-    *,
-    collective_stats: dict | None = None,
-) -> IORunProfile:
-    """Fold real-path collective engine counters into *profile* (returns it).
-
-    *collective_stats* is a :attr:`repro.collective.CollectiveFile.counters`
-    snapshot: two-phase exchange/aggregation counts plus the independent
-    list-I/O and data-sieving counters.  Decoupled like the other evidence
-    hooks: insights consumes a plain dict, never an engine.
-    """
-    if collective_stats:
-        profile.cb_rounds += int(collective_stats.get("cb_rounds", 0))
-        profile.cb_member_extents += int(
-            collective_stats.get("cb_member_extents", 0)
-        )
-        profile.cb_backend_writes += int(
-            collective_stats.get("cb_backend_writes", 0)
-        )
-        profile.cb_backend_reads += int(collective_stats.get("cb_backend_reads", 0))
-        profile.cb_exchange_bytes += float(
-            collective_stats.get("exchange_bytes", 0)
-        )
-        profile.cb_exchange_shm_bytes += float(
-            collective_stats.get("exchange_shm_bytes", 0)
-        )
-        profile.cb_aggregation_ratio = _cb_aggregation_ratio(
-            {
-                "cb_member_extents": profile.cb_member_extents,
-                "cb_backend_writes": profile.cb_backend_writes,
-                "cb_backend_reads": profile.cb_backend_reads,
-            }
-        )
-        profile.listio_runs += int(collective_stats.get("listio_runs", 0))
-        profile.ds_sieve_hits += int(collective_stats.get("sieve_hits", 0))
-        profile.ds_sieve_read_bytes += float(
-            collective_stats.get("sieve_read_bytes", 0)
-        )
-    return profile
 
 
 def export_runtime_counters(
@@ -444,12 +186,9 @@ def export_runtime_counters(
 ) -> dict:
     """Flatten fast-lane counter dicts into one namespaced counter set.
 
-    The inverse direction of the ``attach_*`` hooks above: instead of
-    folding counters *into* an :class:`IORunProfile`, this exports them
-    under the profile's field names as a flat dict — the ``counters``
-    section of a :mod:`repro.bench` ``BenchRecord``.  Using one naming
-    scheme in both directions keeps observed profiles, detector evidence
-    and the standing benchmark trajectory directly comparable.
+    The ``counters`` section of a :mod:`repro.bench` ``BenchRecord``:
+    the stats dicts of the index cache, writer, reader, daemon and
+    collective engine under one naming scheme.
 
     Only *deterministic* counters are exported (counts, not durations):
     bench guards compare these exactly across runs of the same seed, so
@@ -497,9 +236,6 @@ def export_runtime_counters(
             collective_stats.get("exchange_messages", 0)
         )
         out["cb_exchange_bytes"] = int(collective_stats.get("exchange_bytes", 0))
-        out["cb_exchange_shm_bytes"] = int(
-            collective_stats.get("exchange_shm_bytes", 0)
-        )
         out["listio_runs"] = int(collective_stats.get("listio_runs", 0))
         out["listio_backend_calls"] = int(
             collective_stats.get("listio_backend_calls", 0)

@@ -11,10 +11,9 @@ deployment is exposed to before a job is ever submitted:
    ``Shim`` method set; the whole-system concurrency analysis and
    ordering-contract checker from :mod:`repro.sanitize` prove the lock
    discipline and crash-ordering invariants across ``repro.core`` +
-   ``repro.plfs`` + ``repro.plfsd`` (the lexical single-file checker in
-   :mod:`~repro.lint.concurrency` remains as the reusable primitive).
-   Together they are ``repro-lint --self-audit``, the CI gate that
-   caught (and now pins) the vectored-I/O gap.
+   ``repro.plfs`` + ``repro.plfsd``.  Together they are
+   ``repro-lint --self-audit``, the CI gate that caught (and now pins)
+   the vectored-I/O gap.
 2. **Anti-patterns in application scripts** — the AST linter
    (:mod:`~repro.lint.rules` on the :mod:`~repro.lint.visitors`
    framework) flags code that would bypass PLFS (mmap, subprocess with
@@ -28,12 +27,6 @@ insights reports / autotune explanations as ``static`` evidence.
 """
 
 from .analyzer import SelfAudit, lint_path, lint_source, self_audit
-from .concurrency import (
-    DEFAULT_GUARDS,
-    GuardSpec,
-    check_source,
-    self_audit_concurrency,
-)
 from .coverage import (
     ACKNOWLEDGED_PASSTHROUGH,
     FILE_TOUCHING_OS,
@@ -58,9 +51,7 @@ __all__ = [
     "ACKNOWLEDGED_PASSTHROUGH",
     "ALL_RULE_VISITORS",
     "AuditReport",
-    "DEFAULT_GUARDS",
     "FILE_TOUCHING_OS",
-    "GuardSpec",
     "LintFinding",
     "RULES",
     "RuleSpec",
@@ -70,7 +61,6 @@ __all__ = [
     "audit_findings",
     "audit_interposition",
     "audit_route",
-    "check_source",
     "findings_to_dict",
     "findings_to_json",
     "lint_path",
@@ -80,7 +70,6 @@ __all__ = [
     "render_self_audit",
     "rule_catalogue",
     "self_audit",
-    "self_audit_concurrency",
     "self_audit_to_json",
     "sort_findings",
 ]

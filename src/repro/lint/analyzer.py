@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .concurrency import GuardSpec
 from .coverage import AuditReport, audit_findings, audit_interposition, audit_route
 from .findings import LintFinding, RULES, sort_findings
 from .rules import run_rule_visitors
 from .visitors import ScriptContext
+
+if TYPE_CHECKING:
+    from repro.sanitize.registry import GuardSpec
 
 
 def lint_source(
@@ -67,7 +69,7 @@ class SelfAudit:
 
     coverage: AuditReport
     findings: list[LintFinding] = field(default_factory=list)
-    #: the interprocedural pass's StaticAnalysis (None for legacy callers)
+    #: the interprocedural pass's StaticAnalysis
     static: Any = None
 
     @property
@@ -87,8 +89,7 @@ def self_audit(
     The concurrency half is the interprocedural analysis from
     :mod:`repro.sanitize.static` — call-graph held-lock propagation,
     lock-order cycles, await-under-lock — over ``repro.core`` +
-    ``repro.plfs`` + ``repro.plfsd`` (PR 2's lexical pass covered only
-    the three ``repro.core`` guards), plus the crash-ordering contracts
+    ``repro.plfs`` + ``repro.plfsd``, plus the crash-ordering contracts
     from :mod:`repro.sanitize.contracts`.
 
     *patches*, *guards*, *targets* and *contracts* default to the live

@@ -6,7 +6,7 @@ and a registry keyed by stable rule IDs so reports (and the golden-file
 tests) stay byte-identical across runs.
 
 ID ranges: ``LDP0xx`` are self-audit rules (interposition coverage and
-shim concurrency over our own core); ``LDP1xx`` are application-script
+the one-route audit over our own core); ``LDP1xx`` are application-script
 anti-patterns found by the AST linter; ``LDP2xx`` are whole-system
 concurrency findings from :mod:`repro.sanitize` (interprocedural guard
 analysis, lock-order cycles, the runtime lockset detector); ``LDP3xx``
@@ -104,7 +104,7 @@ def _spec(rule_id, name, severity, summary, recommendation) -> RuleSpec:
 RULES: dict[str, RuleSpec] = {
     spec.rule_id: spec
     for spec in [
-        # -- self-audit rules (coverage + concurrency) -------------------- #
+        # -- self-audit rules (coverage + one route) ---------------------- #
         _spec(
             "LDP001",
             "uninterposed-symbol",
@@ -120,22 +120,6 @@ RULES: dict[str, RuleSpec] = {
             "a patched symbol has no Shim implementation",
             "implement the same-named Shim method (passthrough at minimum) "
             "or drop the _OS_PATCHES entry",
-        ),
-        _spec(
-            "LDP003",
-            "unguarded-mutation",
-            Severity.HIGH,
-            "shared interposition state mutated outside its lock",
-            "wrap the mutation in the field's guarding lock "
-            "(see concurrency.DEFAULT_GUARDS)",
-        ),
-        _spec(
-            "LDP004",
-            "lock-order-inversion",
-            Severity.HIGH,
-            "two guard locks are acquired in inconsistent orders",
-            "pick one acquisition order for the lock pair and use it at "
-            "every nesting site",
         ),
         _spec(
             "LDP005",

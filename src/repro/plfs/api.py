@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cache as index_cache
-from . import constants
 from .container import ABSENT, CONTAINER, DIRECTORY, Container, classify
 from .container import is_container, readdir_logical, rmdir_logical
 from .errors import BadFlagsError, ContainerExistsError, ContainerNotFoundError, NotAContainerError
@@ -50,9 +49,6 @@ def _remote(fd) -> bool:
 class OpenOptions:
     """Counterpart of ``Plfs_open_opt`` (all defaulted, as LDPLFS does)."""
 
-    buffer_index: bool = True
-    #: number of hostdir buckets for new containers
-    num_hostdirs: int = constants.NUM_HOSTDIRS
     #: persist every index record to a write-ahead dropping before its data
     #: append, making a crashed writer's index rebuildable by ``repro-fsck``
     #: at the cost of one small sequential write per call
@@ -65,10 +61,6 @@ class OpenOptions:
     #: the WAL coverage, which ``repro-fsck`` trims and reports.
     #: ``plfs_sync`` is always a hard barrier.
     wal_batch_records: int = 1
-    #: flatten the merged global index into the persistent ``global.index``
-    #: dropping when the last writer closes cleanly, so subsequent opens
-    #: load one compacted file instead of re-merging every index dropping
-    compact_on_close: bool = True
 
 
 @dataclass
@@ -85,8 +77,6 @@ class Plfs_fd:
     pid: int
     refs: int = 1
     writer: WriteFile | None = None
-    #: write the persistent compacted global index on last clean close
-    compact_on_close: bool = True
     _reader: ReadFile | None = field(default=None, repr=False)
     _dirty_since_reader_build: bool = field(default=False, repr=False)
 
@@ -160,8 +150,6 @@ def plfs_open(
         container.wipe_data()
 
     fd = Plfs_fd(container=container, flags=flags, pid=pid)
-    if open_opt is not None:
-        fd.compact_on_close = open_opt.compact_on_close
     if fd.writable:
         wal = bool(open_opt and open_opt.write_ahead_index)
         wal_batch = open_opt.wal_batch_records if open_opt is not None else 1
@@ -213,11 +201,7 @@ def plfs_close(fd, pid: int | None = None, flags: int | None = None) -> int:
         fd.container.unregister_open(pid if pid is not None else fd.pid)
         if total:
             fd.container.drop_meta(last, total)
-        if (
-            total
-            and fd.compact_on_close
-            and not fd.container.open_writers()
-        ):
+        if total and not fd.container.open_writers():
             # Clean last close: flatten the merged index into the
             # persistent global.index so the next reader skips the merge.
             # Compaction is an accelerator — a failure to write it must
@@ -331,7 +315,7 @@ def plfs_sync(fd, pid: int | None = None) -> None:
 # ---------------------------------------------------------------------- #
 
 
-def plfs_getattr(fd_or_path, *, size_only: bool = False) -> os.stat_result:
+def plfs_getattr(fd_or_path) -> os.stat_result:
     """Stat the logical file (size = logical size from index or meta)."""
     if _remote(fd_or_path):
         return fd_or_path.getattr()

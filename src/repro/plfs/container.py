@@ -293,16 +293,6 @@ class Container:
         except FileNotFoundError:
             return False
 
-    def wal_droppings(self) -> list[str]:
-        """Write-ahead index droppings left behind by crashed (or still
-        running) WAL-enabled writers, deterministically ordered."""
-        out: list[str] = []
-        for hostdir in self.hostdirs():
-            for name in sorted(posix.listdir(hostdir)):
-                if name.startswith(constants.WAL_PREFIX):
-                    out.append(os.path.join(hostdir, name))
-        return out
-
     def restore_skeleton(self) -> list[str]:
         """Recreate missing skeleton entries (``openhosts/``, ``meta/``).
 

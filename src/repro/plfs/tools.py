@@ -21,7 +21,7 @@ from . import cache as index_cache
 from . import constants, util
 from .container import Container, assert_container
 from .errors import CorruptIndexError
-from .index import load_global_index, parse_compacted, read_index_dropping, split_torn
+from .index import load_global_index, parse_compacted, split_torn
 from .route import posix
 
 
@@ -195,41 +195,77 @@ def plfs_check(path: str) -> ContainerReport:
     return report
 
 
+def repair_derived_state(container: Container, act=None, *, dry_run=False) -> None:
+    """Rebuild what the droppings can always rebuild: clear openhost
+    markers, rewrite ``meta/`` from the merged index, drop a compacted
+    ``global.index`` that is stale or does not parse.
+
+    The one repair routine behind ``repro-plfs recover`` and steps 4-6 of
+    ``repro-fsck``.  Every marker is treated as stale — recovery runs when
+    no writers are live, as the C tool requires.  *act(kind, path, detail)*
+    is told of each repair before it happens; under *dry_run* nothing is
+    touched (and ``meta/``, which is rebuilt unconditionally, goes
+    unannounced).
+    """
+    if act is None:
+        def act(kind, path, detail):
+            pass
+
+    for marker in container.open_writers():
+        rel = os.path.join(constants.OPENHOSTS_DIR, marker)
+        act(
+            "clear-openhost",
+            rel,
+            "stale marker (fsck runs offline; no writer can be live)",
+        )
+        if not dry_run:
+            try:
+                posix.unlink(os.path.join(container.path, rel))
+            except FileNotFoundError:
+                pass
+
+    if not dry_run:
+        index, _ = load_global_index(container.droppings())
+        container.clear_meta()
+        physical = container.physical_bytes()
+        if physical or index.logical_size:
+            container.drop_meta(index.logical_size, physical)
+        act(
+            "rebuild-meta",
+            constants.META_DIR,
+            f"cached size {index.logical_size} from the repaired index",
+        )
+
+    # The compacted global index is a cache, never an authority: anything
+    # not byte-for-byte trustworthy against the droppings goes.
+    gpath = container.global_index_path()
+    if posix.exists(gpath):
+        reason = None
+        try:
+            with posix.builtins_open(gpath, "rb") as fh:
+                _, _, file_epoch, _ = parse_compacted(fh.read(), source=gpath)
+        except (OSError, CorruptIndexError):
+            reason = "does not parse"
+        else:
+            if file_epoch != container.index_epoch():
+                reason = "epoch no longer matches the droppings"
+        if reason is not None:
+            act(
+                "drop-stale-compacted",
+                constants.GLOBAL_INDEX_FILE,
+                f"compacted global index {reason}; readers re-merge "
+                "(repro-plfs compact rebuilds it)",
+            )
+            if not dry_run:
+                container.drop_global_index()
+
+
 def plfs_recover(path: str) -> ContainerReport:
     """Repair recoverable damage: rebuild cached metadata from the index
     and clear stale openhost markers.  Returns a post-repair check."""
     assert_container(path)
     container = Container(path)
-
-    # Stale markers: any marker whose writer cannot still exist (we treat
-    # all markers as stale — recovery runs when no writers are live, as
-    # the C tool requires).
-    for marker in container.open_writers():
-        try:
-            posix.unlink(os.path.join(path, constants.OPENHOSTS_DIR, marker))
-        except FileNotFoundError:
-            pass
-
-    index, _ = load_global_index(container.droppings())
-    container.clear_meta()
-    physical = container.physical_bytes()
-    if physical or index.logical_size:
-        container.drop_meta(index.logical_size, physical)
-
-    # A compacted global index that no longer matches the droppings is a
-    # cache gone stale: delete it (like repro-fsck) rather than leave the
-    # post-repair check warning about it.
-    gpath = container.global_index_path()
-    if posix.exists(gpath):
-        stale = True
-        try:
-            with posix.builtins_open(gpath, "rb") as fh:
-                _, _, file_epoch, _ = parse_compacted(fh.read(), source=gpath)
-            stale = file_epoch != container.index_epoch()
-        except (OSError, CorruptIndexError):
-            pass
-        if stale:
-            container.drop_global_index()
+    repair_derived_state(container)
     index_cache.invalidate(container.path)
     return plfs_check(path)
 

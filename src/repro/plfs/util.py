@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import itertools
-import os
 import socket
 import threading
 import time
 
 from . import constants
-from .route import posix
 
 _seq_lock = threading.Lock()
 _seq = itertools.count()
@@ -78,12 +76,3 @@ def index_name_for_data(data_name: str) -> str:
     if not data_name.startswith(constants.DATA_PREFIX):
         raise ValueError(f"not a data dropping name: {data_name!r}")
     return constants.INDEX_PREFIX + data_name[len(constants.DATA_PREFIX):]
-
-
-def fsync_dir(path: str) -> None:
-    """fsync a directory so freshly created entries survive a crash."""
-    fd = posix.open(path, os.O_RDONLY)
-    try:
-        posix.fsync(fd)
-    finally:
-        posix.close(fd)

@@ -67,11 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="group-commit window for the write-ahead index (default 1)",
     )
     parser.add_argument(
-        "--no-compact-on-close",
-        action="store_true",
-        help="skip writing the compacted global.index on last clean close",
-    )
-    parser.add_argument(
         "--no-shm",
         action="store_true",
         help="refuse the shared-memory data plane (clients fall back to "
@@ -84,7 +79,6 @@ async def _run(args: argparse.Namespace) -> None:
     options = plfs_api.OpenOptions(
         write_ahead_index=args.write_ahead_index,
         wal_batch_records=args.wal_batch_records,
-        compact_on_close=not args.no_compact_on_close,
     )
     serve_task = asyncio.ensure_future(
         plfsd_server.serve(

@@ -37,11 +37,11 @@ _ACCMODE = os.O_RDONLY | os.O_WRONLY | os.O_RDWR
 #: gives the direct path).
 MAX_WIRE_WRITE = proto.MAX_FRAME - 4096
 
-# Shared-memory data plane geometry (shared with the collective exchange
-# plane — see repro.plfsd.shm).  Appends at or above the threshold park
-# their payload in a client-owned shm segment of SHM_SLOTS slots and send
-# only a descriptor — large writes never cross the socket.  Below the
-# threshold the bookkeeping costs more than the wire copy saves.
+# Shared-memory data plane geometry (see repro.plfsd.shm).  Appends at or
+# above the threshold park their payload in a client-owned shm segment of
+# SHM_SLOTS slots and send only a descriptor — large writes never cross
+# the socket.  Below the threshold the bookkeeping costs more than the
+# wire copy saves.
 from .shm import SHM_SLOT_BYTES, SHM_SLOTS, SHM_THRESHOLD, try_create_pool
 
 

@@ -26,7 +26,7 @@ operation on one container never stalls requests for another.
 Every lock acquisition is accounted as *queue wait* per client; the
 :meth:`PlfsdServer.stats` snapshot (opens, appends, bytes, queue-wait,
 reaped fds) is the wire ``stats`` reply and feeds
-:func:`repro.insights.metrics.attach_daemon_evidence`.
+:func:`repro.insights.metrics.export_runtime_counters`.
 
 Direct-path coherence: daemon writers flush through the ordinary write
 path, which bumps the per-container generation file (PR 5), so a reader

@@ -1,20 +1,14 @@
-"""Slotted shared-memory segments: the plfsd data plane's geometry,
-factored out so other planes can reuse it.
+"""Slotted shared-memory segments: the plfsd data plane's geometry.
 
-Two consumers share this pool shape:
-
-- the plfsd client's append plane (``client.py``): payloads at or above
-  :data:`SHM_THRESHOLD` park in a slot and only a 16-byte descriptor
-  crosses the socket;
-- the collective exchange plane (``repro.collective.exchange``): member
-  ranks stage large phase-1 contributions in slots so aggregator workers
-  read them without a second copy.
+The plfsd client's append plane (``client.py``) parks payloads at or
+above :data:`SHM_THRESHOLD` in a slot so only a 16-byte descriptor
+crosses the socket.
 
 A :class:`SegmentPool` is one shared-memory segment carved into
 fixed-size slots with a free list.  Slot recycling is the caller's
 ordering contract: a slot may be released only once the consumer is
 provably done with its pages (for plfsd, when the strictly-ordered reply
-arrives; for the exchange, at the phase barrier).
+arrives).
 
 Shared memory is an optimisation, never a requirement — creation failure
 (no ``/dev/shm``, no ``multiprocessing.shared_memory``) must degrade to
@@ -55,10 +49,6 @@ class SegmentPool:
     def size(self) -> int:
         return self._seg.size
 
-    @property
-    def buf(self) -> memoryview:
-        return self._seg.buf
-
     # -- slot lifecycle ------------------------------------------------- #
 
     @property
@@ -84,10 +74,6 @@ class SegmentPool:
         self._seg.buf[base : base + take] = view[:take]
         return slot, base, take
 
-    def view(self, base: int, count: int) -> memoryview:
-        """Zero-copy window over staged bytes (valid until release)."""
-        return self._seg.buf[base : base + count]
-
     # -- teardown (close/unlink split so client._destroy_shm works) ----- #
 
     def close(self) -> None:
@@ -95,13 +81,6 @@ class SegmentPool:
 
     def unlink(self) -> None:
         self._seg.unlink()
-
-    def destroy(self) -> None:
-        for fn in (self.close, self.unlink):
-            try:
-                fn()
-            except (OSError, BufferError):  # pragma: no cover - defensive
-                pass
 
 
 def try_create_pool(

@@ -11,20 +11,19 @@ place that enumerates them, so the runtime detector
 (:mod:`repro.sanitize.static`, :mod:`repro.sanitize.contracts`) agree on
 the registry.
 
-The static side extends PR 2's :class:`~repro.lint.concurrency.GuardSpec`
-contracts (which knew exactly three ``repro.core`` guards) with the PR-4
-shared index cache and the PR-3 backing-store global, and adds
-:class:`LockSpec` entries for the plfsd daemon's asyncio locks so the
-lock-order graph sees the meta/writer nesting.
+The static side is a list of :class:`GuardSpec` contracts (the three
+``repro.core`` structures, the shared index cache, the backing-store
+global, the openhost-marker claims) plus :class:`LockSpec` entries for
+the plfsd daemon's asyncio locks so the lock-order graph sees the
+meta/writer nesting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.lint.concurrency import DEFAULT_GUARDS, GuardSpec
-
 __all__ = [
+    "GuardSpec",
     "LockSpec",
     "EXTENDED_GUARDS",
     "DEFAULT_LOCKS",
@@ -33,9 +32,19 @@ __all__ = [
     "lock_from_guard",
 ]
 
-#: the packages the whole-system static passes walk (PR 2 walked only
-#: ``repro.core``; the daemon and the plfs fast lanes are now in scope)
+#: the packages the whole-system static passes walk
 DEFAULT_TARGETS: tuple[str, ...] = ("repro.core", "repro.plfs", "repro.plfsd")
+
+
+@dataclass(frozen=True)
+class GuardSpec:
+    """One guarded-field contract: *field* of *owner* is written only
+    under *guard* (``owner=""`` means a module-level global)."""
+
+    module: str  # import path, for default source loading
+    owner: str  # class name, or "" for module level
+    field: str
+    guard: str  # lock expression as written, e.g. "self._lock"
 
 
 @dataclass(frozen=True)
@@ -67,10 +76,12 @@ def lock_from_guard(guard: GuardSpec) -> LockSpec:
     return LockSpec(guard.module, "", guard.guard)
 
 
-#: PR 2's core guards plus the shared index cache, the backing global and
-#: the per-process openhost-marker claims
+#: the interposition core's three structures plus the shared index cache,
+#: the backing global and the per-process openhost-marker claims
 EXTENDED_GUARDS: list[GuardSpec] = [
-    *DEFAULT_GUARDS,
+    GuardSpec("repro.core.fdtable", "FdTable", "_entries", "self._lock"),
+    GuardSpec("repro.core.mounts", "MountTable", "_mounts", "self._lock"),
+    GuardSpec("repro.core.interpose", "", "_installed", "_install_lock"),
     GuardSpec("repro.plfs.cache", "IndexCache", "_entries", "self._lock"),
     GuardSpec("repro.plfs.cache", "IndexCache", "_generations", "self._lock"),
     GuardSpec("repro.plfs.backing", "", "_current", "_lock"),

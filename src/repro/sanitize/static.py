@@ -1,11 +1,9 @@
 """Cross-module static lock analysis (the LDP2xx passes).
 
-PR 2's concurrency checker was deliberately lexical: one file at a time,
-one ``with self._lock:`` at a time.  That was the right contract for the
-three-structure interposition core, but the concurrent stack now spans
-modules — the daemon's asyncio locks, the shared index cache, the backing
-global — and a helper called *under* a lock is exactly the shape the
-lexical pass cannot see.  This module is the interprocedural replacement:
+The concurrent stack spans modules — the interposition core's tables, the
+daemon's asyncio locks, the shared index cache, the backing global — and
+a helper called *under* a lock is exactly the shape a lexical
+one-``with``-at-a-time check cannot see.  This module is interprocedural:
 
 1. **Call graph** over the target packages (``repro.core`` + ``repro.plfs``
    + ``repro.plfsd`` by default), resolved through ``self`` dispatch,
@@ -38,16 +36,19 @@ from __future__ import annotations
 import ast
 import importlib.util
 import pkgutil
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from repro.lint.concurrency import (
-    _EXEMPT_METHODS,
-    _mutation_targets,
-    GuardSpec,
-)
 from repro.lint.findings import LintFinding, RULES, sort_findings
 
-from .registry import DEFAULT_LOCKS, DEFAULT_TARGETS, EXTENDED_GUARDS, LockSpec
+from .registry import (
+    DEFAULT_LOCKS,
+    DEFAULT_TARGETS,
+    EXTENDED_GUARDS,
+    GuardSpec,
+    LockSpec,
+    lock_from_guard,
+)
 
 __all__ = ["StaticAnalysis", "analyze", "discover_modules"]
 
@@ -208,6 +209,56 @@ def _collect_functions(mod: _Module) -> list[_Func]:
 # ---------------------------------------------------------------------- #
 # lexical facts gathered per function
 # ---------------------------------------------------------------------- #
+
+_MUTATING_METHODS = frozenset(
+    {
+        "pop", "popitem", "clear", "update", "setdefault",
+        "append", "extend", "insert", "remove", "sort",
+        "add", "discard",
+    }
+)
+
+#: constructors touch state no other thread can see yet
+_EXEMPT_METHODS = frozenset({"__init__", "__new__"})
+
+
+def _is_field_ref(node: ast.AST, guard: GuardSpec) -> bool:
+    """Does *node* denote the guarded field (``self.field`` or global)?"""
+    if guard.owner:
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == guard.field
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        )
+    return isinstance(node, ast.Name) and node.id == guard.field
+
+
+def _mutation_targets(node: ast.AST, guard: GuardSpec) -> Iterator[ast.AST]:
+    """Yield the mutated-field references found directly at *node*."""
+    if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            if _is_field_ref(target, guard):
+                yield target
+            elif isinstance(target, ast.Subscript) and _is_field_ref(
+                target.value, guard
+            ):
+                yield target
+    elif isinstance(node, ast.Delete):
+        for target in node.targets:
+            if isinstance(target, ast.Subscript) and _is_field_ref(
+                target.value, guard
+            ):
+                yield target
+    elif isinstance(node, ast.Call):
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in _MUTATING_METHODS
+            and _is_field_ref(func.value, guard)
+        ):
+            yield node
 
 
 @dataclass(frozen=True)
@@ -646,7 +697,7 @@ def analyze(
     for mut in sorted(
         mutations, key=lambda m: (m.module, m.line, m.col, m.qualname)
     ):
-        guard_lock = _guard_label(mut.guard)
+        guard_lock = lock_from_guard(mut.guard).label
         effective = mut.held | must.get(mut.func, frozenset())
         if guard_lock not in effective:
             scope = f"{mut.guard.owner}." if mut.guard.owner else ""
@@ -750,9 +801,3 @@ def analyze(
         call_edges=len(calls),
         lock_edges=lock_edges,
     )
-
-
-def _guard_label(guard: GuardSpec) -> str:
-    from .registry import lock_from_guard
-
-    return lock_from_guard(guard).label

@@ -8,7 +8,7 @@ simulated Minerva and Sierra.
 
 from .engine import AllOf, Environment, Event, Process, SimError, Timeout
 from .resources import BandwidthPipe, Resource, Tank
-from .stats import GB, MB, OpCounter, PhaseTimer
+from .stats import GB, MB, OpCounter
 
 __all__ = [
     "Environment",
@@ -20,7 +20,6 @@ __all__ = [
     "Resource",
     "BandwidthPipe",
     "Tank",
-    "PhaseTimer",
     "OpCounter",
     "MB",
     "GB",

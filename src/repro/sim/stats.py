@@ -73,36 +73,6 @@ class SizeHistogram:
 
 
 @dataclass
-class PhaseTimer:
-    """Aggregate bytes moved over a measured phase; reports MB/s."""
-
-    name: str = ""
-    start: float = 0.0
-    end: float = 0.0
-    bytes_moved: float = 0.0
-
-    def begin(self, now: float) -> None:
-        self.start = now
-
-    def finish(self, now: float) -> None:
-        self.end = now
-
-    def add_bytes(self, nbytes: float) -> None:
-        self.bytes_moved += nbytes
-
-    @property
-    def elapsed(self) -> float:
-        return max(self.end - self.start, 0.0)
-
-    @property
-    def bandwidth_mbps(self) -> float:
-        """Achieved bandwidth in MB/s, as the paper's figures report."""
-        if self.elapsed <= 0:
-            return 0.0
-        return self.bytes_moved / MB / self.elapsed
-
-
-@dataclass
 class OpCounter:
     """Counts of operations by kind, e.g. MDS loads or lock acquisitions."""
 

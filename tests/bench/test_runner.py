@@ -94,6 +94,30 @@ def test_crash_soak_recovers_every_cycle():
     assert c["verified_bytes"] > 0
 
 
+def test_objectstore_counters_do_not_depend_on_the_hostname(monkeypatch):
+    """`repro-bench guard` compares counters exactly, so nothing in them
+    may move with the host: the access file's ``host=<hostname>`` body is
+    payload the object tiers count bytes of."""
+    from repro.plfs import util
+
+    records = []
+    for host in ("n1", "a-much-longer-node-name_example_org"):
+        monkeypatch.setattr(util, "hostname", lambda host=host: host)
+        records.append(
+            runner.run_scenario("crash_soak", profile="short", config="objectstore")
+        )
+    short, long_ = records
+    assert short["counters"] == long_["counters"]
+    assert short["counters"]["object_puts"] > 0  # counts stay exact
+    assert not set(runner.HOST_SIZED_BYTES) & set(short["counters"])
+    # the byte totals moved to the tolerance-compared section, and do differ
+    assert set(short["derived"]["bytes"]) <= set(runner.HOST_SIZED_BYTES)
+    assert (
+        short["derived"]["bytes"]["object_put_bytes"]
+        < long_["derived"]["bytes"]["object_put_bytes"]
+    )
+
+
 def test_crash_soak_rejects_non_direct_configs():
     with pytest.raises(ValueError, match="does not support"):
         runner.run_scenario("crash_soak", config="daemon")

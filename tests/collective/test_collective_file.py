@@ -9,7 +9,6 @@ import pytest
 from repro.collective import CollectiveFile
 from repro.mpiio.hints import MPIHints
 from repro.plfs import api as plfs_api
-from repro.plfsd.shm import try_create_pool
 
 RECORD = 64
 
@@ -42,13 +41,12 @@ def test_cb_and_independent_paths_produce_identical_containers(tmp_path):
     able to tell which path the bytes took."""
     cb = str(tmp_path / "cb")
     indep = str(tmp_path / "indep")
-    with _write_rounds(cb, nodes=2, ppn=2, exchange="inline"):
+    with _write_rounds(cb, nodes=2, ppn=2):
         pass
     with _write_rounds(
         indep,
         nodes=2,
         ppn=2,
-        exchange="inline",
         hints=MPIHints(romio_cb_write=False),
     ):
         pass
@@ -64,7 +62,6 @@ def test_cb_nodes_hint_thins_aggregators_and_backend_writes(tmp_path):
         str(tmp_path / "f"),
         nodes=4,
         ppn=1,
-        exchange="inline",
         hints=MPIHints(cb_nodes=2),
     ) as f:
         assert f.aggregator_count == 2
@@ -80,7 +77,6 @@ def test_small_cb_buffer_splits_backend_writes(tmp_path):
         nodes=1,
         ppn=2,
         rounds=1,
-        exchange="inline",
         hints=MPIHints(cb_buffer_size=2 * RECORD),
     ) as f:
         # 6 records for one aggregator, 2 records per chunk -> 3 writes
@@ -92,7 +88,6 @@ def test_cb_write_off_routes_through_list_io(tmp_path):
         str(tmp_path / "f"),
         nodes=2,
         ppn=1,
-        exchange="inline",
         hints=MPIHints(romio_cb_write=False),
     ) as f:
         assert "cb_backend_writes" not in f.counters
@@ -102,7 +97,7 @@ def test_cb_write_off_routes_through_list_io(tmp_path):
 
 def test_positions_advance_unless_explicit(tmp_path):
     path = str(tmp_path / "f")
-    with CollectiveFile(path, nodes=1, ppn=2, exchange="inline") as f:
+    with CollectiveFile(path, nodes=1, ppn=2) as f:
         f.set_interleaved(4)
         f.write_at_all([b"AAAA", b"aaaa"])
         f.write_at_all([b"BBBB", b"bbbb"])  # appends through the view
@@ -112,7 +107,7 @@ def test_positions_advance_unless_explicit(tmp_path):
 
 def test_collective_read_round_trips_per_rank(tmp_path):
     with _write_rounds(
-        str(tmp_path / "f"), nodes=2, ppn=2, rounds=1, exchange="inline"
+        str(tmp_path / "f"), nodes=2, ppn=2, rounds=1
     ) as f:
         got = f.read_at_all(3 * RECORD, position=0)
         assert set(got) == set(range(4))
@@ -127,7 +122,6 @@ def test_read_with_cb_off_round_trips_too(tmp_path):
         nodes=2,
         ppn=1,
         rounds=1,
-        exchange="inline",
         hints=MPIHints(romio_cb_read=False),
     ) as f:
         # the CB write landed through the aggregator handles; the read
@@ -140,32 +134,18 @@ def test_read_with_cb_off_round_trips_too(tmp_path):
 def test_inline_workers_match_thread_workers(tmp_path):
     a = str(tmp_path / "thread")
     b = str(tmp_path / "inline")
-    with _write_rounds(a, nodes=2, ppn=2, exchange="inline") as fa:
+    with _write_rounds(a, nodes=2, ppn=2) as fa:
         counters_a = dict(fa.counters)
     with _write_rounds(
-        b, nodes=2, ppn=2, exchange="inline", workers="inline"
+        b, nodes=2, ppn=2, workers="inline"
     ) as fb:
         counters_b = dict(fb.counters)
     assert _readback(a) == _readback(b)
     assert counters_a == counters_b
 
 
-def test_shm_exchange_stages_large_pieces(tmp_path):
-    pool = try_create_pool()
-    if pool is None:
-        pytest.skip("shared memory unavailable on this host")
-    pool.destroy()
-    big = 256 * 1024  # the plfsd staging threshold
-    path = str(tmp_path / "f")
-    with CollectiveFile(path, nodes=1, ppn=1, exchange="shm") as f:
-        f.set_interleaved(big)
-        f.write_at_all([_rank_payload(0, big)])
-        assert f.counters["exchange_shm_bytes"] == big
-    assert _readback(path) == _rank_payload(0, big)
-
-
 def test_writer_stats_harvested_across_worker_handles(tmp_path):
-    f = _write_rounds(str(tmp_path / "f"), nodes=2, ppn=2, exchange="inline")
+    f = _write_rounds(str(tmp_path / "f"), nodes=2, ppn=2)
     live = f.writer_stats
     assert live.get("bytes_appended", 0) == 2 * 4 * 3 * RECORD
     f.close()
@@ -175,7 +155,7 @@ def test_writer_stats_harvested_across_worker_handles(tmp_path):
 
 
 def test_empty_round_and_bad_rank_guard(tmp_path):
-    with CollectiveFile(str(tmp_path / "f"), exchange="inline") as f:
+    with CollectiveFile(str(tmp_path / "f")) as f:
         f.set_interleaved(8)
         assert f.write_at_all([b""]) == 0
         with pytest.raises(ValueError):

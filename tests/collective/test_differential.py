@@ -70,7 +70,6 @@ def _run(path: str, nodes: int, ppn: int, record: int, rounds, hints) -> dict:
         nodes=nodes,
         ppn=ppn,
         hints=hints,
-        exchange="inline",
         workers="inline",
     ) as f:
         f.set_interleaved(record)

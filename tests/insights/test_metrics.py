@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -81,6 +82,21 @@ class TestProfileFromRun:
         text = json.dumps(d)
         assert json.loads(text)["writers"] == 24
         assert d["write_bandwidth_mbps"] > 0
+
+    def test_as_dict_carries_every_field_but_files(self, flashio_profile):
+        d = flashio_profile.as_dict()
+        names = {f.name for f in dataclasses.fields(IORunProfile)}
+        assert set(d) == (names - {"files"}) | {"write_bandwidth_mbps"}
+        # live fields the hand-kept copy used to omit
+        assert d["fuse_max_write"] == flashio_profile.fuse_max_write
+        assert d["write_through_shared"] is flashio_profile.write_through_shared
+        assert d["mds_busy_seconds"] == flashio_profile.mds_busy_seconds > 0
+        assert d["server_concurrency"] == SIERRA.perf.server_concurrency
+        # evidence fields no detector read and no caller filled are gone
+        for gone in ("index_cache_hits", "read_preads", "write_appends",
+                     "wal_batches", "cb_rounds", "listio_runs",
+                     "ds_sieve_hits", "daemon_clients"):
+            assert gone not in d
 
 
 class TestProfileFromTrace:
@@ -182,56 +198,3 @@ class TestProfileProperties:
     def test_zero_elapsed_bandwidth(self):
         p = IORunProfile(source="trace")
         assert p.write_bandwidth_mbps == 0.0
-
-
-class TestReadPathEvidence:
-    def test_attach_read_path_evidence_folds_counters(self):
-        from repro.insights import attach_read_path_evidence
-
-        p = IORunProfile(source="trace")
-        attach_read_path_evidence(
-            p,
-            cache_stats={
-                "hits": 7,
-                "misses": 2,
-                "compacted_loads": 1,
-                "merged_builds": 1,
-            },
-            read_stats={"preads": 12, "coalesced_slices": 5},
-        )
-        assert p.index_cache_hits == 7
-        assert p.index_cache_misses == 2
-        assert p.compacted_index_loads == 1
-        assert p.index_rebuild_ops == 1
-        assert p.read_preads == 12
-        assert p.read_preads_coalesced == 5
-        d = p.as_dict()
-        assert d["index_cache_hits"] == 7
-        assert d["read_preads_coalesced"] == 5
-
-    def test_attach_read_path_evidence_accepts_live_objects(
-        self, tmp_path
-    ):
-        from repro import plfs
-        from repro.insights import attach_read_path_evidence
-        from repro.plfs.cache import shared_cache
-        from repro.plfs.container import Container
-        from repro.plfs.reader import ReadFile
-
-        path = str(tmp_path / "f")
-        fd = plfs.plfs_open(path, os.O_CREAT | os.O_WRONLY)
-        plfs.plfs_write(fd, b"x" * 64, 64, 0)
-        plfs.plfs_close(fd)
-        cache = shared_cache()
-        cache.clear()
-        cache.reset_stats()
-        with ReadFile(Container(path)) as r:
-            r.read(64, 0)
-            p = attach_read_path_evidence(
-                IORunProfile(source="trace"),
-                cache_stats=cache.stats,
-                read_stats=r.stats,
-            )
-        assert p.index_cache_misses == 1
-        assert p.compacted_index_loads == 1  # clean close compacted
-        assert p.read_preads == 1

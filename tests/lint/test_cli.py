@@ -107,5 +107,5 @@ class TestListRules:
     def test_catalogue_printed(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("LDP001", "LDP003", "LDP101", "LDP111"):
+        for rule_id in ("LDP001", "LDP006", "LDP101", "LDP111"):
             assert rule_id in out

@@ -1,20 +1,32 @@
-"""Tests for the shim concurrency checker (guarded-field contracts)."""
+"""The interposition core's guarded-field contracts, fed to the
+interprocedural analyzer (:mod:`repro.sanitize.static`).
+
+These are the single-module inputs the retired lexical checker was
+written against; the one analyzer ``repro-lint --self-audit`` runs must
+reach the same verdicts on them (LDP201 guard bypass, LDP202 lock-order
+cycle).
+"""
 
 from __future__ import annotations
 
 import textwrap
 
-from repro.lint import self_audit, self_audit_concurrency
-from repro.lint.concurrency import DEFAULT_GUARDS, GuardSpec, check_source
+from repro.lint import self_audit
+from repro.sanitize.registry import EXTENDED_GUARDS, GuardSpec, lock_from_guard
+from repro.sanitize.static import analyze
 
 TABLE_GUARD = GuardSpec("fake.table", "FdTable", "_entries", "self._lock")
-GLOBAL_GUARD = GuardSpec("fake.mod", "", "_installed", "_install_lock")
+GLOBAL_GUARD = GuardSpec("fake.table", "", "_installed", "_install_lock")
 
 
 def _check(source: str, guards=None) -> list:
-    return check_source(
-        textwrap.dedent(source), "seeded.py", guards or [TABLE_GUARD]
-    )
+    guards = guards or [TABLE_GUARD]
+    return analyze(
+        (),
+        guards=guards,
+        locks=[lock_from_guard(g) for g in guards],
+        sources={"fake.table": textwrap.dedent(source)},
+    ).findings
 
 
 class TestGuardedFields:
@@ -26,9 +38,9 @@ class TestGuardedFields:
                     self._entries[fd] = entry
             """
         )
-        assert [f.rule for f in findings] == ["LDP003"]
+        assert [f.rule for f in findings] == ["LDP201"]
         assert findings[0].evidence["function"] == "FdTable.register"
-        assert findings[0].evidence["guard"] == "self._lock"
+        assert findings[0].evidence["guard"] == "FdTable._lock"
 
     def test_guarded_mutation_is_clean(self):
         assert (
@@ -51,7 +63,7 @@ class TestGuardedFields:
                     self._entries.pop(fd, None)
             """
         )
-        assert [f.rule for f in findings] == ["LDP003"]
+        assert [f.rule for f in findings] == ["LDP201"]
 
     def test_init_is_exempt(self):
         assert (
@@ -100,7 +112,7 @@ class TestGuardedFields:
             """,
             guards=[GLOBAL_GUARD],
         )
-        assert [f.rule for f in findings] == ["LDP003"]
+        assert [f.rule for f in findings] == ["LDP201"]
 
         clean = _check(
             """
@@ -131,10 +143,10 @@ class TestLockOrder:
             """,
             guards=[
                 TABLE_GUARD,
-                GuardSpec("fake.table", "FdTable", "_x", "other_lock"),
+                GuardSpec("fake.table", "", "_x", "other_lock"),
             ],
         )
-        assert "LDP004" in {f.rule for f in findings}
+        assert [f.rule for f in findings] == ["LDP202"]
 
     def test_consistent_nesting_is_clean(self):
         findings = _check(
@@ -152,18 +164,18 @@ class TestLockOrder:
             """,
             guards=[
                 TABLE_GUARD,
-                GuardSpec("fake.table", "FdTable", "_x", "other_lock"),
+                GuardSpec("fake.table", "", "_x", "other_lock"),
             ],
         )
-        assert not [f for f in findings if f.rule == "LDP004"]
+        assert findings == []
 
 
 class TestSelfAudit:
     def test_real_tree_holds_all_contracts(self):
-        assert self_audit_concurrency() == []
+        assert analyze().findings == []
 
     def test_default_guards_cover_the_core_structures(self):
-        covered = {(g.module, g.field) for g in DEFAULT_GUARDS}
+        covered = {(g.module, g.field) for g in EXTENDED_GUARDS}
         assert ("repro.core.fdtable", "_entries") in covered
         assert ("repro.core.mounts", "_mounts") in covered
         assert ("repro.core.interpose", "_installed") in covered

@@ -13,7 +13,6 @@ import pytest
 from repro.plfs import cache as index_cache
 from repro.plfs import constants
 from repro.plfs.api import (
-    OpenOptions,
     plfs_close,
     plfs_getattr,
     plfs_open,
@@ -129,17 +128,15 @@ class TestCompactedIndex:
         plfs_close(fd)
         assert load_index(Container(container_path)).index.logical_size == 0
 
-    def test_compact_on_close_can_be_disabled(self, container_path):
-        fd = plfs_open(
-            container_path,
-            os.O_CREAT | os.O_WRONLY,
-            open_opt=OpenOptions(compact_on_close=False),
-        )
+    def test_dropping_the_compacted_index_reroutes_to_merge(self, container_path):
+        fd = plfs_open(container_path, os.O_CREAT | os.O_WRONLY)
         plfs_write(fd, b"data", offset=0)
         plfs_close(fd)
-        assert not os.path.exists(
-            Container(container_path).global_index_path()
-        )
+        container = Container(container_path)
+        assert load_index(container).source == "compacted"
+        assert container.drop_global_index()
+        assert not os.path.exists(container.global_index_path())
+        assert load_index(container).source == "merged"
 
     def test_no_compaction_while_other_writers_open(self, container_path):
         fd1 = plfs_open(container_path, os.O_CREAT | os.O_WRONLY, pid=1)

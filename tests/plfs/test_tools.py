@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import shutil
 
 import pytest
 
@@ -148,3 +149,58 @@ class TestCli:
     def test_bad_args(self, capsys):
         assert main([]) == 2
         assert main(["frobnicate", "/x"]) == 2
+
+
+def _tree(root):
+    """relative path -> file bytes (None for a directory)."""
+    out = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        for name in dirnames:
+            out[os.path.relpath(os.path.join(dirpath, name), root)] = None
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+class TestRecoverAndFsckAgree:
+    """`repro-plfs recover` and `repro-fsck` run one repair routine
+    (`repair_derived_state`): the same damage must leave the same tree."""
+
+    def test_same_damage_same_tree(self, filled, backend, capsys):
+        from repro.faults.cli import main as fsck_main
+
+        c = plfs.Container(filled)
+        with open(c.global_index_path(), "rb") as fh:
+            first_compaction = fh.read()
+        fd = plfs.plfs_open(filled, os.O_WRONLY, pid=7)
+        plfs.plfs_write(fd, b"D" * 30, 30, 250, pid=7)
+        plfs.plfs_close(fd, pid=7)
+        # the damage: a stale global.index, no meta/ dropping, a dead
+        # writer's openhost marker
+        with open(c.global_index_path(), "wb") as fh:
+            fh.write(first_compaction)
+        c.clear_meta()
+        c.register_open(pid=999)
+
+        twin = os.path.join(backend, "twin")
+        shutil.copytree(filled, twin)
+        assert _tree(filled) == _tree(twin)
+
+        assert main(["recover", filled]) == 0
+        assert fsck_main([twin]) == 0
+        out = capsys.readouterr().out
+        for kind in ("clear-openhost", "rebuild-meta", "drop-stale-compacted"):
+            assert kind in out
+
+        recovered, fscked = _tree(filled), _tree(twin)
+        # fsck additionally tells other processes the container changed
+        for tree in (recovered, fscked):
+            tree.pop(constants.GENERATION_FILE, None)
+        assert recovered == fscked
+        assert constants.GLOBAL_INDEX_FILE not in recovered
+        assert not any(k.startswith(constants.OPENHOSTS_DIR + os.sep) for k in recovered)
+        assert [k for k in recovered if k.startswith(constants.META_DIR + os.sep)] == [
+            os.path.join(constants.META_DIR, f"280.280.{plfs.util.hostname()}")
+        ]

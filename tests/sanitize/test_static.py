@@ -12,8 +12,7 @@ import importlib.util
 import json
 
 from repro.analysis.export import canonical_json
-from repro.lint.concurrency import GuardSpec
-from repro.sanitize.registry import LockSpec
+from repro.sanitize.registry import GuardSpec, LockSpec
 from repro.sanitize.static import analyze
 
 GUARDED_TABLE = '''
