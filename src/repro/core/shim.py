@@ -23,6 +23,7 @@ from repro.plfs import constants
 from repro.plfs.container import CONTAINER, DIRECTORY, FILE, Container, classify
 from repro.plfs.container import is_container, readdir_logical, rmdir_logical
 from repro.plfs.errors import ContainerNotFoundError, NotAContainerError, PlfsError
+from repro.plfs.reader import byte_view
 from repro.plfs.route import RealOS
 
 from .fdtable import FdEntry, FdTable
@@ -136,20 +137,27 @@ class Shim:
 
     def _with_retry(self, fn):
         """Run *fn*, retrying transient OSErrors per the policy."""
+        try:
+            return fn()
+        except OSError as exc:
+            return self._retry_after(exc, fn)
+
+    def _retry_after(self, exc: OSError, fn):
+        """*fn*'s first attempt raised *exc*: the policy's remaining ones.
+        (Hot paths make the first themselves: no closure, no loop.)"""
         policy = self.retry
         delay = policy.backoff_base
-        for attempt in range(policy.max_attempts):
+        for _ in range(policy.max_attempts - 1):
+            if exc.errno not in policy.transient_errnos:
+                break
+            self.stats["transient_retries"] += 1
+            policy.sleep(delay)
+            delay = min(delay * policy.backoff_factor, policy.backoff_max)
             try:
                 return fn()
-            except OSError as exc:
-                if (
-                    exc.errno not in policy.transient_errnos
-                    or attempt == policy.max_attempts - 1
-                ):
-                    raise
-                self.stats["transient_retries"] += 1
-                policy.sleep(delay)
-                delay = min(delay * policy.backoff_factor, policy.backoff_max)
+            except OSError as again:
+                exc = again
+        raise exc
 
     def _write_fully(self, plfs_fd, data, offset) -> int:
         """plfs_write with transient retry *and* short-write resumption:
@@ -174,9 +182,6 @@ class Shim:
             if total < len(view):
                 self.stats["short_write_resumes"] += 1
         return total
-
-    def _read_retry(self, plfs_fd, n, offset) -> bytes:
-        return self._with_retry(lambda: plfs_api.plfs_read(plfs_fd, n, offset))
 
     # ------------------------------------------------------------------ #
     # resolution helpers
@@ -329,7 +334,11 @@ class Shim:
         if not entry.readable:
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         cursor = self.table.tell(entry)
-        data = self._read_retry(entry.plfs_fd, n, cursor)
+        plfs_fd = entry.plfs_fd
+        try:
+            data = plfs_api.plfs_read(plfs_fd, n, cursor)
+        except OSError as exc:
+            data = self._retry_after(exc, lambda: plfs_api.plfs_read(plfs_fd, n, cursor))
         if data:
             self.table.advance(entry, len(data))
         return data
@@ -371,32 +380,27 @@ class Shim:
     # ------------------------------------------------------------------ #
 
     def _readv_at(self, entry, buffers, offset) -> int:
-        # The buffers cover one contiguous logical span, so a single
-        # plfs_read (which the read path can coalesce into few preads)
-        # then scattering into the views beats one plfs_read per buffer.
-        # Like _writev_at, non-byte buffers (array('i'), numpy views) are
-        # cast to "B" so lengths count bytes; read targets must be filled
-        # in place, so a non-contiguous view cannot fall back to a
-        # tobytes() copy and the cast raises — the same contract os.readv
-        # has.
-        views = []
-        for buf in buffers:
-            v = memoryview(buf)
-            if v.itemsize != 1:
-                v = v.cast("B")
-            views.append(v)
-        want = sum(len(v) for v in views)
-        if not want:
-            return 0
-        data = self._read_retry(entry.plfs_fd, want, offset)
+        # One buffer (every file-object read) is handed down and filled in
+        # place; several cover one contiguous logical span, so they are one
+        # plfs_read_into (one plan, one revalidation), then scattered.
+        # Non-byte buffers (array('i'), numpy views) count bytes, and a
+        # non-contiguous one raises — the contract os.readv has.
+        plfs_fd, views = entry.plfs_fd, ()
+        if len(buffers) == 1:
+            dest = buffers[0]
+        else:
+            views = [byte_view(buf) for buf in buffers]
+            dest = memoryview(bytearray(sum(map(len, views))))
+        try:
+            got = plfs_api.plfs_read_into(plfs_fd, dest, offset)
+        except OSError as exc:
+            got = self._retry_after(exc, lambda: plfs_api.plfs_read_into(plfs_fd, dest, offset))
         pos = 0
         for view in views:
-            chunk = data[pos : pos + len(view)]
-            view[: len(chunk)] = chunk
-            pos += len(chunk)
-            if len(chunk) < len(view):
-                break
-        return pos
+            n = min(len(view), got - pos)
+            view[:n] = dest[pos : pos + n]
+            pos += n
+        return got
 
     def _writev_at(self, entry, buffers, offset) -> int:
         # Mirror of _readv_at: the buffers cover one contiguous logical
@@ -498,7 +502,11 @@ class Shim:
         self._count(True)
         if not entry.readable:
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        return self._read_retry(entry.plfs_fd, n, offset)
+        plfs_fd = entry.plfs_fd
+        try:
+            return plfs_api.plfs_read(plfs_fd, n, offset)
+        except OSError as exc:
+            return self._retry_after(exc, lambda: plfs_api.plfs_read(plfs_fd, n, offset))
 
     def pwrite(self, fd, data, offset):
         entry = self.table.lookup(fd)
@@ -918,10 +926,7 @@ class _PlfsRawIO(io.RawIOBase):
         return True
 
     def readinto(self, b) -> int:
-        data = self._shim.read(self._fd, len(b))
-        n = len(data)
-        b[:n] = data
-        return n
+        return self._shim.readv(self._fd, [b])
 
     def write(self, b) -> int:
         return self._shim.write(self._fd, b)

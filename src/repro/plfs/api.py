@@ -26,7 +26,7 @@ from .container import ABSENT, CONTAINER, DIRECTORY, Container, classify
 from .container import is_container, readdir_logical, rmdir_logical
 from .errors import BadFlagsError, ContainerExistsError, ContainerNotFoundError, NotAContainerError
 from .index import pack_records, segment_records
-from .reader import ReadFile
+from .reader import ReadFile, byte_view
 from .route import posix
 from .util import unique_timestamp
 from .writer import WriteFile
@@ -293,9 +293,10 @@ def plfs_read(fd, count: int, offset: int) -> bytes:
 
 
 def plfs_read_into(fd, buf, offset: int) -> int:
-    """C-style variant filling a caller buffer; returns bytes read."""
+    """C-style variant filling a caller buffer (any writable contiguous one,
+    counted in bytes like ``os.readv``); returns bytes read, leaves the rest."""
     if _remote(fd):
-        return fd.read_into(buf, offset)
+        return fd.read_into(byte_view(buf), offset)
     if not fd.readable:
         raise BadFlagsError("handle not open for reading")
     return fd.reader().read_into(buf, offset)

@@ -244,8 +244,8 @@ def invalidate_cross_process(container: Container) -> None:
 
     The in-process generation bump covers read handles sharing this
     cache; the container's generation file covers readers in other
-    processes, which detect the fresh ``(inode, mtime_ns)`` token with a
-    single ``stat`` in their revalidation path.
+    processes, which hold the file open since their index was built and
+    see it replaced (``st_nlink == 0``) with one ``fstat`` per revalidation.
     """
     _shared.invalidate(container.path)
     container.bump_generation()

@@ -85,7 +85,8 @@ INDEX_CACHE_CAPACITY = 64
 #: File name of the per-container generation file, stored in the container
 #: root.  Atomically replaced (write + rename, so it gets a fresh inode and
 #: mtime) by every write-path flush/sync/close, it lets readers in *other*
-#: processes detect that their cached index went stale with one ``stat``.
+#: processes see their cached index go stale with one ``fstat`` of the copy
+#: they hold open (replaced is unlinked).
 #: Purely advisory: a missing or unreadable generation file only disables
 #: the cross-process fast check, never correctness (the container epoch
 #: remains the authority).

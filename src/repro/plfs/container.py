@@ -98,6 +98,9 @@ class Container:
         *exclusive*.
         """
         kind = classify(self.path)
+        if kind == DIRECTORY and self.exists():
+            # a creator elsewhere renamed its skeleton in between classify()'s two looks
+            kind = CONTAINER
         if kind == CONTAINER:
             if exclusive:
                 raise ContainerExistsError(f"container exists: {self.path}")
@@ -254,9 +257,10 @@ class Container:
         """Signal readers in other processes that the container changed.
 
         Write-then-rename, so the generation file atomically gets a fresh
-        inode and mtime; a reader holding a cached index compares the
-        ``(inode, mtime_ns)`` token it captured at build time with one
-        ``stat`` and refreshes on mismatch.  The protocol is purely
+        inode and mtime, and the replaced one loses its last link: a reader
+        holds that one open since its index was built, and one ``fstat``
+        showing ``st_nlink == 0`` is exactly a changed ``(inode, mtime_ns)``
+        token (with none to hold, it probes the path).  The protocol is purely
         advisory — a full backend or read-only medium just loses the fast
         cross-process staleness check, so failures are swallowed — and the
         in-process shared cache (validated by the container epoch) remains

@@ -13,17 +13,18 @@ record's completion timestamp).  This module stores records as a NumPy
 structured array and the flattened index as four sorted int64 columns
 (starts, ends, droppings, physical offsets): a batch of records becomes
 those columns with one stable sort (Thakur et al.'s flattened offset/length
-lists), range queries are ``np.searchsorted`` over them, and compaction
-packs them field by field.  Only a batch that is observed to overlap is
-resolved by the :class:`ExtentMap` sweep, whose result is frozen straight
-back into columns.
+lists) and compaction packs them field by field.  Only a batch that is
+observed to overlap is resolved by the :class:`ExtentMap` sweep, whose
+result is frozen straight back into columns.  Range queries ``bisect`` over
+``memoryview``s of the columns, never NumPy: a read plans one window at a
+time, and array machinery costs more than the lookup it would vectorise.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,22 +126,18 @@ def read_index_dropping(path: str) -> np.ndarray:
         return parse_records(fh.read(), source=path)
 
 
-@dataclass(frozen=True)
-class ReadSlice:
+class ReadSlice(NamedTuple):
     """One contiguous piece of a read plan.
 
     ``dropping`` is a global data-dropping id, or :data:`constants.HOLE` for
-    a region no write ever covered (reads back as zeros).
+    a region no write ever covered (reads back as zeros).  A tuple: a scan
+    plans hundreds per read, and tuples build, unpack and sort in C.
     """
 
     logical_offset: int
     length: int
     dropping: int
     physical_offset: int
-
-    @property
-    def is_hole(self) -> bool:
-        return self.dropping == constants.HOLE
 
 
 class ExtentMap:
@@ -255,9 +252,16 @@ class GlobalIndex:
     """
 
     def __init__(self, record_arrays: list[np.ndarray] | None = None):
-        self._cols = _NO_SEGMENTS
+        self._bind(_NO_SEGMENTS)
         if record_arrays:
             self.add_records(np.concatenate(record_arrays) if len(record_arrays) > 1 else record_arrays[0])
+
+    def _bind(self, cols: Columns) -> None:
+        """The one place the columns are (re)bound: :meth:`query`'s views
+        of them go in the same breath (and are made again on first use)."""
+        self._cols = cols
+        self._views: tuple[memoryview, ...] | None = None
+        self._last_hit = 0
 
     @classmethod
     def from_flat_segments(
@@ -284,7 +288,7 @@ class GlobalIndex:
             raise CorruptIndexError(
                 "compacted segments are not sorted and non-overlapping"
             )
-        idx._cols = (starts, ends, droppings, physical_offsets)
+        idx._bind((starts, ends, droppings, physical_offsets))
         return idx
 
     def add_records(self, records: np.ndarray) -> None:
@@ -313,9 +317,9 @@ class GlobalIndex:
         if not live.all():
             starts, ends, drops, phys = starts[live], ends[live], drops[live], phys[live]
         if (starts[1:] >= ends[:-1]).all():
-            self._cols = (starts, ends, drops, phys)
+            self._bind((starts, ends, drops, phys))
         else:
-            self._cols = self._sweep(records)
+            self._bind(self._sweep(records))
 
     def _sweep(self, records: np.ndarray) -> Columns:
         """The overlap fallback: assign *records* over the held segments in
@@ -350,33 +354,45 @@ class GlobalIndex:
         range up to the logical file size; regions never written are returned
         as holes.  The plan never extends past ``logical_size`` (a read at or
         beyond EOF returns an empty plan, mirroring ``read(2)``).
+        One array-free algorithm for every window size: ``bisect`` over the
+        columns' memoryviews, then a walk of the window's segments by index.
         """
-        if length <= 0:
+        if self._views is None:
+            self._views = tuple(map(memoryview, self._cols))
+        starts, ends, drops, phys = self._views
+        n = len(ends)
+        if length <= 0 or not n:
             return []
-        size = self.logical_size
-        if offset >= size:
+        end = min(offset + length, ends[n - 1])
+        if end <= offset:
             return []
-        end = min(offset + length, size)
-
-        starts, ends, drops, phys = self._cols
-        # Batched lookup: locate the whole window of overlapping segments
-        # with two bisections, clip them against [offset, end) vectorised,
-        # and convert to Python ints in bulk — the per-slice loop below
-        # only assembles ReadSlice objects and interleaves holes.
-        lo = int(np.searchsorted(ends, offset, side="right"))
-        hi = int(np.searchsorted(starts, end, side="left"))
-        clip_s = np.maximum(starts[lo:hi], offset).tolist()
-        clip_e = np.minimum(ends[lo:hi], end).tolist()
-        adj_p = (phys[lo:hi] + (np.maximum(starts[lo:hi], offset) - starts[lo:hi])).tolist()
-        drop_l = drops[lo:hi].tolist()
-
+        # First segment ending past offset: where the previous plan ended
+        # (a sequential reader is still inside it), else by bisection.
+        lo = self._last_hit
+        if lo >= n or not starts[lo] <= offset < ends[lo]:
+            lo = bisect_right(ends, offset)
+        s = starts[lo]
+        if s <= offset and end <= ends[lo]:
+            self._last_hit = lo
+            return [ReadSlice(offset, end - offset, drops[lo], phys[lo] + offset - s)]
         plan: list[ReadSlice] = []
-        pos = offset
-        for s, e, d, p in zip(clip_s, clip_e, drop_l, adj_p):
-            if s > pos:
+        pos, k = offset, lo
+        while k < n:
+            s = starts[k]
+            if s >= end:
+                break
+            e, p = ends[k], phys[k]
+            if s < pos:  # only the first segment can start before the window
+                p += pos - s
+                s = pos
+            elif s > pos:
                 plan.append(ReadSlice(pos, s - pos, constants.HOLE, 0))
-            plan.append(ReadSlice(s, e - s, d, p))
+            if e > end:  # only the last one can end past it
+                e = end
+            plan.append(ReadSlice(s, e - s, drops[k], p))
             pos = e
+            k += 1
+        self._last_hit = max(lo, k - 1)
         if pos < end:
             plan.append(ReadSlice(pos, end - pos, constants.HOLE, 0))
         return plan

@@ -1,17 +1,19 @@
-"""The PLFS read path: global index construction and scatter-gather reads.
+"""The PLFS read path: global index construction and scatter reads.
 
 Reading a PLFS file requires merging every index dropping into a global
-index (overlaps resolved by recency), then servicing each read as a series
-of ``pread`` calls into the data droppings named by the plan.  This is the
-"reorder on read" half of the log-structured design: writes were laid down
-sequentially, so reads pay the reassembly cost.
+index (overlaps resolved by recency), then servicing each read from the
+data droppings named by the plan.  This is the "reorder on read" half of
+the log-structured design: writes were laid down sequentially, so reads
+pay the reassembly cost.
 
 The fast lane (:mod:`repro.plfs.cache`) takes most of that cost off the
 hot path: handles without a writer overlay share one epoch-validated
 global index per container (loaded from the persistent compacted
-``global.index`` when fresh), and read plans coalesce physically-adjacent
-slices of one dropping into single preads — the noncontiguous-access
-optimisation of Thakur et al. applied at the container layer.
+``global.index`` when fresh), a warm read revalidates with one ``fstat``
+of a descriptor the handle already holds, and a plan runs in *physical*
+order — per data dropping, every run of (nearly) adjacent slices is one
+``preadv`` scattering straight into the caller's buffer: list I/O (Ching
+et al.) with data sieving (Thakur et al.) at the container layer.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
+from operator import itemgetter
 
 from . import constants
 from .cache import shared_cache
@@ -28,38 +31,16 @@ from .index import GlobalIndex, ReadSlice, load_global_index
 from .route import posix
 from .writer import WriteFile
 
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
-def coalesce_plan(
-    plan: list[ReadSlice], *, gap: int = constants.READ_COALESCE_GAP
-) -> list[list[ReadSlice]]:
-    """Group logically-consecutive plan slices serviceable by one pread.
 
-    Two adjacent slices merge when they read the same data dropping and
-    the second starts within *gap* bytes past the first's physical end —
-    exact adjacency (the per-record fragmentation interleaved sequential
-    writers produce) or a small gap worth reading through and discarding
-    (data sieving).  Holes never merge.
-    """
-    groups: list[list[ReadSlice]] = []
-    current: list[ReadSlice] = []
-    for piece in plan:
-        if current:
-            prev = current[-1]
-            if (
-                not piece.is_hole
-                and not prev.is_hole
-                and piece.dropping == prev.dropping
-                and 0
-                <= piece.physical_offset - (prev.physical_offset + prev.length)
-                <= gap
-            ):
-                current.append(piece)
-                continue
-            groups.append(current)
-        current = [piece]
-    if current:
-        groups.append(current)
-    return groups
+def byte_view(buf) -> memoryview:
+    """*buf* as a flat view counting bytes, whatever its item type; one that
+    cannot be filled in place (non-contiguous) raises what ``os.readv`` does."""
+    view = memoryview(buf)
+    if not view.c_contiguous:
+        raise BufferError("memoryview: underlying buffer is not C-contiguous")
+    return view if view.format == "B" and view.ndim == 1 else view.cast("B")
 
 
 class ReadFile:
@@ -80,7 +61,8 @@ class ReadFile:
     Data-dropping descriptors are cached in a bounded LRU
     (*fd_cache_limit*, default :data:`constants.FD_CACHE_LIMIT`): wide
     containers hold one dropping per writing rank, and an unbounded cache
-    exhausts ``RLIMIT_NOFILE``.
+    exhausts ``RLIMIT_NOFILE``.  One more descriptor, on the generation
+    file, lives exactly as long as the index it vouches for.
     """
 
     def __init__(
@@ -104,7 +86,8 @@ class ReadFile:
         self._coalesce = coalesce
         self._use_shared_cache = use_shared_cache
         self._generation: int | None = None
-        self._gen_token: tuple[int, int] | None = None
+        #: the generation file the index was built under (None: there was none)
+        self._gen_fd: int | None = None
         self._closed = False
         #: read-path counters (surfaced into repro.insights profiles)
         self.stats = {
@@ -123,7 +106,13 @@ class ReadFile:
 
     def _build_index(self) -> None:
         self.stats["index_builds"] += 1
-        self._gen_token = self.container.generation_token()
+        self._drop_fds()  # they belong to the index (and dropping ids) replaced
+        # Opened before the build, in place of a stat: a bump that lands
+        # while the build runs unlinks this very inode.
+        try:
+            self._gen_fd = posix.open(self.container.generation_path(), os.O_RDONLY)
+        except OSError:
+            pass
         cache = shared_cache()
         if self._writer is None and self._use_shared_cache:
             loaded, generation = cache.get(self.container)
@@ -158,14 +147,23 @@ class ReadFile:
     def _revalidate(self) -> None:
         """Rebuild the index if any handle flushed writes since ours was
         built — in this process (generation bump, one dict lookup) or in
-        another one (generation-file token change, one ``stat``)."""
+        another one: ``bump_generation`` replaces the generation file by
+        rename, so the one held open here has lost its last link exactly
+        when a by-path ``(inode, mtime_ns)`` token would have changed (one
+        ``fstat``).  The path is probed only while none existed at build."""
         if self._index is None or self._generation is None:
             return
         if shared_cache().generation(self.container.path) != self._generation:
             self.refresh()
             return
-        token = self.container.generation_token()
-        if token != self._gen_token:
+        if self._gen_fd is None:
+            stale = self.container.generation_token() is not None
+        else:
+            try:
+                stale = posix.fstat(self._gen_fd).st_nlink == 0
+            except OSError:  # e.g. ESTALE: the held file is gone for good
+                stale = True
+        if stale:
             # A writer in another process bumped the container's
             # generation file; the in-process cache entry it cannot reach
             # must be dropped too, or _build_index would serve it back.
@@ -189,23 +187,26 @@ class ReadFile:
     # ------------------------------------------------------------------ #
 
     def _fd_for(self, dropping: int) -> int:
+        """A data dropping's cached descriptor, stamped as just used."""
         cache = self._fd_cache
         fd = cache.get(dropping)
         if fd is not None:
             cache.move_to_end(dropping)
-            self._fd_last_use[dropping] = time.monotonic()
-            return fd
-        fd = posix.open(self._data_paths[dropping], os.O_RDONLY)
-        cache[dropping] = fd
+        else:
+            fd = cache[dropping] = posix.open(self._data_paths[dropping], os.O_RDONLY)
+            while len(cache) > self._fd_limit:
+                key, evicted = cache.popitem(last=False)
+                self._fd_last_use.pop(key, None)
+                self._close_quietly(evicted)
         self._fd_last_use[dropping] = time.monotonic()
-        while len(cache) > self._fd_limit:
-            key, evicted = cache.popitem(last=False)
-            self._fd_last_use.pop(key, None)
-            try:
-                posix.close(evicted)
-            except OSError:  # pragma: no cover - defensive
-                pass
         return fd
+
+    @staticmethod
+    def _close_quietly(fd: int) -> None:
+        try:
+            posix.close(fd)
+        except OSError:  # pragma: no cover - defensive
+            pass
 
     def reap_idle_fds(self, idle_seconds: float, *, now: float | None = None) -> int:
         """Close cached descriptors unused for at least *idle_seconds*.
@@ -214,8 +215,10 @@ class ReadFile:
         open across idle hours) must not pin one kernel fd per data
         dropping forever — the LRU only bounds the *count*, not the
         *lifetime*.  The handle stays fully usable: a later read
-        transparently reopens what it needs.  Returns fds closed;
-        ``idle_seconds=0`` empties the cache unconditionally.
+        transparently reopens what it needs.  Returns data descriptors
+        closed; ``idle_seconds=0`` empties the cache unconditionally.  A
+        handle left with none is idle as a whole: it lets go of the
+        generation descriptor too, and of the index that one vouched for.
         """
         if now is None:
             now = time.monotonic()
@@ -223,97 +226,123 @@ class ReadFile:
         for dropping in list(self._fd_cache):
             if now - self._fd_last_use.get(dropping, now) < idle_seconds:
                 continue
-            fd = self._fd_cache.pop(dropping)
+            self._close_quietly(self._fd_cache.pop(dropping))
             self._fd_last_use.pop(dropping, None)
-            try:
-                posix.close(fd)
-            except OSError:  # pragma: no cover - defensive
-                pass
             reaped += 1
         self.stats["fds_reaped"] += reaped
+        if not self._fd_cache:
+            self.refresh()
         return reaped
 
     def _drop_fds(self) -> None:
-        """Close every cached descriptor, tolerating individual failures
-        (a single bad close must not strand the rest open)."""
+        """Close every descriptor the handle holds, tolerating individual
+        failures (a single bad close must not strand the rest open)."""
         while self._fd_cache:
-            key, fd = self._fd_cache.popitem()
-            self._fd_last_use.pop(key, None)
-            try:
-                posix.close(fd)
-            except OSError:  # pragma: no cover - defensive
-                pass
+            self._close_quietly(self._fd_cache.popitem()[1])
+        self._fd_last_use.clear()
+        if self._gen_fd is not None:
+            fd, self._gen_fd = self._gen_fd, None
+            self._close_quietly(fd)
 
-    def _short_read(self, piece: ReadSlice, got: int) -> CorruptIndexError:
-        return CorruptIndexError(
-            f"short read from dropping {self._data_paths[piece.dropping]}: "
-            f"wanted {piece.length} at {piece.physical_offset}, got {got}"
+    def _short_read(self, dropping: int, wanted: int, at: int, got: int) -> CorruptIndexError:
+        return CorruptIndexError(  # the index promised bytes the dropping does not hold
+            f"short read from dropping {self._data_paths[dropping]}: "
+            f"wanted {wanted} at {at}, got {got}"
         )
 
-    def _read_group(self, group: list[ReadSlice], out: list[bytes]) -> None:
-        """Service one coalesced group with a single pread, then carve the
-        span back into the group's logical pieces."""
-        first, last = group[0], group[-1]
-        if first.is_hole:
-            out.append(b"\x00" * first.length)
-            return
-        fd = self._fd_for(first.dropping)
-        span_start = first.physical_offset
-        span_len = last.physical_offset + last.length - span_start
-        data = posix.pread(fd, span_len, span_start)
-        self.stats["preads"] += 1
-        self.stats["coalesced_slices"] += len(group) - 1
-        if len(group) == 1:
-            if len(data) < first.length:
-                raise self._short_read(first, len(data))
-            self.stats["bytes_read"] += len(data)
-            out.append(data)
-            return
-        view = memoryview(data)
-        for piece in group:
-            lo = piece.physical_offset - span_start
-            hi = lo + piece.length
-            if hi > len(data):
-                raise self._short_read(piece, max(0, len(data) - lo))
-            out.append(bytes(view[lo:hi]))
-            self.stats["bytes_read"] += piece.length
-        self.stats["sieved_gap_bytes"] += span_len - sum(p.length for p in group)
-
     def _read_slice(self, piece: ReadSlice) -> bytes:
-        if piece.is_hole:
-            return b"\x00" * piece.length
-        fd = self._fd_for(piece.dropping)
-        data = posix.pread(fd, piece.length, piece.physical_offset)
+        _, length, dropping, physical_offset = piece
+        if dropping == constants.HOLE:
+            return bytes(length)
+        data = posix.pread(self._fd_for(dropping), length, physical_offset)
         self.stats["preads"] += 1
-        if len(data) < piece.length:
-            # The index promised bytes the data dropping does not hold.
-            raise self._short_read(piece, len(data))
-        self.stats["bytes_read"] += len(data)
+        if len(data) < length:
+            raise self._short_read(dropping, length, physical_offset, len(data))
+        self.stats["bytes_read"] += length
         return data
 
-    def read(self, count: int, offset: int) -> bytes:
-        """Read up to *count* bytes at *offset*; b"" at or past EOF."""
+    def _scatter(self, plan: list[ReadSlice], dest: memoryview) -> None:
+        """Execute *plan* into *dest* (whose first byte is the plan's), in
+        physical order: per data dropping, each run of slices adjacent or
+        at most ``READ_COALESCE_GAP`` apart is one ``preadv`` whose iovec
+        scatters to the slices' logical places in *dest*, a throw-away
+        entry absorbing each sieved gap.  Holes are zeroed explicitly —
+        *dest* may be dirty."""
+        base = plan[0].logical_offset
+        gap_limit = constants.READ_COALESCE_GAP
+        ordered = sorted(plan, key=itemgetter(2, 3))  # by dropping (holes first), physical offset
+        stats = self.stats
+        moved = merged = sieved = 0
+        i, n = 0, len(ordered)
+        while i < n:
+            logical, length, dropping, start = ordered[i]
+            i += 1
+            at = logical - base
+            if dropping == constants.HOLE:
+                dest[at : at + length] = bytes(length)
+                continue
+            iov = [dest[at : at + length]]
+            end = start + length
+            # room for one more slice and the gap entry before it
+            while i < n and len(iov) + 2 <= _IOV_MAX:
+                logical, length, other, physical = ordered[i]
+                gap = physical - end
+                if other != dropping or not 0 <= gap <= gap_limit:
+                    break
+                if gap:
+                    iov.append(bytearray(gap))
+                    sieved += gap
+                at = logical - base
+                iov.append(dest[at : at + length])
+                end = physical + length
+                merged += 1
+                i += 1
+            got = posix.preadv(self._fd_for(dropping), iov, start)
+            stats["preads"] += 1
+            if got < end - start:
+                raise self._short_read(dropping, end - start, start, got)
+            moved += got
+        stats["coalesced_slices"] += merged
+        stats["bytes_read"] += moved - sieved
+        stats["sieved_gap_bytes"] += sieved
+
+    def _plan(self, count: int, offset: int) -> list[ReadSlice]:
         if self._closed:
             raise ValueError("read on closed ReadFile")
         self._revalidate()
-        plan = self.index.query(offset, count)
+        if self._index is None:
+            self._build_index()
+        return self._index.query(offset, count)
+
+    def read(self, count: int, offset: int) -> bytes:
+        """Read up to *count* bytes at *offset*; b"" at or past EOF."""
+        plan = self._plan(count, offset)
         if not plan:
             return b""
         if len(plan) == 1:
             return self._read_slice(plan[0])
         if not self._coalesce:
-            return b"".join(self._read_slice(p) for p in plan)
-        out: list[bytes] = []
-        for group in coalesce_plan(plan):
-            self._read_group(group, out)
-        return b"".join(out)
+            return b"".join(map(self._read_slice, plan))
+        last = plan[-1]
+        buf = bytearray(last.logical_offset + last.length - offset)
+        self._scatter(plan, memoryview(buf))
+        return bytes(buf)
 
     def read_into(self, buf, offset: int) -> int:
-        """Fill *buf* (a writable buffer) from *offset*; returns bytes read."""
-        view = memoryview(buf)
-        data = self.read(len(view), offset)
-        view[: len(data)] = data
-        return len(data)
+        """Fill *buf* (any writable contiguous buffer; lengths count bytes)
+        from *offset*; returns bytes read.  Bytes of *buf* past the return
+        value are left as they were."""
+        dest = byte_view(buf)
+        plan = self._plan(len(dest), offset)
+        if not plan:
+            return 0
+        last = plan[-1]
+        got = last.logical_offset + last.length - offset
+        if self._coalesce:
+            self._scatter(plan, dest[:got])
+        else:
+            dest[:got] = b"".join(map(self._read_slice, plan))
+        return got
 
     # ------------------------------------------------------------------ #
 

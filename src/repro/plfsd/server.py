@@ -31,7 +31,7 @@ reaped fds) is the wire ``stats`` reply and feeds
 Direct-path coherence: daemon writers flush through the ordinary write
 path, which bumps the per-container generation file (PR 5), so a reader
 in *any* process — through the daemon or not — revalidates its cached
-index with one ``stat``.
+index with one ``fstat`` of the generation file it holds open.
 
 Fault injection propagates into the daemon like into any subprocess:
 :func:`serve` arms an injector from ``REPRO_FAULTS`` / ``REPRO_FAULT_SEED``

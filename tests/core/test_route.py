@@ -137,6 +137,48 @@ class TestRealCallBudget:
         assert unlink["stat"] == 1, unlink
 
 
+    def test_warm_reads_cost_one_fstat_plus_one_read_per_dropping(self, counted, mnt):
+        """16 writers, strided 4 KiB blocks (the N-1 checkpoint): a warm
+        positional read revalidates on the descriptor it already holds —
+        no by-path ``stat`` — and reads each dropping it touches once."""
+        _ip, counts = counted
+        path, block, ranks, rounds = f"{mnt}/ckpt", 4096, 16, 32
+        fds = [os.open(path, os.O_WRONLY | os.O_CREAT) for _ in range(ranks)]
+        for r in range(rounds):
+            for i, fd in enumerate(fds):
+                os.pwrite(fd, bytes([i + 1]) * block, (r * ranks + i) * block)
+        for fd in fds:
+            os.close(fd)
+
+        fd = os.open(path, os.O_RDONLY)
+        first = _spent(counts, lambda: os.pread(fd, block, 0))
+        # what the first read of a fresh handle cost before the generation
+        # file was opened in place of being stat-ed: not one call more
+        assert sum(first.values()) <= 38 + 1, first
+        assert first["open"] == 2 and first["fstat"] == 0, first  # the dropping, the generation file
+
+        aligned = _spent(counts, lambda: os.pread(fd, block, ranks * block))
+        assert sum(aligned.values()) <= 2, aligned
+        assert aligned["stat"] == 0 and aligned["fstat"] <= 1, aligned
+
+        os.pread(fd, block, block + 100)  # opens droppings 1 and 2
+        straddle = _spent(counts, lambda: os.pread(fd, block, block + 100))
+        assert sum(straddle.values()) <= 3, straddle
+        assert straddle["stat"] == 0 and straddle["fstat"] <= 1, straddle
+
+        with open(path, "rb") as fh:
+            whole = fh.read(1 << 20)  # builds this handle's index, opens 16 droppings
+            assert whole == b"".join(bytes([i + 1]) * block for i in range(ranks)) * 16
+            scan = _spent(counts, lambda: fh.read(1 << 20))
+        # 256 slices: one preadv per dropping.  The two lseek are the
+        # paper's cursor emulation on the shadow descriptor, not the read path's.
+        assert scan["preadv"] == ranks and scan["fstat"] == 1 and scan["stat"] == 0, scan
+        assert sum(scan.values()) - scan["lseek"] <= 17, scan
+
+        close = _spent(counts, lambda: os.close(fd))
+        assert close == {"close": 3 + 1 + 1}, close  # 3 droppings, generation file, shadow
+
+
 class TestBinding:
     """(e) bound exactly while an interposer is installed."""
 

@@ -16,6 +16,7 @@ import pytest
 from repro.core import RetryPolicy
 from repro.core.interpose import Interposer
 from repro.faults import FaultInjector, FaultSpec
+from repro.plfs import api as plfs_api
 
 
 @pytest.fixture
@@ -134,3 +135,80 @@ class TestTransientAbsorption:
             os.close(fd)
         assert shim_under.stats["transient_retries"] > 0
         assert shim_under.stats["short_write_resumes"] > 0
+
+
+class TestReadAbsorption:
+    """Reads make their first attempt directly and enter the policy's loop
+    only from its ``except``: same attempts, sleeps and counters as writes."""
+
+    @pytest.fixture
+    def flaky(self, monkeypatch):
+        """``flaky(name, failures, err)``: the next *failures* calls of
+        ``plfs_api.<name>`` raise *err*; returns the list of attempts."""
+
+        def arm(name, failures, err=InterruptedError(errno.EINTR, "interrupted")):
+            real, attempts = getattr(plfs_api, name), []
+
+            def call(*args):
+                attempts.append(args)
+                if len(attempts) <= failures:
+                    raise err
+                return real(*args)
+
+            monkeypatch.setattr(plfs_api, name, call)
+            return attempts
+
+        return arm
+
+    @pytest.fixture
+    def fd(self, shim_under, f):
+        fd = os.open(f, os.O_CREAT | os.O_RDWR)
+        os.write(fd, b"0123456789")
+        os.lseek(fd, 0, os.SEEK_SET)
+        yield fd
+        os.close(fd)
+
+    def test_pread_and_read_absorb_transients(self, shim_under, slept, fd, flaky):
+        attempts = flaky("plfs_read", 2)
+        assert os.pread(fd, 4, 3) == b"3456"
+        assert len(attempts) == 3 and slept == [0.001, 0.002]
+        assert shim_under.stats["transient_retries"] == 2
+        attempts = flaky("plfs_read", 1, BlockingIOError(errno.EAGAIN, "again"))
+        assert os.read(fd, 4) == b"0123" and os.lseek(fd, 0, os.SEEK_CUR) == 4
+        assert len(attempts) == 2 and shim_under.stats["transient_retries"] == 3
+
+    def test_readv_and_file_objects_absorb_transients(self, shim_under, fd, flaky, f):
+        attempts = flaky("plfs_read_into", 1)
+        head, tail = bytearray(2), bytearray(3)
+        assert os.readv(fd, [head, tail]) == 5 and head + tail == b"01234"
+        assert os.preadv(fd, [head], 8) == 2 and head == b"89"
+        assert len(attempts) == 3 and shim_under.stats["transient_retries"] == 1
+        attempts = flaky("plfs_read_into", 1)
+        with open(f, "rb", buffering=0) as raw:
+            dest = bytearray(4)
+            assert raw.readinto(dest) == 4 and dest == b"0123"
+        assert shim_under.stats["transient_retries"] == 2
+
+    def test_exhaustion_and_nontransient_surface(
+        self, shim_under, slept, fd, flaky, monkeypatch
+    ):
+        shim_under.retry.max_attempts = 3
+        attempts = flaky("plfs_read", 99)
+        with pytest.raises(InterruptedError):
+            os.pread(fd, 4, 0)
+        assert len(attempts) == 3 and len(slept) == 2  # max_attempts in all
+        assert shim_under.stats["transient_retries"] == 2
+        attempts = flaky("plfs_read", 99, OSError(errno.EIO, "bad"))
+        with pytest.raises(OSError) as exc:
+            os.pread(fd, 4, 0)
+        assert exc.value.errno == errno.EIO and len(attempts) == 1 and len(slept) == 2
+        # a transient first failure followed by a hard one: the hard one wins
+        errors = iter([InterruptedError(errno.EINTR, "x"), OSError(errno.EIO, "bad")])
+
+        def failing(*args):
+            raise next(errors)
+
+        monkeypatch.setattr(plfs_api, "plfs_read", failing)
+        with pytest.raises(OSError) as exc:
+            os.pread(fd, 4, 0)
+        assert exc.value.errno == errno.EIO

@@ -97,6 +97,54 @@ class TestReadWrite:
         assert bytes(buf) == b"23456"
         plfs.plfs_close(fd)
 
+    def test_read_into_counts_bytes_whatever_the_item_type(self, container_path):
+        """Regression: the read was sized in *items* and its bytes assigned
+        to the typed view (``ValueError: memoryview assignment: lvalue and
+        rvalue have different structures``); ``os.readv`` counts bytes."""
+        from array import array
+
+        import numpy as np
+
+        values = array("i", range(8))
+        fd = plfs.plfs_open(container_path, os.O_CREAT | os.O_RDWR)
+        plfs.plfs_write(fd, values.tobytes(), None, 0)
+        ints = array("i", [0] * 4)
+        assert plfs.plfs_read_into(fd, ints, 0) == 4 * ints.itemsize
+        assert ints == values[:4]
+        slab = np.zeros((2, 4), dtype=np.int32)
+        assert plfs.plfs_read_into(fd, slab[1], 16) == 16  # a contiguous row view
+        assert slab.tolist() == [[0] * 4, [4, 5, 6, 7]]
+        assert plfs.plfs_read_into(fd, slab, 0) == 32  # N-d, contiguous
+        assert slab.ravel().tolist() == list(range(8))
+        # a destination that cannot be filled in place: os.readv's error
+        with pytest.raises(BufferError, match="not C-contiguous"):
+            plfs.plfs_read_into(fd, slab[:, ::2], 0)
+        with pytest.raises(BufferError, match="not C-contiguous"):
+            plfs.plfs_read_into(fd, memoryview(bytearray(8))[::2], 0)
+        plfs.plfs_close(fd)
+
+    def test_read_into_leaves_what_it_did_not_fill(self, container_path):
+        fd = plfs.plfs_open(container_path, os.O_CREAT | os.O_RDWR)
+        plfs.plfs_write(fd, b"0123456789", 10, 0)
+        assert plfs.plfs_read_into(fd, bytearray(), 3) == 0  # zero-length buffer
+        assert plfs.plfs_read_into(fd, bytearray(4), 10) == 0  # at EOF
+        buf = bytearray(b"\xff" * 8)
+        assert plfs.plfs_read_into(fd, buf, 6) == 4  # EOF mid-buffer
+        assert bytes(buf) == b"6789" + b"\xff" * 4
+        plfs.plfs_close(fd)
+
+    def test_read_into_zeroes_holes_in_a_dirty_buffer(self, container_path):
+        fd = plfs.plfs_open(container_path, os.O_CREAT | os.O_RDWR)
+        plfs.plfs_write(fd, b"ab", 2, 0)
+        plfs.plfs_write(fd, b"yz", 2, 30)
+        buf = bytearray(b"\xff" * 40)
+        assert plfs.plfs_read_into(fd, buf, 0) == 32
+        assert bytes(buf) == b"ab" + bytes(28) + b"yz" + b"\xff" * 8
+        buf = bytearray(b"\xff" * 10)
+        assert plfs.plfs_read_into(fd, buf, 5) == 10  # nothing but hole
+        assert bytes(buf) == bytes(10)
+        plfs.plfs_close(fd)
+
     def test_persistence_across_close(self, container_path):
         fd = plfs.plfs_open(container_path, os.O_CREAT | os.O_WRONLY)
         plfs.plfs_write(fd, b"persistent", 10, 0)

@@ -115,7 +115,6 @@ class TestGlobalIndexBasics:
             ReadSlice(10, 10, constants.HOLE, 0),
             ReadSlice(20, 10, 0, 10),
         ]
-        assert plan[1].is_hole
 
     def test_leading_hole(self):
         gi = GlobalIndex([rec(50, 0, 10, 1.0)])

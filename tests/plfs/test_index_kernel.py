@@ -16,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import plfs
+from repro.plfs import constants
 from repro.plfs.index import (
     INDEX_DTYPE,
     ExtentMap,
     GlobalIndex,
+    ReadSlice,
     pack_compacted,
     read_index_dropping,
 )
@@ -125,6 +127,77 @@ def test_batches_over_flat_segments_match_sweep(base, batches):
     for records in arrays:
         index.add_records(records)
     assert_same_index(index, sweep(arrays, ExtentMap.from_arrays(*flat)))
+
+
+def reference_plan(extents: ExtentMap, offset: int, length: int) -> list:
+    """The read plan for [offset, offset+length) derived from the sweep's
+    segments one by one — no bisection, no views, no last-hit memory."""
+    end = min(offset + length, extents.extent_end())
+    plan, pos = [], offset
+    for s, e, dropping, physical in extents.segments():
+        if length <= 0 or e <= pos or s >= end:
+            continue
+        if s > pos:
+            plan.append(ReadSlice(pos, s - pos, constants.HOLE, 0))
+        lo, hi = max(s, pos), min(e, end)
+        plan.append(ReadSlice(lo, hi - lo, dropping, physical + lo - s))
+        pos = hi
+    if length > 0 and pos < end:
+        plan.append(ReadSlice(pos, end - pos, constants.HOLE, 0))
+    return plan
+
+
+#: windows that start and end inside segments, span holes, have no length,
+#: begin at or reach past EOF (offsets go to 500 over extents ending <= ~1300)
+windows = st.lists(
+    st.tuples(st.integers(0, 500), st.integers(0, 400)), min_size=1, max_size=12
+)
+
+
+def assert_plans_match(index: GlobalIndex, reference: ExtentMap, windows) -> None:
+    size = reference.extent_end()
+    edges = [(0, size), (0, size + 7), (size, 3), (max(size - 1, 0), 5), (size + 5, 1)]
+    for offset, length in [*windows, *edges]:
+        assert index.query(offset, length) == reference_plan(reference, offset, length), (
+            offset, length)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches=batches, windows=windows)
+def test_query_matches_the_reference_plan_across_rebinds(batches, windows):
+    """Every window, after every batch: a later batch rebinds the columns
+    (by the sort or by the overlap sweep), and a lookup issued after it
+    must see the new ones — not views of the arrays it replaced, nor a
+    last-hit position that no longer exists."""
+    index, reference = GlobalIndex(), ExtentMap()
+    assert_plans_match(index, reference, windows)  # the empty index
+    for rows in batches:
+        records = records_from(rows)
+        index.add_records(records)
+        reference = sweep([records], reference)
+        assert_plans_match(index, reference, windows)
+        # repeated and reversed: the last-hit memory is only ever a hint
+        assert_plans_match(index, reference, windows[::-1])
+
+
+def test_query_sequential_reader_hits_the_remembered_segment(monkeypatch):
+    """A window that starts inside the segment the previous plan ended in
+    is planned without bisecting (and identically to one that bisects)."""
+    from repro.plfs import index as index_module
+
+    rows = [(100 * k, 100, k % 3, 1000 * k, float(k)) for k in range(50)]
+    index = GlobalIndex([records_from(rows)])
+    reference = sweep([records_from(rows)])
+    bisections = []
+    real = index_module.bisect_right
+    monkeypatch.setattr(
+        index_module, "bisect_right", lambda *a: bisections.append(a) or real(*a))
+    for offset in range(2010, 2100, 10):  # all inside segment 20
+        assert index.query(offset, 10) == reference_plan(reference, offset, 10)
+    assert len(bisections) == 1
+    assert index.query(150, 300) == reference_plan(reference, 150, 300)  # segments 1..4
+    assert index.query(420, 30) == reference_plan(reference, 420, 30)  # still in 4
+    assert len(bisections) == 2
 
 
 class TestPathSelection:

@@ -36,7 +36,7 @@ queries_strategy = st.lists(
 def materialise(plan, droppings: dict[int, bytes]) -> bytes:
     out = bytearray()
     for piece in plan:
-        if piece.is_hole:
+        if piece.dropping == constants.HOLE:
             out.extend(b"\x00" * piece.length)
         else:
             data = droppings[piece.dropping]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -95,6 +96,66 @@ def test_concurrent_creators_one_winner_no_leftovers(backend, tmp_path):
     expected = sorted(f"{kind}{i}" for kind in ("shared", "excl") for i in range(files))
     assert sorted(os.listdir(backend)) == expected
     assert all(plfs.is_container(os.path.join(backend, name)) for name in expected)
+
+
+HELD_READER = """
+import os, sys, time
+from repro.core.interpose import Interposer
+
+mnt, backend, ready, go = sys.argv[1:5]
+with Interposer([(mnt, backend)]) as ip:
+    fd = os.open(mnt + "/file", os.O_RDONLY)
+    before = os.pread(fd, 64, 0)  # builds the handle's index
+    reader = ip.shim.table.lookup(fd).plfs_fd._reader
+    held = reader._gen_fd is not None
+    open(ready, "w").close()
+    while not os.path.exists(go):
+        time.sleep(0.001)
+    after = os.pread(fd, 64, 0)  # the very next read
+    print(before.decode(), after.decode(), held, reader.stats["cross_process_refreshes"])
+    os.close(fd)
+"""
+
+
+@pytest.mark.parametrize("generation_file_at_build", [True, False])
+def test_open_reader_sees_a_foreign_fsync_on_its_next_pread(
+    tmp_path, backend, container_path, generation_file_at_build
+):
+    """A reader process keeps its handle open while another process writes
+    and ``fsync``s (no close): the reader's next ``pread`` returns the new
+    bytes — whether it revalidates on the generation file it holds open
+    since its index was built, or (none existed then) by probing the path."""
+    mnt = str(tmp_path / "mnt" / "plfs")
+    ready, go = str(tmp_path / "ready"), str(tmp_path / "go")
+    container = plfs.Container(container_path)
+    if generation_file_at_build:
+        fd = plfs.plfs_open(container_path, os.O_CREAT | os.O_WRONLY)
+        plfs.plfs_write(fd, b"old!", 4, 0)
+        plfs.plfs_close(fd)
+    else:
+        plfs.plfs_create(container_path)
+    assert os.path.exists(container.generation_path()) == generation_file_at_build
+
+    reader = subprocess.Popen(
+        [sys.executable, "-c", HELD_READER, mnt, backend, ready, go],
+        stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        while not os.path.exists(ready):
+            assert reader.poll() is None
+            time.sleep(0.001)
+        fd = plfs.plfs_open(container_path, os.O_WRONLY)
+        plfs.plfs_write(fd, b"fresh", 5, 4)
+        plfs.plfs_sync(fd)  # flushed and announced; the handle stays open
+        open(go, "w").close()
+        out, _ = reader.communicate(timeout=60)
+        plfs.plfs_close(fd)
+    finally:
+        reader.kill()
+    assert reader.returncode == 0
+    old = "old!" if generation_file_at_build else ""
+    after = "old!fresh" if generation_file_at_build else "\x00" * 4 + "fresh"
+    assert out.split("\n")[0] == f"{old} {after} {generation_file_at_build} 1"
 
 
 SHIM_WRITER = """

@@ -5,7 +5,10 @@ compacted ``global.index`` and the process-wide shared index cache — on
 top of the slow per-dropping merge.  Whatever route a read takes, the
 bytes must be identical: over seeded random write schedules (overwrites,
 holes, many pids), after a ``repro-fsck`` repair, and with the
-write-ahead index enabled.
+write-ahead index enabled.  And whatever *entry point* a window is read
+through — ``read``, ``read_into``, the shim's ``os.pread`` / ``os.readv``
+/ file-object ``readinto``, the one-pread-per-slice reference — the bytes
+must be the model's.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import plfs
+from repro.core.interpose import Interposer
 from repro.faults.fsck import fsck
 from repro.plfs.cache import compact, load_index, shared_cache
 from repro.plfs.container import Container
@@ -89,6 +93,64 @@ def test_three_routes_byte_identical(writes):
         Container(path).drop_global_index()
         assert not os.path.exists(Container(path).global_index_path())
         read_all_routes(path, apply_model(writes))
+    finally:
+        shared_cache().clear()
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+#: (offset, count) windows: inside the file, across its end, past it, empty
+windows = st.lists(
+    st.tuples(st.integers(0, MAX_FILE + 300), st.integers(0, 1500)), min_size=1, max_size=8
+)
+
+POISON = 0xFF
+
+
+@settings(max_examples=40, deadline=None)
+@given(writes=schedules, windows=windows)
+def test_every_entry_point_reads_the_models_window(writes, windows):
+    tmp = tempfile.mkdtemp()
+    try:
+        backend, mnt = os.path.join(tmp, "backend"), os.path.join(tmp, "mnt")
+        os.makedirs(backend)
+        path = os.path.join(backend, "f")
+        fd = plfs.plfs_open(path, os.O_CREAT | os.O_WRONLY)
+        for offset, payload, pid in writes:
+            plfs.plfs_write(fd, payload, len(payload), offset, pid=pid)
+        plfs.plfs_close(fd)
+        model = apply_model(writes)
+
+        def filled(n: int, expect: bytes, dest: bytearray) -> None:
+            """*dest* holds the window, and poison wherever it was not told to write."""
+            assert n == len(expect)
+            assert dest[:n] == expect and dest[n:] == bytes([POISON]) * (len(dest) - n)
+
+        container = Container(path)
+        with ReadFile(container) as fast, \
+                ReadFile(container, coalesce=False, use_shared_cache=False) as reference, \
+                Interposer([(mnt, backend)]):
+            fd = os.open(os.path.join(mnt, "f"), os.O_RDONLY)
+            with open(os.path.join(mnt, "f"), "rb", buffering=0) as raw:
+                for offset, count in windows:
+                    expect = model[offset : offset + count]
+                    assert fast.read(count, offset) == expect
+                    assert reference.read(count, offset) == expect
+                    for reader in (fast, reference):
+                        dest = bytearray([POISON]) * count
+                        filled(reader.read_into(dest, offset), expect, dest)
+                    assert os.pread(fd, count, offset) == expect
+                    head = bytearray([POISON]) * (count // 3)
+                    tail = bytearray([POISON]) * (count - count // 3)
+                    n = os.preadv(fd, [head, tail], offset)
+                    filled(n, expect, head + tail)
+                    os.lseek(fd, offset, os.SEEK_SET)
+                    dest = bytearray([POISON]) * count
+                    filled(os.readv(fd, [dest]), expect, dest)
+                    assert os.lseek(fd, 0, os.SEEK_CUR) == offset + len(expect)
+                    raw.seek(offset)
+                    dest = bytearray([POISON]) * count
+                    filled(raw.readinto(dest), expect, dest)
+            os.close(fd)
     finally:
         shared_cache().clear()
         shutil.rmtree(tmp, ignore_errors=True)

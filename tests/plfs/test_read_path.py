@@ -23,7 +23,8 @@ from repro.plfs.cache import IndexCache, compact, load_index, shared_cache
 from repro.plfs.container import Container
 from repro.plfs.errors import CorruptIndexError
 from repro.plfs.index import load_global_index, parse_compacted
-from repro.plfs.reader import ReadFile, coalesce_plan, logical_size
+from repro.plfs import reader as reader_module
+from repro.plfs.reader import ReadFile, logical_size
 from repro.plfs.writer import WriteFile
 
 
@@ -32,6 +33,10 @@ def container(container_path):
     c = Container(container_path)
     c.create()
     return c
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
 
 
 def write_stripes(container, *, droppings, stripe=8, rounds=1):
@@ -256,6 +261,9 @@ class TestSharedIndexCache:
 
 
 class TestCoalescing:
+    """The physical-order plan: per data dropping, every run of slices that
+    are adjacent or within ``READ_COALESCE_GAP`` is one ``preadv``."""
+
     def test_sequential_writes_collapse_to_one_pread(self, container):
         # One writer, strictly sequential: the extent map merges the
         # contiguous records, so any span is a single slice and pread.
@@ -270,9 +278,9 @@ class TestCoalescing:
 
     def test_out_of_order_writes_coalesce_with_sieving(self, container):
         # A@0(64) then C@96(64) then B@64(32): one dropping laid out
-        # physically A,C,B.  The plan for [0,160) is A(phys 0), B(phys
-        # 128), C(phys 64): A→B spans a 64-byte physical gap (sieve
-        # through C's bytes), B→C goes physically backwards (must split).
+        # physically A,C,B, and the plan for [0,160) is A, B, C.  In
+        # physical order that is one gapless run (it was two preads while
+        # only logical neighbours could merge: B→C goes backwards).
         w = WriteFile(container)
         w.write(b"A" * 64, 0, pid=1)
         w.write(b"C" * 64, 96, pid=1)
@@ -281,49 +289,99 @@ class TestCoalescing:
         with ReadFile(container) as r:
             data = r.read(160, 0)
             assert data == b"A" * 64 + b"B" * 32 + b"C" * 64
+            assert r.stats["preads"] == 1
+            assert r.stats["coalesced_slices"] == 2
+            assert r.stats["sieved_gap_bytes"] == 0
+            # [0,96) is A and B: the run reads through C's 64 bytes into a
+            # throw-away buffer instead of issuing a second I/O.
+            assert r.read(96, 0) == b"A" * 64 + b"B" * 32
             assert r.stats["preads"] == 2
-            assert r.stats["coalesced_slices"] == 1
             assert r.stats["sieved_gap_bytes"] == 64
+            assert r.stats["bytes_read"] == 160 + 96
 
-    def test_interleaved_droppings_do_not_merge(self, container):
+    def test_interleaved_droppings_are_one_read_each(self, container):
         expect = write_stripes(container, droppings=4, stripe=8, rounds=2)
         with ReadFile(container) as r:
             assert r.read(len(expect), 0) == expect
-            # 8 stripes from 4 droppings, alternating: no two adjacent
-            # plan slices share a dropping, so nothing may coalesce.
-            assert r.stats["coalesced_slices"] == 0
-            assert r.stats["preads"] == 8
+            # 8 stripes from 4 droppings, alternating: no two logical
+            # neighbours share a dropping, but each dropping's two stripes
+            # are physically adjacent — 4 reads where there were 8.
+            assert r.stats["preads"] == 4
+            assert r.stats["coalesced_slices"] == 4
 
-    def test_gap_larger_than_threshold_splits(self):
-        from repro.plfs.index import ReadSlice
+    def test_gap_larger_than_threshold_splits(self, backend):
+        # ``a`` and ``b`` logically adjacent, *gap* bytes apart in one
+        # dropping (the filler between them lives far past the window).
+        limit = constants.READ_COALESCE_GAP
+        for gap, preads, sieved in ((limit, 1, limit), (limit + 1, 2, 0)):
+            container = Container(os.path.join(backend, f"gap{gap}"))
+            container.create()
+            w = WriteFile(container)
+            w.write(b"a" * 10, 0, pid=1)
+            w.write(b"-" * gap, 1 << 20, pid=1)
+            w.write(b"b" * 10, 10, pid=1)
+            w.close()
+            with ReadFile(container) as r:
+                assert r.read(20, 0) == b"a" * 10 + b"b" * 10
+                assert r.stats["preads"] == preads
+                assert r.stats["sieved_gap_bytes"] == sieved
 
-        a = ReadSlice(0, 10, 0, 0)
-        b = ReadSlice(10, 10, 0, 10 + constants.READ_COALESCE_GAP + 1)
-        assert len(coalesce_plan([a, b])) == 2
-        c = ReadSlice(10, 10, 0, 10 + constants.READ_COALESCE_GAP)
-        assert len(coalesce_plan([a, c])) == 1
+    def test_holes_never_merge(self, container):
+        # a, a 30-byte hole, b: the hole is no I/O at all and does not come
+        # between the two physically adjacent extents around it.
+        w = WriteFile(container)
+        w.write(b"a" * 10, 0, pid=1)
+        w.write(b"b" * 10, 40, pid=1)
+        w.close()
+        with ReadFile(container) as r:
+            dest = bytearray(b"\xff" * 50)
+            assert r.read_into(dest, 0) == 50
+            assert dest == b"a" * 10 + bytes(30) + b"b" * 10
+            assert r.stats["preads"] == 1
+            assert r.stats["bytes_read"] == 20
 
-    def test_holes_never_merge(self):
-        from repro.plfs.index import ReadSlice
+    def test_backwards_physical_order_sorts_into_the_run(self, container):
+        # The second half was written first: logically a→b goes physically
+        # backwards.  Sorted by physical offset it is one forward run; no
+        # span is ever negative.
+        w = WriteFile(container)
+        w.write(b"b" * 10, 10, pid=1)
+        w.write(b"a" * 10, 0, pid=1)
+        w.close()
+        with ReadFile(container) as r:
+            assert r.read(20, 0) == b"a" * 10 + b"b" * 10
+            assert r.stats["preads"] == 1
 
-        hole = ReadSlice(0, 10, constants.HOLE, 0)
-        data = ReadSlice(10, 10, 0, 0)
-        assert len(coalesce_plan([hole, data])) == 2
-
-    def test_backwards_physical_order_never_merges(self):
-        # Overwrites can order plan slices physically backwards within one
-        # dropping; a "gap" that is negative must split, not pread a
-        # negative span.
-        from repro.plfs.index import ReadSlice
-
-        a = ReadSlice(0, 10, 0, 100)
-        b = ReadSlice(10, 10, 0, 0)
-        assert len(coalesce_plan([a, b])) == 2
+    def test_runs_are_chunked_at_iov_max(self, container, monkeypatch):
+        # One dropping, 8 slices alternately adjacent and 1 byte apart: with
+        # room for 5 iovec entries a run is slice, slice, gap, slice — and
+        # the next slice (which would need a gap entry too) starts a new one.
+        expect = bytearray(104)
+        w = WriteFile(container)
+        for i in range(8):
+            w.write(bytes([65 + i]) * 4, 100 - 10 * i, pid=1)  # descending: never merges
+            expect[100 - 10 * i : 104 - 10 * i] = bytes([65 + i]) * 4
+            if i % 2:
+                w.write(b"-", 1 << 20, pid=1)
+        w.close()
+        monkeypatch.setattr(reader_module, "_IOV_MAX", 5)
+        with ReadFile(container) as r:
+            assert r.read(74, 30) == bytes(expect[30:])
+            assert r.stats["preads"] == 3
+            assert r.stats["sieved_gap_bytes"] == 2
+        monkeypatch.setattr(reader_module, "_IOV_MAX", 1024)
+        with ReadFile(container) as r:
+            assert r.read(74, 30) == bytes(expect[30:])
+            assert r.stats["preads"] == 1
+            assert r.stats["sieved_gap_bytes"] == 3
 
     def test_coalesce_disabled_matches(self, container):
         expect = write_stripes(container, droppings=3, stripe=16, rounds=2)
         with ReadFile(container, coalesce=False) as r:
             assert r.read(len(expect), 0) == expect
+            assert r.stats["preads"] == 6  # the one-pread-per-slice reference
+            dest = bytearray(len(expect))
+            assert r.read_into(dest, 0) == len(expect) and dest == expect
 
 
 # ---------------------------------------------------------------------- #
@@ -343,6 +401,23 @@ class TestFdCacheBound:
             # every cached descriptor is still alive
             for fd in r._fd_cache.values():
                 os.fstat(fd)
+
+    def test_handle_holds_at_most_the_cap_plus_the_generation_file(self, container):
+        expect = write_stripes(container, droppings=24, stripe=4)
+        baseline = open_fds()
+        with ReadFile(container, fd_cache_limit=5) as r:
+            for _ in range(2):
+                assert r.read(len(expect), 0) == expect
+                assert r._gen_fd is not None
+                assert open_fds() - baseline == 5 + 1
+                assert r.reap_idle_fds(0.0) == 5  # data descriptors; the held one goes too
+                assert r._gen_fd is None and open_fds() == baseline
+            r.read(4, 0)
+            r.refresh()
+            assert open_fds() == baseline
+            r.read(4, 0)
+            assert open_fds() - baseline == 2
+        assert open_fds() == baseline
 
     def test_default_cap_is_constant(self, container):
         with ReadFile(container) as r:
@@ -440,17 +515,40 @@ class TestFdHygiene:
         with open(victim, "ab") as fh:
             fh.truncate(4)
         index_cache.invalidate(container.path)  # epoch changed anyway
+        baseline = open_fds()
         r2 = ReadFile(container, use_shared_cache=False)
         r2._index, r2._data_paths = r.index, list(r._data_paths)
-        with pytest.raises(CorruptIndexError):
+        with pytest.raises(CorruptIndexError, match="short read .* wanted 16 at 0, got 4"):
             r2.read(len(expect), 0)
         open_before_close = list(r2._fd_cache.values())
+        assert open_before_close and open_fds() > baseline
         r2.close()
+        assert open_fds() == baseline
         for fd in open_before_close:
             with pytest.raises(OSError) as ei:
                 os.fstat(fd)
             assert ei.value.errno == errno.EBADF
         r.close()
+
+    def test_failed_index_build_does_not_leak_the_generation_descriptor(
+        self, container, monkeypatch
+    ):
+        def gone(self):
+            raise OSError("gone")
+
+        write_stripes(container, droppings=2)
+        baseline = open_fds()
+        r = ReadFile(container)
+        with monkeypatch.context() as m:
+            m.setattr(Container, "droppings", gone)
+            for _ in range(3):  # every attempt opens it anew: still at most one held
+                with pytest.raises(OSError, match="gone"):
+                    r.read(4, 0)
+                assert open_fds() - baseline <= 1
+        assert r.read(4, 0)  # the retry that succeeds holds one, plus the dropping
+        assert open_fds() - baseline == 2
+        r.close()
+        assert open_fds() == baseline
 
     def test_del_closes_quietly(self, container):
         write_stripes(container, droppings=2)
