@@ -164,21 +164,23 @@ def test_write_path_fast_lane(fresh_container, report):
     assert_faster(t_vectored, t_scalar, "vectored appends vs scalar appends")
 
 
-def test_adaptive_flush_holds_back_merged_streams(fresh_container, monkeypatch):
-    """With a tiny base threshold, a perfectly sequential stream (whose
-    records all merge) must flush its index far fewer times than a
-    random-offset stream of the same length."""
+def test_merged_streams_flush_their_index_once(fresh_container, monkeypatch):
+    """With a tiny flush threshold, a perfectly sequential stream never
+    reaches it — every record merges into the one pending — so its index
+    is flushed once, at close; a random-offset stream of the same length
+    flushes at every threshold's worth of appends."""
     from repro.plfs import writer as writer_module
 
     monkeypatch.setattr(writer_module, "INDEX_FLUSH_THRESHOLD", 8)
 
-    seq = small_write_stream(fresh_container(), wal=False, wal_batch=1)
-    c = fresh_container()
-    with WriteFile(c) as w:
-        for i in range(SMALL_WRITES):
-            w.write(b"r" * WRITE_SIZE, ((i * 199) % SMALL_WRITES) * WRITE_SIZE, pid=1)
-        rnd = w.stats
+    streams = {}
+    for name, stride in (("sequential", 1), ("random", 199)):
+        with WriteFile(fresh_container()) as w:
+            for i in range(SMALL_WRITES):
+                w.write(b"s" * WRITE_SIZE, ((i * stride) % SMALL_WRITES) * WRITE_SIZE, pid=1)
+        streams[name] = w.stats  # after close: its flush is in the count
 
-    assert seq["records_merged"] > rnd["records_merged"]
-    assert seq["index_flushes"] < rnd["index_flushes"]
-    assert seq["adaptive_threshold"] >= 8
+    seq, rnd = streams["sequential"], streams["random"]
+    assert seq["records_merged"] == SMALL_WRITES - 1 and rnd["records_merged"] == 0
+    assert seq["index_flushes"] == 1 and seq["threshold_flushes"] == 0
+    assert rnd["index_flushes"] == rnd["threshold_flushes"] == SMALL_WRITES // 8

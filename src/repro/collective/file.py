@@ -33,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.mpiio.hints import DEFAULT_HINTS, MPIHints
 from repro.plfs import api as plfs_api
+from repro.plfs.reader import byte_view
 
 from . import listio
 from .aggregator import Aggregator, partition_domains, split_extent
@@ -183,9 +184,7 @@ class CollectiveFile:
             contribs = dict(enumerate(contribs))
         out: dict[int, memoryview] = {}
         for rank, data in contribs.items():
-            view = memoryview(data)
-            if view.itemsize != 1:
-                view = view.cast("B")
+            view = byte_view(data)
             if len(view):
                 out[rank] = view
         return out

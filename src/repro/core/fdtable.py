@@ -26,9 +26,9 @@ import errno
 import os
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.plfs.api import Plfs_fd
+from repro.plfs.api import Plfs_fd, access_mode
 
 
 @dataclass
@@ -39,18 +39,14 @@ class FdEntry:
     plfs_fd: Plfs_fd
     flags: int
     logical_path: str
-    #: original os functions used for cursor manipulation (never the shims)
-    append: bool = False
+    #: what the descriptor may do, fixed at open (flags never change after)
+    readable: bool = field(init=False)
+    writable: bool = field(init=False)
+    append: bool = field(init=False)
 
-    @property
-    def writable(self) -> bool:
-        acc = self.flags & (os.O_RDONLY | os.O_WRONLY | os.O_RDWR)
-        return acc in (os.O_WRONLY, os.O_RDWR)
-
-    @property
-    def readable(self) -> bool:
-        acc = self.flags & (os.O_RDONLY | os.O_WRONLY | os.O_RDWR)
-        return acc in (os.O_RDONLY, os.O_RDWR)
+    def __post_init__(self) -> None:
+        self.readable, self.writable = access_mode(self.flags)
+        self.append = bool(self.flags & os.O_APPEND)
 
 
 class FdTable:
@@ -96,13 +92,7 @@ class FdTable:
     def insert(self, plfs_fd: Plfs_fd, flags: int, logical_path: str) -> FdEntry:
         fd = self._open_shadow_fd()
         try:
-            entry = FdEntry(
-                fd=fd,
-                plfs_fd=plfs_fd,
-                flags=flags,
-                logical_path=logical_path,
-                append=bool(flags & os.O_APPEND),
-            )
+            entry = FdEntry(fd, plfs_fd, flags, logical_path)
             with self._lock:
                 self._entries[fd] = entry
         except Exception:
@@ -126,13 +116,7 @@ class FdTable:
         shares the shadow offset, so the cursor is naturally shared."""
         from repro.plfs.api import plfs_ref
 
-        dup_entry = FdEntry(
-            fd=new_fd,
-            plfs_fd=plfs_ref(entry.plfs_fd),
-            flags=entry.flags,
-            logical_path=entry.logical_path,
-            append=entry.append,
-        )
+        dup_entry = FdEntry(new_fd, plfs_ref(entry.plfs_fd), entry.flags, entry.logical_path)
         with self._lock:
             self._entries[new_fd] = dup_entry
         return dup_entry

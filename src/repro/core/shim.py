@@ -17,6 +17,7 @@ import os
 import stat as stat_module
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.plfs import api as plfs_api
 from repro.plfs import constants
@@ -29,7 +30,9 @@ from repro.plfs.route import RealOS
 from .fdtable import FdEntry, FdTable
 from .mounts import Mount, MountTable
 
-_ACCMODE = os.O_RDONLY | os.O_WRONLY | os.O_RDWR
+#: the largest ``off_t``: no extent may end past it (the kernel's
+#: ``rw_verify_area`` answer is EINVAL, whatever the file system)
+_OFF_MAX = (1 << 63) - 1
 
 
 @dataclass
@@ -61,6 +64,14 @@ class RetryPolicy:
             out.append(delay)
             delay = min(delay * self.backoff_factor, self.backoff_max)
         return out
+
+
+def _einval() -> OSError:
+    return OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+
+def _ebadf() -> OSError:
+    return OSError(errno.EBADF, os.strerror(errno.EBADF))
 
 
 def _enoent(path) -> OSError:
@@ -135,16 +146,11 @@ class Shim:
     # transient-error absorption
     # ------------------------------------------------------------------ #
 
-    def _with_retry(self, fn):
-        """Run *fn*, retrying transient OSErrors per the policy."""
-        try:
-            return fn()
-        except OSError as exc:
-            return self._retry_after(exc, fn)
-
     def _retry_after(self, exc: OSError, fn):
         """*fn*'s first attempt raised *exc*: the policy's remaining ones.
-        (Hot paths make the first themselves: no closure, no loop.)"""
+        (Callers make the first attempt themselves and come here only from
+        their ``except``, with a ``partial`` made there: the ordinary call
+        pays no closure, no cell variable and no loop.)"""
         policy = self.retry
         delay = policy.backoff_base
         for _ in range(policy.max_attempts - 1):
@@ -159,29 +165,97 @@ class Shim:
                 exc = again
         raise exc
 
-    def _write_fully(self, plfs_fd, data, offset) -> int:
-        """plfs_write with transient retry *and* short-write resumption:
-        the application's single call either writes everything or raises."""
-        view = memoryview(data)
-        if view.itemsize != 1:
-            view = view.cast("B") if view.contiguous else memoryview(view.tobytes())
-        if len(view) == 0:
-            return self._with_retry(
-                lambda: plfs_api.plfs_write(plfs_fd, b"", 0, offset)
-            )
-        total = 0
-        while total < len(view):
-            chunk = view[total:]
-            at = offset + total
-            n = self._with_retry(
-                lambda: plfs_api.plfs_write(plfs_fd, chunk, len(chunk), at)
-            )
-            if n <= 0:  # pragma: no cover - defensive: no-progress guard
-                break
-            total += n
-            if total < len(view):
-                self.stats["short_write_resumes"] += 1
-        return total
+    # ------------------------------------------------------------------ #
+    # the data funnels: every interposed read and write passes through one
+    # of these, which is where its arguments and the descriptor's access
+    # mode are checked — in the kernel's order: a negative count or offset
+    # (EINVAL), the mode (EBADF), an extent ending past off_t (EINVAL) — so
+    # that what the OS rejects never reaches PLFS, and where the retry
+    # policy applies
+    # ------------------------------------------------------------------ #
+
+    def _read_at(self, entry, n, offset) -> bytes:
+        if n < 0 or offset < 0:
+            raise _einval()
+        if not entry.readable:
+            raise _ebadf()
+        if offset + n > _OFF_MAX:
+            raise _einval()
+        try:
+            return plfs_api.plfs_read(entry.plfs_fd, n, offset)
+        except OSError as exc:
+            return self._retry_after(exc, partial(plfs_api.plfs_read, entry.plfs_fd, n, offset))
+
+    def _readv_at(self, entry, buffers, offset) -> int:
+        # One buffer (every file-object read) is handed down and filled in
+        # place; several cover one contiguous logical span, so they are one
+        # plfs_read_into (one plan, one revalidation), then scattered.
+        # Non-byte buffers (array('i'), numpy views) count bytes, and a
+        # non-contiguous one raises — the contract os.readv has.
+        if offset < 0:
+            raise _einval()
+        if not entry.readable:
+            raise _ebadf()
+        plfs_fd, views = entry.plfs_fd, ()
+        if len(buffers) == 1:
+            dest = buffers[0]
+        else:
+            views = list(map(byte_view, buffers))
+            dest = memoryview(bytearray(sum(map(len, views))))
+        try:
+            got = plfs_api.plfs_read_into(plfs_fd, dest, offset)
+        except OSError as exc:
+            got = self._retry_after(exc, partial(plfs_api.plfs_read_into, plfs_fd, dest, offset))
+        pos = 0
+        for view in views:
+            n = min(len(view), got - pos)
+            view[:n] = dest[pos : pos + n]
+            pos += n
+        return got
+
+    def _write_at(self, entry, data, offset, vectored=False) -> int:
+        """Write *data* — one buffer or, *vectored*, an iovec covering one
+        contiguous logical span — at *offset*: all of it, or raise.
+
+        An iovec goes down whole as a single ``plfs_writev`` (one data
+        append, one index record).  Unmodified applications neither loop
+        on EINTR nor resume short writes, so each attempt gets the retry
+        policy and a short return resumes from the cut point.
+        """
+        if vectored:
+            rest = list(map(byte_view, data))
+            want = sum(map(len, rest))
+            write = plfs_api.plfs_writev
+        else:
+            rest = byte_view(data)
+            want = len(rest)
+            write = plfs_api.plfs_write
+        if offset < 0:
+            raise _einval()
+        if not entry.writable:
+            raise _ebadf()
+        if offset + want > _OFF_MAX:
+            raise _einval()
+        if not want:
+            return 0
+        plfs_fd = entry.plfs_fd
+        done = 0
+        while True:
+            at = offset + done
+            try:
+                n = write(plfs_fd, rest, offset=at)
+            except OSError as exc:
+                n = self._retry_after(exc, partial(write, plfs_fd, rest, offset=at))
+            done += n
+            if done >= want or n <= 0:
+                return done
+            self.stats["short_write_resumes"] += 1
+            if vectored:
+                while n >= len(rest[0]):  # buffers that went out whole
+                    n -= len(rest.pop(0))
+                rest[0] = rest[0][n:]
+            else:
+                rest = rest[n:]
 
     # ------------------------------------------------------------------ #
     # resolution helpers
@@ -331,14 +405,7 @@ class Shim:
             self._count(False)
             return self.real.read(fd, n)
         self._count(True)
-        if not entry.readable:
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        cursor = self.table.tell(entry)
-        plfs_fd = entry.plfs_fd
-        try:
-            data = plfs_api.plfs_read(plfs_fd, n, cursor)
-        except OSError as exc:
-            data = self._retry_after(exc, lambda: plfs_api.plfs_read(plfs_fd, n, cursor))
+        data = self._read_at(entry, n, self.table.tell(entry))
         if data:
             self.table.advance(entry, len(data))
         return data
@@ -349,14 +416,13 @@ class Shim:
             self._count(False)
             return self.real.write(fd, data)
         self._count(True)
-        if not entry.writable:
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         if entry.append:
             offset = plfs_api.plfs_getattr(entry.plfs_fd).st_size
         else:
             offset = self.table.tell(entry)
-        n = self._write_fully(entry.plfs_fd, data, offset)
-        self.table.set_cursor(entry, offset + n)
+        n = self._write_at(entry, data, offset)
+        if n:
+            self.table.set_cursor(entry, offset + n)
         return n
 
     def lseek(self, fd, pos, how):
@@ -379,75 +445,13 @@ class Shim:
     # movement — POSIX readv/writev atomicity at the logical-file level)
     # ------------------------------------------------------------------ #
 
-    def _readv_at(self, entry, buffers, offset) -> int:
-        # One buffer (every file-object read) is handed down and filled in
-        # place; several cover one contiguous logical span, so they are one
-        # plfs_read_into (one plan, one revalidation), then scattered.
-        # Non-byte buffers (array('i'), numpy views) count bytes, and a
-        # non-contiguous one raises — the contract os.readv has.
-        plfs_fd, views = entry.plfs_fd, ()
-        if len(buffers) == 1:
-            dest = buffers[0]
-        else:
-            views = [byte_view(buf) for buf in buffers]
-            dest = memoryview(bytearray(sum(map(len, views))))
-        try:
-            got = plfs_api.plfs_read_into(plfs_fd, dest, offset)
-        except OSError as exc:
-            got = self._retry_after(exc, lambda: plfs_api.plfs_read_into(plfs_fd, dest, offset))
-        pos = 0
-        for view in views:
-            n = min(len(view), got - pos)
-            view[:n] = dest[pos : pos + n]
-            pos += n
-        return got
-
-    def _writev_at(self, entry, buffers, offset) -> int:
-        # Mirror of _readv_at: the buffers cover one contiguous logical
-        # span, so the whole iovec goes down as a single plfs_writev (one
-        # data append, one index record) instead of one plfs_write per
-        # buffer.  On a short vectored write the remaining views resume
-        # from the cut point, like _write_fully does for single buffers.
-        views = []
-        for buf in buffers:
-            v = memoryview(buf)
-            if v.itemsize != 1:
-                v = v.cast("B") if v.contiguous else memoryview(v.tobytes())
-            views.append(v)
-        want = sum(len(v) for v in views)
-        if not want:
-            return 0
-        total = 0
-        while total < want:
-            remaining, skip = [], total
-            for view in views:
-                if skip >= len(view):
-                    skip -= len(view)
-                    continue
-                remaining.append(view[skip:] if skip else view)
-                skip = 0
-            at = offset + total
-            bufs = remaining
-            n = self._with_retry(
-                lambda: plfs_api.plfs_writev(entry.plfs_fd, bufs, at)
-            )
-            if n <= 0:  # pragma: no cover - defensive: no-progress guard
-                break
-            total += n
-            if total < want:
-                self.stats["short_write_resumes"] += 1
-        return total
-
     def readv(self, fd, buffers):
         entry = self.table.lookup(fd)
         if entry is None:
             self._count(False)
             return self.real.readv(fd, buffers)
         self._count(True)
-        if not entry.readable:
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        cursor = self.table.tell(entry)
-        total = self._readv_at(entry, buffers, cursor)
+        total = self._readv_at(entry, buffers, self.table.tell(entry))
         if total:
             self.table.advance(entry, total)
         return total
@@ -458,14 +462,13 @@ class Shim:
             self._count(False)
             return self.real.writev(fd, buffers)
         self._count(True)
-        if not entry.writable:
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         if entry.append:
             offset = plfs_api.plfs_getattr(entry.plfs_fd).st_size
         else:
             offset = self.table.tell(entry)
-        total = self._writev_at(entry, buffers, offset)
-        self.table.set_cursor(entry, offset + total)
+        total = self._write_at(entry, buffers, offset, vectored=True)
+        if total:
+            self.table.set_cursor(entry, offset + total)
         return total
 
     def preadv(self, fd, buffers, offset, flags=0):
@@ -474,8 +477,6 @@ class Shim:
             self._count(False)
             return self.real.preadv(fd, buffers, offset, flags)
         self._count(True)
-        if not entry.readable:
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         return self._readv_at(entry, buffers, offset)
 
     def pwritev(self, fd, buffers, offset, flags=0):
@@ -484,11 +485,9 @@ class Shim:
             self._count(False)
             return self.real.pwritev(fd, buffers, offset, flags)
         self._count(True)
-        if not entry.writable:
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         # Like pwrite: honour the explicit offset (even with O_APPEND) and
         # leave the emulated cursor untouched.
-        return self._writev_at(entry, buffers, offset)
+        return self._write_at(entry, buffers, offset, vectored=True)
 
     # ------------------------------------------------------------------ #
     # positional I/O
@@ -500,13 +499,7 @@ class Shim:
             self._count(False)
             return self.real.pread(fd, n, offset)
         self._count(True)
-        if not entry.readable:
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        plfs_fd = entry.plfs_fd
-        try:
-            return plfs_api.plfs_read(plfs_fd, n, offset)
-        except OSError as exc:
-            return self._retry_after(exc, lambda: plfs_api.plfs_read(plfs_fd, n, offset))
+        return self._read_at(entry, n, offset)
 
     def pwrite(self, fd, data, offset):
         entry = self.table.lookup(fd)
@@ -514,12 +507,10 @@ class Shim:
             self._count(False)
             return self.real.pwrite(fd, data, offset)
         self._count(True)
-        if not entry.writable:
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         # POSIX semantics: pwrite honours the explicit offset even with
         # O_APPEND (we do not copy Linux's deviation) and never moves the
         # cursor.
-        return self._write_fully(entry.plfs_fd, data, offset)
+        return self._write_at(entry, data, offset)
 
     # ------------------------------------------------------------------ #
     # fd metadata
@@ -557,8 +548,8 @@ class Shim:
             self._count(False)
             return self.real.ftruncate(fd, length)
         self._count(True)
-        if not entry.writable:
-            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+        if length < 0 or not entry.writable:
+            raise _einval()
         plfs_api.plfs_trunc(entry.plfs_fd, length)
 
     def sendfile(self, out_fd, in_fd, offset, count, *args, **kwargs):
@@ -777,6 +768,8 @@ class Shim:
             return self.real.truncate(path, length)
         _, backend = resolved
         self._count(True)
+        if length < 0:
+            raise _einval()
         if is_container(backend):
             return plfs_api.plfs_trunc(backend, length)
         try:

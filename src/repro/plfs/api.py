@@ -31,18 +31,12 @@ from .route import posix
 from .util import unique_timestamp
 from .writer import WriteFile
 
-_ACCMODE = os.O_RDONLY | os.O_WRONLY | os.O_RDWR
 
-
-def _remote(fd) -> bool:
-    """True when *fd* is a daemon-held handle (``repro.plfsd``'s RemoteFd).
-
-    Dispatch is duck-typed on purpose: ``plfs`` must not import ``plfsd``
-    (the daemon builds on this module), yet every ``plfs_*`` entry point
-    below accepts either handle kind so the interposition layer never
-    branches on where a handle lives.
-    """
-    return getattr(fd, "is_remote", False)
+def access_mode(flags: int) -> tuple[bool, bool]:
+    """``(readable, writable)`` for open *flags*.  Flags never change after
+    open, so handles (and the fd table's entries) store the answer once."""
+    acc = flags & os.O_ACCMODE
+    return acc in (os.O_RDONLY, os.O_RDWR), acc in (os.O_WRONLY, os.O_RDWR)
 
 
 @dataclass
@@ -78,31 +72,30 @@ class Plfs_fd:
     refs: int = 1
     writer: WriteFile | None = None
     _reader: ReadFile | None = field(default=None, repr=False)
-    _dirty_since_reader_build: bool = field(default=False, repr=False)
+    #: access mode, fixed at open
+    readable: bool = field(init=False)
+    writable: bool = field(init=False)
+
+    #: False here, True on a daemon-held handle (``repro.plfsd``'s RemoteFd).
+    #: Dispatch is duck-typed on purpose: ``plfs`` must not import ``plfsd``
+    #: (the daemon builds on this module), yet every ``plfs_*`` entry point
+    #: below accepts either handle kind so the interposition layer never
+    #: branches on where a handle lives.
+    is_remote = False
+
+    def __post_init__(self) -> None:
+        self.readable, self.writable = access_mode(self.flags)
 
     @property
     def path(self) -> str:
         return self.container.path
 
-    @property
-    def readable(self) -> bool:
-        return (self.flags & _ACCMODE) in (os.O_RDONLY, os.O_RDWR)
-
-    @property
-    def writable(self) -> bool:
-        return (self.flags & _ACCMODE) in (os.O_WRONLY, os.O_RDWR)
-
     def reader(self) -> ReadFile:
+        """The handle's :class:`ReadFile`, made on first use (it overlays
+        the writer's unflushed records and notices new ones itself)."""
         if self._reader is None:
             self._reader = ReadFile(self.container, writer=self.writer)
-            self._dirty_since_reader_build = False
-        elif self._dirty_since_reader_build:
-            self._reader.refresh()
-            self._dirty_since_reader_build = False
         return self._reader
-
-    def mark_dirty(self) -> None:
-        self._dirty_since_reader_build = True
 
     def invalidate_reader(self) -> None:
         """Discard the cached reader entirely.  Needed when the writer
@@ -111,7 +104,6 @@ class Plfs_fd:
         if self._reader is not None:
             self._reader.close()
             self._reader = None
-        self._dirty_since_reader_build = False
 
 
 # ---------------------------------------------------------------------- #
@@ -146,11 +138,10 @@ def plfs_open(
     else:
         container._build(mode, bool(flags & os.O_EXCL), pid)
 
-    if flags & os.O_TRUNC and (flags & _ACCMODE) != os.O_RDONLY:
-        container.wipe_data()
-
     fd = Plfs_fd(container=container, flags=flags, pid=pid)
     if fd.writable:
+        if flags & os.O_TRUNC:
+            container.wipe_data()
         wal = bool(open_opt and open_opt.write_ahead_index)
         wal_batch = open_opt.wal_batch_records if open_opt is not None else 1
         fd.writer = WriteFile(container, wal=wal, wal_batch=wal_batch)
@@ -174,7 +165,7 @@ def plfs_close(fd, pid: int | None = None, flags: int | None = None) -> int:
     a daemon holding thousands of slots can always reclaim one — retrying
     or double-closing after an error can never wedge a slot.
     """
-    if _remote(fd):
+    if fd.is_remote:
         return fd.close()
     if fd.refs <= 0:
         return 0
@@ -224,90 +215,67 @@ def plfs_ref(fd):
 # ---------------------------------------------------------------------- #
 
 
-def _as_buffer(buf):
-    """Normalise *buf* to a zero-copy byte view where the buffer protocol
-    allows it (contiguous buffers become a flat ``memoryview``; only
-    non-contiguous or non-buffer inputs pay a copy)."""
-    if isinstance(buf, (bytes, bytearray, memoryview)) and (
-        not isinstance(buf, memoryview) or (buf.contiguous and buf.itemsize == 1)
-    ):
-        return buf
-    try:
-        view = memoryview(buf)
-    except TypeError:
-        return bytes(buf)
-    if view.contiguous:
-        return view.cast("B")
-    return view.tobytes()
-
-
 def plfs_write(fd, buf, count: int | None = None, offset: int = 0, pid: int | None = None) -> int:
-    """Write ``buf[:count]`` at logical *offset*; returns bytes written.
+    """Write ``buf[:count]`` (bytes) at logical *offset*; returns bytes written.
 
-    Any bytes-like object is accepted; contiguous buffers (including
-    ``memoryview`` slices the shim produces for short-write resumption)
-    thread through the write path without copying.
+    *buf* is whatever ``os.write`` takes — any C-contiguous buffer, counted
+    in bytes — and threads through the write path without copying.
     """
-    if _remote(fd):
+    if fd.is_remote:
         return fd.write(buf, count, offset)
-    if fd.writer is None:
+    writer = fd.writer
+    if writer is None:
         raise BadFlagsError("handle not open for writing")
-    data = _as_buffer(buf)
-    if count is not None:
-        data = memoryview(data)[:count]
-    n = fd.writer.write(data, offset, fd.pid if pid is None else pid)
-    fd.mark_dirty()
-    return n
+    # One normalisation per buffer: a caller that already holds byte_view's
+    # result (the shim does, for its own length checks) is not re-wrapped.
+    if type(buf) is not memoryview or buf.format != "B" or buf.ndim != 1 or not buf.c_contiguous:
+        buf = byte_view(buf)
+    if count is not None and count < len(buf):
+        buf = buf[:count]
+    return writer.write(buf, offset, fd.pid if pid is None else pid)
 
 
-def plfs_writev(fd: Plfs_fd, buffers, offset: int = 0, pid: int | None = None) -> int:
-    """Vectored write: *buffers* land contiguously from *offset* as one
-    data append plus one (possibly merged) index record — the
-    ``writev``/``pwritev`` fast path.  Returns total bytes written."""
+def plfs_writev(fd, buffers, offset: int = 0, pid: int | None = None) -> int:
+    """Vectored write: *buffers* (what ``os.writev`` takes) land contiguously
+    from *offset* as one data append plus one (possibly merged) index record —
+    the ``writev``/``pwritev`` fast path.  Returns total bytes written."""
     # Normalise and drop empty views *before* dispatching, so the remote
     # (plfsd) branch sees exactly what the local writer would: an all-empty
-    # iovec returns 0 on both paths without a wire round trip (the raw
-    # forward used to ship zero-length pieces to the daemon).
-    views = [_as_buffer(b) for b in buffers]
-    views = [v for v in views if len(v)]
-    if _remote(fd):
-        if not views:
-            return 0
-        return fd.writev(views, offset)
+    # iovec returns 0 on both paths without a wire round trip.
+    views = [view for view in map(byte_view, buffers) if len(view)]
+    if fd.is_remote:
+        return fd.writev(views, offset) if views else 0
     if fd.writer is None:
         raise BadFlagsError("handle not open for writing")
     if not views:
         return 0
-    n = fd.writer.append_many(views, offset, fd.pid if pid is None else pid)
-    fd.mark_dirty()
-    return n
+    return fd.writer.append_many(views, offset, fd.pid if pid is None else pid)
 
 
 def plfs_read(fd, count: int, offset: int) -> bytes:
     """Read up to *count* bytes at *offset* (returns ``b""`` at EOF)."""
-    if _remote(fd):
+    if fd.is_remote:
         return fd.read(count, offset)
     if not fd.readable:
         raise BadFlagsError("handle not open for reading")
-    return fd.reader().read(count, offset)
+    return (fd._reader or fd.reader()).read(count, offset)
 
 
 def plfs_read_into(fd, buf, offset: int) -> int:
     """C-style variant filling a caller buffer (any writable contiguous one,
     counted in bytes like ``os.readv``); returns bytes read, leaves the rest."""
-    if _remote(fd):
+    if fd.is_remote:
         return fd.read_into(byte_view(buf), offset)
     if not fd.readable:
         raise BadFlagsError("handle not open for reading")
-    return fd.reader().read_into(buf, offset)
+    return (fd._reader or fd.reader()).read_into(buf, offset)
 
 
 def plfs_sync(fd, pid: int | None = None) -> None:
     """Flush buffered index records and fsync data droppings."""
-    if _remote(fd):
+    if fd.is_remote:
         fd.sync()
-        return
-    if fd.writer is not None:
+    elif fd.writer is not None:
         fd.writer.sync()
 
 
@@ -318,30 +286,28 @@ def plfs_sync(fd, pid: int | None = None) -> None:
 
 def plfs_getattr(fd_or_path) -> os.stat_result:
     """Stat the logical file (size = logical size from index or meta)."""
-    if _remote(fd_or_path):
+    if isinstance(fd_or_path, (str, os.PathLike)):
+        return Container(fd_or_path).getattr()
+    if fd_or_path.is_remote:
         return fd_or_path.getattr()
-    if isinstance(fd_or_path, Plfs_fd):
-        container = fd_or_path.container
-        if fd_or_path.writer is not None:
-            # An open writer knows its own high-water mark; combine with the
-            # on-disk view so handles stat correctly mid-write.  Building
-            # the index is a metadata operation and is legal even on a
-            # write-only handle (O_APPEND needs it to find the end).  The
-            # on-disk size comes from the epoch-validated shared cache, so
-            # another handle's flush is always seen (the cache rebuilds on
-            # epoch change) while repeated stats of a quiet container cost
-            # one cache hit instead of an index merge; this handle's own
-            # unflushed records never exceed its high-water mark, which the
-            # max() below folds in.
-            disk = container.cached_size()
-            if disk is None:
-                loaded, _ = index_cache.shared_cache().get(container)
-                disk = loaded.index.logical_size
-            size = max(disk, fd_or_path.writer.max_logical_end)
-            return container.getattr(size=size)
+    container = fd_or_path.container
+    writer = fd_or_path.writer
+    if writer is None:
         return container.getattr()
-    container = Container(fd_or_path)
-    return container.getattr()
+    # An open writer knows its own high-water mark; combine with the
+    # on-disk view so handles stat correctly mid-write.  Building the
+    # index is a metadata operation and is legal even on a write-only
+    # handle (O_APPEND needs it to find the end).  The on-disk size comes
+    # from the epoch-validated shared cache, so another handle's flush is
+    # always seen (the cache rebuilds on epoch change) while repeated
+    # stats of a quiet container cost one cache hit instead of an index
+    # merge; this handle's own unflushed records never exceed its
+    # high-water mark, which the max() below folds in.
+    disk = container.cached_size()
+    if disk is None:
+        loaded, _ = index_cache.shared_cache().get(container)
+        disk = loaded.index.logical_size
+    return container.getattr(size=max(disk, writer.max_logical_end))
 
 
 def plfs_access(path: str, amode: int) -> bool:
@@ -376,55 +342,45 @@ def plfs_trunc(fd_or_path: Plfs_fd | str, offset: int = 0) -> None:
     reads back as zeros either way).  The C library takes the same
     fast/slow split.
     """
-    if _remote(fd_or_path):
-        fd_or_path.trunc(offset)
-        return
-    if isinstance(fd_or_path, Plfs_fd):
-        fd, path = fd_or_path, fd_or_path.path
-        container = fd.container
-    else:
+    if isinstance(fd_or_path, (str, os.PathLike)):
         fd, path = None, fd_or_path
         container = Container(path)
+    elif fd_or_path.is_remote:
+        fd_or_path.trunc(offset)
+        return
+    else:
+        fd, path = fd_or_path, fd_or_path.path
+        container = fd.container
     if not container.exists():
         raise ContainerNotFoundError(f"no such file: {path}")
+    writer = fd.writer if fd is not None else None
 
-    if offset == 0:
-        if fd is not None and fd.writer is not None:
-            wal, wal_batch = fd.writer.wal, fd.writer.wal_batch
-            fd.writer.close()
-            container.wipe_data()
-            fd.writer = WriteFile(container, wal=wal, wal_batch=wal_batch)
-        else:
-            container.wipe_data()
-        index_cache.invalidate(container.path)
-        if fd is not None:
-            fd.invalidate_reader()
-        return
-
-    current = plfs_getattr(fd if fd is not None else path).st_size
-    if offset == current:
-        return
-    if offset > current:
-        if fd is not None and fd.writer is not None:
-            plfs_write(fd, b"\x00", 1, offset - 1)
-        else:
-            tmp = plfs_open(path, os.O_WRONLY, mode=0o644)
+    if offset:
+        current = plfs_getattr(fd_or_path).st_size
+        if offset == current:
+            return
+        if offset > current:
+            tmp = fd if writer is not None else plfs_open(path, os.O_WRONLY, mode=0o644)
             try:
                 plfs_write(tmp, b"\x00", 1, offset - 1)
             finally:
-                plfs_close(tmp)
-        return
+                if tmp is not fd:
+                    plfs_close(tmp)
+            return
 
-    # Shrink: compact the flattened index clipped at *offset*.  An open
-    # writer must be recycled: its droppings are replaced by the compaction
-    # and its high-water mark would otherwise report the pre-shrink size.
-    if fd is not None and fd.writer is not None:
-        wal, wal_batch = fd.writer.wal, fd.writer.wal_batch
-        fd.writer.close()
+    # Wipe, or shrink by compacting the flattened index clipped at *offset*:
+    # either way the droppings are replaced, so an open writer is recycled
+    # around it (its high-water mark would otherwise report the old size)
+    # and a cached reader, which overlays that writer, is discarded.
+    if writer is not None:
+        writer.close()
+    if offset:
         plfs_flatten_index(path, clip=offset)
-        fd.writer = WriteFile(container, wal=wal, wal_batch=wal_batch)
     else:
-        plfs_flatten_index(path, clip=offset)
+        container.wipe_data()
+        index_cache.invalidate(container.path)
+    if writer is not None:
+        fd.writer = WriteFile(container, wal=writer.wal, wal_batch=writer.wal_batch)
     if fd is not None:
         fd.invalidate_reader()
 

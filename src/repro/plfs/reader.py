@@ -35,8 +35,9 @@ _IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 def byte_view(buf) -> memoryview:
-    """*buf* as a flat view counting bytes, whatever its item type; one that
-    cannot be filled in place (non-contiguous) raises what ``os.readv`` does."""
+    """*buf* as a flat view counting bytes, whatever its item type — the one
+    buffer normaliser of both data paths.  A non-contiguous buffer raises what
+    ``os.readv``/``os.write`` do, and a non-buffer their ``TypeError``."""
     view = memoryview(buf)
     if not view.c_contiguous:
         raise BufferError("memoryview: underlying buffer is not C-contiguous")
@@ -85,7 +86,10 @@ class ReadFile:
         )
         self._coalesce = coalesce
         self._use_shared_cache = use_shared_cache
+        self._cache = shared_cache()
         self._generation: int | None = None
+        #: the writer's append count the index overlays (see _revalidate)
+        self._overlaid_appends = 0
         #: the generation file the index was built under (None: there was none)
         self._gen_fd: int | None = None
         self._closed = False
@@ -107,28 +111,34 @@ class ReadFile:
     def _build_index(self) -> None:
         self.stats["index_builds"] += 1
         self._drop_fds()  # they belong to the index (and dropping ids) replaced
+        writer = self._writer
+        if writer is not None:
+            # Make sure on-disk index droppings are complete before looking
+            # at them — and before taking the generation descriptor: this
+            # flush bumps the generation file, and a descriptor opened
+            # first would make the next revalidation mistake our own bump
+            # for a foreign writer's.
+            self._overlaid_appends = writer.appends
+            writer.flush_indexes()
         # Opened before the build, in place of a stat: a bump that lands
         # while the build runs unlinks this very inode.
         try:
             self._gen_fd = posix.open(self.container.generation_path(), os.O_RDONLY)
         except OSError:
             pass
-        cache = shared_cache()
-        if self._writer is None and self._use_shared_cache:
+        cache = self._cache
+        if writer is None and self._use_shared_cache:
             loaded, generation = cache.get(self.container)
             self._index, self._data_paths = loaded.index, loaded.data_paths
             self._generation = generation
             return
         extra: list = []
-        if self._writer is not None:
-            # Make sure on-disk index droppings are complete, then overlay
-            # anything still buffered (nothing, after flush — but a writer
-            # may be actively appending between our flush and read).
-            self._writer.flush_indexes()
         droppings = self.container.droppings()
-        if self._writer is not None:
+        if writer is not None:
+            # Overlay anything still buffered (nothing, after the flush —
+            # but a writer may be appending between our flush and read).
             path_to_id = {data: i for i, (_, data) in enumerate(droppings)}
-            for recs, data_path in self._writer.pending_records():
+            for recs, data_path in writer.pending_records():
                 gid = path_to_id.get(data_path)
                 if gid is None:
                     droppings.append(("", data_path))
@@ -150,10 +160,16 @@ class ReadFile:
         another one: ``bump_generation`` replaces the generation file by
         rename, so the one held open here has lost its last link exactly
         when a by-path ``(inode, mtime_ns)`` token would have changed (one
-        ``fstat``).  The path is probed only while none existed at build."""
+        ``fstat``).  The path is probed only while none existed at build.
+        A handle overlaying its own writer is also behind once that writer
+        has appended (its records may still be buffered: no bump yet)."""
         if self._index is None or self._generation is None:
             return
-        if shared_cache().generation(self.container.path) != self._generation:
+        writer = self._writer
+        if writer is not None and writer.appends != self._overlaid_appends:
+            self.refresh()
+            return
+        if self._cache.generation(self.container.path) != self._generation:
             self.refresh()
             return
         if self._gen_fd is None:
@@ -168,7 +184,7 @@ class ReadFile:
             # generation file; the in-process cache entry it cannot reach
             # must be dropped too, or _build_index would serve it back.
             self.stats["cross_process_refreshes"] += 1
-            shared_cache().invalidate(self.container.path)
+            self._cache.invalidate(self.container.path)
             self.refresh()
 
     @property

@@ -24,10 +24,10 @@ The write fast lane (mirroring the read-path work in
   ``repro-fsck`` trims and reports (``sync`` is a hard barrier — it flushes
   the batch).  ``wal_batch == 1`` (the default) reproduces the strict
   per-append ordering exactly;
-- **adaptive index flush** — the in-memory record buffer's flush threshold
-  scales with the observed record-merge rate, so BT-style sequential
-  small-write streams (whose records collapse into few merged runs) flush
-  less often;
+- **record merging** — a write that continues the previous one of its
+  stream extends the last buffered index record instead of adding one, so
+  BT-style sequential small-write streams keep a single pending record
+  and never reach the flush threshold that bounds the buffer;
 - **cross-process invalidation** — every flush/sync/close bumps the
   container's generation file as well as the in-process shared index
   cache, so readers in *other* processes revalidate too.
@@ -47,8 +47,7 @@ from .index import INDEX_DTYPE
 from .route import posix
 
 #: Flush buffered index records to disk after this many accumulate, bounding
-#: memory for very write-heavy workloads.  This is the *base* threshold; see
-#: :meth:`_Dropping.effective_flush_threshold` for the adaptive scaling.
+#: memory for very write-heavy workloads.
 INDEX_FLUSH_THRESHOLD = 4096
 
 #: Cap on one merged index record's ``length``.  ``INDEX_DTYPE`` stores the
@@ -57,14 +56,6 @@ INDEX_FLUSH_THRESHOLD = 4096
 #: extents far from the field width while still collapsing any realistic
 #: sequential stream into a handful of records.
 MERGE_LENGTH_CAP = 1 << 40
-
-#: Appends observed before the adaptive flush threshold starts scaling
-#: (below this the merge-rate estimate is noise).
-ADAPTIVE_FLUSH_MIN_SAMPLE = 64
-
-#: Maximum factor the adaptive threshold scales the base by (reached as the
-#: merge rate approaches 1.0 — a perfectly sequential stream).
-ADAPTIVE_FLUSH_SCALE_MAX = 4.0
 
 # Buffered records are plain Python rows — packed into a structured array
 # in bulk at flush time, so the per-append hot path allocates no NumPy
@@ -109,14 +100,11 @@ class _Dropping:
         "wal_rows",
         "physical_offset",
         "pending",
-        "records_appended",
         "records_flushed",
         "records_merged",
         "index_flushes",
         "wal_records_written",
         "wal_batches",
-        "adaptive_threshold",
-        "merge_records",
         "_closed",
     )
 
@@ -126,7 +114,6 @@ class _Dropping:
         host: str,
         pid: int,
         *,
-        merge_records: bool = True,
         wal: bool = False,
         wal_batch: int = 1,
     ):
@@ -173,44 +160,12 @@ class _Dropping:
         self.wal_rows: list[list] = []
         self.physical_offset = 0
         self.pending: list[list] = []
-        self.records_appended = 0
         self.records_flushed = 0
         self.records_merged = 0
         self.index_flushes = 0
         self.wal_records_written = 0
         self.wal_batches = 0
-        self.adaptive_threshold = 0
-        self.merge_records = merge_records
         self._closed = False
-
-    def _try_merge(self, logical_offset: int, length: int, pid: int) -> bool:
-        """Index compression: a write that continues the previous one both
-        logically and physically extends the last pending record instead
-        of adding a new one — the optimisation the C library applies to
-        keep sequential workloads from growing the index per call.
-
-        The merged record takes the *latest* timestamp.  That is only
-        sound when no other stream wrote in between (otherwise the whole
-        merged run would shadow an interleaved overwrite); the WriteFile
-        enforces that by allowing merges only for back-to-back writes to
-        the same dropping.  Merged lengths are capped at
-        :data:`MERGE_LENGTH_CAP` so a long sequential run can never
-        overflow the record's length field.
-        """
-        if not self.merge_records or not self.pending:
-            return False
-        last = self.pending[-1]
-        if (
-            last[_PID] == pid
-            and last[_LOGICAL] + last[_LENGTH] == logical_offset
-            and last[_PHYSICAL] + last[_LENGTH] == self.physical_offset
-            and last[_LENGTH] + length <= MERGE_LENGTH_CAP
-        ):
-            last[_LENGTH] += length
-            last[_TS] = util.unique_timestamp()
-            self.records_merged += 1
-            return True
-        return False
 
     # ------------------------------------------------------------------ #
     # the append hot path
@@ -227,21 +182,39 @@ class _Dropping:
         if len(self.wal_rows) >= self.wal_batch:
             self.flush_wal()
 
-    def _record(self, logical_offset: int, written: int, pid: int) -> None:
-        self.records_appended += 1
-        if not self._try_merge(logical_offset, written, pid):
-            self.pending.append(
-                [
-                    logical_offset,
-                    self.physical_offset,
-                    written,
-                    pid,
-                    util.unique_timestamp(),
-                ]
-            )
-        self.physical_offset += written
+    def _record(self, logical_offset: int, written: int, pid: int, merge: bool) -> None:
+        """Buffer the index record of one data append.
 
-    def append(self, buf, logical_offset: int, pid: int) -> int:
+        Index compression: with *merge*, a write that continues the last
+        pending record both logically and physically extends it instead
+        of adding a new one — the optimisation the C library applies to
+        keep sequential workloads from growing the index per call.
+
+        The merged record takes the *latest* timestamp.  That is only
+        sound when no other stream wrote in between (otherwise the whole
+        merged run would shadow an interleaved overwrite), which is what
+        *merge* says: the WriteFile passes it true only for back-to-back
+        writes to the same dropping.  Merged lengths are capped at
+        :data:`MERGE_LENGTH_CAP` so a long sequential run can never
+        overflow the record's length field.
+        """
+        physical = self.physical_offset
+        self.physical_offset = physical + written
+        if merge and self.pending:
+            last = self.pending[-1]
+            if (
+                last[_PID] == pid
+                and last[_LOGICAL] + last[_LENGTH] == logical_offset
+                and last[_PHYSICAL] + last[_LENGTH] == physical
+                and last[_LENGTH] + written <= MERGE_LENGTH_CAP
+            ):
+                last[_LENGTH] += written
+                last[_TS] = util.unique_timestamp()
+                self.records_merged += 1
+                return
+        self.pending.append([logical_offset, physical, written, pid, util.unique_timestamp()])
+
+    def append(self, buf, logical_offset: int, pid: int, merge: bool) -> int:
         store = backing.current()
         if self.wal_fd >= 0:
             # The WAL record promises the full length; a torn or short data
@@ -249,19 +222,18 @@ class _Dropping:
             # to the bytes the data dropping actually holds.
             self._promise(logical_offset, len(buf), pid)
         written = store.write_data(self.data_fd, buf, self.data_path)
-        self._record(logical_offset, written, pid)
+        self._record(logical_offset, written, pid, merge)
         return written
 
-    def append_many(self, bufs: list, logical_offset: int, pid: int) -> int:
+    def append_many(self, bufs: list, logical_offset: int, pid: int, merge: bool) -> int:
         """Vectored append: the whole iovec lands as one data append (one
         ``writev``), one WAL promise, and one — possibly merged — index
         record covering the contiguous logical span."""
         store = backing.current()
-        total = sum(len(b) for b in bufs)
         if self.wal_fd >= 0:
-            self._promise(logical_offset, total, pid)
+            self._promise(logical_offset, sum(map(len, bufs)), pid)
         written = store.write_datav(self.data_fd, bufs, self.data_path)
-        self._record(logical_offset, written, pid)
+        self._record(logical_offset, written, pid, merge)
         return written
 
     # ------------------------------------------------------------------ #
@@ -283,23 +255,6 @@ class _Dropping:
         self.wal_records_written += len(self.wal_rows)
         self.wal_batches += 1
         self.wal_rows.clear()
-
-    def effective_flush_threshold(self) -> int:
-        """The adaptive in-memory flush threshold.
-
-        Starts at :data:`INDEX_FLUSH_THRESHOLD` and scales up with the
-        observed merge rate (up to :data:`ADAPTIVE_FLUSH_SCALE_MAX`×): a
-        stream whose records mostly merge grows ``pending`` slowly and
-        cheaply, so flushing it eagerly only fragments the on-disk index.
-        Random-offset streams (merge rate ~0) keep the base bound.
-        """
-        base = INDEX_FLUSH_THRESHOLD
-        if self.records_appended < ADAPTIVE_FLUSH_MIN_SAMPLE:
-            return base
-        ratio = self.records_merged / self.records_appended
-        scaled = int(base * (1.0 + (ADAPTIVE_FLUSH_SCALE_MAX - 1.0) * ratio))
-        self.adaptive_threshold = scaled
-        return scaled
 
     def pending_records(self) -> np.ndarray:
         return _rows_to_records(self.pending)
@@ -394,7 +349,6 @@ class WriteFile:
         container: Container,
         *,
         host: str | None = None,
-        merge_records: bool = True,
         wal: bool = False,
         wal_batch: int = 1,
     ):
@@ -405,7 +359,6 @@ class WriteFile:
         self._max_logical_end = 0
         self._total_written = 0
         self._closed = False
-        self._merge_records = merge_records
         #: write-ahead index: persist each record before its data append so
         #: a crash never strands unindexed data (see repro.faults.fsck)
         self.wal = wal
@@ -414,7 +367,9 @@ class WriteFile:
         #: one WAL syscall per window)
         self.wal_batch = max(1, int(wal_batch))
         self._last_dropping: _Dropping | None = None
-        self._appends = 0
+        #: data appends so far; a reader overlaying this writer compares it
+        #: with the count its index was built at (see ReadFile._revalidate)
+        self.appends = 0
         self._vectored_appends = 0
         self._vectored_buffers = 0
         self._zero_copy_appends = 0
@@ -423,13 +378,10 @@ class WriteFile:
 
     # ------------------------------------------------------------------ #
 
-    def _dropping_for(self, pid: int) -> _Dropping:
-        d = self._droppings.get(pid)
-        if d is None:
-            d = _Dropping(
-                self.hostdir, self.host, pid, wal=self.wal, wal_batch=self.wal_batch
-            )
-            self._droppings[pid] = d
+    def _open_dropping(self, pid: int) -> _Dropping:
+        d = self._droppings[pid] = _Dropping(
+            self.hostdir, self.host, pid, wal=self.wal, wal_batch=self.wal_batch
+        )
         return d
 
     def _invalidate(self) -> None:
@@ -438,39 +390,39 @@ class WriteFile:
         self._generation_bumps += 1
         _invalidate_cross_process(self.container)
 
-    def _prepare(self, pid: int) -> _Dropping:
-        if self._closed:
-            raise BadFlagsError("write on closed WriteFile")
-        dropping = self._dropping_for(pid)
-        # Record merging is only sound for back-to-back writes of the same
-        # stream: an intervening write from another pid must keep its own
-        # timestamp ordering against ours.
-        dropping.merge_records = self._merge_records and dropping is self._last_dropping
-        self._last_dropping = dropping
-        return dropping
-
     def _account(self, dropping: _Dropping, offset: int, written: int) -> None:
         end = offset + written
         if end > self._max_logical_end:
             self._max_logical_end = end
         self._total_written += written
-        if len(dropping.pending) >= dropping.effective_flush_threshold():
+        if len(dropping.pending) >= INDEX_FLUSH_THRESHOLD:
             dropping.flush_index()
             self._threshold_flushes += 1
             self._invalidate()
+
+    # write() and append_many() open alike: the closed guard, the pid's
+    # dropping (made on first use), and whether its record may merge —
+    # only for back-to-back writes of one stream, because an intervening
+    # write from another pid must keep its own timestamp ordering against
+    # ours.
 
     def write(self, buf, offset: int, pid: int) -> int:
         """Append *buf* for logical [offset, offset+len(buf)).  Returns the
         byte count written (always the full buffer for regular files).
 
-        *buf* may be any bytes-like object; ``memoryview`` payloads are
-        threaded through to the backing store without copying.
+        *buf* is a flat bytes-like object (``len`` counts bytes);
+        ``memoryview`` payloads are threaded through to the backing store
+        without copying.
         """
-        dropping = self._prepare(pid)
-        self._appends += 1
+        if self._closed:
+            raise BadFlagsError("write on closed WriteFile")
+        dropping = self._droppings.get(pid) or self._open_dropping(pid)
+        merge = dropping is self._last_dropping
+        self._last_dropping = dropping
+        self.appends += 1
         if isinstance(buf, memoryview):
             self._zero_copy_appends += 1
-        written = dropping.append(buf, offset, pid)
+        written = dropping.append(buf, offset, pid, merge)
         self._account(dropping, offset, written)
         return written
 
@@ -479,14 +431,17 @@ class WriteFile:
         starting at *offset* and land as a single data append plus one
         (possibly merged) index record — the ``writev``/``pwritev`` fast
         path.  Returns total bytes written."""
-        dropping = self._prepare(pid)
-        total = sum(len(b) for b in bufs)
-        if total == 0:
+        if self._closed:
+            raise BadFlagsError("write on closed WriteFile")
+        if not any(map(len, bufs)):
             return 0
-        self._appends += 1
+        dropping = self._droppings.get(pid) or self._open_dropping(pid)
+        merge = dropping is self._last_dropping
+        self._last_dropping = dropping
+        self.appends += 1
         self._vectored_appends += 1
         self._vectored_buffers += len(bufs)
-        written = dropping.append_many(bufs, offset, pid)
+        written = dropping.append_many(bufs, offset, pid, merge)
         self._account(dropping, offset, written)
         return written
 
@@ -520,7 +475,7 @@ class WriteFile:
     def stats(self) -> dict[str, int]:
         """Write-path counters (surfaced into repro.insights profiles)."""
         out = {
-            "appends": self._appends,
+            "appends": self.appends,
             "vectored_appends": self._vectored_appends,
             "vectored_buffers": self._vectored_buffers,
             "zero_copy_appends": self._zero_copy_appends,
@@ -532,7 +487,6 @@ class WriteFile:
             "index_flushes": 0,
             "wal_records": 0,
             "wal_batches": 0,
-            "adaptive_threshold": INDEX_FLUSH_THRESHOLD,
         }
         for d in self._droppings.values():
             out["records_merged"] += d.records_merged
@@ -540,8 +494,6 @@ class WriteFile:
             out["index_flushes"] += d.index_flushes
             out["wal_records"] += d.wal_records_written
             out["wal_batches"] += d.wal_batches
-            if d.adaptive_threshold > out["adaptive_threshold"]:
-                out["adaptive_threshold"] = d.adaptive_threshold
         return out
 
     # ------------------------------------------------------------------ #

@@ -27,9 +27,10 @@ import stat as stat_module
 import threading
 from collections import deque
 
-from . import protocol as proto
+from repro.plfs.api import access_mode
+from repro.plfs.reader import byte_view
 
-_ACCMODE = os.O_RDONLY | os.O_WRONLY | os.O_RDWR
+from . import protocol as proto
 
 #: Cap one wire write; larger application writes are split client-side
 #: (the daemon appends each chunk at the right logical offset, so the
@@ -237,7 +238,7 @@ class PlfsdClient:
         shared index cache; ``O_EXCL`` needs the atomic remote create).
         Returns a local :class:`repro.plfs.api.Plfs_fd`.
         """
-        if (flags & _ACCMODE) != os.O_WRONLY or flags & os.O_EXCL:
+        if (flags & os.O_ACCMODE) != os.O_WRONLY or flags & os.O_EXCL:
             raise ValueError(
                 "delegated opens are plain write-only (no O_EXCL)"
             )
@@ -256,10 +257,7 @@ class PlfsdClient:
         self._request(proto.OP_UNLINK, path=path)
 
     def write(self, handle: int, data, offset: int) -> int:
-        view = memoryview(data)
-        if view.itemsize != 1:
-            view = view.cast("B") if view.contiguous else memoryview(view.tobytes())
-        return self.write_many(handle, (view,), offset)
+        return self.write_many(handle, (data,), offset)
 
     def write_many(
         self, handle: int, chunks, offset: int, *, window: int = 8
@@ -327,9 +325,7 @@ class PlfsdClient:
             for chunk in chunks:
                 if remote_errors:
                     break  # stop streaming; drain what's in flight below
-                view = memoryview(chunk)
-                if view.itemsize != 1:
-                    view = view.cast("B")
+                view = byte_view(chunk)
                 start = 0
                 while True:
                     take = min(len(view) - start, MAX_WIRE_WRITE)
@@ -420,26 +416,18 @@ class RemoteFd:
         self.handle = handle
         self.path = path
         self.flags = flags
+        self.readable, self.writable = access_mode(flags)
         self.refs = 1
         self.pid = os.getpid()
-
-    @property
-    def readable(self) -> bool:
-        return (self.flags & _ACCMODE) in (os.O_RDONLY, os.O_RDWR)
-
-    @property
-    def writable(self) -> bool:
-        return (self.flags & _ACCMODE) in (os.O_WRONLY, os.O_RDWR)
 
     # --- the surface plfs.api dispatches to --------------------------- #
 
     def write(self, buf, count: int | None = None, offset: int = 0) -> int:
         if not self.writable:
             raise OSError(errno.EBADF, "handle not open for writing")
-        view = memoryview(bytes(buf)) if isinstance(buf, str) else memoryview(buf)
         if count is not None:
-            view = view[:count]
-        return self.client.write(self.handle, view, offset)
+            buf = byte_view(buf)[:count]
+        return self.client.write(self.handle, buf, offset)
 
     def writev(self, buffers, offset: int = 0) -> int:
         # The buffers cover one contiguous span: one wire frame carries
@@ -456,7 +444,7 @@ class RemoteFd:
         return self.client.read(self.handle, count, offset)
 
     def read_into(self, buf, offset: int) -> int:
-        view = memoryview(buf)
+        view = byte_view(buf)
         data = self.read(len(view), offset)
         view[: len(data)] = data
         return len(data)

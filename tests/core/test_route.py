@@ -2,7 +2,8 @@
 ``repro.plfs.route.posix`` — bound to the installed interposer's
 ``RealOS`` snapshot, late-bound to ``os`` otherwise — so no application
 call re-enters the shim, resolves its path twice, or probes the backend
-for what it was already told.
+for what it was already told.  Beside the real-call budgets stand the
+Python-frame budgets of the data path: "thin layer" as a number.
 """
 
 from __future__ import annotations
@@ -177,6 +178,102 @@ class TestRealCallBudget:
 
         close = _spent(counts, lambda: os.close(fd))
         assert close == {"close": 3 + 1 + 1}, close  # 3 droppings, generation file, shadow
+
+
+def _frames(step) -> list[str]:
+    """Names of the functions under ``repro/`` entered while *step* runs
+    (``sys.setprofile`` ``call`` events: deterministic, no timing)."""
+    import repro
+
+    root = os.path.dirname(repro.__file__) + os.sep
+    entered: list[str] = []
+
+    def profiler(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profiler)
+    try:
+        step()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+class TestFrameBudget:
+    """(c) Python frames per warm data call.  Each layer of the paper's
+    ``Shim → plfs_* → WriteFile/ReadFile → BackingStore`` chain is crossed
+    once; what a budget leaves no room for is a second look at something
+    an outer frame already decided (access mode, buffer shape, which
+    handle kind, whether a reader is behind).  CPython 3.10/3.11 counts;
+    3.12 inlines comprehensions, which can only lower one."""
+
+    BLOCK = b"x" * 4096
+
+    @pytest.fixture(autouse=True)
+    def _plain_frames_only(self, request):
+        if request.config.getoption("--sanitize"):
+            pytest.skip("plfs-san's wrappers are frames by design")
+
+    @pytest.fixture
+    def fd(self, interposer, mnt):
+        fd = os.open(f"{mnt}/f", os.O_CREAT | os.O_RDWR)
+        for i in range(8):  # warm: the dropping exists, its record merges
+            os.pwrite(fd, self.BLOCK, i * 4096)
+        os.pread(fd, 4096, 0)  # warm: index built, dropping open
+        yield fd
+        os.close(fd)
+
+    @pytest.mark.parametrize(
+        "budget, cursor, call",
+        [
+            (13, None, lambda fd, block: os.pwrite(fd, block, 8 * 4096)),
+            (15, 8 * 4096, lambda fd, block: os.write(fd, block)),
+            (17, None, lambda fd, block: os.pwritev(fd, [block, block], 8 * 4096)),
+            (19, 8 * 4096, lambda fd, block: os.writev(fd, [block, block])),
+            (12, None, lambda fd, block: os.pread(fd, 4096, 4096)),
+            (14, 4096, lambda fd, block: os.read(fd, 4096)),
+            (15, 4096, lambda fd, block: os.readv(fd, [bytearray(4096)])),
+        ],
+        ids=["pwrite", "write", "pwritev", "writev", "pread", "read", "readv"],
+    )
+    def test_descriptor_calls(self, fd, budget, cursor, call):
+        for _ in range(2):  # the call that counts repeats a warm one
+            if cursor is not None:
+                os.lseek(fd, cursor, os.SEEK_SET)
+            entered = _frames(lambda: call(fd, self.BLOCK))
+        assert len(entered) <= budget, entered
+
+    def test_raw_file_object_calls(self, interposer, mnt, fd):
+        with open(f"{mnt}/f", "rb", buffering=0) as raw:
+            dest = bytearray(4096)
+            raw.readinto(dest)
+            entered = _frames(lambda: raw.readinto(dest))
+            assert len(entered) <= 16, entered
+        with open(f"{mnt}/g", "wb", buffering=0) as raw:
+            raw.write(self.BLOCK)
+            entered = _frames(lambda: raw.write(self.BLOCK))
+            assert len(entered) <= 16, entered
+
+    def test_pass_through_stays_three(self, interposer, tmp_path):
+        flat = os.open(str(tmp_path / "flat"), os.O_CREAT | os.O_RDWR)
+        try:
+            wrote = _frames(lambda: os.pwrite(flat, self.BLOCK, 0))
+            read = _frames(lambda: os.pread(flat, 4096, 0))
+        finally:
+            os.close(flat)
+        assert wrote == ["pwrite", "lookup", "_count"] and read == ["pread", "lookup", "_count"]
+
+    def test_no_layer_is_routed_around(self, fd):
+        """A budget met by skipping a layer would be no budget: the chain
+        the paper draws is still walked, frame by frame."""
+        wrote = _frames(lambda: os.pwrite(fd, self.BLOCK, 8 * 4096))
+        assert [n for n in wrote if n in (
+            "pwrite", "plfs_write", "write", "append", "write_data")] == [
+            "pwrite", "plfs_write", "write", "append", "write_data"]
+        read = _frames(lambda: os.pread(fd, 4096, 4096))
+        assert [n for n in read if n in ("pread", "plfs_read", "read", "query")] == [
+            "pread", "plfs_read", "read", "query"]
 
 
 class TestBinding:

@@ -597,6 +597,40 @@ class TestCrossHandleStaleness:
         plfs_close(fd2, pid=2)
 
 
+class TestOwnWriteStaleness:
+    """An ``O_RDWR`` handle's reader overlays its own writer.  Building the
+    index flushes that writer, which bumps the generation file: the handle
+    must take its generation descriptor *after* that bump, or its next
+    read mistakes itself for a foreign writer and builds a second time."""
+
+    def test_first_read_after_own_write_builds_its_index_once(self, interposer, mnt):
+        fd = os.open(f"{mnt}/f", os.O_CREAT | os.O_RDWR)
+        os.pwrite(fd, b"abcdefgh", 0)
+        before = shared_cache().stats["invalidations"]
+        for _ in range(3):
+            assert os.pread(fd, 8, 0) == b"abcdefgh"
+        stats = interposer.shim.table.lookup(fd).plfs_fd._reader.stats
+        assert stats["index_builds"] == 1 and stats["cross_process_refreshes"] == 0
+        assert shared_cache().stats["invalidations"] - before == 1  # the flush's own
+        # each later write is seen by the very next read, at one build each
+        os.pwrite(fd, b"XY", 2)
+        assert os.pread(fd, 8, 0) == os.pread(fd, 8, 0) == b"abXYefgh"
+        assert stats["index_builds"] == 2 and stats["cross_process_refreshes"] == 0
+        os.close(fd)
+
+    def test_a_reader_is_behind_exactly_when_its_writer_has_appended(self, container_path):
+        fd = plfs_open(container_path, os.O_CREAT | os.O_RDWR)
+        plfs_write(fd, b"0123", offset=0)
+        assert plfs_read(fd, 4, 0) == plfs_read(fd, 4, 0) == b"0123"
+        assert fd._reader.stats["index_builds"] == 1
+        fd.writer.flush_indexes()  # nothing pending: no bump, nothing to see
+        assert plfs_read(fd, 4, 0) == b"0123" and fd._reader.stats["index_builds"] == 1
+        plfs_write(fd, b"!", offset=9)  # an append, still buffered: no bump either
+        assert plfs_read(fd, 10, 0) == b"0123" + bytes(5) + b"!"
+        assert fd._reader.stats["index_builds"] == 2
+        plfs_close(fd)
+
+
 # ---------------------------------------------------------------------- #
 # tools: the compact verb, check awareness
 # ---------------------------------------------------------------------- #

@@ -1,5 +1,5 @@
 """The write-path fast lane: group-commit WAL, zero-copy and vectored
-appends, adaptive index flushing, and cross-process index invalidation.
+appends, threshold index flushing, and cross-process index invalidation.
 
 Companion to ``test_read_path``-style coverage on the read side.  A
 recording backing store pins the *mechanics* (which persistence operation
@@ -17,6 +17,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -119,10 +120,24 @@ class TestZeroCopy:
         assert data_ops and all(isinstance(b, memoryview) for b in data_ops)
 
     def test_noncontiguous_and_multibyte_views_still_correct(self, container_path):
+        """The library follows the OS: a multi-byte buffer counts bytes, a
+        strided one is refused (``const char *buf, size_t count`` cannot
+        express it either) — and refused before anything is appended."""
         fd = plfs.plfs_open(container_path, os.O_CREAT | os.O_RDWR)
+        ints = array("i", [1, 2, 3])
+        assert plfs.plfs_write(fd, ints, None, 0) == 3 * ints.itemsize
+        assert plfs.plfs_write(fd, memoryview(ints), ints.itemsize, 100) == ints.itemsize
+        assert plfs.plfs_read(fd, 200, 0) == (
+            ints.tobytes() + bytes(100 - 3 * ints.itemsize) + ints.tobytes()[: ints.itemsize]
+        )
         strided = memoryview(b"0123456789")[::2]  # non-contiguous
-        assert plfs.plfs_write(fd, strided, None, 0) == 5
-        assert plfs.plfs_read(fd, 5, 0) == b"02468"
+        for write in (
+            lambda: plfs.plfs_write(fd, strided, None, 0),
+            lambda: plfs.plfs_writev(fd, [b"ok", strided], 0),
+        ):
+            with pytest.raises(BufferError):
+                write()
+        assert fd.writer.stats["appends"] == 2
         plfs.plfs_close(fd)
 
 
@@ -341,33 +356,34 @@ class TestWriterHygiene:
 
 
 # ---------------------------------------------------------------------- #
-# adaptive index flushing
+# threshold index flushing
 # ---------------------------------------------------------------------- #
 
 
-class TestAdaptiveFlush:
-    def test_sequential_stream_scales_the_threshold_up(self, container):
-        with WriteFile(container) as w:
-            for i in range(writer_module.ADAPTIVE_FLUSH_MIN_SAMPLE + 8):
-                w.write(b"s" * 4, i * 4, pid=1)
-            d = next(iter(w._droppings.values()))
-            assert (
-                d.effective_flush_threshold() > writer_module.INDEX_FLUSH_THRESHOLD
-            )
-            assert (
-                w.stats["adaptive_threshold"] > writer_module.INDEX_FLUSH_THRESHOLD
-            )
-            assert len(d.pending) == 1  # the whole stream merged
-
-    def test_random_stream_keeps_the_base_threshold(self, container, monkeypatch):
+class TestThresholdFlush:
+    def test_unmerged_stream_flushes_at_the_threshold_and_bumps_the_generation(
+        self, container, monkeypatch
+    ):
         monkeypatch.setattr(writer_module, "INDEX_FLUSH_THRESHOLD", 8)
         with WriteFile(container) as w:
-            for i in range(writer_module.ADAPTIVE_FLUSH_MIN_SAMPLE + 6):
+            for i in range(70):
                 w.write(b"r", (i * 37) % 4096, pid=1)  # never contiguous
             d = next(iter(w._droppings.values()))
-            assert d.effective_flush_threshold() == 8
-            assert w.stats["threshold_flushes"] >= 1
-            assert w.stats["generation_bumps"] >= 1  # flushes invalidate
+            assert w.stats["threshold_flushes"] == 70 // 8 == d.index_flushes
+            assert len(d.pending) == 70 % 8
+            assert w.stats["generation_bumps"] == 70 // 8  # flushes invalidate
+
+    def test_merged_stream_never_reaches_the_threshold(self, container, monkeypatch):
+        """Why the threshold needs no adapting: a sequential stream keeps
+        one pending record however long it runs."""
+        monkeypatch.setattr(writer_module, "INDEX_FLUSH_THRESHOLD", 8)
+        with WriteFile(container) as w:
+            for i in range(72):
+                w.write(b"s" * 4, i * 4, pid=1)
+            d = next(iter(w._droppings.values()))
+            assert len(d.pending) == 1  # the whole stream merged
+            assert w.stats["records_merged"] == 71
+            assert w.stats["threshold_flushes"] == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -428,6 +444,22 @@ class TestCrossProcessInvalidation:
         assert reader.read(8, 0) == b"AAAABBBB"
         assert reader.stats["cross_process_refreshes"] >= 1
         reader.close()
+
+    def test_rdwr_handle_tells_a_foreign_close_from_its_own_flush(self, container_path):
+        """The handle's own index flush bumps the generation file too; only
+        the foreign bump may count as one — and it still must, on the very
+        next read."""
+        fd = plfs.plfs_open(container_path, os.O_CREAT | os.O_RDWR)
+        plfs.plfs_write(fd, b"AAAA", 4, 0)
+        assert plfs.plfs_read(fd, 8, 0) == plfs.plfs_read(fd, 8, 0) == b"AAAA"
+        stats = fd._reader.stats
+        assert (stats["index_builds"], stats["cross_process_refreshes"]) == (1, 0)
+        subprocess.run(
+            [sys.executable, "-c", APPENDER, container_path], check=True
+        )
+        assert plfs.plfs_read(fd, 8, 0) == b"AAAABBBB"
+        assert (stats["index_builds"], stats["cross_process_refreshes"]) == (2, 1)
+        plfs.plfs_close(fd)
 
     def test_concurrent_batched_wal_writers_read_back_exactly(self, container_path):
         ranks, block = 3, 128

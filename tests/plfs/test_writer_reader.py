@@ -94,10 +94,10 @@ class TestWriteFile:
         assert r.read(400, 0) == b"abcd" * 100
         r.close()
 
-    def test_merge_disabled(self, container):
-        w = WriteFile(container, merge_records=False)
+    def test_nonadjacent_writes_keep_their_own_records(self, container):
+        w = WriteFile(container)
         for i in range(10):
-            w.write(b"abcd", i * 4, pid=1)
+            w.write(b"abcd", i * 8, pid=1)  # a 4-byte hole after each
         w.close()
         from repro.plfs.index import read_index_dropping
 
