@@ -7,6 +7,9 @@ state the previous steps made consistent:
 1. restore missing skeleton directories (``openhosts/``, ``meta/``);
 2. per data dropping, make its index authoritative again:
 
+   - leftover repair temporaries (``fsck.tmp.*``: an earlier fsck died
+     between writing a repaired index dropping and renaming it into
+     place) are swept;
    - a surviving write-ahead dropping is a superset of the flushed index
      (records are written ahead of every data append and only deleted on
      clean close), so the index is **rebuilt** from the WAL's whole-record
@@ -61,6 +64,10 @@ from repro.plfs.tools import ContainerReport, plfs_check, repair_derived_state
 #: prefix quarantined (orphaned) data droppings are renamed under, taking
 #: them out of the ``dropping.data.`` namespace the reader enumerates
 QUARANTINE_PREFIX = "quarantine."
+
+#: prefix of the temporary a repaired index dropping is written under before
+#: it is renamed over the damaged one — a name no dropping enumeration picks up
+REPAIR_TMP_PREFIX = "fsck.tmp."
 
 
 @dataclass(frozen=True)
@@ -163,6 +170,22 @@ def _record_coverage(index_path: str) -> int:
     return int(records["length"].sum())
 
 
+def _replace_index(index_path: str, records) -> None:
+    """Write-then-rename a repaired index dropping beside the damaged one.
+
+    Truncating in place would destroy the only copy of the records before
+    the new ones are written, and would change (even grow) the content
+    under an inode other processes' cached indexes remember as append-only;
+    renamed into place, the repair is a new file or it did not happen.
+    """
+    tmp = os.path.join(
+        os.path.dirname(index_path), REPAIR_TMP_PREFIX + os.path.basename(index_path)
+    )
+    with open(tmp, "wb") as fh:
+        fh.write(pack_records(records))
+    os.replace(tmp, index_path)
+
+
 def _repair_dropping(
     report: FsckReport,
     container_path: str,
@@ -194,8 +217,7 @@ def _repair_dropping(
         report.rebuilt_indexes += 1
         report.clipped_bytes += lost
         if not dry_run:
-            with open(index_path, "wb") as fh:
-                fh.write(pack_records(clipped))
+            _replace_index(index_path, clipped)
         # The clipped WAL byte(s) were never acknowledged to the writer —
         # clipping is reconciliation, not loss; no unrecoverable verdict.
         # Data bytes *past* the WAL coverage are a different matter: with
@@ -266,8 +288,7 @@ def _repair_dropping(
             )
             report.clipped_bytes += lost
         if not dry_run:
-            with open(index_path, "wb") as fh:
-                fh.write(pack_records(clipped))
+            _replace_index(index_path, clipped)
 
     indexed_end = 0
     if clipped.shape[0]:
@@ -334,7 +355,17 @@ def fsck(
 
     # 2. per-dropping index repair
     for hostdir in container.hostdirs():
-        for name in sorted(os.listdir(hostdir)):
+        names = sorted(os.listdir(hostdir))
+        for name in names:  # first: a repair below reuses the name
+            if name.startswith(REPAIR_TMP_PREFIX):
+                report.act(
+                    "sweep-repair-tmp",
+                    _rel(container.path, os.path.join(hostdir, name)),
+                    "leftover temporary from an index repair that never completed",
+                )
+                if not dry_run:
+                    os.unlink(os.path.join(hostdir, name))
+        for name in names:
             if name.startswith(constants.DATA_PREFIX):
                 _repair_dropping(
                     report, container.path, hostdir, name, dry_run=dry_run

@@ -293,7 +293,10 @@ def plfs_getattr(fd_or_path) -> os.stat_result:
     container = fd_or_path.container
     writer = fd_or_path.writer
     if writer is None:
-        return container.getattr()
+        # A handle that has read answers from its reader: one revalidation
+        # (the held generation descriptor) serves this and the next read.
+        reader = fd_or_path._reader
+        return container.getattr(size=None if reader is None else reader.logical_size())
     # An open writer knows its own high-water mark; combine with the
     # on-disk view so handles stat correctly mid-write.  Building the
     # index is a metadata operation and is legal even on a write-only
@@ -325,7 +328,7 @@ def plfs_exists(path: str) -> bool:
 
 def plfs_unlink(path: str) -> None:
     Container(path).unlink()
-    index_cache.invalidate(path)
+    index_cache.shared_cache().forget(path)
 
 
 def plfs_create(path: str, mode: int = 0o644, pid: int | None = None) -> None:
@@ -387,7 +390,7 @@ def plfs_trunc(fd_or_path: Plfs_fd | str, offset: int = 0) -> None:
 
 def plfs_rename(path: str, new_path: str) -> None:
     Container(path).rename(new_path)
-    index_cache.invalidate(path)
+    index_cache.shared_cache().forget(path)
     index_cache.invalidate(new_path)
 
 

@@ -54,9 +54,13 @@ class BackingStore:
         return total
 
     def append_index(self, path: str, payload: bytes) -> int:
-        """Append packed index records to an index dropping."""
-        with posix.builtins_open(path, "ab") as fh:
-            return fh.write(payload)
+        """Append packed index records to an index dropping (unbuffered:
+        a short raw write is resumed, not left to a buffer's flush)."""
+        with posix.builtins_open(path, "ab", buffering=0) as fh:
+            view, done = memoryview(payload), 0
+            while done < len(view):
+                done += fh.write(view[done:])
+            return done
 
     def write_wal(self, fd: int, payload: bytes, path: str) -> int:
         """Append one packed record to a write-ahead index dropping."""
@@ -64,8 +68,7 @@ class BackingStore:
 
     def create_meta(self, path: str) -> None:
         """Create one (empty) meta dropping."""
-        with posix.builtins_open(path, "w"):
-            pass
+        posix.builtins_open(path, "wb", buffering=0).close()
 
     def write_global_index(self, path: str, payload: bytes) -> None:
         """Atomically replace the persistent compacted global index.

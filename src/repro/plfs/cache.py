@@ -5,7 +5,7 @@ Opening a PLFS file for reading requires the *global index* — the merge of
 every per-writer index dropping.  Paying that merge on every open is the
 worst-case log-structured tax the paper's benchmarks (unixtools, BT read
 phases) hit hardest, because those workloads re-open and re-stat the same
-container over and over.  This module removes the tax twice over:
+container over and over.  This module removes the tax three ways:
 
 1. **Persistent compacted global index** — on clean close (and via
    ``repro-plfs compact``) the merged index is flattened into a single
@@ -22,9 +22,18 @@ container over and over.  This module removes the tax twice over:
    container path, revalidated by epoch on every hit, so repeated opens
    and ``stat`` calls against an unchanged container reuse one
    :class:`~repro.plfs.index.GlobalIndex` instead of rebuilding identical
-   ones.  The write path invalidates explicitly (cheap generation bump)
-   whenever it flushes records to disk, which lets same-process read
-   handles notice cross-handle flushes without any syscalls.
+   ones.  The write path announces every flush with a cheap generation
+   bump, which lets same-process read handles notice cross-handle flushes
+   without any syscalls — and leaves the entry where it is.
+
+3. **Following the log** — an index dropping is only ever appended to, so
+   an entry found stale by epoch is *extended*, not rebuilt
+   (:func:`extend_index`): when today's listing starts with the one the
+   entry was built from and every index dropping it parsed is the same
+   file and no shorter, the bytes past what it parsed are the whole
+   difference.  A reader following a writer pays for what was appended,
+   not for everything ever written; anything that is not an append — or
+   any overlap — takes the full build, unchanged.
 
 Thread-safety: all cache state is guarded by one lock; index construction
 runs outside it (two racing builders do redundant work, never corrupt).
@@ -35,17 +44,21 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import backing, constants
-from .container import Container
+from .container import Container, DroppingMark
 from .errors import CorruptIndexError
 from .index import (
+    RECORD_SIZE,
     GlobalIndex,
     index_from_compacted,
     load_global_index,
     pack_compacted,
     parse_compacted,
+    parse_records,
 )
 from .route import posix
 
@@ -61,13 +74,17 @@ class LoadedIndex:
     epoch: str
     #: "compacted" (loaded from ``global.index``) or "merged" (slow path)
     source: str
+    #: per dropping of the listing the index was built from (``data_paths``
+    #: is its data half), the files seen and how much of the index dropping
+    #: is held: what :func:`extend_index` reaches a later epoch from
+    marks: list[DroppingMark] = field(default_factory=list)
 
 
 def load_index(
     container: Container,
     *,
     droppings: list[tuple[str, str]] | None = None,
-    epoch: str | None = None,
+    state: tuple[str, list[DroppingMark]] | None = None,
 ) -> LoadedIndex:
     """Build the container's global index, preferring the compacted file.
 
@@ -76,12 +93,14 @@ def load_index(
     corruption falls back to merging the per-writer index droppings — the
     compacted file is an accelerator, never a source of truth.  The epoch
     and the index come from one listing of the container's droppings: a
-    caller that already has the listing passes it (and its *epoch*) in.
+    caller that already has the listing passes it (and its
+    :meth:`~repro.plfs.container.Container.index_state`) in.  Either way
+    the index holds exactly the index-dropping bytes the epoch's ``stat``s
+    vouch for, which the returned marks record.
     """
     if droppings is None:
         droppings = container.droppings()
-    if epoch is None:
-        epoch = container.index_epoch(droppings)
+    epoch, marks = state or container.index_state(droppings)
     gpath = container.global_index_path()
     try:
         with posix.builtins_open(gpath, "rb") as fh:
@@ -101,9 +120,73 @@ def load_index(
                 data_paths = [
                     os.path.join(container.path, rel) for rel in rel_paths
                 ]
-                return LoadedIndex(index, data_paths, epoch, "compacted")
-    index, data_paths = load_global_index(droppings)
-    return LoadedIndex(index, data_paths, epoch, "merged")
+                return LoadedIndex(index, data_paths, epoch, "compacted", marks)
+    index, data_paths = load_global_index(
+        droppings, sizes=[mark.index_size for mark in marks]
+    )
+    return LoadedIndex(index, data_paths, epoch, "merged", marks)
+
+
+def _read_tail(path: str, start: int, length: int) -> bytes | None:
+    """Exactly the *length* bytes at *start* of an index dropping, or None."""
+    try:
+        fd = posix.open(path, os.O_RDONLY)
+    except OSError:
+        return None
+    try:
+        raw = posix.pread(fd, length, start)
+    finally:
+        posix.close(fd)
+    return raw if len(raw) == length else None
+
+
+def extend_index(
+    held: LoadedIndex,
+    droppings: list[tuple[str, str]],
+    epoch: str,
+    marks: list[DroppingMark],
+) -> LoadedIndex | None:
+    """*held* brought to *epoch* by reading only what was appended since,
+    as a new :class:`LoadedIndex` — or None, and the caller builds in full.
+
+    Index droppings are logs, so the index of a later epoch is the held
+    one plus the tails, provided (1) the held listing is a prefix of
+    today's, so every dropping id means what it meant; (2) every held
+    index dropping is the same file and no shorter, so what was parsed is
+    still its head; (3) each tail is a whole number of records — a torn
+    one is the full build's to report; and (4) no new record overlaps
+    anything (see :meth:`GlobalIndex.extended`).
+    """
+    data_paths = [data for _, data in droppings]
+    known = len(held.marks)
+    if held.data_paths != data_paths[:known]:
+        return None
+    tails: list[tuple[int, int, int]] = []
+    for gid, mark in enumerate(marks):
+        parsed = 0
+        if gid < known:
+            index_id, parsed, _ = held.marks[gid]
+            if mark.index_id != index_id or mark.index_size < parsed:
+                return None
+        grown = mark.index_size - parsed
+        if grown % RECORD_SIZE:
+            return None
+        if grown:
+            tails.append((gid, parsed, grown))
+    arrays = []
+    for gid, start, length in tails:
+        raw = _read_tail(droppings[gid][0], start, length)
+        if raw is None:
+            return None
+        records = parse_records(raw)
+        records["dropping"] = gid
+        arrays.append(records)
+    index = held.index
+    if arrays:
+        index = index.extended(np.concatenate(arrays) if len(arrays) > 1 else arrays[0])
+        if index is None:
+            return None
+    return LoadedIndex(index, data_paths, epoch, held.source, marks)
 
 
 def compact(container: Container) -> int:
@@ -128,21 +211,20 @@ def compact(container: Container) -> int:
 # ---------------------------------------------------------------------- #
 
 
-@dataclass
-class _Entry:
-    loaded: LoadedIndex
-    generation: int
-
-
 class IndexCache:
     """Epoch-validated LRU of global indexes, shared process-wide.
 
     ``get`` revalidates the cached epoch against the container on every
     call (two stats per dropping), so cross-process changes are always
-    seen.  Same-process writers additionally bump a per-path *generation*
-    counter via :meth:`invalidate` whenever they flush records; read
-    handles remember the generation their index was built at and compare
-    it (one dict lookup, no syscalls) before trusting a cached plan.
+    seen; an entry found stale is extended by what was appended
+    (:func:`extend_index`) or, failing that, rebuilt.  Same-process
+    writers additionally :meth:`bump` a per-path *generation* whenever
+    they flush records; read handles remember the generation their index
+    was built at and compare it (one dict lookup, no syscalls) before
+    trusting a cached plan.  Generations are drawn from one cache-wide
+    counter, so a value never repeats and a path that is gone can be
+    forgotten (:meth:`forget`) without a later bump colliding with what a
+    reader remembers.
     """
 
     #: plfs-san registration (see repro.sanitize): field -> guarding lock
@@ -151,8 +233,11 @@ class IndexCache:
     def __init__(self, capacity: int = constants.INDEX_CACHE_CAPACITY):
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: OrderedDict[str, _Entry] = OrderedDict()
+        self._entries: OrderedDict[str, LoadedIndex] = OrderedDict()
         self._generations: dict[str, int] = {}
+        self._clock = 0
+        #: what a path without a generation of its own reads as (see forget)
+        self._floor = 0
         self.stats = {
             "hits": 0,
             "misses": 0,
@@ -160,23 +245,51 @@ class IndexCache:
             "invalidations": 0,
             "compacted_loads": 0,
             "merged_builds": 0,
+            "extensions": 0,
         }
 
     # -------------------------------------------------------------- #
 
     def generation(self, path: str) -> int:
-        """Current invalidation generation for *path* (0 if never bumped)."""
+        """Current invalidation generation for *path*."""
         with self._lock:
-            return self._generations.get(path, 0)
+            return self._generations.get(path, self._floor)
+
+    def _tick(self) -> int:
+        """The next generation value, counted as one invalidation (the
+        caller holds the lock)."""
+        self._clock += 1
+        self.stats["invalidations"] += 1
+        return self._clock
+
+    def bump(self, path: str) -> None:
+        """Write-path invalidation: records were appended.  Read handles
+        holding an older index see themselves behind; the entry stays,
+        because every ``get`` validates it by epoch anyway and it is what
+        the next one extends."""
+        with self._lock:
+            self._generations[path] = self._tick()
 
     def invalidate(self, path: str) -> None:
-        """Explicit write-path invalidation: drop the entry and bump the
-        generation so read handles holding the old index rebuild."""
+        """The container was rewritten (truncate, flatten, repair, rename
+        onto it): bump, and drop the entry — nothing of it can be extended."""
         path = os.path.abspath(path)
         with self._lock:
             self._entries.pop(path, None)
-            self._generations[path] = self._generations.get(path, 0) + 1
-            self.stats["invalidations"] += 1
+            self._generations[path] = self._tick()
+
+    def forget(self, path: str) -> None:
+        """The container is gone (unlink, rename away): drop the entry and
+        the path's generation with it, and move the floor — what every path
+        without a generation of its own reads as — to a fresh value.  A
+        reader built before still sees itself behind, whether it remembers
+        the dropped generation or an earlier floor; so do readers of other
+        paths that only ever read as the floor, who revalidate once, by epoch."""
+        path = os.path.abspath(path)
+        with self._lock:
+            self._entries.pop(path, None)
+            self._generations.pop(path, None)
+            self._floor = self._tick()
 
     def clear(self) -> None:
         with self._lock:
@@ -189,37 +302,40 @@ class IndexCache:
 
     # -------------------------------------------------------------- #
 
-    def get(
-        self, container: Container, *, refresh: bool = False
-    ) -> tuple[LoadedIndex, int]:
+    def get(self, container: Container) -> tuple[LoadedIndex, int]:
         """The container's global index plus the generation it is valid at.
 
         Serves from cache when the stored epoch still matches the
-        container's current state; otherwise (or with *refresh*) rebuilds
-        via :func:`load_index` and caches the result.
+        container's current state; otherwise extends the stored index by
+        what was appended, or rebuilds via :func:`load_index`, and caches
+        the result.  The generation is read *before* the container is
+        looked at: a bump landing after that belongs to a later ``get``.
         """
         path = container.path
+        generation = self.generation(path)
         droppings = container.droppings()
-        epoch = container.index_epoch(droppings)
+        epoch, marks = container.index_state(droppings)
         with self._lock:
-            entry = self._entries.get(path)
-            if entry is not None and not refresh:
-                if entry.loaded.epoch == epoch:
+            held = self._entries.get(path)
+            if held is not None:
+                if held.epoch == epoch:
                     self._entries.move_to_end(path)
                     self.stats["hits"] += 1
-                    return entry.loaded, entry.generation
-                self._entries.pop(path, None)
+                    return held, generation
+                del self._entries[path]
                 self.stats["stale_epoch_evictions"] += 1
-            elif entry is not None:
-                self._entries.pop(path, None)
-        loaded = load_index(container, droppings=droppings, epoch=epoch)
+        extended = extend_index(held, droppings, epoch, marks) if held is not None else None
+        loaded = extended or load_index(container, droppings=droppings, state=(epoch, marks))
         with self._lock:
-            self.stats["misses"] += 1
-            self.stats[
-                "compacted_loads" if loaded.source == "compacted" else "merged_builds"
-            ] += 1
-            generation = self._generations.get(path, 0)
-            self._entries[path] = _Entry(loaded, generation)
+            if extended is not None:  # a hit: hits + misses stays the number of gets
+                self.stats["hits"] += 1
+                self.stats["extensions"] += 1
+            else:
+                self.stats["misses"] += 1
+                self.stats[
+                    "compacted_loads" if loaded.source == "compacted" else "merged_builds"
+                ] += 1
+            self._entries[path] = loaded
             self._entries.move_to_end(path)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -235,7 +351,7 @@ def shared_cache() -> IndexCache:
 
 
 def invalidate(path: str) -> None:
-    """Convenience: invalidate *path* in the shared cache."""
+    """Convenience: :meth:`IndexCache.invalidate` *path* in the shared cache."""
     _shared.invalidate(path)
 
 
@@ -247,5 +363,5 @@ def invalidate_cross_process(container: Container) -> None:
     processes, which hold the file open since their index was built and
     see it replaced (``st_nlink == 0``) with one ``fstat`` per revalidation.
     """
-    _shared.invalidate(container.path)
+    _shared.bump(container.path)
     container.bump_generation()

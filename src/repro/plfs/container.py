@@ -15,6 +15,7 @@ import os
 import stat as stat_module
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import backing, constants, util
 from .errors import (
@@ -43,6 +44,16 @@ class MetaDropping:
     last_offset: int
     total_bytes: int
     host: str
+
+
+class DroppingMark(NamedTuple):
+    """What the epoch's ``stat``s saw of one dropping pair — enough to tell
+    an append to the index dropping from every other change to it.  An
+    identity is ``(st_dev, st_ino)``, or None for a file that is not there."""
+
+    index_id: tuple[int, int] | None
+    index_size: int
+    data_id: tuple[int, int] | None
 
 
 def is_container(path: str) -> bool:
@@ -149,8 +160,10 @@ class Container:
         """Logical file mode bits recorded at create time (reading the
         access file *is* the container check)."""
         try:
-            with posix.builtins_open(os.path.join(self.path, constants.ACCESS_FILE)) as fh:
-                return int(fh.read().strip() or "644", 8)
+            with posix.builtins_open(
+                os.path.join(self.path, constants.ACCESS_FILE), "rb", buffering=0
+            ) as fh:
+                return int(fh.read().strip() or b"644", 8)
         except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
             assert_container(self.path)
             raise
@@ -227,23 +240,37 @@ class Container:
         index depends on — a new dropping, a data append, an index flush,
         an fsck repair — changes it.  Both the compacted global index and
         the process-wide shared index cache are validated against the
-        epoch and discarded on mismatch; computing it costs two ``stat``
-        calls per dropping, which is the whole point: cheap compared to
-        re-reading and re-merging every index dropping.
+        epoch; computing it costs two ``stat`` calls per dropping, which
+        is the whole point: cheap compared to re-reading and re-merging
+        every index dropping.
         """
+        return self.index_state(droppings)[0]
+
+    def index_state(
+        self, droppings: list[tuple[str, str]] | None = None
+    ) -> tuple[str, list[DroppingMark]]:
+        """:meth:`index_epoch` plus, from the same pass of ``stat``s, one
+        :class:`DroppingMark` per dropping: what a cached index remembers
+        so that a later epoch can be reached by reading only the tails."""
         pairs = self.droppings() if droppings is None else droppings
         h = hashlib.sha1()
         h.update(str(len(pairs)).encode())
+
+        def fold(path: str) -> tuple[tuple[int, int] | None, int]:
+            name = os.path.basename(path)
+            try:
+                st = posix.stat(path)
+            except FileNotFoundError:
+                h.update(f"|{name}:missing".encode())
+                return None, 0
+            h.update(f"|{name}:{st.st_size}:{st.st_mtime_ns}".encode())
+            return (st.st_dev, st.st_ino), st.st_size
+
+        marks = []
         for index_path, data_path in pairs:
-            for p in (index_path, data_path):
-                try:
-                    st = posix.stat(p)
-                    h.update(
-                        f"|{os.path.basename(p)}:{st.st_size}:{st.st_mtime_ns}".encode()
-                    )
-                except FileNotFoundError:
-                    h.update(f"|{os.path.basename(p)}:missing".encode())
-        return h.hexdigest()
+            index_id, index_size = fold(index_path)
+            marks.append(DroppingMark(index_id, index_size, fold(data_path)[0]))
+        return h.hexdigest(), marks
 
     # ------------------------------------------------------------------ #
     # cross-process generation protocol
@@ -256,11 +283,12 @@ class Container:
     def bump_generation(self) -> None:
         """Signal readers in other processes that the container changed.
 
-        Write-then-rename, so the generation file atomically gets a fresh
+        Create-then-rename, so the generation file atomically gets a fresh
         inode and mtime, and the replaced one loses its last link: a reader
         holds that one open since its index was built, and one ``fstat``
         showing ``st_nlink == 0`` is exactly a changed ``(inode, mtime_ns)``
-        token (with none to hold, it probes the path).  The protocol is purely
+        token (with none to hold, it probes the path).  The file is empty:
+        its identity is the signal.  The protocol is purely
         advisory — a full backend or read-only medium just loses the fast
         cross-process staleness check, so failures are swallowed — and the
         in-process shared cache (validated by the container epoch) remains
@@ -269,8 +297,7 @@ class Container:
         gen = self.generation_path()
         tmp = f"{gen}.tmp.{os.getpid()}"
         try:
-            with posix.builtins_open(tmp, "w") as fh:
-                fh.write(f"{util.unique_timestamp():.9f}\n")
+            posix.builtins_open(tmp, "wb", buffering=0).close()
             posix.replace(tmp, gen)
         except OSError:
             try:

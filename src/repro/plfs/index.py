@@ -120,10 +120,11 @@ def clip_to_physical(records: np.ndarray, data_size: int) -> tuple[np.ndarray, i
     return out[keep], lost
 
 
-def read_index_dropping(path: str) -> np.ndarray:
-    """Read and parse one index dropping file."""
+def read_index_dropping(path: str, size: int = -1) -> np.ndarray:
+    """Read and parse one index dropping file (its first *size* bytes,
+    when the caller's ``stat`` vouches for exactly that many)."""
     with posix.builtins_open(path, "rb") as fh:
-        return parse_records(fh.read(), source=path)
+        return parse_records(fh.read(size), source=path)
 
 
 class ReadSlice(NamedTuple):
@@ -301,25 +302,49 @@ class GlobalIndex:
         """
         if records.size == 0:
             return
+        cols = self._merge(records)
+        self._bind(self._sweep(records) if cols is None else cols)
+
+    def extended(self, records: np.ndarray) -> "GlobalIndex | None":
+        """A *new* index of these segments plus *records* — this one is
+        published (other handles hold it) and is never mutated.  None on
+        any overlap: flattened segments have no timestamps left to resolve
+        one with, so the sweep is no fallback here and the caller rebuilds
+        from the droppings."""
+        cols = self._merge(records) if records.size else self._cols
+        if cols is None:
+            return None
+        index = GlobalIndex()
+        index._bind(cols)
+        return index
+
+    def _merge(self, records: np.ndarray) -> Columns | None:
+        """The build kernel: the held segments and *records* as one set of
+        sorted columns, or None when it observes two extents overlap."""
         # Unsigned fields reinterpreted, not converted: the same wrap as
         # ``astype(int64)`` without a temporary per column.
         lo, ln, dr, po = (records[name].view(np.int64) for name in _SEGMENT_FIELDS)
         cols = (lo, lo + ln, dr, po)
-        if self._cols[0].size:
-            cols = tuple(np.concatenate(pair) for pair in zip(self._cols, cols))
+        held = self._cols
+        # A batch that sorts past everything held (a log being followed) is
+        # sorted alone and concatenated; anything else sorts with the held.
+        past = bool(held[0].size) and lo.min() >= held[1][-1]
+        if held[0].size and not past:
+            cols = tuple(np.concatenate(pair) for pair in zip(held, cols))
         # One argsort, one gather per column.  Gathering the struct array
         # whole, or converting every column before the sort, doubles the
         # mid-sized temporaries of each rebuild, and the allocator fragments
         # over them (peak RSS).  A lone record (a one-write file) is in order.
         order = np.argsort(cols[0], kind="stable") if cols[0].size > 1 else [0]
-        starts, ends, drops, phys = (col[order] for col in cols)
-        live = ends > starts
+        cols = tuple(col[order] for col in cols)
+        live = cols[1] > cols[0]
         if not live.all():
-            starts, ends, drops, phys = starts[live], ends[live], drops[live], phys[live]
-        if (starts[1:] >= ends[:-1]).all():
-            self._bind((starts, ends, drops, phys))
-        else:
-            self._bind(self._sweep(records))
+            cols = tuple(col[live] for col in cols)
+        if not (cols[0][1:] >= cols[1][:-1]).all():
+            return None
+        if past:
+            cols = tuple(np.concatenate(pair) for pair in zip(held, cols))
+        return cols
 
     def _sweep(self, records: np.ndarray) -> Columns:
         """The overlap fallback: assign *records* over the held segments in
@@ -406,6 +431,7 @@ class GlobalIndex:
 def load_global_index(
     droppings: list[tuple[str, str]],
     extra_records: list[tuple[np.ndarray, int]] | None = None,
+    sizes: list[int] | None = None,
 ) -> tuple[GlobalIndex, list[str]]:
     """Build a :class:`GlobalIndex` from container droppings.
 
@@ -413,7 +439,10 @@ def load_global_index(
     receives global dropping id = its position in the returned list.
     ``extra_records`` optionally supplies in-memory record arrays (from open
     writers) already tagged with a data path index into the same list via the
-    accompanying int.
+    accompanying int.  ``sizes[i]``, when given, is how much of dropping
+    *i*'s index to read: what the caller's epoch vouches for, so the index
+    holds exactly those bytes and a flush landing meanwhile is the next
+    epoch's to see.
 
     Returns (index, data_paths) where ``data_paths[i]`` is the file to pread
     for slices with ``dropping == i``.
@@ -423,7 +452,7 @@ def load_global_index(
     for global_id, (index_path, data_path) in enumerate(droppings):
         data_paths.append(data_path)
         try:
-            recs = read_index_dropping(index_path)
+            recs = read_index_dropping(index_path, -1 if sizes is None else sizes[global_id])
         except FileNotFoundError:
             # No index dropping (yet, or any more): the data dropping keeps
             # its id, it just contributes no records.

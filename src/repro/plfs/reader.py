@@ -9,8 +9,10 @@ pay the reassembly cost.
 The fast lane (:mod:`repro.plfs.cache`) takes most of that cost off the
 hot path: handles without a writer overlay share one epoch-validated
 global index per container (loaded from the persistent compacted
-``global.index`` when fresh), a warm read revalidates with one ``fstat``
-of a descriptor the handle already holds, and a plan runs in *physical*
+``global.index`` when fresh, extended by what was appended when a flush
+left it behind), a warm read revalidates with one ``fstat`` of a
+descriptor the handle already holds, a handle that finds itself behind
+keeps its data descriptors across the rebuild, and a plan runs in *physical*
 order — per data dropping, every run of (nearly) adjacent slices is one
 ``preadv`` scattering straight into the caller's buffer: list I/O (Ching
 et al.) with data sieving (Thakur et al.) at the container layer.
@@ -25,7 +27,7 @@ from operator import itemgetter
 
 from . import constants
 from .cache import shared_cache
-from .container import Container
+from .container import Container, DroppingMark
 from .errors import CorruptIndexError
 from .index import GlobalIndex, ReadSlice, load_global_index
 from .route import posix
@@ -63,7 +65,10 @@ class ReadFile:
     (*fd_cache_limit*, default :data:`constants.FD_CACHE_LIMIT`): wide
     containers hold one dropping per writing rank, and an unbounded cache
     exhausts ``RLIMIT_NOFILE``.  One more descriptor, on the generation
-    file, lives exactly as long as the index it vouches for.
+    file, lives exactly as long as the index it vouches for.  A rebuild
+    the handle starts itself (it saw a flush) keeps every data descriptor
+    whose dropping id still names the same file; :meth:`refresh`,
+    :meth:`reap_idle_fds` and :meth:`close` release everything.
     """
 
     def __init__(
@@ -79,6 +84,9 @@ class ReadFile:
         self._writer = writer
         self._index: GlobalIndex | None = None
         self._data_paths: list[str] = []
+        #: the shared index's marks, per data path (``data_id`` is the file
+        #: it saw there); empty for an index built privately
+        self._marks: list[DroppingMark] = []
         self._fd_cache: OrderedDict[int, int] = OrderedDict()
         self._fd_last_use: dict[int, float] = {}
         self._fd_limit = (
@@ -110,7 +118,28 @@ class ReadFile:
 
     def _build_index(self) -> None:
         self.stats["index_builds"] += 1
-        self._drop_fds()  # they belong to the index (and dropping ids) replaced
+        held_paths, held_marks = self._data_paths, self._marks
+        self._close_generation_fd()
+        try:
+            self._load()
+        except BaseException:
+            self._drop_fds()
+            raise
+        # A data descriptor outlives the index it was opened under when its
+        # dropping id still names the same path and the same file.
+        paths, marks = self._data_paths, self._marks
+        for dropping in list(self._fd_cache):
+            same = (
+                dropping < min(len(marks), len(held_marks))
+                and marks[dropping].data_id is not None
+                and marks[dropping].data_id == held_marks[dropping].data_id
+                and paths[dropping] == held_paths[dropping]
+            )
+            if not same:
+                self._close_quietly(self._fd_cache.pop(dropping))
+                self._fd_last_use.pop(dropping, None)
+
+    def _load(self) -> None:
         writer = self._writer
         if writer is not None:
             # Make sure on-disk index droppings are complete before looking
@@ -130,9 +159,11 @@ class ReadFile:
         if writer is None and self._use_shared_cache:
             loaded, generation = cache.get(self.container)
             self._index, self._data_paths = loaded.index, loaded.data_paths
+            self._marks = loaded.marks
             self._generation = generation
             return
         extra: list = []
+        generation = cache.generation(self.container.path)
         droppings = self.container.droppings()
         if writer is not None:
             # Overlay anything still buffered (nothing, after the flush —
@@ -146,31 +177,34 @@ class ReadFile:
                     path_to_id[data_path] = gid
                 extra.append((recs, gid))
         self._index, self._data_paths = load_global_index(droppings, extra)
-        self._generation = cache.generation(self.container.path)
+        self._marks = []
+        self._generation = generation
 
     def refresh(self) -> None:
-        """Invalidate the cached global index (picks up new droppings)."""
+        """Invalidate the cached global index (picks up new droppings)
+        and release every descriptor held under it."""
         self._index = None
-        self._generation = None
         self._drop_fds()
 
     def _revalidate(self) -> None:
-        """Rebuild the index if any handle flushed writes since ours was
-        built — in this process (generation bump, one dict lookup) or in
-        another one: ``bump_generation`` replaces the generation file by
-        rename, so the one held open here has lost its last link exactly
+        """Mark the index for a rebuild if any handle flushed writes since
+        it was built — in this process (generation bump, one dict lookup)
+        or in another one: ``bump_generation`` replaces the generation file
+        by rename, so the one held open here has lost its last link exactly
         when a by-path ``(inode, mtime_ns)`` token would have changed (one
         ``fstat``).  The path is probed only while none existed at build.
         A handle overlaying its own writer is also behind once that writer
-        has appended (its records may still be buffered: no bump yet)."""
+        has appended (its records may still be buffered: no bump yet).
+        Being behind closes nothing: :meth:`_build_index` decides which
+        descriptors the new index still vouches for."""
         if self._index is None or self._generation is None:
             return
         writer = self._writer
         if writer is not None and writer.appends != self._overlaid_appends:
-            self.refresh()
+            self._index = None
             return
         if self._cache.generation(self.container.path) != self._generation:
-            self.refresh()
+            self._index = None
             return
         if self._gen_fd is None:
             stale = self.container.generation_token() is not None
@@ -180,12 +214,11 @@ class ReadFile:
             except OSError:  # e.g. ESTALE: the held file is gone for good
                 stale = True
         if stale:
-            # A writer in another process bumped the container's
-            # generation file; the in-process cache entry it cannot reach
-            # must be dropped too, or _build_index would serve it back.
+            # A writer in another process bumped the container's generation
+            # file.  The shared entry needs no telling: the rebuild's ``get``
+            # validates it by epoch, and extends it.
             self.stats["cross_process_refreshes"] += 1
-            self._cache.invalidate(self.container.path)
-            self.refresh()
+            self._index = None
 
     @property
     def index(self) -> GlobalIndex:
@@ -256,6 +289,9 @@ class ReadFile:
         while self._fd_cache:
             self._close_quietly(self._fd_cache.popitem()[1])
         self._fd_last_use.clear()
+        self._close_generation_fd()
+
+    def _close_generation_fd(self) -> None:
         if self._gen_fd is not None:
             fd, self._gen_fd = self._gen_fd, None
             self._close_quietly(fd)

@@ -111,9 +111,9 @@ DEFAULT_CONTRACTS: list[OrderingContract] = [
         "repro.plfs.cache",
         "",
         "invalidate_cross_process",
-        ("invalidate",),
+        ("bump",),
         ("bump_generation",),
-        "local cache entry dies before the generation file tells peers",
+        "local handles are behind before the generation file tells peers",
     ),
     OrderingContract(
         "repro.plfs.backing",

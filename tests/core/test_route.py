@@ -76,10 +76,13 @@ def counted(monkeypatch, mnt, backend):
     patched ``os`` name (and ``open``) is wrapped *before* the snapshot is
     taken, the way an outer tracer would be."""
     counts: Counter = Counter()
+    counts.pread_lengths = []  # in call order; not a count, so not an item
 
     def counting(name, fn):
         def call(*args, **kwargs):
             counts[name] += 1
+            if name == "pread":
+                counts.pread_lengths.append(args[1])
             return fn(*args, **kwargs)
 
         return call
@@ -178,6 +181,46 @@ class TestRealCallBudget:
 
         close = _spent(counts, lambda: os.close(fd))
         assert close == {"close": 3 + 1 + 1}, close  # 3 droppings, generation file, shadow
+
+    def test_a_follower_round_costs_what_was_appended(self, counted, mnt):
+        """A reader descriptor following a writer descriptor (the monitor
+        behind a checkpoint): per round the reader revalidates once, reads
+        the index dropping's tail and nothing else of the index, and keeps
+        its descriptors — whichever call of the round comes first pays."""
+        from repro.plfs.cache import shared_cache
+
+        ip, counts = counted
+        path, block, per_round = f"{mnt}/shared", 512, 5
+        w = os.open(path, os.O_WRONLY | os.O_CREAT)
+        r = os.open(path, os.O_RDONLY)
+        reader = None
+        data_fds = set()
+        for rnd in range(50):
+            for j in reversed(range(per_round)):  # descending: no record merges
+                os.pwrite(w, bytes([rnd + 1]) * block, (rnd * per_round + j) * block)
+            sync = _spent(counts, lambda: os.fsync(w))
+            assert sum(sync.values()) <= 4, sync  # index append, fsync, generation tmp + rename
+            if reader is None:  # the first round builds; the rest follow
+                assert os.fstat(r).st_size == per_round * block
+                assert os.pread(r, block, 0) == bytes([1]) * block
+                reader = ip.shim.table.lookup(r).plfs_fd._reader
+            else:
+                del counts.pread_lengths[:]
+                behind = _spent(counts, lambda: os.fstat(r))
+                assert sum(behind.values()) <= 11, behind
+                assert behind["stat"] == 3 and behind["listdir"] == 2, behind
+                assert counts.pread_lengths == [48 * per_round]
+                first = _spent(counts, lambda at=rnd * per_round * block: os.pread(r, block, at))
+                assert first == {"fstat": 1, "pread": 1}, first
+            warm = _spent(counts, lambda: os.fstat(r))
+            assert sum(warm.values()) <= 3 and warm["listdir"] == 0, warm
+            assert os.lseek(r, 0, os.SEEK_END) == (rnd + 1) * per_round * block
+            data_fds.add(reader._fd_cache[0])
+        stats = shared_cache().stats
+        assert stats["merged_builds"] + stats["compacted_loads"] == 1, stats
+        assert stats["extensions"] == 49 and len(data_fds) == 1
+        os.close(r)
+        os.close(w)
 
 
 def _frames(step) -> list[str]:

@@ -293,3 +293,110 @@ def test_global_index_of_strided_writers_is_byte_identical_to_the_sweep(tmp_path
     )
     with open(container.global_index_path(), "rb") as fh:
         assert fh.read() == expected
+
+
+# ---------------------------------------------------------------------- #
+# the kernel factored out of add_records, and the extension built on it
+# ---------------------------------------------------------------------- #
+
+
+def parent_add_records(cols, records):
+    """``GlobalIndex.add_records`` as it stood before the kernel was
+    factored out, over bare columns: held segments and batch always sorted
+    together.  Returns the new columns, or None where it went to the sweep."""
+    fields = ("logical_offset", "length", "dropping", "physical_offset")
+    lo, ln, dr, po = (records[name].view(np.int64) for name in fields)
+    new = (lo, lo + ln, dr, po)
+    if cols[0].size:
+        new = tuple(np.concatenate(pair) for pair in zip(cols, new))
+    order = np.argsort(new[0], kind="stable") if new[0].size > 1 else [0]
+    starts, ends, drops, phys = (col[order] for col in new)
+    live = ends > starts
+    if not live.all():
+        starts, ends, drops, phys = starts[live], ends[live], drops[live], phys[live]
+    if (starts[1:] >= ends[:-1]).all():
+        return starts, ends, drops, phys
+    return None
+
+
+def assert_bit_identical(got, expected) -> None:
+    assert len(got) == len(expected) == 4
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype == np.int64 and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.one_of(st.just([]), disjoint_rows()), batches=batches)
+def test_add_records_is_bit_identical_to_the_kernel_it_was_factored_from(base, batches):
+    """Same corpus as the sweep differentials: wherever the old kernel bound
+    its sorted columns, the factored one binds the same bytes — whether it
+    sorted the batch with the held segments or (a batch past all of them)
+    alone; wherever the old one swept, so does the new."""
+    index = GlobalIndex([records_from(base)] if base else None)
+    for rows in batches:
+        records = records_from(rows)
+        before = index.as_arrays()
+        expected = parent_add_records(before, records)
+        index.add_records(records)
+        if expected is None:
+            reference = sweep([records], ExtentMap.from_arrays(*before))
+            assert index.segments() == reference.segments()
+        else:
+            assert_bit_identical(index.as_arrays(), expected)
+
+
+def test_a_batch_past_everything_held_is_sorted_alone(monkeypatch):
+    """The follower's case: the held columns are not sorted again."""
+    index = GlobalIndex([records_from([(100 * k, 100, 0, 100 * k, 1.0) for k in range(64)])])
+    sorted_sizes = []
+    real = np.argsort
+    monkeypatch.setattr(
+        np, "argsort", lambda a, **kw: sorted_sizes.append(a.size) or real(a, **kw))
+    batch = records_from([(6400 + 100 * k, 100, 0, 6400 + 100 * k, 2.0) for k in (2, 0, 1)])
+    grown = index.extended(batch)
+    assert sorted_sizes == [3]
+    assert len(index) == 64 and len(grown) == 67
+    assert grown.segments()[-3:] == [
+        (6400, 6500, 0, 6400), (6500, 6600, 0, 6500), (6600, 6700, 0, 6600)]
+
+
+def any_overlap(*row_lists) -> bool:
+    live = sorted((lo, lo + ln) for rows in row_lists for lo, ln, *_ in rows if ln > 0)
+    return any(b[0] < a[1] for a, b in zip(live, live[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.one_of(st.just([]), disjoint_rows()), rows=st.one_of(arbitrary_rows, disjoint_rows()))
+def test_extended_is_the_sweep_over_a_new_index_or_nothing(base, rows):
+    """``extended`` never mutates the index it is called on.  Without an
+    overlap its result is what the reference sweep makes of held + batch;
+    with one — between the batch and what is held, or inside the batch —
+    it returns None: flattened segments have no timestamps to resolve by."""
+    index = GlobalIndex([records_from(base)] if base else None)
+    columns = index.as_arrays()
+    frozen = [col.copy() for col in columns]
+    grown = index.extended(records_from(rows))
+    assert index.as_arrays() is columns
+    assert_bit_identical(columns, frozen)
+    if any_overlap(base, rows):
+        assert grown is None
+    else:
+        assert grown is not index
+        assert_same_index(grown, sweep([records_from(rows)], ExtentMap.from_arrays(*frozen)))
+
+
+def test_extended_refuses_the_overlaps_the_sweep_tests_enumerate():
+    # the batch of TestPathSelection.test_overlapping_batch_takes_the_sweep
+    overlapping = [(0, 100, 0, 0, 1.0), (200, 100, 0, 100, 2.0), (50, 100, 1, 0, 3.0)]
+    assert GlobalIndex().extended(records_from(overlapping)) is None
+    # ... and of test_batch_overlapping_held_segments_shadows_them
+    held = GlobalIndex([records_from([(0, 10, 0, 0, 5.0)])])
+    assert held.extended(records_from([(5, 10, 1, 0, 1.0)])) is None
+    assert held.segments() == [(0, 10, 0, 0)]
+    # a duplicate of a held record is an overlap, a zero-length one is nothing
+    assert held.extended(records_from([(0, 10, 0, 0, 5.0)])) is None
+    same = held.extended(records_from([(3, 0, 1, 0, 9.0)]))
+    assert same is not held and same.segments() == held.segments()
+    # an empty batch shares the columns: there is nothing to copy
+    assert held.extended(records_from([])).as_arrays() is held.as_arrays()

@@ -158,6 +158,58 @@ def test_open_reader_sees_a_foreign_fsync_on_its_next_pread(
     assert out.split("\n")[0] == f"{old} {after} {generation_file_at_build} 1"
 
 
+FOLLOWED_WRITER = """
+import os, sys
+from repro import plfs
+
+path, rounds = sys.argv[1], int(sys.argv[2])
+fd = plfs.plfs_open(path, os.O_CREAT | os.O_WRONLY)
+for i in range(rounds + 1):
+    # two records a round, the later block first: nothing merges
+    plfs.plfs_write(fd, bytes([65 + i % 26]) * 8, 8, 16 * i + 8)
+    plfs.plfs_write(fd, bytes([97 + i % 26]) * 8, 8, 16 * i)
+    plfs.plfs_sync(fd)  # flushed and announced; the handle stays open
+    print(i, flush=True)
+    sys.stdin.readline()  # until the reader has looked
+plfs.plfs_close(fd)
+"""
+
+
+def test_open_reader_follows_fifty_foreign_fsyncs_with_one_build(container_path):
+    """The monitor behind a checkpoint, across a process boundary: each
+    ``fsync`` of the child is seen by the parent's open reader on its very
+    next ``pread``, and costs it the tail of the index dropping — the one
+    full build is the first."""
+    from repro.plfs.cache import shared_cache
+    from repro.plfs.reader import ReadFile
+
+    rounds = 50
+    child = subprocess.Popen(
+        [sys.executable, "-c", FOLLOWED_WRITER, container_path, str(rounds)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+    reader = None
+    try:
+        for i in range(rounds + 1):
+            assert child.stdout.readline().strip() == str(i)
+            if reader is None:
+                reader = ReadFile(plfs.Container(container_path))
+            block = bytes([97 + i % 26]) * 8 + bytes([65 + i % 26]) * 8
+            assert reader.read(32, 16 * i) == block  # the next pread; nothing past it yet
+            child.stdin.write("\n")
+            child.stdin.flush()
+        assert child.wait(timeout=60) == 0
+    finally:
+        child.kill()
+        if reader is not None:
+            reader.close()
+    stats = shared_cache().stats
+    assert stats["merged_builds"] == 1 and stats["compacted_loads"] == 0
+    assert stats["extensions"] == rounds
+    assert reader.stats["cross_process_refreshes"] == rounds
+    assert reader.stats["index_builds"] == rounds + 1  # handle refreshes, as ever
+
+
 SHIM_WRITER = """
 import contextlib, os, sys
 from repro.core.interpose import Interposer

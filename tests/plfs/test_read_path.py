@@ -433,6 +433,61 @@ class TestFdCacheBound:
             assert set(r._fd_cache) == {0, 2}
 
 
+class TestDescriptorsAcrossARebuild:
+    """A rebuild the handle starts itself (it saw a flush) keeps each data
+    descriptor whose dropping id still names the same file; ``refresh()``,
+    ``reap_idle_fds()`` and ``close()`` release everything, as above."""
+
+    def test_a_flush_elsewhere_costs_the_reader_only_its_generation_descriptor(self, container):
+        write_stripes(container, droppings=3, stripe=4)
+        baseline = open_fds()
+        with ReadFile(container) as r:
+            assert r.read(12, 0) == b"\x01" * 4 + b"\x02" * 4 + b"\x03" * 4
+            held = dict(r._fd_cache)
+            assert len(held) == 3 and open_fds() - baseline == 3 + 1
+            w = WriteFile(container)
+            w.write(b"new!", 12, pid=9)
+            w.sync()
+            assert r.read(16, 0)[12:] == b"new!"
+            assert r.stats["index_builds"] == 2
+            assert {k: r._fd_cache[k] for k in held} == held  # the same descriptors
+            assert open_fds() - baseline == 3 + 1 + 1 + 1  # + the new dropping, the writer's
+            for fd in r._fd_cache.values():
+                os.fstat(fd)
+            w.close()
+        assert open_fds() == baseline
+
+    def test_a_replaced_data_dropping_is_reopened(self, container):
+        write_stripes(container, droppings=2, stripe=4)
+        with ReadFile(container) as r:
+            assert r.read(8, 0) == b"\x01" * 4 + b"\x02" * 4
+            kept = r._fd_cache[0]
+            victim = r._data_paths[1]
+            os.unlink(victim)  # what an object-tier evict + restore does
+            with open(victim, "wb") as fh:
+                fh.write(b"\x09" * 4)
+            index_cache.shared_cache().bump(container.path)
+            assert r.read(8, 0) == b"\x01" * 4 + b"\x09" * 4
+            assert r._fd_cache[0] == kept
+            # (the old inode was pinned by the descriptor: the new file's differs)
+            assert os.fstat(r._fd_cache[1]).st_ino == os.stat(victim).st_ino
+
+    def test_a_failed_rebuild_releases_everything(self, container, monkeypatch):
+        write_stripes(container, droppings=2, stripe=4)
+        baseline = open_fds()
+        r = ReadFile(container)
+        r.read(8, 0)
+        assert open_fds() - baseline == 3
+        index_cache.shared_cache().bump(container.path)
+        with monkeypatch.context() as m:
+            m.setattr(Container, "droppings", lambda self: (_ for _ in ()).throw(OSError("gone")))
+            with pytest.raises(OSError, match="gone"):
+                r.read(8, 0)
+        assert open_fds() == baseline and not r._fd_cache
+        assert r.read(8, 0) == b"\x01" * 4 + b"\x02" * 4
+        r.close()
+
+
 class TestIdleFdReaper:
     def test_reaps_only_idle_descriptors(self, container):
         write_stripes(container, droppings=3, stripe=4)
@@ -595,6 +650,39 @@ class TestCrossHandleStaleness:
         assert plfs_read(fd2, 6, 0) == b"SECOND"
         plfs_close(fd1, pid=1)
         plfs_close(fd2, pid=2)
+
+
+class TestGetattrFromTheReader:
+    """``plfs_getattr(fd)`` on a handle that has read (and does not write)
+    answers from its reader: the round's one revalidation, no listing of
+    ``openhosts/`` or ``meta/``.  A handle that never read keeps the
+    meta-dropping path."""
+
+    def test_a_handle_that_has_read_sizes_from_its_index(self, container_path, monkeypatch):
+        from repro.plfs.api import plfs_sync
+
+        w = plfs_open(container_path, os.O_CREAT | os.O_WRONLY, pid=1)
+        r = plfs_open(container_path, os.O_RDONLY, pid=2)
+        listed = []
+        real = Container.cached_size
+        monkeypatch.setattr(
+            Container, "cached_size", lambda self: listed.append(self.path) or real(self))
+        assert plfs_getattr(r).st_size == 0 and len(listed) == 1  # never read: meta path
+        plfs_write(w, b"x" * 100, offset=0, pid=1)
+        plfs_sync(w)
+        assert plfs_read(r, 4, 0) == b"xxxx"
+        assert plfs_getattr(r).st_size == 100 and len(listed) == 1
+        plfs_write(w, b"y" * 50, offset=100, pid=1)
+        assert plfs_getattr(r).st_size == 100  # buffered: not visible to reads either
+        plfs_sync(w)
+        builds = r._reader.stats["index_builds"]
+        assert plfs_getattr(r).st_size == 150 and len(listed) == 1
+        assert plfs_read(r, 4, 148) == b"yy"
+        assert r._reader.stats["index_builds"] == builds + 1  # once for the round, not twice
+        plfs_close(w, pid=1)
+        assert plfs_getattr(r).st_size == 150
+        assert plfs_getattr(container_path).st_size == 150 and len(listed) == 2
+        plfs_close(r, pid=2)
 
 
 class TestOwnWriteStaleness:

@@ -536,3 +536,43 @@ def test_interleaved_merge_flush_batches_read_back_exactly(
         writer_module.INDEX_FLUSH_THRESHOLD = old
         shared_cache().clear()
         shutil.rmtree(tmp, ignore_errors=True)
+
+
+# ---------------------------------------------------------------------- #
+# small files: binary, unbuffered, one open each
+# ---------------------------------------------------------------------- #
+
+
+class TestSmallFiles:
+    def test_append_index_resumes_a_short_raw_write(self, tmp_path, monkeypatch):
+        """Unbuffered, so no ``BufferedWriter`` finishes a short write for
+        it: the store does, from the cut point."""
+        import builtins
+        import io
+
+        writes = []
+
+        class Dribble(io.FileIO):
+            def write(self, b):
+                n = super().write(bytes(b[:7]))
+                writes.append(n)
+                return n
+
+        real = builtins.open
+        monkeypatch.setattr(
+            builtins, "open",
+            lambda p, mode="r", buffering=-1: Dribble(p, "a") if buffering == 0 else real(p, mode))
+        path = str(tmp_path / "dropping.index.1")
+        payload = bytes(range(48))
+        assert backing.BackingStore().append_index(path, payload) == 48
+        assert writes == [7] * 6 + [6]
+        with real(path, "rb") as fh:
+            assert fh.read() == payload
+
+    def test_the_generation_file_is_empty_and_the_mode_survives(self, container):
+        assert container.mode() == 0o644
+        container.bump_generation()
+        assert os.path.getsize(container.generation_path()) == 0
+        with open(os.path.join(container.path, constants.ACCESS_FILE), "wb"):
+            pass  # an access file emptied by hand still reads as the default
+        assert container.mode() == 0o644

@@ -92,7 +92,7 @@ class TestLiveTree:
         assert ("_Dropping.append", ("_promise",), ("write_data",)) in pairs
         assert (
             "invalidate_cross_process",
-            ("invalidate",),
+            ("bump",),
             ("bump_generation",),
         ) in pairs
 
