@@ -19,9 +19,8 @@ backend.  The fully-remote plane (shm segment, wire fallback) is also
 measured and recorded as evidence of what funnelling data through one
 Python process costs.
 
-Results land in ``benchmarks/out/BENCH_plfsd.json`` as a schema-valid
-:mod:`repro.bench.record` BenchRecord (the CI regression guard reads the
-same numbers this test asserts on).
+Results land in ``benchmarks/out/BENCH_plfsd.json`` as plain canonical
+JSON (the numbers this test asserts on, as an evidence artefact).
 
 Smoke scale by default; ``LDPLFS_BENCH_FULL=1`` widens the sweep.
 """
@@ -35,8 +34,8 @@ import tempfile
 import pytest
 
 from .conftest import FULL_SCALE, OUT_DIR
+from repro.analysis.export import canonical_json
 from repro.bench import guard as bench_guard
-from repro.bench import record as bench_record
 from repro.plfsd import stress
 
 CLIENT_SWEEP = (1, 2, 4, 8) if not FULL_SCALE else (1, 2, 4, 8, 16)
@@ -183,11 +182,10 @@ def test_plfsd_create_storm_and_throughput(arena):
     )
     remote_server = remote_run.pop("server", {})
 
-    # Everything wall-clock lands in ``timings`` (never guarded across
-    # runs); the sweep shape itself is deterministic and lands in
-    # ``counters``; the two meltdown/throughput signals this test asserts
-    # on are within-run ratios, so they land in ``derived.ratios``.
-    rec = bench_record.make_record(
+    # Everything wall-clock lands in ``timings``; the sweep shape itself is
+    # deterministic and lands in ``counters``; the two meltdown/throughput
+    # signals this test asserts on are within-run ratios.
+    rec = dict(
         scenario="plfsd",
         profile="full" if FULL_SCALE else "short",
         config="daemon",
@@ -219,13 +217,13 @@ def test_plfsd_create_storm_and_throughput(arena):
                 "shm_appends": remote_server.get("totals", {}).get("shm_appends"),
             },
         },
-        derived={
-            "normalized": {},
-            "ratios": {
-                "queue_wait_inflection": qw[hi] / qw[lo] if qw[lo] > 0 else 0.0,
-                "append_best_ratio": best_ratio,
-            },
+        ratios={
+            "queue_wait_inflection": qw[hi] / qw[lo] if qw[lo] > 0 else 0.0,
+            "append_best_ratio": best_ratio,
         },
     )
-    path = bench_record.save(rec, OUT_DIR, filename="BENCH_plfsd.json")
-    print(f"\nBenchRecord (schema v{bench_record.SCHEMA_VERSION}) -> {path}")
+    os.makedirs(OUT_DIR, exist_ok=True)
+    path = os.path.join(OUT_DIR, "BENCH_plfsd.json")
+    with open(path, "w") as fh:
+        fh.write(canonical_json(rec) + "\n")
+    print(f"\nplfsd numbers -> {path}")

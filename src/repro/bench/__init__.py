@@ -1,5 +1,6 @@
-"""``repro.bench`` — production workload suite + standing perf-trajectory
-harness (ROADMAP item 4).
+"""``repro.bench`` — production workload suite, kept as a conformance
+suite: seeded op streams replayed under five configs, held to committed
+digests and exact counters.  It times nothing; ``benchmarks/ledger`` does.
 
 Layers:
 
@@ -7,12 +8,12 @@ Layers:
   (metadata storm, hot/cold Zipf mix, multi-tenant interference,
   crash-recovery soak);
 - :mod:`~repro.bench.runner` — executes a scenario against the direct,
-  WAL-batched, daemon or CAWL-sim configuration and assembles a
-  versioned BenchRecord;
-- :mod:`~repro.bench.record` — the schema + canonical trajectory store
+  WAL-batched, daemon, CAWL-sim or objectstore configuration and
+  assembles a versioned BenchRecord;
+- :mod:`~repro.bench.record` — the schema + canonical record files
   (``BENCH_*.json``);
-- :mod:`~repro.bench.guard` — ratio-based regression guards shared by
-  ``repro-bench guard`` and the benchmark suite;
+- :mod:`~repro.bench.guard` — record-vs-baseline comparison, plus the A/B
+  timing helpers of the ``benchmarks/`` smokes;
 - :mod:`~repro.bench.cli` — the ``repro-bench`` entry point.
 """
 
@@ -20,19 +21,12 @@ from .guard import (
     GuardResult,
     assert_faster,
     assert_inflection,
-    best_of,
     best_ratio,
     compare_records,
     guard_directory,
     median_time,
 )
-from .record import (
-    DEFAULT_MAX_TIMING_REGRESSION,
-    SCHEMA_VERSION,
-    make_record,
-    record_filename,
-    validate,
-)
+from .record import SCHEMA_VERSION, make_record, record_filename, validate
 from .runner import CONFIGS, execute_stream, run_scenario
 from .scenarios import DEFAULT_SEED, SCENARIOS, Op, op_stream_digest, payload
 
@@ -41,7 +35,6 @@ __all__ = [
     "CONFIGS",
     "DEFAULT_SEED",
     "SCHEMA_VERSION",
-    "DEFAULT_MAX_TIMING_REGRESSION",
     "Op",
     "payload",
     "op_stream_digest",
@@ -54,7 +47,6 @@ __all__ = [
     "compare_records",
     "guard_directory",
     "median_time",
-    "best_of",
     "best_ratio",
     "assert_faster",
     "assert_inflection",

@@ -1,17 +1,14 @@
-"""``repro-bench`` — run scenarios, inspect trajectories, guard CI.
+"""``repro-bench`` — replay scenarios, hold their records to a baseline.
 
 Subcommands:
 
 ``run``
     Execute scenarios (``--scenario``/``--config``/``--profile``) and
-    write ``BENCH_*.json`` records to the trajectory directory.
-``compare``
-    Human-readable diff of current records against a baseline directory
-    (never fails the build; for local inspection).
+    write ``BENCH_*.json`` records to the output directory.
 ``guard``
-    The CI gate: exits nonzero when any current record regresses past
-    the committed baseline's tolerance, or a baselined scenario went
-    missing.
+    Exits nonzero when any current record's op-stream digest or counters
+    differ from the baseline's, or a baselined scenario went missing
+    (what ``tests/bench/test_baselines.py`` does on every ``pytest`` run).
 ``list``
     Show the scenario registry (profiles, configs, descriptions).
 """
@@ -31,14 +28,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--out",
         default=None,
-        help="trajectory directory (default: $REPRO_BENCH_OUT or ./benchmarks/out)",
+        help="record directory (default: $REPRO_BENCH_OUT or ./benchmarks/out)",
     )
 
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
-        description="production workload suite + perf-trajectory guard",
+        description="production workload suite + conformance guard",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -57,30 +54,10 @@ def _parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument("--profile", default="short", choices=("short", "full"))
     run_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    run_p.add_argument(
-        "--max-timing-regression",
-        type=float,
-        default=None,
-        help="embed a guard tolerance into the emitted records "
-        "(what committed baselines use to widen CI headroom)",
-    )
     _add_common(run_p)
 
-    cmp_p = sub.add_parser(
-        "compare", help="diff current records against a baseline (never fails)"
-    )
-    cmp_p.add_argument("--baseline", required=True)
-    cmp_p.add_argument("--scenario", action="append", default=None)
-    cmp_p.add_argument(
-        "--config",
-        action="append",
-        default=None,
-        help="restrict the comparison to these configs (repeatable)",
-    )
-    _add_common(cmp_p)
-
     guard_p = sub.add_parser(
-        "guard", help="fail (exit 1) on regressions vs the baseline"
+        "guard", help="fail (exit 1) on any difference from the baseline"
     )
     guard_p.add_argument("--baseline", required=True)
     guard_p.add_argument("--scenario", action="append", default=None)
@@ -91,16 +68,9 @@ def _parser() -> argparse.ArgumentParser:
         help="restrict the guard to these configs (repeatable; a job "
         "that only regenerated one config guards only that config)",
     )
-    guard_p.add_argument(
-        "--max-timing-regression",
-        type=float,
-        default=None,
-        help="override every baseline's embedded tolerance",
-    )
     _add_common(guard_p)
 
-    list_p = sub.add_parser("list", help="show the scenario registry")
-    _add_common(list_p)
+    sub.add_parser("list", help="show the scenario registry")
     return parser
 
 
@@ -108,9 +78,6 @@ def _cmd_run(args) -> int:
     out_dir = args.out or record_mod.default_out_dir()
     names = args.scenario or sorted(SCENARIOS)
     configs = args.config or ["direct"]
-    guard_policy = None
-    if args.max_timing_regression is not None:
-        guard_policy = {"max_timing_regression": args.max_timing_regression}
     wrote = []
     for name in names:
         scenario = SCENARIOS[name]
@@ -123,19 +90,13 @@ def _cmd_run(args) -> int:
                 )
                 continue
             rec = runner.run_scenario(
-                name,
-                profile=args.profile,
-                config=config,
-                seed=args.seed,
-                guard_policy=guard_policy,
+                name, profile=args.profile, config=config, seed=args.seed
             )
             path = record_mod.save(rec, out_dir)
-            wall = rec["timings"]["wall_seconds"]
-            norm = rec["derived"]["normalized"]["wall_over_calibration"]
             print(
                 f"{name}/{config} [{args.profile}]: "
-                f"{rec['counters']['ops_total']} ops in {wall:.3f}s "
-                f"(x{norm:.1f} calibration) -> {path}"
+                f"{rec['counters']['ops_total']} ops, "
+                f"digest {rec['op_stream']['digest'][:12]} -> {path}"
             )
             wrote.append(path)
     if not wrote:
@@ -144,23 +105,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    out_dir = args.out or record_mod.default_out_dir()
-    results = guard_mod.guard_directory(
-        out_dir, args.baseline, scenarios=args.scenario, configs=args.config
-    )
-    print(guard_mod.render_results(results))
-    return 0
-
-
 def _cmd_guard(args) -> int:
     out_dir = args.out or record_mod.default_out_dir()
     results = guard_mod.guard_directory(
-        out_dir,
-        args.baseline,
-        max_timing_regression=args.max_timing_regression,
-        scenarios=args.scenario,
-        configs=args.config,
+        out_dir, args.baseline, scenarios=args.scenario, configs=args.config
     )
     print(guard_mod.render_results(results))
     return 0 if all(r.ok for r in results) else 1
@@ -179,7 +127,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     handler = {
         "run": _cmd_run,
-        "compare": _cmd_compare,
         "guard": _cmd_guard,
         "list": _cmd_list,
     }[args.command]

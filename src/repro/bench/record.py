@@ -1,26 +1,20 @@
 """The versioned ``BenchRecord`` schema and its canonical on-disk form.
 
-Every benchmark run — scenario runs from :mod:`repro.bench.runner`, the
-daemon stress benchmark, the CAWL sim — lands as one ``BENCH_*.json``
-in the canonical output directory (``benchmarks/out``), validated against
-this schema.  Records split cleanly into:
+One scenario run under one config lands as one ``BENCH_*.json``, validated
+against this schema.  A record holds what reproduces under a fixed seed
+and nothing that was read off a clock:
 
+``op_stream``
+    The generator's summary of the replayed stream and its digest.
 ``counters``
-    Deterministic under a fixed seed: op counts, bytes, cache hits,
-    merge/flush/WAL-batch counts.  Guards compare these *exactly* —
-    a changed counter means the code path changed, not the hardware.
-``timings``
-    Wall-clock measurements, never guarded directly.
-``derived``
-    Dimensionless ``normalized`` metrics (timings over the record's own
-    calibration probe) and within-run ``ratios`` (e.g. queue-wait
-    inflection).  Hardware largely cancels out of both, so guards
-    compare them across runs as *ratios with a tolerance* instead of
-    absolute times — the property that keeps CI from flaking.  ``bytes``
-    holds byte totals whose payloads embed the hostname and pid (the
-    object-store tiers move the container's access file): the host
-    does not cancel out of those exactly, so they are tolerance-compared
-    here rather than exact ``counters``.
+    Op counts, bytes, cache hits, merge/flush/WAL-batch counts.  Guards
+    compare these *exactly* — a changed counter means the code path
+    changed.
+``derived.bytes``
+    Object-store byte totals whose payloads embed the hostname and pid
+    (the tiers move the container's access file): the host does not
+    cancel out of those, so they are compared as a ratio rather than as
+    exact ``counters``.  Present only on the objectstore config.
 
 Validation is hand-rolled (no jsonschema in the image): it checks the
 required keys, their types, and the split above, and returns a list of
@@ -31,8 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-import platform
-import sys
 from numbers import Number
 
 from repro.analysis.export import canonical_json
@@ -40,12 +32,8 @@ from repro.analysis.export import canonical_json
 SCHEMA_VERSION = 1
 RECORD_KIND = "bench-record"
 
-#: default relative regression tolerance for normalized timings / ratios
-#: when neither the CLI nor the baseline record pins one (1.75 means a
-#: guarded metric may grow up to 75% over baseline before failing).
-DEFAULT_MAX_TIMING_REGRESSION = 1.75
-
-_REQUIRED: dict[str, type | tuple[type, ...]] = {
+#: every key a record may carry; all but ``derived`` are required
+_KEYS: dict[str, type] = {
     "schema_version": int,
     "kind": str,
     "scenario": str,
@@ -54,28 +42,9 @@ _REQUIRED: dict[str, type | tuple[type, ...]] = {
     "seed": int,
     "params": dict,
     "counters": dict,
-    "timings": dict,
-    "derived": dict,
-    "environment": dict,
-}
-
-#: the ``derived`` sub-sections guards compare as current/baseline ratios
-DERIVED_SECTIONS = ("normalized", "ratios", "bytes")
-
-_OPTIONAL: dict[str, type | tuple[type, ...]] = {
     "op_stream": dict,
-    "guard": dict,
+    "derived": dict,
 }
-
-
-def environment_fingerprint() -> dict:
-    """Where a record was produced (no wall-clock: records must be
-    reproducible byte-for-byte aside from measured timings)."""
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": sys.platform,
-    }
 
 
 def make_record(
@@ -86,10 +55,8 @@ def make_record(
     seed: int,
     params: dict,
     counters: dict,
-    timings: dict,
-    derived: dict,
-    op_stream: dict | None = None,
-    guard: dict | None = None,
+    op_stream: dict,
+    host_sized_bytes: dict | None = None,
 ) -> dict:
     """Assemble a schema-`validate`-clean record dict."""
     record = {
@@ -101,14 +68,10 @@ def make_record(
         "seed": seed,
         "params": params,
         "counters": counters,
-        "timings": timings,
-        "derived": derived,
-        "environment": environment_fingerprint(),
+        "op_stream": op_stream,
     }
-    if op_stream is not None:
-        record["op_stream"] = op_stream
-    if guard is not None:
-        record["guard"] = guard
+    if host_sized_bytes:
+        record["derived"] = {"bytes": host_sized_bytes}
     return record
 
 
@@ -117,19 +80,13 @@ def validate(record) -> list[str]:
     problems: list[str] = []
     if not isinstance(record, dict):
         return [f"record must be a dict, got {type(record).__name__}"]
-    for key, typ in _REQUIRED.items():
+    for key, typ in _KEYS.items():
         if key not in record:
-            problems.append(f"missing required key: {key}")
+            if key != "derived":
+                problems.append(f"missing required key: {key}")
         elif not isinstance(record[key], typ):
             problems.append(
-                f"{key} must be {getattr(typ, '__name__', typ)}, "
-                f"got {type(record[key]).__name__}"
-            )
-    for key, typ in _OPTIONAL.items():
-        if key in record and not isinstance(record[key], typ):
-            problems.append(
-                f"{key} must be {getattr(typ, '__name__', typ)}, "
-                f"got {type(record[key]).__name__}"
+                f"{key} must be {typ.__name__}, got {type(record[key]).__name__}"
             )
     if problems:
         return problems
@@ -142,14 +99,12 @@ def validate(record) -> list[str]:
     for key, value in record["counters"].items():
         if not isinstance(value, Number) or isinstance(value, bool):
             problems.append(f"counters[{key!r}] must be a number")
-    for section in DERIVED_SECTIONS:
-        sub = record["derived"].get(section, {})
-        if not isinstance(sub, dict):
-            problems.append(f"derived.{section} must be a dict")
-            continue
-        for key, value in sub.items():
-            if not isinstance(value, Number) or isinstance(value, bool):
-                problems.append(f"derived.{section}[{key!r}] must be a number")
+    host_sized = record.get("derived", {}).get("bytes", {})
+    if not isinstance(host_sized, dict):
+        return problems + ["derived.bytes must be a dict"]
+    for key, value in host_sized.items():
+        if not isinstance(value, Number) or isinstance(value, bool):
+            problems.append(f"derived.bytes[{key!r}] must be a number")
     return problems
 
 
@@ -163,7 +118,7 @@ def assert_valid(record) -> dict:
 
 
 # ---------------------------------------------------------------------- #
-# the trajectory store: canonical filenames + load/save
+# the record files: canonical filenames + load/save
 # ---------------------------------------------------------------------- #
 
 
@@ -177,7 +132,7 @@ def record_filename(scenario: str, config: str = "direct") -> str:
 
 
 def default_out_dir(start: str | None = None) -> str:
-    """The canonical trajectory directory: ``$REPRO_BENCH_OUT`` when set,
+    """The canonical record directory: ``$REPRO_BENCH_OUT`` when set,
     else ``benchmarks/out`` relative to *start* (default: cwd)."""
     env = os.environ.get("REPRO_BENCH_OUT", "").strip()
     if env:
@@ -185,16 +140,11 @@ def default_out_dir(start: str | None = None) -> str:
     return os.path.join(start or os.getcwd(), "benchmarks", "out")
 
 
-def save(record: dict, out_dir: str, filename: str | None = None) -> str:
-    """Validate and write *record* to its canonical file; returns the path.
-
-    *filename* overrides the derived name for records that predate the
-    scenario/config naming (e.g. ``BENCH_plfsd.json``)."""
+def save(record: dict, out_dir: str) -> str:
+    """Validate and write *record* to its canonical file; returns the path."""
     assert_valid(record)
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(
-        out_dir, filename or record_filename(record["scenario"], record["config"])
-    )
+    path = os.path.join(out_dir, record_filename(record["scenario"], record["config"]))
     with open(path, "w") as fh:
         fh.write(canonical_json(record) + "\n")
     return path

@@ -32,22 +32,19 @@ threads do run concurrently inside one op, but domain partitioning and
 the post-barrier counter merge are deterministic, so the guarded
 counters still reproduce exactly.  True
 multi-process contention is the daemon stress benchmark's job
-(``benchmarks/test_plfsd.py``); the scenario suite tracks the cost
-trajectory of the op streams themselves.
+(``benchmarks/test_plfsd.py``); the scenario suite pins what the op
+streams themselves do.
 
-Timing is normalized per record: a fixed *calibration probe* (a small
-direct-path workload, best-of-3) runs in the same process right before
-the scenario, and every guarded timing metric is expressed as a ratio
-over it — hardware speed cancels, regressions don't.
+Nothing here reads a clock: the record is the op-stream digest and the
+exact counters, and what a call costs is the ledger's to say
+(``benchmarks/ledger``).
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import statistics
 import tempfile
-import time
 from dataclasses import dataclass, field
 
 from repro import plfs
@@ -100,11 +97,6 @@ class ExecutionResult:
     """Raw outcome of one op-stream replay."""
 
     counters: dict = field(default_factory=dict)
-    #: (tenant, kind) -> per-op latencies in seconds
-    latencies: dict = field(default_factory=dict)
-    wall_seconds: float = 0.0
-    #: scenario-specific extra timing observations (never guarded)
-    observed: dict = field(default_factory=dict)
     #: object-store byte totals (see :data:`HOST_SIZED_BYTES`)
     host_sized_bytes: dict = field(default_factory=dict)
 
@@ -328,12 +320,7 @@ class _DaemonExecutor:
         for cli in self.clients.values():
             cli.close()
         self.clients.clear()
-        counters = export_runtime_counters(server_stats=stats)
-        agg = stats.get("aggregate", {})
-        counters["_observed_queue_wait_seconds"] = float(
-            agg.get("queue_wait_seconds", 0.0)
-        )
-        return counters
+        return export_runtime_counters(server_stats=stats)
 
 
 # ---------------------------------------------------------------------- #
@@ -435,7 +422,7 @@ def execute_stream(
     socket_path: str | None = None,
     object_store_dir: str | None = None,
 ) -> ExecutionResult:
-    """Replay *ops* against *root* under *config*, timing every op.
+    """Replay *ops* against *root* under *config*.
 
     For the ``daemon`` config the caller owns the daemon lifecycle and
     passes its *socket_path* (so differential tests can replay several
@@ -443,14 +430,14 @@ def execute_stream(
     The ``objectstore`` config installs the tiered object backend for
     the duration of the replay (*object_store_dir* defaults to a sibling
     of *root*) and drains the tier at the end — the sync barrier the
-    wall-clock includes, exactly as the CAWL sim charges for it.
+    CAWL sim charges for.
     """
     cfg = CONFIGS[config] if isinstance(config, str) else config
     params = params or {}
     if cfg.sim:
         from repro.sim.cawl import execute_sim_stream
 
-        return execute_sim_stream(ops, seed, params=params)
+        return ExecutionResult(execute_sim_stream(ops, seed, params=params).counters)
     if cfg.daemon:
         if socket_path is None:
             raise ValueError("daemon config requires socket_path")
@@ -478,11 +465,9 @@ def execute_stream(
     }
     by_kind: dict[str, int] = {}
     bytes_read = 0
-    t_start = time.perf_counter()
     try:
         for op in ops:
             by_kind[op.kind] = by_kind.get(op.kind, 0) + 1
-            t0 = time.perf_counter()
             if op.kind == "crash_cycle":
                 if cfg.daemon or cfg.wal:
                     raise ValueError(
@@ -504,16 +489,12 @@ def execute_stream(
                     bytes_read += fn(op)
                 else:
                     fn(op)
-            result.latencies.setdefault((op.tenant, op.kind), []).append(
-                time.perf_counter() - t0
-            )
         result.counters.update(executor.finish())
         if backend is not None:
             backend.tier.drain()
     finally:
         if backend is not None:
             backing.install(previous)
-    result.wall_seconds = time.perf_counter() - t_start
     if backend is not None:
         result.counters.update(backend.counters())
         for key in HOST_SIZED_BYTES:
@@ -523,122 +504,7 @@ def execute_stream(
     for kind, n in sorted(by_kind.items()):
         result.counters[f"ops_{kind}"] = n
     result.counters["bytes_read_back"] = bytes_read
-    queue_wait = result.counters.pop("_observed_queue_wait_seconds", None)
-    if queue_wait is not None:
-        result.observed["queue_wait_seconds"] = queue_wait
-        creates = result.counters.get("daemon_creates", 0)
-        if creates:
-            result.observed["queue_wait_per_create_seconds"] = queue_wait / creates
     return result
-
-
-# ---------------------------------------------------------------------- #
-# calibration + percentiles
-# ---------------------------------------------------------------------- #
-
-_CALIBRATION_WRITES = 48
-_CALIBRATION_CREATES = 6
-
-
-def calibration_probe(root: str) -> float:
-    """Best-of-3 timing of a fixed direct-path workload (creates + small
-    writes + readback) run in this process: the normalization unit every
-    guarded timing metric divides by."""
-    base = os.path.join(root, "__calibration__")
-    counter = [0]
-
-    def probe() -> None:
-        counter[0] += 1
-        d = os.path.join(base, f"p{counter[0]}")
-        os.makedirs(d, exist_ok=True)
-        fd = plfs.plfs_open(os.path.join(d, "probe"), os.O_CREAT | os.O_RDWR)
-        chunk = b"\xa5" * 1024
-        for i in range(_CALIBRATION_WRITES):
-            plfs.plfs_write(fd, chunk, len(chunk), i * len(chunk))
-        plfs.plfs_sync(fd)
-        plfs.plfs_read(fd, 8192, 0)
-        plfs.plfs_close(fd)
-        for i in range(_CALIBRATION_CREATES):
-            tiny = plfs.plfs_open(
-                os.path.join(d, f"tiny.{i}"), os.O_CREAT | os.O_WRONLY
-            )
-            plfs.plfs_write(tiny, b"x", 1, 0)
-            plfs.plfs_close(tiny)
-
-    from .guard import best_of
-
-    elapsed = best_of(probe, 3)
-    shutil.rmtree(base, ignore_errors=True)
-    return elapsed
-
-
-def _percentile(sorted_xs: list[float], q: float) -> float:
-    if not sorted_xs:
-        return 0.0
-    return sorted_xs[int(q * (len(sorted_xs) - 1))]
-
-
-def summarize_latencies(latencies: dict) -> tuple[dict, dict]:
-    """(per-kind, per-tenant) latency summaries from raw samples."""
-    per_kind: dict[str, list[float]] = {}
-    per_tenant: dict[str, list[float]] = {}
-    for (tenant, kind), xs in latencies.items():
-        per_kind.setdefault(kind, []).extend(xs)
-        per_tenant.setdefault(tenant, []).extend(xs)
-
-    def summary(xs: list[float]) -> dict:
-        xs = sorted(xs)
-        return {
-            "count": len(xs),
-            "mean": statistics.fmean(xs) if xs else 0.0,
-            "p50": _percentile(xs, 0.50),
-            "p99": _percentile(xs, 0.99),
-        }
-
-    return (
-        {k: summary(v) for k, v in sorted(per_kind.items())},
-        {t: summary(v) for t, v in sorted(per_tenant.items())},
-    )
-
-
-def derive_metrics(
-    per_kind: dict,
-    per_tenant: dict,
-    wall_seconds: float,
-    calibration_seconds: float,
-) -> dict:
-    """The dimensionless ``derived`` section: calibration-normalized
-    timings plus within-run ratios — the only timing metrics guards
-    compare across runs."""
-    unit = calibration_seconds or 1.0
-    normalized = {"wall_over_calibration": wall_seconds / unit}
-    for kind, summary in per_kind.items():
-        if summary["count"]:
-            normalized[f"p50_{kind}_over_calibration"] = summary["p50"] / unit
-    ratios: dict[str, float] = {}
-    if (
-        "create" in per_kind
-        and "write" in per_kind
-        and per_kind["write"]["p50"] > 0
-    ):
-        ratios["create_p50_over_write_p50"] = (
-            per_kind["create"]["p50"] / per_kind["write"]["p50"]
-        )
-    if (
-        "read" in per_kind
-        and "write" in per_kind
-        and per_kind["write"]["p50"] > 0
-    ):
-        ratios["read_p50_over_write_p50"] = (
-            per_kind["read"]["p50"] / per_kind["write"]["p50"]
-        )
-    tenants = sorted(per_tenant)
-    if len(tenants) == 2 and per_tenant[tenants[1]]["p50"] > 0:
-        a, b = tenants
-        ratios[f"{a}_p50_over_{b}_p50"] = (
-            per_tenant[a]["p50"] / per_tenant[b]["p50"]
-        )
-    return {"normalized": normalized, "ratios": ratios}
 
 
 # ---------------------------------------------------------------------- #
@@ -647,8 +513,7 @@ def derive_metrics(
 
 
 def _scratch_root(tag: str) -> str:
-    """Short-pathed scratch dir (unix sockets cap at ~107 chars; tmpfs
-    preferred so the trajectory measures code, not disk scheduling)."""
+    """Short-pathed scratch dir (unix sockets cap at ~107 chars)."""
     base = "/dev/shm" if os.path.isdir("/dev/shm") else "/tmp"
     return tempfile.mkdtemp(prefix=f"bench-{tag}-", dir=base)
 
@@ -660,8 +525,6 @@ def run_scenario(
     config: str = "direct",
     seed: int = DEFAULT_SEED,
     params: dict | None = None,
-    store: str | None = None,
-    guard_policy: dict | None = None,
 ) -> dict:
     """Run one scenario end to end and return its validated BenchRecord."""
     scenario = SCENARIOS[scenario_name]
@@ -674,15 +537,10 @@ def run_scenario(
     ops = scenario.ops(seed, profile, params)
     merged_params = scenario.profile_params(profile, params)
 
-    owns_store = store is None
-    root = store or _scratch_root(scenario_name)
+    root = _scratch_root(scenario_name)
     daemon_proc = None
     socket_path = None
     try:
-        if cfg.sim:
-            calibration = 1.0  # simulated clocks need no normalization
-        else:
-            calibration = calibration_probe(root)
         shared_cache().clear()
         shared_cache().reset_stats()
         if cfg.daemon:
@@ -703,20 +561,8 @@ def run_scenario(
             from repro.plfsd import stress
 
             stress.stop_daemon(daemon_proc, socket_path)
-        if owns_store:
-            shutil.rmtree(root, ignore_errors=True)
+        shutil.rmtree(root, ignore_errors=True)
 
-    per_kind, per_tenant = summarize_latencies(result.latencies)
-    timings = {
-        "wall_seconds": result.wall_seconds,
-        "calibration_seconds": calibration,
-        "per_kind": per_kind,
-        "per_tenant": per_tenant,
-    }
-    timings.update(result.observed)
-    derived = derive_metrics(per_kind, per_tenant, result.wall_seconds, calibration)
-    if result.host_sized_bytes:
-        derived["bytes"] = result.host_sized_bytes
     return record_mod.assert_valid(
         record_mod.make_record(
             scenario=scenario_name,
@@ -726,8 +572,6 @@ def run_scenario(
             params={k: merged_params[k] for k in sorted(merged_params)},
             op_stream=stream_summary(ops),
             counters=result.counters,
-            timings=timings,
-            derived=derived,
-            guard=guard_policy,
+            host_sized_bytes=result.host_sized_bytes,
         )
     )

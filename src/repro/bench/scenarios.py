@@ -12,16 +12,15 @@ The four production shapes (ROADMAP item 4):
 
 ``metadata_storm``
     N clients x M tiny-file create+write+close — the paper's §V.C
-    FLASH-IO create storm with real bytes.  Every create is one timed
-    op, so per-create latency percentiles expose metadata serialization.
+    FLASH-IO create storm with real bytes.  Every create is one op, so
+    the counters say what one tiny file costs in containers and flushes.
 ``hot_cold_mix``
     Zipf-skewed mixed read/write over a small hot set and a large cold
     set of containers (CAWL's cache-aware regime: hot overwrites should
     be absorbed by any write-back layer, cold reads should miss).
 ``multi_tenant``
     A metadata-storm tenant and a streaming-append tenant interleaved
-    over one store — the interference workload; the runner reports
-    per-tenant latency percentiles.
+    over one store — the interference workload.
 ``crash_soak``
     Seeded crash/recovery cycles: each cycle runs a faulted write
     schedule (reusing :mod:`repro.faults`), fscks the container, rereads
@@ -30,7 +29,9 @@ The four production shapes (ROADMAP item 4):
     The §II optimisation comparison with real bytes: the same strided
     shared-file rounds replayed by a ``cb`` tenant (two-phase collective
     buffering) and an ``indep`` tenant (per-rank list I/O), so the
-    per-tenant latency ratio tracks the aggregation win.
+    engine counters (``cb_backend_writes``, ``cb_aggregation_ratio``)
+    record the aggregation; its timed guard is
+    ``benchmarks/test_collective.py``.
 """
 
 from __future__ import annotations
@@ -244,8 +245,7 @@ def gen_multi_tenant(
     storm_weight: float = 0.5,
 ) -> list[Op]:
     """A storm tenant and a streaming tenant sharing one store: tiny-file
-    creates interleaved into a large sequential append stream, so each
-    tenant's latency percentiles show what the other costs it."""
+    creates interleaved into a large sequential append stream."""
     rng = random.Random(seed)
     storm = [
         Op("storm", "create", f"mt/storm.{i}", 0, storm_payload)
@@ -285,9 +285,7 @@ def gen_collective_io(
     list I/O (``romio_cb_write=false``).  One ``coll_write`` op is one
     whole collective round (``offset`` carries the round index, ``size``
     the per-rank contribution); ``nodes``/``ppn``/``record_bytes`` ride
-    into the runner's engine parameters.  With exactly two tenants the
-    derived ``cb_p50_over_indep_p50`` ratio *is* the aggregation win,
-    guarded like any other trajectory metric.  Each round's contribution
+    into the runner's engine parameters.  Each round's contribution
     is jittered by a seeded whole-record amount — identically for both
     tenants, so the pairing stays a fair comparison while the stream
     (and its digest) is a function of the seed like every scenario."""

@@ -213,14 +213,17 @@ class Shim:
             pos += n
         return got
 
-    def _write_at(self, entry, data, offset, vectored=False) -> int:
+    def _write_at(self, entry, data, offset, vectored=False, move=False) -> int:
         """Write *data* — one buffer or, *vectored*, an iovec covering one
-        contiguous logical span — at *offset*: all of it, or raise.
+        contiguous logical span — at *offset*: all of it, or raise.  With
+        *move* (write/writev) the cursor ends up behind what was written.
 
-        An iovec goes down whole as a single ``plfs_writev`` (one data
-        append, one index record).  Unmodified applications neither loop
-        on EINTR nor resume short writes, so each attempt gets the retry
-        policy and a short return resumes from the cut point.
+        An ``O_APPEND`` descriptor's bytes land at end of file whatever
+        *offset* says — pwrite's too, as on Linux — once *offset* has passed
+        the checks.  An iovec goes down whole as a single ``plfs_writev``
+        (one data append, one index record).  Unmodified applications
+        neither loop on EINTR nor resume short writes, so each attempt gets
+        the retry policy and a short return resumes from the cut point.
         """
         if vectored:
             rest = list(map(byte_view, data))
@@ -239,6 +242,10 @@ class Shim:
         if not want:
             return 0
         plfs_fd = entry.plfs_fd
+        if entry.append:
+            offset = plfs_api.plfs_getattr(plfs_fd).st_size
+            if offset + want > _OFF_MAX:
+                raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
         done = 0
         while True:
             at = offset + done
@@ -248,6 +255,8 @@ class Shim:
                 n = self._retry_after(exc, partial(write, plfs_fd, rest, offset=at))
             done += n
             if done >= want or n <= 0:
+                if move and done:
+                    self.table.set_cursor(entry, offset + done)
                 return done
             self.stats["short_write_resumes"] += 1
             if vectored:
@@ -356,6 +365,10 @@ class Shim:
             # writer's droppings and the openhost marker before re-raising.
             plfs_api.plfs_close(plfs_fd)
             raise
+        if flags & os.O_TRUNC and not entry.writable:
+            # POSIX leaves it undefined and the library leaves the file
+            # alone; Linux truncates, so on a mount the shim does
+            plfs_api.plfs_trunc(plfs_fd)
         return entry.fd
 
     def close(self, fd):
@@ -416,14 +429,7 @@ class Shim:
             self._count(False)
             return self.real.write(fd, data)
         self._count(True)
-        if entry.append:
-            offset = plfs_api.plfs_getattr(entry.plfs_fd).st_size
-        else:
-            offset = self.table.tell(entry)
-        n = self._write_at(entry, data, offset)
-        if n:
-            self.table.set_cursor(entry, offset + n)
-        return n
+        return self._write_at(entry, data, self.table.tell(entry), move=True)
 
     def lseek(self, fd, pos, how):
         entry = self.table.lookup(fd)
@@ -462,14 +468,7 @@ class Shim:
             self._count(False)
             return self.real.writev(fd, buffers)
         self._count(True)
-        if entry.append:
-            offset = plfs_api.plfs_getattr(entry.plfs_fd).st_size
-        else:
-            offset = self.table.tell(entry)
-        total = self._write_at(entry, buffers, offset, vectored=True)
-        if total:
-            self.table.set_cursor(entry, offset + total)
-        return total
+        return self._write_at(entry, buffers, self.table.tell(entry), vectored=True, move=True)
 
     def preadv(self, fd, buffers, offset, flags=0):
         entry = self.table.lookup(fd)
@@ -485,8 +484,7 @@ class Shim:
             self._count(False)
             return self.real.pwritev(fd, buffers, offset, flags)
         self._count(True)
-        # Like pwrite: honour the explicit offset (even with O_APPEND) and
-        # leave the emulated cursor untouched.
+        # Like pwrite: the emulated cursor stays where it is.
         return self._write_at(entry, buffers, offset, vectored=True)
 
     # ------------------------------------------------------------------ #
@@ -507,9 +505,7 @@ class Shim:
             self._count(False)
             return self.real.pwrite(fd, data, offset)
         self._count(True)
-        # POSIX semantics: pwrite honours the explicit offset even with
-        # O_APPEND (we do not copy Linux's deviation) and never moves the
-        # cursor.
+        # never moves the cursor
         return self._write_at(entry, data, offset)
 
     # ------------------------------------------------------------------ #
@@ -548,7 +544,7 @@ class Shim:
             self._count(False)
             return self.real.ftruncate(fd, length)
         self._count(True)
-        if length < 0 or not entry.writable:
+        if not 0 <= length <= _OFF_MAX or not entry.writable:
             raise _einval()
         plfs_api.plfs_trunc(entry.plfs_fd, length)
 

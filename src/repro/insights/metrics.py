@@ -192,8 +192,8 @@ def export_runtime_counters(
 
     Only *deterministic* counters are exported (counts, not durations):
     bench guards compare these exactly across runs of the same seed, so
-    anything timing-dependent (queue-wait seconds, reaper activity) must
-    travel in a record's ``timings`` section instead.
+    anything timing-dependent (queue-wait seconds, reaper activity) stays
+    out of a record.
     """
     out: dict[str, int | float] = {}
     if cache_stats:

@@ -5,9 +5,9 @@ a block-granular write-back cache (absorbing hot overwrites, the CAWL
 regime) in front of a slow backing store, with metadata creates
 serializing on a single-capacity MDS resource — the same dedicated-MDS
 topology the real daemon reproduces.  Because the clock is simulated,
-every latency and counter is exactly deterministic, which makes the
-``sim`` config the noise-free twin of the ``direct`` trajectory: the
-bench guard compares both with the identical schema and rules.
+every latency and counter is exactly deterministic; the ``sim`` config
+of :mod:`repro.bench` records the counters, and the simulated times are
+this model's own output.
 
 Model (all parameters overridable through the scenario params dict):
 
@@ -27,7 +27,7 @@ Model (all parameters overridable through the scenario params dict):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .engine import Environment, Event
 from .resources import Resource, Tank
@@ -231,19 +231,21 @@ class _CawlModel:
             yield self.env.timeout(p.backing_op_seconds)
 
 
-def execute_sim_stream(ops, seed: int, *, params: dict | None = None):
-    """Replay a bench op stream through the CAWL model.
+@dataclass
+class SimResult:
+    """What the model says of one op stream, in *simulated* seconds."""
 
-    Returns a :class:`repro.bench.runner.ExecutionResult` whose
-    ``wall_seconds`` and latencies are *simulated* seconds — the runner
-    normalizes them with calibration 1.0, so the derived metrics are
-    exactly reproducible.
-    """
-    from repro.bench.runner import ExecutionResult
+    counters: dict = field(default_factory=dict)
+    #: (tenant, kind) -> per-op latencies
+    latencies: dict = field(default_factory=dict)
+    wall_seconds: float = 0.0
 
+
+def execute_sim_stream(ops, seed: int, *, params: dict | None = None) -> SimResult:
+    """Replay a bench op stream through the CAWL model."""
     env = Environment()
     model = _CawlModel(env, _ModelParams.from_params(params))
-    result = ExecutionResult()
+    result = SimResult()
     by_kind: dict[str, int] = {}
 
     def client():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from typing import BinaryIO, Iterable
 
 #: Read granularity; matches GNU coreutils' preferred I/O block ballpark.
@@ -16,7 +15,6 @@ def cat(paths: Iterable[str], out: BinaryIO | None = None) -> int:
     plain ``open``/``read`` so the interposition layer sees the same POSIX
     call pattern the real tool produces.
     """
-    sink = out if out is not None else io.BytesIO()
     total = 0
     for path in paths:
         with open(path, "rb") as fh:
@@ -24,10 +22,7 @@ def cat(paths: Iterable[str], out: BinaryIO | None = None) -> int:
                 block = fh.read(BLOCK_SIZE)
                 if not block:
                     break
-                sink.write(block)
+                if out is not None:
+                    out.write(block)
                 total += len(block)
-        if out is None:
-            # Discarding sink: don't accumulate gigabytes in memory.
-            sink.seek(0)
-            sink.truncate()
     return total

@@ -1,6 +1,6 @@
 """The ``repro-bench`` CLI: run emits schema-valid records, guard's exit
-code is the CI contract (0 against a true baseline, nonzero against a
-synthetic 2x regression or a lost scenario)."""
+code is the contract (0 against a true baseline, nonzero against a
+seeded counter drift or a lost scenario)."""
 
 from __future__ import annotations
 
@@ -43,25 +43,6 @@ def test_run_emits_schema_valid_record(out_dir, capsys):
     assert "metadata_storm/direct" in capsys.readouterr().out
 
 
-def test_run_embeds_guard_policy(out_dir):
-    assert (
-        cli.main(
-            [
-                "run",
-                "--scenario",
-                "metadata_storm",
-                "--out",
-                out_dir,
-                "--max-timing-regression",
-                "3.0",
-            ]
-        )
-        == 0
-    )
-    rec = record.load(f"{out_dir}/BENCH_metadata_storm.json")
-    assert rec["guard"] == {"max_timing_regression": 3.0}
-
-
 def test_run_skips_unsupported_config(out_dir, capsys):
     # metadata_storm has no sim config: selection is empty -> exit 2
     assert (
@@ -85,31 +66,15 @@ def test_guard_fails_on_synthetic_2x_regression(out_dir, tmp_path, capsys):
     _run_storm(out_dir)
     baseline = str(tmp_path / "baseline")
     shutil.copytree(out_dir, baseline)
-    # halving the baseline's normalized metrics makes the (unchanged)
-    # current record look like a 2x regression — past the 1.75 default
+    # halving one of the baseline's counters makes the (unchanged) current
+    # record look like it appends twice as often
     path = f"{baseline}/BENCH_metadata_storm.json"
     rec = json.load(open(path))
-    rec["derived"]["normalized"] = {
-        k: v / 2 for k, v in rec["derived"]["normalized"].items()
-    }
+    rec["counters"]["write_appends"] //= 2
     json.dump(rec, open(path, "w"))
     assert cli.main(["guard", "--baseline", baseline, "--out", out_dir]) == 1
-    assert "FAIL" in capsys.readouterr().out
-    # a wide explicit tolerance waives it
-    assert (
-        cli.main(
-            [
-                "guard",
-                "--baseline",
-                baseline,
-                "--out",
-                out_dir,
-                "--max-timing-regression",
-                "4.0",
-            ]
-        )
-        == 0
-    )
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "counter write_appends" in out
 
 
 def test_guard_fails_when_scenario_lost(out_dir, tmp_path):
@@ -118,13 +83,6 @@ def test_guard_fails_when_scenario_lost(out_dir, tmp_path):
     shutil.copytree(out_dir, baseline)
     shutil.rmtree(out_dir)
     assert cli.main(["guard", "--baseline", baseline, "--out", out_dir]) == 1
-
-
-def test_compare_never_fails(out_dir, tmp_path, capsys):
-    _run_storm(out_dir)
-    baseline = str(tmp_path / "empty")
-    assert cli.main(["compare", "--baseline", baseline, "--out", out_dir]) == 0
-    assert "violation" in capsys.readouterr().out
 
 
 def test_list_shows_registry(capsys):

@@ -17,8 +17,8 @@ def _minimal(**over):
         seed=1337,
         params={"clients": 4},
         counters={"ops_total": 48},
-        timings={"wall_seconds": 0.1},
-        derived={"normalized": {"wall_over_calibration": 2.0}, "ratios": {}},
+        op_stream={"digest": "abc", "ops": 48},
+        host_sized_bytes={"object_put_bytes": 1000},
     )
     rec.update(over)
     return rec
@@ -28,9 +28,11 @@ def test_valid_record_passes():
     assert record.validate(_minimal()) == []
 
 
-def test_environment_fingerprint_has_no_wallclock():
-    env = record.environment_fingerprint()
-    assert set(env) == {"python", "implementation", "platform"}
+def test_derived_is_present_only_with_host_sized_bytes():
+    rec = _minimal()
+    assert rec["derived"] == {"bytes": {"object_put_bytes": 1000}}
+    del rec["derived"]
+    assert record.validate(rec) == []
 
 
 def test_missing_key_fails():
@@ -54,8 +56,8 @@ def test_non_numeric_counter_fails():
 
 def test_non_numeric_derived_fails():
     rec = _minimal()
-    rec["derived"]["normalized"]["bad"] = None
-    assert any("normalized" in p for p in record.validate(rec))
+    rec["derived"]["bytes"]["bad"] = None
+    assert any("derived.bytes" in p for p in record.validate(rec))
 
 
 def test_assert_valid_raises_with_all_problems():

@@ -1,8 +1,8 @@
 """The runner end to end: every scenario/config produces a schema-valid
 record whose deterministic counters reproduce exactly under a fixed seed.
 
-Scaled-down params keep this tier-1-fast; the real short/full profiles
-run in the CI bench job.
+Scaled-down params keep this fast; the committed short-profile baselines
+are replayed whole in ``test_baselines.py``.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ def test_direct_run_produces_valid_record(name):
     rec = _run(name)
     assert record_mod.validate(rec) == []
     assert rec["counters"]["ops_total"] == rec["op_stream"]["ops"]
-    assert rec["derived"]["normalized"]["wall_over_calibration"] > 0
-    assert rec["timings"]["calibration_seconds"] > 0
+    assert "derived" not in rec  # only the objectstore config has one
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -81,8 +80,10 @@ def test_wal_batched_config_engages_wal():
 
 def test_multi_tenant_reports_both_tenants():
     rec = _run("multi_tenant")
-    assert set(rec["timings"]["per_tenant"]) == {"storm", "stream"}
-    assert "storm_p50_over_stream_p50" in rec["derived"]["ratios"]
+    assert rec["op_stream"]["tenants"] == 2
+    # the storm's creates and the stream's appends both reached the writer
+    assert rec["counters"]["ops_create"] == TINY["multi_tenant"]["storm_files"]
+    assert rec["counters"]["write_appends"] == rec["op_stream"]["ops"]
 
 
 def test_crash_soak_recovers_every_cycle():
@@ -110,7 +111,7 @@ def test_objectstore_counters_do_not_depend_on_the_hostname(monkeypatch):
     assert short["counters"] == long_["counters"]
     assert short["counters"]["object_puts"] > 0  # counts stay exact
     assert not set(runner.HOST_SIZED_BYTES) & set(short["counters"])
-    # the byte totals moved to the tolerance-compared section, and do differ
+    # the byte totals moved to the ratio-compared section, and do differ
     assert set(short["derived"]["bytes"]) <= set(runner.HOST_SIZED_BYTES)
     assert (
         short["derived"]["bytes"]["object_put_bytes"]
@@ -148,15 +149,3 @@ def test_direct_stream_writes_real_bytes(tmp_path):
     fd = plfs.plfs_open(str(tmp_path / "a" / "x"), os.O_RDONLY)
     assert plfs.plfs_read(fd, 1024, 0) == payload(5, "a/x", 0, 300)
     plfs.plfs_close(fd)
-
-
-def test_summarize_and_derive():
-    lat = {("t", "write"): [0.2, 0.1, 0.3], ("u", "read"): [0.4]}
-    per_kind, per_tenant = runner.summarize_latencies(lat)
-    assert per_kind["write"]["count"] == 3
-    assert per_kind["write"]["p50"] == 0.2
-    assert per_tenant["u"]["mean"] == 0.4
-    derived = runner.derive_metrics(per_kind, per_tenant, 1.0, 0.5)
-    assert derived["normalized"]["wall_over_calibration"] == 2.0
-    assert derived["ratios"]["read_p50_over_write_p50"] == 2.0
-    assert derived["ratios"]["t_p50_over_u_p50"] == 0.5

@@ -7,6 +7,7 @@ lseek-emulated file pointer through the patched ``os`` functions.
 from __future__ import annotations
 
 import errno
+import gc
 import os
 
 import pytest
@@ -57,6 +58,9 @@ class TestFailedOpenCleanup:
 
     @staticmethod
     def open_fd_count():
+        # an earlier test's garbage may hold descriptors whose __del__ would
+        # otherwise close them between the two counts
+        gc.collect()
         return len(os.listdir("/proc/self/fd"))
 
     def test_failed_insert_releases_handle_and_marker(
@@ -191,6 +195,22 @@ class TestPositionalIO:
         os.pwrite(fd, b"XY", 6)
         assert os.lseek(fd, 0, os.SEEK_CUR) == 2
         assert os.pread(fd, 10, 0) == b"000000XY00"
+        os.close(fd)
+
+    @pytest.mark.parametrize("where", ["flat", "mount"])
+    def test_pwrite_on_append_descriptor_appends(self, interposer, f, tmp_path, where):
+        # Linux appends whatever offset pwrite names on an O_APPEND
+        # descriptor; the flat file is the reference, the mount must agree
+        path = f if where == "mount" else str(tmp_path / "flat")
+        fd = os.open(path, os.O_CREAT | os.O_RDWR | os.O_APPEND)
+        os.write(fd, b"AAAA")
+        assert os.pwrite(fd, b"bb", 0) == 2
+        assert os.lseek(fd, 0, os.SEEK_CUR) == 4  # cursor untouched
+        assert os.pread(fd, 10, 0) == b"AAAAbb"
+        with pytest.raises(OSError) as exc:
+            os.pwrite(fd, b"cc", -1)  # the argument check comes first
+        assert exc.value.errno == errno.EINVAL
+        assert os.fstat(fd).st_size == 6
         os.close(fd)
 
     def test_pread_passthrough(self, interposer, tmp_path):

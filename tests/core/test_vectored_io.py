@@ -108,6 +108,17 @@ class TestPositionalVectored:
         assert os.read(fd, 8) == b"XXabcdXX"
         os.close(fd)
 
+    @pytest.mark.parametrize("where", ["flat", "mount"])
+    def test_pwritev_on_append_descriptor_appends(self, interposer, f, tmp_path, where):
+        # as Linux does on the flat file: appended, whatever the offset says
+        path = f if where == "mount" else str(tmp_path / "flat")
+        fd = os.open(path, os.O_CREAT | os.O_RDWR | os.O_APPEND)
+        os.writev(fd, [b"AA", b"AA"])
+        assert os.pwritev(fd, [b"b", b"b"], 0) == 2
+        assert os.lseek(fd, 0, os.SEEK_CUR) == 4  # cursor untouched
+        assert os.pread(fd, 10, 0) == b"AAAAbb"
+        os.close(fd)
+
     def test_preadv_does_not_move_cursor(self, interposer, f):
         fd = os.open(f, os.O_CREAT | os.O_RDWR)
         os.write(fd, b"0123456789")
