@@ -31,8 +31,6 @@ Quick start (the paper's headline capability)::
 
 __version__ = "1.0.0"
 
-from . import analysis, cluster, core, fs, model, mpiio, plfs, sim, unixtools, workloads
-
 __all__ = [
     "plfs",
     "core",
@@ -46,3 +44,13 @@ __all__ = [
     "analysis",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """``repro.<subpackage>`` on first touch (PEP 562): importing the thin
+    layer — ``repro.core``, ``repro.plfs`` — must not import the simulator."""
+    if name in __all__ and name != "__version__":
+        from importlib import import_module
+
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

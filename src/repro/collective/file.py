@@ -158,10 +158,10 @@ class CollectiveFile:
 
     def _publish(self) -> None:
         """Flush every open writer so the next read on *any* handle
-        revalidates against the full container.  Handles only overlay
-        their own unflushed records; bytes buffered in a sibling handle
-        (another aggregator, another rank) become visible through the
-        index-cache generation bump a flush performs."""
+        revalidates against the full container.  A handle flushes only its
+        own buffered records ahead of its own read; bytes buffered in a
+        sibling handle (another aggregator, another rank) become visible
+        through the index-cache generation bump a flush performs."""
         for fd in list(self._agg_fds) + list(self._rank_fds.values()):
             plfs_api.plfs_sync(fd)
 

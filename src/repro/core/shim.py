@@ -199,9 +199,13 @@ class Shim:
         plfs_fd, views = entry.plfs_fd, ()
         if len(buffers) == 1:
             dest = buffers[0]
+            want = memoryview(dest).nbytes
         else:
             views = list(map(byte_view, buffers))
-            dest = memoryview(bytearray(sum(map(len, views))))
+            want = sum(map(len, views))
+            dest = memoryview(bytearray(want))
+        if offset + want > _OFF_MAX:
+            raise _einval()
         try:
             got = plfs_api.plfs_read_into(plfs_fd, dest, offset)
         except OSError as exc:

@@ -259,10 +259,36 @@ class _TracedFile:
         return f"<traced {self._fh!r}>"
 
 
+def _data_call(name: str, *, read: bool, positional: bool):
+    """The :class:`Tracer` method standing in for ``os.<name>(fd,
+    data_or_length_or_iovec[, offset[, flags]])``: a read returns the bytes
+    (scalar) or their count over the whole iovec (vectored), a write the
+    count."""
+
+    def call(self, fd, arg, *rest):
+        t0 = self._clock()
+        result = self._saved[name](fd, arg, *rest)
+        nbytes = result if isinstance(result, int) else len(result)
+        self._moved(fd, t0, nbytes, rest[0] if positional else None, read=read)
+        return result
+
+    return call
+
+
 class Tracer:
     """Characterisation interposer; stacks over whatever is installed."""
 
-    _PATCHES = ("open", "close", "read", "write", "pread", "pwrite", "lseek")
+    #: every ``os`` call that opens, closes, moves bytes or moves the cursor;
+    #: PLFS itself reads by ``preadv`` and writes iovecs by ``writev``
+    _PATCHES = tuple(
+        name
+        for name in (
+            "open", "close", "lseek",
+            "read", "write", "pread", "pwrite",
+            "readv", "writev", "preadv", "pwritev",
+        )
+        if hasattr(os, name)
+    )
 
     def __init__(self, *, clock=time.perf_counter):
         self._clock = clock
@@ -301,13 +327,8 @@ class Tracer:
         for name in self._PATCHES:
             self._saved[name] = getattr(os, name)
         self._saved["builtins.open"] = builtins.open
-        os.open = self._open
-        os.close = self._close
-        os.read = self._read
-        os.write = self._write
-        os.pread = self._pread
-        os.pwrite = self._pwrite
-        os.lseek = self._lseek
+        for name in self._PATCHES:
+            setattr(os, name, getattr(self, "_" + name))
         builtins.open = self._builtin_open
         self._installed = True
         return self
@@ -353,59 +374,30 @@ class Tracer:
         self._fd_expect.pop(fd, None)
         return self._saved["close"](fd)
 
-    def _advance(self, fd, start, nbytes, *, move_cursor: bool) -> bool:
-        """Record the access span; returns consecutive-offset flag."""
+    def _moved(self, fd, t0, nbytes, offset, *, read: bool) -> None:
+        """Account one data access of *nbytes* at *offset* — None: at the
+        cursor, which it moves — and whether it continued the previous one
+        on the descriptor (consecutive-offset sequentiality)."""
+        path = self._fd_paths.get(fd)
+        if path is None:
+            return
+        start = self._fd_pos.get(fd, 0) if offset is None else offset
         sequential = start == self._fd_expect.get(fd, start)
         self._fd_expect[fd] = start + nbytes
-        if move_cursor:
+        if offset is None:
             self._fd_pos[fd] = start + nbytes
-        return sequential
+        stats = self._stats_for(path)
+        observe = stats.observe_read if read else stats.observe_write
+        observe(nbytes, self._clock() - t0, sequential=sequential)
 
-    def _read(self, fd, n):
-        t0 = self._clock()
-        data = self._saved["read"](fd, n)
-        path = self._fd_paths.get(fd)
-        if path is not None:
-            start = self._fd_pos.get(fd, 0)
-            seq = self._advance(fd, start, len(data), move_cursor=True)
-            self._stats_for(path).observe_read(
-                len(data), self._clock() - t0, sequential=seq
-            )
-        return data
-
-    def _write(self, fd, data):
-        t0 = self._clock()
-        n = self._saved["write"](fd, data)
-        path = self._fd_paths.get(fd)
-        if path is not None:
-            start = self._fd_pos.get(fd, 0)
-            seq = self._advance(fd, start, n, move_cursor=True)
-            self._stats_for(path).observe_write(
-                n, self._clock() - t0, sequential=seq
-            )
-        return n
-
-    def _pread(self, fd, n, offset):
-        t0 = self._clock()
-        data = self._saved["pread"](fd, n, offset)
-        path = self._fd_paths.get(fd)
-        if path is not None:
-            seq = self._advance(fd, offset, len(data), move_cursor=False)
-            self._stats_for(path).observe_read(
-                len(data), self._clock() - t0, sequential=seq
-            )
-        return data
-
-    def _pwrite(self, fd, data, offset):
-        t0 = self._clock()
-        n = self._saved["pwrite"](fd, data, offset)
-        path = self._fd_paths.get(fd)
-        if path is not None:
-            seq = self._advance(fd, offset, n, move_cursor=False)
-            self._stats_for(path).observe_write(
-                n, self._clock() - t0, sequential=seq
-            )
-        return n
+    _read = _data_call("read", read=True, positional=False)
+    _write = _data_call("write", read=False, positional=False)
+    _pread = _data_call("pread", read=True, positional=True)
+    _pwrite = _data_call("pwrite", read=False, positional=True)
+    _readv = _data_call("readv", read=True, positional=False)
+    _writev = _data_call("writev", read=False, positional=False)
+    _preadv = _data_call("preadv", read=True, positional=True)
+    _pwritev = _data_call("pwritev", read=False, positional=True)
 
     def _lseek(self, fd, pos, how):
         result = self._saved["lseek"](fd, pos, how)

@@ -91,19 +91,11 @@ class Plfs_fd:
         return self.container.path
 
     def reader(self) -> ReadFile:
-        """The handle's :class:`ReadFile`, made on first use (it overlays
-        the writer's unflushed records and notices new ones itself)."""
+        """The handle's :class:`ReadFile`, made on first use: a reader like
+        any other, sharing the process-wide index."""
         if self._reader is None:
-            self._reader = ReadFile(self.container, writer=self.writer)
+            self._reader = ReadFile(self.container)
         return self._reader
-
-    def invalidate_reader(self) -> None:
-        """Discard the cached reader entirely.  Needed when the writer
-        object itself is replaced (truncate), since a cached ReadFile holds
-        a reference to the writer whose unflushed records it overlays."""
-        if self._reader is not None:
-            self._reader.close()
-            self._reader = None
 
 
 # ---------------------------------------------------------------------- #
@@ -258,6 +250,9 @@ def plfs_read(fd, count: int, offset: int) -> bytes:
         return fd.read(count, offset)
     if not fd.readable:
         raise BadFlagsError("handle not open for reading")
+    writer = fd.writer
+    if writer is not None and writer.appends != writer.flushed_appends:
+        writer.flush_indexes()  # read-your-own-writes (DESIGN decision 16)
     return (fd._reader or fd.reader()).read(count, offset)
 
 
@@ -268,6 +263,9 @@ def plfs_read_into(fd, buf, offset: int) -> int:
         return fd.read_into(byte_view(buf), offset)
     if not fd.readable:
         raise BadFlagsError("handle not open for reading")
+    writer = fd.writer
+    if writer is not None and writer.appends != writer.flushed_appends:
+        writer.flush_indexes()  # read-your-own-writes (DESIGN decision 16)
     return (fd._reader or fd.reader()).read_into(buf, offset)
 
 
@@ -374,7 +372,7 @@ def plfs_trunc(fd_or_path: Plfs_fd | str, offset: int = 0) -> None:
     # Wipe, or shrink by compacting the flattened index clipped at *offset*:
     # either way the droppings are replaced, so an open writer is recycled
     # around it (its high-water mark would otherwise report the old size)
-    # and a cached reader, which overlays that writer, is discarded.
+    # and a reader lets go of the descriptors it holds on the old ones.
     if writer is not None:
         writer.close()
     if offset:
@@ -384,8 +382,8 @@ def plfs_trunc(fd_or_path: Plfs_fd | str, offset: int = 0) -> None:
         index_cache.invalidate(container.path)
     if writer is not None:
         fd.writer = WriteFile(container, wal=writer.wal, wal_batch=writer.wal_batch)
-    if fd is not None:
-        fd.invalidate_reader()
+    if fd is not None and fd._reader is not None:
+        fd._reader.refresh()
 
 
 def plfs_rename(path: str, new_path: str) -> None:

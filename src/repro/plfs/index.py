@@ -430,16 +430,13 @@ class GlobalIndex:
 
 def load_global_index(
     droppings: list[tuple[str, str]],
-    extra_records: list[tuple[np.ndarray, int]] | None = None,
     sizes: list[int] | None = None,
 ) -> tuple[GlobalIndex, list[str]]:
     """Build a :class:`GlobalIndex` from container droppings.
 
     ``droppings`` is a list of (index_path, data_path) pairs; ``data_path``
     receives global dropping id = its position in the returned list.
-    ``extra_records`` optionally supplies in-memory record arrays (from open
-    writers) already tagged with a data path index into the same list via the
-    accompanying int.  ``sizes[i]``, when given, is how much of dropping
+    ``sizes[i]``, when given, is how much of dropping
     *i*'s index to read: what the caller's epoch vouches for, so the index
     holds exactly those bytes and a flush landing meanwhile is the next
     epoch's to see.
@@ -460,12 +457,6 @@ def load_global_index(
         if recs.size:
             recs["dropping"] = global_id
             arrays.append(recs)
-    if extra_records:
-        for recs, global_id in extra_records:
-            if recs.size:
-                recs = recs.copy()
-                recs["dropping"] = global_id
-                arrays.append(recs)
     return GlobalIndex(arrays), data_paths
 
 

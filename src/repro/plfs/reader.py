@@ -7,7 +7,7 @@ the log-structured design: writes were laid down sequentially, so reads
 pay the reassembly cost.
 
 The fast lane (:mod:`repro.plfs.cache`) takes most of that cost off the
-hot path: handles without a writer overlay share one epoch-validated
+hot path: every handle shares one epoch-validated
 global index per container (loaded from the persistent compacted
 ``global.index`` when fresh, extended by what was appended when a flush
 left it behind), a warm read revalidates with one ``fstat`` of a
@@ -31,7 +31,6 @@ from .container import Container, DroppingMark
 from .errors import CorruptIndexError
 from .index import GlobalIndex, ReadSlice, load_global_index
 from .route import posix
-from .writer import WriteFile
 
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
 
@@ -50,16 +49,17 @@ class ReadFile:
     """Read handle on a container.
 
     The global index is built lazily on first read and invalidated with
-    :meth:`refresh` (e.g. after a same-process writer syncs).  If *writer*
-    is supplied, its unflushed in-memory records are merged in so that a
-    handle opened O_RDWR sees its own writes immediately — the same
-    guarantee plfs_read gives through the C API.
+    :meth:`refresh`.  A reader knows nothing of writers: it sees what is
+    in the index droppings, and a handle that also writes (``O_RDWR``)
+    flushes its own records there before it reads
+    (:func:`repro.plfs.api.plfs_read`).
 
-    Handles without a writer overlay share their index through the
-    process-wide :class:`~repro.plfs.cache.IndexCache`; every handle also
+    Every handle shares its index through the process-wide
+    :class:`~repro.plfs.cache.IndexCache` (*use_shared_cache* off builds
+    privately, from scratch: the reference the tests compare against) and
     remembers the cache *generation* its index was built at, so a flush
-    from any other handle in the process (which bumps the generation) is
-    picked up on the next read without re-stating the container.
+    from any handle in the process (which bumps the generation) is picked
+    up on the next read without re-stating the container.
 
     Data-dropping descriptors are cached in a bounded LRU
     (*fd_cache_limit*, default :data:`constants.FD_CACHE_LIMIT`): wide
@@ -75,13 +75,11 @@ class ReadFile:
         self,
         container: Container,
         *,
-        writer: WriteFile | None = None,
         fd_cache_limit: int | None = None,
         coalesce: bool = True,
         use_shared_cache: bool = True,
     ):
         self.container = container
-        self._writer = writer
         self._index: GlobalIndex | None = None
         self._data_paths: list[str] = []
         #: the shared index's marks, per data path (``data_id`` is the file
@@ -96,8 +94,6 @@ class ReadFile:
         self._use_shared_cache = use_shared_cache
         self._cache = shared_cache()
         self._generation: int | None = None
-        #: the writer's append count the index overlays (see _revalidate)
-        self._overlaid_appends = 0
         #: the generation file the index was built under (None: there was none)
         self._gen_fd: int | None = None
         self._closed = False
@@ -140,45 +136,20 @@ class ReadFile:
                 self._fd_last_use.pop(dropping, None)
 
     def _load(self) -> None:
-        writer = self._writer
-        if writer is not None:
-            # Make sure on-disk index droppings are complete before looking
-            # at them — and before taking the generation descriptor: this
-            # flush bumps the generation file, and a descriptor opened
-            # first would make the next revalidation mistake our own bump
-            # for a foreign writer's.
-            self._overlaid_appends = writer.appends
-            writer.flush_indexes()
         # Opened before the build, in place of a stat: a bump that lands
         # while the build runs unlinks this very inode.
         try:
             self._gen_fd = posix.open(self.container.generation_path(), os.O_RDONLY)
         except OSError:
             pass
-        cache = self._cache
-        if writer is None and self._use_shared_cache:
-            loaded, generation = cache.get(self.container)
+        if self._use_shared_cache:
+            loaded, self._generation = self._cache.get(self.container)
             self._index, self._data_paths = loaded.index, loaded.data_paths
             self._marks = loaded.marks
-            self._generation = generation
-            return
-        extra: list = []
-        generation = cache.generation(self.container.path)
-        droppings = self.container.droppings()
-        if writer is not None:
-            # Overlay anything still buffered (nothing, after the flush —
-            # but a writer may be appending between our flush and read).
-            path_to_id = {data: i for i, (_, data) in enumerate(droppings)}
-            for recs, data_path in writer.pending_records():
-                gid = path_to_id.get(data_path)
-                if gid is None:
-                    droppings.append(("", data_path))
-                    gid = len(droppings) - 1
-                    path_to_id[data_path] = gid
-                extra.append((recs, gid))
-        self._index, self._data_paths = load_global_index(droppings, extra)
-        self._marks = []
-        self._generation = generation
+        else:
+            self._generation = self._cache.generation(self.container.path)
+            self._index, self._data_paths = load_global_index(self.container.droppings())
+            self._marks = []
 
     def refresh(self) -> None:
         """Invalidate the cached global index (picks up new droppings)
@@ -193,15 +164,9 @@ class ReadFile:
         by rename, so the one held open here has lost its last link exactly
         when a by-path ``(inode, mtime_ns)`` token would have changed (one
         ``fstat``).  The path is probed only while none existed at build.
-        A handle overlaying its own writer is also behind once that writer
-        has appended (its records may still be buffered: no bump yet).
         Being behind closes nothing: :meth:`_build_index` decides which
         descriptors the new index still vouches for."""
         if self._index is None or self._generation is None:
-            return
-        writer = self._writer
-        if writer is not None and writer.appends != self._overlaid_appends:
-            self._index = None
             return
         if self._cache.generation(self.container.path) != self._generation:
             self._index = None

@@ -36,6 +36,7 @@ The write fast lane (mirroring the read-path work in
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 
@@ -106,6 +107,7 @@ class _Dropping:
         "wal_records_written",
         "wal_batches",
         "_closed",
+        "_lock",
     )
 
     def __init__(
@@ -166,6 +168,8 @@ class _Dropping:
         self.wal_records_written = 0
         self.wal_batches = 0
         self._closed = False
+        #: held while ``pending`` is merged into, appended to or taken
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # the append hot path
@@ -176,9 +180,9 @@ class _Dropping:
         *before* the data append, preserving the batch-boundary coverage
         invariant (at ``wal_batch == 1`` this is the strict per-append
         write-ahead ordering)."""
-        self.wal_rows.append(
-            [logical_offset, self.physical_offset, length, pid, util.unique_timestamp()]
-        )
+        row = [logical_offset, self.physical_offset, length, pid, util.unique_timestamp()]
+        with self._lock:
+            self.wal_rows.append(row)
         if len(self.wal_rows) >= self.wal_batch:
             self.flush_wal()
 
@@ -200,19 +204,20 @@ class _Dropping:
         """
         physical = self.physical_offset
         self.physical_offset = physical + written
-        if merge and self.pending:
-            last = self.pending[-1]
-            if (
-                last[_PID] == pid
-                and last[_LOGICAL] + last[_LENGTH] == logical_offset
-                and last[_PHYSICAL] + last[_LENGTH] == physical
-                and last[_LENGTH] + written <= MERGE_LENGTH_CAP
-            ):
-                last[_LENGTH] += written
-                last[_TS] = util.unique_timestamp()
-                self.records_merged += 1
-                return
-        self.pending.append([logical_offset, physical, written, pid, util.unique_timestamp()])
+        with self._lock:  # a reading thread of the handle may be flushing
+            if merge and self.pending:
+                last = self.pending[-1]
+                if (
+                    last[_PID] == pid
+                    and last[_LOGICAL] + last[_LENGTH] == logical_offset
+                    and last[_PHYSICAL] + last[_LENGTH] == physical
+                    and last[_LENGTH] + written <= MERGE_LENGTH_CAP
+                ):
+                    last[_LENGTH] += written
+                    last[_TS] = util.unique_timestamp()
+                    self.records_merged += 1
+                    return
+            self.pending.append([logical_offset, physical, written, pid, util.unique_timestamp()])
 
     def append(self, buf, logical_offset: int, pid: int, merge: bool) -> int:
         store = backing.current()
@@ -246,32 +251,50 @@ class _Dropping:
         On failure the rows are *kept*: earlier rows in the batch may
         already cover data that physically landed, and the WAL must stay a
         superset of whatever the index dropping will claim.  A retried row
-        whose data never landed is zero-clipped at recovery time.
+        whose data never landed is zero-clipped at recovery time.  The
+        buffer is taken under the lock, for :meth:`flush_index`'s reason.
         """
         if not self.wal_rows:
             return
-        payload = _rows_to_records(self.wal_rows).tobytes()
-        backing.current().write_wal(self.wal_fd, payload, self.wal_path)
-        self.wal_records_written += len(self.wal_rows)
+        with self._lock:
+            rows, self.wal_rows = self.wal_rows, []
+        try:
+            payload = _rows_to_records(rows).tobytes()
+            backing.current().write_wal(self.wal_fd, payload, self.wal_path)
+        except BaseException:
+            with self._lock:
+                self.wal_rows[:0] = rows
+            raise
+        self.wal_records_written += len(rows)
         self.wal_batches += 1
-        self.wal_rows.clear()
-
-    def pending_records(self) -> np.ndarray:
-        return _rows_to_records(self.pending)
 
     def flush_index(self) -> None:
-        # The WAL must remain a superset of the flushed index (fsck
-        # rebuilds the index wholly from it), so an open batch is flushed
-        # first.
-        if self.wal_fd >= 0 and self.wal_rows:
-            self.flush_wal()
-        if not self.pending:
-            return
-        records = self.pending_records()
-        backing.current().append_index(self.index_path, records.tobytes())
-        self.records_flushed += records.shape[0]
+        """Append the buffered records to the index dropping.  The buffer is
+        *taken* (swapped for an empty one, under the lock :meth:`_record`
+        merges and appends under), not copied and cleared: a handle that
+        reads flushes ahead of itself, so another of its threads may be
+        appending meanwhile, and a row or a merged length landing in a list
+        already serialised would be lost.  On failure the rows go back,
+        ahead of the newcomers."""
+        with self._lock:
+            rows, self.pending = self.pending, []
+        try:
+            # The WAL must remain a superset of the flushed index (fsck
+            # rebuilds the index wholly from it), so an open batch is
+            # flushed first — after the take, so it holds every taken
+            # record's promise.
+            if self.wal_fd >= 0 and self.wal_rows:
+                self.flush_wal()
+            if not rows:
+                return
+            payload = _rows_to_records(rows).tobytes()
+            backing.current().append_index(self.index_path, payload)
+        except BaseException:
+            with self._lock:
+                self.pending[:0] = rows
+            raise
+        self.records_flushed += len(rows)
         self.index_flushes += 1
-        self.pending.clear()
 
     def sync(self) -> None:
         self.flush_index()
@@ -367,9 +390,11 @@ class WriteFile:
         #: one WAL syscall per window)
         self.wal_batch = max(1, int(wal_batch))
         self._last_dropping: _Dropping | None = None
-        #: data appends so far; a reader overlaying this writer compares it
-        #: with the count its index was built at (see ReadFile._revalidate)
+        #: data appends whose record is buffered or flushed, and the count
+        #: at the last :meth:`flush_indexes`: a handle that also reads flushes
+        #: ahead of its read when they differ (see repro.plfs.api.plfs_read)
         self.appends = 0
+        self.flushed_appends = 0
         self._vectored_appends = 0
         self._vectored_buffers = 0
         self._zero_copy_appends = 0
@@ -391,6 +416,7 @@ class WriteFile:
         _invalidate_cross_process(self.container)
 
     def _account(self, dropping: _Dropping, offset: int, written: int) -> None:
+        self.appends += 1  # only now: the record is where a flush finds it
         end = offset + written
         if end > self._max_logical_end:
             self._max_logical_end = end
@@ -419,7 +445,6 @@ class WriteFile:
         dropping = self._droppings.get(pid) or self._open_dropping(pid)
         merge = dropping is self._last_dropping
         self._last_dropping = dropping
-        self.appends += 1
         if isinstance(buf, memoryview):
             self._zero_copy_appends += 1
         written = dropping.append(buf, offset, pid, merge)
@@ -438,7 +463,6 @@ class WriteFile:
         dropping = self._droppings.get(pid) or self._open_dropping(pid)
         merge = dropping is self._last_dropping
         self._last_dropping = dropping
-        self.appends += 1
         self._vectored_appends += 1
         self._vectored_buffers += len(bufs)
         written = dropping.append_many(bufs, offset, pid, merge)
@@ -446,18 +470,6 @@ class WriteFile:
         return written
 
     # ------------------------------------------------------------------ #
-    # visibility for readers on the same handle / process
-    # ------------------------------------------------------------------ #
-
-    def pending_records(self) -> list[tuple[np.ndarray, str]]:
-        """Unflushed index records per data dropping path, so a reader in
-        the same process can see writes that have not been synced yet."""
-        out: list[tuple[np.ndarray, str]] = []
-        for d in self._droppings.values():
-            recs = d.pending_records()
-            if recs.size:
-                out.append((recs, d.data_path))
-        return out
 
     @property
     def max_logical_end(self) -> int:
@@ -506,9 +518,11 @@ class WriteFile:
         self._invalidate()
 
     def flush_indexes(self) -> None:
+        appends = self.appends  # every one of these has its record buffered
         flushed = any(d.pending for d in self._droppings.values())
         for d in self._droppings.values():
             d.flush_index()
+        self.flushed_appends = appends
         if flushed:
             self._invalidate()
 

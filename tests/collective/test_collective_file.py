@@ -116,6 +116,23 @@ def test_collective_read_round_trips_per_rank(tmp_path):
         assert f.counters["cb_backend_reads"] >= 1
 
 
+def test_read_rounds_share_one_index_per_container(tmp_path):
+    """Every worker handle is ``O_RDWR`` (the default flags): its reader is
+    a reader like any other, so a round's handles build the container's
+    index once between them and the next round finds it."""
+    from repro.plfs.cache import shared_cache
+
+    with _write_rounds(str(tmp_path / "f"), nodes=2, ppn=2, rounds=1) as f:
+        stats = shared_cache().stats
+        first = f.read_at_all(3 * RECORD, position=0)
+        built = stats["merged_builds"] + stats["compacted_loads"]
+        assert built >= 1
+        hits = stats["hits"]
+        assert f.read_at_all(3 * RECORD, position=0) == first
+        assert stats["hits"] > hits
+        assert stats["merged_builds"] + stats["compacted_loads"] == built
+
+
 def test_read_with_cb_off_round_trips_too(tmp_path):
     with _write_rounds(
         str(tmp_path / "f"),

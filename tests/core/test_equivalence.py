@@ -31,8 +31,11 @@ to overlook is DESIGN §5 decision 15's list, and nothing else:
   leaves that one's writer behind (its high-water mark, the droppings it
   appends to): a second ``open`` is made without ``O_TRUNC`` and
   ``ftruncate`` goes to files with one descriptor;
-- ``preadv``/``pwritev`` (offset -1 means "at the cursor" to Linux) and
-  unlink/rename of a file with open descriptors are not rules yet.
+- offset -1 means "at the cursor, and move it" to Linux's ``preadv2`` /
+  ``pwritev2``, which ``os.preadv``/``os.pwritev`` call; a mount refuses it
+  like every other negative offset (``EINVAL``): the flat file is asked
+  with -2 in its place;
+- unlink/rename of a file with open descriptors are not rules yet.
 """
 
 from __future__ import annotations
@@ -93,6 +96,16 @@ def scatter_read(fd, sizes):
     return os.readv(fd, buffers), buffers
 
 
+def scatter_pread(fd, sizes, offset):
+    buffers = [bytearray(n) for n in sizes]
+    return os.preadv(fd, buffers, offset), buffers
+
+
+def not_at_the_cursor(offset: int) -> int:
+    """What the flat file is asked in place of -1 (see the module docstring)."""
+    return -2 if offset == -1 else offset
+
+
 class MountEquivalence(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -110,10 +123,11 @@ class MountEquivalence(RuleBasedStateMachine):
     def open_on(self, *file_names) -> int:
         return sum(pair[0] in file_names for pair in self.pairs)
 
-    def both(self, pair, call, *args):
-        """*call* on the flat descriptor, then on the mount's: one outcome."""
+    def both(self, pair, call, *args, flat=None):
+        """*call* on the flat descriptor (with *flat*, if its arguments are
+        to differ), then on the mount's: one outcome."""
         _, ref_fd, sut_fd = pair
-        expected = outcome(call, ref_fd, *args)
+        expected = outcome(call, ref_fd, *(args if flat is None else flat))
         got = outcome(call, sut_fd, *args)
         if expected == PAST_OFF_T and got in (("errno", errno.EINVAL), ("errno", errno.EBADF)):
             expected = got
@@ -123,9 +137,9 @@ class MountEquivalence(RuleBasedStateMachine):
         """The open pairs *which*'s bits select (the first, if none)."""
         return [p for i, p in enumerate(self.pairs) if which >> i & 1] or self.pairs[:1]
 
-    def each(self, which, call, *args, sync=False):
+    def each(self, which, call, *args, sync=False, flat=None):
         for pair in self.chosen(which):
-            self.both(pair, call, *args)
+            self.both(pair, call, *args, flat=flat)
             if sync and self.open_on(pair[0]) > 1:
                 self.both(pair, os.fsync)  # where another description sees it
 
@@ -270,6 +284,20 @@ class MountEquivalence(RuleBasedStateMachine):
         self.each(which, os.writev, buffers, sync=True)
 
     @open_pair
+    @rule(which=some, sizes=st.lists(st.integers(0, 100), min_size=1, max_size=3),
+          offset=any_offsets)
+    def preadv_descriptors(self, which, sizes, offset):
+        self.each(which, scatter_pread, sizes, offset,
+                  flat=(sizes, not_at_the_cursor(offset)))
+
+    @open_pair
+    @rule(which=some, buffers=st.lists(st.binary(max_size=80), min_size=1, max_size=3),
+          offset=any_offsets)
+    def pwritev_descriptors(self, which, buffers, offset):
+        self.each(which, os.pwritev, buffers, offset, sync=True,
+                  flat=(buffers, not_at_the_cursor(offset)))
+
+    @open_pair
     @rule(
         which=some,
         pos=st.one_of(any_offsets, st.integers(-300, 0)),
@@ -351,6 +379,33 @@ COUNTEREXAMPLES = {
     "ftruncate past off_t is refused": [
         ("open_descriptor", dict(name="a.dat", flags=os.O_CREAT | os.O_WRONLY)),
         ("ftruncate_descriptors", dict(which=1, size=OFF_MAX + 1)),
+    ],
+    "preadv past off_t is refused": [
+        ("open_descriptor", dict(name="a.dat", flags=os.O_CREAT | os.O_RDWR)),
+        ("preadv_descriptors", dict(which=1, sizes=[0], offset=OFF_MAX + 1)),
+        ("pwritev_descriptors", dict(which=1, buffers=[b"ab", b"", b"c"], offset=-1)),
+    ],
+    # not a counterexample: the O_RDWR lane (a handle that flushes its own
+    # appends ahead of its read, then is extended), reached on every run
+    "an O_RDWR descriptor reads its own writes, twice": [
+        ("open_descriptor", dict(name="c", flags=os.O_CREAT | os.O_RDWR)),
+        ("pwrite_descriptors", dict(which=1, payload=b"0123456789", offset=0)),
+        ("pread_descriptors", dict(which=1, n=20, offset=0)),
+        ("pwritev_descriptors", dict(which=1, buffers=[b"ab", b"cd"], offset=4)),
+        ("preadv_descriptors", dict(which=1, sizes=[3, 0, 20], offset=2)),
+        ("write_descriptors", dict(which=1, payload=b"tail")),
+        ("read_descriptors", dict(which=1, n=30)),
+    ],
+    "a writer replaced by ftruncate is flushed ahead of the next read": [
+        ("open_descriptor", dict(name="c", flags=os.O_CREAT | os.O_RDWR)),
+        ("pwrite_descriptors", dict(which=1, payload=b"0123456789", offset=0)),
+        ("pread_descriptors", dict(which=1, n=20, offset=0)),
+        ("ftruncate_descriptors", dict(which=1, size=0)),
+        ("pwrite_descriptors", dict(which=1, payload=b"abc", offset=0)),
+        ("pread_descriptors", dict(which=1, n=20, offset=0)),
+        ("ftruncate_descriptors", dict(which=1, size=2)),
+        ("pwrite_descriptors", dict(which=1, payload=b"xyz", offset=1)),
+        ("pread_descriptors", dict(which=1, n=20, offset=0)),
     ],
 }
 

@@ -68,3 +68,25 @@ class TestPlfsrcActivation:
         )
         assert is_container(str(be_a / "x"))
         assert is_container(str(be_b / "y"))
+
+
+def test_loading_the_thin_layer_does_not_load_the_simulator():
+    """What a preloaded process pays at start-up is the interposition layer
+    and PLFS — not the DES engine's clients, the cluster models or the
+    tooling, which ``import repro`` used to pull in with it.  The import
+    line is the ledger's own probe (``setup_s``)."""
+    heavy = (
+        "analysis cluster fs insights model mpiio workloads "
+        "lint sanitize bench collective plfsd faults"
+    )
+    program = (
+        "import sys\n"
+        "import repro.core.interpose, repro.plfs.cache, repro.unixtools\n"
+        f"heavy = tuple('repro.' + name for name in {heavy!r}.split())\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith(heavy))\n"
+        "assert not loaded, loaded\n"
+        "import repro\n"
+        "assert repro.workloads.__name__ == 'repro.workloads'  # still there on demand\n"
+        "assert all(hasattr(repro, name) for name in repro.__all__)\n"
+    )
+    run_child(program, {})

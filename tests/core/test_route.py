@@ -77,12 +77,15 @@ def counted(monkeypatch, mnt, backend):
     taken, the way an outer tracer would be."""
     counts: Counter = Counter()
     counts.pread_lengths = []  # in call order; not a count, so not an item
+    counts.opened = []  # ``os.open`` paths, likewise
 
     def counting(name, fn):
         def call(*args, **kwargs):
             counts[name] += 1
             if name == "pread":
                 counts.pread_lengths.append(args[1])
+            elif name == "open":
+                counts.opened.append(args[0])
             return fn(*args, **kwargs)
 
         return call
@@ -221,6 +224,46 @@ class TestRealCallBudget:
         assert stats["extensions"] == 49 and len(data_fds) == 1
         os.close(r)
         os.close(w)
+
+
+    def test_an_rdwr_round_is_a_follower_round_on_one_descriptor(self, counted, mnt):
+        """``pwrite``, ``pread``, ``pread`` on one ``O_RDWR`` descriptor: the
+        first read pays the flush the handle orders ahead of it and then
+        what a follower pays — the listing, the index tail — the second
+        what a warm ``O_RDONLY`` read pays, and the data dropping opened by
+        the first round's read is never opened again."""
+        from repro.plfs.cache import shared_cache
+
+        ip, counts = counted
+        path, block, rounds = f"{mnt}/rw", 512, 20
+        fd = os.open(path, os.O_RDWR | os.O_CREAT)
+        os.pwrite(fd, b"\0" * block, 0)
+        assert os.pread(fd, block, 0) == b"\0" * block
+        reader = ip.shim.table.lookup(fd).plfs_fd._reader
+        (data_path,) = reader._data_paths
+        data_fd = reader._fd_cache[0]
+        for rnd in range(1, rounds):
+            at = 2 * rnd * block  # a hole before it: no record merges
+            del counts.pread_lengths[:], counts.opened[:]
+            write = _spent(counts, lambda: os.pwrite(fd, bytes([rnd]) * block, at))
+            assert write == {"write": 1}, write
+            first = _spent(counts, lambda: os.pread(fd, block, at))
+            assert first == {
+                "builtins.open": 2, "replace": 1,  # index append; generation tmp + rename
+                "listdir": 2, "stat": 2,  # the listing and its epoch
+                "open": 2, "close": 2,  # the generation file (old one closed), the index tail
+                "pread": 2,
+            }, first
+            assert counts.pread_lengths == [48, block]  # one record of the index, the data
+            assert data_path not in counts.opened and reader._fd_cache[0] == data_fd
+            second = _spent(counts, lambda: os.pread(fd, block, at))
+            assert second == {"fstat": 1, "pread": 1}, second
+        assert reader.stats["index_builds"] == rounds
+        assert reader.stats["cross_process_refreshes"] == 0
+        stats = shared_cache().stats
+        assert stats["merged_builds"] + stats["compacted_loads"] == 1, stats
+        assert stats["extensions"] == rounds - 1
+        os.close(fd)
 
 
 def _frames(step) -> list[str]:

@@ -292,6 +292,45 @@ class TestStackingWithLdplfs:
         assert droppings[0].write_sizes.as_dict() == {"0-100": 2}
         assert droppings[0].sequentiality == 1.0
 
+    def test_tracer_over_ldplfs_sees_vectored_calls(self, mnt, backend):
+        """An application's ``writev``/``pwritev``/``readv``/``preadv`` on a
+        mount are data calls like their scalar twins: bytes summed over the
+        iovec, the cursor moved by the two that use it."""
+        path = f"{mnt}/vectored.dat"
+        with Interposer([(mnt, backend)]):
+            with traced() as tracer:
+                fd = os.open(path, os.O_CREAT | os.O_RDWR)
+                assert os.writev(fd, [b"a" * 100, b"b" * 28]) == 128
+                assert os.pwritev(fd, [b"c" * 64, b"d" * 64], 128) == 128
+                bufs = [bytearray(100), bytearray(100)]
+                assert os.preadv(fd, bufs, 0) == 200
+                assert os.lseek(fd, 200, os.SEEK_SET) == 200
+                assert os.readv(fd, [bytearray(100)]) == 56
+                os.close(fd)
+        stats = tracer.report().files[path]
+        assert (stats.writes, stats.bytes_written, stats.max_write) == (2, 256, 128)
+        assert (stats.reads, stats.bytes_read, stats.max_read) == (2, 256, 200)
+        # writev at 0, pwritev where it ended, readv where preadv ended; only
+        # preadv (back at 0) broke the run
+        assert stats.sequential_accesses == 3 and stats.seeks == 1
+
+    def test_tracer_under_ldplfs_sees_the_scatter_reads(self, mnt, backend):
+        """PLFS reads a multi-slice plan by ``preadv`` (one per dropping)
+        and lands an iovec by ``writev``: below the shim, the data
+        droppings' totals are the physical bytes moved."""
+        block = 4096
+        with traced() as tracer:
+            with Interposer([(mnt, backend)]):
+                fd = os.open(f"{mnt}/deep.dat", os.O_CREAT | os.O_RDWR)
+                os.pwritev(fd, [b"x" * block, b"y" * block], 0)  # one dropping, 8 KiB
+                os.pwrite(fd, b"z" * 100, 3 * block)  # a 4 KiB hole before it
+                assert len(os.pread(fd, 3 * block, 0)) == 3 * block  # 8 KiB of it physical
+                assert os.preadv(fd, [bytearray(block), bytearray(block)], 2 * block) == block + 100
+                os.close(fd)
+        (data,) = [f for p, f in tracer.report().files.items() if "dropping.data" in p]
+        assert data.bytes_written == 2 * block + 100
+        assert data.bytes_read == 2 * block + 100
+
     def test_layers_unwind_cleanly(self, mnt, backend):
         orig_open = os.open
         ip = Interposer([(mnt, backend)])

@@ -49,6 +49,17 @@ def scratch(container) -> dict:
     return resolution(*load_global_index(container.droppings()))
 
 
+def content(container) -> bytes:
+    """The logical file a scratch build resolves to, holes as zeros."""
+    index, data_paths = load_global_index(container.droppings())
+    out = bytearray(index.logical_size)
+    for start, end, dropping, physical in index.segments():
+        with open(data_paths[dropping], "rb") as fh:
+            fh.seek(physical)
+            out[start:end] = fh.read(end - start)
+    return bytes(out)
+
+
 def assert_like_scratch(cache: IndexCache, container) -> None:
     loaded, _ = cache.get(container)
     assert resolution(loaded.index, loaded.data_paths) == scratch(container)
@@ -389,6 +400,7 @@ class FollowedContainer(RuleBasedStateMachine):
         self.hosts = list(buckets.values())[:3]
         self.cache = IndexCache()
         self.writers: list[WriteFile] = []
+        self.handle = None  # an O_RDWR handle: reads through the shared cache
         self.end = 0  # one past the last byte ever handed to a writer
         self.torn = False
         self.handed: list = []
@@ -398,6 +410,17 @@ class FollowedContainer(RuleBasedStateMachine):
     def close_writers(self) -> None:
         while self.writers:
             self.writers.pop().close()
+        if self.handle is not None:
+            handle, self.handle = self.handle, None
+            plfs.plfs_close(handle)
+
+    def abandon_writers(self) -> None:
+        while self.writers:
+            self.writers.pop().abandon()
+        if self.handle is not None:
+            handle, self.handle = self.handle, None
+            handle.writer.abandon()
+            handle.reader().close()
 
     def index_droppings(self) -> list[str]:
         return [
@@ -432,6 +455,27 @@ class FollowedContainer(RuleBasedStateMachine):
         getattr(writer, how)()
         if how == "close":
             self.writers.remove(writer)
+
+    @intact
+    @rule(blocks=st.lists(
+        st.tuples(st.booleans(), st.integers(1, 40), st.integers(0, 10), st.integers(0, 1 << 16)),
+        min_size=1, max_size=3))
+    def read_through_a_writing_handle(self, blocks):
+        """A long-lived ``O_RDWR`` handle appends — its records still
+        buffered — and reads: what the file held, plus exactly those."""
+        if self.handle is None:
+            self.handle = plfs.plfs_open(self.path, os.O_RDWR)
+        model = bytearray(content(self.container))
+        for overlapping, length, gap, where in blocks:
+            offset = where % self.end if overlapping and self.end else self.end + gap
+            payload = bytes([48 + len(model) % 10]) * length
+            plfs.plfs_write(self.handle, payload, offset=offset)
+            model[len(model):] = bytes(max(0, offset + length - len(model)))
+            model[offset : offset + length] = payload
+            self.end = max(self.end, offset + length)
+        assert any(d.pending for d in self.handle.writer._droppings.values())
+        assert plfs.plfs_read(self.handle, len(model) + 1, 0) == bytes(model)
+        assert self.handle._reader.stats["cross_process_refreshes"] == 0
 
     # -- everything that is not an append --------------------------------- #
 
@@ -472,8 +516,7 @@ class FollowedContainer(RuleBasedStateMachine):
 
     @rule()
     def crash_and_fsck(self):
-        while self.writers:
-            self.writers.pop().abandon()
+        self.abandon_writers()
         fsck(self.path)
         self.torn = False
 
@@ -509,8 +552,7 @@ class FollowedContainer(RuleBasedStateMachine):
 
     def teardown(self):
         try:
-            while self.writers:
-                self.writers.pop().abandon()
+            self.abandon_writers()
         finally:
             backing.install(self.previous)
             shutil.rmtree(self.tmp, ignore_errors=True)

@@ -17,12 +17,15 @@ from repro.plfs.api import (
     plfs_getattr,
     plfs_open,
     plfs_read,
+    plfs_sync,
+    plfs_trunc,
     plfs_write,
 )
 from repro.plfs.cache import IndexCache, compact, load_index, shared_cache
 from repro.plfs.container import Container
 from repro.plfs.errors import CorruptIndexError
-from repro.plfs.index import load_global_index, parse_compacted
+from repro.plfs import util
+from repro.plfs.index import RECORD_SIZE, load_global_index, parse_compacted
 from repro.plfs import reader as reader_module
 from repro.plfs.reader import ReadFile, logical_size
 from repro.plfs.writer import WriteFile
@@ -717,6 +720,166 @@ class TestOwnWriteStaleness:
         assert plfs_read(fd, 10, 0) == b"0123" + bytes(5) + b"!"
         assert fd._reader.stats["index_builds"] == 2
         plfs_close(fd)
+
+
+class TestOneLaneForEveryHandle:
+    """An ``O_RDWR`` handle's reader is built, extended and kept like any
+    other; what is the handle's own is the flush ahead of its read."""
+
+    @pytest.mark.parametrize("stride", [2, 1], ids=["holes", "contiguous"])
+    @pytest.mark.parametrize("wal", [False, True])
+    def test_two_threads_on_one_handle_lose_nothing(self, container_path, wal, stride):
+        """One thread appends disjoint blocks, one reads through the same
+        handle (so flushes the appender's records from under it): a block
+        is absent or whole in every read, and all there after the join.
+        With a hole after each block every append is a record of its own;
+        contiguous, an append extends the last buffered record — the one
+        the reading thread may be taking."""
+        import sys
+        import threading
+        import time
+
+        from repro.plfs.api import OpenOptions
+
+        block, blocks, window = 16, 1500, 8
+        fd = plfs_open(container_path, os.O_CREAT | os.O_RDWR,
+                       open_opt=OpenOptions(write_ahead_index=wal, wal_batch_records=3))
+        errors: list = []
+        started, done = threading.Event(), threading.Event()
+        appended, progress_seen = [0], set()
+
+        def payload(k: int) -> bytes:
+            return bytes([1 + k % 250]) * block
+
+        def check(first: int, count: int, *, everything: bool) -> None:
+            got = plfs_read(fd, stride * count * block, stride * first * block)
+            for k in range(first, first + count):
+                at = stride * (k - first) * block
+                seen = got[at : at + block]
+                assert seen == payload(k) or not everything and seen in (bytes(block), b""), k
+
+        def append() -> None:
+            try:
+                started.wait(10)
+                for k in range(blocks):
+                    plfs_write(fd, payload(k), offset=stride * k * block)
+                    appended[0] = k
+                    if k % 4 == 0:
+                        time.sleep(5e-5)  # let the reader in: it flushes mid-burst
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def read() -> None:
+            try:
+                while not done.is_set():
+                    started.set()
+                    progress_seen.add(appended[0])
+                    check(max(0, appended[0] - window // 2), window, everything=False)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=append), threading.Thread(target=read)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(progress_seen) > 10  # the reads did flush from under the appender
+        check(0, blocks, everything=True)
+        plfs_sync(fd)  # a hard barrier for the open WAL batch
+        container = Container(container_path)
+        ((index_path, data_path),) = container.droppings()
+        records, rest = divmod(os.path.getsize(index_path), RECORD_SIZE)
+        assert rest == 0
+        # contiguous: merged, and flushed mid-run
+        assert records == blocks if stride == 2 else 1 < records < blocks
+        if wal:
+            wal_path = os.path.join(
+                os.path.dirname(data_path), util.wal_name_for_data(os.path.basename(data_path)))
+            assert os.path.getsize(wal_path) == blocks * RECORD_SIZE
+        plfs_close(fd)
+
+    def test_a_read_landing_inside_a_record_merge_loses_nothing(self, container_path):
+        """The window the thread test above hits too rarely, held open: the
+        appender has found the record it will extend and another thread's
+        read flushes before the length moves.  The flush waits its turn."""
+        import threading
+
+        reads: list = []
+        reader = threading.Thread(target=lambda: reads.append(plfs_read(fd, 8, 0)))
+
+        class Pid(int):
+            __hash__ = int.__hash__
+
+            def __eq__(self, other):  # _record: ``last[_PID] == pid``
+                if not reader.ident:
+                    reader.start()
+                    reader.join(0.05)
+                return int(self) == int(other)
+
+        fd = plfs_open(container_path, os.O_CREAT | os.O_RDWR, pid=Pid(7))
+        plfs_write(fd, b"aaaa", offset=0)
+        plfs_write(fd, b"bbbb", offset=4)
+        reader.join(10)
+        assert reads in ([b"aaaa"], [b"aaaabbbb"])
+        assert plfs_read(fd, 8, 0) == b"aaaabbbb"
+        plfs_close(fd)
+
+    @pytest.mark.parametrize("size", [0, 5, 12, 40])
+    def test_trunc_through_a_handle_that_has_read(self, container_path, tmp_path, size):
+        """Wipe, shrink, no-op and grow: the droppings (and the writer) are
+        replaced under a reader that holds descriptors on the old ones."""
+        flat = os.open(tmp_path / "flat", os.O_CREAT | os.O_RDWR)
+        fd = plfs_open(container_path, os.O_CREAT | os.O_RDWR)
+
+        def both(payload: bytes, offset: int) -> None:
+            os.pwrite(flat, payload, offset)
+            plfs_write(fd, payload, offset=offset)
+
+        def same() -> None:
+            assert plfs_getattr(fd).st_size == os.fstat(flat).st_size
+            assert plfs_read(fd, 64, 0) == os.pread(flat, 64, 0)
+
+        both(b"0123456789ab", 0)
+        same()
+        assert fd._reader._fd_cache
+        os.ftruncate(flat, size)
+        plfs_trunc(fd, size)
+        same()
+        both(b"xyz", 3)
+        same()
+        both(b"!", 50)
+        same()
+        plfs_close(fd)
+        os.close(flat)
+
+    @pytest.mark.parametrize("size", [0, 5])
+    def test_a_replaced_writer_is_flushed_ahead_of_the_next_read(
+        self, container_path, tmp_path, size
+    ):
+        """``plfs_trunc`` swaps the writer; write → read → trunc → write →
+        read, with no read between the trunc and the write, must still
+        flush the new writer's one record."""
+        flat = os.open(tmp_path / "flat", os.O_CREAT | os.O_RDWR)
+        fd = plfs_open(container_path, os.O_CREAT | os.O_RDWR)
+        for payload, offset, trunc in ((b"0123456789ab", 0, size), (b"xyz", 3, None)):
+            os.pwrite(flat, payload, offset)
+            plfs_write(fd, payload, offset=offset)
+            assert plfs_read(fd, 64, 0) == os.pread(flat, 64, 0)
+            if trunc is not None:
+                os.ftruncate(flat, trunc)
+                plfs_trunc(fd, trunc)
+        assert plfs_getattr(fd).st_size == os.fstat(flat).st_size
+        plfs_close(fd)
+        os.close(flat)
 
 
 # ---------------------------------------------------------------------- #

@@ -150,7 +150,7 @@ class TestVectoredAppend:
     def test_append_many_is_one_append_one_record(self, container, recording):
         with WriteFile(container) as w:
             assert w.append_many([b"abc", b"defg", b"hi"], 0, pid=1) == 9
-            ((recs, _path),) = w.pending_records()
+            recs = writer_module._rows_to_records(w._droppings[1].pending)
             assert len(recs) == 1 and recs["length"][0] == 9
             assert w.stats["vectored_appends"] == 1
             assert w.stats["vectored_buffers"] == 3
@@ -163,7 +163,7 @@ class TestVectoredAppend:
         with WriteFile(container) as w:
             w.write(b"abc", 0, pid=1)
             w.append_many([b"def", b"ghi"], 3, pid=1)
-            ((recs, _path),) = w.pending_records()
+            recs = writer_module._rows_to_records(w._droppings[1].pending)
             assert len(recs) == 1 and recs["length"][0] == 9
 
     def test_empty_iovec_is_a_noop(self, container):
@@ -340,7 +340,7 @@ class TestWriterHygiene:
         with WriteFile(container) as w:
             for i in range(4):
                 w.write(b"abcd", i * 4, pid=1)
-            ((recs, _path),) = w.pending_records()
+            recs = writer_module._rows_to_records(w._droppings[1].pending)
             assert list(recs["length"]) == [8, 8]
         with ReadFile(container, use_shared_cache=False) as r:
             assert r.read(16, 0) == b"abcd" * 4

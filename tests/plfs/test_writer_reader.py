@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro.plfs import writer as writer_module
+from repro.plfs.api import plfs_close, plfs_open, plfs_read, plfs_write
 from repro.plfs.container import Container
 from repro.plfs.errors import BadFlagsError, CorruptIndexError
 from repro.plfs.reader import ReadFile, logical_size
@@ -124,20 +125,18 @@ class TestWriteFile:
     def test_interleaved_overwrite_not_shadowed_by_merge(self, container):
         """The timestamp-safety property: another stream's overwrite that
         lands *between* two mergeable writes must survive."""
-        w = WriteFile(container)
-        w.write(b"AAAA", 0, pid=1)
-        w.write(b"bb", 1, pid=2)  # overwrites [1,3)
-        w.write(b"CCCC", 4, pid=1)  # would merge with the first without guard
-        r = ReadFile(container, writer=w)
-        assert r.read(8, 0) == b"AbbACCCC"
-        r.close()
-        w.close()
+        fd = plfs_open(container.path, os.O_RDWR)
+        plfs_write(fd, b"AAAA", offset=0, pid=1)
+        plfs_write(fd, b"bb", offset=1, pid=2)  # overwrites [1,3)
+        plfs_write(fd, b"CCCC", offset=4, pid=1)  # would merge with the first without guard
+        assert plfs_read(fd, 8, 0) == b"AbbACCCC"
+        plfs_close(fd)
 
     def test_non_contiguous_never_merges(self, container):
         w = WriteFile(container)
         w.write(b"aa", 0, pid=1)
         w.write(b"bb", 10, pid=1)
-        assert len(w.pending_records()[0][0]) == 2
+        assert len(w._droppings[1].pending) == 2
         w.close()
 
     def test_memoryview_payload(self, container):
@@ -152,12 +151,11 @@ class TestWriteFile:
     def test_pending_records_visible(self, container):
         w = WriteFile(container)
         w.write(b"abc", 0, pid=1)
-        pending = w.pending_records()
-        assert len(pending) == 1
-        records, data_path = pending[0]
+        (dropping,) = w._droppings.values()
+        records = writer_module._rows_to_records(dropping.pending)
         assert records.shape == (1,)
         assert records[0]["length"] == 3
-        assert os.path.exists(data_path)
+        assert os.path.exists(dropping.data_path)
         w.close()
 
 
@@ -193,12 +191,11 @@ class TestReadFile:
         r.close()
 
     def test_reader_sees_unflushed_writer_records(self, container):
-        w = WriteFile(container)
-        w.write(b"live", 0, pid=1)
-        r = ReadFile(container, writer=w)
-        assert r.read(4, 0) == b"live"
-        r.close()
-        w.close()
+        fd = plfs_open(container.path, os.O_RDWR)
+        plfs_write(fd, b"live", offset=0)
+        assert fd.writer.stats["records_flushed"] == 0
+        assert plfs_read(fd, 4, 0) == b"live"
+        plfs_close(fd)
 
     def test_cross_handle_sync_is_visible_without_refresh(self, container):
         # Regression: a reader built before another handle's sync used to
