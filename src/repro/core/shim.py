@@ -645,8 +645,11 @@ class Shim:
 
     def _stat_resolved(self, path, backend: str, follow_symlinks: bool):
         self._count(True)
-        if is_container(backend):
+        try:
+            # Try first: reading the access file *is* the container check.
             return plfs_api.plfs_getattr(backend)
+        except (NotAContainerError, ContainerNotFoundError):
+            pass  # a directory, a plain file in the backend tree, or nothing
         try:
             return self.real.stat(backend, follow_symlinks=follow_symlinks)
         except (FileNotFoundError, NotADirectoryError):
@@ -685,9 +688,9 @@ class Shim:
         self._count(True)
         if is_container(backend):
             with self.real.builtins_open(
-                os.path.join(backend, constants.ACCESS_FILE), "w"
+                os.path.join(backend, constants.ACCESS_FILE), "wb", buffering=0
             ) as fh:
-                fh.write(f"{stat_module.S_IMODE(mode):o}\n")
+                fh.write(b"%o\n" % stat_module.S_IMODE(mode))
             return None
         return self.real.chmod(backend, mode)
 

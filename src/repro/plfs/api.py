@@ -185,14 +185,11 @@ def plfs_close(fd, pid: int | None = None, flags: int | None = None) -> int:
         if total:
             fd.container.drop_meta(last, total)
         if total and not fd.container.open_writers():
-            # Clean last close: flatten the merged index into the
-            # persistent global.index so the next reader skips the merge.
-            # Compaction is an accelerator — a failure to write it must
-            # never fail the close (readers just take the slow path).
-            try:
-                index_cache.compact(fd.container)
-            except OSError:
-                pass
+            # Clean last close: where the next reader has a merge to skip,
+            # leave it the flattened index (the rule has one home).
+            index_cache.compact_where_it_pays(
+                fd.container, writer.stats["records_flushed"]
+            )
     return 0
 
 
@@ -449,6 +446,7 @@ def plfs_flatten_index(path: str, *, clip: int | None = None) -> int:
         last = writer.max_logical_end
     finally:
         writer.close()
+    records = writer.stats["records_flushed"]
     if clip is not None and clip > last:
         # Preserve a trailing hole created by a shrink inside a hole.
         tmp = plfs_open(path, os.O_WRONLY)
@@ -462,10 +460,7 @@ def plfs_flatten_index(path: str, *, clip: int | None = None) -> int:
     if physical:
         container.drop_meta(last, physical)
     index_cache.invalidate(container.path)
-    try:
-        index_cache.compact(container)
-    except OSError:
-        pass
+    index_cache.compact_where_it_pays(container, records)
     return physical
 
 

@@ -81,8 +81,10 @@ class BackingStore:
         sweeps leftovers.
         """
         tmp = f"{path}.tmp.{os.getpid()}"
-        with posix.builtins_open(tmp, "wb") as fh:
-            fh.write(payload)
+        with posix.builtins_open(tmp, "wb", buffering=0) as fh:
+            view, done = memoryview(payload), 0
+            while done < len(view):  # unbuffered, as append_index
+                done += fh.write(view[done:])
         posix.replace(tmp, path)
 
     def fsync(self, fd: int) -> None:

@@ -7,10 +7,11 @@ worst-case log-structured tax the paper's benchmarks (unixtools, BT read
 phases) hit hardest, because those workloads re-open and re-stat the same
 container over and over.  This module removes the tax three ways:
 
-1. **Persistent compacted global index** — on clean close (and via
-   ``repro-plfs compact``) the merged index is flattened into a single
-   ``global.index`` file in the container root.  :func:`load_index` loads
-   it back with one read + one NumPy parse (its records are the index's
+1. **Persistent compacted global index** — via ``repro-plfs compact``,
+   and on a clean close that leaves something for it to skip
+   (:func:`compact_where_it_pays`), the merged index is flattened into a
+   single ``global.index`` file in the container root.  :func:`load_index`
+   loads it back with one read + one NumPy parse (its records are the index's
    sorted columns, field by field) instead of re-reading and re-sorting N
    droppings.  The file carries the *container epoch* it was built at
    (:meth:`~repro.plfs.container.Container.index_epoch`); a mismatch —
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backing, constants
-from .container import Container, DroppingMark
+from .container import Container, DroppingMark, Droppings
 from .errors import CorruptIndexError
 from .index import (
     RECORD_SIZE,
@@ -83,7 +84,7 @@ class LoadedIndex:
 def load_index(
     container: Container,
     *,
-    droppings: list[tuple[str, str]] | None = None,
+    droppings: Droppings | None = None,
     state: tuple[str, list[DroppingMark]] | None = None,
 ) -> LoadedIndex:
     """Build the container's global index, preferring the compacted file.
@@ -96,17 +97,20 @@ def load_index(
     caller that already has the listing passes it (and its
     :meth:`~repro.plfs.container.Container.index_state`) in.  Either way
     the index holds exactly the index-dropping bytes the epoch's ``stat``s
-    vouch for, which the returned marks record.
+    vouch for, which the returned marks record.  The same listing says
+    whether there is a compacted file to open at all.
     """
     if droppings is None:
         droppings = container.droppings()
     epoch, marks = state or container.index_state(droppings)
     gpath = container.global_index_path()
-    try:
-        with posix.builtins_open(gpath, "rb") as fh:
-            raw = fh.read()
-    except OSError:
-        raw = None
+    raw = None
+    if droppings.compacted:
+        try:
+            with posix.builtins_open(gpath, "rb", buffering=0) as fh:
+                raw = fh.read()
+        except OSError:
+            pass
     if raw is not None:
         try:
             records, rel_paths, file_epoch, _size = parse_compacted(
@@ -189,21 +193,46 @@ def extend_index(
     return LoadedIndex(index, data_paths, epoch, held.source, marks)
 
 
-def compact(container: Container) -> int:
+def compact(container: Container, *, droppings: Droppings | None = None) -> int:
     """Flatten the container's global index into ``global.index``.
 
     Returns the number of flattened segments persisted.  The write flows
     through the backing store (it is a persistence boundary the fault
     injector can tear) and replaces atomically, so a crash mid-compaction
-    never leaves a reader-visible half-written file.
+    never leaves a reader-visible half-written file.  A caller that just
+    listed the container passes the listing in.
     """
-    loaded = load_index(container)
+    loaded = load_index(container, droppings=droppings)
     rel = [os.path.relpath(p, container.path) for p in loaded.data_paths]
     payload = pack_compacted(
         loaded.index.as_arrays(), rel, loaded.epoch, loaded.index.logical_size
     )
     backing.current().write_global_index(container.global_index_path(), payload)
     return len(loaded.index)
+
+
+def compact_where_it_pays(container: Container, records: int) -> bool:
+    """The close-time rule: write ``global.index`` only where a reader
+    gains by it (DESIGN §5 decision 17).  Returns whether it was written.
+
+    It pays for more than one index dropping — the merge it exists to
+    skip — and for one dropping of more than
+    :data:`~repro.plfs.constants.COMPACT_MIN_RECORDS` records; *records* is
+    what the closing writer flushed, which for a container of one dropping
+    is all there is.  One listing decides and, where it says yes, feeds the
+    compaction.  The compacted index is an accelerator: failing to write it
+    never fails the close (readers just take the merge).
+    """
+    droppings = container.droppings()
+    try:
+        if len(droppings) < 2 and records <= constants.COMPACT_MIN_RECORDS:
+            if droppings.compacted:  # of an earlier state: only a cost now
+                container.drop_global_index()
+            return False
+        compact(container, droppings=droppings)
+    except OSError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------- #

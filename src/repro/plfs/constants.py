@@ -54,11 +54,21 @@ HOLE = -1
 
 #: File name of the persistent compacted global index, stored in the
 #: container root (never inside a hostdir, so dropping enumeration ignores
-#: it).  Written on clean close and by ``repro-plfs compact``; validated
+#: it).  Written by ``repro-plfs compact`` and, where it can save a reader
+#: something (see :data:`COMPACT_MIN_RECORDS`), on clean close; validated
 #: against the container epoch and *never* trusted when stale — a reader
 #: that finds a mismatching or unparsable file silently falls back to
 #: merging the per-writer index droppings.
 GLOBAL_INDEX_FILE = "global.index"
+
+#: A clean close leaves a container of *one* index dropping uncompacted
+#: unless that dropping holds more than this many records.  Compaction
+#: exists to skip the merge of several droppings; with one, a reader opens
+#: one file either way, and a cold ``load_index`` of it is no slower merged
+#: than compacted through 4,096 records (it loses only on many out-of-order
+#: records, which the one sort then pays for: DESIGN §5 decision 17 has the
+#: table).  More than one dropping always compacts.
+COMPACT_MIN_RECORDS = 4096
 
 #: Magic string opening the compacted-global-index header.
 GLOBAL_INDEX_MAGIC = "plfs-global-index"

@@ -56,6 +56,14 @@ class DroppingMark(NamedTuple):
     data_id: tuple[int, int] | None
 
 
+class Droppings(list):
+    """One listing of a container: its ``(index_path, data_path)`` pairs,
+    in order, and what the same root ``listdir`` showed beside them."""
+
+    #: a compacted ``global.index`` stood in the container root
+    compacted = False
+
+
 def is_container(path: str) -> bool:
     """True if *path* is a PLFS container directory."""
     return posix.isfile(os.path.join(path, constants.ACCESS_FILE))
@@ -132,16 +140,22 @@ class Container:
             posix.mkdir(tmp)
         posix.mkdir(os.path.join(tmp, constants.OPENHOSTS_DIR))
         posix.mkdir(os.path.join(tmp, constants.META_DIR))
-        with posix.builtins_open(os.path.join(tmp, constants.CREATOR_FILE), "w") as fh:
+        # The bookkeeping files are a few bytes each: written raw, they
+        # pay for no text layer and no buffer (one ``write`` each).
+        with posix.builtins_open(
+            os.path.join(tmp, constants.CREATOR_FILE), "wb", buffering=0
+        ) as fh:
             fh.write(
                 f"version={constants.FORMAT_VERSION}\n"
                 f"host={util.hostname()}\npid={pid}\n"
-                f"ctime={util.unique_timestamp():.9f}\n"
+                f"ctime={util.unique_timestamp():.9f}\n".encode()
             )
         # The access file stores the logical file's mode bits; writing it
         # last inside tmp means a renamed container is always complete.
-        with posix.builtins_open(os.path.join(tmp, constants.ACCESS_FILE), "w") as fh:
-            fh.write(f"{mode:o}\n")
+        with posix.builtins_open(
+            os.path.join(tmp, constants.ACCESS_FILE), "wb", buffering=0
+        ) as fh:
+            fh.write(b"%o\n" % mode)
         try:
             posix.rename(tmp, self.path)
         except OSError:
@@ -182,17 +196,19 @@ class Container:
         posix.ensure_dir(path)
         return path
 
-    def droppings(self) -> list[tuple[str, str]]:
+    def droppings(self) -> Droppings:
         """All (index_path, data_path) dropping pairs, deterministically
         ordered (by hostdir bucket then dropping name).  The root
-        listing doubles as the container check."""
-        pairs: list[tuple[str, str]] = []
+        listing doubles as the container check, and as the look for a
+        compacted index: nothing need probe for what it did not show."""
+        pairs = Droppings()
         try:
             entries = sorted(posix.listdir(self.path))
         except (FileNotFoundError, NotADirectoryError):
             entries = []
         if constants.ACCESS_FILE not in entries:
             assert_container(self.path)
+        pairs.compacted = constants.GLOBAL_INDEX_FILE in entries
         for entry in entries:
             if not entry.startswith(constants.HOSTDIR_PREFIX):
                 continue
@@ -364,7 +380,7 @@ class Container:
 
     def register_open(self, pid: int, host: str | None = None) -> None:
         marker = self._openhost_marker(pid, host)
-        stamp = f"{util.unique_timestamp():.9f}\n"
+        stamp = b"%.9f\n" % util.unique_timestamp()
         with _marker_lock:
             held = _marker_refs.get(marker, 0)
             if held and not posix.exists(marker):
@@ -372,10 +388,10 @@ class Container:
                 # were declared dead and will never unregister.
                 held = 0
             try:
-                fh = posix.builtins_open(marker, "w")
+                fh = posix.builtins_open(marker, "wb", buffering=0)
             except FileNotFoundError:  # ``openhosts/`` lost: it holds no state
                 posix.ensure_dir(os.path.dirname(marker))
-                fh = posix.builtins_open(marker, "w")
+                fh = posix.builtins_open(marker, "wb", buffering=0)
             with fh:
                 fh.write(stamp)
             _marker_refs[marker] = held + 1

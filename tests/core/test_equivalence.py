@@ -204,6 +204,19 @@ class MountEquivalence(RuleBasedStateMachine):
         os.truncate(f"{self.mnt}/{name}", size)
         self.real.truncate(f"{self.ref_dir}/{name}", size)
 
+    @rule(name=st.one_of(names, st.sampled_from(["", "nothing-here"])))
+    def stat_path(self, name):
+        """``stat`` by path of a logical file, of the directory, of nothing."""
+        if self.open_on(name):
+            return
+
+        def seen(root):
+            info = os.stat(os.path.join(root, name))
+            size = info.st_size if stat.S_ISREG(info.st_mode) else None
+            return stat.S_IFMT(info.st_mode), size
+
+        assert outcome(seen, self.mnt) == outcome(seen, self.ref_dir), name
+
     # ------------------------------------------------------------------ #
     # long-lived descriptors (each call made on both, outcomes compared)
     # ------------------------------------------------------------------ #

@@ -77,14 +77,14 @@ def counted(monkeypatch, mnt, backend):
     taken, the way an outer tracer would be."""
     counts: Counter = Counter()
     counts.pread_lengths = []  # in call order; not a count, so not an item
-    counts.opened = []  # ``os.open`` paths, likewise
+    counts.opened = []  # ``os.open`` and ``open`` paths, likewise
 
     def counting(name, fn):
         def call(*args, **kwargs):
             counts[name] += 1
             if name == "pread":
                 counts.pread_lengths.append(args[1])
-            elif name == "open":
+            elif name in ("open", "builtins.open"):
                 counts.opened.append(args[0])
             return fn(*args, **kwargs)
 
@@ -123,26 +123,57 @@ class TestRealCallBudget:
 
         os.write(fds[0], b"x" * 512)
         close = _spent(counts, lambda: os.close(fds.pop()))
-        assert sum(close.values()) <= 21, close  # what it cost before the route
-        assert close["stat"] <= 2, close  # the epoch's two, nothing else
+        # one dropping: nothing to compact (decision 17), and the rule that
+        # says so needs a listing, not an epoch
+        assert sum(close.values()) <= 10, close
+        assert close["stat"] == 0 and close["listdir"] == 3, close
 
         stat = _spent(counts, lambda: os.stat(path))
-        assert sum(stat.values()) <= 5, stat
-        assert stat["stat"] == 2, stat  # access file + container directory
+        assert sum(stat.values()) <= 4, stat
+        assert stat["stat"] == 1, stat  # the container directory only
 
         ropen = _spent(counts, lambda: fds.append(os.open(path, os.O_RDONLY)))
         assert sum(ropen.values()) <= 3, ropen
         assert ropen["stat"] == 1, ropen
-        assert os.read(fds[0], 1024) == b"x" * 512
+        del counts.opened[:]
+        got: list = []
+        first = _spent(counts, lambda: got.append(os.read(fds[0], 1024)))
+        assert got == [b"x" * 512]
+        # The listing showed no ``global.index``, so none is probed for:
+        # generation file, index dropping, data dropping — each opened once.
+        assert sum(first.values()) <= 10, first
+        assert first["open"] == 2 and first["builtins.open"] == 1, first
+        assert not any(p.endswith("global.index") for p in counts.opened), counts.opened
         os.close(fds.pop())
 
         rename = _spent(counts, lambda: os.rename(path, f"{mnt}/g"))
         assert sum(rename.values()) <= 2, rename
 
         unlink = _spent(counts, lambda: os.unlink(f"{mnt}/g"))
-        assert sum(unlink.values()) <= 17, unlink
+        assert sum(unlink.values()) <= 16, unlink
         assert unlink["stat"] == 1, unlink
 
+
+    def test_global_index_is_opened_only_where_the_listing_shows_it(self, counted, mnt, backend):
+        from repro.plfs.cache import shared_cache
+        from repro.plfs.tools import plfs_compact
+
+        _ip, counts = counted
+        _create(f"{mnt}/f")
+
+        def cold_read() -> list:
+            """What a read with nothing cached opens inside the container,
+            by the first two parts of each name."""
+            shared_cache().clear()
+            del counts.opened[:]
+            assert _read(f"{mnt}/f") == b"x" * 512
+            inside = [p for p in counts.opened if p.startswith(backend)]
+            return sorted(".".join(os.path.basename(p).split(".")[:2]) for p in inside)
+
+        assert cold_read() == ["dropping.data", "dropping.index", "generation"]
+        plfs_compact(os.path.join(backend, "f"))
+        # ... and with one there, it is read in place of the index dropping
+        assert cold_read() == ["dropping.data", "generation", "global.index"]
 
     def test_warm_reads_cost_one_fstat_plus_one_read_per_dropping(self, counted, mnt):
         """16 writers, strided 4 KiB blocks (the N-1 checkpoint): a warm

@@ -31,6 +31,26 @@ class TestStat:
 
         assert stat_module.S_ISDIR(st.st_mode)
 
+    @pytest.mark.parametrize("name", ["stat", "lstat"])
+    def test_stat_of_what_is_no_container_is_the_backends_own_answer(
+        self, interposer, mnt, backend, name
+    ):
+        """The shim asks PLFS first and the backend for whatever PLFS says
+        is not its file: the answers are those of a ``stat`` of the backend."""
+        real, call = interposer.real, getattr(os, name)  # the installed one
+        os.mkdir(f"{mnt}/d")
+        with real.builtins_open(os.path.join(backend, "plain"), "wb") as fh:
+            fh.write(b"not a container")
+        assert call(f"{mnt}/d") == real.stat(os.path.join(backend, "d"))
+        assert call(mnt) == real.stat(backend)
+        assert call(f"{mnt}/plain") == real.stat(os.path.join(backend, "plain"))
+        assert call(f"{mnt}/plain").st_size == 15
+        for gone in (f"{mnt}/missing", f"{mnt}/d/missing", f"{mnt}/plain/beneath"):
+            with pytest.raises(FileNotFoundError) as raised:
+                call(gone)
+            assert raised.value.errno == errno.ENOENT
+            assert raised.value.filename == gone
+
     def test_lstat_equals_stat_for_containers(self, interposer, mnt):
         make_file(f"{mnt}/f", b"abc")
         assert os.lstat(f"{mnt}/f").st_size == os.stat(f"{mnt}/f").st_size

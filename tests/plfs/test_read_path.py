@@ -68,9 +68,13 @@ def write_stripes(container, *, droppings, stripe=8, rounds=1):
 
 
 class TestCompactedIndex:
+    # A clean close compacts where there is a merge to skip (decision 17):
+    # the fixtures below write through two pids, hence two droppings.
+
     def test_clean_close_writes_global_index(self, container_path):
         fd = plfs_open(container_path, os.O_CREAT | os.O_WRONLY)
-        plfs_write(fd, b"hello world", offset=0)
+        plfs_write(fd, b"hello ", offset=0, pid=1)
+        plfs_write(fd, b"world", offset=6, pid=2)
         plfs_close(fd)
         gpath = Container(container_path).global_index_path()
         assert os.path.exists(gpath)
@@ -79,7 +83,7 @@ class TestCompactedIndex:
                 fh.read(), source=gpath
             )
         assert size == 11
-        assert records.shape[0] == 1
+        assert records.shape[0] == 2
         assert epoch == Container(container_path).index_epoch()
         # data paths are container-relative: the container can be renamed
         assert all(not os.path.isabs(p) for p in paths)
@@ -129,7 +133,8 @@ class TestCompactedIndex:
 
     def test_truncate_drops_compacted_index(self, container_path):
         fd = plfs_open(container_path, os.O_CREAT | os.O_RDWR)
-        plfs_write(fd, b"data", offset=0)
+        plfs_write(fd, b"da", offset=0, pid=1)
+        plfs_write(fd, b"ta", offset=2, pid=2)
         plfs_close(fd)
         assert os.path.exists(Container(container_path).global_index_path())
         fd = plfs_open(container_path, os.O_WRONLY | os.O_TRUNC)
@@ -138,7 +143,8 @@ class TestCompactedIndex:
 
     def test_dropping_the_compacted_index_reroutes_to_merge(self, container_path):
         fd = plfs_open(container_path, os.O_CREAT | os.O_WRONLY)
-        plfs_write(fd, b"data", offset=0)
+        plfs_write(fd, b"da", offset=0, pid=1)
+        plfs_write(fd, b"ta", offset=2, pid=2)
         plfs_close(fd)
         container = Container(container_path)
         assert load_index(container).source == "compacted"
@@ -158,6 +164,115 @@ class TestCompactedIndex:
         )
         plfs_close(fd2, pid=2)
         assert os.path.exists(Container(container_path).global_index_path())
+
+
+class TestCompactionWhereItPays:
+    """DESIGN decision 17: a clean close writes ``global.index`` for more
+    than one index dropping, or one of more than ``COMPACT_MIN_RECORDS``
+    records; whoever asks outright (``plfs_compact``) always gets it."""
+
+    @staticmethod
+    def write_and_close(path, payload=b"x" * 512, offset=0, flags=os.O_CREAT | os.O_WRONLY):
+        fd = plfs_open(path, flags)
+        plfs_write(fd, payload, offset=offset)
+        plfs_close(fd)
+
+    @staticmethod
+    def read_back(path, count=1 << 20):
+        fd = plfs_open(path, os.O_RDONLY)
+        try:
+            return plfs_read(fd, count, 0)
+        finally:
+            plfs_close(fd)
+
+    def test_one_record_closes_without_it_and_a_second_dropping_brings_it(self, container_path):
+        container = Container(container_path)
+        self.write_and_close(container_path)
+        assert not os.path.exists(container.global_index_path())
+        assert load_index(container).source == "merged"
+        assert self.read_back(container_path) == b"x" * 512
+
+        self.write_and_close(container_path, b"y" * 512, 512, os.O_WRONLY)
+        assert len(container.droppings()) == 2
+        assert os.path.exists(container.global_index_path())
+        assert load_index(container).source == "compacted"
+        assert self.read_back(container_path) == b"x" * 512 + b"y" * 512
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_one_dropping_compacts_past_the_record_bound_only(self, container_path, over):
+        records = constants.COMPACT_MIN_RECORDS + over
+        fd = plfs_open(container_path, os.O_CREAT | os.O_WRONLY)
+        for i in range(records):  # a comb: no two records merge
+            plfs_write(fd, b"r", offset=2 * i)
+        plfs_close(fd)
+        container = Container(container_path)
+        assert len(container.droppings()) == 1
+        assert os.path.exists(container.global_index_path()) == bool(over)
+        loaded = load_index(container)
+        assert loaded.source == ("compacted" if over else "merged")
+        assert len(loaded.index) == records
+
+    def test_asking_outright_always_writes_it(self, container_path):
+        from repro.plfs.tools import plfs_compact
+
+        self.write_and_close(container_path)
+        info = plfs_compact(container_path)
+        assert info["segments"] == 1 and os.path.exists(info["path"])
+        assert load_index(Container(container_path)).source == "compacted"
+        assert self.read_back(container_path) == b"x" * 512
+
+    def test_truncates_rewrite_goes_through_the_same_rule(self, container_path, monkeypatch):
+        decided = []
+        real = index_cache.compact_where_it_pays
+        monkeypatch.setattr(
+            index_cache,
+            "compact_where_it_pays",
+            lambda container, records: decided.append(records) or real(container, records),
+        )
+        container = Container(container_path)
+        fd = plfs_open(container_path, os.O_CREAT | os.O_WRONLY)
+        plfs_write(fd, b"ab" * 100, offset=0, pid=1)
+        plfs_write(fd, b"cd" * 100, offset=200, pid=2)
+        plfs_close(fd)
+        assert decided == [2] and os.path.exists(container.global_index_path())
+
+        plfs_trunc(container_path, 150)  # rewritten as one dropping, one record
+        assert decided == [2, 1]
+        assert len(container.droppings()) == 1
+        assert not os.path.exists(container.global_index_path())
+        assert self.read_back(container_path) == b"ab" * 75
+
+        plfs_trunc(container_path, 100)
+        assert decided == [2, 1, 1]
+
+    def test_a_stale_one_is_ignored_by_epoch_and_replaced_at_the_next_close(self, container_path):
+        self.write_and_close(container_path)
+        container = Container(container_path)
+        compact(container)
+        with open(container.global_index_path(), "rb") as fh:
+            first = fh.read()
+
+        fd = plfs_open(container_path, os.O_WRONLY)
+        plfs_write(fd, b"y" * 512, offset=512)
+        plfs_sync(fd)  # the second dropping is on disk, the file is stale
+        assert load_index(container).source == "merged"
+        assert self.read_back(container_path) == b"x" * 512 + b"y" * 512
+        plfs_close(fd)
+        with open(container.global_index_path(), "rb") as fh:
+            assert fh.read() != first
+        loaded = load_index(container)
+        assert loaded.source == "compacted" and loaded.index.logical_size == 1024
+
+    def test_one_that_describes_an_earlier_state_does_not_outlive_a_close_that_writes_none(
+        self, container_path
+    ):
+        container = Container(container_path)
+        container.create()
+        compact(container)  # of the empty container
+        assert os.path.exists(container.global_index_path())
+        self.write_and_close(container_path, flags=os.O_WRONLY)
+        assert not os.path.exists(container.global_index_path())
+        assert self.read_back(container_path) == b"x" * 512
 
 
 # ---------------------------------------------------------------------- #

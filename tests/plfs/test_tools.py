@@ -9,7 +9,14 @@ import pytest
 
 from repro import plfs
 from repro.plfs import constants
-from repro.plfs.tools import ContainerReport, main, plfs_check, plfs_recover, plfs_usage
+from repro.plfs.tools import (
+    ContainerReport,
+    main,
+    plfs_check,
+    plfs_compact,
+    plfs_recover,
+    plfs_usage,
+)
 
 
 @pytest.fixture
@@ -151,6 +158,73 @@ class TestCli:
         assert main(["frobnicate", "/x"]) == 2
 
 
+class TestNoCompactedIndexIsHealthy:
+    """A container without ``global.index`` is what a clean close of one
+    dropping leaves, and what a crashed writer leaves: the tools call it
+    healthy, have nothing to say about the file, and write none."""
+
+    @pytest.fixture(params=["one dropping, closed", "crashed writer"])
+    def uncompacted(self, request, filled):
+        if request.param == "crashed writer":
+            from repro.plfs.writer import WriteFile
+
+            c = plfs.Container(filled)
+            w = WriteFile(c, wal=True)
+            w.write(b"D" * 30, 250, pid=7)
+            c.register_open(pid=7)
+            w.abandon()  # no index flush, no close: the marker stays
+        assert not os.path.exists(plfs.Container(filled).global_index_path())
+        return filled, request.param
+
+    def test_check_recover_and_fsck_leave_it_absent(self, uncompacted, capsys):
+        from repro.faults.cli import main as fsck_main
+        from repro.faults.fsck import fsck
+
+        path, state = uncompacted
+        gpath = plfs.Container(path).global_index_path()
+
+        report = plfs_check(path)
+        assert report.ok and not os.path.exists(gpath)
+        assert not any("compacted" in w for w in report.warnings)
+
+        dry = fsck(path, dry_run=True)
+        assert not any("compacted" in a.kind for a in dry.actions), dry.render()
+
+        assert fsck_main([path]) == 0
+        out = capsys.readouterr().out
+        assert constants.GLOBAL_INDEX_FILE not in out and "compacted" not in out
+        assert not os.path.exists(gpath)
+
+        report = plfs_recover(path)
+        assert report.ok and not report.warnings and not os.path.exists(gpath)
+        assert report.logical_size == (280 if state == "crashed writer" else 250)
+
+        again = fsck(path)  # of what is healthy now: no action at all
+        assert again.ok and not again.actions and not os.path.exists(gpath)
+
+    def test_an_unparsable_or_stale_one_still_goes(self, filled):
+        from repro.plfs.tools import repair_derived_state
+
+        c = plfs.Container(filled)
+        plfs_compact(filled)
+        kinds = []
+        repair_derived_state(c, lambda kind, path, detail: kinds.append(kind))
+        assert "drop-stale-compacted" not in kinds and os.path.exists(c.global_index_path())
+
+        with open(c.global_index_path(), "wb") as fh:
+            fh.write(b"not an index\n")
+        repair_derived_state(c, lambda kind, path, detail: kinds.append(kind))
+        assert kinds.count("drop-stale-compacted") == 1
+        assert not os.path.exists(c.global_index_path())
+
+        plfs_compact(filled)
+        [(index_path, _)] = c.droppings()
+        os.utime(index_path, ns=(1, 1))  # another epoch: the file is stale
+        repair_derived_state(c, lambda kind, path, detail: kinds.append(kind))
+        assert kinds.count("drop-stale-compacted") == 2
+        assert not os.path.exists(c.global_index_path())
+
+
 def _tree(root):
     """relative path -> file bytes (None for a directory)."""
     out = {}
@@ -172,6 +246,7 @@ class TestRecoverAndFsckAgree:
         from repro.faults.cli import main as fsck_main
 
         c = plfs.Container(filled)
+        plfs_compact(filled)  # one dropping: its close left that to us
         with open(c.global_index_path(), "rb") as fh:
             first_compaction = fh.read()
         fd = plfs.plfs_open(filled, os.O_WRONLY, pid=7)
