@@ -127,17 +127,24 @@ def _accumulate(totals: dict, stats: dict) -> None:
 # ---------------------------------------------------------------------- #
 
 
-class _DirectExecutor:
-    """Replays ops through the in-process plfs API, keeping one O_RDWR
-    handle per logical file and harvesting fast-lane counters on close."""
+class _Executor:
+    """Replays ops through the plfs API — ``plfs_*`` dispatch on the handle,
+    local or daemon-held — keeping one O_RDWR handle per logical file and
+    harvesting fast-lane counters on close.  Given a *socket_path* the
+    handles come from a running plfsd daemon: one client connection per
+    tenant, handles held daemon-side, every create serializing on the
+    daemon's global meta lock; the run then exports the daemon's counters."""
 
     def __init__(
-        self, root: str, config: BenchConfig, seed: int, params: dict | None = None
+        self, root: str, config: BenchConfig, seed: int, params: dict | None = None,
+        socket_path: str | None = None,
     ):
         self.root = root
         self.config = config
         self.seed = seed
         self.params = params or {}
+        self.socket_path = socket_path
+        self.clients: dict[str, object] = {}
         self.handles: dict[str, object] = {}
         #: collective engines (coll_* ops), one per logical shared file
         self.engines: dict[str, object] = {}
@@ -150,16 +157,22 @@ class _DirectExecutor:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         return path
 
-    def _handle(self, file: str):
-        fd = self.handles.get(file)
+    def _open(self, op: Op, flags: int):
+        path = self._path(op.file)
+        if self.socket_path is None:
+            return plfs.plfs_open(path, flags, mode=0o644, open_opt=self.config.open_options())
+        cli = self.clients.get(op.tenant)
+        if cli is None:
+            from repro.plfsd import client as plfsd_client
+
+            cli = plfsd_client.connect(self.socket_path, name=f"bench-{op.tenant}")
+            self.clients[op.tenant] = cli
+        return cli.open(path, flags, 0o644)
+
+    def _handle(self, op: Op):
+        fd = self.handles.get(op.file)
         if fd is None:
-            fd = plfs.plfs_open(
-                self._path(file),
-                os.O_CREAT | os.O_RDWR,
-                mode=0o644,
-                open_opt=self.config.open_options(),
-            )
-            self.handles[file] = fd
+            fd = self.handles[op.file] = self._open(op, os.O_CREAT | os.O_RDWR)
         return fd
 
     def _harvest(self, fd) -> None:
@@ -172,12 +185,7 @@ class _DirectExecutor:
     # -- op surface ----------------------------------------------------- #
 
     def create(self, op: Op) -> None:
-        fd = plfs.plfs_open(
-            self._path(op.file),
-            os.O_CREAT | os.O_WRONLY,
-            mode=0o644,
-            open_opt=self.config.open_options(),
-        )
+        fd = self._open(op, os.O_CREAT | os.O_WRONLY)
         try:
             if op.size:
                 data = payload(self.seed, op.file, 0, op.size)
@@ -188,13 +196,13 @@ class _DirectExecutor:
 
     def write(self, op: Op) -> int:
         data = payload(self.seed, op.file, op.offset, op.size)
-        return plfs.plfs_write(self._handle(op.file), data, op.size, op.offset)
+        return plfs.plfs_write(self._handle(op), data, op.size, op.offset)
 
     def read(self, op: Op) -> int:
-        return len(plfs.plfs_read(self._handle(op.file), op.size, op.offset))
+        return len(plfs.plfs_read(self._handle(op), op.size, op.offset))
 
     def fsync(self, op: Op) -> None:
-        plfs.plfs_sync(self._handle(op.file))
+        plfs.plfs_sync(self._handle(op))
 
     # -- collective ops (repro.collective engine, one per shared file) -- #
 
@@ -243,79 +251,15 @@ class _DirectExecutor:
             _accumulate(self.writer_totals, eng.writer_stats)
             _accumulate(self.collective_totals, eng.counters)
         self.engines.clear()
-        return export_runtime_counters(
-            cache_stats=shared_cache().stats,
-            writer_stats=self.writer_totals,
-            reader_stats=self.reader_totals,
-            collective_stats=self.collective_totals or None,
-        )
-
-
-class _DaemonExecutor:
-    """Replays ops through a running plfsd daemon: one client connection
-    per tenant, handles held daemon-side, every create serializing on the
-    daemon's global meta lock."""
-
-    def __init__(self, root: str, socket_path: str, seed: int):
-        from repro.plfsd import client as plfsd_client
-
-        self.root = root
-        self.socket_path = socket_path
-        self.seed = seed
-        self._connect = plfsd_client.connect
-        self.clients: dict[str, object] = {}
-        self.handles: dict[str, object] = {}
-
-    def _client(self, tenant: str):
-        cli = self.clients.get(tenant)
-        if cli is None:
-            cli = self._connect(self.socket_path, name=f"bench-{tenant}")
-            self.clients[tenant] = cli
-        return cli
-
-    def _path(self, file: str) -> str:
-        path = os.path.join(self.root, file)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        return path
-
-    def _handle(self, op: Op):
-        fd = self.handles.get(op.file)
-        if fd is None:
-            fd = self._client(op.tenant).open(
-                self._path(op.file), os.O_CREAT | os.O_RDWR, 0o644
+        if self.socket_path is None:
+            return export_runtime_counters(
+                cache_stats=shared_cache().stats,
+                writer_stats=self.writer_totals,
+                reader_stats=self.reader_totals,
+                collective_stats=self.collective_totals or None,
             )
-            self.handles[op.file] = fd
-        return fd
-
-    # -- op surface ----------------------------------------------------- #
-
-    def create(self, op: Op) -> None:
-        fd = self._client(op.tenant).open(
-            self._path(op.file), os.O_CREAT | os.O_WRONLY, 0o644
-        )
-        try:
-            if op.size:
-                data = payload(self.seed, op.file, 0, op.size)
-                plfs.plfs_write(fd, data, op.size, 0)
-        finally:
-            plfs.plfs_close(fd)
-
-    def write(self, op: Op) -> int:
-        data = payload(self.seed, op.file, op.offset, op.size)
-        return plfs.plfs_write(self._handle(op), data, op.size, op.offset)
-
-    def read(self, op: Op) -> int:
-        return len(plfs.plfs_read(self._handle(op), op.size, op.offset))
-
-    def fsync(self, op: Op) -> None:
-        plfs.plfs_sync(self._handle(op))
-
-    def finish(self) -> dict:
         from repro.plfsd import stress
 
-        for fd in self.handles.values():
-            plfs.plfs_close(fd)
-        self.handles.clear()
         stats = stress.daemon_stats(self.socket_path)
         for cli in self.clients.values():
             cli.close()
@@ -438,12 +382,9 @@ def execute_stream(
         from repro.sim.cawl import execute_sim_stream
 
         return ExecutionResult(execute_sim_stream(ops, seed, params=params).counters)
-    if cfg.daemon:
-        if socket_path is None:
-            raise ValueError("daemon config requires socket_path")
-        executor = _DaemonExecutor(root, socket_path, seed)
-    else:
-        executor = _DirectExecutor(root, cfg, seed, params)
+    if cfg.daemon and socket_path is None:
+        raise ValueError("daemon config requires socket_path")
+    executor = _Executor(root, cfg, seed, params, socket_path if cfg.daemon else None)
 
     backend = None
     previous = None
@@ -460,9 +401,9 @@ def execute_stream(
         "write": executor.write,
         "read": executor.read,
         "fsync": executor.fsync,
-        "coll_write": getattr(executor, "coll_write", None),
-        "coll_read": getattr(executor, "coll_read", None),
     }
+    if not cfg.daemon:  # the collective engine opens its own, in-process
+        dispatch.update(coll_write=executor.coll_write, coll_read=executor.coll_read)
     by_kind: dict[str, int] = {}
     bytes_read = 0
     try:

@@ -8,66 +8,117 @@ them for the :class:`~repro.core.shim.Shim` methods; ``uninstall()``
 restores the originals.  Use :func:`interposed` as a scoped context
 manager, or set ``LDPLFS_PRELOAD=1`` and import :mod:`repro.core.preload`
 for whole-process activation with zero application changes.
+
+The loader stacks any number of preloaded libraries on one symbol table
+(footnote 1); here that is :class:`Layer`, the one rebinding mechanism.
+:class:`Interposer` (the policy) and :class:`~repro.core.trace.Tracer` (the
+accounting) are its two users, so what one reaches — both names of
+``open``, a module wrapped the ``-wrap`` way — the other reaches too.
 """
 
 from __future__ import annotations
 
 import builtins
+import io
 import os
 import threading
 from contextlib import contextmanager
 
-from repro.plfs.route import RealOS, posix
+from repro.plfs.route import ALIAS_OF, INTERPOSED, RealOS, posix
 
 from . import config
 from .mounts import MountTable
 from .shim import Shim
 
-#: os attributes patched to same-named Shim methods.
-_OS_PATCHES = [
-    "open",
-    "close",
-    "read",
-    "write",
-    "readv",
-    "writev",
-    "pread",
-    "pwrite",
-    "preadv",
-    "pwritev",
-    "lseek",
-    "dup",
-    "dup2",
-    "stat",
-    "lstat",
-    "fstat",
-    "access",
-    "unlink",
-    "remove",
-    "rename",
-    "replace",
-    "truncate",
-    "ftruncate",
-    "fsync",
-    "fdatasync",
-    "mkdir",
-    "rmdir",
-    "listdir",
-    "scandir",
-    "chmod",
-    "utime",
-    "sendfile",
-    "copy_file_range",
-    "splice",
-    "statvfs",
-    "fstatvfs",
-    "link",
-    "symlink",
-    "readlink",
-]
+#: os attributes patched to same-named Shim methods: the table's names.
+_OS_PATCHES = list(INTERPOSED)
+
+#: one libc function behind two dynamic symbols: pathlib and parts of the
+#: stdlib reference ``io.open`` directly, so a layer always rebinds both
+OPEN_SYMBOLS = ("builtins.open", "io.open")
 
 _install_lock = threading.RLock()
 _installed: "Interposer | None" = None
+#: our own layers in install order, bottom first (under ``_install_lock``)
+_layers: "list[Layer]" = []
+
+
+def _held(symbol: str):
+    if symbol == "builtins.open":
+        return builtins.open
+    return io.open if symbol == "io.open" else getattr(os, symbol)
+
+
+def _rebind(symbol: str, fn) -> None:
+    """The one place in ``src/repro`` an interposed symbol is assigned."""
+    if symbol == "builtins.open":
+        builtins.open = fn
+    elif symbol == "io.open":
+        io.open = fn
+    else:
+        setattr(os, symbol, fn)
+
+
+class Layer:
+    """One rebinding of interposed symbols: save what is bound now, rebind,
+    put it back.  Whatever a foreign patcher bound before :meth:`push` is
+    saved like anything else and stays underneath; our own layers form a
+    process-wide stack and come off in reverse order only — a layer popped
+    from the middle would hand the layer above it a dead callee, and put
+    back symbols that layer still owns."""
+
+    def __init__(self) -> None:
+        #: symbol -> what it held at :meth:`push` (``os`` names bare, plus
+        #: :data:`OPEN_SYMBOLS`); empty while not pushed
+        self.displaced: dict[str, object] = {}
+        self._swaps: dict[int, object] = {}  # id(displaced) -> its replacement
+        self._wrapped: list[tuple[object, str, object]] = []
+
+    def push(self, calls: dict[str, object], opener) -> None:
+        """Rebind ``os.<name>`` to *calls[name]* — where this platform's
+        ``os`` has the name — and both open symbols to *opener*."""
+        with _install_lock:
+            if self in _layers:
+                raise RuntimeError("layer is already installed")
+            slots = {name: fn for name, fn in calls.items() if hasattr(os, name)}
+            slots.update(dict.fromkeys(OPEN_SYMBOLS, opener))
+            held = {symbol: _held(symbol) for symbol in slots}
+            self.displaced.update(held)
+            self._swaps.update((id(held[symbol]), fn) for symbol, fn in slots.items())
+            for symbol, fn in slots.items():
+                _rebind(symbol, fn)
+            _layers.append(self)
+
+    def pop(self) -> None:
+        """Undo :meth:`wrap_module` and :meth:`push`; top layer only."""
+        with _install_lock:
+            if not _layers or _layers[-1] is not self:
+                raise RuntimeError(
+                    "not installed, or not the top layer: uninstall in reverse order of install"
+                )
+            for module, name, original in reversed(self._wrapped):
+                setattr(module, name, original)
+            for symbol, held in self.displaced.items():
+                _rebind(symbol, held)
+            _layers.pop()
+            self.displaced.clear()
+            self._swaps.clear()
+            self._wrapped.clear()
+
+    def wrap_module(self, module) -> int:
+        """Rebind every global of *module* identical to something this layer
+        displaced; undone at :meth:`pop`.  Returns the number rebound."""
+        with _install_lock:
+            if self not in _layers:
+                raise RuntimeError("install() before wrap_module()")
+            rebound = 0
+            for name, value in list(vars(module).items()):
+                replacement = self._swaps.get(id(value))
+                if replacement is not None:
+                    setattr(module, name, replacement)
+                    self._wrapped.append((module, name, value))
+                    rebound += 1
+            return rebound
 
 
 class Interposer:
@@ -82,8 +133,7 @@ class Interposer:
         self.mount_table = MountTable(mounts)
         self.shim = Shim(self.mount_table, self.real)
         self._depth = 0
-        self._saved: dict[str, object] = {}
-        self._wrapped: list[tuple[object, str, object]] = []
+        self._layer = Layer()
 
     # ------------------------------------------------------------------ #
 
@@ -102,7 +152,13 @@ class Interposer:
                     "another LDPLFS interposer is already installed"
                 )
             if self._depth == 0:
-                self._patch()
+                # Looked up first: a Shim lacking one fails with nothing patched.
+                targets = {
+                    name: getattr(self.shim, ALIAS_OF.get(name, name)) for name in _OS_PATCHES
+                }
+                # From the first rebound symbol on, PLFS goes around the shim.
+                posix.bind(self.real)
+                self._layer.push(targets, self.shim.builtin_open)
                 _installed = self
             self._depth += 1
         return self
@@ -112,56 +168,18 @@ class Interposer:
         with _install_lock:
             if self._depth == 0:
                 raise RuntimeError("interposer is not installed")
-            self._depth -= 1
-            if self._depth == 0:
-                self._unwrap_modules()
-                self._unpatch()
+            if self._depth == 1:
+                self._layer.pop()  # raises, nothing changed, under another layer
+                posix.unbind()
                 self.shim.close_daemon_clients()
                 _installed = None
+            self._depth -= 1
 
     def __enter__(self) -> "Interposer":
         return self.install()
 
     def __exit__(self, *exc) -> None:
         self.uninstall()
-
-    # ------------------------------------------------------------------ #
-
-    def _patch(self) -> None:
-        import io
-
-        shim = self.shim
-        # Looked up first: a Shim lacking one fails with nothing patched.
-        targets = {
-            name: getattr(shim, "unlink" if name == "remove" else name)
-            for name in _OS_PATCHES
-            if hasattr(os, name)  # platform dependent
-        }
-        # ``io.open`` is the same entry point as ``builtins.open`` but is
-        # referenced directly by pathlib and parts of the stdlib; both
-        # names must be rebound (they are two dynamic symbols for one
-        # libc function, in ELF terms).
-        self._saved = {"builtins.open": builtins.open, "io.open": io.open}
-        self._saved.update((f"os.{name}", getattr(os, name)) for name in targets)
-        # From the first rebound symbol on, PLFS goes around the shim.
-        posix.bind(self.real)
-        for name, target in targets.items():
-            setattr(os, name, target)
-        builtins.open = io.open = shim.builtin_open
-
-    def _unpatch(self) -> None:
-        import io
-
-        for key, original in self._saved.items():
-            namespace, attr = key.split(".", 1)
-            if namespace == "os":
-                setattr(os, attr, original)
-            elif namespace == "io":
-                io.open = original
-            else:
-                builtins.open = original
-        self._saved = {}
-        posix.unbind()
 
     # ------------------------------------------------------------------ #
 
@@ -177,32 +195,7 @@ class Interposer:
         Undone automatically at uninstall.  Returns the number of names
         rebound.
         """
-        if not self.installed:
-            raise RuntimeError("install() before wrap_module()")
-        original_to_shim = {}
-        for key, original in self._saved.items():
-            namespace, attr = key.split(".", 1)
-            if namespace == "os":
-                target = "unlink" if attr == "remove" else attr
-                original_to_shim[original] = getattr(self.shim, target)
-            else:
-                original_to_shim[original] = self.shim.builtin_open
-        rebound = 0
-        for name, value in list(vars(module).items()):
-            try:
-                shimmed = original_to_shim.get(value)
-            except TypeError:  # unhashable values
-                continue
-            if shimmed is not None:
-                setattr(module, name, shimmed)
-                self._wrapped.append((module, name, value))
-                rebound += 1
-        return rebound
-
-    def _unwrap_modules(self) -> None:
-        for module, name, original in reversed(self._wrapped):
-            setattr(module, name, original)
-        self._wrapped.clear()
+        return self._layer.wrap_module(module)
 
     def drain(self) -> None:
         """Close any PLFS descriptors the application leaked (used by the

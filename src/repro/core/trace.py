@@ -9,8 +9,13 @@ per-file operation counts, byte totals, access-size histograms, seek and
 close counts, consecutive-offset sequentiality and timings: the inputs
 the :mod:`repro.insights` rule engine needs to diagnose a run.
 
-Because it patches the same symbols (``os.*``, ``builtins.open``) by
-saving whatever is currently installed, it composes in either order:
+It is a second :class:`~repro.core.interpose.Layer` on the stack LDPLFS
+is a layer of — the same symbols (``os.*``, ``builtins.open`` *and*
+``io.open``), whatever is currently installed saved underneath, modules
+that bound their calls at import reached by :meth:`Tracer.wrap_module` —
+and which calls it stands in for is read off the tags of the
+interposed-symbol table (:data:`repro.plfs.route.INTERPOSED`).  Layers
+come off in reverse order of install.  It composes in either order:
 
 - install the tracer *after* LDPLFS and it observes the application's
   logical I/O (calls destined for PLFS included);
@@ -37,14 +42,17 @@ previously such files reported 0 bytes as if no I/O had happened.
 
 from __future__ import annotations
 
-import builtins
 import io
 import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import MethodType
 
+from repro.plfs.route import INTERPOSED
 from repro.sim.stats import SizeHistogram
+
+from .interpose import Layer
 
 
 @dataclass
@@ -259,47 +267,100 @@ class _TracedFile:
         return f"<traced {self._fh!r}>"
 
 
-def _data_call(name: str, *, read: bool, positional: bool):
-    """The :class:`Tracer` method standing in for ``os.<name>(fd,
-    data_or_length_or_iovec[, offset[, flags]])``: a read returns the bytes
-    (scalar) or their count over the whole iovec (vectored), a write the
-    count."""
+def _opens(name: str):
+    def call(self, path, flags, mode=0o777, **kwargs):
+        fd = self._below[name](path, flags, mode, **kwargs)
+        try:
+            opened = _path_name(path)
+        except TypeError:
+            opened = repr(path)
+        self._fd_paths[fd] = opened
+        self._fd_pos[fd] = 0
+        self._fd_expect[fd] = 0
+        self._stats_for(opened).opens += 1
+        return fd
+
+    return call
+
+
+def _closes(name: str):
+    def call(self, fd):
+        path = self._fd_paths.pop(fd, None)
+        if path is not None:
+            self._stats_for(path).closes += 1
+        self._fd_pos.pop(fd, None)
+        self._fd_expect.pop(fd, None)
+        return self._below[name](fd)
+
+    return call
+
+
+def _seeks(name: str):
+    def call(self, fd, pos, how):
+        result = self._below[name](fd, pos, how)
+        path = self._fd_paths.get(fd)
+        if path is not None:
+            if result != self._fd_pos.get(fd, 0):
+                # Repositioning (not a tell-style SEEK_CUR 0) counts.
+                self._stats_for(path).seeks += 1
+            self._fd_pos[fd] = result
+        return result
+
+    return call
+
+
+def _moves_bytes(name: str, tag: str):
+    """``os.<name>(fd, data_or_length_or_iovec[, offset[, flags]])``: a
+    scalar read returns the bytes, every other data call their count."""
+    read, positional = "r" in tag, "@" in tag
+    counted = "v" in tag or not read
 
     def call(self, fd, arg, *rest):
         t0 = self._clock()
-        result = self._saved[name](fd, arg, *rest)
-        nbytes = result if isinstance(result, int) else len(result)
+        result = self._below[name](fd, arg, *rest)
+        nbytes = result if counted else len(result)
         self._moved(fd, t0, nbytes, rest[0] if positional else None, read=read)
         return result
 
     return call
 
 
+_DATA_TAGS = {"r", "w", "r@", "w@", "rv", "wv", "r@v", "w@v"}
+_CURSOR_TAGS = {"opens": _opens, "closes": _closes, "seeks": _seeks}
+
+
+def _traced_call(name: str, tag: str):
+    if tag in _DATA_TAGS:
+        return _moves_bytes(name, tag)
+    if tag in _CURSOR_TAGS:
+        return _CURSOR_TAGS[tag](name)
+    raise ValueError(f"interposed symbol {name!r} has a tag the tracer cannot handle: {tag!r}")
+
+
+#: the tracer's stand-in for every tagged row of the table, unbound; a tag
+#: with no handler fails here, at import, instead of going untraced
+_CALLS = {name: _traced_call(name, tag) for name, tag in INTERPOSED.items() if tag}
+
+
+def _path_name(path) -> str:
+    name = os.fspath(path)
+    return os.fsdecode(name) if isinstance(name, bytes) else name
+
+
 class Tracer:
     """Characterisation interposer; stacks over whatever is installed."""
 
-    #: every ``os`` call that opens, closes, moves bytes or moves the cursor;
-    #: PLFS itself reads by ``preadv`` and writes iovecs by ``writev``
-    _PATCHES = tuple(
-        name
-        for name in (
-            "open", "close", "lseek",
-            "read", "write", "pread", "pwrite",
-            "readv", "writev", "preadv", "pwritev",
-        )
-        if hasattr(os, name)
-    )
-
     def __init__(self, *, clock=time.perf_counter):
         self._clock = clock
-        self._saved: dict[str, object] = {}
+        self._layer = Layer()
+        #: what each traced symbol held when this tracer was installed
+        self._below = self._layer.displaced
         self._fd_paths: dict[int, str] = {}
         #: current file-cursor position per descriptor (mirrors lseek)
         self._fd_pos: dict[int, int] = {}
         #: offset at which the next access would be sequential
         self._fd_expect: dict[int, int] = {}
         self._stats: dict[str, FileStats] = {}
-        self._installed = False
 
     # ------------------------------------------------------------------ #
 
@@ -321,26 +382,19 @@ class Tracer:
     # ------------------------------------------------------------------ #
 
     def install(self) -> "Tracer":
-        if self._installed:
-            raise RuntimeError("tracer already installed")
-        # Capture whatever is live *now* — possibly the LDPLFS shims.
-        for name in self._PATCHES:
-            self._saved[name] = getattr(os, name)
-        self._saved["builtins.open"] = builtins.open
-        for name in self._PATCHES:
-            setattr(os, name, getattr(self, "_" + name))
-        builtins.open = self._builtin_open
-        self._installed = True
+        # Displaces whatever is live *now* — possibly the LDPLFS shims.
+        calls = {name: MethodType(fn, self) for name, fn in _CALLS.items()}
+        self._layer.push(calls, self._builtin_open)
         return self
 
     def uninstall(self) -> None:
-        if not self._installed:
-            raise RuntimeError("tracer is not installed")
-        for name in self._PATCHES:
-            setattr(os, name, self._saved[name])
-        builtins.open = self._saved["builtins.open"]
-        self._saved.clear()
-        self._installed = False
+        self._layer.pop()
+
+    def wrap_module(self, module) -> int:
+        """Trace a module that bound its calls at import (``from os import
+        write``) or was wrapped by the layer underneath: see
+        :meth:`~repro.core.interpose.Interposer.wrap_module`."""
+        return self._layer.wrap_module(module)
 
     def __enter__(self) -> "Tracer":
         return self.install()
@@ -349,30 +403,8 @@ class Tracer:
         self.uninstall()
 
     # ------------------------------------------------------------------ #
-    # traced calls (delegate to the saved layer underneath)
+    # traced calls (delegate to the layer underneath)
     # ------------------------------------------------------------------ #
-
-    def _open(self, path, flags, mode=0o777, **kwargs):
-        fd = self._saved["open"](path, flags, mode, **kwargs)
-        try:
-            name = os.fspath(path)
-            if isinstance(name, bytes):
-                name = os.fsdecode(name)
-        except TypeError:
-            name = repr(path)
-        self._fd_paths[fd] = name
-        self._fd_pos[fd] = 0
-        self._fd_expect[fd] = 0
-        self._stats_for(name).opens += 1
-        return fd
-
-    def _close(self, fd):
-        path = self._fd_paths.pop(fd, None)
-        if path is not None:
-            self._stats_for(path).closes += 1
-        self._fd_pos.pop(fd, None)
-        self._fd_expect.pop(fd, None)
-        return self._saved["close"](fd)
 
     def _moved(self, fd, t0, nbytes, offset, *, read: bool) -> None:
         """Account one data access of *nbytes* at *offset* — None: at the
@@ -390,31 +422,10 @@ class Tracer:
         observe = stats.observe_read if read else stats.observe_write
         observe(nbytes, self._clock() - t0, sequential=sequential)
 
-    _read = _data_call("read", read=True, positional=False)
-    _write = _data_call("write", read=False, positional=False)
-    _pread = _data_call("pread", read=True, positional=True)
-    _pwrite = _data_call("pwrite", read=False, positional=True)
-    _readv = _data_call("readv", read=True, positional=False)
-    _writev = _data_call("writev", read=False, positional=False)
-    _preadv = _data_call("preadv", read=True, positional=True)
-    _pwritev = _data_call("pwritev", read=False, positional=True)
-
-    def _lseek(self, fd, pos, how):
-        result = self._saved["lseek"](fd, pos, how)
-        path = self._fd_paths.get(fd)
-        if path is not None:
-            if result != self._fd_pos.get(fd, 0):
-                # Repositioning (not a tell-style SEEK_CUR 0) counts.
-                self._stats_for(path).seeks += 1
-            self._fd_pos[fd] = result
-        return result
-
     def _builtin_open(self, file, mode="r", *args, **kwargs):
-        fh = self._saved["builtins.open"](file, mode, *args, **kwargs)
+        fh = self._below["builtins.open"](file, mode, *args, **kwargs)
         if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-            name = os.fspath(file)
-            if isinstance(name, bytes):
-                name = os.fsdecode(name)
+            name = _path_name(file)
             stats = self._stats_for(name)
             stats.opens += 1
             stats.mode = mode
@@ -432,9 +443,5 @@ class Tracer:
 
 @contextmanager
 def traced(**kwargs):
-    tracer = Tracer(**kwargs)
-    tracer.install()
-    try:
+    with Tracer(**kwargs) as tracer:
         yield tracer
-    finally:
-        tracer.uninstall()

@@ -59,6 +59,7 @@ from repro.plfs.index import (
     pack_records,
     split_torn,
 )
+from repro.plfs.route import posix
 from repro.plfs.tools import ContainerReport, plfs_check, repair_derived_state
 
 #: prefix quarantined (orphaned) data droppings are renamed under, taking
@@ -160,7 +161,7 @@ def _rel(container_path: str, path: str) -> str:
 def _record_coverage(index_path: str) -> int:
     """Bytes the whole records of an index/WAL dropping promise."""
     try:
-        with open(index_path, "rb") as fh:
+        with posix.builtins_open(index_path, "rb") as fh:
             raw = fh.read()
     except OSError:
         return 0
@@ -181,9 +182,9 @@ def _replace_index(index_path: str, records) -> None:
     tmp = os.path.join(
         os.path.dirname(index_path), REPAIR_TMP_PREFIX + os.path.basename(index_path)
     )
-    with open(tmp, "wb") as fh:
+    with posix.builtins_open(tmp, "wb") as fh:
         fh.write(pack_records(records))
-    os.replace(tmp, index_path)
+    posix.replace(tmp, index_path)
 
 
 def _repair_dropping(
@@ -198,11 +199,11 @@ def _repair_dropping(
     data_path = os.path.join(hostdir, data_name)
     index_path = os.path.join(hostdir, util.index_name_for_data(data_name))
     wal_path = os.path.join(hostdir, util.wal_name_for_data(data_name))
-    data_size = os.path.getsize(data_path)
+    data_size = posix.getsize(data_path)
     rel_data = _rel(container_path, data_path)
 
-    if os.path.exists(wal_path):
-        with open(wal_path, "rb") as fh:
+    if posix.exists(wal_path):
+        with posix.builtins_open(wal_path, "rb") as fh:
             raw = fh.read()
         records, torn = split_torn(raw)
         clipped, lost = clip_to_physical(records, data_size)
@@ -242,13 +243,13 @@ def _repair_dropping(
                 "WAL (the writer died before the batch flush)"
             )
             if not dry_run:
-                with open(data_path, "ab") as fh:
+                with posix.builtins_open(data_path, "ab") as fh:
                     fh.truncate(indexed_end)
         if not dry_run:
-            os.unlink(wal_path)
+            posix.unlink(wal_path)
         return
 
-    if not os.path.exists(index_path):
+    if not posix.exists(index_path):
         quarantine = os.path.join(hostdir, QUARANTINE_PREFIX + data_name)
         report.act(
             "quarantine-orphan",
@@ -262,10 +263,10 @@ def _repair_dropping(
             "them to logical offsets"
         )
         if not dry_run:
-            os.rename(data_path, quarantine)
+            posix.rename(data_path, quarantine)
         return
 
-    with open(index_path, "rb") as fh:
+    with posix.builtins_open(index_path, "rb") as fh:
         raw = fh.read()
     records, torn = split_torn(raw)
     if torn:
@@ -307,7 +308,7 @@ def _repair_dropping(
             "write-ahead index was enabled"
         )
         if not dry_run:
-            with open(data_path, "ab") as fh:
+            with posix.builtins_open(data_path, "ab") as fh:
                 fh.truncate(indexed_end)
 
 
@@ -346,7 +347,7 @@ def fsck(
     missing = [
         name
         for name in (constants.OPENHOSTS_DIR, constants.META_DIR)
-        if not os.path.isdir(os.path.join(path, name))
+        if not posix.isdir(os.path.join(path, name))
     ]
     if missing:
         report.act("restore-skeleton", path, f"recreated {', '.join(missing)}")
@@ -355,7 +356,7 @@ def fsck(
 
     # 2. per-dropping index repair
     for hostdir in container.hostdirs():
-        names = sorted(os.listdir(hostdir))
+        names = sorted(posix.listdir(hostdir))
         for name in names:  # first: a repair below reuses the name
             if name.startswith(REPAIR_TMP_PREFIX):
                 report.act(
@@ -364,7 +365,7 @@ def fsck(
                     "leftover temporary from an index repair that never completed",
                 )
                 if not dry_run:
-                    os.unlink(os.path.join(hostdir, name))
+                    posix.unlink(os.path.join(hostdir, name))
         for name in names:
             if name.startswith(constants.DATA_PREFIX):
                 _repair_dropping(
@@ -378,7 +379,7 @@ def fsck(
     # lost PUT, a vanished backend file): that extent must be reported
     # unrecoverable, not silently truncated away with the index.
     for hostdir in container.hostdirs():
-        names = sorted(os.listdir(hostdir))
+        names = sorted(posix.listdir(hostdir))
         present = set(names)
         for name in names:
             if not name.startswith(constants.INDEX_PREFIX):
@@ -400,7 +401,7 @@ def fsck(
                 f"index dropping ({covered} promised byte(s)) has no data dropping",
             )
             if not dry_run:
-                os.unlink(os.path.join(hostdir, name))
+                posix.unlink(os.path.join(hostdir, name))
         # leftover WALs whose data dropping vanished entirely: same
         # verdict logic, but only when no index sibling existed to carry
         # it above (the WAL is a superset of the flushed index)
@@ -428,7 +429,7 @@ def fsck(
                 "write-ahead dropping has no data dropping",
             )
             if not dry_run:
-                os.unlink(os.path.join(hostdir, name))
+                posix.unlink(os.path.join(hostdir, name))
 
     # 4-6. stale openhost markers, cached metadata rebuilt from the
     # repaired index, compacted global index audited: the routine
@@ -438,7 +439,7 @@ def fsck(
             report.act(kind, target, detail)
 
     repair_derived_state(container, act, dry_run=dry_run)
-    for name in sorted(os.listdir(path)):
+    for name in sorted(posix.listdir(path)):
         if name.startswith(constants.GLOBAL_INDEX_FILE + ".tmp."):
             report.act(
                 "sweep-compaction-tmp",
@@ -446,7 +447,7 @@ def fsck(
                 "leftover temporary from a compaction that never completed",
             )
             if not dry_run:
-                os.unlink(os.path.join(path, name))
+                posix.unlink(os.path.join(path, name))
         elif name.startswith(constants.GENERATION_FILE + ".tmp."):
             report.act(
                 "sweep-generation-tmp",
@@ -454,7 +455,7 @@ def fsck(
                 "leftover temporary from an interrupted generation bump",
             )
             if not dry_run:
-                os.unlink(os.path.join(path, name))
+                posix.unlink(os.path.join(path, name))
     if not dry_run:
         invalidate_index_cache(container.path)
         # Repairs changed what readers should see; tell other processes.

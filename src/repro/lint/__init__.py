@@ -7,9 +7,9 @@ deployment is exposed to before a job is ever submitted:
 
 1. **Bypass risk in our own core** — the interposition-coverage audit
    (:mod:`~repro.lint.coverage`) cross-checks every file-touching
-   ``os``/``builtins``/``io`` symbol against ``_OS_PATCHES`` and the
-   ``Shim`` method set; the whole-system concurrency analysis and
-   ordering-contract checker from :mod:`repro.sanitize` prove the lock
+   ``os``/``builtins``/``io`` symbol against the interposed-symbol table
+   (``_OS_PATCHES``) and the ``Shim`` method set; the whole-system
+   concurrency analysis and ordering-contract checker from :mod:`repro.sanitize` prove the lock
    discipline and crash-ordering invariants across ``repro.core`` +
    ``repro.plfs`` + ``repro.plfsd``.  Together they are
    ``repro-lint --self-audit``, the CI gate that caught (and now pins)
@@ -34,7 +34,6 @@ from .coverage import (
     audit_findings,
     audit_interposition,
     audit_route,
-    realos_gaps,
 )
 from .findings import RULES, LintFinding, RuleSpec, Severity, sort_findings
 from .reporter import (
@@ -65,7 +64,6 @@ __all__ = [
     "findings_to_json",
     "lint_path",
     "lint_source",
-    "realos_gaps",
     "render_findings",
     "render_self_audit",
     "rule_catalogue",

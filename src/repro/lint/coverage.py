@@ -5,7 +5,8 @@ point the application reaches for, the preloaded shim must catch it, or
 the call silently operates on the real file system and the PLFS container
 never sees it.  The C shim gets this wrong by omission (a libc symbol
 nobody thought to wrap); the Python analogue is an ``os`` function missing
-from :data:`repro.core.interpose._OS_PATCHES`.
+from the interposed-symbol table (:data:`repro.plfs.route.INTERPOSED`,
+which :data:`repro.core.interpose._OS_PATCHES` is the names of).
 
 This audit makes the omission class mechanical: a curated catalogue of
 every file-touching symbol on the ``os``/``builtins``/``io`` surfaces is
@@ -15,14 +16,15 @@ implementation behind it) or *acknowledged* — an explicit entry with a
 written justification for why passthrough is safe.  Anything else is a
 bypass risk and fails the self-audit.  This is the check that caught the
 vectored-I/O gap (``os.readv``/``os.writev``/``os.preadv``/``os.pwritev``)
-closed in PR 2.
+closed in PR 2.  What it compares is what is still written by hand: the
+catalogue and the ``Shim`` methods.  The ``RealOS`` snapshot and the
+tracer's calls are generated from the table and need no audit.
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
-import inspect
 import io
 import os
 import pkgutil
@@ -30,7 +32,8 @@ from dataclasses import dataclass, field
 
 import repro.plfs
 from repro.core import interpose
-from repro.core.shim import RealOS, Shim
+from repro.core.shim import Shim
+from repro.plfs.route import ALIAS_OF
 
 from .findings import LintFinding, RuleSpec, RULES, Severity, sort_findings
 
@@ -135,7 +138,7 @@ ACKNOWLEDGED_PASSTHROUGH: dict[str, str] = {
 
 #: file-opening callables on the ``io`` surface and their standing
 IO_SURFACE: dict[str, str] = {
-    "open": "patched",  # rebound alongside builtins.open by _patch()
+    "open": "patched",  # rebound alongside builtins.open: interpose.OPEN_SYMBOLS
     "open_code": (
         "interpreter-internal loader hook; reads real source files only"
     ),
@@ -144,10 +147,6 @@ IO_SURFACE: dict[str, str] = {
         "flagged per-script by lint rule LDP106"
     ),
 }
-
-#: patch names whose Shim method carries a different name
-SHIM_ALIASES = {"remove": "unlink"}
-
 
 @dataclass
 class AuditReport:
@@ -178,28 +177,12 @@ class AuditReport:
         }
 
 
-def _patched_builtin_surfaces(interposer_cls=None) -> set[str]:
-    """The builtin/io names ``Interposer._patch`` rebinds, read statically
-    from its source (the audit must not install anything to find out)."""
-    cls = interposer_cls or interpose.Interposer
-    try:
-        source = inspect.getsource(cls._patch)
-    except (OSError, TypeError):  # pragma: no cover - frozen builds
-        return set()
-    return {
-        name
-        for name in ("builtins.open", "io.open")
-        if f'"{name}"' in source or f"'{name}'" in source
-    }
-
-
 def audit_interposition(
     patches: list[str] | None = None,
     shim_cls: type = Shim,
     os_module=os,
     catalogue: frozenset[str] = FILE_TOUCHING_OS,
     acknowledged: dict[str, str] | None = None,
-    interposer_cls=None,
 ) -> AuditReport:
     """Cross-check the file-touching catalogue against the patch list.
 
@@ -229,10 +212,9 @@ def audit_interposition(
     report.missing_shim = sorted(
         name
         for name in patched_set
-        if not callable(getattr(shim_cls, SHIM_ALIASES.get(name, name), None))
+        if not callable(getattr(shim_cls, ALIAS_OF.get(name, name), None))
     )
 
-    covered_builtins = _patched_builtin_surfaces(interposer_cls)
     surfaces: dict[str, str] = {"builtins.open": "patched"}
     surfaces.update({f"io.{k}": v for k, v in IO_SURFACE.items()})
     for surface, standing in sorted(surfaces.items()):
@@ -240,7 +222,7 @@ def audit_interposition(
         if not hasattr(io if module == "io" else builtins, attr):
             continue  # pragma: no cover - platform dependent
         if standing == "patched":
-            if surface in covered_builtins:
+            if surface in interpose.OPEN_SYMBOLS:
                 report.builtin_covered.append(surface)
             else:
                 report.builtin_uncovered.append(surface)
@@ -284,7 +266,7 @@ def audit_findings(report: AuditReport) -> list[LintFinding]:
         findings.append(
             _finding(
                 RULES["LDP001"],
-                f"{surface} is not rebound by Interposer._patch; "
+                f"{surface} is not among interpose.OPEN_SYMBOLS; "
                 "applications opening through it bypass PLFS",
                 symbol=surface,
             )
@@ -320,10 +302,12 @@ OFF_ROUTE_COMPOSITES = frozenset(
 
 def routed_modules() -> list[str]:
     """The modules that may touch files only through ``repro.plfs.route``:
-    ``repro/plfs/*.py`` (bar the route itself) and the shim's two."""
+    ``repro/plfs/*.py`` (bar the route itself), the shim's two, and the two
+    fsck modules (recovery runs in-process, under an installed interposer)."""
     plfs = pkgutil.iter_modules(repro.plfs.__path__, "repro.plfs.")
     names = [m.name for m in plfs if not m.ispkg and m.name != "repro.plfs.route"]
-    return sorted(names + ["repro.core.shim", "repro.core.fdtable"])
+    return sorted(names + ["repro.core.shim", "repro.core.fdtable",
+                           "repro.faults.fsck", "repro.plfs.objectstore.fsckx"])
 
 
 def audit_route(sources: dict[str, str] | None = None) -> list[LintFinding]:
@@ -353,19 +337,3 @@ def audit_route(sources: dict[str, str] | None = None) -> list[LintFinding]:
                     name, node.lineno, node.col_offset, symbol=symbol,
                 ))
     return sort_findings(findings)
-
-
-def realos_gaps(patches: list[str] | None = None) -> list[str]:
-    """Patched symbols with no RealOS snapshot field to pass through to.
-
-    A patch without a saved original cannot fall through for non-PLFS
-    paths — a softer failure than a missing shim, but still a config bug.
-    """
-    patches = list(interpose._OS_PATCHES if patches is None else patches)
-    fields = set(RealOS.__dataclass_fields__)
-    gaps = []
-    for name in patches:
-        target = SHIM_ALIASES.get(name, name)
-        if target not in fields and name not in ("remove",):
-            gaps.append(name)
-    return sorted(gaps)

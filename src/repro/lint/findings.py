@@ -110,7 +110,7 @@ RULES: dict[str, RuleSpec] = {
             "uninterposed-symbol",
             Severity.HIGH,
             "a file-touching os symbol is not interposed",
-            "add the symbol to interpose._OS_PATCHES with a Shim method "
+            "add a tagged row to plfs.route.INTERPOSED with a Shim method "
             "(or record a justified entry in coverage.ACKNOWLEDGED_PASSTHROUGH)",
         ),
         _spec(
@@ -119,13 +119,13 @@ RULES: dict[str, RuleSpec] = {
             Severity.HIGH,
             "a patched symbol has no Shim implementation",
             "implement the same-named Shim method (passthrough at minimum) "
-            "or drop the _OS_PATCHES entry",
+            "or drop the row from plfs.route.INTERPOSED",
         ),
         _spec(
             "LDP005",
             "stale-patch",
             Severity.INFO,
-            "an _OS_PATCHES entry does not exist in the os module",
+            "an interposed-symbol table row does not exist in the os module",
             "remove the dead entry (or gate it per platform)",
         ),
         _spec(

@@ -37,7 +37,8 @@ container over and over.  This module removes the tax three ways:
    any overlap — takes the full build, unchanged.
 
 Thread-safety: all cache state is guarded by one lock; index construction
-runs outside it (two racing builders do redundant work, never corrupt).
+runs outside it, one ``get`` per container at a time (threads arriving
+together at a cold or stale entry wait for the first one's build and hit).
 """
 
 from __future__ import annotations
@@ -262,6 +263,9 @@ class IndexCache:
     def __init__(self, capacity: int = constants.INDEX_CACHE_CAPACITY):
         self.capacity = capacity
         self._lock = threading.Lock()
+        #: whose turn it is to ``get`` a container, striped by path; held
+        #: across the build, so never taken with ``_lock`` held
+        self._turns = [threading.Lock() for _ in range(16)]
         self._entries: OrderedDict[str, LoadedIndex] = OrderedDict()
         self._generations: dict[str, int] = {}
         self._clock = 0
@@ -339,36 +343,39 @@ class IndexCache:
         what was appended, or rebuilds via :func:`load_index`, and caches
         the result.  The generation is read *before* the container is
         looked at: a bump landing after that belongs to a later ``get``.
+        One ``get`` per container at a time: threads arriving together at
+        an absent or stale entry are served from what the first of them
+        stored — one build, and counters that do not depend on the schedule.
         """
         path = container.path
-        generation = self.generation(path)
-        droppings = container.droppings()
-        epoch, marks = container.index_state(droppings)
-        with self._lock:
-            held = self._entries.get(path)
-            if held is not None:
-                if held.epoch == epoch:
-                    self._entries.move_to_end(path)
+        with self._turns[hash(path) % len(self._turns)]:
+            generation = self.generation(path)
+            droppings = container.droppings()
+            epoch, marks = container.index_state(droppings)
+            with self._lock:
+                held = self._entries.get(path)
+                if held is not None:
+                    if held.epoch == epoch:
+                        self._entries.move_to_end(path)
+                        self.stats["hits"] += 1
+                        return held, generation
+                    self.stats["stale_epoch_evictions"] += 1
+            extended = extend_index(held, droppings, epoch, marks) if held is not None else None
+            loaded = extended or load_index(container, droppings=droppings, state=(epoch, marks))
+            with self._lock:
+                if extended is not None:  # a hit: hits + misses stays the number of gets
                     self.stats["hits"] += 1
-                    return held, generation
-                del self._entries[path]
-                self.stats["stale_epoch_evictions"] += 1
-        extended = extend_index(held, droppings, epoch, marks) if held is not None else None
-        loaded = extended or load_index(container, droppings=droppings, state=(epoch, marks))
-        with self._lock:
-            if extended is not None:  # a hit: hits + misses stays the number of gets
-                self.stats["hits"] += 1
-                self.stats["extensions"] += 1
-            else:
-                self.stats["misses"] += 1
-                self.stats[
-                    "compacted_loads" if loaded.source == "compacted" else "merged_builds"
-                ] += 1
-            self._entries[path] = loaded
-            self._entries.move_to_end(path)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-        return loaded, generation
+                    self.stats["extensions"] += 1
+                else:
+                    self.stats["misses"] += 1
+                    self.stats[
+                        "compacted_loads" if loaded.source == "compacted" else "merged_builds"
+                    ] += 1
+                self._entries[path] = loaded
+                self._entries.move_to_end(path)
+                while len(self._entries) > self.capacity:
+                    self._entries.popitem(last=False)
+            return loaded, generation
 
 
 _shared = IndexCache()

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import os
-import shutil
 
 from repro.plfs import constants
+from repro.plfs.route import posix
 
 from .store import ObjectStore, ObjectStoreError
 
@@ -80,7 +80,7 @@ def reconcile_before(
     prefix = _container_prefix(container_path, store_root)
     for key in store.list(prefix):
         local = os.path.join(store_root, *key.split("/"))
-        if os.path.exists(local):
+        if posix.exists(local):
             continue
         rel = key[len(prefix):]
         try:
@@ -98,8 +98,8 @@ def reconcile_before(
             f"local tier copy missing; restored {len(data)} byte(s) from the store",
         )
         if not dry_run:
-            os.makedirs(os.path.dirname(local), exist_ok=True)
-            with open(local, "wb") as fh:
+            posix.ensure_dir(os.path.dirname(local))
+            with posix.builtins_open(local, "wb") as fh:
                 fh.write(data)
 
 
@@ -126,7 +126,7 @@ def reconcile_after(
             "multipart staging with no committed manifest (upload died mid-flight)",
         )
         if not dry_run:
-            shutil.rmtree(staging, ignore_errors=True)
+            posix.rmtree(staging, ignore_errors=True)
 
     # crashed atomic-commit temporaries in the blob/key trees
     for tmp in store.stray_temporaries():
@@ -137,7 +137,7 @@ def reconcile_after(
         )
         if not dry_run:
             try:
-                os.unlink(tmp)
+                posix.unlink(tmp)
             except FileNotFoundError:
                 pass
 
@@ -147,7 +147,7 @@ def reconcile_after(
         key = prefix + rel
         local = os.path.join(container_path, *rel.split("/"))
         try:
-            with open(local, "rb") as fh:
+            with posix.builtins_open(local, "rb") as fh:
                 data = fh.read()
         except OSError:
             continue

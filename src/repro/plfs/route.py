@@ -20,6 +20,10 @@ shim touch files.
 
 Callers write ``posix.stat(p)``, never ``from ... import``: the lookup at
 the call is the binding.
+
+The interposed symbols are written once, here (:data:`INTERPOSED`): the
+snapshot's attributes, the interposer's patch list and the tracer's calls
+are read off it, so there is no second copy to drift.
 """
 
 from __future__ import annotations
@@ -27,59 +31,42 @@ from __future__ import annotations
 import builtins
 import os
 import stat as stat_module
-from dataclasses import dataclass, fields
+from types import SimpleNamespace
+
+#: The interposed-symbol table: every ``os`` name the loader rebinds, in
+#: binding order, each tagged with what a tracer must know about the call —
+#: ``opens`` / ``closes`` a descriptor, ``seeks`` (moves the cursor), moves
+#: bytes (``r`` or ``w``; ``@``: at an explicit offset, otherwise at the
+#: cursor, which it moves; ``v``: over an iovec), or ``""``: none of these.
+#: ``builtins.open`` / ``io.open`` are not rows: every snapshot carries them
+#: as ``builtins_open`` and every layer rebinds both.
+INTERPOSED: dict[str, str] = {
+    "open": "opens", "close": "closes",
+    "read": "r", "write": "w", "readv": "rv", "writev": "wv",
+    "pread": "r@", "pwrite": "w@", "preadv": "r@v", "pwritev": "w@v",
+    "lseek": "seeks",
+    **dict.fromkeys(
+        "dup dup2 stat lstat fstat access unlink remove rename replace truncate "
+        "ftruncate fsync fdatasync mkdir rmdir listdir scandir chmod utime "
+        "sendfile copy_file_range splice statvfs fstatvfs link symlink readlink".split(),
+        "",
+    ),
+}
+
+#: rows that are a second name for another row's function
+ALIAS_OF = {"remove": "unlink"}
 
 
-@dataclass(frozen=True)
-class RealOS:
-    """Snapshot of the original functions taken before patching."""
-
-    open: callable
-    close: callable
-    read: callable
-    write: callable
-    pread: callable
-    pwrite: callable
-    lseek: callable
-    dup: callable
-    dup2: callable
-    stat: callable
-    lstat: callable
-    fstat: callable
-    access: callable
-    unlink: callable
-    rename: callable
-    replace: callable
-    truncate: callable
-    ftruncate: callable
-    fsync: callable
-    mkdir: callable
-    rmdir: callable
-    listdir: callable
-    scandir: callable
-    chmod: callable
-    utime: callable
-    builtins_open: callable
-    sendfile: callable | None = None
-    fdatasync: callable | None = None
-    statvfs: callable | None = None
-    fstatvfs: callable | None = None
-    link: callable | None = None
-    symlink: callable | None = None
-    readlink: callable | None = None
-    copy_file_range: callable | None = None
-    readv: callable | None = None
-    writev: callable | None = None
-    preadv: callable | None = None
-    pwritev: callable | None = None
-    splice: callable | None = None
+class RealOS(SimpleNamespace):
+    """Snapshot of the original functions taken before patching: one
+    attribute per table row (``None`` where this platform's ``os`` lacks
+    it) plus ``builtins_open``."""
 
     @classmethod
     def snapshot(cls) -> "RealOS":
         """Whatever the ``os`` names (and ``builtins.open``) hold now."""
-        calls = {f.name: getattr(os, f.name, None) for f in fields(cls)}
-        calls["builtins_open"] = builtins.open
-        return cls(**calls)
+        calls = {name: getattr(os, name, None) for name in INTERPOSED if name not in ALIAS_OF}
+        return cls(builtins_open=builtins.open, **calls)
 
 
 class Route:

@@ -82,6 +82,7 @@ EXTENDED_GUARDS: list[GuardSpec] = [
     GuardSpec("repro.core.fdtable", "FdTable", "_entries", "self._lock"),
     GuardSpec("repro.core.mounts", "MountTable", "_mounts", "self._lock"),
     GuardSpec("repro.core.interpose", "", "_installed", "_install_lock"),
+    GuardSpec("repro.core.interpose", "", "_layers", "_install_lock"),
     GuardSpec("repro.plfs.cache", "IndexCache", "_entries", "self._lock"),
     GuardSpec("repro.plfs.cache", "IndexCache", "_generations", "self._lock"),
     GuardSpec("repro.plfs.backing", "", "_current", "_lock"),

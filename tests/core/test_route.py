@@ -69,6 +69,16 @@ class TestNoReentry:
             assert len(resolved) == paths, resolved
         assert interposer.shim.stats["passthrough_calls"] == 0
 
+    def test_in_process_fsck_goes_around_the_shim(self, interposer, mnt, backend):
+        """Recovery beside a live application (crash + ``repro-fsck`` in one
+        process): fsck is library code, so it is on the route too."""
+        from repro.faults.fsck import fsck
+
+        _create(f"{mnt}/a")
+        before = interposer.shim.stats["passthrough_calls"]
+        assert fsck(os.path.join(backend, "a")).ok
+        assert interposer.shim.stats["passthrough_calls"] == before
+
 
 @pytest.fixture
 def counted(monkeypatch, mnt, backend):

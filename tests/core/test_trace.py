@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import os
+import pathlib
+import subprocess
+import sys
+import types
 
 import pytest
 
@@ -339,3 +344,88 @@ class TestStackingWithLdplfs:
         tracer.uninstall()
         ip.uninstall()
         assert os.open is orig_open
+
+
+class TestOneStack:
+    """Interposer and Tracer are two layers of one rebinding mechanism, so
+    what one of them reaches the other reaches too."""
+
+    @pytest.mark.parametrize("tracer_is", ["above", "below"])
+    def test_every_name_of_open_is_traced(self, mnt, backend, tracer_is):
+        """``builtins.open`` and ``io.open`` (which pathlib binds) are two
+        dynamic symbols for one function: a layer rebinds both."""
+        tracer = Tracer()
+        layers = []
+        if tracer_is == "below":  # what an Interposer routes to is fixed when it is built
+            layers.append(tracer.install())
+        layers.append(Interposer([(mnt, backend)]).install())
+        if tracer_is == "above":
+            layers.append(tracer.install())
+        try:
+            with pathlib.Path(f"{mnt}/a").open("wb") as fh:
+                fh.write(b"a" * 1000)
+            with io.open(f"{mnt}/b", "wb") as fh:
+                fh.write(b"b" * 500)
+            with open(f"{mnt}/c", "wb") as fh:
+                fh.write(b"c" * 250)
+        finally:
+            for layer in reversed(layers):
+                layer.uninstall()
+        files = tracer.report().files
+        seen = mnt if tracer_is == "above" else "dropping.data"
+        assert sorted(f.bytes_written for p, f in files.items() if seen in p) == [250, 500, 1000]
+
+    @staticmethod
+    def _bound_at_import():
+        """A module that did ``from os import open, write, close``."""
+        app = types.ModuleType("app")
+        app.open, app.write, app.close = os.open, os.write, os.close
+        return app
+
+    def test_a_wrapped_module_is_traced_through_both_layers(self, mnt, backend):
+        """``-wrap`` for what was bound before the loader ran, stacked: the
+        tracer above LDPLFS wraps what LDPLFS wrapped."""
+        app = self._bound_at_import()
+        with Interposer([(mnt, backend)]) as ip:
+            assert ip.wrap_module(app) == 3
+            with traced() as tracer:
+                assert tracer.wrap_module(app) == 3
+                fd = app.open(f"{mnt}/wrapped", os.O_CREAT | os.O_WRONLY)
+                app.write(fd, b"w" * 4096)
+                os.write(fd, b"o" * 100)
+                app.close(fd)
+            assert app.write == ip.shim.write  # the tracer's wrap is undone, not LDPLFS's
+        assert (app.open, app.write, app.close) == (os.open, os.write, os.close)
+        stats = tracer.report().files[f"{mnt}/wrapped"]
+        assert (stats.opens, stats.closes, stats.bytes_written) == (1, 1, 4196)
+        from repro.plfs import plfs_getattr
+
+        assert plfs_getattr(os.path.join(backend, "wrapped")).st_size == 4196
+
+    def test_a_tracer_alone_wraps_a_module_bound_before_it(self, tmp_path):
+        app = self._bound_at_import()
+        tracer = Tracer()
+        with pytest.raises(RuntimeError):
+            tracer.wrap_module(app)
+        with tracer:
+            assert tracer.wrap_module(app) == 3
+            fd = app.open(tmp_path / "f", os.O_CREAT | os.O_WRONLY)
+            app.write(fd, b"x" * 64)
+            app.close(fd)
+        assert app.write is os.write
+        assert tracer.report().files[str(tmp_path / "f")].bytes_written == 64
+
+    def test_a_row_with_an_unknown_tag_fails_at_import(self):
+        """A symbol added to the table with a tag the tracer has no handler
+        for must not go silently untraced."""
+        program = (
+            "from repro.plfs import route\n"
+            "route.INTERPOSED['frobnicate'] = 'zaps'\n"
+            "import repro.core.trace\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode != 0
+        assert "frobnicate" in done.stderr and "zaps" in done.stderr

@@ -30,8 +30,11 @@ class TestLiveTree:
         assert "repro.plfs.route" not in modules
         assert {"repro.core.shim", "repro.core.fdtable", "repro.plfs.container",
                 "repro.plfs.backing", "repro.plfs.reader", "repro.plfs.writer",
-                "repro.plfs.cache", "repro.plfs.index", "repro.plfs.api"} <= set(modules)
-        assert not [m for m in modules if m.startswith("repro.plfs.objectstore")]
+                "repro.plfs.cache", "repro.plfs.index", "repro.plfs.api",
+                "repro.faults.fsck"} <= set(modules)
+        # of the object tier only its fsck arm: it runs beside faults.fsck
+        assert [m for m in modules if m.startswith("repro.plfs.objectstore")] == [
+            "repro.plfs.objectstore.fsckx"]
 
     def test_no_bare_os_call_left(self):
         assert audit_route() == []

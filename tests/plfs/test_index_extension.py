@@ -11,6 +11,8 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+import threading
+import time
 
 import pytest
 from hypothesis import settings
@@ -20,6 +22,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro import plfs
 from repro.faults import fsck
 from repro.plfs import backing, util
+from repro.plfs import cache as cache_module
 from repro.plfs.cache import IndexCache, compact, invalidate_cross_process, shared_cache
 from repro.plfs.container import Container
 from repro.plfs.errors import CorruptIndexError
@@ -214,6 +217,68 @@ class TestExtension:
         assert_like_scratch(cache, container)
         assert cache.stats["extensions"] == 1 and built(cache) == 1
         w.close()
+
+
+class TestConcurrentGets:
+    """Aggregator threads arriving together at an entry a flush made stale,
+    or at none: one ``get`` per container at a time, so whoever comes second
+    is served from what the first stored — never finds nothing and builds
+    from scratch beside it.  Exact, every round: the conformance counters
+    (``index_cache_hits``, ``index_rebuild_ops``) depend on it."""
+
+    WORKERS, ROUNDS = 4, 300
+
+    @pytest.mark.parametrize("entry, expected", [
+        ("stale", {"hits": WORKERS, "misses": 0, "merged_builds": 0}),
+        ("absent", {"hits": WORKERS - 1, "misses": 1, "merged_builds": 1}),
+    ])
+    def test_one_build_however_many_arrive(self, container, entry, expected, monkeypatch):
+        def slowly(fn):  # a build long enough that the others arrive during it
+            return lambda *args, **kwargs: time.sleep(0.001) or fn(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "load_index", slowly(cache_module.load_index))
+        monkeypatch.setattr(cache_module, "_read_tail", slowly(cache_module._read_tail))
+        cache = IndexCache()
+        w = WriteFile(container)
+        w.write(b"a" * 16, 0, pid=1)
+        w.sync()
+        cache.get(container)
+        gate = threading.Barrier(self.WORKERS + 1, timeout=30)
+        errors: list = []
+
+        def worker() -> None:
+            try:
+                for _ in range(self.ROUNDS):
+                    gate.wait()
+                    cache.get(container)
+                    gate.wait()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+                gate.abort()
+
+        threads = [threading.Thread(target=worker) for _ in range(self.WORKERS)]
+        for t in threads:
+            t.start()
+        try:
+            for rnd in range(1, self.ROUNDS + 1):
+                if entry == "stale":
+                    w.write(b"b" * 16, 16 * rnd, pid=1)
+                    w.sync()
+                else:
+                    cache.clear()
+                before = dict(cache.stats)
+                gate.wait()  # release the round
+                gate.wait()  # every get returned
+                assert {k: cache.stats[k] - before[k] for k in expected} == expected, rnd
+        except BaseException:
+            gate.abort()
+            raise
+        finally:
+            for t in threads:
+                t.join(timeout=30)
+            w.close()
+        assert errors == [] and not any(t.is_alive() for t in threads)
+        assert_like_scratch(cache, container)
 
 
 class TestFlushBetweenTheEpochAndTheBuild:
