@@ -51,6 +51,7 @@ from repro import plfs
 from repro.insights.metrics import export_runtime_counters
 from repro.plfs.api import OpenOptions
 from repro.plfs.cache import shared_cache
+from repro.plfs.util import accumulate
 
 from . import record as record_mod
 from .scenarios import (
@@ -115,13 +116,6 @@ HOST_SIZED_BYTES = (
 )
 
 
-def _accumulate(totals: dict, stats: dict) -> None:
-    for key, value in stats.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        totals[key] = totals.get(key, 0) + value
-
-
 # ---------------------------------------------------------------------- #
 # executors
 # ---------------------------------------------------------------------- #
@@ -177,10 +171,10 @@ class _Executor:
 
     def _harvest(self, fd) -> None:
         if getattr(fd, "writer", None) is not None:
-            _accumulate(self.writer_totals, fd.writer.stats)
+            accumulate(self.writer_totals, fd.writer.stats)
         reader = getattr(fd, "_reader", None)
         if reader is not None:
-            _accumulate(self.reader_totals, reader.stats)
+            accumulate(self.reader_totals, reader.stats)
 
     # -- op surface ----------------------------------------------------- #
 
@@ -248,8 +242,8 @@ class _Executor:
         self.handles.clear()
         for eng in self.engines.values():
             eng.close()
-            _accumulate(self.writer_totals, eng.writer_stats)
-            _accumulate(self.collective_totals, eng.counters)
+            accumulate(self.writer_totals, eng.writer_stats)
+            accumulate(self.collective_totals, eng.counters)
         self.engines.clear()
         if self.socket_path is None:
             return export_runtime_counters(
@@ -418,7 +412,7 @@ def execute_stream(
                 deltas = _run_crash_cycle(
                     root, op, int(params.get("ops_per_cycle", 18)), backend=backend
                 )
-                _accumulate(result.counters, deltas)
+                accumulate(result.counters, deltas)
             else:
                 fn = dispatch.get(op.kind)
                 if fn is None:

@@ -8,14 +8,14 @@ Noncontiguous Accesses in MPI-IO"; Ching et al., "Noncontiguous I/O
 through PVFS").  This module is that flat form for the real PLFS path:
 
 - a :class:`FileView` maps a contiguous span of a rank's *buffer* onto
-  file offsets, producing :class:`Extent` triples
+  file offsets, producing :class:`~repro.mpiio.plan.Extent` triples
   ``(file_offset, buf_offset, length)``;
 - :func:`coalesce` merges extents that are contiguous in both the file
   and the buffer (the unit the vectored fast path wants);
-- :func:`file_runs` groups file-sorted extents into file-contiguous
-  runs (the unit a collective aggregator writes with one ``plfs_writev``);
-- :func:`covering_runs` additionally tolerates bounded gaps — the
-  covering extents a data-sieving read/modify/write operates on.
+- :func:`covering_runs` groups extents into covering spans that tolerate
+  bounded gaps — what a data-sieving read/modify/write operates on.  The
+  gap-free runs every backend call is made of are the plan's
+  (:func:`repro.mpiio.plan.file_runs`).
 
 Everything here is pure bookkeeping: no I/O, no state, so both the
 independent list-I/O path and the two-phase engine share it.
@@ -24,28 +24,8 @@ independent list-I/O path and the two-phase engine share it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-
-class Extent(NamedTuple):
-    """One flattened piece: buffer bytes ``[buf_offset, buf_offset+length)``
-    land at file bytes ``[file_offset, file_offset+length)``.
-
-    A ``NamedTuple`` rather than a dataclass: flattening a fine-grained
-    view allocates one of these per record on the collective hot path.
-    """
-
-    file_offset: int
-    buf_offset: int
-    length: int
-
-    @property
-    def file_end(self) -> int:
-        return self.file_offset + self.length
-
-    @property
-    def buf_end(self) -> int:
-        return self.buf_offset + self.length
+from repro.mpiio.plan import Extent
 
 
 class FileView:
@@ -192,30 +172,6 @@ def coalesce(extents: list[Extent]) -> list[Extent]:
                 continue
         out.append(e)
     return out
-
-
-def file_runs(extents: list[Extent]) -> list[tuple[int, list[Extent]]]:
-    """File-sorted, file-contiguous runs: ``(run_offset, members)``.
-
-    Members keep their buffer offsets, so a run maps directly to one
-    gather (``plfs_writev`` of the members' buffer slices) or one read
-    plus scatter.  Extents must not overlap in the file (MPI forbids
-    overlapping writes in one collective; reads tolerate duplicates by
-    being split into separate runs).
-    """
-    ordered = sorted(
-        (e for e in extents if e.length > 0),
-        key=lambda e: (e.file_offset, e.buf_offset),
-    )
-    runs: list[tuple[int, list[Extent]]] = []
-    for e in ordered:
-        if runs:
-            start, members = runs[-1]
-            if members[-1].file_end == e.file_offset:
-                members.append(e)
-                continue
-        runs.append((e.file_offset, [e]))
-    return runs
 
 
 def covering_runs(

@@ -1,23 +1,22 @@
 """``CollectiveFile``: ROMIO-style two-phase collective buffering over
-the real PLFS path — the real-bytes twin of the simulated
-:class:`repro.mpiio.MPIIOSimFile`.
+the real PLFS path — the real-bytes executor of the plan the simulated
+:class:`repro.mpiio.MPIIOSimFile` charges.
 
 One ``CollectiveFile`` models a communicator of ``nodes * ppn`` ranks
 sharing one logical file.  Each rank describes its layout with a
 :class:`~repro.collective.datatype.FileView`; a collective data call
-then honors the :class:`~repro.mpiio.hints.MPIHints` exactly as ROMIO
-would:
+flattens every rank's share of the round and takes aggregators, file
+domains and calls from :func:`repro.mpiio.plan.plan_round`, which reads
+the :class:`~repro.mpiio.hints.MPIHints` exactly as ROMIO would:
 
-- ``romio_cb_write``/``romio_cb_read`` **on** (default): phase 1 hands
-  every rank's flattened pieces — zero-copy slices of the member's
-  buffer, which outlives the round because the call is collective — to
-  the ``cb_nodes`` aggregators owning the round's file domains; phase 2 has
-  each aggregator issue single ``plfs_writev`` / coalesced ``plfs_read``
-  calls in ``cb_buffer_size`` chunks on its *own* handle, concurrently
-  on worker threads (or against a plfsd daemon — per-process
-  aggregators in spirit and in transport).
-- **off**: every rank moves its own pieces independently through the
-  list-I/O layer, sieving per ``romio_ds_write``/``romio_ds_read``.
+- aggregated (``romio_cb_write``/``romio_cb_read`` on, the default):
+  phase 1 hands every piece — a zero-copy slice of the member's buffer,
+  which outlives the round because the call is collective — to the
+  aggregator owning its file domain; phase 2 has each aggregator issue
+  its calls, one ``plfs_writev`` / ``plfs_read`` each, on its *own*
+  handle, concurrently on worker threads when there is more than one.
+- not aggregated: every rank moves its own extents independently through
+  the list-I/O layer, sieving per ``romio_ds_write``/``romio_ds_read``.
 
 Aggregation is a *transport* optimisation: whichever path runs, the
 same logical bytes land in the container and the container index stays
@@ -28,20 +27,51 @@ tests demand byte-identical read-back between the two paths.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 from repro.mpiio.hints import DEFAULT_HINTS, MPIHints
+from repro.mpiio.plan import RoundPlan, aggregators, plan_round
 from repro.plfs import api as plfs_api
 from repro.plfs.reader import byte_view
+from repro.plfs.util import accumulate
 
 from . import listio
-from .aggregator import Aggregator, partition_domains, split_extent
 from .datatype import FileView, coalesce, interleaved_view
 
 #: pid namespace for per-worker handles (keeps aggregator/rank droppings
 #: distinct from the host process's own)
 _PID_BASE = 1 << 20
+
+
+def _write_calls(fd, calls, data) -> tuple[int, int]:
+    """Phase 2 of a write at one aggregator: one vectored append per call."""
+    written = 0
+    for call in calls:
+        written += plfs_api.plfs_writev(
+            fd,
+            [data[p.rank][p.buf_offset : p.buf_offset + p.length] for p in call.parts],
+            call.offset,
+        )
+    return len(calls), written
+
+
+def _read_calls(fd, calls, out) -> tuple[int, int]:
+    """Phase 2 of a read at one aggregator: one read per call, scattered
+    into the members' buffers (zero-filled past EOF).  Aggregators run
+    concurrently into the same buffers at disjoint offsets: a same-length
+    slice assignment never resizes a bytearray, so each is one step under
+    the interpreter lock."""
+    got = 0
+    for call in calls:
+        block = plfs_api.plfs_read(fd, call.length, call.offset)
+        got += len(block)
+        pos = 0
+        for p in call.parts:
+            piece = block[pos : pos + p.length]
+            out[p.rank][p.buf_offset : p.buf_offset + len(piece)] = piece
+            pos += p.length
+    return len(calls), got
 
 
 class CollectiveFile:
@@ -57,13 +87,9 @@ class CollectiveFile:
         flags: int = os.O_CREAT | os.O_RDWR,
         mode: int = 0o644,
         open_opt=None,
-        workers: str = "thread",
-        daemon: str | None = None,
     ):
         if nodes < 1 or ppn < 1:
             raise ValueError("nodes and ppn must be >= 1")
-        if workers not in ("thread", "inline"):
-            raise ValueError(f"unknown workers mode {workers!r}")
         self.path = path
         self.nodes = nodes
         self.ppn = ppn
@@ -72,21 +98,19 @@ class CollectiveFile:
         self.flags = flags
         self.mode = mode
         self.open_opt = open_opt
-        self.daemon = daemon
-        self.aggregator_count = hints.aggregator_count(nodes)
+        self.aggregator_count = len(aggregators(nodes, ppn, hints))
         self.stats: dict[str, int] = {}
         self._views: dict[int, FileView] = {}
         self._positions: dict[int, int] = {r: 0 for r in range(self.ranks)}
         self._agg_fds: list = []
         self._rank_fds: dict[int, object] = {}
-        self._daemon_clients: list = []
         self._writer_totals: dict[str, int] = {}
         self._pool = (
             ThreadPoolExecutor(
                 max_workers=self.aggregator_count,
                 thread_name_prefix="cb-agg",
             )
-            if workers == "thread" and self.aggregator_count > 1
+            if self.aggregator_count > 1
             else None
         )
         self._closed = False
@@ -125,24 +149,9 @@ class CollectiveFile:
     # ------------------------------------------------------------------ #
 
     def _open_handle(self, pid: int):
-        if self.daemon is not None:
-            from repro.plfsd import client as plfsd_client
-
-            cli = plfsd_client.connect(self.daemon, name=f"cb-{pid}")
-            self._daemon_clients.append(cli)
-            return cli.open(self.path, self.flags, self.mode)
         return plfs_api.plfs_open(
             self.path, self.flags, _PID_BASE + pid, self.mode, self.open_opt
         )
-
-    def _aggregators(self) -> list[Aggregator]:
-        if not self._agg_fds:
-            for i in range(self.aggregator_count):
-                self._agg_fds.append(self._open_handle(i))
-        return [
-            Aggregator(i, fd, cb_buffer_size=int(self.hints.cb_buffer_size))
-            for i, fd in enumerate(self._agg_fds)
-        ]
 
     def _rank_fd(self, rank: int):
         fd = self._rank_fds.get(rank)
@@ -151,33 +160,43 @@ class CollectiveFile:
             self._rank_fds[rank] = fd
         return fd
 
-    def _run_workers(self, jobs: list):
-        if self._pool is not None and len(jobs) > 1:
-            return list(self._pool.map(lambda job: job(), jobs))
-        return [job() for job in jobs]
-
-    def _publish(self) -> None:
-        """Flush every open writer so the next read on *any* handle
-        revalidates against the full container.  A handle flushes only its
-        own buffered records ahead of its own read; bytes buffered in a
-        sibling handle (another aggregator, another rank) become visible
-        through the index-cache generation bump a flush performs."""
-        for fd in list(self._agg_fds) + list(self._rank_fds.values()):
-            plfs_api.plfs_sync(fd)
+    def _handles(self) -> list:
+        return self._agg_fds + list(self._rank_fds.values())
 
     def _count(self, key: str, delta: int = 1) -> None:
         self.stats[key] = self.stats.get(key, 0) + delta
 
-    def _merge_worker_stats(self, aggs: list[Aggregator]) -> None:
-        # Aggregators count on their own dicts while running concurrently;
-        # the engine folds them in single-threaded after the phase barrier.
-        for agg in aggs:
-            for key, value in agg.stats.items():
-                self.stats[key] = self.stats.get(key, 0) + value
+    # ------------------------------------------------------------------ #
+    # rounds: the plan, then its execution
+    # ------------------------------------------------------------------ #
 
-    # ------------------------------------------------------------------ #
-    # collective write
-    # ------------------------------------------------------------------ #
+    def _plan(self, sizes: dict[int, int], position: int | None, *, write: bool):
+        """Flatten each rank's share of the round at its view position
+        (advancing it unless *position* makes this an ``_at`` call) and
+        plan the round.  Returns the plan and the extents it was made of."""
+        self._count("cb_rounds")
+        extents = {}
+        for rank in sorted(sizes):
+            pos = self._positions[rank] if position is None else position
+            extents[rank] = coalesce(self._view(rank).extents(sizes[rank], position=pos))
+            if position is None:
+                self._positions[rank] += sizes[rank]
+        plan = plan_round(extents, nodes=self.nodes, ppn=self.ppn, hints=self.hints, write=write)
+        if plan.aggregated:
+            self._count("cb_member_extents", sum(map(len, extents.values())))
+        return plan, extents
+
+    def _aggregate(self, plan: RoundPlan, move) -> tuple[int, int]:
+        """Phase 2: every aggregator runs ``move(fd, calls)`` on its own
+        handle, concurrently, then the barrier.  Returns (calls, bytes)."""
+        if not self._agg_fds:
+            self._agg_fds = [self._open_handle(w.index) for w in plan.workers]
+        jobs = [partial(move, fd, w.calls) for fd, w in zip(self._agg_fds, plan.workers)]
+        if self._pool is not None:
+            done = list(self._pool.map(lambda job: job(), jobs))
+        else:
+            done = [job() for job in jobs]
+        return sum(n for n, _ in done), sum(b for _, b in done)
 
     def _contributions(self, contribs) -> dict[int, memoryview]:
         if not isinstance(contribs, dict):
@@ -199,91 +218,33 @@ class CollectiveFile:
         continues at its own view position.
         """
         data = self._contributions(contribs)
-        self._count("cb_rounds")
-        if not self.hints.romio_cb_write:
+        plan, extents = self._plan(
+            {rank: len(buf) for rank, buf in data.items()}, position, write=True
+        )
+        if not plan.aggregated:
             total = 0
-            for rank in sorted(data):
-                pos = self._positions[rank] if position is None else position
-                total += listio.list_write(
-                    self._rank_fd(rank),
-                    self._view(rank),
+            for rank, rank_extents in extents.items():
+                fd = self._rank_fd(rank)
+                total += listio.write_extents(
+                    fd,
+                    rank_extents,
                     data[rank],
-                    position=pos,
                     ds_write=self.hints.romio_ds_write,
                     buffer_limit=int(self.hints.cb_buffer_size),
                     stats=self.stats,
                 )
-                if position is None:
-                    self._positions[rank] += len(data[rank])
                 if self.hints.romio_ds_write:
                     # Sieving is read-modify-write: commit this rank's
                     # block before the next rank's covering read, the
                     # serialized-RMW ordering ROMIO's fcntl lock provides.
-                    plfs_api.plfs_sync(self._rank_fd(rank))
+                    plfs_api.plfs_sync(fd)
             return total
-
-        # phase 0: flatten every rank's contribution into file extents
-        # (tuple indexing, not Extent properties: this loop and phase 1
-        # below run once per member extent per round)
-        per_rank: dict[int, list] = {}
-        lo = hi = None
-        for rank in sorted(data):
-            pos = self._positions[rank] if position is None else position
-            extents = coalesce(
-                self._view(rank).extents(len(data[rank]), position=pos)
-            )
-            per_rank[rank] = extents
-            for off, _boff, length in extents:
-                if lo is None:
-                    lo, hi = off, off + length
-                else:
-                    if off < lo:
-                        lo = off
-                    if off + length > hi:
-                        hi = off + length
-            self._count("cb_member_extents", len(extents))
-        if lo is None:
-            return 0
-
-        # phase 1: exchange pieces into the owning aggregators' inboxes.
-        # The bisect fast path handles the overwhelmingly common
-        # piece-inside-one-domain case without touching split_extent.
-        aggs = self._aggregators()
-        domains = partition_domains(lo, hi, len(aggs))
-        starts = [d[0] for d in domains]
-        last = len(domains) - 1
-        deliver = [agg.deliver for agg in aggs]
-        messages = 0
-        for rank, extents in per_rank.items():
-            buf = data[rank]
-            for extent in extents:
-                off, boff, length = extent
-                idx = bisect_right(starts, off) - 1
-                if idx < 0:
-                    idx = 0
-                if off + length <= domains[idx][1] or idx == last:
-                    deliver[idx](off, buf[boff : boff + length])
-                    messages += 1
-                    continue
-                for didx, piece in split_extent(extent, domains, starts):
-                    deliver[didx](
-                        piece.file_offset, buf[piece.buf_offset : piece.buf_end]
-                    )
-                    messages += 1
-        self._count("exchange_messages", messages)
+        self._count("exchange_messages", sum(len(w.pieces) for w in plan.workers))
         self._count("exchange_bytes", sum(len(buf) for buf in data.values()))
-
-        # phase 2: aggregators flush concurrently, then the barrier
-        total = sum(self._run_workers([agg.flush_writes for agg in aggs]))
-        self._merge_worker_stats(aggs)
-        if position is None:
-            for rank in per_rank:
-                self._positions[rank] += len(data[rank])
+        calls, total = self._aggregate(plan, partial(_write_calls, data=data))
+        self._count("cb_backend_writes", calls)
+        self._count("cb_backend_write_bytes", total)
         return total
-
-    # ------------------------------------------------------------------ #
-    # collective read
-    # ------------------------------------------------------------------ #
 
     def read_at_all(self, nbytes, *, position: int | None = None) -> dict[int, bytes]:
         """One collective read round: every rank reads *nbytes* bytes
@@ -294,64 +255,30 @@ class CollectiveFile:
         else:
             wanted = dict(nbytes)
         wanted = {r: n for r, n in wanted.items() if n > 0}
-        self._count("cb_rounds")
         # Collective read is a barrier: whatever any handle wrote in
         # earlier rounds must be readable by whichever worker owns the
         # domain now (write and read rounds can partition differently).
-        self._publish()
-        if not self.hints.romio_cb_read:
-            out: dict[int, bytes] = {}
-            for rank in sorted(wanted):
-                pos = self._positions[rank] if position is None else position
-                out[rank] = listio.list_read(
+        # A handle flushes only its own buffered records ahead of its own
+        # read; a sibling's become visible through the index-cache
+        # generation bump its flush performs.
+        self.sync()
+        plan, extents = self._plan(wanted, position, write=False)
+        if not plan.aggregated:
+            return {
+                rank: listio.read_extents(
                     self._rank_fd(rank),
-                    self._view(rank),
+                    rank_extents,
                     wanted[rank],
-                    position=pos,
                     ds_read=self.hints.romio_ds_read,
                     buffer_limit=int(self.hints.cb_buffer_size),
                     stats=self.stats,
                 )
-                if position is None:
-                    self._positions[rank] += wanted[rank]
-            return out
-
-        per_rank: dict[int, list] = {}
-        lo = hi = None
-        for rank in sorted(wanted):
-            pos = self._positions[rank] if position is None else position
-            extents = coalesce(self._view(rank).extents(wanted[rank], position=pos))
-            per_rank[rank] = extents
-            for e in extents:
-                lo = e.file_offset if lo is None else min(lo, e.file_offset)
-                hi = e.file_end if hi is None else max(hi, e.file_end)
-            self._count("cb_member_extents", len(extents))
-        if lo is None:
-            return {}
-
-        aggs = self._aggregators()
-        domains = partition_domains(lo, hi, len(aggs))
-        starts = [d[0] for d in domains]
-        requests: list[list] = [[] for _ in aggs]
-        for rank, extents in per_rank.items():
-            for extent in extents:
-                for didx, piece in split_extent(extent, domains, starts):
-                    requests[didx].append(((rank, piece.buf_offset), piece))
-
-        served = self._run_workers(
-            [
-                (lambda a=agg, r=reqs: a.serve_reads(r))
-                for agg, reqs in zip(aggs, requests)
-            ]
-        )
-        self._merge_worker_stats(aggs)
-        out = {rank: bytearray(wanted[rank]) for rank in per_rank}
-        for batch in served:
-            for (rank, buf_offset), piece in batch:
-                out[rank][buf_offset : buf_offset + len(piece)] = piece
-        if position is None:
-            for rank in per_rank:
-                self._positions[rank] += wanted[rank]
+                for rank, rank_extents in extents.items()
+            }
+        out = {rank: bytearray(wanted[rank]) for rank in extents}
+        calls, got = self._aggregate(plan, partial(_read_calls, out=out))
+        self._count("cb_backend_reads", calls)
+        self._count("cb_backend_read_bytes", got)
         return {rank: bytes(buf) for rank, buf in out.items()}
 
     # ------------------------------------------------------------------ #
@@ -359,29 +286,18 @@ class CollectiveFile:
     # ------------------------------------------------------------------ #
 
     def sync(self) -> None:
-        for fd in list(self._agg_fds) + list(self._rank_fds.values()):
+        for fd in self._handles():
             plfs_api.plfs_sync(fd)
-
-    def _harvest(self, fd) -> None:
-        writer = getattr(fd, "writer", None)
-        if writer is not None:
-            for key, value in writer.stats.items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    continue
-                self._writer_totals[key] = self._writer_totals.get(key, 0) + value
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        for fd in list(self._agg_fds) + list(self._rank_fds.values()):
-            self._harvest(fd)
+        self._writer_totals = self.writer_stats  # outlives the handles
+        for fd in self._handles():
             plfs_api.plfs_close(fd)
         self._agg_fds.clear()
         self._rank_fds.clear()
-        for cli in self._daemon_clients:
-            cli.close()
-        self._daemon_clients.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
 
@@ -396,13 +312,9 @@ class CollectiveFile:
         """Aggregated WriteFile counters across every worker handle
         (harvested at close; live handles contribute on demand)."""
         totals = dict(self._writer_totals)
-        for fd in list(self._agg_fds) + list(self._rank_fds.values()):
-            writer = getattr(fd, "writer", None)
-            if writer is not None:
-                for key, value in writer.stats.items():
-                    if isinstance(value, bool) or not isinstance(value, (int, float)):
-                        continue
-                    totals[key] = totals.get(key, 0) + value
+        for fd in self._handles():
+            if fd.writer is not None:
+                accumulate(totals, fd.writer.stats)
         return totals
 
     @property

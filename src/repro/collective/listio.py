@@ -25,9 +25,10 @@ collective engine aggregates them into its insights export).
 
 from __future__ import annotations
 
+from repro.mpiio.plan import file_runs
 from repro.plfs import api as plfs_api
 
-from .datatype import Extent, FileView, coalesce, covering_runs, file_runs
+from .datatype import Extent, FileView, coalesce, covering_runs
 
 #: sieve only when hole bytes are at most this fraction of the covering span
 SIEVE_MAX_GAP_FRACTION = 0.5
@@ -46,18 +47,24 @@ def _sieve_worthwhile(lo: int, hi: int, members: list[Extent], limit: int) -> bo
     return span - data_bytes <= span * SIEVE_MAX_GAP_FRACTION
 
 
-def list_write(
+def list_write(fd, view: FileView, data, *, position: int = 0, **options) -> int:
+    """Write *data* through *view* starting at view byte *position*
+    (*options* as for :func:`write_extents`)."""
+    extents = coalesce(view.extents(memoryview(data).nbytes, position=position))
+    return write_extents(fd, extents, data, **options)
+
+
+def write_extents(
     fd,
-    view: FileView,
+    extents: list[Extent],
     data,
     *,
-    position: int = 0,
     pid: int | None = None,
     ds_write: bool = False,
     buffer_limit: int = 16 * 1024 * 1024,
     stats: dict | None = None,
 ) -> int:
-    """Write *data* through *view* starting at view byte *position*.
+    """Write *data* to the file extents of its flattened view.
 
     Returns bytes written.  With *ds_write* the strided runs that fit the
     sieve budget go down as read-modify-write of one covering extent;
@@ -66,7 +73,6 @@ def list_write(
     payload = memoryview(data)
     if payload.itemsize != 1:
         payload = payload.cast("B")
-    extents = coalesce(view.extents(len(payload), position=position))
     _count(stats, "member_extents", len(extents))
     total = 0
     max_gap = buffer_limit if ds_write else 0
@@ -99,24 +105,29 @@ def list_write(
     return total
 
 
-def list_read(
+def list_read(fd, view: FileView, nbytes: int, *, position: int = 0, **options) -> bytes:
+    """Read *nbytes* through *view* starting at view byte *position*
+    (*options* as for :func:`read_extents`)."""
+    extents = coalesce(view.extents(nbytes, position=position))
+    return read_extents(fd, extents, nbytes, **options)
+
+
+def read_extents(
     fd,
-    view: FileView,
+    extents: list[Extent],
     nbytes: int,
     *,
-    position: int = 0,
     ds_read: bool = False,
     buffer_limit: int = 16 * 1024 * 1024,
     stats: dict | None = None,
 ) -> bytes:
-    """Read *nbytes* through *view* starting at view byte *position*.
+    """Read the *nbytes* a flattened view maps to its file extents.
 
     Returns exactly *nbytes* bytes (zero-filled past EOF, like reading a
     hole).  With *ds_read* strided runs within the sieve budget issue one
     covering read and scatter from it; otherwise each file-contiguous run
     is one ``plfs_read``.
     """
-    extents = coalesce(view.extents(nbytes, position=position))
     _count(stats, "member_extents", len(extents))
     out = bytearray(nbytes)
     max_gap = buffer_limit if ds_read else 0

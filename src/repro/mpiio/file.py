@@ -1,11 +1,13 @@
 """The simulated MPI-IO file: collective and independent data paths.
 
-Implements ROMIO-style two-phase collective buffering (gather each node's
-data to its aggregator, aggregator issues one large backend write — the
-configuration the paper benchmarks with) and the independent per-rank path
-(what FLASH-IO's HDF5 writes do), over either a shared file (plain MPI-IO)
-or a PLFS container (ROMIO driver / LDPLFS / FUSE), with the access
-method's software costs applied.
+Charges ROMIO-style two-phase collective buffering as
+:mod:`repro.mpiio.plan` plans it (gather each node's data to its
+aggregator, aggregators issue large backend writes — the configuration the
+paper benchmarks with; :class:`repro.collective.CollectiveFile` performs
+the same plan with real bytes) and the independent per-rank path (what
+FLASH-IO's HDF5 writes do), over either a shared file (plain MPI-IO) or a
+PLFS container (ROMIO driver / LDPLFS / FUSE), with the access method's
+software costs applied.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.sim.engine import Environment
 
 from .hints import DEFAULT_HINTS, MPIHints
 from .methods import AccessMethod
+from .plan import Extent, Worker, plan_round
 from .simmpi import Communicator, RankInfo
 
 
@@ -56,7 +59,9 @@ class MPIIOSimFile:
         else:
             self.container = None
             self.shared = SharedFile(platform, name)
-        self._write_offset = 0.0
+        #: where the next collective round starts in the file (the ranks'
+        #: view positions times the communicator size)
+        self._offset = 0
 
     def client(self, rank: RankInfo) -> PosixClient:
         return self._clients[rank.rank]
@@ -66,7 +71,9 @@ class MPIIOSimFile:
     # ------------------------------------------------------------------ #
 
     def open_all(self, *, for_read: bool = False) -> Generator:
-        """Process: MPI_File_open across the communicator."""
+        """Process: MPI_File_open across the communicator (the next round
+        starts at offset 0, as MPI's individual file pointers do)."""
+        self._offset = 0
         yield self.env.timeout(self.comm.barrier_cost())
         if self.container is not None:
             procs = []
@@ -151,134 +158,83 @@ class MPIIOSimFile:
             pos += chunk
 
     # ------------------------------------------------------------------ #
-    # collective data path (two-phase collective buffering)
+    # collective data path: the executor of the two-phase plan
     # ------------------------------------------------------------------ #
-
-    def _cb_aggregators(self) -> list[tuple[RankInfo, int]]:
-        """(aggregator, nodes_covered) pairs per the cb_nodes hint.
-
-        With the default (one aggregator per node) each covers its own
-        node; with fewer aggregators each covers a contiguous node group
-        and remote nodes' data crosses the network in phase 1.
-        """
-        per_node = self.comm.aggregators()
-        count = self.hints.aggregator_count(self.comm.nodes)
-        if count >= len(per_node):
-            return [(agg, 1) for agg in per_node]
-        stride = self.comm.nodes / count
-        chosen: list[tuple[RankInfo, int]] = []
-        boundaries = [round(i * stride) for i in range(count)] + [self.comm.nodes]
-        for i in range(count):
-            agg = per_node[boundaries[i]]
-            chosen.append((agg, boundaries[i + 1] - boundaries[i]))
-        return chosen
-
-    def _aggregator_write(
-        self,
-        agg: RankInfo,
-        node_bytes: float,
-        offset: float,
-        per_rank: float,
-        nodes_covered: int = 1,
-    ) -> Generator:
-        perf = self.perf
-        # Phase 1: gather the covered ranks' data to the aggregator:
-        # shared-memory copies on its own node (plus the per-process
-        # synchronisation the paper notes grows with ppn), NIC transfers
-        # for data arriving from other nodes (cb_nodes < nodes).
-        local_bytes = node_bytes / nodes_covered
-        remote_bytes = node_bytes - local_bytes
-        gather = (self.comm.ppn - 1) * perf.ppn_sync_overhead
-        gather += local_bytes / perf.memcpy_bandwidth
-        yield self.env.timeout(gather)
-        if remote_bytes > 0:
-            yield from self.platform.nic(agg.node).transfer(remote_bytes)
-        # Phase 2: backend writes in cb_buffer_size chunks.  Cache
-        # behaviour follows the application write size, not the buffer.
-        pos = offset
-        remaining = node_bytes
-        while remaining > 0:
-            chunk = min(self.hints.cb_buffer_size, remaining)
-            yield from self._backend_write(
-                self.client(agg), pos, chunk, cache_gate=per_rank
-            )
-            pos += chunk
-            remaining -= chunk
 
     def write_at_all(self, bytes_per_rank: float) -> Generator:
         """Process: one collective write step (every rank contributes
-        *bytes_per_rank*).  With collective buffering on (the default),
-        aggregators write node-group-contiguous blocks; with it disabled
-        every rank writes its own strided piece independently."""
+        *bytes_per_rank*); :meth:`_round` says how it is charged."""
+        return self._round(bytes_per_rank, write=True)
+
+    def read_at_all(self, bytes_per_rank: float) -> Generator:
+        """Process: one collective read step, the mirror of
+        :meth:`write_at_all`."""
+        return self._round(bytes_per_rank, write=False)
+
+    def _round(self, bytes_per_rank: float, *, write: bool) -> Generator:
+        """One round of the canonical shared-file layout — the real
+        engine's ``set_interleaved(bytes_per_rank)`` round: rank r's piece
+        follows rank r-1's where the last round ended — charged as
+        :func:`~repro.mpiio.plan.plan_round` plans it (which ranks issue
+        backend calls with which extents; the hint matrix lives there)."""
         yield self.env.timeout(self.comm.barrier_cost() + self.perf.mpi_call_overhead)
-        procs = []
-        offset = self._write_offset
-        if not self.hints.romio_cb_write:
-            for rank in self.comm.ranks:
-                procs.append(
-                    self.env.process(
-                        self._backend_write(
-                            self.client(rank),
-                            offset + rank.rank * bytes_per_rank,
-                            bytes_per_rank,
-                            cache_gate=bytes_per_rank,
-                        )
-                    )
-                )
-            self._write_offset = offset + bytes_per_rank * self.comm.size
-        else:
-            per_node_bytes = bytes_per_rank * self.comm.ppn
-            for agg, covered in self._cb_aggregators():
-                group_bytes = per_node_bytes * covered
-                procs.append(
-                    self.env.process(
-                        self._aggregator_write(
-                            agg, group_bytes, offset, bytes_per_rank, covered
-                        )
-                    )
-                )
-                offset += group_bytes
-            self._write_offset = offset
-        yield self.env.all_of(procs)
+        ppn = self.comm.ppn
+        extents = {}
+        for node in range(self.comm.nodes):
+            # Fluid byte counts: a node's block starts where the previous
+            # one ended and its ranks' pieces chain inside it, the last
+            # taking what is left, so pieces meet exactly at every rank and
+            # node boundary and no domain edge lands a rounding error
+            # inside a node.
+            end = self._offset + bytes_per_rank * ppn
+            for rank in range(node * ppn, (node + 1) * ppn):
+                length = end - self._offset if rank % ppn == ppn - 1 else bytes_per_rank
+                extents[rank] = [Extent(self._offset, 0, length)]
+                self._offset += length
+            self._offset = end
+        plan = plan_round(
+            extents, nodes=self.comm.nodes, ppn=self.comm.ppn, hints=self.hints, write=write
+        )
+        yield self.env.all_of(
+            [
+                self.env.process(self._work(worker, plan.aggregated, write, bytes_per_rank))
+                for worker in plan.workers
+            ]
+        )
         yield self.env.timeout(self.comm.barrier_cost())
 
-    def _aggregator_read(self, agg: RankInfo, node_bytes: float, offset: float) -> Generator:
+    def _work(self, worker: Worker, aggregated: bool, write: bool, per_rank: float) -> Generator:
+        client = self._clients[worker.rank]
+        if aggregated and write:
+            yield from self._exchange(worker)
+        for call in worker.calls:
+            if write:
+                # Cache behaviour follows the application write size, not
+                # the collective buffer.
+                yield from self._backend_write(
+                    client, call.offset, call.length, cache_gate=per_rank
+                )
+            else:
+                yield from self._backend_read(client, call.offset, call.length)
+        if aggregated and not write:
+            yield from self._exchange(worker)
+
+    def _exchange(self, worker: Worker) -> Generator:
+        """Phase 1 at one aggregator, a write's gather or a read's scatter:
+        pieces of its own node's ranks are shared-memory copies (plus the
+        per-process synchronisation the paper notes grows with ppn); every
+        other piece crosses the aggregator's NIC."""
+        ppn = self.comm.ppn
+        local = remote = 0.0
+        for piece in worker.pieces:
+            if piece.rank // ppn == worker.node:
+                local += piece.length
+            else:
+                remote += piece.length
         perf = self.perf
-        yield from self._backend_read(self.client(agg), offset, node_bytes)
-        # Scatter back to the node's processes.
-        scatter = (self.comm.ppn - 1) * perf.ppn_sync_overhead
-        scatter += node_bytes / perf.memcpy_bandwidth
-        yield self.env.timeout(scatter)
-
-    def read_at_all(self, bytes_per_rank: float, *, offset: float = 0.0) -> Generator:
-        """Process: one collective read step.  Honors the same hints as
-        :meth:`write_at_all`: with ``romio_cb_read`` off every rank reads
-        its own piece independently; otherwise the ``cb_nodes`` aggregator
-        set reads node-group-contiguous blocks and scatters."""
-        yield self.env.timeout(self.comm.barrier_cost() + self.perf.mpi_call_overhead)
-        procs = []
-        pos = offset
-        if not self.hints.romio_cb_read:
-            for rank in self.comm.ranks:
-                procs.append(
-                    self.env.process(
-                        self._backend_read(
-                            self.client(rank),
-                            offset + rank.rank * bytes_per_rank,
-                            bytes_per_rank,
-                        )
-                    )
-                )
-        else:
-            per_node_bytes = bytes_per_rank * self.comm.ppn
-            for agg, covered in self._cb_aggregators():
-                group_bytes = per_node_bytes * covered
-                procs.append(
-                    self.env.process(self._aggregator_read(agg, group_bytes, pos))
-                )
-                pos += group_bytes
-        yield self.env.all_of(procs)
-        yield self.env.timeout(self.comm.barrier_cost())
+        yield self.env.timeout((ppn - 1) * perf.ppn_sync_overhead + local / perf.memcpy_bandwidth)
+        if remote > 0:
+            yield from self.platform.nic(worker.node).transfer(remote)
 
     # ------------------------------------------------------------------ #
     # independent data path (per rank, no aggregation)

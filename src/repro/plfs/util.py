@@ -13,6 +13,13 @@ _seq_lock = threading.Lock()
 _seq = itertools.count()
 
 
+def accumulate(totals: dict, stats: dict) -> None:
+    """Add *stats*' numeric counters into *totals* (flags and text skipped)."""
+    for key, value in stats.items():
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            totals[key] = totals.get(key, 0) + value
+
+
 def hostname() -> str:
     """Return this host's name, sanitised for use inside dropping names."""
     return socket.gethostname().replace(".", "_") or "localhost"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import sys
 
 import pytest
 
@@ -148,17 +149,21 @@ def test_read_with_cb_off_round_trips_too(tmp_path):
             assert blob == _rank_payload(rank, 3 * RECORD)
 
 
-def test_inline_workers_match_thread_workers(tmp_path):
-    a = str(tmp_path / "thread")
-    b = str(tmp_path / "inline")
-    with _write_rounds(a, nodes=2, ppn=2) as fa:
-        counters_a = dict(fa.counters)
-    with _write_rounds(
-        b, nodes=2, ppn=2, workers="inline"
-    ) as fb:
-        counters_b = dict(fb.counters)
-    assert _readback(a) == _readback(b)
-    assert counters_a == counters_b
+def test_aggregator_threads_scatter_into_shared_rank_buffers(tmp_path):
+    """Eight aggregator threads scatter one read round into the same
+    sixteen rank buffers at disjoint offsets; a lost or torn slice
+    assignment shows as a wrong byte."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with CollectiveFile(str(tmp_path / "f"), nodes=8, ppn=2) as f:
+            f.set_interleaved(16)  # every rank has pieces in every domain
+            payloads = {r: _rank_payload(r, 64 * 16) for r in range(f.ranks)}
+            f.write_at_all(payloads)
+            for _ in range(5):
+                assert f.read_at_all(64 * 16, position=0) == payloads
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_writer_stats_harvested_across_worker_handles(tmp_path):

@@ -65,13 +65,7 @@ def _oracle(ranks: int, record: int, rounds) -> bytearray:
 
 
 def _run(path: str, nodes: int, ppn: int, record: int, rounds, hints) -> dict:
-    with CollectiveFile(
-        path,
-        nodes=nodes,
-        ppn=ppn,
-        hints=hints,
-        workers="inline",
-    ) as f:
+    with CollectiveFile(path, nodes=nodes, ppn=ppn, hints=hints) as f:
         f.set_interleaved(record)
         for rnd, sizes in enumerate(rounds):
             f.write_at_all(

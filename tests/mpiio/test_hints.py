@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import MINERVA, SIERRA, Platform
 from repro.mpiio import LDPLFS, MPIIO, Communicator, MPIHints, MPIIOSimFile
+from repro.mpiio import file as mpiio_file
 from repro.sim import Environment
 from repro.sim.stats import MB
 
@@ -43,24 +44,49 @@ class TestHintValidation:
             MPIHints(cb_buffer_size=0)
 
 
+def planned(monkeypatch, f, bytes_per_rank=MB):
+    """The plan the file executes for one collective write round."""
+    plans = []
+    real = mpiio_file.plan_round
+
+    def recording(*args, **kwargs):
+        plans.append(real(*args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(mpiio_file, "plan_round", recording)
+    run(f.env, f.open_all())
+    run(f.env, f.write_at_all(bytes_per_rank))
+    (plan,) = plans
+    return plan
+
+
+def source_nodes(f, worker) -> set[int]:
+    return {piece.rank // f.comm.ppn for piece in worker.pieces}
+
+
 class TestAggregatorSelection:
-    def test_default_one_per_node(self):
+    def test_default_one_per_node(self, monkeypatch):
         _, _, f = setup(LDPLFS, nodes=4)
-        aggs = f._cb_aggregators()
+        aggs = planned(monkeypatch, f).workers
         assert len(aggs) == 4
-        assert all(covered == 1 for _, covered in aggs)
+        assert all(source_nodes(f, agg) == {agg.node} for agg in aggs)
 
-    def test_reduced_aggregators_cover_groups(self):
+    def test_reduced_aggregators_cover_groups(self, monkeypatch):
         _, _, f = setup(LDPLFS, nodes=8, hints=MPIHints(cb_nodes=2))
-        aggs = f._cb_aggregators()
+        aggs = planned(monkeypatch, f).workers
         assert len(aggs) == 2
-        assert sum(covered for _, covered in aggs) == 8
-        assert {agg.node for agg, _ in aggs} == {0, 4}
+        assert [len(source_nodes(f, agg)) for agg in aggs] == [4, 4]
+        assert set().union(*(source_nodes(f, agg) for agg in aggs)) == set(range(8))
+        assert {agg.node for agg in aggs} == {0, 4}
 
-    def test_uneven_split(self):
+    def test_uneven_split(self, monkeypatch):
+        # 5 nodes over 2 aggregators: even file domains, 2.5 nodes' bytes
+        # each — node 2's bytes are split between them.
         _, _, f = setup(LDPLFS, nodes=5, hints=MPIHints(cb_nodes=2))
-        aggs = f._cb_aggregators()
-        assert sum(covered for _, covered in aggs) == 5
+        aggs = planned(monkeypatch, f).workers
+        held = [sum(piece.length for piece in agg.pieces) for agg in aggs]
+        assert held == [5 * 2 * MB / 2] * 2
+        assert [sorted(source_nodes(f, agg)) for agg in aggs] == [[0, 1, 2], [2, 3, 4]]
 
 
 class TestCollectiveBufferingBehaviour:
@@ -78,6 +104,26 @@ class TestCollectiveBufferingBehaviour:
         # data in as well as all data out.
         nic = platform.nic(0)
         assert nic.resource._busy_time > 0
+
+    def test_remote_scatter_crosses_nic(self, monkeypatch):
+        env, platform, f = setup(LDPLFS, nodes=4, hints=MPIHints(cb_nodes=1))
+        run(env, f.open_all())
+        run(env, f.write_at_all(8 * MB))
+        run(env, f.close_all())
+        run(env, f.open_all(for_read=True))
+        nic = platform.nic(0)
+        moved = []
+        real = nic.transfer
+
+        def recording(nbytes):
+            moved.append(nbytes)
+            return real(nbytes)
+
+        monkeypatch.setattr(nic, "transfer", recording)
+        run(env, f.read_at_all(8 * MB))
+        # The single aggregator read all 64 MB in from the backend and
+        # sent the three remote nodes' 48 MB back out over its NIC.
+        assert sum(moved) == pytest.approx(64 * MB + 48 * MB)
 
     def test_cb_buffer_size_chunks_backend_writes(self):
         env, platform, f = setup(

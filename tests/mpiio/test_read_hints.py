@@ -5,7 +5,8 @@ node's aggregator always read its own node's block, regardless of
 ``cb_nodes`` (aggregator thinning) or ``romio_cb_read`` (collective
 buffering off).  The matrix below pins the structural behavior — how
 many aggregator reads happen and who issues the backend reads — by
-counting calls, plus the timing consequences the simulator models.
+recording the backend calls, plus the timing consequences the simulator
+models.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 
 from repro.cluster import SIERRA, Platform
 from repro.mpiio import LDPLFS, Communicator, MPIIOSimFile
+from repro.mpiio import file as mpiio_file
 from repro.mpiio.hints import MPIHints
 from repro.sim import Environment
 from repro.sim.stats import MB
@@ -34,52 +36,46 @@ def run(env, gen):
     return env.run(until=env.process(gen))
 
 
-def _count_reads(monkeypatch, f):
-    """Wrap the two read paths with call counters."""
-    counts = {"aggregator": 0, "independent": 0}
-    orig_agg = f._aggregator_read
+def _record_reads(monkeypatch, f):
+    """Record every backend read as ``(node, proc, nbytes)`` of its issuer."""
+    reads = []
     orig_backend = f._backend_read
 
-    def agg(*args, **kwargs):
-        counts["aggregator"] += 1
-        return orig_agg(*args, **kwargs)
+    def backend(client, offset, nbytes):
+        reads.append((client.node, client.proc, nbytes))
+        return orig_backend(client, offset, nbytes)
 
-    def backend(*args, **kwargs):
-        counts["independent"] += 1
-        return orig_backend(*args, **kwargs)
-
-    monkeypatch.setattr(f, "_aggregator_read", agg)
     monkeypatch.setattr(f, "_backend_read", backend)
-    return counts
+    return reads
 
 
 def test_default_one_aggregator_read_per_node(monkeypatch):
     env, f = setup(nodes=4, ppn=2)
-    counts = _count_reads(monkeypatch, f)
+    reads = _record_reads(monkeypatch, f)
     run(env, f.read_at_all(1 * MB))
-    assert counts["aggregator"] == 4
+    assert reads == [(node, 0, 2 * MB) for node in range(4)]
 
 
 def test_cb_nodes_hint_thins_read_aggregators(monkeypatch):
     env, f = setup(nodes=4, ppn=2, hints=MPIHints(cb_nodes=2))
-    counts = _count_reads(monkeypatch, f)
+    reads = _record_reads(monkeypatch, f)
     run(env, f.read_at_all(1 * MB))
-    assert counts["aggregator"] == 2
+    assert reads == [(0, 0, 4 * MB), (2, 0, 4 * MB)]
 
 
 def test_cb_nodes_one_serializes_the_whole_read(monkeypatch):
     env, f = setup(nodes=4, ppn=2, hints=MPIHints(cb_nodes=1))
-    counts = _count_reads(monkeypatch, f)
+    reads = _record_reads(monkeypatch, f)
     run(env, f.read_at_all(1 * MB))
-    assert counts["aggregator"] == 1
+    assert reads == [(0, 0, 8 * MB)]
 
 
 def test_romio_cb_read_off_reads_per_rank(monkeypatch):
     env, f = setup(nodes=2, ppn=4, hints=MPIHints(romio_cb_read=False))
-    counts = _count_reads(monkeypatch, f)
+    reads = _record_reads(monkeypatch, f)
     run(env, f.read_at_all(1 * MB))
-    assert counts["aggregator"] == 0
-    assert counts["independent"] == 8  # one backend read per rank
+    # one backend read per rank, each of its own piece: no aggregator
+    assert sorted(reads) == [(node, proc, 1 * MB) for node in range(2) for proc in range(4)]
 
 
 def test_thinned_read_takes_longer_than_default():
@@ -95,13 +91,25 @@ def test_thinned_read_takes_longer_than_default():
     assert read_time(MPIHints(cb_nodes=1)) > read_time(MPIHints())
 
 
-def test_default_hints_unchanged_by_the_matrix():
+def test_default_hints_unchanged_by_the_matrix(monkeypatch):
     """Under default hints the read path must behave exactly as before
     the hint plumbing: one aggregator per node covering its own node
     (the committed sim baselines depend on this)."""
     env, f = setup(nodes=3, ppn=2)
-    assert [(agg.node, covered) for agg, covered in f._cb_aggregators()] == [
-        (0, 1),
-        (1, 1),
-        (2, 1),
+    plans = []
+    real = mpiio_file.plan_round
+
+    def recording(*args, **kwargs):
+        plans.append(real(*args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(mpiio_file, "plan_round", recording)
+    run(env, f.read_at_all(1 * MB))
+    (plan,) = plans
+    assert [
+        (agg.node, {piece.rank // 2 for piece in agg.pieces}) for agg in plan.workers
+    ] == [
+        (0, {0}),
+        (1, {1}),
+        (2, {2}),
     ]
