@@ -4,10 +4,13 @@ For a C binary the loader rebinds libc symbols once, before ``main``.  The
 Python analogue is rebinding the interpreter's POSIX entry points — the
 functions in :mod:`os` plus ``builtins.open`` — which unmodified Python
 application code calls exactly like C code calls libc.  ``install()`` swaps
-them for the :class:`~repro.core.shim.Shim` methods; ``uninstall()``
-restores the originals.  Use :func:`interposed` as a scoped context
-manager, or set ``LDPLFS_PRELOAD=1`` and import :mod:`repro.core.preload`
-for whole-process activation with zero application changes.
+them for the paper's dispatch — a descriptor with a lookup entry, or a path
+under a mount point, goes to the :class:`~repro.core.shim.Shim` method,
+anything else to libc — generated here, once, from each row's key kind
+(:func:`dispatch`); ``uninstall()`` restores the originals.  Use
+:func:`interposed` as a scoped context manager, or set
+``LDPLFS_PRELOAD=1`` and import :mod:`repro.core.preload` for
+whole-process activation with zero application changes.
 
 The loader stacks any number of preloaded libraries on one symbol table
 (footnote 1); here that is :class:`Layer`, the one rebinding mechanism.
@@ -23,6 +26,7 @@ import io
 import os
 import threading
 from contextlib import contextmanager
+from functools import partial
 
 from repro.plfs.route import ALIAS_OF, INTERPOSED, RealOS, posix
 
@@ -30,7 +34,7 @@ from . import config
 from .mounts import MountTable
 from .shim import Shim
 
-#: os attributes patched to same-named Shim methods: the table's names.
+#: os attributes rebound while installed: the table's names.
 _OS_PATCHES = list(INTERPOSED)
 
 #: one libc function behind two dynamic symbols: pathlib and parts of the
@@ -121,6 +125,135 @@ class Layer:
             return rebound
 
 
+# ---------------------------------------------------------------------- #
+# the dispatch: one closure per keyed row, generated from its key kind
+# ---------------------------------------------------------------------- #
+
+#: the path rows whose argument may be a descriptor instead (by name: a
+#: patcher may have rebound the functions ``os.supports_fd`` holds)
+_BY_FD = frozenset(fn.__name__ for fn in os.supports_fd)
+#: naming one makes a relative path that directory's, never the cwd's
+_DIR_FDS = ("dir_fd", "src_dir_fd", "dst_dir_fd")
+#: the path rows whose path may be left out, meaning the cwd
+_CWD_DEFAULT = frozenset({"listdir", "scandir"})
+
+
+def _fd(name, real, plfs, shim):
+    stats, lookup = shim.stats, shim.table.lookup
+
+    def call(fd, *args):
+        entry = lookup(fd)
+        if entry is None:
+            stats["passthrough_calls"] += 1
+            return real(fd, *args)
+        stats["plfs_calls"] += 1
+        return plfs(entry, *args)
+
+    return call
+
+
+def _fd_pair(name, real, plfs, shim):
+    stats, lookup = shim.stats, shim.table.lookup
+
+    def call(fd, fd2, *args, **kwargs):
+        if lookup(fd) is None and lookup(fd2) is None:
+            stats["passthrough_calls"] += 1
+            return real(fd, fd2, *args, **kwargs)
+        # An in-kernel copy of PLFS data: the Shim refuses it, and a refusal
+        # is neither served nor passed through, so it is not counted.
+        return plfs(fd, fd2, *args, **kwargs)
+
+    return call
+
+
+def _path(name, real, plfs, shim):
+    # The mount table is read per call, not bound: a wrapper set on the
+    # instance after install (a counting test) is what resolves.
+    stats, lookup, mounts = shim.stats, shim.table.lookup, shim.mounts
+    by_fd = name in _BY_FD
+    # Left out, the path is the cwd where the call allows that; elsewhere
+    # None reaches the real call, which raises the TypeError.
+    omitted = "." if name in _CWD_DEFAULT else None
+
+    def call(path=omitted, *args, **kwargs):
+        if kwargs and any(kwargs.get(key) is not None for key in _DIR_FDS):
+            key = None
+        elif by_fd and isinstance(path, int):
+            key = lookup(path)
+        else:
+            key = mounts.resolve(path)
+        if key is None:
+            stats["passthrough_calls"] += 1
+            return real(path, *args, **kwargs)
+        stats["plfs_calls"] += 1
+        for unused in _DIR_FDS:
+            kwargs.pop(unused, None)
+        return plfs(key, path, *args, **kwargs)
+
+    return call
+
+
+def _paths(name, real, plfs, shim, first_is_path=True):
+    stats, mounts = shim.stats, shim.mounts
+
+    def call(src, dst, *args, **kwargs):
+        if kwargs and any(kwargs.get(key) is not None for key in _DIR_FDS):
+            rsrc = rdst = None
+        else:
+            rsrc = mounts.resolve(src) if first_is_path else None
+            rdst = mounts.resolve(dst)
+        if rsrc is None and rdst is None:
+            stats["passthrough_calls"] += 1
+            return real(src, dst, *args, **kwargs)
+        stats["plfs_calls"] += 1
+        for unused in _DIR_FDS:
+            kwargs.pop(unused, None)
+        return plfs(rsrc, rdst, src, dst, *args, **kwargs)
+
+    return call
+
+
+#: closure factory per key kind; a ``none`` row is bound as the Shim method
+_MAKERS = {
+    "fd": _fd, "fd, fd": _fd_pair, "path": _path, "path, path": _paths,
+    "text, path": partial(_paths, first_is_path=False), "none": None,
+}
+KEY_KINDS = frozenset(_MAKERS)
+
+for _name, _row in INTERPOSED.items():  # at import, not at the first install
+    if getattr(_row, "key", None) not in KEY_KINDS:
+        raise ValueError(
+            f"interposed symbol {_name!r} has no key kind the dispatcher can build: {_row!r}"
+        )
+
+
+def _named(fn, name: str):
+    """*fn*, reading as ``os.<name>`` in frames and tracebacks."""
+    code = fn.__code__
+    fn.__code__ = code.replace(
+        co_name=name, **({"co_qualname": name} if hasattr(code, "co_qualname") else {})
+    )
+    fn.__name__ = fn.__qualname__ = name
+    return fn
+
+
+def dispatch(shim: Shim) -> dict:
+    """``{name: callable}`` for every row: the Shim method itself for a
+    ``none`` row, else a closure that counts a miss and calls the real
+    function, or counts a hit and calls the Shim method with the entry or
+    the resolved path in front.  Everything is bound now, so whatever has
+    wrapped ``Shim``/``FdTable`` methods on the class by now is what runs."""
+    calls = {}
+    for name in _OS_PATCHES:
+        method = ALIAS_OF.get(name, name)
+        plfs = getattr(shim, method)  # first: a Shim lacking one fails here
+        make = _MAKERS[INTERPOSED[name].key]
+        calls[name] = plfs if make is None else _named(
+            make(name, getattr(shim.real, method), plfs, shim), name
+        )
+    return calls
+
+
 class Interposer:
     """One interposition instance: a mount table plus its shim.
 
@@ -152,13 +285,11 @@ class Interposer:
                     "another LDPLFS interposer is already installed"
                 )
             if self._depth == 0:
-                # Looked up first: a Shim lacking one fails with nothing patched.
-                targets = {
-                    name: getattr(self.shim, ALIAS_OF.get(name, name)) for name in _OS_PATCHES
-                }
+                # Built first: a Shim lacking a method fails with nothing patched.
+                calls = dispatch(self.shim)
                 # From the first rebound symbol on, PLFS goes around the shim.
                 posix.bind(self.real)
-                self._layer.push(targets, self.shim.builtin_open)
+                self._layer.push(calls, self.shim.builtin_open)
                 _installed = self
             self._depth += 1
         return self

@@ -114,8 +114,13 @@ class MountTable:
         return resolved[0] if resolved else None
 
     def resolve(self, path) -> tuple[Mount, str] | None:
-        """(mount, backend_path) for *path* if it is under a mount."""
-        p = _normalise(path)
+        """(mount, backend_path) for *path* if it is under a mount; None for
+        one that is not, and for what is no path at all (a descriptor, a
+        wrong type: the real call, handed it, decides)."""
+        try:
+            p = _normalise(path)
+        except TypeError:
+            return None
         with self._lock:
             for mount in self._mounts:
                 if p == mount.mount_point or p.startswith(mount.mount_point + os.sep):

@@ -1,12 +1,14 @@
-"""The interposed POSIX call set.
+"""The interposed POSIX call set: the PLFS half.
 
-Each public method of :class:`Shim` replaces the same-named function in the
-``os`` module (plus ``builtins.open``) while interposition is installed.
 The dispatch rule is the paper's: a *path* operation is retargeted to PLFS
 when the path resolves through the mount table; an *fd* operation is
 retargeted when the descriptor has an entry in the fd lookup table;
 everything else falls through to the saved original function — the
-``dlsym(RTLD_NEXT)`` pass-through of the C shim.
+``dlsym(RTLD_NEXT)`` pass-through of the C shim.  That decision is written
+once, in :func:`repro.core.interpose.dispatch`, which generates it for each
+row of the interposed-symbol table from the row's key kind; a :class:`Shim`
+method of the row's name is what a hit calls.  ``close``, ``dup``, ``dup2``
+and ``builtins.open`` are whole methods here, pass-through included.
 """
 
 from __future__ import annotations
@@ -88,6 +90,12 @@ def _enotdir(path) -> OSError:
 
 def _exdev(src, dst) -> OSError:
     return OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, None, dst)
+
+
+def _backend(target) -> str:
+    """The backend path a path call's target names: the resolved path, or
+    the container of the descriptor passed in its place."""
+    return target.plfs_fd.path if isinstance(target, FdEntry) else target[1]
 
 
 def _readdir(path, backend: str) -> list[str]:
@@ -270,20 +278,14 @@ class Shim:
             else:
                 rest = rest[n:]
 
-    # ------------------------------------------------------------------ #
-    # resolution helpers
-    # ------------------------------------------------------------------ #
-
-    def _resolve(self, path) -> tuple[Mount, str] | None:
-        if isinstance(path, int):  # fd-relative path APIs pass ints
-            return None
-        try:
-            return self.mounts.resolve(path)
-        except TypeError:  # not path-like: the real call will say so
-            return None
-
-    def _count(self, plfs: bool) -> None:
-        self.stats["plfs_calls" if plfs else "passthrough_calls"] += 1
+    def _held(self, fd) -> FdEntry:
+        """The entry behind a file object's descriptor, counted as the
+        application call the file object makes for it."""
+        entry = self.table.lookup(fd)
+        if entry is None:
+            raise _ebadf()
+        self.stats["plfs_calls"] += 1
+        return entry
 
     # ------------------------------------------------------------------ #
     # daemon routing (mounts carrying a ``daemon=socket`` option)
@@ -332,20 +334,14 @@ class Shim:
             client.close()
 
     # ------------------------------------------------------------------ #
-    # fd creation / destruction
+    # The PLFS half of every keyed call, decided and counted by
+    # ``core.interpose.dispatch``: in front of the application's arguments
+    # it gets the fd's entry, or a path's ``(mount, backend)`` (the entry,
+    # for a descriptor where ``os.supports_fd`` allows one)
     # ------------------------------------------------------------------ #
 
-    def open(self, path, flags, mode=0o777, *, dir_fd=None, **kwargs):
-        resolved = self._resolve(path) if dir_fd is None else None
-        if resolved is None:
-            self._count(False)
-            return self.real.open(path, flags, mode, dir_fd=dir_fd, **kwargs)
-        return self._open_resolved(path, resolved, flags, mode)
-
-    def _open_resolved(self, path, resolved: tuple[Mount, str], flags: int, mode: int) -> int:
+    def _open(self, resolved: tuple[Mount, str], path, flags: int, mode: int = 0o777) -> int:
         mount, backend = resolved
-        self._count(True)
-
         # plfs_open takes the one look at the backend and says what it saw.
         try:
             plfs_fd = None
@@ -375,226 +371,91 @@ class Shim:
             plfs_api.plfs_trunc(plfs_fd)
         return entry.fd
 
-    def close(self, fd):
-        entry = self.table.remove(fd)
-        if entry is None:
-            self._count(False)
-            return self.real.close(fd)
-        self._count(True)
-        try:
-            plfs_api.plfs_close(entry.plfs_fd)
-        finally:
-            self.table.close_shadow(entry)
+    #: ``builtin_open`` calls ``_open``, which a tracer wrapping ``Shim.open``
+    #: does not count as a second shim call
+    open = _open
 
-    def dup(self, fd):
-        new_fd = self.real.dup(fd)
-        entry = self.table.lookup(fd)
-        if entry is not None:
-            self.table.dup(entry, new_fd)
-            self._count(True)
-        else:
-            self._count(False)
-        return new_fd
-
-    def dup2(self, fd, fd2, inheritable=True):
-        if fd == fd2:
-            return fd2
-        old = self.table.remove(fd2)
-        if old is not None:
-            # fd2 referenced a PLFS file: release that reference first.
-            plfs_api.plfs_close(old.plfs_fd)
-        new_fd = self.real.dup2(fd, fd2, inheritable)
-        entry = self.table.lookup(fd)
-        if entry is not None:
-            self.table.dup(entry, new_fd)
-            self._count(True)
-        else:
-            self._count(False)
-        return new_fd
-
-    # ------------------------------------------------------------------ #
     # cursor-based I/O (the paper's lseek-emulated file pointer)
-    # ------------------------------------------------------------------ #
 
-    def read(self, fd, n):
-        entry = self.table.lookup(fd)
-        if entry is None:
-            self._count(False)
-            return self.real.read(fd, n)
-        self._count(True)
+    def read(self, entry, n):
         data = self._read_at(entry, n, self.table.tell(entry))
         if data:
             self.table.advance(entry, len(data))
         return data
 
-    def write(self, fd, data):
-        entry = self.table.lookup(fd)
-        if entry is None:
-            self._count(False)
-            return self.real.write(fd, data)
-        self._count(True)
+    def write(self, entry, data):
         return self._write_at(entry, data, self.table.tell(entry), move=True)
 
-    def lseek(self, fd, pos, how):
-        entry = self.table.lookup(fd)
-        if entry is None:
-            self._count(False)
-            return self.real.lseek(fd, pos, how)
-        self._count(True)
+    def lseek(self, entry, pos, how):
         if how == os.SEEK_END:
-            size = plfs_api.plfs_getattr(entry.plfs_fd).st_size
-            target = size + pos
+            target = plfs_api.plfs_getattr(entry.plfs_fd).st_size + pos
             if target < 0:
-                raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+                raise _einval()
             return self.table.set_cursor(entry, target)
         # SEEK_SET / SEEK_CUR validate naturally on the shadow descriptor.
         return self.real.lseek(entry.fd, pos, how)
 
-    # ------------------------------------------------------------------ #
     # vectored I/O (scatter/gather: one call, many buffers, one cursor
     # movement — POSIX readv/writev atomicity at the logical-file level)
-    # ------------------------------------------------------------------ #
 
-    def readv(self, fd, buffers):
-        entry = self.table.lookup(fd)
-        if entry is None:
-            self._count(False)
-            return self.real.readv(fd, buffers)
-        self._count(True)
+    def readv(self, entry, buffers):
         total = self._readv_at(entry, buffers, self.table.tell(entry))
         if total:
             self.table.advance(entry, total)
         return total
 
-    def writev(self, fd, buffers):
-        entry = self.table.lookup(fd)
-        if entry is None:
-            self._count(False)
-            return self.real.writev(fd, buffers)
-        self._count(True)
+    def writev(self, entry, buffers):
         return self._write_at(entry, buffers, self.table.tell(entry), vectored=True, move=True)
 
-    def preadv(self, fd, buffers, offset, flags=0):
-        entry = self.table.lookup(fd)
-        if entry is None:
-            self._count(False)
-            return self.real.preadv(fd, buffers, offset, flags)
-        self._count(True)
+    def preadv(self, entry, buffers, offset, flags=0):
         return self._readv_at(entry, buffers, offset)
 
-    def pwritev(self, fd, buffers, offset, flags=0):
-        entry = self.table.lookup(fd)
-        if entry is None:
-            self._count(False)
-            return self.real.pwritev(fd, buffers, offset, flags)
-        self._count(True)
+    def pwritev(self, entry, buffers, offset, flags=0):
         # Like pwrite: the emulated cursor stays where it is.
         return self._write_at(entry, buffers, offset, vectored=True)
 
-    # ------------------------------------------------------------------ #
     # positional I/O
-    # ------------------------------------------------------------------ #
 
-    def pread(self, fd, n, offset):
-        entry = self.table.lookup(fd)
-        if entry is None:
-            self._count(False)
-            return self.real.pread(fd, n, offset)
-        self._count(True)
+    def pread(self, entry, n, offset):
         return self._read_at(entry, n, offset)
 
-    def pwrite(self, fd, data, offset):
-        entry = self.table.lookup(fd)
-        if entry is None:
-            self._count(False)
-            return self.real.pwrite(fd, data, offset)
-        self._count(True)
+    def pwrite(self, entry, data, offset):
         # never moves the cursor
         return self._write_at(entry, data, offset)
 
-    # ------------------------------------------------------------------ #
     # fd metadata
-    # ------------------------------------------------------------------ #
 
-    def fstat(self, fd):
-        entry = self.table.lookup(fd)
-        if entry is None:
-            self._count(False)
-            return self.real.fstat(fd)
-        self._count(True)
+    def fstat(self, entry):
         return plfs_api.plfs_getattr(entry.plfs_fd)
 
-    def fsync(self, fd):
-        entry = self.table.lookup(fd)
-        if entry is None:
-            self._count(False)
-            return self.real.fsync(fd)
-        self._count(True)
+    def fsync(self, entry):
         plfs_api.plfs_sync(entry.plfs_fd)
 
-    def fdatasync(self, fd):
-        entry = self.table.lookup(fd)
-        if entry is None:
-            self._count(False)
-            if self.real.fdatasync is None:  # pragma: no cover - platform
-                return self.real.fsync(fd)
-            return self.real.fdatasync(fd)
-        self._count(True)
-        plfs_api.plfs_sync(entry.plfs_fd)
+    fdatasync = fsync
 
-    def ftruncate(self, fd, length):
-        entry = self.table.lookup(fd)
-        if entry is None:
-            self._count(False)
-            return self.real.ftruncate(fd, length)
-        self._count(True)
+    def ftruncate(self, entry, length):
         if not 0 <= length <= _OFF_MAX or not entry.writable:
             raise _einval()
         plfs_api.plfs_trunc(entry.plfs_fd, length)
 
-    def sendfile(self, out_fd, in_fd, offset, count, *args, **kwargs):
-        if self.table.lookup(out_fd) is not None or self.table.lookup(in_fd) is not None:
-            # Force callers (e.g. shutil's fast-copy path) onto their
-            # ordinary read/write fallback; zero-copy cannot see PLFS data.
-            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
-        self._count(False)
-        return self.real.sendfile(out_fd, in_fd, offset, count, *args, **kwargs)
+    # No in-kernel copies of PLFS data: a PLFS fd's kernel descriptor is
+    # the shadow file, so zero-copy would move shadow bytes, not logical
+    # data.  Refusing forces callers (shutil's fast-copy path) onto their
+    # ordinary read/write fallback, which the shim does see.
 
-    def copy_file_range(self, src, dst, count, offset_src=None, offset_dst=None):
-        if self.table.lookup(src) is not None or self.table.lookup(dst) is not None:
-            # Same story as sendfile: no in-kernel copies of PLFS data.
-            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
-        self._count(False)
-        return self.real.copy_file_range(src, dst, count, offset_src, offset_dst)
+    def sendfile(self, out_fd, in_fd, *args, **kwargs):
+        raise _einval()
 
-    def splice(self, src, dst, count, offset_src=None, offset_dst=None):
-        if self.table.lookup(src) is not None or self.table.lookup(dst) is not None:
-            # A PLFS fd's kernel descriptor is the shadow file; splicing it
-            # would move shadow bytes, not logical data.  Refuse, forcing
-            # callers onto an ordinary read/write loop the shim does see.
-            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
-        self._count(False)
-        return self.real.splice(src, dst, count, offset_src, offset_dst)
+    def copy_file_range(self, src, dst, *args, **kwargs):
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
 
-    def fstatvfs(self, fd):
-        entry = self.table.lookup(fd)
-        if entry is None:
-            self._count(False)
-            return self.real.fstatvfs(fd)
-        self._count(True)
-        # Report the backend file system's numbers: capacity questions
-        # about a PLFS file are questions about where the droppings live.
-        return self.real.statvfs(entry.plfs_fd.path)
+    splice = sendfile
 
-    def statvfs(self, path):
-        resolved = self._resolve(path)
-        if resolved is None:
-            self._count(False)
-            return self.real.statvfs(path)
-        _, backend = resolved
-        self._count(True)
-        # The nearest existing ancestor answers for a path not made yet.
-        probe = backend
+    def statvfs(self, target, path=None):
+        # The backend file system answers: capacity questions about a PLFS
+        # file are questions about where the droppings live.  The nearest
+        # existing ancestor answers for a path not made yet.
+        probe = _backend(target)
         while True:
             try:
                 return self.real.statvfs(probe)
@@ -604,47 +465,26 @@ class Shim:
                     raise
                 probe = parent
 
-    # ------------------------------------------------------------------ #
+    fstatvfs = statvfs
+
     # links: PLFS containers cannot be hard-linked (they are directories
     # on the backend), and logical trees carry no symlinks
-    # ------------------------------------------------------------------ #
 
-    def link(self, src, dst, **kwargs):
-        if self._resolve(src) is None and self._resolve(dst) is None:
-            self._count(False)
-            return self.real.link(src, dst, **kwargs)
-        self._count(True)
+    def link(self, rsrc, rdst, src, dst, **kwargs):
         raise OSError(errno.EPERM, os.strerror(errno.EPERM), src)
 
-    def symlink(self, src, dst, **kwargs):
-        if self._resolve(dst) is None:
-            self._count(False)
-            return self.real.symlink(src, dst, **kwargs)
-        self._count(True)
+    def symlink(self, rsrc, rdst, src, dst, *args, **kwargs):
         raise OSError(errno.EPERM, os.strerror(errno.EPERM), dst)
 
-    def readlink(self, path, **kwargs):
-        if self._resolve(path) is None:
-            self._count(False)
-            return self.real.readlink(path, **kwargs)
-        self._count(True)
+    def readlink(self, resolved, path):
         raise OSError(errno.EINVAL, os.strerror(errno.EINVAL), path)
 
-    # ------------------------------------------------------------------ #
     # path metadata
-    # ------------------------------------------------------------------ #
 
-    def stat(self, path, *, dir_fd=None, follow_symlinks=True):
-        if isinstance(path, int):
-            return self.fstat(path)
-        resolved = self._resolve(path) if dir_fd is None else None
-        if resolved is None:
-            self._count(False)
-            return self.real.stat(path, dir_fd=dir_fd, follow_symlinks=follow_symlinks)
-        return self._stat_resolved(path, resolved[1], follow_symlinks)
-
-    def _stat_resolved(self, path, backend: str, follow_symlinks: bool):
-        self._count(True)
+    def stat(self, target, path, *, follow_symlinks=True):
+        if isinstance(target, FdEntry):
+            return self.fstat(target)
+        backend = target[1]
         try:
             # Try first: reading the access file *is* the container check.
             return plfs_api.plfs_getattr(backend)
@@ -655,21 +495,11 @@ class Shim:
         except (FileNotFoundError, NotADirectoryError):
             raise _enoent(path) from None
 
-    def lstat(self, path, *, dir_fd=None):
-        resolved = self._resolve(path) if dir_fd is None else None
-        if resolved is None:
-            self._count(False)
-            return self.real.lstat(path, dir_fd=dir_fd)
-        # No symlinks inside logical PLFS trees: lstat == stat.
-        return self._stat_resolved(path, resolved[1], True)
+    #: no symlinks inside logical PLFS trees: lstat == stat
+    lstat = stat
 
-    def access(self, path, amode, **kwargs):
-        resolved = self._resolve(path) if not kwargs.get("dir_fd") else None
-        if resolved is None:
-            self._count(False)
-            return self.real.access(path, amode, **kwargs)
-        _, backend = resolved
-        self._count(True)
+    def access(self, resolved, path, amode, **kwargs):
+        backend = resolved[1]
         if amode & os.X_OK and is_container(backend):
             # The backend directory is searchable; the logical *file* is
             # executable only if its recorded mode bits say so.  The rest
@@ -679,44 +509,26 @@ class Shim:
             amode &= ~os.X_OK
         return self.real.access(backend, amode)
 
-    def chmod(self, path, mode, **kwargs):
-        resolved = self._resolve(path) if not kwargs.get("dir_fd") else None
-        if resolved is None:
-            self._count(False)
-            return self.real.chmod(path, mode, **kwargs)
-        _, backend = resolved
-        self._count(True)
+    def chmod(self, target, path, mode, **kwargs):
+        backend = _backend(target)
         if is_container(backend):
             with self.real.builtins_open(
                 os.path.join(backend, constants.ACCESS_FILE), "wb", buffering=0
             ) as fh:
                 fh.write(b"%o\n" % stat_module.S_IMODE(mode))
             return None
-        return self.real.chmod(backend, mode)
+        return self.real.chmod(backend, mode, **kwargs)
 
-    def utime(self, path, times=None, **kwargs):
-        resolved = self._resolve(path) if not kwargs.get("dir_fd") else None
-        if resolved is None:
-            self._count(False)
-            return self.real.utime(path, times, **kwargs)
-        _, backend = resolved
-        self._count(True)
+    def utime(self, target, path, times=None, **kwargs):
         try:
-            return self.real.utime(backend, times)
+            return self.real.utime(_backend(target), times, **kwargs)
         except (FileNotFoundError, NotADirectoryError):
             raise _enoent(path) from None
 
-    # ------------------------------------------------------------------ #
     # namespace operations
-    # ------------------------------------------------------------------ #
 
-    def unlink(self, path, *, dir_fd=None):
-        resolved = self._resolve(path) if dir_fd is None else None
-        if resolved is None:
-            self._count(False)
-            return self.real.unlink(path, dir_fd=dir_fd)
-        _, backend = resolved
-        self._count(True)
+    def unlink(self, resolved, path):
+        backend = resolved[1]
         try:
             return plfs_api.plfs_unlink(backend)
         except ContainerNotFoundError:
@@ -732,45 +544,24 @@ class Shim:
     # expose a distinct alias in case callers saved one of them.
     remove = unlink
 
-    def _rename_like(self, real_fn, src, dst):
-        rsrc, rdst = self._resolve(src), self._resolve(dst)
-        if rsrc is None and rdst is None:
-            self._count(False)
-            return real_fn(src, dst)
-        self._count(True)
+    def rename(self, rsrc, rdst, src, dst):
         if rsrc is None or rdst is None:
             # Crossing the PLFS mount boundary is crossing a device.
             raise _exdev(src, dst)
-        _, bsrc = rsrc
-        _, bdst = rdst
         try:
-            return plfs_api.plfs_rename(bsrc, bdst)
+            return plfs_api.plfs_rename(rsrc[1], rdst[1])
         except ContainerNotFoundError:
             raise _enoent(src) from None
         except NotAContainerError:
-            return real_fn(bsrc, bdst)
+            return self.real.rename(rsrc[1], rdst[1])
 
-    def rename(self, src, dst, **kwargs):
-        if kwargs.get("src_dir_fd") is not None or kwargs.get("dst_dir_fd") is not None:
-            self._count(False)
-            return self.real.rename(src, dst, **kwargs)
-        return self._rename_like(self.real.rename, src, dst)
+    #: the same call on POSIX
+    replace = rename
 
-    def replace(self, src, dst, **kwargs):
-        if kwargs.get("src_dir_fd") is not None or kwargs.get("dst_dir_fd") is not None:
-            self._count(False)
-            return self.real.replace(src, dst, **kwargs)
-        return self._rename_like(self.real.replace, src, dst)
-
-    def truncate(self, path, length):
-        if isinstance(path, int):
-            return self.ftruncate(path, length)
-        resolved = self._resolve(path)
-        if resolved is None:
-            self._count(False)
-            return self.real.truncate(path, length)
-        _, backend = resolved
-        self._count(True)
+    def truncate(self, target, path, length):
+        if isinstance(target, FdEntry):
+            return self.ftruncate(target, length)
+        backend = target[1]
         if length < 0:
             raise _einval()
         if is_container(backend):
@@ -780,45 +571,58 @@ class Shim:
         except (FileNotFoundError, NotADirectoryError):
             raise _enoent(path) from None
 
-    def mkdir(self, path, mode=0o777, *, dir_fd=None):
-        resolved = self._resolve(path) if dir_fd is None else None
-        if resolved is None:
-            self._count(False)
-            return self.real.mkdir(path, mode, dir_fd=dir_fd)
-        _, backend = resolved
-        self._count(True)
-        return self.real.mkdir(backend, mode)
+    def mkdir(self, resolved, path, mode=0o777):
+        return self.real.mkdir(resolved[1], mode)
 
-    def rmdir(self, path, *, dir_fd=None):
-        resolved = self._resolve(path) if dir_fd is None else None
-        if resolved is None:
-            self._count(False)
-            return self.real.rmdir(path, dir_fd=dir_fd)
-        _, backend = resolved
-        self._count(True)
+    def rmdir(self, resolved, path):
         try:
-            return rmdir_logical(backend)
+            return rmdir_logical(resolved[1])
         except PlfsError:
             raise _enotdir(path) from None
 
-    def listdir(self, path="."):
-        resolved = self._resolve(path) if not isinstance(path, int) else None
-        if resolved is None:
-            self._count(False)
-            return self.real.listdir(path)
-        _, backend = resolved
-        self._count(True)
-        return _readdir(path, backend)
+    def listdir(self, target, path):
+        return _readdir(path, _backend(target))
 
-    def scandir(self, path="."):
-        resolved = self._resolve(path) if not isinstance(path, int) else None
-        if resolved is None:
-            self._count(False)
-            return self.real.scandir(path)
-        _, backend = resolved
-        self._count(True)
-        logical_root = os.fspath(path)
-        return _PlfsScandirIterator(self, logical_root, backend)
+    def scandir(self, target, path):
+        return _PlfsScandirIterator(self, path, target)
+
+    # ------------------------------------------------------------------ #
+    # the calls the generated dispatch leaves whole: close takes its entry
+    # atomically (a lookup-then-remove would let two racing closers both
+    # plfs_close it), dup/dup2 make the real call first
+    # ------------------------------------------------------------------ #
+
+    def close(self, fd):
+        entry = self.table.remove(fd)
+        if entry is None:
+            self.stats["passthrough_calls"] += 1
+            return self.real.close(fd)
+        self.stats["plfs_calls"] += 1
+        try:
+            plfs_api.plfs_close(entry.plfs_fd)
+        finally:
+            self.table.close_shadow(entry)
+
+    def dup(self, fd):
+        return self._dup_entry(fd, self.real.dup(fd))
+
+    def dup2(self, fd, fd2, inheritable=True):
+        if fd == fd2:
+            return fd2
+        old = self.table.remove(fd2)
+        if old is not None:
+            # fd2 referenced a PLFS file: release that reference first.
+            plfs_api.plfs_close(old.plfs_fd)
+        return self._dup_entry(fd, self.real.dup2(fd, fd2, inheritable))
+
+    def _dup_entry(self, fd, new_fd):
+        entry = self.table.lookup(fd)
+        if entry is None:
+            self.stats["passthrough_calls"] += 1
+        else:
+            self.table.dup(entry, new_fd)
+            self.stats["plfs_calls"] += 1
+        return new_fd
 
     # ------------------------------------------------------------------ #
     # builtins.open
@@ -835,20 +639,16 @@ class Shim:
         closefd=True,
         opener=None,
     ):
-        if isinstance(file, int) or opener is not None:
-            if isinstance(file, int) and self.table.lookup(file) is not None:
-                return self._wrap_fd(file, mode, buffering, encoding, errors, newline, closefd)
-            self._count(False)
-            return self.real.builtins_open(
-                file, mode, buffering, encoding, errors, newline, closefd, opener
-            )
-        resolved = self._resolve(file)
+        if isinstance(file, int) and self.table.lookup(file) is not None:
+            return self._wrap_fd(file, mode, buffering, encoding, errors, newline, closefd)
+        resolved = None if opener is not None else self.mounts.resolve(file)
         if resolved is None:
-            self._count(False)
+            self.stats["passthrough_calls"] += 1
             return self.real.builtins_open(
                 file, mode, buffering, encoding, errors, newline, closefd, opener
             )
-        fd = self._open_resolved(file, resolved, _mode_to_flags(mode), 0o666)
+        self.stats["plfs_calls"] += 1
+        fd = self._open(resolved, file, _mode_to_flags(mode), 0o666)
         try:
             return self._wrap_fd(fd, mode, buffering, encoding, errors, newline, True)
         except Exception:
@@ -922,26 +722,26 @@ class _PlfsRawIO(io.RawIOBase):
         return True
 
     def readinto(self, b) -> int:
-        return self._shim.readv(self._fd, [b])
+        return self._shim.readv(self._shim._held(self._fd), [b])
 
     def write(self, b) -> int:
-        return self._shim.write(self._fd, b)
+        return self._shim.write(self._shim._held(self._fd), b)
 
     def seek(self, pos, whence=os.SEEK_SET) -> int:
-        return self._shim.lseek(self._fd, pos, whence)
+        return self._shim.lseek(self._shim._held(self._fd), pos, whence)
 
     def tell(self) -> int:
-        return self._shim.lseek(self._fd, 0, os.SEEK_CUR)
+        return self.seek(0, os.SEEK_CUR)
 
     def truncate(self, size=None) -> int:
         if size is None:
             size = self.tell()
-        self._shim.ftruncate(self._fd, size)
+        self._shim.ftruncate(self._shim._held(self._fd), size)
         return size
 
     def flush(self) -> None:
         if not self.closed and self._writable:
-            self._shim.fsync(self._fd)
+            self._shim.fsync(self._shim._held(self._fd))
 
     def close(self) -> None:
         if not self.closed:
@@ -957,28 +757,30 @@ class _PlfsRawIO(io.RawIOBase):
 class _PlfsDirEntry:
     """Minimal ``os.DirEntry`` stand-in for scandir over a mount."""
 
-    __slots__ = ("name", "path", "_shim", "_backend")
+    __slots__ = ("name", "path", "_shim", "_resolved")
 
-    def __init__(self, shim: Shim, name: str, logical_dir: str, backend_dir: str):
+    def __init__(self, shim: Shim, name: str, logical_dir: str, resolved_dir: tuple[Mount, str]):
         self.name = name
         self.path = os.path.join(logical_dir, name)
         self._shim = shim
-        self._backend = os.path.join(backend_dir, name)
+        mount, backend_dir = resolved_dir
+        self._resolved = (mount, os.path.join(backend_dir, name))
 
     def is_dir(self, *, follow_symlinks=True) -> bool:
-        return classify(self._backend) == DIRECTORY
+        return classify(self._resolved[1]) == DIRECTORY
 
     def is_file(self, *, follow_symlinks=True) -> bool:
-        return classify(self._backend) in (CONTAINER, FILE)
+        return classify(self._resolved[1]) in (CONTAINER, FILE)
 
     def is_symlink(self) -> bool:
         return False
 
     def stat(self, *, follow_symlinks=True):
-        return self._shim.stat(self.path)
+        self._shim.stats["plfs_calls"] += 1  # the os.stat it stands in for
+        return self._shim.stat(self._resolved, self.path)
 
     def inode(self) -> int:
-        return self._shim.real.stat(self._backend).st_ino
+        return self._shim.real.stat(self._resolved[1]).st_ino
 
     def __fspath__(self) -> str:
         return self.path
@@ -990,11 +792,10 @@ class _PlfsDirEntry:
 class _PlfsScandirIterator:
     """Context-manager iterator matching ``os.scandir``'s protocol."""
 
-    def __init__(self, shim: Shim, logical_dir: str, backend_dir: str):
-        self._entries = iter(
-            _PlfsDirEntry(shim, name, logical_dir, backend_dir)
-            for name in _readdir(logical_dir, backend_dir)
-        )
+    def __init__(self, shim: Shim, path, target):
+        names = _readdir(path, _backend(target))  # a descriptor is a file: ENOTDIR
+        logical_dir = os.fspath(path)
+        self._entries = (_PlfsDirEntry(shim, name, logical_dir, target) for name in names)
 
     def __iter__(self):
         return self

@@ -339,7 +339,7 @@ def _traced_call(name: str, tag: str):
 
 #: the tracer's stand-in for every tagged row of the table, unbound; a tag
 #: with no handler fails here, at import, instead of going untraced
-_CALLS = {name: _traced_call(name, tag) for name, tag in INTERPOSED.items() if tag}
+_CALLS = {name: _traced_call(name, row.tag) for name, row in INTERPOSED.items() if row.tag}
 
 
 def _path_name(path) -> str:

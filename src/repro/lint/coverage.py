@@ -11,14 +11,16 @@ which :data:`repro.core.interpose._OS_PATCHES` is the names of).
 This audit makes the omission class mechanical: a curated catalogue of
 every file-touching symbol on the ``os``/``builtins``/``io`` surfaces is
 cross-checked against the patch list and the :class:`~repro.core.shim.Shim`
-method set.  Every catalogue symbol must be either *patched* (with a shim
+method set (and each row's key kind against the dispatch generator's).
+Every catalogue symbol must be either *patched* (with a shim
 implementation behind it) or *acknowledged* — an explicit entry with a
 written justification for why passthrough is safe.  Anything else is a
 bypass risk and fails the self-audit.  This is the check that caught the
 vectored-I/O gap (``os.readv``/``os.writev``/``os.preadv``/``os.pwritev``)
 closed in PR 2.  What it compares is what is still written by hand: the
-catalogue and the ``Shim`` methods.  The ``RealOS`` snapshot and the
-tracer's calls are generated from the table and need no audit.
+catalogue, the ``Shim`` methods and each row's key kind.  The ``RealOS``
+snapshot, the pass-through dispatch and the tracer's calls are generated
+from the table and need no audit.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 import repro.plfs
 from repro.core import interpose
 from repro.core.shim import Shim
-from repro.plfs.route import ALIAS_OF
+from repro.plfs.route import ALIAS_OF, INTERPOSED
 
 from .findings import LintFinding, RuleSpec, RULES, Severity, sort_findings
 
@@ -156,13 +158,16 @@ class AuditReport:
     uncovered: list[str] = field(default_factory=list)
     acknowledged: dict[str, str] = field(default_factory=dict)
     missing_shim: list[str] = field(default_factory=list)
+    unkeyed: list[str] = field(default_factory=list)
     stale: list[str] = field(default_factory=list)
     builtin_covered: list[str] = field(default_factory=list)
     builtin_uncovered: list[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        return not (self.uncovered or self.missing_shim or self.builtin_uncovered)
+        return not (
+            self.uncovered or self.missing_shim or self.unkeyed or self.builtin_uncovered
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -170,6 +175,7 @@ class AuditReport:
             "uncovered": self.uncovered,
             "acknowledged": self.acknowledged,
             "missing_shim": self.missing_shim,
+            "unkeyed": self.unkeyed,
             "stale": self.stale,
             "builtin_covered": self.builtin_covered,
             "builtin_uncovered": self.builtin_uncovered,
@@ -183,6 +189,7 @@ def audit_interposition(
     os_module=os,
     catalogue: frozenset[str] = FILE_TOUCHING_OS,
     acknowledged: dict[str, str] | None = None,
+    table: dict | None = None,
 ) -> AuditReport:
     """Cross-check the file-touching catalogue against the patch list.
 
@@ -213,6 +220,11 @@ def audit_interposition(
         name
         for name in patched_set
         if not callable(getattr(shim_cls, ALIAS_OF.get(name, name), None))
+    )
+    report.unkeyed = sorted(
+        name
+        for name, row in (INTERPOSED if table is None else table).items()
+        if getattr(row, "key", None) not in interpose.KEY_KINDS
     )
 
     surfaces: dict[str, str] = {"builtins.open": "patched"}
@@ -277,6 +289,15 @@ def audit_findings(report: AuditReport) -> list[LintFinding]:
                 RULES["LDP002"],
                 f"os.{name} is listed in _OS_PATCHES but the Shim class "
                 "has no matching method; install() would bind None",
+                symbol=f"os.{name}",
+            )
+        )
+    for name in report.unkeyed:
+        findings.append(
+            _finding(
+                RULES["LDP007"],
+                f"os.{name} has no key kind the dispatch generator can build: "
+                "install() could not decide which of its calls are PLFS's",
                 symbol=f"os.{name}",
             )
         )

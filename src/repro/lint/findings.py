@@ -110,7 +110,7 @@ RULES: dict[str, RuleSpec] = {
             "uninterposed-symbol",
             Severity.HIGH,
             "a file-touching os symbol is not interposed",
-            "add a tagged row to plfs.route.INTERPOSED with a Shim method "
+            "add a tagged, keyed row to plfs.route.INTERPOSED with a Shim method "
             "(or record a justified entry in coverage.ACKNOWLEDGED_PASSTHROUGH)",
         ),
         _spec(
@@ -118,7 +118,8 @@ RULES: dict[str, RuleSpec] = {
             "patch-without-shim",
             Severity.HIGH,
             "a patched symbol has no Shim implementation",
-            "implement the same-named Shim method (passthrough at minimum) "
+            "implement the same-named Shim method (the PLFS half: the dispatch "
+            "generates the pass-through) "
             "or drop the row from plfs.route.INTERPOSED",
         ),
         _spec(
@@ -137,6 +138,14 @@ RULES: dict[str, RuleSpec] = {
             "posix.builtins_open, posix.ensure_dir, posix.rmtree, ...) or, "
             "for the shim's own pass-through, self.real.<call>; a bare os "
             "call re-enters the installed shim",
+        ),
+        _spec(
+            "LDP007",
+            "unkeyed-row",
+            Severity.HIGH,
+            "an interposed-symbol table row has no key kind the dispatch builds",
+            "give the row in plfs.route.INTERPOSED one of core.interpose.KEY_KINDS "
+            "(its descriptor or path arguments), or \"none\" for a whole Shim method",
         ),
         # -- application anti-patterns (AST linter) ----------------------- #
         _spec(

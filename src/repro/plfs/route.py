@@ -22,8 +22,8 @@ Callers write ``posix.stat(p)``, never ``from ... import``: the lookup at
 the call is the binding.
 
 The interposed symbols are written once, here (:data:`INTERPOSED`): the
-snapshot's attributes, the interposer's patch list and the tracer's calls
-are read off it, so there is no second copy to drift.
+snapshot's attributes, the interposer's patch list and dispatch, and the
+tracer's calls are read off it, so there is no second copy to drift.
 """
 
 from __future__ import annotations
@@ -32,25 +32,51 @@ import builtins
 import os
 import stat as stat_module
 from types import SimpleNamespace
+from typing import NamedTuple
+
+
+class Row(NamedTuple):
+    """One interposed symbol: what a tracer must know about the call, and
+    which of its arguments the dispatcher decides on."""
+
+    #: ``opens`` / ``closes`` a descriptor, ``seeks`` (moves the cursor),
+    #: moves bytes (``r`` or ``w``; ``@``: at an explicit offset, otherwise
+    #: at the cursor, which it moves; ``v``: over an iovec), or ``""``: none
+    tag: str
+    #: the key kind, which arguments decide: ``fd``, ``fd, fd``, ``path``,
+    #: ``path, path``, ``text, path`` (the first is stored, not touched), or
+    #: ``none`` (the whole call is the ``Shim`` method's)
+    key: str
+
+
+def _rows(key: str, names: str) -> dict[str, Row]:
+    return {name: Row("", key) for name in names.split()}
+
 
 #: The interposed-symbol table: every ``os`` name the loader rebinds, in
-#: binding order, each tagged with what a tracer must know about the call —
-#: ``opens`` / ``closes`` a descriptor, ``seeks`` (moves the cursor), moves
-#: bytes (``r`` or ``w``; ``@``: at an explicit offset, otherwise at the
-#: cursor, which it moves; ``v``: over an iovec), or ``""``: none of these.
-#: ``builtins.open`` / ``io.open`` are not rows: every snapshot carries them
-#: as ``builtins_open`` and every layer rebinds both.
-INTERPOSED: dict[str, str] = {
-    "open": "opens", "close": "closes",
-    "read": "r", "write": "w", "readv": "rv", "writev": "wv",
-    "pread": "r@", "pwrite": "w@", "preadv": "r@v", "pwritev": "w@v",
-    "lseek": "seeks",
-    **dict.fromkeys(
-        "dup dup2 stat lstat fstat access unlink remove rename replace truncate "
-        "ftruncate fsync fdatasync mkdir rmdir listdir scandir chmod utime "
-        "sendfile copy_file_range splice statvfs fstatvfs link symlink readlink".split(),
-        "",
-    ),
+#: binding order.  ``builtins.open`` / ``io.open`` are not rows: every
+#: snapshot carries them as ``builtins_open`` and every layer rebinds both.
+INTERPOSED: dict[str, Row] = {
+    "open": Row("opens", "path"), "close": Row("closes", "none"),
+    "read": Row("r", "fd"), "write": Row("w", "fd"),
+    "readv": Row("rv", "fd"), "writev": Row("wv", "fd"),
+    "pread": Row("r@", "fd"), "pwrite": Row("w@", "fd"),
+    "preadv": Row("r@v", "fd"), "pwritev": Row("w@v", "fd"),
+    "lseek": Row("seeks", "fd"),
+    **_rows("none", "dup dup2"),
+    **_rows("path", "stat lstat"),
+    **_rows("fd", "fstat"),
+    **_rows("path", "access unlink remove"),
+    **_rows("path, path", "rename replace"),
+    **_rows("path", "truncate"),
+    **_rows("fd", "ftruncate fsync fdatasync"),
+    **_rows("path", "mkdir rmdir listdir scandir chmod utime"),
+    **_rows("fd, fd", "sendfile copy_file_range splice"),
+    **_rows("path", "statvfs"),
+    **_rows("fd", "fstatvfs"),
+    **_rows("path, path", "link"),
+    **_rows("text, path", "symlink"),
+    **_rows("path", "readlink"),
 }
 
 #: rows that are a second name for another row's function

@@ -101,6 +101,14 @@ def scatter_pread(fd, sizes, offset):
     return os.preadv(fd, buffers, offset), buffers
 
 
+def mode_and_mtime(fd, mode, when):
+    """``chmod`` and ``utime`` by descriptor, then what the file says."""
+    os.chmod(fd, mode)
+    os.utime(fd, (when, when))
+    info = os.fstat(fd)
+    return stat.S_IMODE(info.st_mode), info.st_mtime
+
+
 def not_at_the_cursor(offset: int) -> int:
     """What the flat file is asked in place of -1 (see the module docstring)."""
     return -2 if offset == -1 else offset
@@ -326,6 +334,13 @@ class MountEquivalence(RuleBasedStateMachine):
             if self.open_on(pair[0]) == 1:
                 self.both(pair, os.ftruncate, size)
 
+    @open_pair
+    @rule(which=some, mode=st.sampled_from([0o600, 0o640, 0o644, 0o755]),
+          when=st.integers(1, 2**31 - 1))
+    def chmod_utime_descriptors(self, which, mode, when):
+        """``chmod``/``utime`` given the descriptor: the logical file's."""
+        self.each(which, mode_and_mtime, mode, when)
+
     # ------------------------------------------------------------------ #
     # invariants
     # ------------------------------------------------------------------ #
@@ -397,6 +412,11 @@ COUNTEREXAMPLES = {
         ("open_descriptor", dict(name="a.dat", flags=os.O_CREAT | os.O_RDWR)),
         ("preadv_descriptors", dict(which=1, sizes=[0], offset=OFF_MAX + 1)),
         ("pwritev_descriptors", dict(which=1, buffers=[b"ab", b"", b"c"], offset=-1)),
+    ],
+    "chmod and utime by descriptor reach the logical file": [
+        ("open_descriptor", dict(name="a.dat", flags=os.O_CREAT | os.O_RDWR)),
+        ("write_descriptors", dict(which=1, payload=b"abc")),
+        ("chmod_utime_descriptors", dict(which=1, mode=0o600, when=1)),
     ],
     # not a counterexample: the O_RDWR lane (a handle that flushes its own
     # appends ahead of its read, then is extended), reached on every run

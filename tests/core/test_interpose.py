@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import builtins
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.core import config, interpose
 from repro.core.interpose import Interposer, interposed
+from repro.plfs.route import INTERPOSED
 
 
 @pytest.fixture
@@ -104,6 +107,37 @@ class TestStatsCounters:
             with open(tmp_path / "plain", "w") as fh:
                 fh.write("y")
             assert ip.shim.stats["passthrough_calls"] > before["passthrough_calls"]
+
+
+class TestDispatch:
+    """The pass-through half is generated, once per row, from its key kind."""
+
+    def test_every_row_is_bound_by_its_key_kind(self, pair):
+        with Interposer([pair]) as ip:
+            for name, row in INTERPOSED.items():
+                assert row.key in interpose.KEY_KINDS, name
+                if not hasattr(os, name):
+                    continue
+                bound = getattr(os, name)
+                if row.key == "none":
+                    assert bound == getattr(ip.shim, name), name
+                else:
+                    assert bound.__module__ == "repro.core.interpose", name
+                    assert bound.__name__ == bound.__qualname__ == name
+                    assert bound.__code__.co_name == name
+
+    def test_a_row_with_an_unknown_key_kind_fails_at_import(self):
+        program = (
+            "from repro.plfs import route\n"
+            "route.INTERPOSED['frobnicate'] = route.Row('', 'zaps')\n"
+            "import repro.core.interpose\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode != 0
+        assert "frobnicate" in done.stderr and "zaps" in done.stderr
 
 
 class TestEnvActivation:

@@ -178,6 +178,16 @@ class TestListingAndWalk:
         with pytest.raises(FileNotFoundError):
             os.listdir(f"{mnt}/nope")
 
+    def test_listing_the_cwd_inside_a_mount(self, interposer, mnt, monkeypatch):
+        """A mount point that is a real directory can be the cwd: a listing
+        with the path left out is the mount's, as with ``"."``."""
+        os.makedirs(os.path.dirname(mnt))
+        interposer.real.mkdir(mnt)
+        make_file(f"{mnt}/f")
+        monkeypatch.chdir(mnt)
+        assert os.listdir() == os.listdir(".") == ["f"]
+        assert [entry.path for entry in os.scandir()] == ["./f"]
+
     def test_scandir_entries(self, interposer, mnt):
         make_file(f"{mnt}/f", b"xyz")
         os.mkdir(f"{mnt}/d")
@@ -220,3 +230,73 @@ class TestBackendIsReal:
         assert os.read(fd, 100) == b"plain contents"
         os.close(fd)
         assert os.stat(f"{mnt}/plain.txt").st_size == 14
+
+
+#: by-name calls made relative to a flat directory's descriptor: (call,
+#: its positional arguments, the keywords naming the directory)
+DIR_FD_CALLS = {
+    "link": ("link", ("mnt/plfs/a", "mnt/plfs/b"), ("src_dir_fd", "dst_dir_fd")),
+    "symlink": ("symlink", ("a", "mnt/plfs/s"), ("dir_fd",)),
+    "readlink": ("readlink", ("mnt/plfs/l",), ("dir_fd",)),
+    "rename": ("rename", ("mnt/plfs/a", "mnt/plfs/b"), ("src_dir_fd", "dst_dir_fd")),
+    "unlink": ("unlink", ("mnt/plfs/a",), ("dir_fd",)),
+    "mkdir": ("mkdir", ("mnt/plfs/d",), ("dir_fd",)),
+    "access": ("access", ("mnt/plfs/a", os.W_OK), ("dir_fd",)),
+    "chmod": ("chmod", ("mnt/plfs/a", 0o600), ("dir_fd",)),
+    "utime": ("utime", ("mnt/plfs/a", (1, 1)), ("dir_fd",)),
+    # descriptor 0 names a directory as well as any other does
+    "access at fd 0": ("access", ("mnt/plfs/a", os.W_OK), ("dir_fd",)),
+    "chmod at fd 0": ("chmod", ("mnt/plfs/a", 0o600), ("dir_fd",)),
+    "utime at fd 0": ("utime", ("mnt/plfs/a", (1, 1)), ("dir_fd",)),
+}
+
+
+class TestDirFd:
+    """A relative path given with a directory descriptor is that
+    directory's, whatever mount the cwd would put it under: each call
+    passes through and does what its flat twin does."""
+
+    @pytest.mark.parametrize("case", DIR_FD_CALLS)
+    def test_relative_to_a_flat_directory(self, interposer, mnt, tmp_path, monkeypatch, case):
+        name, args, keys = DIR_FD_CALLS[case]
+        real = interposer.real
+        monkeypatch.chdir(tmp_path)  # above the mount: "mnt/plfs/a" is under it
+
+        def tree(side: str) -> int:
+            """A flat directory holding mnt/plfs/{a, l -> a}, opened."""
+            root = tmp_path / side / "mnt" / "plfs"
+            os.makedirs(root)
+            (root / "a").write_bytes(b"data")
+            os.symlink("a", root / "l")
+            return os.open(tmp_path / side, os.O_RDONLY)
+
+        def outcome(call, fd: int):
+            saved = real.dup(0) if case.endswith("fd 0") else None
+            if saved is not None:
+                real.dup2(fd, 0)
+                fd = 0
+            try:
+                return call(*args, **dict.fromkeys(keys, fd))
+            except OSError as exc:
+                return ("errno", exc.errno)
+            finally:
+                if saved is not None:
+                    real.dup2(saved, 0)
+                    real.close(saved)
+
+        def seen(side: str) -> list:
+            root = tmp_path / side / "mnt" / "plfs"
+            return sorted(
+                (entry, oct(real.lstat(root / entry).st_mode), int(real.lstat(root / entry).st_mtime))
+                for entry in real.listdir(root)
+            )
+
+        shim_dir, flat_dir = tree("shim"), tree("flat")
+        try:
+            got = outcome(getattr(os, name), shim_dir)
+            expected = outcome(getattr(real, name), flat_dir)
+        finally:
+            real.close(shim_dir)
+            real.close(flat_dir)
+        assert got == expected
+        assert seen("shim") == seen("flat")

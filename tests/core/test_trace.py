@@ -394,7 +394,8 @@ class TestOneStack:
                 app.write(fd, b"w" * 4096)
                 os.write(fd, b"o" * 100)
                 app.close(fd)
-            assert app.write == ip.shim.write  # the tracer's wrap is undone, not LDPLFS's
+            # the tracer's wrap is undone, not LDPLFS's: what its layer bound
+            assert app.write is os.write is not ip.real.write
         assert (app.open, app.write, app.close) == (os.open, os.write, os.close)
         stats = tracer.report().files[f"{mnt}/wrapped"]
         assert (stats.opens, stats.closes, stats.bytes_written) == (1, 1, 4196)
@@ -420,7 +421,7 @@ class TestOneStack:
         for must not go silently untraced."""
         program = (
             "from repro.plfs import route\n"
-            "route.INTERPOSED['frobnicate'] = 'zaps'\n"
+            "route.INTERPOSED['frobnicate'] = route.Row('zaps', 'fd')\n"
             "import repro.core.trace\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

@@ -13,7 +13,7 @@ import os
 from repro.core import interpose
 from repro.lint import audit_findings, audit_interposition
 from repro.lint.coverage import ACKNOWLEDGED_PASSTHROUGH, FILE_TOUCHING_OS
-from repro.plfs.route import RealOS
+from repro.plfs.route import INTERPOSED, RealOS, Row
 
 VECTORED = ["readv", "writev", "preadv", "pwritev"]
 
@@ -27,6 +27,7 @@ class TestLiveTree:
     def test_no_patch_is_missing_its_shim(self):
         report = audit_interposition()
         assert report.missing_shim == []
+        assert report.unkeyed == []
         assert report.stale == []
 
     def test_builtin_surfaces_rebound(self):
@@ -79,6 +80,17 @@ class TestSeededGap:
             for f in findings
         )
 
+    def test_row_without_a_buildable_key_kind_detected(self):
+        table = dict(INTERPOSED)
+        table["pwrite"] = Row("w@", "zaps")  # a kind the generator cannot build
+        table["pread"] = "r@"  # the pre-key-kind shape: a bare tag
+        report = audit_interposition(table=table)
+        assert report.unkeyed == ["pread", "pwrite"]
+        assert not report.clean
+        findings = audit_findings(report)
+        assert {f.evidence["symbol"] for f in findings if f.rule == "LDP007"} == {
+            "os.pread", "os.pwrite"}
+
     def test_stale_patch_detected(self):
         report = audit_interposition(
             patches=list(interpose._OS_PATCHES) + ["frobnicate"]
@@ -110,6 +122,6 @@ class TestCatalogueHygiene:
         data = audit_interposition().as_dict()
         assert data["clean"] is True
         assert set(data) == {
-            "patched", "uncovered", "acknowledged", "missing_shim",
+            "patched", "uncovered", "acknowledged", "missing_shim", "unkeyed",
             "stale", "builtin_covered", "builtin_uncovered", "clean",
         }
