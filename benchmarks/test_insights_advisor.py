@@ -18,6 +18,7 @@ from repro.insights import (
     report_to_json,
     run_rules,
 )
+from repro.lint.findings import RULES
 from repro.mpiio import LDPLFS, MPIIO
 from repro.model.autotune import advise_from_profile
 from repro.workloads import run_bt, run_flashio
@@ -40,7 +41,7 @@ def test_insights_flashio_grid(benchmark, report):
     by_cores = {cores: (profile, findings) for cores, profile, findings in rows}
 
     storm = {
-        cores: next((f for f in fs if f.rule == "mds-create-storm"), None)
+        cores: next((f for f in fs if f.name == "mds-create-storm"), None)
         for cores, (_, fs) in by_cores.items()
     }
     # Silent at the paper's peak, screaming at the paper's cliff.
@@ -48,7 +49,7 @@ def test_insights_flashio_grid(benchmark, report):
     hit = storm[3072]
     assert hit is not None
     assert hit.severity.name == "HIGH"
-    assert hit.title == "PLFS harmful: dedicated-MDS create storm"
+    assert RULES[hit.rule].summary == "PLFS harmful: dedicated-MDS create storm"
     for key in ("dropping_creates", "writers", "mds_utilisation"):
         assert key in hit.evidence
     assert hit.evidence["dropping_creates"] == 2 * 3072
@@ -74,7 +75,7 @@ def test_bt_small_write_verdict(benchmark, report):
         return profile, run_rules(profile)
 
     profile, findings = benchmark.pedantic(run, rounds=1, iterations=1)
-    small = next(f for f in findings if f.rule == "small-writes-shared-file")
+    small = next(f for f in findings if f.name == "small-writes-shared-file")
     assert small.severity.name == "HIGH"
     assert "use PLFS via LDPLFS" in small.recommendation
     assert small.evidence["small_write_fraction"] >= 0.9

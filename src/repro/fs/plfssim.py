@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.cluster.platform import Platform
-from repro.plfs.index import RECORD_SIZE
 
 from .parallel import PosixClient, StreamFile
 
@@ -33,6 +32,10 @@ CONTAINER_CREATE_OPS = 5
 DROPPING_CREATE_OPS = 2
 #: metadata ops at close (meta dropping create + openhost unlink)
 CLOSE_OPS = 2
+#: bytes of one index record, one per append — the real index's record
+#: (``repro.plfs.index.RECORD_SIZE``, pinned by a test), kept here so the
+#: simulator loads no PLFS stack
+RECORD_SIZE = 48
 
 
 class SimWriterState:

@@ -1,17 +1,18 @@
-"""``repro.insights`` — I/O characterisation, issue detection & advisory.
+"""``repro.insights`` — what an observed run says about PLFS.
 
 The paper's §V.A asks for a tool that "highlights systems where PLFS may
 have a negative effect on performance".  This package is that tool's
-observability half (Drishti-style): it unifies real traced runs and
-simulated benchmark runs into one :class:`IORunProfile`, runs a rule
-engine of severity-graded issue detectors keyed to the paper's
-phenomena, and renders deterministic text/JSON advisory reports.
+run-reading half (Drishti-style): it unifies real traced runs and
+simulated benchmark runs into one :class:`IORunProfile` and runs a rule
+engine of severity-graded detectors keyed to the paper's phenomena.  Its
+findings are the ``LDP4xx`` rows of the one catalogue
+(:mod:`repro.lint.findings`) and reach the console through the one
+checker, ``repro-lint --workload …``.
 
-- :mod:`repro.insights.metrics` — the unified profile and its builders
+- :mod:`repro.insights.metrics` — the unified profile, its builders and
+  its report
 - :mod:`repro.insights.rules` — the detectors (small writes, MDS create
   storm, uncollective strided writes, FUSE chunking, unflattened index…)
-- :mod:`repro.insights.reporter` — deterministic text/JSON reports
-- :mod:`repro.insights.cli` — the ``repro-insights`` console entry point
 """
 
 from .metrics import (
@@ -19,28 +20,22 @@ from .metrics import (
     attach_fault_evidence,
     profile_from_run,
     profile_from_trace,
-)
-from .reporter import (
-    render_findings,
     render_profile,
     render_report,
     report_to_dict,
     report_to_json,
 )
-from .rules import ALL_RULES, Finding, Severity, run_rules, validate_thresholds
+from .rules import ALL_RULES, run_rules, validate_thresholds
 
 __all__ = [
     "IORunProfile",
     "attach_fault_evidence",
     "profile_from_run",
     "profile_from_trace",
-    "Finding",
-    "Severity",
     "ALL_RULES",
     "run_rules",
     "validate_thresholds",
     "render_profile",
-    "render_findings",
     "render_report",
     "report_to_dict",
     "report_to_json",

@@ -13,16 +13,19 @@ built from two very different observations of the same reality:
 Either way the rule engine in :mod:`repro.insights.rules` sees the same
 derived metrics: small-write fraction, consecutive-offset
 sequentiality, metadata-op rate, shared-file lock-wait share, per-file
-skew, dropping-create pressure.
+skew, dropping-create pressure.  :func:`render_report` /
+:func:`report_to_json` print a profile with the findings about its run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from repro.analysis.export import canonical_json
 from repro.cluster.machine import MachineSpec
 from repro.core.trace import TraceReport
 from repro.fs.plfssim import DROPPING_CREATE_OPS
+from repro.lint.findings import Finding, findings_to_dict, render_findings
 from repro.mpiio.methods import AccessMethod
 from repro.sim.stats import GB, MB, SizeHistogram
 from repro.workloads.base import RunResult
@@ -486,3 +489,87 @@ def profile_from_trace(
         buffered_opaque_files=buffered_opaque,
         files=per_file,
     )
+
+
+# ---------------------------------------------------------------------- #
+# the run report: this profile, then the findings (text and JSON)
+# ---------------------------------------------------------------------- #
+
+
+def _label(p: IORunProfile) -> str:
+    return " ".join(x for x in (p.workload, p.machine, p.method) if x) or "(unlabelled run)"
+
+
+def _human_bytes(n: float) -> str:
+    if n >= 1024**3:
+        return f"{n / 1024 ** 3:.2f} GiB"
+    if n >= 1024**2:
+        return f"{n / 1024 ** 2:.2f} MiB"
+    if n >= 1024:
+        return f"{n / 1024:.1f} KiB"
+    return f"{n:.0f} B"
+
+
+def render_profile(profile: IORunProfile) -> str:
+    """The characterisation header of a Drishti-style console report."""
+    p = profile
+    lines = [
+        f"I/O insights — {_label(p)} [{p.source}]",
+        (
+            f"  {p.ranks} ranks on {p.nodes} node(s) x {p.ppn} ppn; "
+            f"{p.writers} writer(s), {p.openers} opener(s)"
+        ),
+        (
+            f"  wrote {_human_bytes(p.total_bytes_written)} in "
+            f"{p.write_calls} calls"
+            + (
+                f", read {_human_bytes(p.total_bytes_read)} in "
+                f"{p.read_calls} calls"
+                if p.read_calls
+                else ""
+            )
+        ),
+        (
+            f"  typical write {_human_bytes(p.typical_write_size)}; "
+            f"small-write fraction {p.small_write_fraction:.0%} "
+            f"(<= {p.small_write_threshold / MB:.0f} MB); "
+            f"sequentiality {p.sequentiality:.0%}"
+        ),
+        (
+            f"  metadata: {p.metadata_ops} ops "
+            f"({p.metadata_op_rate:.0f}/GiB), "
+            f"{p.dropping_creates} dropping creates, MDS x{p.mds_count} "
+            f"{p.mds_utilisation:.0%} busy "
+            f"(peak create depth {p.mds_peak_create_depth})"
+        ),
+    ]
+    if p.elapsed_seconds > 0:
+        lines.append(
+            f"  elapsed {p.elapsed_seconds:.2f} s "
+            f"-> {p.write_bandwidth_mbps:.0f} MB/s write"
+        )
+    if p.shared_file:
+        lines.append(f"  shared file: lock-wait share {p.lock_wait_share:.0%}")
+    if p.write_size_histogram:
+        hist = ", ".join(
+            f"{label}: {count}" for label, count in p.write_size_histogram.items()
+        )
+        lines.append(f"  write sizes: {hist}")
+    return "\n".join(lines)
+
+
+def render_report(profile: IORunProfile, findings: list[Finding]) -> str:
+    """The profile, then every finding about the run — the detectors' and
+    any linted script's — most severe first."""
+    return "\n".join([render_profile(profile), "-" * 72, render_findings(findings)])
+
+
+def report_to_dict(profile: IORunProfile, findings: list[Finding]) -> dict:
+    report = findings_to_dict(findings, target=_label(profile))
+    report["profile"] = profile.as_dict()
+    return report
+
+
+def report_to_json(profile: IORunProfile, findings: list[Finding]) -> str:
+    """Canonical JSON report (byte-identical for identical runs)."""
+    return canonical_json(report_to_dict(profile, findings))

@@ -1,10 +1,11 @@
 """Severity-graded I/O issue detectors (the Drishti-style rule engine).
 
 Each detector inspects an :class:`~repro.insights.metrics.IORunProfile`
-and either returns a :class:`Finding` — severity, human explanation,
-actionable recommendation, and the *evidence* (the exact metric values
-that triggered it) — or ``None``.  The rules are keyed to the paper's
-phenomena:
+and either returns a :class:`~repro.lint.findings.Finding` from its
+catalogue row (``LDP401``–``LDP412``, numbered in :data:`ALL_RULES`
+order) — severity, human explanation, actionable recommendation, and the
+*evidence* (the exact metric values that triggered it) — or ``None``.
+The rules are keyed to the paper's phenomena:
 
 - small writes funnelled through a write-through shared file (the BT
   regime of Fig. 4 → deploy PLFS via LDPLFS);
@@ -21,23 +22,12 @@ machines; override them per call if a site needs different trip points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import IntEnum
 from typing import Callable, Optional
 
+from repro.lint.findings import RULES, Finding, Severity, sort_findings
 from repro.mpiio.hints import suggest_collective_hints
 
 from .metrics import IORunProfile
-
-
-class Severity(IntEnum):
-    """Graded like Drishti's report: informational → critical."""
-
-    INFO = 1
-    RECOMMEND = 2
-    WARN = 3
-    HIGH = 4
-
 
 #: trip points (module-level so sites can tune them, Drishti-style)
 THRESHOLD_SMALL_WRITES = 0.5
@@ -64,37 +54,6 @@ def validate_thresholds() -> None:
     assert 0.0 <= THRESHOLD_RANDOM_ACCESS <= 1.0
     assert THRESHOLD_METADATA_RATE >= 0.0
     assert THRESHOLD_SKEW >= 1.0
-
-
-@dataclass
-class Finding:
-    """One detected issue (or opportunity) with its supporting evidence."""
-
-    rule: str
-    severity: Severity
-    title: str
-    detail: str
-    recommendation: str
-    evidence: dict = field(default_factory=dict)
-
-    def render(self) -> str:
-        lines = [f"[{self.severity.name}] {self.rule}: {self.title}"]
-        lines.append(f"  {self.detail}")
-        lines.append(f"  -> {self.recommendation}")
-        if self.evidence:
-            ev = ", ".join(
-                f"{k}={_fmt(v)}" for k, v in sorted(self.evidence.items())
-            )
-            lines.append(f"  evidence: {ev}")
-        return "\n".join(lines)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, float):
-        return f"{v:.4g}"
-    return str(v)
 
 
 Detector = Callable[[IORunProfile], Optional[Finding]]
@@ -124,27 +83,16 @@ def detect_small_writes_shared_file(p: IORunProfile) -> Optional[Finding]:
         and p.write_through_shared
         else Severity.RECOMMEND
     )
-    return Finding(
-        rule="small-writes-shared-file",
+    return RULES["LDP403"].finding(
+        f"{p.small_write_fraction:.0%} of {p.write_calls} write calls are at or "
+        f"below {p.small_write_threshold / 1024:.0f} KB on a shared file; "
+        "extent-lock revocation makes these writes synchronous.",
         severity=severity,
-        title="small writes dominate a write-through shared file",
-        detail=(
-            f"{p.small_write_fraction:.0%} of {p.write_calls} write calls are at or "
-            f"below {p.small_write_threshold / 1024:.0f} KB on a shared file; "
-            "extent-lock revocation makes these writes synchronous."
-        ),
-        recommendation=(
-            "use PLFS via LDPLFS: per-process log droppings need no "
-            "inter-client locks and small appends are absorbed by the "
-            "client write-back cache (no relink or code change needed)"
-        ),
-        evidence={
-            "small_write_fraction": p.small_write_fraction,
-            "small_write_threshold": p.small_write_threshold,
-            "typical_write_size": p.typical_write_size,
-            "write_calls": p.write_calls,
-            "lock_wait_share": p.lock_wait_share,
-        },
+        small_write_fraction=p.small_write_fraction,
+        small_write_threshold=p.small_write_threshold,
+        typical_write_size=p.typical_write_size,
+        write_calls=p.write_calls,
+        lock_wait_share=p.lock_wait_share,
     )
 
 
@@ -159,31 +107,19 @@ def detect_mds_create_storm(p: IORunProfile) -> Optional[Finding]:
         if p.mds_utilisation >= THRESHOLD_MDS_UTILISATION
         else Severity.WARN
     )
-    return Finding(
-        rule="mds-create-storm",
+    return RULES["LDP402"].finding(
+        f"{p.dropping_creates} dropping creates from {p.writers} writers "
+        f"funnel through {p.mds_count} metadata server(s); the MDS was "
+        f"{p.mds_utilisation:.0%} busy with a peak of "
+        f"{p.mds_peak_create_depth} concurrent creates — the regime where "
+        "the paper measures PLFS collapsing below plain MPI-IO.",
         severity=severity,
-        title="PLFS harmful: dedicated-MDS create storm",
-        detail=(
-            f"{p.dropping_creates} dropping creates from {p.writers} writers "
-            f"funnel through {p.mds_count} metadata server(s); the MDS was "
-            f"{p.mds_utilisation:.0%} busy with a peak of "
-            f"{p.mds_peak_create_depth} concurrent creates — the regime where "
-            "the paper measures PLFS collapsing below plain MPI-IO."
-        ),
-        recommendation=(
-            "disable PLFS at this scale (fall back to plain MPI-IO), cap the "
-            "writer count, or move the container to a file system with "
-            "distributed metadata (GPFS-style), where the paper notes the "
-            "decrease may not materialise"
-        ),
-        evidence={
-            "dropping_creates": p.dropping_creates,
-            "writers": p.writers,
-            "mds_count": p.mds_count,
-            "mds_utilisation": p.mds_utilisation,
-            "mds_peak_create_depth": p.mds_peak_create_depth,
-            "mds_dedicated": p.mds_dedicated,
-        },
+        dropping_creates=p.dropping_creates,
+        writers=p.writers,
+        mds_count=p.mds_count,
+        mds_utilisation=p.mds_utilisation,
+        mds_peak_create_depth=p.mds_peak_create_depth,
+        mds_dedicated=p.mds_dedicated,
     )
 
 
@@ -192,28 +128,21 @@ def detect_uncollective_strided_writes(p: IORunProfile) -> Optional[Finding]:
     if p.collective or not p.strided_independent or p.ranks <= 1:
         return None
     hints = suggest_collective_hints(p.nodes, p.typical_write_size * p.ppn)
-    return Finding(
-        rule="uncollective-strided-writes",
-        severity=Severity.RECOMMEND,
-        title="independent strided writes bypass collective buffering",
-        detail=(
-            f"{p.ranks} ranks issue {p.write_calls} independent writes of "
-            f"~{p.typical_write_size / 1024:.0f} KB at interleaved offsets; "
-            "two-phase collective buffering would aggregate each node's data "
-            "into one large well-formed write."
-        ),
+    return RULES["LDP406"].finding(
+        f"{p.ranks} ranks issue {p.write_calls} independent writes of "
+        f"~{p.typical_write_size / 1024:.0f} KB at interleaved offsets; "
+        "two-phase collective buffering would aggregate each node's data "
+        "into one large well-formed write.",
         recommendation=(
             "use collective MPI-IO calls with ROMIO collective buffering "
             f"(romio_cb_write=enable, cb_nodes={hints.cb_nodes}, "
             f"cb_buffer_size={int(hints.cb_buffer_size)})"
         ),
-        evidence={
-            "ranks": p.ranks,
-            "write_calls": p.write_calls,
-            "typical_write_size": p.typical_write_size,
-            "suggested_cb_nodes": hints.cb_nodes,
-            "suggested_cb_buffer_size": hints.cb_buffer_size,
-        },
+        ranks=p.ranks,
+        write_calls=p.write_calls,
+        typical_write_size=p.typical_write_size,
+        suggested_cb_nodes=hints.cb_nodes,
+        suggested_cb_buffer_size=hints.cb_buffer_size,
     )
 
 
@@ -226,25 +155,14 @@ def detect_fuse_request_chunking(p: IORunProfile) -> Optional[Finding]:
     chunks = int(p.typical_write_size // p.fuse_max_write) + (
         1 if p.typical_write_size % p.fuse_max_write else 0
     )
-    return Finding(
-        rule="fuse-request-chunking",
-        severity=Severity.WARN,
-        title="FUSE transport chunks every request",
-        detail=(
-            f"writes of ~{p.typical_write_size / 1024:.0f} KB cross the FUSE "
-            f"mount, which splits them into {chunks} kernel requests of "
-            f"{p.fuse_max_write / 1024:.0f} KB each — double user/kernel "
-            "crossings per chunk."
-        ),
-        recommendation=(
-            "reach PLFS through LDPLFS (or the ROMIO driver) instead of the "
-            "FUSE mount; interposition keeps requests whole"
-        ),
-        evidence={
-            "typical_write_size": p.typical_write_size,
-            "fuse_max_write": p.fuse_max_write,
-            "chunks_per_call": chunks,
-        },
+    return RULES["LDP405"].finding(
+        f"writes of ~{p.typical_write_size / 1024:.0f} KB cross the FUSE "
+        f"mount, which splits them into {chunks} kernel requests of "
+        f"{p.fuse_max_write / 1024:.0f} KB each — double user/kernel "
+        "crossings per chunk.",
+        typical_write_size=p.typical_write_size,
+        fuse_max_write=p.fuse_max_write,
+        chunks_per_call=chunks,
     )
 
 
@@ -254,25 +172,13 @@ def detect_unflattened_index_reopen(p: IORunProfile) -> Optional[Finding]:
         return None
     if p.writers < THRESHOLD_INDEX_DROPPINGS:
         return None
-    return Finding(
-        rule="unflattened-index-reopen",
-        severity=Severity.RECOMMEND,
-        title="reopen for read rebuilds the index from every dropping",
-        detail=(
-            f"the container holds ~{p.writers} index droppings; each reopen "
-            f"for read performed {p.index_rebuild_ops} directory scans plus "
-            "one small read per dropping to rebuild the global index."
-        ),
-        recommendation=(
-            "flatten the index after the write phase (plfs_flatten_index) so "
-            "read-heavy reopens load one contiguous index instead of "
-            "scanning every dropping"
-        ),
-        evidence={
-            "droppings": p.writers,
-            "index_rebuild_ops": p.index_rebuild_ops,
-            "read_calls": p.read_calls,
-        },
+    return RULES["LDP407"].finding(
+        f"the container holds ~{p.writers} index droppings; each reopen "
+        f"for read performed {p.index_rebuild_ops} directory scans plus "
+        "one small read per dropping to rebuild the global index.",
+        droppings=p.writers,
+        index_rebuild_ops=p.index_rebuild_ops,
+        read_calls=p.read_calls,
     )
 
 
@@ -287,23 +193,13 @@ def detect_shared_file_lock_serialisation(p: IORunProfile) -> Optional[Finding]:
         if p.lock_wait_share >= THRESHOLD_LOCK_WAIT_HIGH
         else Severity.WARN
     )
-    return Finding(
-        rule="shared-file-lock-serialisation",
+    return RULES["LDP404"].finding(
+        f"{p.writers} writers spent {p.lock_wait_share:.0%} of their time "
+        "queued behind the shared file's byte-range locks instead of "
+        "moving data.",
         severity=severity,
-        title="shared-file extent locks serialise the writers",
-        detail=(
-            f"{p.writers} writers spent {p.lock_wait_share:.0%} of their time "
-            "queued behind the shared file's byte-range locks instead of "
-            "moving data."
-        ),
-        recommendation=(
-            "partition the output per process — use PLFS via LDPLFS so each "
-            "rank appends to its own dropping and the locks disappear"
-        ),
-        evidence={
-            "lock_wait_share": p.lock_wait_share,
-            "writers": p.writers,
-        },
+        lock_wait_share=p.lock_wait_share,
+        writers=p.writers,
     )
 
 
@@ -311,23 +207,12 @@ def detect_metadata_heavy(p: IORunProfile) -> Optional[Finding]:
     """Metadata operations out of proportion to data moved."""
     if p.metadata_ops < 100 or p.metadata_op_rate < THRESHOLD_METADATA_RATE:
         return None
-    return Finding(
-        rule="metadata-heavy",
-        severity=Severity.WARN,
-        title="metadata operations dominate the data moved",
-        detail=(
-            f"{p.metadata_ops} metadata operations for "
-            f"{p.total_bytes / (1024 ** 3):.2f} GiB of data "
-            f"({p.metadata_op_rate:.0f} ops/GiB)."
-        ),
-        recommendation=(
-            "batch opens/creates, keep files open across phases, or reduce "
-            "the number of distinct files the run touches"
-        ),
-        evidence={
-            "metadata_ops": p.metadata_ops,
-            "metadata_op_rate": p.metadata_op_rate,
-        },
+    return RULES["LDP409"].finding(
+        f"{p.metadata_ops} metadata operations for "
+        f"{p.total_bytes / (1024 ** 3):.2f} GiB of data "
+        f"({p.metadata_op_rate:.0f} ops/GiB).",
+        metadata_ops=p.metadata_ops,
+        metadata_op_rate=p.metadata_op_rate,
     )
 
 
@@ -335,23 +220,12 @@ def detect_rank_imbalance(p: IORunProfile) -> Optional[Finding]:
     """One file (or rank's file) carrying a skewed share of the traffic."""
     if p.file_count <= 1 or p.per_file_skew < THRESHOLD_SKEW:
         return None
-    return Finding(
-        rule="per-file-skew",
-        severity=Severity.INFO,
-        title="traffic is skewed across files",
-        detail=(
-            f"the busiest of {p.file_count} files moved "
-            f"{p.per_file_skew:.1f}x the per-file mean; stragglers gate "
-            "collective phases."
-        ),
-        recommendation=(
-            "balance data volume per process, or let aggregation (collective "
-            "buffering / PLFS droppings) even the load"
-        ),
-        evidence={
-            "per_file_skew": p.per_file_skew,
-            "file_count": p.file_count,
-        },
+    return RULES["LDP410"].finding(
+        f"the busiest of {p.file_count} files moved "
+        f"{p.per_file_skew:.1f}x the per-file mean; stragglers gate "
+        "collective phases.",
+        per_file_skew=p.per_file_skew,
+        file_count=p.file_count,
     )
 
 
@@ -361,24 +235,13 @@ def detect_random_access(p: IORunProfile) -> Optional[Finding]:
         return None
     if p.sequentiality >= THRESHOLD_RANDOM_ACCESS:
         return None
-    return Finding(
-        rule="random-access-pattern",
-        severity=Severity.RECOMMEND,
-        title="accesses are mostly non-consecutive",
-        detail=(
-            f"only {p.sequentiality:.0%} of accesses continue at the previous "
-            "offset; the backend pays positioning time on nearly every "
-            "operation."
-        ),
-        recommendation=(
-            "write log-structured — PLFS (via LDPLFS) turns any logical "
-            "pattern into sequential per-process appends"
-        ),
-        evidence={
-            "sequentiality": p.sequentiality,
-            "accesses": p.write_calls + p.read_calls,
-            "seeks": p.seeks,
-        },
+    return RULES["LDP408"].finding(
+        f"only {p.sequentiality:.0%} of accesses continue at the previous "
+        "offset; the backend pays positioning time on nearly every "
+        "operation.",
+        sequentiality=p.sequentiality,
+        accesses=p.write_calls + p.read_calls,
+        seeks=p.seeks,
     )
 
 
@@ -386,21 +249,11 @@ def detect_buffered_opacity(p: IORunProfile) -> Optional[Finding]:
     """Trace files whose buffered traffic the tracer could not account."""
     if p.source != "trace" or p.buffered_opaque_files == 0:
         return None
-    return Finding(
-        rule="buffered-opacity",
-        severity=Severity.INFO,
-        title="buffered file objects with no visible I/O",
-        detail=(
-            f"{p.buffered_opaque_files} file(s) were opened through "
-            "builtins.open but show zero accounted bytes; their I/O happened "
-            "below the traced layer (or never happened)."
-        ),
-        recommendation=(
-            "treat these files' byte counts as unknown, not zero; os-level "
-            "I/O or the tracer's file-object proxy is needed for full "
-            "visibility"
-        ),
-        evidence={"buffered_opaque_files": p.buffered_opaque_files},
+    return RULES["LDP412"].finding(
+        f"{p.buffered_opaque_files} file(s) were opened through "
+        "builtins.open but show zero accounted bytes; their I/O happened "
+        "below the traced layer (or never happened).",
+        buffered_opaque_files=p.buffered_opaque_files,
     )
 
 
@@ -411,26 +264,14 @@ def detect_stream_overprovision(p: IORunProfile) -> Optional[Finding]:
     channels = p.io_servers * max(p.server_concurrency, 1)
     if p.writers <= THRESHOLD_STREAM_OVERPROVISION * channels:
         return None
-    return Finding(
-        rule="stream-overprovision",
-        severity=Severity.INFO,
-        title="dropping streams oversubscribe the disk arrays",
-        detail=(
-            f"{p.writers} concurrent droppings share {channels} server "
-            "channels; interleaving that many streams erodes each array's "
-            "sequential efficiency, so bandwidth has stopped scaling with "
-            "writers."
-        ),
-        recommendation=(
-            "cap the writers per container (collective buffering with fewer "
-            "aggregators) — past this point more droppings add seek cost, "
-            "not bandwidth"
-        ),
-        evidence={
-            "writers": p.writers,
-            "io_servers": p.io_servers,
-            "server_channels": channels,
-        },
+    return RULES["LDP411"].finding(
+        f"{p.writers} concurrent droppings share {channels} server "
+        "channels; interleaving that many streams erodes each array's "
+        "sequential efficiency, so bandwidth has stopped scaling with "
+        "writers.",
+        writers=p.writers,
+        io_servers=p.io_servers,
+        server_channels=channels,
     )
 
 
@@ -447,7 +288,6 @@ def detect_fault_degraded_run(p: IORunProfile) -> Optional[Finding]:
     ):
         return None
     degraded_hard = bool(p.injected_faults or p.mds_outage_seconds)
-    severity = Severity.WARN if degraded_hard else Severity.INFO
     pieces = []
     if p.injected_faults:
         per_point = ", ".join(
@@ -467,30 +307,21 @@ def detect_fault_degraded_run(p: IORunProfile) -> Optional[Finding]:
             f"{p.mds_outage_seconds:.1f}s delayed "
             f"{p.mds_ops_delayed_by_outage} metadata op(s)"
         )
-    return Finding(
-        rule="fault-degraded-run",
-        severity=severity,
-        title="the run was degraded by storage faults",
-        detail="; ".join(pieces) + ".",
-        recommendation=(
-            "treat this run's bandwidth as a lower bound, not a pattern "
-            "diagnosis; run repro-fsck on containers touched by crashed "
-            "writers, and open writers with write_ahead_index if torn "
-            "writes must stay recoverable"
-        ),
-        evidence={
-            "injected_faults": p.injected_faults,
-            "fault_points": dict(p.fault_points),
-            "transient_retries": p.transient_retries,
-            "short_write_resumes": p.short_write_resumes,
-            "mds_outages": p.mds_outages,
-            "mds_outage_seconds": p.mds_outage_seconds,
-            "mds_ops_delayed_by_outage": p.mds_ops_delayed_by_outage,
-        },
+    return RULES["LDP401"].finding(
+        "; ".join(pieces) + ".",
+        severity=Severity.WARN if degraded_hard else Severity.INFO,
+        injected_faults=p.injected_faults,
+        fault_points=dict(p.fault_points),
+        transient_retries=p.transient_retries,
+        short_write_resumes=p.short_write_resumes,
+        mds_outages=p.mds_outages,
+        mds_outage_seconds=p.mds_outage_seconds,
+        mds_ops_delayed_by_outage=p.mds_ops_delayed_by_outage,
     )
 
 
-#: registration order is the tiebreak for equal-severity findings
+#: registration order is the catalogue order (LDP401...LDP412), and so the
+#: tiebreak for equal-severity findings
 ALL_RULES: list[Detector] = [
     detect_fault_degraded_run,
     detect_mds_create_storm,
@@ -510,11 +341,6 @@ ALL_RULES: list[Detector] = [
 def run_rules(
     profile: IORunProfile, rules: list[Detector] | None = None
 ) -> list[Finding]:
-    """Run every detector; findings sorted most severe first (stable)."""
-    findings: list[Finding] = []
-    for rule in rules or ALL_RULES:
-        finding = rule(profile)
-        if finding is not None:
-            findings.append(finding)
-    findings.sort(key=lambda f: -int(f.severity))
-    return findings
+    """Run every detector; findings sorted most severe first."""
+    findings = [rule(profile) for rule in rules or ALL_RULES]
+    return sort_findings([f for f in findings if f is not None])

@@ -1,73 +1,59 @@
-"""``repro.lint`` — static I/O analysis for LDPLFS.
+"""``repro.lint`` — the one checker: §V.A's "highlight where PLFS may
+hurt", from three inputs, as one kind of finding.
 
-PR 1's :mod:`repro.insights` diagnoses I/O issues *after* a run; this
-package is the ahead-of-run counterpart (IOPathTune-style): it inspects
-code, not traces, and catches the two failure classes interposition-based
-deployment is exposed to before a job is ever submitted:
+- **Application scripts**, before a run: the AST linter
+  (:mod:`~repro.lint.rules` on the :mod:`~repro.lint.visitors`
+  framework) flags the shapes no interposer can retarget — mmap, kernel
+  zero-copy, mount paths handed to a child, captured bindings, leaked
+  handles — and the small-write loop of the regime the paper grades
+  (LDP1xx).  Each bypass rule has a test showing the divergence on a
+  flat file and a mount (``tests/lint/test_boundary.py``).
+- **Our own source**: ``repro-lint --self-audit``, the CI gate — the
+  interposition-coverage and one-route audits (:mod:`~repro.lint.coverage`,
+  LDP0xx), the interprocedural lock analysis (:mod:`~repro.lint.static`,
+  LDP2xx) and the crash-ordering contracts (:mod:`~repro.lint.contracts`,
+  LDP3xx), each module parsed once.
+- **An observed run**: ``repro-lint --workload …`` simulates one of the
+  paper's workloads and runs the :mod:`repro.insights` detectors (LDP4xx)
+  over its profile; scripts named alongside land in the same report.
 
-1. **Bypass risk in our own core** — the interposition-coverage audit
-   (:mod:`~repro.lint.coverage`) cross-checks every file-touching
-   ``os``/``builtins``/``io`` symbol against the interposed-symbol table
-   (``_OS_PATCHES``) and the ``Shim`` method set; the whole-system
-   concurrency analysis and ordering-contract checker from :mod:`repro.sanitize` prove the lock
-   discipline and crash-ordering invariants across ``repro.core`` +
-   ``repro.plfs`` + ``repro.plfsd``.  Together they are
-   ``repro-lint --self-audit``, the CI gate that caught (and now pins)
-   the vectored-I/O gap.
-2. **Anti-patterns in application scripts** — the AST linter
-   (:mod:`~repro.lint.rules` on the :mod:`~repro.lint.visitors`
-   framework) flags code that would bypass PLFS (mmap, subprocess with
-   mount paths, import-time bindings) or hit the regimes the paper
-   grades (small-write loops → deploy LDPLFS; seek churn → positional
-   I/O).
-
-Findings are severity-graded on the same scale as ``repro.insights``,
-render deterministically (text or canonical JSON), and merge into
-insights reports / autotune explanations as ``static`` evidence.
+Every finding comes from :data:`~repro.lint.findings.RULES` and renders
+one way (text or canonical JSON).  Names resolve on first touch (PEP 562),
+so :mod:`repro.lint.findings` loads without the analyzers.
 """
 
-from .analyzer import SelfAudit, lint_path, lint_source, self_audit
-from .coverage import (
-    ACKNOWLEDGED_PASSTHROUGH,
-    FILE_TOUCHING_OS,
-    AuditReport,
-    audit_findings,
-    audit_interposition,
-    audit_route,
-)
-from .findings import RULES, LintFinding, RuleSpec, Severity, sort_findings
-from .reporter import (
-    as_static_evidence,
-    findings_to_dict,
-    findings_to_json,
-    render_findings,
-    render_self_audit,
-    self_audit_to_json,
-)
-from .rules import ALL_RULE_VISITORS, rule_catalogue
+_HOMES = {
+    "Finding": "findings",
+    "RULES": "findings",
+    "RuleSpec": "findings",
+    "Severity": "findings",
+    "findings_to_dict": "findings",
+    "render_findings": "findings",
+    "sort_findings": "findings",
+    "SelfAudit": "analyzer",
+    "findings_to_json": "analyzer",
+    "lint_path": "analyzer",
+    "lint_source": "analyzer",
+    "render_self_audit": "analyzer",
+    "self_audit": "analyzer",
+    "self_audit_to_dict": "analyzer",
+    "self_audit_to_json": "analyzer",
+    "ACKNOWLEDGED_PASSTHROUGH": "coverage",
+    "FILE_TOUCHING_OS": "coverage",
+    "AuditReport": "coverage",
+    "audit_findings": "coverage",
+    "audit_interposition": "coverage",
+    "audit_route": "coverage",
+    "ALL_RULE_VISITORS": "rules",
+}
 
-__all__ = [
-    "ACKNOWLEDGED_PASSTHROUGH",
-    "ALL_RULE_VISITORS",
-    "AuditReport",
-    "FILE_TOUCHING_OS",
-    "LintFinding",
-    "RULES",
-    "RuleSpec",
-    "SelfAudit",
-    "Severity",
-    "as_static_evidence",
-    "audit_findings",
-    "audit_interposition",
-    "audit_route",
-    "findings_to_dict",
-    "findings_to_json",
-    "lint_path",
-    "lint_source",
-    "render_findings",
-    "render_self_audit",
-    "rule_catalogue",
-    "self_audit",
-    "self_audit_to_json",
-    "sort_findings",
-]
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{home}"), name)

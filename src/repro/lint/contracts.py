@@ -26,9 +26,11 @@ new ordering invariant is introduced.
 from __future__ import annotations
 
 import ast
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-from repro.lint.findings import LintFinding, RULES, sort_findings
+from .findings import RULES, Finding, sort_findings
+from .static import ModuleTrees
 
 __all__ = ["OrderingContract", "DEFAULT_CONTRACTS", "check_contracts"]
 
@@ -47,6 +49,15 @@ class OrderingContract:
     @property
     def qualname(self) -> str:
         return f"{self.owner}.{self.function}" if self.owner else self.function
+
+    @property
+    def evidence(self) -> dict[str, str]:
+        """What every finding against this contract cites."""
+        return {
+            "contract": f"{self.qualname}: {' < '.join(self.first)}"
+            f" before {' < '.join(self.then)}",
+            "rationale": self.rationale,
+        }
 
 
 #: the PR-5 recovery invariants, written down as machine-checked contracts
@@ -169,71 +180,34 @@ def _first_positions(
     return out
 
 
-def _finding(
-    rule_id: str,
-    contract: OrderingContract,
-    line: int,
-    col: int,
-    detail: str,
-    **evidence: object,
-) -> LintFinding:
-    spec = RULES[rule_id]
-    merged: dict[str, object] = {
-        "contract": f"{contract.qualname}: {' < '.join(contract.first)}"
-        f" before {' < '.join(contract.then)}",
-        "rationale": contract.rationale,
-    }
-    merged.update(evidence)
-    return LintFinding(
-        rule=spec.rule_id,
-        name=spec.name,
-        severity=spec.severity,
-        file=contract.module,
-        line=line,
-        col=col,
-        detail=detail,
-        recommendation=spec.recommendation,
-        evidence={k: merged[k] for k in sorted(merged)},
-    )
-
-
 def check_contracts(
     contracts: list[OrderingContract] | None = None,
     *,
-    sources: dict[str, str] | None = None,
-) -> list[LintFinding]:
+    sources: Mapping[str, str] | ModuleTrees | None = None,
+) -> list[Finding]:
     """Verify every ordering contract against module source.
 
     *sources* overrides on-disk module source (module name -> text), which
     is how the regression tests prove a swapped WAL-write/data-append
-    order is caught without mutating the tree.
+    order is caught without mutating the tree — or is the self-audit's
+    shared :class:`~repro.lint.static.ModuleTrees`.
     """
     contracts = DEFAULT_CONTRACTS if contracts is None else contracts
-    sources = sources or {}
-    findings: list[LintFinding] = []
-    trees: dict[str, ast.Module] = {}
+    trees = ModuleTrees.of(sources)
+    findings: list[Finding] = []
 
     for contract in contracts:
-        if contract.module not in trees:
-            if contract.module in sources:
-                text = sources[contract.module]
-            else:
-                from .static import _load_source
-
-                text = _load_source(contract.module)
-            trees[contract.module] = ast.parse(text, filename=contract.module)
         fn = _find_function(trees[contract.module], contract.owner, contract.function)
         if fn is None:
             findings.append(
-                _finding(
-                    "LDP302",
-                    contract,
-                    1,
-                    0,
+                RULES["LDP302"].finding(
                     f"contracted function {contract.qualname} no longer "
                     f"exists in {contract.module}; the ordering contract "
                     "is stale and must be updated deliberately",
+                    file=contract.module,
+                    line=1,
                     missing=contract.qualname,
+                    **contract.evidence,
                 )
             )
             continue
@@ -245,15 +219,15 @@ def check_contracts(
         ]
         if missing:
             findings.append(
-                _finding(
-                    "LDP302",
-                    contract,
-                    fn.lineno,
-                    fn.col_offset,
+                RULES["LDP302"].finding(
                     f"{contract.qualname} no longer calls "
                     f"{', '.join(missing)}; the ordering contract cannot "
                     "be verified and must be updated deliberately",
+                    file=contract.module,
+                    line=fn.lineno,
+                    col=fn.col_offset,
                     missing=",".join(missing),
+                    **contract.evidence,
                 )
             )
             continue
@@ -262,18 +236,18 @@ def check_contracts(
             pos = positions[op]
             if pos <= latest_first:
                 findings.append(
-                    _finding(
-                        "LDP301",
-                        contract,
-                        pos[0],
-                        pos[1],
+                    RULES["LDP301"].finding(
                         f"{contract.qualname} calls {op} at line {pos[0]} "
                         f"before the contracted prerequisite "
                         f"({', '.join(contract.first)} must complete "
                         f"first): {contract.rationale}",
+                        file=contract.module,
+                        line=pos[0],
+                        col=pos[1],
                         observed=op,
                         observed_line=pos[0],
                         required_after=",".join(contract.first),
+                        **contract.evidence,
                     )
                 )
     return sort_findings(findings)

@@ -30,6 +30,7 @@ import builtins
 import io
 import os
 import pkgutil
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import repro.plfs
@@ -37,7 +38,8 @@ from repro.core import interpose
 from repro.core.shim import Shim
 from repro.plfs.route import ALIAS_OF, INTERPOSED
 
-from .findings import LintFinding, RuleSpec, RULES, Severity, sort_findings
+from .findings import RULES, Finding, sort_findings
+from .static import ModuleTrees
 
 #: every symbol on the ``os`` surface that takes a path or descriptor and
 #: reads, writes, or mutates file data or metadata (Linux + common POSIX)
@@ -117,8 +119,9 @@ ACKNOWLEDGED_PASSTHROUGH: dict[str, str] = {
     ),
     "posix_fadvise": "advisory only; ignoring it cannot corrupt data",
     "fdopen": (
-        "looks up io.open at call time, which install() rebinds; the "
-        "aliasing hazard is flagged per-script by lint rule LDP106"
+        "looks up io.open at call time, which install() rebinds, so a "
+        "PLFS descriptor gets a PLFS file object; the C-level io.FileIO, "
+        "which install() cannot rebind, is flagged per-script by LDP106"
     ),
     "system": (
         "spawns a child process the interposer cannot reach; mount paths "
@@ -243,73 +246,35 @@ def audit_interposition(
     return report
 
 
-def _finding(
-    spec: RuleSpec, detail: str, file: str = "repro.core.interpose", line: int = 0, col: int = 0,
-    **evidence,
-) -> LintFinding:
-    return LintFinding(
-        rule=spec.rule_id,
-        name=spec.name,
-        severity=spec.severity,
-        file=file,
-        line=line,
-        col=col,
-        detail=detail,
-        recommendation=spec.recommendation,
-        evidence=dict(sorted(evidence.items())),
-    )
-
-
-def audit_findings(report: AuditReport) -> list[LintFinding]:
-    """Render an audit's failures as lint findings (empty when clean)."""
-    findings: list[LintFinding] = []
-    for name in report.uncovered:
-        findings.append(
-            _finding(
-                RULES["LDP001"],
-                f"os.{name} touches files but is neither patched nor "
-                "acknowledged: while interposition is installed it runs "
-                "against the real OS, so a PLFS-backed path or fd "
-                "silently bypasses the container",
-                symbol=f"os.{name}",
-            )
+def audit_findings(report: AuditReport) -> list[Finding]:
+    """Render an audit's failures as findings (empty when clean)."""
+    why = {
+        "LDP001": "touches files but is neither patched nor acknowledged: "
+        "while interposition is installed it runs against the real OS, so "
+        "a PLFS-backed path or fd silently bypasses the container",
+        "LDP002": "is listed in _OS_PATCHES but the Shim class has no "
+        "matching method; install() would bind None",
+        "LDP007": "has no key kind the dispatch generator can build: "
+        "install() could not decide which of its calls are PLFS's",
+        "LDP005": "is listed in _OS_PATCHES but does not exist on this "
+        "platform's os module; the entry is dead weight",
+    }
+    symbols = [("LDP001", f"os.{name}") for name in report.uncovered]
+    symbols += [("LDP002", f"os.{name}") for name in report.missing_shim]
+    symbols += [("LDP007", f"os.{name}") for name in report.unkeyed]
+    symbols += [("LDP005", f"os.{name}") for name in report.stale]
+    findings = [
+        RULES[rule].finding(f"{symbol} {why[rule]}", file="repro.core.interpose", symbol=symbol)
+        for rule, symbol in symbols
+    ]
+    findings += [
+        RULES["LDP001"].finding(
+            f"{surface} is not among interpose.OPEN_SYMBOLS; applications "
+            "opening through it bypass PLFS",
+            file="repro.core.interpose", symbol=surface,
         )
-    for surface in report.builtin_uncovered:
-        findings.append(
-            _finding(
-                RULES["LDP001"],
-                f"{surface} is not among interpose.OPEN_SYMBOLS; "
-                "applications opening through it bypass PLFS",
-                symbol=surface,
-            )
-        )
-    for name in report.missing_shim:
-        findings.append(
-            _finding(
-                RULES["LDP002"],
-                f"os.{name} is listed in _OS_PATCHES but the Shim class "
-                "has no matching method; install() would bind None",
-                symbol=f"os.{name}",
-            )
-        )
-    for name in report.unkeyed:
-        findings.append(
-            _finding(
-                RULES["LDP007"],
-                f"os.{name} has no key kind the dispatch generator can build: "
-                "install() could not decide which of its calls are PLFS's",
-                symbol=f"os.{name}",
-            )
-        )
-    for name in report.stale:
-        findings.append(
-            _finding(
-                RULES["LDP005"],
-                f"_OS_PATCHES lists os.{name}, which does not exist on "
-                "this platform's os module; the entry is dead weight",
-                symbol=f"os.{name}",
-            )
-        )
+        for surface in report.builtin_uncovered
+    ]
     return sort_findings(findings)
 
 
@@ -331,17 +296,14 @@ def routed_modules() -> list[str]:
                            "repro.faults.fsck", "repro.plfs.objectstore.fsckx"])
 
 
-def audit_route(sources: dict[str, str] | None = None) -> list[LintFinding]:
+def audit_route(sources: Mapping[str, str] | ModuleTrees | None = None) -> list[Finding]:
     """LDP006: every bare OS call in the routed modules (or in *sources*,
     name -> text, which is how the seeded-violation fixture is checked)."""
-    from repro.sanitize.static import _load_source
-
-    if sources is None:
-        sources = {name: _load_source(name) for name in routed_modules()}
+    trees = ModuleTrees.of(sources)
     patched = set(interpose._OS_PATCHES)
-    findings: list[LintFinding] = []
-    for name, text in sorted(sources.items()):
-        for node in ast.walk(ast.parse(text, filename=name)):
+    findings: list[Finding] = []
+    for name in sorted(trees.texts) or routed_modules():
+        for node in ast.walk(trees[name]):
             if not isinstance(node, (ast.Attribute, ast.Name)) or not isinstance(node.ctx, ast.Load):
                 continue
             symbol = ast.unparse(node)  # "os.path.exists", "open", "self.real.stat", ...
@@ -350,11 +312,10 @@ def audit_route(sources: dict[str, str] | None = None) -> list[LintFinding]:
                 or symbol in OFF_ROUTE_COMPOSITES
                 or (symbol.startswith("os.") and symbol[3:] in patched)
             ):
-                findings.append(_finding(
-                    RULES["LDP006"],
+                findings.append(RULES["LDP006"].finding(
                     f"{symbol} is called by name: under an installed "
                     "Interposer it dispatches through the shim and the mount "
                     "table just to be passed through to the real function",
-                    name, node.lineno, node.col_offset, symbol=symbol,
+                    file=name, line=node.lineno, col=node.col_offset, symbol=symbol,
                 ))
     return sort_findings(findings)

@@ -1,41 +1,65 @@
-"""Finding type and the severity-graded rule registry.
+"""One finding, one catalogue: what every checker in the repository reports.
 
-Mirrors :mod:`repro.insights.rules`: one shared :class:`Severity` scale,
-one dataclass per detected issue carrying the evidence that triggered it,
-and a registry keyed by stable rule IDs so reports (and the golden-file
-tests) stay byte-identical across runs.
+The paper's §V.A asks for one tool that highlights where PLFS may hurt.
+Here that tool reads three inputs — an application script (the AST
+linter), our own source (the self-audit) and an observed run (the
+insights detectors, plus the runtime race detector) — and all of them
+speak through this module: one :class:`Severity` scale, one
+:class:`Finding`, and one registry of rules keyed by stable IDs, whose
+:meth:`RuleSpec.finding` is the only way a finding is made.  Reports
+stay byte-identical across runs; the golden-file tests pin them.
 
-ID ranges: ``LDP0xx`` are self-audit rules (interposition coverage and
-the one-route audit over our own core); ``LDP1xx`` are application-script
-anti-patterns found by the AST linter; ``LDP2xx`` are whole-system
-concurrency findings from :mod:`repro.sanitize` (interprocedural guard
-analysis, lock-order cycles, the runtime lockset detector); ``LDP3xx``
-are ordering-contract violations (crash-consistency invariants declared
-in :mod:`repro.sanitize.contracts`).
+ID ranges: ``LDP0xx`` audit our own core (interposition coverage, the
+one route to the OS); ``LDP1xx`` are application-script shapes the AST
+linter finds; ``LDP2xx`` are whole-system concurrency findings (the
+interprocedural lock analysis in :mod:`repro.lint.static`, the runtime
+lockset detector in :mod:`repro.sanitize.runtime`); ``LDP3xx`` are
+crash-ordering contract violations (:mod:`repro.lint.contracts`);
+``LDP4xx`` are the run detectors of :mod:`repro.insights.rules`.
+
+This module imports nothing from the repository, so every checker can.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import IntEnum
+from typing import Any
 
-from repro.insights.rules import Severity
+__all__ = [
+    "Finding",
+    "RULES",
+    "RuleSpec",
+    "Severity",
+    "findings_to_dict",
+    "render_findings",
+    "sort_findings",
+]
 
-__all__ = ["Severity", "LintFinding", "RuleSpec", "RULES", "sort_findings"]
+
+class Severity(IntEnum):
+    """Graded like Drishti's report: informational → critical."""
+
+    INFO = 1
+    RECOMMEND = 2
+    WARN = 3
+    HIGH = 4
 
 
 @dataclass
-class LintFinding:
-    """One statically detected issue, pinned to a source location."""
+class Finding:
+    """One detected issue with the evidence that triggered it; a script or
+    source finding also carries its location (an observed-run one has none)."""
 
     rule: str
     name: str
     severity: Severity
-    file: str
-    line: int
-    col: int
     detail: str
     recommendation: str
-    evidence: dict = field(default_factory=dict)
+    evidence: dict[str, Any] = field(default_factory=dict)
+    file: str = ""
+    line: int = 0
+    col: int = 0
 
     def location(self) -> str:
         if self.line:
@@ -43,11 +67,12 @@ class LintFinding:
         return self.file
 
     def render(self) -> str:
+        where = f"  {self.location()}" if self.file else ""
         lines = [
-            f"[{self.severity.name}] {self.rule} {self.name}  {self.location()}"
+            f"[{self.severity.name}] {self.rule} {self.name}{where}",
+            f"  {self.detail}",
+            f"  -> {self.recommendation}",
         ]
-        lines.append(f"  {self.detail}")
-        lines.append(f"  -> {self.recommendation}")
         if self.evidence:
             ev = ", ".join(
                 f"{k}={_fmt(v)}" for k, v in sorted(self.evidence.items())
@@ -55,7 +80,7 @@ class LintFinding:
             lines.append(f"  evidence: {ev}")
         return "\n".join(lines)
 
-    def as_dict(self) -> dict:
+    def as_dict(self) -> dict[str, Any]:
         return {
             "rule": self.rule,
             "name": self.name,
@@ -69,20 +94,12 @@ class LintFinding:
         }
 
 
-def _fmt(v) -> str:
+def _fmt(v: object) -> str:
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, float):
         return f"{v:.4g}"
     return str(v)
-
-
-def sort_findings(findings: list[LintFinding]) -> list[LintFinding]:
-    """Deterministic report order: most severe first, then location."""
-    return sorted(
-        findings,
-        key=lambda f: (-int(f.severity), f.file, f.line, f.col, f.rule),
-    )
 
 
 @dataclass(frozen=True)
@@ -95,9 +112,67 @@ class RuleSpec:
     summary: str
     recommendation: str
 
+    def finding(
+        self,
+        detail: str,
+        *,
+        file: str = "",
+        line: int = 0,
+        col: int = 0,
+        severity: Severity | None = None,
+        recommendation: str | None = None,
+        **evidence: Any,
+    ) -> Finding:
+        """This rule's finding; *severity* and *recommendation* override the
+        row's for checkers that grade or compute them."""
+        return Finding(
+            rule=self.rule_id,
+            name=self.name,
+            severity=severity or self.severity,
+            detail=detail,
+            recommendation=recommendation or self.recommendation,
+            evidence=dict(sorted(evidence.items())),
+            file=file,
+            line=line,
+            col=col,
+        )
 
-def _spec(rule_id, name, severity, summary, recommendation) -> RuleSpec:
-    return RuleSpec(rule_id, name, severity, summary, recommendation)
+
+def sort_findings(findings: list[Finding]) -> list[Finding]:
+    """Deterministic report order: most severe first, then location, then
+    rule ID (the registration order of the run detectors)."""
+    return sorted(
+        findings,
+        key=lambda f: (-int(f.severity), f.file, f.line, f.col, f.rule),
+    )
+
+
+def _severity_counts(findings: list[Finding]) -> dict[str, int]:
+    counts = {s.name: 0 for s in sorted(Severity, reverse=True)}
+    for f in findings:
+        counts[f.severity.name] += 1
+    return {k: v for k, v in counts.items() if v}
+
+
+def render_findings(findings: list[Finding], target: str = "") -> str:
+    """Console report: a count line, then each finding most severe first."""
+    lines = [f"repro-lint — {target}"] if target else []
+    if not findings:
+        lines.append("no issues found — everything checked looks healthy")
+        return "\n".join(lines)
+    summary = ", ".join(f"{n} {s}" for s, n in _severity_counts(findings).items())
+    lines += [f"{len(findings)} finding(s): {summary}", ""]
+    lines.extend(f.render() for f in sort_findings(findings))
+    return "\n".join(lines)
+
+
+def findings_to_dict(findings: list[Finding], target: str = "") -> dict[str, Any]:
+    return {
+        "target": target,
+        "finding_count": len(findings),
+        "severity_counts": _severity_counts(findings),
+        "findings": [f.as_dict() for f in sort_findings(findings)],
+    }
 
 
 #: the rule registry (stable IDs; golden tests pin them)
@@ -105,7 +180,7 @@ RULES: dict[str, RuleSpec] = {
     spec.rule_id: spec
     for spec in [
         # -- self-audit rules (coverage + one route) ---------------------- #
-        _spec(
+        RuleSpec(
             "LDP001",
             "uninterposed-symbol",
             Severity.HIGH,
@@ -113,7 +188,7 @@ RULES: dict[str, RuleSpec] = {
             "add a tagged, keyed row to plfs.route.INTERPOSED with a Shim method "
             "(or record a justified entry in coverage.ACKNOWLEDGED_PASSTHROUGH)",
         ),
-        _spec(
+        RuleSpec(
             "LDP002",
             "patch-without-shim",
             Severity.HIGH,
@@ -122,14 +197,14 @@ RULES: dict[str, RuleSpec] = {
             "generates the pass-through) "
             "or drop the row from plfs.route.INTERPOSED",
         ),
-        _spec(
+        RuleSpec(
             "LDP005",
             "stale-patch",
             Severity.INFO,
             "an interposed-symbol table row does not exist in the os module",
             "remove the dead entry (or gate it per platform)",
         ),
-        _spec(
+        RuleSpec(
             "LDP006",
             "off-route-os-call",
             Severity.HIGH,
@@ -139,7 +214,7 @@ RULES: dict[str, RuleSpec] = {
             "for the shim's own pass-through, self.real.<call>; a bare os "
             "call re-enters the installed shim",
         ),
-        _spec(
+        RuleSpec(
             "LDP007",
             "unkeyed-row",
             Severity.HIGH,
@@ -147,8 +222,8 @@ RULES: dict[str, RuleSpec] = {
             "give the row in plfs.route.INTERPOSED one of core.interpose.KEY_KINDS "
             "(its descriptor or path arguments), or \"none\" for a whole Shim method",
         ),
-        # -- application anti-patterns (AST linter) ----------------------- #
-        _spec(
+        # -- application scripts (AST linter) ----------------------------- #
+        RuleSpec(
             "LDP101",
             "mmap-on-mount",
             Severity.HIGH,
@@ -156,7 +231,7 @@ RULES: dict[str, RuleSpec] = {
             "replace the mapping with read/write (or pread/pwrite) calls, "
             "which the shim retargets to PLFS",
         ),
-        _spec(
+        RuleSpec(
             "LDP102",
             "zero-copy-bypass",
             Severity.WARN,
@@ -164,7 +239,7 @@ RULES: dict[str, RuleSpec] = {
             "copy with a read/write loop (shutil.copyfileobj) for files "
             "under a PLFS mount; the shim refuses zero-copy on PLFS fds",
         ),
-        _spec(
+        RuleSpec(
             "LDP103",
             "subprocess-on-mount",
             Severity.HIGH,
@@ -173,7 +248,7 @@ RULES: dict[str, RuleSpec] = {
             "activate preload in the child (LDPLFS_PRELOAD=1 plus "
             "import repro.core.preload)",
         ),
-        _spec(
+        RuleSpec(
             "LDP104",
             "fd-arithmetic",
             Severity.WARN,
@@ -181,7 +256,7 @@ RULES: dict[str, RuleSpec] = {
             "treat descriptors as opaque handles; derive new ones only via "
             "dup/dup2 (both interposed)",
         ),
-        _spec(
+        RuleSpec(
             "LDP105",
             "import-time-binding",
             Severity.HIGH,
@@ -189,15 +264,16 @@ RULES: dict[str, RuleSpec] = {
             "call through the module (os.open) so install() can rebind it, "
             "or pass this module to Interposer.wrap_module() after install",
         ),
-        _spec(
+        RuleSpec(
             "LDP106",
             "open-aliasing",
             Severity.WARN,
             "a file object is constructed outside builtins.open",
-            "use builtins.open — it is rebound by install() and handles "
-            "PLFS descriptors — instead of os.fdopen/io.FileIO",
+            "use builtins.open (or os.fdopen, which calls it) — it is "
+            "rebound by install() and handles PLFS descriptors — instead "
+            "of io.FileIO",
         ),
-        _spec(
+        RuleSpec(
             "LDP107",
             "small-write-loop",
             Severity.RECOMMEND,
@@ -206,15 +282,7 @@ RULES: dict[str, RuleSpec] = {
             "writes become buffered per-process log appends — the paper "
             "measures up to ~20x in this regime",
         ),
-        _spec(
-            "LDP108",
-            "seek-churn",
-            Severity.WARN,
-            "per-iteration seeks churn the emulated cursor",
-            "use positional I/O (os.pread/os.pwrite/os.preadv/os.pwritev — "
-            "all interposed) instead of seek+read/write pairs",
-        ),
-        _spec(
+        RuleSpec(
             "LDP109",
             "fd-leak",
             Severity.WARN,
@@ -222,41 +290,15 @@ RULES: dict[str, RuleSpec] = {
             "use 'with open(...)' or close explicitly; a PLFS index "
             "dropping only reaches the backend at close/flush",
         ),
-        _spec(
-            "LDP110",
-            "unbalanced-install",
-            Severity.HIGH,
-            "install() has no matching uninstall()",
-            "use 'with interposed(...)' for scoped activation, or pair "
-            "install() with uninstall() in a finally block",
-        ),
-        _spec(
+        RuleSpec(
             "LDP111",
             "syntax-error",
             Severity.HIGH,
             "the script cannot be parsed",
             "fix the syntax error; nothing was analysed beyond it",
         ),
-        _spec(
-            "LDP112",
-            "blocking-call-in-async",
-            Severity.HIGH,
-            "blocking I/O or sleep inside an async function",
-            "move the call into loop.run_in_executor (or use the asyncio "
-            "equivalent, e.g. asyncio.sleep); a blocking call in a handler "
-            "stalls every client the event loop serves",
-        ),
-        _spec(
-            "LDP113",
-            "await-under-lock",
-            Severity.HIGH,
-            "await inside a synchronous 'with <lock>:' block",
-            "release the thread lock before awaiting, or replace it with "
-            "an asyncio.Lock; suspending while holding a thread lock "
-            "deadlocks any worker thread contending for it",
-        ),
-        # -- whole-system concurrency (repro.sanitize) -------------------- #
-        _spec(
+        # -- whole-system concurrency ------------------------------------- #
+        RuleSpec(
             "LDP201",
             "interprocedural-guard-bypass",
             Severity.HIGH,
@@ -265,7 +307,7 @@ RULES: dict[str, RuleSpec] = {
             "mutation (see sanitize.registry.EXTENDED_GUARDS), or register "
             "the field's actual ownership discipline",
         ),
-        _spec(
+        RuleSpec(
             "LDP202",
             "lock-order-cycle",
             Severity.HIGH,
@@ -273,7 +315,7 @@ RULES: dict[str, RuleSpec] = {
             "break the cycle: pick one global acquisition order for the "
             "locks involved and restructure the nesting sites to follow it",
         ),
-        _spec(
+        RuleSpec(
             "LDP203",
             "await-holding-threading-lock",
             Severity.HIGH,
@@ -282,7 +324,7 @@ RULES: dict[str, RuleSpec] = {
             "parks holding it, deadlocking executor threads), or make the "
             "critical section synchronous",
         ),
-        _spec(
+        RuleSpec(
             "LDP204",
             "lockset-violation",
             Severity.HIGH,
@@ -291,7 +333,7 @@ RULES: dict[str, RuleSpec] = {
             "single-owner discipline) and register it in _SANITIZE_SHARED",
         ),
         # -- ordering contracts (crash-consistency invariants) ------------ #
-        _spec(
+        RuleSpec(
             "LDP301",
             "ordering-contract-violation",
             Severity.HIGH,
@@ -300,14 +342,119 @@ RULES: dict[str, RuleSpec] = {
             "complete before the 'then' operation); these orders are what "
             "recovery correctness is proved against",
         ),
-        _spec(
+        RuleSpec(
             "LDP302",
             "ordering-contract-missing-op",
             Severity.HIGH,
             "a contracted operation no longer appears in its function",
-            "update sanitize.contracts.DEFAULT_CONTRACTS deliberately "
+            "update lint.contracts.DEFAULT_CONTRACTS deliberately "
             "alongside the code change; a stale contract silently stops "
             "guarding the invariant it encodes",
+        ),
+        # -- observed runs (repro.insights.rules, in ALL_RULES order) ----- #
+        RuleSpec(
+            "LDP401",
+            "fault-degraded-run",
+            Severity.WARN,
+            "the run was degraded by storage faults",
+            "treat this run's bandwidth as a lower bound, not a pattern "
+            "diagnosis; run repro-fsck on containers touched by crashed "
+            "writers, and open writers with write_ahead_index if torn "
+            "writes must stay recoverable",
+        ),
+        RuleSpec(
+            "LDP402",
+            "mds-create-storm",
+            Severity.HIGH,
+            "PLFS harmful: dedicated-MDS create storm",
+            "disable PLFS at this scale (fall back to plain MPI-IO), cap the "
+            "writer count, or move the container to a file system with "
+            "distributed metadata (GPFS-style), where the paper notes the "
+            "decrease may not materialise",
+        ),
+        RuleSpec(
+            "LDP403",
+            "small-writes-shared-file",
+            Severity.HIGH,
+            "small writes dominate a write-through shared file",
+            "use PLFS via LDPLFS: per-process log droppings need no "
+            "inter-client locks and small appends are absorbed by the "
+            "client write-back cache (no relink or code change needed)",
+        ),
+        RuleSpec(
+            "LDP404",
+            "shared-file-lock-serialisation",
+            Severity.HIGH,
+            "shared-file extent locks serialise the writers",
+            "partition the output per process — use PLFS via LDPLFS so each "
+            "rank appends to its own dropping and the locks disappear",
+        ),
+        RuleSpec(
+            "LDP405",
+            "fuse-request-chunking",
+            Severity.WARN,
+            "FUSE transport chunks every request",
+            "reach PLFS through LDPLFS (or the ROMIO driver) instead of the "
+            "FUSE mount; interposition keeps requests whole",
+        ),
+        RuleSpec(
+            "LDP406",
+            "uncollective-strided-writes",
+            Severity.RECOMMEND,
+            "independent strided writes bypass collective buffering",
+            "use collective MPI-IO calls with ROMIO collective buffering "
+            "(romio_cb_write=enable)",
+        ),
+        RuleSpec(
+            "LDP407",
+            "unflattened-index-reopen",
+            Severity.RECOMMEND,
+            "reopen for read rebuilds the index from every dropping",
+            "flatten the index after the write phase (plfs_flatten_index) so "
+            "read-heavy reopens load one contiguous index instead of "
+            "scanning every dropping",
+        ),
+        RuleSpec(
+            "LDP408",
+            "random-access-pattern",
+            Severity.RECOMMEND,
+            "accesses are mostly non-consecutive",
+            "write log-structured — PLFS (via LDPLFS) turns any logical "
+            "pattern into sequential per-process appends",
+        ),
+        RuleSpec(
+            "LDP409",
+            "metadata-heavy",
+            Severity.WARN,
+            "metadata operations dominate the data moved",
+            "batch opens/creates, keep files open across phases, or reduce "
+            "the number of distinct files the run touches",
+        ),
+        RuleSpec(
+            "LDP410",
+            "per-file-skew",
+            Severity.INFO,
+            "traffic is skewed across files",
+            "balance data volume per process, or let aggregation (collective "
+            "buffering / PLFS droppings) even the load",
+        ),
+        RuleSpec(
+            "LDP411",
+            "stream-overprovision",
+            Severity.INFO,
+            "dropping streams oversubscribe the disk arrays",
+            "cap the writers per container (collective buffering with fewer "
+            "aggregators) — past this point more droppings add seek cost, "
+            "not bandwidth",
+        ),
+        RuleSpec(
+            "LDP412",
+            "buffered-opacity",
+            Severity.INFO,
+            "buffered file objects with no visible I/O",
+            "treat these files' byte counts as unknown, not zero; os-level "
+            "I/O or the tracer's file-object proxy is needed for full "
+            "visibility",
         ),
     ]
 }

@@ -1,12 +1,15 @@
-"""The AST anti-pattern rules (``LDP1xx``).
+"""The AST script rules (``LDP1xx``).
 
 Each rule is a :class:`~repro.lint.visitors.LintVisitor` keyed to an
-LDPLFS failure mode: either a call that escapes the interposition layer
-(the static analogue of the runtime bypasses the coverage audit hunts in
-our own core), or an access pattern the paper shows PLFS turns from a
-pathology into a win (the BT small-write regime) or that costs extra under
-the emulated cursor (seek churn).  Rules only *read* the script — they
-never execute it — so ``repro-lint`` can advise before a job is submitted,
+LDPLFS failure mode: either a program shape whose outcome, bytes or errno
+differ on a flat file and on a mount — a call that escapes the
+interposition layer, the static analogue of the bypasses the coverage
+audit hunts in our own core — or the access pattern the paper shows PLFS
+turns from a pathology into a win (the BT small-write regime, Fig. 4).
+A rule stays only on one of those grounds: every bypass rule has a
+boundary test showing its divergence (``tests/lint/test_boundary.py``;
+DESIGN §5 decision 21).  Rules only *read* the script — they never
+execute it — so ``repro-lint`` can advise before a job is submitted,
 IOPathTune-style.
 """
 
@@ -17,15 +20,8 @@ import ast
 from repro.core.interpose import _OS_PATCHES
 from repro.insights.metrics import DEFAULT_SMALL_WRITE
 
-from .findings import RULES, LintFinding, Severity
-from .visitors import (
-    LintVisitor,
-    ScriptContext,
-    call_name,
-    dotted_name,
-    estimate_size,
-    string_constants,
-)
+from .findings import Finding, Severity
+from .visitors import LintVisitor, call_name, estimate_size, string_constants
 
 #: writes at or below this are "small" (matches the insights profile)
 SMALL_WRITE_THRESHOLD = DEFAULT_SMALL_WRITE
@@ -53,7 +49,10 @@ _OPEN_CALLS = {"open", "os.open", "builtins.open", "io.open"}
 
 
 class BypassCallsRule(LintVisitor):
-    """LDP101/LDP102/LDP106: calls that escape the interposition layer."""
+    """LDP101/LDP102/LDP106: calls that escape the interposition layer.
+
+    ``os.fdopen`` is not among them: it calls ``io.open``, which install()
+    rebinds, so a PLFS descriptor gets a PLFS file object."""
 
     def visit_Call(self, node: ast.Call) -> None:
         name = call_name(node)
@@ -76,15 +75,6 @@ class BypassCallsRule(LintVisitor):
                 f"{name} moves bytes in the kernel, below the shim: on a "
                 "PLFS descriptor the interposed version refuses "
                 "(EINVAL/EXDEV) and the call fails at runtime",
-                call=name,
-            )
-        elif name == "os.fdopen":
-            self.emit(
-                "LDP106",
-                node,
-                "os.fdopen wraps an already-open descriptor in a second "
-                "buffered owner; raw-fd writes and buffered writes then "
-                "interleave unpredictably through the shared cursor",
                 call=name,
             )
         elif name in _RAW_CONSTRUCTORS:
@@ -132,7 +122,7 @@ class FdArithmeticRule(LintVisitor):
 
     _ARITH = (ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Mod)
 
-    def run(self) -> list[LintFinding]:
+    def run(self) -> list[Finding]:
         self._fd_names = set()
         for node in ast.walk(self.ctx.tree):
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -234,29 +224,10 @@ class SmallWriteLoopRule(LintVisitor):
         return estimate_size(data, self.ctx.size_bindings)
 
 
-class SeekChurnRule(LintVisitor):
-    """LDP108: seeking every iteration instead of positional I/O."""
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if self.in_loop():
-            name = call_name(node)
-            if name == "os.lseek" or name.endswith(".seek"):
-                self.emit(
-                    "LDP108",
-                    node,
-                    f"{name} runs once per iteration: on a PLFS fd every "
-                    "seek is a real lseek on the shadow descriptor plus "
-                    "cursor bookkeeping, paid before any data moves",
-                    call=name,
-                    loop_line=self.loop_line(),
-                )
-        self.generic_visit(node)
-
-
 class FdLeakRule(LintVisitor):
     """LDP109: open without close/with — flushed only by the atexit drain."""
 
-    def run(self) -> list[LintFinding]:
+    def run(self) -> list[Finding]:
         self._seen: set[tuple] = set()
         self._check_scope(self.ctx.tree)
         for node in ast.walk(self.ctx.tree):
@@ -361,173 +332,6 @@ class FdLeakRule(LintVisitor):
         return super().emit(rule_id, node, detail, **kw)
 
 
-class InstallBalanceRule(LintVisitor):
-    """LDP110: install() calls with no matching uninstall()."""
-
-    def run(self) -> list[LintFinding]:
-        self._installs: list[ast.Call] = []
-        self._uninstalls = 0
-        self.visit(self.ctx.tree)
-        if len(self._installs) > self._uninstalls:
-            node = self._installs[self._uninstalls]
-            self.emit(
-                "LDP110",
-                node,
-                "install() is called here but never uninstalled: the "
-                "process stays patched and leaked PLFS descriptors are "
-                "only flushed by the atexit drain",
-                installs=len(self._installs),
-                uninstalls=self._uninstalls,
-            )
-        return self.findings
-
-    def visit_Call(self, node: ast.Call) -> None:
-        name = call_name(node)
-        if name.endswith("uninstall"):
-            self._uninstalls += 1
-        elif (name == "install" or name.endswith(".install")) and not self.in_with_item(node):
-            self._installs.append(node)
-        self.generic_visit(node)
-
-
-#: synchronous calls that park the event loop when run in a coroutine
-_BLOCKING_CALLS = {
-    "time.sleep",
-    "open",
-    "builtins.open",
-    "io.open",
-    "os.open",
-    "os.read",
-    "os.write",
-    "os.pread",
-    "os.pwrite",
-    "os.preadv",
-    "os.pwritev",
-    "os.fsync",
-    "os.fdatasync",
-    "os.listdir",
-    "os.scandir",
-    "os.stat",
-    "os.rename",
-    "os.replace",
-    "os.remove",
-    "os.unlink",
-    "os.truncate",
-    "shutil.copy",
-    "shutil.copyfile",
-    "shutil.copytree",
-    "shutil.rmtree",
-    "subprocess.run",
-    "subprocess.call",
-    "subprocess.check_call",
-    "subprocess.check_output",
-    "socket.create_connection",
-}
-
-
-class AsyncBlockingRule(LintVisitor):
-    """LDP112: blocking file I/O or sleep directly on the event loop."""
-
-    def __init__(self, ctx: ScriptContext):
-        super().__init__(ctx)
-        self._async_depth = 0
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._async_depth += 1
-        try:
-            self.generic_visit(node)
-        finally:
-            self._async_depth -= 1
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        # a sync def nested in a coroutine runs wherever it is called
-        # (usually an executor) — its body is not loop-blocking here
-        saved = self._async_depth
-        self._async_depth = 0
-        try:
-            self.generic_visit(node)
-        finally:
-            self._async_depth = saved
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        saved = self._async_depth
-        self._async_depth = 0
-        try:
-            self.generic_visit(node)
-        finally:
-            self._async_depth = saved
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if self._async_depth > 0:
-            name = call_name(node)
-            if name in _BLOCKING_CALLS:
-                self.emit(
-                    "LDP112",
-                    node,
-                    f"{name} blocks the event loop inside an async "
-                    "function: every connected client stalls for the "
-                    "duration (the daemon runs blocking PLFS calls in "
-                    "run_in_executor for exactly this reason)",
-                    call=name,
-                )
-        self.generic_visit(node)
-
-
-class AwaitUnderLockRule(LintVisitor):
-    """LDP113: ``await`` inside a synchronous ``with <lock>:`` block."""
-
-    def __init__(self, ctx: ScriptContext):
-        super().__init__(ctx)
-        self._sync_locks: list[str] = []
-
-    def _visit_def(self, node) -> None:
-        # new function boundary: enclosing with-blocks are not held when
-        # this body eventually runs
-        saved = self._sync_locks
-        self._sync_locks = []
-        try:
-            self.generic_visit(node)
-        finally:
-            self._sync_locks = saved
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_def(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_def(node)
-
-    def visit_With(self, node: ast.With) -> None:
-        names: list[str] = []
-        for item in node.items:
-            expr = item.context_expr
-            name = dotted_name(expr)
-            if not name and isinstance(expr, ast.Call):
-                name = call_name(expr)
-            if "lock" in name.lower():
-                names.append(name)
-        self._sync_locks.extend(names)
-        try:
-            self._visit_with(node)
-        finally:
-            if names:
-                del self._sync_locks[-len(names):]
-
-    # async with (an asyncio lock) is fine to await under: base handling
-
-    def visit_Await(self, node: ast.Await) -> None:
-        if self._sync_locks:
-            held = ", ".join(self._sync_locks)
-            self.emit(
-                "LDP113",
-                node,
-                f"awaiting while holding {held}: the coroutine suspends "
-                "with the thread lock held, and any worker thread "
-                "contending for it blocks the whole event loop",
-                locks=held,
-            )
-        self.generic_visit(node)
-
-
 #: registration order is the tiebreak inside one severity grade
 ALL_RULE_VISITORS: list[type[LintVisitor]] = [
     BypassCallsRule,
@@ -535,30 +339,13 @@ ALL_RULE_VISITORS: list[type[LintVisitor]] = [
     FdArithmeticRule,
     ImportBindingRule,
     SmallWriteLoopRule,
-    SeekChurnRule,
     FdLeakRule,
-    InstallBalanceRule,
-    AsyncBlockingRule,
-    AwaitUnderLockRule,
 ]
 
 
-def run_rule_visitors(ctx) -> list[LintFinding]:
+def run_rule_visitors(ctx) -> list[Finding]:
     """Run every registered rule over one script context."""
-    findings: list[LintFinding] = []
+    findings: list[Finding] = []
     for visitor_cls in ALL_RULE_VISITORS:
         findings.extend(visitor_cls(ctx).run())
     return findings
-
-
-def rule_catalogue() -> list[dict]:
-    """Registry dump for ``repro-lint --list-rules`` (stable order)."""
-    return [
-        {
-            "rule": spec.rule_id,
-            "name": spec.name,
-            "severity": spec.severity.name,
-            "summary": spec.summary,
-        }
-        for _, spec in sorted(RULES.items())
-    ]

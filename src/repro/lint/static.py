@@ -36,12 +36,10 @@ from __future__ import annotations
 import ast
 import importlib.util
 import pkgutil
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
-from repro.lint.findings import LintFinding, RULES, sort_findings
-
-from .registry import (
+from repro.sanitize.registry import (
     DEFAULT_LOCKS,
     DEFAULT_TARGETS,
     EXTENDED_GUARDS,
@@ -50,7 +48,9 @@ from .registry import (
     lock_from_guard,
 )
 
-__all__ = ["StaticAnalysis", "analyze", "discover_modules"]
+from .findings import RULES, Finding, sort_findings
+
+__all__ = ["ModuleTrees", "StaticAnalysis", "analyze", "discover_modules"]
 
 
 # ---------------------------------------------------------------------- #
@@ -77,12 +77,34 @@ def discover_modules(targets: tuple[str, ...]) -> list[str]:
     return sorted(names)
 
 
-def _load_source(module: str) -> str:
-    spec = importlib.util.find_spec(module)
-    if spec is None or spec.origin is None:
-        raise ImportError(f"cannot locate source for {module!r}")
-    with open(spec.origin, "r", encoding="utf-8") as fh:
-        return fh.read()
+class ModuleTrees(dict[str, ast.Module]):
+    """Module name -> parsed tree, each module read and parsed on first use.
+
+    The one loader of every source pass: ``repro-lint --self-audit`` hands
+    one instance to the route audit, the lock analysis and the contracts,
+    so a module they share is parsed once.  *texts* (name -> source) stand
+    in for, or add to, the modules on disk — how the regression tests seed
+    violations without touching the tree.
+    """
+
+    def __init__(self, texts: Mapping[str, str] | None = None) -> None:
+        super().__init__()
+        self.texts = dict(texts or {})
+
+    @classmethod
+    def of(cls, sources: Mapping[str, str] | ModuleTrees | None) -> ModuleTrees:
+        return sources if isinstance(sources, ModuleTrees) else cls(sources)
+
+    def __missing__(self, module: str) -> ast.Module:
+        text = self.texts.get(module)
+        if text is None:
+            spec = importlib.util.find_spec(module)
+            if spec is None or spec.origin is None:
+                raise ImportError(f"cannot locate source for {module!r}")
+            with open(spec.origin, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        tree = self[module] = ast.parse(text, filename=module)
+        return tree
 
 
 # ---------------------------------------------------------------------- #
@@ -120,8 +142,7 @@ def _package_of(module: str) -> list[str]:
     return module.split(".")[:-1]
 
 
-def _index_module(name: str, source: str, known: set[str]) -> _Module:
-    tree = ast.parse(source, filename=name)
+def _index_module(name: str, tree: ast.Module, known: set[str]) -> _Module:
     mod = _Module(name=name, tree=tree)
     # a "module" that other known modules nest under is a package, and
     # its relative imports resolve against itself, not its parent
@@ -521,7 +542,7 @@ class _FunctionScan:
 class StaticAnalysis:
     """Everything the interprocedural pass learned, findings included."""
 
-    findings: list[LintFinding]
+    findings: list[Finding]
     modules: list[str]
     functions: int
     call_edges: int
@@ -618,57 +639,36 @@ def _sccs(graph: dict[str, set[str]]) -> list[list[str]]:
     return out
 
 
-def _finding(
-    rule_id: str,
-    module: str,
-    line: int,
-    col: int,
-    detail: str,
-    **evidence: object,
-) -> LintFinding:
-    spec = RULES[rule_id]
-    return LintFinding(
-        rule=spec.rule_id,
-        name=spec.name,
-        severity=spec.severity,
-        file=module,
-        line=line,
-        col=col,
-        detail=detail,
-        recommendation=spec.recommendation,
-        evidence={k: evidence[k] for k in sorted(evidence)},
-    )
-
-
 def analyze(
     targets: tuple[str, ...] | None = None,
     *,
     guards: list[GuardSpec] | None = None,
     locks: list[LockSpec] | None = None,
-    sources: dict[str, str] | None = None,
+    sources: Mapping[str, str] | ModuleTrees | None = None,
 ) -> StaticAnalysis:
     """Run the whole-system static lock analysis.
 
     *sources* maps module name -> source text, overriding (or standing in
     for) on-disk modules — how the regression tests seed guard bypasses
-    and lock-order inversions without touching the tree.
+    and lock-order inversions without touching the tree — or is the
+    self-audit's shared :class:`ModuleTrees`.
     """
     targets = DEFAULT_TARGETS if targets is None else targets
     guards = EXTENDED_GUARDS if guards is None else guards
     locks = DEFAULT_LOCKS if locks is None else locks
-    sources = sources or {}
+    trees = ModuleTrees.of(sources)
 
-    names: set[str] = set(sources)
+    names: set[str] = set(trees.texts)
     for root in targets:
-        if root in sources:
+        if root in trees.texts:
             names.add(root)
         else:
             names.update(discover_modules((root,)))
     module_names = sorted(names)
-    modules: dict[str, _Module] = {}
-    for name in module_names:
-        source = sources[name] if name in sources else _load_source(name)
-        modules[name] = _index_module(name, source, set(module_names))
+    modules = {
+        name: _index_module(name, trees[name], set(module_names))
+        for name in module_names
+    }
 
     lock_index = _LockIndex(locks)
     all_funcs: list[_Func] = []
@@ -691,7 +691,7 @@ def analyze(
     must = _must_held(all_funcs, calls, all_labels)
     may = _may_held(all_funcs, calls)
 
-    findings: list[LintFinding] = []
+    findings: list[Finding] = []
 
     # -- LDP201: guard bypass, interprocedural ------------------------- #
     for mut in sorted(
@@ -702,17 +702,14 @@ def analyze(
         if guard_lock not in effective:
             scope = f"{mut.guard.owner}." if mut.guard.owner else ""
             findings.append(
-                _finding(
-                    "LDP201",
-                    mut.module,
-                    mut.line,
-                    mut.col,
-                    (
-                        f"{mut.qualname} mutates {scope}{mut.guard.field} "
-                        f"without {guard_lock} held on any path to this "
-                        "statement (checked lexically and through every "
-                        "resolved caller)"
-                    ),
+                RULES["LDP201"].finding(
+                    f"{mut.qualname} mutates {scope}{mut.guard.field} "
+                    f"without {guard_lock} held on any path to this "
+                    "statement (checked lexically and through every "
+                    "resolved caller)",
+                    file=mut.module,
+                    line=mut.line,
+                    col=mut.col,
                     field=mut.guard.field,
                     function=mut.qualname,
                     guard=guard_lock,
@@ -736,7 +733,7 @@ def analyze(
     for outer, inner in edge_sites:
         graph.setdefault(outer, set()).add(inner)
         graph.setdefault(inner, set())
-    cycle_findings: list[LintFinding] = []
+    cycle_findings: list[Finding] = []
     for comp in _sccs(graph):
         in_cycle = len(comp) > 1 or (
             comp and comp[0] in graph.get(comp[0], set())
@@ -751,16 +748,13 @@ def analyze(
         module, line, col = min(site for _, site in comp_edges)
         cycle = " -> ".join(comp + [comp[0]])
         cycle_findings.append(
-            _finding(
-                "LDP202",
-                module,
-                line,
-                col,
-                (
-                    f"locks {', '.join(comp)} form an acquisition cycle "
-                    f"({cycle}); two tasks taking the paths in opposite "
-                    "order deadlock"
-                ),
+            RULES["LDP202"].finding(
+                f"locks {', '.join(comp)} form an acquisition cycle "
+                f"({cycle}); two tasks taking the paths in opposite "
+                "order deadlock",
+                file=module,
+                line=line,
+                col=col,
                 cycle=cycle,
                 locks=",".join(comp),
                 sites=";".join(
@@ -777,17 +771,14 @@ def analyze(
         if aw.held_threading:
             locks_held = ", ".join(sorted(aw.held_threading))
             findings.append(
-                _finding(
-                    "LDP203",
-                    aw.module,
-                    aw.line,
-                    aw.col,
-                    (
-                        f"{aw.qualname} awaits while holding {locks_held}: "
-                        "the event loop parks with the thread lock held, "
-                        "and any worker thread contending for it deadlocks "
-                        "the loop"
-                    ),
+                RULES["LDP203"].finding(
+                    f"{aw.qualname} awaits while holding {locks_held}: "
+                    "the event loop parks with the thread lock held, "
+                    "and any worker thread contending for it deadlocks "
+                    "the loop",
+                    file=aw.module,
+                    line=aw.line,
+                    col=aw.col,
                     function=aw.qualname,
                     locks=locks_held,
                 )

@@ -4,10 +4,9 @@ A :class:`ScriptContext` carries everything a rule may need to know about
 the script under analysis — source, filename, the PLFS mount prefixes the
 script appears to target — and collects the emitted findings.  Rules are
 :class:`LintVisitor` subclasses; the base class adds what ``ast.NodeVisitor``
-lacks for I/O linting: dotted call-name resolution, loop/with depth
-tracking, static size estimation for write payloads, and a uniform
-``emit()`` that stamps findings with their registry entry (severity, title,
-recommendation) so reports stay consistent across rules.
+lacks for I/O linting: dotted call-name resolution, loop depth tracking,
+static size estimation for write payloads, and an ``emit()`` that makes
+each finding from its catalogue row.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from .findings import RULES, LintFinding
+from .findings import RULES, Finding
 
 #: mount prefixes assumed when the script does not declare its own
 DEFAULT_MOUNT_HINTS = ("/mnt/plfs",)
@@ -155,18 +154,16 @@ class ScriptContext:
 
 
 class LintVisitor(ast.NodeVisitor):
-    """Base class for lint rules: context, depth tracking, emit()."""
+    """Base class for lint rules: context, loop tracking, emit()."""
 
     def __init__(self, ctx: ScriptContext):
         self.ctx = ctx
-        self.findings: list[LintFinding] = []
-        self.loop_depth = 0
+        self.findings: list[Finding] = []
         self._loop_stack: list[ast.AST] = []
-        self._with_items: list[ast.expr] = []
 
     # -- traversal hooks ------------------------------------------------ #
 
-    def run(self) -> list[LintFinding]:
+    def run(self) -> list[Finding]:
         self.visit(self.ctx.tree)
         return self.findings
 
@@ -180,32 +177,16 @@ class LintVisitor(ast.NodeVisitor):
         self._visit_loop(node)
 
     def _visit_loop(self, node) -> None:
-        self.loop_depth += 1
         self._loop_stack.append(node)
         try:
             self.generic_visit(node)
         finally:
             self._loop_stack.pop()
-            self.loop_depth -= 1
-
-    def visit_With(self, node: ast.With) -> None:
-        self._visit_with(node)
-
-    def visit_AsyncWith(self, node: ast.AsyncWith) -> None:
-        self._visit_with(node)
-
-    def _visit_with(self, node) -> None:
-        exprs = [item.context_expr for item in node.items]
-        self._with_items.extend(exprs)
-        try:
-            self.generic_visit(node)
-        finally:
-            del self._with_items[-len(exprs):]
 
     # -- helpers --------------------------------------------------------- #
 
     def in_loop(self) -> bool:
-        return self.loop_depth > 0
+        return bool(self._loop_stack)
 
     def loop_line(self) -> int:
         """Line of the innermost enclosing loop (0 when not in one)."""
@@ -213,31 +194,13 @@ class LintVisitor(ast.NodeVisitor):
             return 0
         return getattr(self._loop_stack[-1], "lineno", 0)
 
-    def in_with_item(self, node: ast.AST) -> bool:
-        """True when *node* is itself a ``with`` context expression."""
-        return any(item is node for item in self._with_items)
-
-    def emit(
-        self,
-        rule_id: str,
-        node: ast.AST,
-        detail: str,
-        *,
-        severity=None,
-        recommendation: str | None = None,
-        **evidence,
-    ) -> LintFinding:
-        spec = RULES[rule_id]
-        finding = LintFinding(
-            rule=rule_id,
-            name=spec.name,
-            severity=severity or spec.severity,
+    def emit(self, rule_id: str, node: ast.AST, detail: str, **kw) -> Finding:
+        finding = RULES[rule_id].finding(
+            detail,
             file=self.ctx.filename,
             line=getattr(node, "lineno", 0),
             col=getattr(node, "col_offset", 0),
-            detail=detail,
-            recommendation=recommendation or spec.recommendation,
-            evidence=dict(sorted(evidence.items())),
+            **kw,
         )
         self.findings.append(finding)
         return finding

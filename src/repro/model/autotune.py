@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 from repro.cluster.machine import MachineSpec
 from repro.insights.metrics import IORunProfile
-from repro.insights.rules import Finding, run_rules
+from repro.insights.rules import run_rules
+from repro.lint.findings import RULES, Finding
 from repro.mpiio.methods import ALL_METHODS, AccessMethod
 
 from .perfmodel import Prediction, WorkloadPattern, predict_write
@@ -32,9 +33,9 @@ class Recommendation:
     #: insight findings from observed run data, when a profile was given —
     #: the detector evidence the explanation cites
     findings: list[Finding] = field(default_factory=list)
-    #: ahead-of-run lint findings (``repro.lint``), when supplied — the
+    #: ahead-of-run script findings (``repro.lint``), when supplied — the
     #: static counterpart of the observed evidence
-    static_findings: list = field(default_factory=list)
+    static_findings: list[Finding] = field(default_factory=list)
 
     @property
     def speedup_vs_mpiio(self) -> float:
@@ -61,7 +62,7 @@ def choose_method(
     methods: list[AccessMethod] | None = None,
     *,
     profile: IORunProfile | None = None,
-    static_findings: list | None = None,
+    static_findings: list[Finding] | None = None,
 ) -> Recommendation:
     """Recommend the fastest access route for the pattern.
 
@@ -117,8 +118,8 @@ def choose_method(
                 for k, v in sorted(top.evidence.items())
             )
             explanation += (
-                f"  Observed evidence [{top.severity.name}] {top.rule}: "
-                f"{top.title} ({cited})."
+                f"  Observed evidence [{top.severity.name}] {top.rule} "
+                f"{top.name}: {RULES[top.rule].summary} ({cited})."
             )
 
     static_findings = list(static_findings or [])
@@ -148,7 +149,7 @@ def advise_from_profile(
     profile: IORunProfile,
     methods: list[AccessMethod] | None = None,
     *,
-    static_findings: list | None = None,
+    static_findings: list[Finding] | None = None,
 ) -> Recommendation:
     """Model recommendation driven by an *observed* run profile.
 

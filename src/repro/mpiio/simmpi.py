@@ -1,8 +1,8 @@
 """Minimal MPI abstractions for the simulator: ranks and communicators.
 
-Only what the I/O benchmarks need — rank→(node, proc) placement, barrier
-cost, and the collective-buffering aggregator set (one aggregator per
-compute node, the ROMIO default the paper's footnote 3 describes).
+Only what the I/O benchmarks need — rank→(node, proc) placement and
+barrier/broadcast cost.  The collective-buffering aggregators are the
+planner's (:func:`repro.mpiio.plan.aggregators`).
 """
 
 from __future__ import annotations
@@ -39,13 +39,6 @@ class Communicator:
     @property
     def size(self) -> int:
         return len(self.ranks)
-
-    def aggregators(self) -> list[RankInfo]:
-        """One collective-buffering aggregator per node (proc 0)."""
-        return [r for r in self.ranks if r.proc == 0]
-
-    def ranks_on_node(self, node: int) -> list[RankInfo]:
-        return [r for r in self.ranks if r.node == node]
 
     def barrier_cost(self) -> float:
         """Latency of a tree barrier across the communicator."""

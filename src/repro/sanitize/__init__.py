@@ -1,24 +1,19 @@
-"""repro.sanitize — race detection and ordering contracts for the stack.
-
-Three verifiers over the concurrent PLFS reproduction, one registry:
+"""repro.sanitize — what watches a live process for races.
 
 - :mod:`repro.sanitize.runtime` ("plfs-san") — an Eraser-style lockset
   race detector attached to the shared state production classes register
   via ``_SANITIZE_SHARED``; runnable over whole suites as the pytest
-  ``--sanitize`` mode, subprocess daemons included.
-- :mod:`repro.sanitize.static` — interprocedural guard-bypass analysis,
-  lock-order cycle detection and await-under-lock checks across
-  ``repro.core`` + ``repro.plfs`` + ``repro.plfsd`` (LDP2xx).
-- :mod:`repro.sanitize.contracts` — the PR-5 crash-ordering invariants
-  declared as machine-checked contracts (LDP3xx).
+  ``--sanitize`` mode (:mod:`repro.sanitize.pytest_plugin`), subprocess
+  daemons included.  Its violations are ``LDP204`` findings.
+- :mod:`repro.sanitize.registry` — the guarded-field and lock specs the
+  detector and the static passes share.
 
-The split mirrors the cache-vs-authority rule from the read path: the
-runtime detector is *evidence* — a witness that the schedules actually
-run were clean — while the static contracts are *authority*, failing
+The static halves — the interprocedural lock analysis (LDP2xx) and the
+crash-ordering contracts (LDP3xx) — read source, not a process, and live
+with the other source passes in :mod:`repro.lint`.  The runtime detector
+is *evidence* — a witness that the schedules actually run were clean —
+while the static contracts are *authority*, failing
 ``repro-lint --self-audit`` the moment the source stops satisfying them.
-
-Submodules import lazily where it matters; importing this package pulls
-in nothing heavier than :mod:`repro.lint.findings`.
 """
 
 from .registry import (

@@ -7,9 +7,8 @@ protected by something other than a lock: single-owner discipline,
 event-loop confinement, per-handle serialization).  Production code never
 imports this package; the hooks are plain data, and this module is the one
 place that enumerates them, so the runtime detector
-(:mod:`repro.sanitize.runtime`) and the static passes
-(:mod:`repro.sanitize.static`, :mod:`repro.sanitize.contracts`) agree on
-the registry.
+(:mod:`repro.sanitize.runtime`) and the static lock analysis
+(:mod:`repro.lint.static`) agree on the registry.
 
 The static side is a list of :class:`GuardSpec` contracts (the three
 ``repro.core`` structures, the shared index cache, the backing-store

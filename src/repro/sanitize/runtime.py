@@ -58,7 +58,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.lint.findings import LintFinding, RULES
+from repro.lint.findings import RULES, Finding
 
 from .registry import runtime_classes
 
@@ -260,27 +260,14 @@ class RaceViolation:
             )
         return "\n".join(lines)
 
-    def to_finding(self) -> LintFinding:
-        spec = RULES["LDP204"]
-        return LintFinding(
-            rule=spec.rule_id,
-            name=spec.name,
-            severity=spec.severity,
+    def to_finding(self) -> Finding:
+        return RULES["LDP204"].finding(
+            f"{self.kind} access to {self.var} with no lock consistently "
+            "held across the threads touching it",
             file=self.var,
-            line=0,
-            col=0,
-            detail=(
-                f"{self.kind} access to {self.var} with no lock consistently "
-                "held across the threads touching it"
-            ),
-            recommendation=spec.recommendation,
-            evidence={
-                "lockset": ",".join(self.lockset) or "(none)",
-                "stack": " <- ".join(self.stack),
-                "threads": ",".join(
-                    str(h["thread"]) for h in self.history
-                ),
-            },
+            lockset=",".join(self.lockset) or "(none)",
+            stack=" <- ".join(self.stack),
+            threads=",".join(str(h["thread"]) for h in self.history),
         )
 
 

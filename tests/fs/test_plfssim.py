@@ -140,3 +140,24 @@ class TestReadPath:
         served = c.writers()[0].data.server.bytes_serviced
         run(env, c.read_own(client, 8 * MB))
         assert c.writers()[0].data.server.bytes_serviced == served + 8 * MB
+
+
+class TestRecordModel:
+    def test_record_size_is_the_real_index_record(self):
+        from repro.fs.plfssim import RECORD_SIZE
+        from repro.plfs.index import RECORD_SIZE as REAL_RECORD_SIZE
+
+        assert RECORD_SIZE == REAL_RECORD_SIZE
+
+    def test_simulator_loads_no_plfs_stack(self):
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro.mpiio.file\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.plfs')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"

@@ -6,28 +6,25 @@ import json
 
 from repro.cluster import MINERVA, SIERRA
 from repro.insights import (
-    Severity,
     profile_from_run,
-    render_findings,
     render_profile,
     render_report,
     report_to_dict,
     report_to_json,
     run_rules,
 )
-from repro.insights.rules import Finding
+from repro.lint.findings import RULES, Finding, render_findings
 from repro.mpiio import LDPLFS, MPIIO
 from repro.workloads import run_flashio, run_mpiio_test
 
 
 def sample_finding() -> Finding:
-    return Finding(
-        rule="demo-rule",
-        severity=Severity.WARN,
-        title="demo title",
-        detail="demo detail.",
+    return RULES["LDP405"].finding(
+        "demo detail.",
         recommendation="do the thing",
-        evidence={"ratio": 0.5, "count": 3, "flag": True},
+        ratio=0.5,
+        count=3,
+        flag=True,
     )
 
 
@@ -43,7 +40,7 @@ class TestRendering:
 
     def test_finding_render_includes_evidence(self):
         text = sample_finding().render()
-        assert text.startswith("[WARN] demo-rule: demo title")
+        assert text.startswith("[WARN] LDP405 fuse-request-chunking\n")
         assert "-> do the thing" in text
         assert "count=3" in text and "ratio=0.5" in text and "flag=true" in text
 
@@ -69,13 +66,20 @@ class TestJsonReport:
         p = profile_from_run(result, MINERVA, MPIIO, workload="mpiio-test")
         findings = run_rules(p)
         d = report_to_dict(p, findings)
-        assert set(d) == {"profile", "findings"}
+        assert set(d) == {
+            "target", "finding_count", "severity_counts", "findings", "profile"
+        }
+        assert d["target"] == "mpiio-test Minerva MPI-IO"
         assert d["profile"]["workload"] == "mpiio-test"
+        assert d["finding_count"] == len(findings)
         for f in d["findings"]:
             assert set(f) == {
                 "rule",
+                "name",
                 "severity",
-                "title",
+                "file",
+                "line",
+                "col",
                 "detail",
                 "recommendation",
                 "evidence",

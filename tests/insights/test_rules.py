@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import SIERRA
-from repro.insights import ALL_RULES, Severity, run_rules, validate_thresholds
+from repro.insights import ALL_RULES, run_rules, validate_thresholds
 from repro.insights.metrics import IORunProfile
 from repro.insights.rules import (
     detect_buffered_opacity,
@@ -21,6 +21,7 @@ from repro.insights.rules import (
     detect_uncollective_strided_writes,
     detect_unflattened_index_reopen,
 )
+from repro.lint.findings import RULES, Severity
 from repro.mpiio import LDPLFS, MPIIO
 from repro.workloads import run_bt
 
@@ -80,7 +81,8 @@ class TestMdsCreateStorm:
         )
         f = detect_mds_create_storm(p)
         assert f is not None and f.severity is Severity.HIGH
-        assert f.title == "PLFS harmful: dedicated-MDS create storm"
+        assert (f.rule, f.name) == ("LDP402", "mds-create-storm")
+        assert RULES[f.rule].summary == "PLFS harmful: dedicated-MDS create storm"
         assert f.evidence["dropping_creates"] == 6144
 
     def test_warn_at_moderate_utilisation(self):
@@ -273,7 +275,7 @@ class TestRunRules:
         findings = run_rules(p)
         severities = [int(f.severity) for f in findings]
         assert severities == sorted(severities, reverse=True)
-        assert findings[0].rule == "small-writes-shared-file"
+        assert findings[0].name == "small-writes-shared-file"
 
     def test_healthy_profile_has_no_findings(self):
         p = make_profile(
@@ -293,6 +295,11 @@ class TestRunRules:
 
     def test_every_rule_registered_once(self):
         assert len(ALL_RULES) == len(set(ALL_RULES)) == 12
+        # the catalogue numbers the detectors in registration order, so the
+        # report's rule-ID tiebreak is this list's
+        assert [r for r in RULES if r.startswith("LDP4")] == [
+            f"LDP{401 + i}" for i in range(12)
+        ]
 
 
 class TestFaultDegradedRun:
@@ -356,7 +363,7 @@ class TestPaperVerdictsFromSimulation:
         p = profile_from_run(result, SIERRA, MPIIO)
         findings = run_rules(p)
         small = next(
-            f for f in findings if f.rule == "small-writes-shared-file"
+            f for f in findings if f.name == "small-writes-shared-file"
         )
         assert small.severity is Severity.HIGH
         assert "use PLFS via LDPLFS" in small.recommendation
@@ -368,5 +375,5 @@ class TestPaperVerdictsFromSimulation:
         result = run_bt(SIERRA, LDPLFS, 256, "C")
         p = profile_from_run(result, SIERRA, LDPLFS)
         assert not any(
-            f.rule == "small-writes-shared-file" for f in run_rules(p)
+            f.name == "small-writes-shared-file" for f in run_rules(p)
         )

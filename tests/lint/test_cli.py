@@ -64,10 +64,10 @@ class TestScriptMode:
         assert main(["--fail-on", "never", fixture("mmap_on_mount.py")]) == 0
 
     def test_json_mode_emits_findings(self, capsys):
-        assert main(["--json", fixture("seek_churn.py")]) == 1
+        assert main(["--json", fixture("fd_arithmetic.py")]) == 1
         data = json.loads(capsys.readouterr().out)
         assert data["finding_count"] == 1
-        assert data["findings"][0]["rule"] == "LDP108"
+        assert data["findings"][0]["rule"] == "LDP104"
         assert data["severity_counts"] == {"WARN": 1}
 
     def test_multiple_scripts_merge(self, capsys):
@@ -107,5 +107,7 @@ class TestListRules:
     def test_catalogue_printed(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("LDP001", "LDP006", "LDP101", "LDP111"):
+        for rule_id in ("LDP001", "LDP006", "LDP101", "LDP111", "LDP204", "LDP412"):
             assert rule_id in out
+        for gone in ("LDP108", "LDP110", "LDP112", "LDP113"):
+            assert gone not in out

@@ -1,5 +1,5 @@
 """The interposition core's guarded-field contracts, fed to the
-interprocedural analyzer (:mod:`repro.sanitize.static`).
+interprocedural analyzer (:mod:`repro.lint.static`).
 
 These are the single-module inputs the retired lexical checker was
 written against; the one analyzer ``repro-lint --self-audit`` runs must
@@ -13,7 +13,7 @@ import textwrap
 
 from repro.lint import self_audit
 from repro.sanitize.registry import EXTENDED_GUARDS, GuardSpec, lock_from_guard
-from repro.sanitize.static import analyze
+from repro.lint.static import analyze
 
 TABLE_GUARD = GuardSpec("fake.table", "FdTable", "_entries", "self._lock")
 GLOBAL_GUARD = GuardSpec("fake.table", "", "_installed", "_install_lock")

@@ -42,7 +42,7 @@ class TestLiveTree:
     def test_self_audit_runs_the_rule(self, monkeypatch):
         import repro.lint.analyzer as analyzer
 
-        monkeypatch.setattr(analyzer, "audit_route", _seeded)
+        monkeypatch.setattr(analyzer, "audit_route", lambda trees: _seeded())
         assert "LDP006" in {f.rule for f in self_audit().findings}
 
 

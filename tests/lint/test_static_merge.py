@@ -1,4 +1,4 @@
-"""Static findings flowing into insights reports and the autotuner."""
+"""Script findings in run reports and in the autotuner's explanation."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import json
 
 from repro.cluster import SIERRA
 from repro.insights import profile_from_run, report_to_dict, report_to_json, run_rules
-from repro.lint import as_static_evidence, lint_source
+from repro.lint import lint_source
 from repro.model import WorkloadPattern, choose_method
 from repro.model.autotune import advise_from_profile
 from repro.mpiio import LDPLFS
@@ -39,23 +39,27 @@ def _profile_and_findings():
 
 class TestInsightsMerge:
     def test_report_dict_gains_static_section(self):
+        # the script's findings join the run's in one list: no side section
         profile, findings = _profile_and_findings()
-        static = as_static_evidence(lint_source(SMALL_WRITE_SRC, "bt.py"))
-        report = report_to_dict(profile, findings, static=static)
-        assert report["static"] == static
-        assert report["static"][0]["rule"] == "LDP107"
+        static = lint_source(SMALL_WRITE_SRC, "bt.py")
+        report = report_to_dict(profile, findings + static)
+        assert "static" not in report
+        assert report["finding_count"] == len(findings) + 1
+        (row,) = [f for f in report["findings"] if f["file"] == "bt.py"]
+        assert row["rule"] == "LDP107"
 
     def test_report_without_static_is_unchanged(self):
         profile, findings = _profile_and_findings()
         report = report_to_dict(profile, findings)
         assert "static" not in report
+        assert not any(f["file"] for f in report["findings"])
 
     def test_json_round_trip(self):
         profile, findings = _profile_and_findings()
-        static = as_static_evidence(lint_source(SMALL_WRITE_SRC, "bt.py"))
-        data = json.loads(report_to_json(profile, findings, static=static))
-        assert data["static"][0]["rule"] == "LDP107"
-        assert data["static"][0]["severity"] == "RECOMMEND"
+        static = lint_source(SMALL_WRITE_SRC, "bt.py")
+        data = json.loads(report_to_json(profile, findings + static))
+        (row,) = [f for f in data["findings"] if f["file"] == "bt.py"]
+        assert (row["rule"], row["severity"]) == ("LDP107", "RECOMMEND")
 
 
 class TestAutotuneCitation:

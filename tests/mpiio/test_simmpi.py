@@ -16,18 +16,6 @@ class TestCommunicator:
         ]
         assert [r.rank for r in comm.ranks] == list(range(6))
 
-    def test_aggregators_one_per_node(self):
-        comm = Communicator(nodes=4, ppn=3)
-        aggs = comm.aggregators()
-        assert len(aggs) == 4
-        assert all(a.proc == 0 for a in aggs)
-        assert [a.node for a in aggs] == [0, 1, 2, 3]
-
-    def test_ranks_on_node(self):
-        comm = Communicator(nodes=2, ppn=4)
-        assert len(comm.ranks_on_node(1)) == 4
-        assert all(r.node == 1 for r in comm.ranks_on_node(1))
-
     def test_barrier_cost_grows_with_size(self):
         small = Communicator(2, 1).barrier_cost()
         large = Communicator(64, 8).barrier_cost()

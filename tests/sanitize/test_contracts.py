@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import importlib.util
 
-from repro.sanitize.contracts import (
+from repro.lint.contracts import (
     DEFAULT_CONTRACTS,
     OrderingContract,
     check_contracts,

@@ -7,13 +7,8 @@ both renderings, and fails loudly when fed a seeded violation.
 
 from __future__ import annotations
 
-from repro.lint import self_audit
-from repro.lint.reporter import (
-    render_self_audit,
-    self_audit_to_dict,
-    self_audit_to_json,
-)
-from repro.sanitize.contracts import DEFAULT_CONTRACTS, OrderingContract
+from repro.lint import render_self_audit, self_audit, self_audit_to_dict, self_audit_to_json
+from repro.lint.contracts import DEFAULT_CONTRACTS, OrderingContract
 
 
 class TestCleanHead:

@@ -13,7 +13,7 @@ import json
 
 from repro.analysis.export import canonical_json
 from repro.sanitize.registry import GuardSpec, LockSpec
-from repro.sanitize.static import analyze
+from repro.lint.static import analyze
 
 GUARDED_TABLE = '''
 import threading
