@@ -6,9 +6,9 @@ long-running job that rewrites its output accumulates dead bytes, and a
 crashed writer leaves openhost markers and missing metadata behind.
 This example walks the operator workflow with the bundled tools:
 
-    check   -> consistency + garbage report
-    flatten -> compact the log
-    recover -> rebuild metadata after a simulated crash
+    plfs_check -> consistency + garbage report (repro-fsck --dry-run)
+    flatten    -> compact the log
+    fsck       -> repair after a simulated crash (repro-fsck)
 
 Run:  python examples/container_maintenance.py
 """
@@ -17,7 +17,7 @@ import os
 import tempfile
 
 from repro import plfs
-from repro.plfs.tools import plfs_check, plfs_recover, plfs_usage
+from repro.plfs.fsck import fsck, plfs_check
 
 backend = tempfile.mkdtemp(prefix="plfs-maint-")
 path = os.path.join(backend, "results.dat")
@@ -37,10 +37,10 @@ assert report.ok and report.garbage_ratio > 0.8
 
 # --- compact --------------------------------------------------------------
 plfs.plfs_flatten_index(path)
-usage = plfs_usage(path)
-print(f"\nafter flatten: {usage['physical_bytes']} physical bytes, "
-      f"garbage {usage['garbage_ratio']:.0%}")
-assert usage["garbage_bytes"] == 0
+usage = plfs_check(path)
+print(f"\nafter flatten: {usage.physical_bytes} physical bytes, "
+      f"garbage {usage.garbage_ratio:.0%}")
+assert usage.garbage_bytes == 0
 
 # --- simulate a crash: writer died without closing -------------------------
 fd = plfs.plfs_open(path, os.O_WRONLY, pid=777)
@@ -55,9 +55,9 @@ assert any("openhost" in w for w in crashed.warnings)
 
 # --- recover ----------------------------------------------------------------
 print("\nrecovering:")
-recovered = plfs_recover(path)
-print(recovered.render())
-assert recovered.ok and not recovered.warnings
+repaired = fsck(path)
+print(repaired.render())
+assert repaired.ok and not repaired.check.warnings
 size = plfs.plfs_getattr(path).st_size
 print(f"\nlogical size after recovery: {size} bytes "
       "(the crashed writer's synced data is preserved)")

@@ -277,7 +277,7 @@ def _run_crash_cycle(root: str, op: Op, ops_per_cycle: int, backend=None) -> dic
     proving the recovered content survives losing every local copy.
     """
     from repro.faults import harness
-    from repro.faults.fsck import fsck
+    from repro.plfs.fsck import fsck
     from repro.faults.injector import FaultInjector, FaultSpec
 
     point, behavior, wal = SOAK_ARMS[op.size % len(SOAK_ARMS)]

@@ -1,10 +1,12 @@
-"""``repro.faults`` — deterministic fault injection and crash recovery.
+"""``repro.faults`` — deterministic fault injection and the crash matrix.
 
 PLFS's log-structured container turns one logical file into many backend
 files whose mutual consistency is maintained by ordering conventions, not
 atomicity: data bytes land before their index records, openhost markers
 bracket writer lifetimes, cached metadata is advisory.  This package
-stress-tests those conventions and repairs their violations:
+stress-tests those conventions and states what repairing their
+violations must achieve (the repair itself, ``repro-fsck``, is library
+code: :mod:`repro.plfs.fsck`):
 
 - :mod:`repro.faults.injector` — a seedable :class:`FaultInjector` that
   wraps the PLFS backing store (:mod:`repro.plfs.backing`) and makes any
@@ -13,16 +15,11 @@ stress-tests those conventions and repairs their violations:
   modelled as :class:`InjectedCrash`.
 - :mod:`repro.faults.matrix` — the fault matrix: every injection point and
   damage pattern, each with its post-crash invariant and recovery verdict.
-- :mod:`repro.faults.fsck` — ``repro-fsck``, the :func:`plfs_recover`
-  analogue: truncates torn index droppings, rebuilds indexes from
-  write-ahead droppings, quarantines orphans, restores the container
-  skeleton, clears stale markers and rebuilds cached metadata.
 - :mod:`repro.faults.harness` — the crash-consistency test driver: runs a
   write schedule against a container with one armed fault while keeping a
   shadow copy, then checks the recovered container against it.
 """
 
-from .fsck import FsckAction, FsckReport, fsck
 from .injector import (
     FaultEvent,
     FaultInjector,
@@ -43,7 +40,4 @@ __all__ = [
     "FAULT_MATRIX",
     "FaultCase",
     "matrix_by_name",
-    "fsck",
-    "FsckReport",
-    "FsckAction",
 ]

@@ -288,12 +288,13 @@ OFF_ROUTE_COMPOSITES = frozenset(
 
 def routed_modules() -> list[str]:
     """The modules that may touch files only through ``repro.plfs.route``:
-    ``repro/plfs/*.py`` (bar the route itself), the shim's two, and the two
-    fsck modules (recovery runs in-process, under an installed interposer)."""
+    ``repro/plfs/*.py`` (bar the route itself; ``fsck`` among them), the
+    shim's two, and the object tier's fsck pass (recovery runs in-process,
+    under an installed interposer)."""
     plfs = pkgutil.iter_modules(repro.plfs.__path__, "repro.plfs.")
     names = [m.name for m in plfs if not m.ispkg and m.name != "repro.plfs.route"]
     return sorted(names + ["repro.core.shim", "repro.core.fdtable",
-                           "repro.faults.fsck", "repro.plfs.objectstore.fsckx"])
+                           "repro.plfs.objectstore.fsckx"])
 
 
 def audit_route(sources: Mapping[str, str] | ModuleTrees | None = None) -> list[Finding]:

@@ -34,7 +34,9 @@ Crash consistency rests on one ordering rule per dropping stream:
   physically holds — reads then return byte-identical content to what
   the surviving data droppings actually stored.
 
-See :mod:`repro.faults` for the fault matrix and the fsck implementation.
+The repair is :mod:`repro.plfs.fsck` (``repro-fsck``; its dry run is
+:func:`plfs_check`, which loads on first touch); :mod:`repro.faults` holds
+the fault matrix that exercises it.
 """
 
 from .api import (
@@ -74,7 +76,6 @@ from .errors import (
 )
 from .index import INDEX_DTYPE, ExtentMap, GlobalIndex, ReadSlice
 from .reader import ReadFile
-from .tools import ContainerReport, plfs_check, plfs_recover, plfs_usage
 from .writer import WriteFile
 
 __all__ = [
@@ -117,7 +118,14 @@ __all__ = [
     "plfs_map",
     "plfs_dump_index",
     "plfs_check",
-    "plfs_recover",
-    "plfs_usage",
-    "ContainerReport",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: the checker stays unloaded until asked for, so the
+    # interposer's import does not pay for it
+    if name == "plfs_check":
+        from .fsck import plfs_check
+
+        return plfs_check
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

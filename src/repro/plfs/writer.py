@@ -383,7 +383,7 @@ class WriteFile:
         self._total_written = 0
         self._closed = False
         #: write-ahead index: persist each record before its data append so
-        #: a crash never strands unindexed data (see repro.faults.fsck)
+        #: a crash never strands unindexed data (see repro.plfs.fsck)
         self.wal = wal
         #: group-commit window: WAL records per write_wal batch (1 = strict
         #: per-append ordering; >1 trades intra-batch crash coverage for

@@ -35,6 +35,9 @@ to overlook is DESIGN §5 decision 15's list, and nothing else:
   ``pwritev2``, which ``os.preadv``/``os.pwritev`` call; a mount refuses it
   like every other negative offset (``EINVAL``): the flat file is asked
   with -2 in its place;
+- a crash (the ``crash`` rule) loses what a descriptor had not made
+  durable: after ``repro-fsck`` a file may read back as any state the flat
+  file passed through since its mount side's last ``fsync`` or ``close``;
 - unlink/rename of a file with open descriptors are not rules yet.
 """
 
@@ -59,6 +62,8 @@ from hypothesis.stateful import (
 )
 
 from repro.core.interpose import Interposer
+from repro.faults.harness import crash_handle
+from repro.plfs.fsck import fsck
 
 FILE_NAMES = ["a.dat", "b.txt", "c"]
 OFF_MAX = 2**63 - 1
@@ -120,13 +125,20 @@ class MountEquivalence(RuleBasedStateMachine):
         self.base = tempfile.mkdtemp(prefix="ldplfs-equiv-")
         self.ref_dir = os.path.join(self.base, "reference")
         os.mkdir(self.ref_dir)
-        backend = os.path.join(self.base, "backend")
+        self.backend = os.path.join(self.base, "backend")
         self.mnt = os.path.join(self.base, "mnt")
-        self.interposer = Interposer([(self.mnt, backend)])
+        self.interposer = Interposer([(self.mnt, self.backend)])
         self.interposer.install()
         self.real = self.interposer.real
         #: open descriptor pairs, (file name, flat fd, mount fd)
         self.pairs: list[tuple[str, int, int]] = []
+        #: per file with descriptors open: the flat file's contents since
+        #: the mount side last made them durable (``fsync`` or the open)
+        self.since_durable: dict[str, list[bytes]] = {}
+
+    def flat_bytes(self, name) -> bytes:
+        with self.real.builtins_open(f"{self.ref_dir}/{name}", "rb") as fh:
+            return fh.read()
 
     def open_on(self, *file_names) -> int:
         return sum(pair[0] in file_names for pair in self.pairs)
@@ -140,6 +152,11 @@ class MountEquivalence(RuleBasedStateMachine):
         if expected == PAST_OFF_T and got in (("errno", errno.EINVAL), ("errno", errno.EBADF)):
             expected = got
         assert got == expected, (call.__name__, args)
+        states, now = self.since_durable[pair[0]], self.flat_bytes(pair[0])
+        if call is os.fsync:
+            states[:] = [now]
+        elif states[-1] != now:
+            states.append(now)
 
     def chosen(self, which: int) -> list:
         """The open pairs *which*'s bits select (the first, if none)."""
@@ -247,6 +264,7 @@ class MountEquivalence(RuleBasedStateMachine):
         sut_fd = outcome(os.open, f"{self.mnt}/{name}", flags, 0o644)
         if isinstance(ref_fd, int) and isinstance(sut_fd, int):
             self.pairs.append((name, ref_fd, sut_fd))
+            self.since_durable[name] = [self.flat_bytes(name)]
             return
         for fd in (ref_fd, sut_fd):
             if isinstance(fd, int):
@@ -267,12 +285,40 @@ class MountEquivalence(RuleBasedStateMachine):
     def close_descriptor(self, which):
         pair = self.chosen(which)[0]
         self.pairs.remove(pair)
+        if not self.open_on(pair[0]):
+            del self.since_durable[pair[0]]  # closed: nothing left to lose
         # ... and used once more, closed: no fd is opened in between, so the
         # numbers cannot have come to mean anything else
         for call, args in ((os.close, ()), (os.fstat, ()), (os.write, (b"x",))):
             for fd in pair[1:]:
                 got = outcome(call, fd, *args)
                 assert got in (None, ("errno", errno.EBADF)), (call.__name__, got)
+
+    @open_pair
+    @rule()
+    def crash(self):
+        """The process dies holding its descriptors: each mount descriptor is
+        dropped from the shim's table with no close and its handle left as
+        SIGKILL leaves it (``harness.crash_handle``); the flat twins close
+        normally.  ``repro-fsck`` repairs every touched container, whose
+        bytes must then be one of the flat file's states since the mount
+        side's last ``fsync`` or open — ``RunOutcome.acceptable_states``'
+        rule: durable bytes are never lost, none are invented — and both
+        sides go on from the recovered bytes."""
+        table = self.interposer.shim.table
+        for _, ref_fd, sut_fd in self.pairs:
+            os.close(ref_fd)
+            entry = table.remove(sut_fd)
+            crash_handle(entry.plfs_fd)
+            table.close_shadow(entry)  # the kernel releases a dead process's fds
+        self.pairs.clear()
+        for name in sorted(self.since_durable):
+            fsck(os.path.join(self.backend, name))
+            with open(f"{self.mnt}/{name}", "rb") as fh:  # interposed
+                recovered = fh.read()
+            assert recovered in self.since_durable.pop(name), name
+            with self.real.builtins_open(f"{self.ref_dir}/{name}", "wb") as fh:
+                fh.write(recovered)
 
     @open_pair
     @rule(which=some, n=counts)

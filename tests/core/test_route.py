@@ -72,7 +72,7 @@ class TestNoReentry:
     def test_in_process_fsck_goes_around_the_shim(self, interposer, mnt, backend):
         """Recovery beside a live application (crash + ``repro-fsck`` in one
         process): fsck is library code, so it is on the route too."""
-        from repro.faults.fsck import fsck
+        from repro.plfs.fsck import fsck
 
         _create(f"{mnt}/a")
         before = interposer.shim.stats["passthrough_calls"]

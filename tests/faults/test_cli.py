@@ -8,7 +8,7 @@ import os
 import pytest
 
 from repro import plfs
-from repro.faults.cli import main, scan_containers
+from repro.plfs.fsck import fsck, main, scan_containers
 from repro.faults.matrix import (
     damage_lose_index_droppings,
     damage_stale_openhost_marker,
@@ -52,6 +52,16 @@ class TestExitCodes:
 
     def test_scan_missing_dir_exits_two(self, tmp_path):
         assert main(["--scan", str(tmp_path / "nope")]) == 2
+
+    def test_missing_objectstore_exits_two_and_creates_nothing(self, clean, tmp_path):
+        store = str(tmp_path / "no-such-store")
+        with pytest.raises(FileNotFoundError):
+            fsck(clean, dry_run=True, objectstore=store)
+        for argv in (["--dry-run", "--objectstore", store, clean],
+                     ["--objectstore", store, clean]):
+            assert main(argv) == 2
+        assert not os.path.exists(store)
+        assert not fsck(clean).repaired  # and the container was left alone
 
 
 class TestDryRun:

@@ -10,7 +10,7 @@ import os
 import pytest
 
 from repro import plfs
-from repro.faults.fsck import fsck
+from repro.plfs.fsck import fsck
 from repro.faults.injector import FaultInjector, FaultSpec, InjectedCrash
 from repro.plfs.cache import load_index, shared_cache
 from repro.plfs.container import Container

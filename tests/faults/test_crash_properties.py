@@ -22,8 +22,9 @@ import os
 import pytest
 
 from repro import plfs
-from repro.faults import FAULT_MATRIX, fsck, matrix_by_name
+from repro.faults import FAULT_MATRIX, matrix_by_name
 from repro.faults.harness import random_schedule, read_back, run_case
+from repro.plfs.fsck import fsck
 
 # objectstore arms run under their own harness (the fault fires during
 # the tier drain, not the schedule) — see test_objectstore_faults.py
@@ -99,8 +100,11 @@ def test_dry_run_changes_nothing(container_path, fault_seed, case_name, wal):
     before = snapshot()
     preview = fsck(container_path, dry_run=True)
     assert snapshot() == before
-    # The dry run predicts the same verdicts the real run delivers.
+    # The dry run predicts the same repairs and verdicts the real run delivers.
     real = fsck(container_path)
+    assert [(a.kind, a.path) for a in preview.actions] == [
+        (a.kind, a.path) for a in real.actions
+    ], preview.render() + "\n" + real.render()
     assert bool(preview.unrecoverable) == bool(real.unrecoverable)
 
 

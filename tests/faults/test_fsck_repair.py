@@ -12,8 +12,8 @@ import os
 import pytest
 
 from repro import plfs
-from repro.faults import InjectedCrash, fsck
-from repro.faults.fsck import REPAIR_TMP_PREFIX
+from repro.faults import InjectedCrash
+from repro.plfs.fsck import REPAIR_TMP_PREFIX, fsck
 from repro.plfs.cache import IndexCache
 from repro.plfs.container import Container
 from repro.plfs.index import RECORD_SIZE, load_global_index

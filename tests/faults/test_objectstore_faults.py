@@ -14,8 +14,9 @@ import os
 
 import pytest
 
-from repro.faults import FAULT_MATRIX, fsck, matrix_by_name
+from repro.faults import FAULT_MATRIX, matrix_by_name
 from repro.faults.harness import random_schedule, read_back, run_objectstore_case
+from repro.plfs.fsck import fsck
 
 OBJECT_ARMS = [
     pytest.param(case.name, wal, id=f"{case.name}-{'wal' if wal else 'nowal'}")

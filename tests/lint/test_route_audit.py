@@ -31,8 +31,8 @@ class TestLiveTree:
         assert {"repro.core.shim", "repro.core.fdtable", "repro.plfs.container",
                 "repro.plfs.backing", "repro.plfs.reader", "repro.plfs.writer",
                 "repro.plfs.cache", "repro.plfs.index", "repro.plfs.api",
-                "repro.faults.fsck"} <= set(modules)
-        # of the object tier only its fsck arm: it runs beside faults.fsck
+                "repro.plfs.fsck"} <= set(modules)
+        # of the object tier only its fsck arm: it runs beside plfs.fsck
         assert [m for m in modules if m.startswith("repro.plfs.objectstore")] == [
             "repro.plfs.objectstore.fsckx"]
 

@@ -20,12 +20,12 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro import plfs
-from repro.faults import fsck
 from repro.plfs import backing, util
 from repro.plfs import cache as cache_module
 from repro.plfs.cache import IndexCache, compact, invalidate_cross_process, shared_cache
 from repro.plfs.container import Container
 from repro.plfs.errors import CorruptIndexError
+from repro.plfs.fsck import fsck
 from repro.plfs.index import RECORD_SIZE, load_global_index
 from repro.plfs.objectstore.backend import make_backend
 from repro.plfs.reader import ReadFile

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro import plfs
 from repro.core.interpose import Interposer
 from repro.plfs import constants
-from repro.faults.fsck import fsck
+from repro.plfs.fsck import fsck
 from repro.plfs.cache import compact, load_index, shared_cache
 from repro.plfs.container import Container
 from repro.plfs.reader import ReadFile

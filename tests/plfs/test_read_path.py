@@ -998,7 +998,7 @@ class TestOneLaneForEveryHandle:
 
 
 # ---------------------------------------------------------------------- #
-# tools: the compact verb, check awareness
+# tools: the compact verb, the check's compacted-index audit
 # ---------------------------------------------------------------------- #
 
 
@@ -1014,7 +1014,7 @@ class TestTooling:
         assert load_index(container).source == "compacted"
 
     def test_check_warns_on_stale_compacted(self, container):
-        from repro.plfs.tools import plfs_check
+        from repro.plfs.fsck import plfs_check
 
         write_stripes(container, droppings=2)
         compact(container)
@@ -1026,7 +1026,7 @@ class TestTooling:
         assert any("stale" in w for w in report.warnings)
 
     def test_check_warns_on_corrupt_compacted(self, container):
-        from repro.plfs.tools import plfs_check
+        from repro.plfs.fsck import plfs_check
 
         write_stripes(container, droppings=2)
         compact(container)
@@ -1037,7 +1037,7 @@ class TestTooling:
         assert any("unreadable" in w for w in report.warnings)
 
     def test_check_silent_on_fresh_compacted(self, container):
-        from repro.plfs.tools import plfs_check
+        from repro.plfs.fsck import plfs_check
 
         write_stripes(container, droppings=2)
         compact(container)
