@@ -11,13 +11,10 @@ containers and real droppings.
 The append workload answers the daemon's cost question: multi-client
 aggregate append throughput must stay within 2x of the single-process
 direct path, or the service model is a regression rather than a
-deployment convenience.  The plane that clears that bar is the paper's
-own architecture: PLFS never streams bytes through its metadata service,
-so write-only opens *delegate* — the daemon serializes the metadata
-create (its MDS role) and each tenant writes droppings straight to the
-backend.  The fully-remote plane (shm segment, wire fallback) is also
-measured and recorded as evidence of what funnelling data through one
-Python process costs.
+deployment convenience.  The daemon's architecture is the paper's own:
+PLFS never streams bytes through its metadata service, so an open
+*delegates* — the daemon serializes the container create (its MDS role)
+and each tenant writes droppings straight to the backend.
 
 Results land in ``benchmarks/out/BENCH_plfsd.json`` as plain canonical
 JSON (the numbers this test asserts on, as an evidence artefact).
@@ -48,8 +45,6 @@ APPENDS_PER_CLIENT = 48 if FULL_SCALE else 24
 #: tmpfs throughput several-fold, and pairing bounds how much of that
 #: noise lands between the two sides of one ratio.
 APPEND_PAIRS = 3
-REMOTE_APPEND_CHUNK = 1 << 20
-REMOTE_APPENDS_PER_CLIENT = 8
 
 
 @pytest.fixture
@@ -131,7 +126,6 @@ def test_plfsd_create_storm_and_throughput(arena):
                     APPEND_CLIENTS,
                     APPENDS_PER_CLIENT,
                     APPEND_CHUNK,
-                    delegated=True,
                 ),
             )
             run.pop("server", None)
@@ -168,20 +162,6 @@ def test_plfsd_create_storm_and_throughput(arena):
         f"daemon aggregate never within 2x of direct: ratios {ratios}"
     )
 
-    # ---- fully-remote data plane, recorded as evidence ------------------ #
-    remote_run = _fresh_daemon_run(
-        arena,
-        "append-remote",
-        lambda sock, backend: stress.run_append_workload(
-            sock,
-            backend,
-            APPEND_CLIENTS,
-            REMOTE_APPENDS_PER_CLIENT,
-            REMOTE_APPEND_CHUNK,
-        ),
-    )
-    remote_server = remote_run.pop("server", {})
-
     # Everything wall-clock lands in ``timings``; the sweep shape itself is
     # deterministic and lands in ``counters``; the two meltdown/throughput
     # signals this test asserts on are within-run ratios.
@@ -205,17 +185,12 @@ def test_plfsd_create_storm_and_throughput(arena):
             "append_bytes_per_side": APPEND_CLIENTS
             * APPENDS_PER_CLIENT
             * APPEND_CHUNK,
-            "remote_appends": APPEND_CLIENTS * REMOTE_APPENDS_PER_CLIENT,
         },
         timings={
             "create_storm": storm,
             "queue_wait_per_create_seconds": {str(k): v for k, v in qw.items()},
             "append_pairs": pairs,
             "append_ratios": ratios,
-            "remote_data_plane": {
-                "run": remote_run,
-                "shm_appends": remote_server.get("totals", {}).get("shm_appends"),
-            },
         },
         ratios={
             "queue_wait_inflection": qw[hi] / qw[lo] if qw[lo] > 0 else 0.0,

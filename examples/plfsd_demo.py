@@ -1,24 +1,22 @@
 #!/usr/bin/env python
-"""PLFS as a service: many processes, one container daemon.
+"""PLFS as a service: many processes, one metadata daemon.
 
-Starts ``repro-plfsd`` on a unix socket, then shows the three ways work
-reaches it:
+Starts ``repro-plfsd`` on a unix socket, then shows the two ways creates
+reach it — and that data never does:
 
 1. An *unmodified* script whose mount carries ``daemon=<socket>`` — the
-   interposition shim routes its opens through the daemon (write-only
-   opens delegate the data plane: the daemon serializes the metadata
-   create, the droppings are written in-process — PLFS's own
-   data/metadata split).
-2. Explicit clients streaming appends through the remote data plane
-   (large payloads ride a shared-memory segment; only descriptors cross
-   the socket).
+   interposition shim sends each creating open's container create to the
+   daemon and opens in-process; the droppings are written by the script's
+   own process (PLFS's own data/metadata split).
+2. Explicit clients: ``PlfsdClient.open`` is the same split, the handle it
+   returns an ordinary in-process one.
 3. A direct-path reader in this process observing everything the
-   daemon-held writers produced — cross-process coherence via the
-   container's generation file, not the socket.
+   tenants wrote — cross-process coherence via the container's
+   generation file, not the socket.
 
-Finally it prints the daemon's own accounting: per-client op counts and
-the queue-wait totals that the create-storm benchmark turns into the
-paper's §V.C meltdown curve.
+Finally it prints the daemon's own accounting: per-client creates and the
+queue-wait totals that the create-storm benchmark turns into the paper's
+§V.C meltdown curve.
 
 Run:  python examples/plfsd_demo.py
 """
@@ -33,7 +31,7 @@ from repro.core.interpose import Interposer
 from repro.plfsd import stress
 from repro.plfsd.client import connect
 
-CHUNK = 1 << 20  # large enough to take the shared-memory data plane
+CHUNK = 1 << 20
 
 
 def main() -> None:
@@ -56,23 +54,20 @@ def main() -> None:
         finally:
             ip.uninstall()
         print(f"shim route: {first_line!r}")
-        print(f"shim stats: opens via daemon={ip.shim.stats['daemon_opens']} "
-              f"(delegated={ip.shim.stats['daemon_delegated_opens']}), "
+        print(f"shim stats: creates via daemon={ip.shim.stats['daemon_creates']}, "
               f"fallbacks={ip.shim.stats['daemon_fallbacks']}")
 
-        # --- 2. explicit clients on the remote data plane -------------- #
+        # --- 2. explicit clients: the create hop, then local data ------ #
         shared = os.path.join(backend, "shared.dat")
         for tenant in range(2):
             with connect(sock, name=f"tenant-{tenant}") as client:
                 fd = client.open(shared, os.O_CREAT | os.O_WRONLY)
                 payload = bytes([0x41 + tenant]) * CHUNK
-                client.write_many(
-                    fd.handle, (payload for _ in range(4)),
-                    tenant * 4 * CHUNK,
-                )
-                fd.close()
+                for i in range(4):
+                    plfs.plfs_write(fd, payload, CHUNK, (tenant * 4 + i) * CHUNK)
+                plfs.plfs_close(fd)
 
-        # --- 3. direct-path reader sees the daemon's bytes ------------- #
+        # --- 3. direct-path reader sees the tenants' bytes ------------- #
         rfd = plfs.plfs_open(shared, os.O_RDONLY)
         head = plfs.plfs_read(rfd, 8, 0)
         tail = plfs.plfs_read(rfd, 8, 8 * CHUNK - 8)
@@ -83,12 +78,10 @@ def main() -> None:
 
         # --- the daemon's own accounting ------------------------------- #
         stats = stress.daemon_stats(sock)
-        agg, totals = stats["aggregate"], stats["totals"]
-        print(f"daemon: {agg['creates']} creates, {agg['appends']} appends "
-              f"({totals['shm_appends']} via shm), "
-              f"{agg['bytes_written']} bytes written, "
+        agg = stats["aggregate"]
+        print(f"daemon: {agg['creates']} creates, "
               f"queue wait {agg['queue_wait_seconds'] * 1e6:.0f} us total")
-        print(json.dumps({c["name"]: c["appends"] for c in stats["per_client"]},
+        print(json.dumps({c["name"]: c["creates"] for c in stats["per_client"]},
                          sort_keys=True))
     finally:
         stress.stop_daemon(daemon, sock)

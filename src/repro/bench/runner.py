@@ -9,10 +9,11 @@ Configurations (the ``config`` axis of a BenchRecord):
     Same, with the PR-5 group-commit write-ahead index
     (``OpenOptions(write_ahead_index=True, wal_batch_records=N)``).
 ``daemon``
-    Through a ``repro-plfsd`` daemon subprocess: one
-    :class:`~repro.plfsd.client.PlfsdClient` per tenant, all metadata
-    serializing on the daemon's global meta lock (the paper's dedicated
-    MDS).
+    ``direct`` plus one hop: every ``O_CREAT`` open makes its create in a
+    ``repro-plfsd`` daemon subprocess (one
+    :class:`~repro.plfsd.client.PlfsdClient` per tenant, every create
+    serializing on the daemon's meta lock — the paper's dedicated MDS),
+    and the data path is the in-process one.
 ``sim``
     The CAWL cache-aware write-back model in :mod:`repro.sim.cawl` —
     same op stream, simulated clock, so the simulated and real
@@ -122,12 +123,12 @@ HOST_SIZED_BYTES = (
 
 
 class _Executor:
-    """Replays ops through the plfs API — ``plfs_*`` dispatch on the handle,
-    local or daemon-held — keeping one O_RDWR handle per logical file and
-    harvesting fast-lane counters on close.  Given a *socket_path* the
-    handles come from a running plfsd daemon: one client connection per
-    tenant, handles held daemon-side, every create serializing on the
-    daemon's global meta lock; the run then exports the daemon's counters."""
+    """Replays ops through the plfs API, keeping one O_RDWR handle per
+    logical file and harvesting fast-lane counters on close.  Given a
+    *socket_path* every open goes through a running plfsd daemon's client
+    (one connection per tenant), whose create serializes on the daemon's
+    meta lock; the run then adds ``daemon_creates``, the creates the
+    daemon counted on this executor's connections."""
 
     def __init__(
         self, root: str, config: BenchConfig, seed: int, params: dict | None = None,
@@ -170,11 +171,10 @@ class _Executor:
         return fd
 
     def _harvest(self, fd) -> None:
-        if getattr(fd, "writer", None) is not None:
+        if fd.writer is not None:
             accumulate(self.writer_totals, fd.writer.stats)
-        reader = getattr(fd, "_reader", None)
-        if reader is not None:
-            accumulate(self.reader_totals, reader.stats)
+        if fd._reader is not None:
+            accumulate(self.reader_totals, fd._reader.stats)
 
     # -- op surface ----------------------------------------------------- #
 
@@ -245,20 +245,24 @@ class _Executor:
             accumulate(self.writer_totals, eng.writer_stats)
             accumulate(self.collective_totals, eng.counters)
         self.engines.clear()
-        if self.socket_path is None:
-            return export_runtime_counters(
-                cache_stats=shared_cache().stats,
-                writer_stats=self.writer_totals,
-                reader_stats=self.reader_totals,
-                collective_stats=self.collective_totals or None,
-            )
-        from repro.plfsd import stress
+        counters = export_runtime_counters(
+            cache_stats=shared_cache().stats,
+            writer_stats=self.writer_totals,
+            reader_stats=self.reader_totals,
+            collective_stats=self.collective_totals or None,
+        )
+        if self.socket_path is not None:
+            from repro.plfsd import stress
 
-        stats = stress.daemon_stats(self.socket_path)
-        for cli in self.clients.values():
-            cli.close()
-        self.clients.clear()
-        return export_runtime_counters(server_stats=stats)
+            mine = {cli.client_id for cli in self.clients.values()}
+            per_client = stress.daemon_stats(self.socket_path)["per_client"]
+            counters["daemon_creates"] = sum(
+                c["creates"] for c in per_client if c["id"] in mine
+            )
+            for cli in self.clients.values():
+                cli.close()
+            self.clients.clear()
+        return counters
 
 
 # ---------------------------------------------------------------------- #

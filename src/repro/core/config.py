@@ -13,8 +13,8 @@ same contract:
     Comma-separated ``<mount_point>:<backend>`` pairs, e.g.
     ``/mnt/plfs:/scratch/plfs_backend``.  The backend may carry mount
     options plfsrc-style: ``/mnt/plfs:/scratch/backend?daemon=/run/plfsd.sock``
-    routes opens through the ``repro-plfsd`` daemon at that socket when it
-    is reachable (falling back to the in-process path when it is not).
+    sends container creates to the ``repro-plfsd`` daemon at that socket
+    when it answers (falling back to the in-process path when it does not).
 
 ``LDPLFS_PLFSRC``
     Path to a plfsrc-style file (``mount_point``/``backends`` directives)

@@ -18,9 +18,9 @@ class Mount:
     """One ``mount_point → backend`` mapping.
 
     *daemon*, when set, is the unix-socket path of a ``repro-plfsd``
-    instance that should own this mount's containers: opens under the
-    mount route through the daemon when it is reachable and silently fall
-    back to the in-process path when it is not.
+    instance that makes this mount's container creates: a creating open
+    under the mount sends its create to the daemon when it answers and
+    silently falls back to the in-process path when it does not.
     """
 
     mount_point: str

@@ -143,8 +143,7 @@ class Shim:
             "passthrough_calls": 0,
             "transient_retries": 0,
             "short_write_resumes": 0,
-            "daemon_opens": 0,
-            "daemon_delegated_opens": 0,
+            "daemon_creates": 0,
             "daemon_fallbacks": 0,
         }
         #: one cached connection per ``daemon=`` socket path
@@ -292,39 +291,29 @@ class Shim:
     # ------------------------------------------------------------------ #
 
     def _daemon_open(self, socket_path: str, backend: str, flags: int, mode: int):
-        """Open *backend* through the plfsd daemon at *socket_path*.
+        """A creating open of *backend*, its create made by the plfsd
+        daemon at *socket_path* (the MDS hop) and the open in-process.
 
-        Returns a RemoteFd, or ``None`` when no daemon is reachable — the
-        caller then takes the ordinary in-process path, so a mount with a
-        ``daemon=`` option degrades gracefully to exactly what it was
-        before the daemon existed.  Real PLFS failures from the daemon
-        (ENOENT, EEXIST, ...) are NOT swallowed: the error envelope
-        re-raises the same :mod:`repro.plfs.errors` class the in-process
-        open would have raised.
+        Returns ``None`` when no daemon answers — the caller then takes the
+        ordinary in-process path, so a mount with a ``daemon=`` option
+        degrades gracefully to exactly what it was before the daemon
+        existed.  Real PLFS failures from the daemon (EEXIST, ...) are NOT
+        swallowed: the error envelope re-raises the same
+        :mod:`repro.plfs.errors` class the in-process open would have raised.
         """
         from repro.plfsd.client import PlfsdUnavailable, connect
 
         client = self._daemon_clients.get(socket_path)
-        accmode = flags & (os.O_RDONLY | os.O_WRONLY | os.O_RDWR)
-        delegate = accmode == os.O_WRONLY and not flags & os.O_EXCL
         try:
             if client is None or client.closed:
                 client = connect(socket_path, name=f"shim-pid-{os.getpid()}")
                 self._daemon_clients[socket_path] = client
-            if delegate:
-                # Write-only: the daemon serializes the metadata create
-                # (its MDS role) and the data plane stays in-process —
-                # PLFS never streams bytes through its metadata service.
-                plfs_fd = client.open_delegated(backend, flags, mode)
-            else:
-                plfs_fd = client.open(backend, flags, mode)
+            plfs_fd = client.open(backend, flags, mode)
         except PlfsdUnavailable:
             self._daemon_clients.pop(socket_path, None)
             self.stats["daemon_fallbacks"] += 1
             return None
-        self.stats["daemon_opens"] += 1
-        if delegate:
-            self.stats["daemon_delegated_opens"] += 1
+        self.stats["daemon_creates"] += 1
         return plfs_fd
 
     def close_daemon_clients(self) -> None:
@@ -345,7 +334,7 @@ class Shim:
         # plfs_open takes the one look at the backend and says what it saw.
         try:
             plfs_fd = None
-            if mount.daemon is not None:
+            if mount.daemon is not None and flags & os.O_CREAT:
                 plfs_fd = self._daemon_open(mount.daemon, backend, flags, mode & 0o777)
             if plfs_fd is None:
                 plfs_fd = plfs_api.plfs_open(backend, flags, os.getpid(), mode & 0o777)

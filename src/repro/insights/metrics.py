@@ -184,19 +184,18 @@ def export_runtime_counters(
     cache_stats: dict | None = None,
     writer_stats: dict | None = None,
     reader_stats: dict | None = None,
-    server_stats: dict | None = None,
     collective_stats: dict | None = None,
 ) -> dict:
     """Flatten fast-lane counter dicts into one namespaced counter set.
 
     The ``counters`` section of a :mod:`repro.bench` ``BenchRecord``:
-    the stats dicts of the index cache, writer, reader, daemon and
-    collective engine under one naming scheme.
+    the stats dicts of the index cache, writer, reader and collective
+    engine under one naming scheme.
 
     Only *deterministic* counters are exported (counts, not durations):
     bench guards compare these exactly across runs of the same seed, so
-    anything timing-dependent (queue-wait seconds, reaper activity) stays
-    out of a record.
+    anything timing-dependent (the daemon's queue-wait seconds) stays out
+    of a record.
     """
     out: dict[str, int | float] = {}
     if cache_stats:
@@ -222,14 +221,6 @@ def export_runtime_counters(
             out["read_coalesce_rate"] = (
                 out["read_preads_coalesced"] / out["read_preads"]
             )
-    if server_stats:
-        agg = server_stats.get("aggregate", {})
-        out["daemon_opens"] = int(agg.get("opens", 0))
-        out["daemon_creates"] = int(agg.get("creates", 0))
-        out["daemon_appends"] = int(agg.get("appends", 0))
-        out["daemon_reads"] = int(agg.get("reads", 0))
-        out["daemon_bytes_written"] = int(agg.get("bytes_written", 0))
-        out["daemon_bytes_read"] = int(agg.get("bytes_read", 0))
     if collective_stats:
         out["cb_rounds"] = int(collective_stats.get("cb_rounds", 0))
         out["cb_member_extents"] = int(collective_stats.get("cb_member_extents", 0))

@@ -327,30 +327,15 @@ class _LockIndex:
     def __init__(self, locks: list[LockSpec]) -> None:
         self._self_attrs: dict[tuple[str, str, str], LockSpec] = {}
         self._globals: dict[tuple[str, str], LockSpec] = {}
-        self._factories: dict[tuple[str, str, str], LockSpec] = {}
         self.kinds: dict[str, str] = {}
         for spec in locks:
             self.kinds[spec.label] = spec.kind
-            if spec.factory and spec.owner:
-                self._factories[(spec.module, spec.owner, spec.factory)] = spec
-            elif spec.owner:
+            if spec.owner:
                 self._self_attrs[(spec.module, spec.owner, spec.attr)] = spec
             else:
                 self._globals[(spec.module, spec.attr)] = spec
 
     def match(self, expr: ast.expr, module: str, cls: str) -> LockSpec | None:
-        if isinstance(expr, ast.Call):
-            func = expr.func
-            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-                if func.value.id == "self":
-                    # self._locked(<lock>, ...) wraps the acquisition of
-                    # its first argument (the daemon's accounting helper)
-                    if func.attr == "_locked" and expr.args:
-                        return self.match(expr.args[0], module, cls)
-                    spec = self._factories.get((module, cls, func.attr))
-                    if spec is not None:
-                        return spec
-            return None
         if (
             isinstance(expr, ast.Attribute)
             and isinstance(expr.value, ast.Name)

@@ -76,13 +76,6 @@ class Plfs_fd:
     readable: bool = field(init=False)
     writable: bool = field(init=False)
 
-    #: False here, True on a daemon-held handle (``repro.plfsd``'s RemoteFd).
-    #: Dispatch is duck-typed on purpose: ``plfs`` must not import ``plfsd``
-    #: (the daemon builds on this module), yet every ``plfs_*`` entry point
-    #: below accepts either handle kind so the interposition layer never
-    #: branches on where a handle lives.
-    is_remote = False
-
     def __post_init__(self) -> None:
         self.readable, self.writable = access_mode(self.flags)
 
@@ -154,11 +147,8 @@ def plfs_close(fd, pid: int | None = None, flags: int | None = None) -> int:
     Idempotent and exception-safe: closing an already-closed handle is a
     no-op returning 0, and a writer that raises mid-close still leaves the
     handle fully torn down (writer detached, open-marker unregistered), so
-    a daemon holding thousands of slots can always reclaim one — retrying
-    or double-closing after an error can never wedge a slot.
+    retrying or double-closing after an error can never wedge it.
     """
-    if fd.is_remote:
-        return fd.close()
     if fd.refs <= 0:
         return 0
     fd.refs -= 1
@@ -210,8 +200,6 @@ def plfs_write(fd, buf, count: int | None = None, offset: int = 0, pid: int | No
     *buf* is whatever ``os.write`` takes — any C-contiguous buffer, counted
     in bytes — and threads through the write path without copying.
     """
-    if fd.is_remote:
-        return fd.write(buf, count, offset)
     writer = fd.writer
     if writer is None:
         raise BadFlagsError("handle not open for writing")
@@ -228,12 +216,7 @@ def plfs_writev(fd, buffers, offset: int = 0, pid: int | None = None) -> int:
     """Vectored write: *buffers* (what ``os.writev`` takes) land contiguously
     from *offset* as one data append plus one (possibly merged) index record —
     the ``writev``/``pwritev`` fast path.  Returns total bytes written."""
-    # Normalise and drop empty views *before* dispatching, so the remote
-    # (plfsd) branch sees exactly what the local writer would: an all-empty
-    # iovec returns 0 on both paths without a wire round trip.
     views = [view for view in map(byte_view, buffers) if len(view)]
-    if fd.is_remote:
-        return fd.writev(views, offset) if views else 0
     if fd.writer is None:
         raise BadFlagsError("handle not open for writing")
     if not views:
@@ -243,8 +226,6 @@ def plfs_writev(fd, buffers, offset: int = 0, pid: int | None = None) -> int:
 
 def plfs_read(fd, count: int, offset: int) -> bytes:
     """Read up to *count* bytes at *offset* (returns ``b""`` at EOF)."""
-    if fd.is_remote:
-        return fd.read(count, offset)
     if not fd.readable:
         raise BadFlagsError("handle not open for reading")
     writer = fd.writer
@@ -256,8 +237,6 @@ def plfs_read(fd, count: int, offset: int) -> bytes:
 def plfs_read_into(fd, buf, offset: int) -> int:
     """C-style variant filling a caller buffer (any writable contiguous one,
     counted in bytes like ``os.readv``); returns bytes read, leaves the rest."""
-    if fd.is_remote:
-        return fd.read_into(byte_view(buf), offset)
     if not fd.readable:
         raise BadFlagsError("handle not open for reading")
     writer = fd.writer
@@ -268,9 +247,7 @@ def plfs_read_into(fd, buf, offset: int) -> int:
 
 def plfs_sync(fd, pid: int | None = None) -> None:
     """Flush buffered index records and fsync data droppings."""
-    if fd.is_remote:
-        fd.sync()
-    elif fd.writer is not None:
+    if fd.writer is not None:
         fd.writer.sync()
 
 
@@ -283,8 +260,6 @@ def plfs_getattr(fd_or_path) -> os.stat_result:
     """Stat the logical file (size = logical size from index or meta)."""
     if isinstance(fd_or_path, (str, os.PathLike)):
         return Container(fd_or_path).getattr()
-    if fd_or_path.is_remote:
-        return fd_or_path.getattr()
     container = fd_or_path.container
     writer = fd_or_path.writer
     if writer is None:
@@ -343,9 +318,6 @@ def plfs_trunc(fd_or_path: Plfs_fd | str, offset: int = 0) -> None:
     if isinstance(fd_or_path, (str, os.PathLike)):
         fd, path = None, fd_or_path
         container = Container(path)
-    elif fd_or_path.is_remote:
-        fd_or_path.trunc(offset)
-        return
     else:
         fd, path = fd_or_path, fd_or_path.path
         container = fd.container

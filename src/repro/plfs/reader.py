@@ -21,7 +21,6 @@ et al.) with data sieving (Thakur et al.) at the container layer.
 from __future__ import annotations
 
 import os
-import time
 from collections import OrderedDict
 from operator import itemgetter
 
@@ -67,8 +66,8 @@ class ReadFile:
     exhausts ``RLIMIT_NOFILE``.  One more descriptor, on the generation
     file, lives exactly as long as the index it vouches for.  A rebuild
     the handle starts itself (it saw a flush) keeps every data descriptor
-    whose dropping id still names the same file; :meth:`refresh`,
-    :meth:`reap_idle_fds` and :meth:`close` release everything.
+    whose dropping id still names the same file; :meth:`refresh` and
+    :meth:`close` release everything.
     """
 
     def __init__(
@@ -86,7 +85,6 @@ class ReadFile:
         #: it saw there); empty for an index built privately
         self._marks: list[DroppingMark] = []
         self._fd_cache: OrderedDict[int, int] = OrderedDict()
-        self._fd_last_use: dict[int, float] = {}
         self._fd_limit = (
             constants.FD_CACHE_LIMIT if fd_cache_limit is None else max(1, fd_cache_limit)
         )
@@ -105,7 +103,6 @@ class ReadFile:
             "bytes_read": 0,
             "sieved_gap_bytes": 0,
             "cross_process_refreshes": 0,
-            "fds_reaped": 0,
         }
 
     # ------------------------------------------------------------------ #
@@ -133,7 +130,6 @@ class ReadFile:
             )
             if not same:
                 self._close_quietly(self._fd_cache.pop(dropping))
-                self._fd_last_use.pop(dropping, None)
 
     def _load(self) -> None:
         # Opened before the build, in place of a stat: a bump that lands
@@ -201,7 +197,7 @@ class ReadFile:
     # ------------------------------------------------------------------ #
 
     def _fd_for(self, dropping: int) -> int:
-        """A data dropping's cached descriptor, stamped as just used."""
+        """A data dropping's cached descriptor, marked most recently used."""
         cache = self._fd_cache
         fd = cache.get(dropping)
         if fd is not None:
@@ -209,10 +205,7 @@ class ReadFile:
         else:
             fd = cache[dropping] = posix.open(self._data_paths[dropping], os.O_RDONLY)
             while len(cache) > self._fd_limit:
-                key, evicted = cache.popitem(last=False)
-                self._fd_last_use.pop(key, None)
-                self._close_quietly(evicted)
-        self._fd_last_use[dropping] = time.monotonic()
+                self._close_quietly(cache.popitem(last=False)[1])
         return fd
 
     @staticmethod
@@ -222,38 +215,11 @@ class ReadFile:
         except OSError:  # pragma: no cover - defensive
             pass
 
-    def reap_idle_fds(self, idle_seconds: float, *, now: float | None = None) -> int:
-        """Close cached descriptors unused for at least *idle_seconds*.
-
-        A long-lived handle (a daemon's, or any reader a process keeps
-        open across idle hours) must not pin one kernel fd per data
-        dropping forever — the LRU only bounds the *count*, not the
-        *lifetime*.  The handle stays fully usable: a later read
-        transparently reopens what it needs.  Returns data descriptors
-        closed; ``idle_seconds=0`` empties the cache unconditionally.  A
-        handle left with none is idle as a whole: it lets go of the
-        generation descriptor too, and of the index that one vouched for.
-        """
-        if now is None:
-            now = time.monotonic()
-        reaped = 0
-        for dropping in list(self._fd_cache):
-            if now - self._fd_last_use.get(dropping, now) < idle_seconds:
-                continue
-            self._close_quietly(self._fd_cache.pop(dropping))
-            self._fd_last_use.pop(dropping, None)
-            reaped += 1
-        self.stats["fds_reaped"] += reaped
-        if not self._fd_cache:
-            self.refresh()
-        return reaped
-
     def _drop_fds(self) -> None:
         """Close every descriptor the handle holds, tolerating individual
         failures (a single bad close must not strand the rest open)."""
         while self._fd_cache:
             self._close_quietly(self._fd_cache.popitem()[1])
-        self._fd_last_use.clear()
         self._close_generation_fd()
 
     def _close_generation_fd(self) -> None:

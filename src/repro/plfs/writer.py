@@ -362,9 +362,9 @@ class WriteFile:
     """
 
     #: plfs-san registration (see repro.sanitize).  No lock on purpose:
-    #: a handle's droppings are serialized per handle (one writer, or the
-    #: daemon's per-container writer lock); the detector attributes that
-    #: happens-before to the plfs-handle virtual lock the api layer pushes
+    #: a handle's droppings are serialized per handle (one writer); the
+    #: detector attributes that happens-before to the plfs-handle virtual
+    #: lock the api layer pushes
     _SANITIZE_SHARED = {"_droppings": None}
 
     def __init__(

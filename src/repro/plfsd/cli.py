@@ -1,17 +1,14 @@
-"""``repro-plfsd`` — run the PLFS container daemon from the shell.
+"""``repro-plfsd`` — run the PLFS metadata daemon from the shell.
 
 Usage::
 
-    repro-plfsd --socket /run/plfsd.sock [options]
+    repro-plfsd --socket /run/plfsd.sock
 
-Clients route through the daemon by adding ``?daemon=/run/plfsd.sock`` to
-a mount's backend spec (``LDPLFS_MOUNTS=/mnt/plfs:/backend?daemon=...``).
-The daemon exits on ``SIGINT``/``SIGTERM`` or a ``shutdown`` request over
-the wire, closing every open handle first (indexes reach disk).
-
-Fault injection: exporting ``REPRO_FAULTS`` (and optionally
-``REPRO_FAULT_SEED``) before launch arms an injector inside the daemon,
-exactly as it would in any other subprocess of the fault harness.
+Clients route their container creates through the daemon by adding
+``?daemon=/run/plfsd.sock`` to a mount's backend spec
+(``LDPLFS_MOUNTS=/mnt/plfs:/backend?daemon=...``); their data never
+reaches it.  The daemon exits on ``SIGINT``/``SIGTERM`` or a ``shutdown``
+request over the wire.
 """
 
 from __future__ import annotations
@@ -22,15 +19,13 @@ import contextlib
 import signal
 import sys
 
-from repro.plfs import api as plfs_api
-
 from . import server as plfsd_server
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-plfsd",
-        description="PLFS as a service: async multi-writer container daemon",
+        description="PLFS as a service: the container metadata daemon",
     )
     parser.add_argument(
         "--socket",
@@ -38,57 +33,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="unix socket to listen on (created, replaced if stale)",
     )
-    parser.add_argument(
-        "--idle-timeout",
-        type=float,
-        default=plfsd_server.DEFAULT_IDLE_TIMEOUT,
-        metavar="SECONDS",
-        help="reap a handle's cached read fds after this idle time "
-        f"(default {plfsd_server.DEFAULT_IDLE_TIMEOUT:g})",
-    )
-    parser.add_argument(
-        "--reap-interval",
-        type=float,
-        default=plfsd_server.DEFAULT_REAP_INTERVAL,
-        metavar="SECONDS",
-        help="how often the idle-handle reaper sweeps "
-        f"(default {plfsd_server.DEFAULT_REAP_INTERVAL:g})",
-    )
-    parser.add_argument(
-        "--write-ahead-index",
-        action="store_true",
-        help="open writers with the write-ahead index dropping enabled",
-    )
-    parser.add_argument(
-        "--wal-batch-records",
-        type=int,
-        default=1,
-        metavar="N",
-        help="group-commit window for the write-ahead index (default 1)",
-    )
-    parser.add_argument(
-        "--no-shm",
-        action="store_true",
-        help="refuse the shared-memory data plane (clients fall back to "
-        "sending append payloads over the socket)",
-    )
     return parser
 
 
 async def _run(args: argparse.Namespace) -> None:
-    options = plfs_api.OpenOptions(
-        write_ahead_index=args.write_ahead_index,
-        wal_batch_records=args.wal_batch_records,
-    )
-    serve_task = asyncio.ensure_future(
-        plfsd_server.serve(
-            args.socket,
-            open_options=options,
-            idle_timeout=args.idle_timeout,
-            reap_interval=args.reap_interval,
-            allow_shm=not args.no_shm,
-        )
-    )
+    serve_task = asyncio.ensure_future(plfsd_server.serve(args.socket))
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGINT, signal.SIGTERM):
         with contextlib.suppress(NotImplementedError, ValueError):

@@ -12,8 +12,8 @@ daemon and direct-path callers see identical failures.
 Field encoding is deliberately minimal: fixed-width integers plus
 length-prefixed UTF-8 strings and raw byte blobs, described per opcode by
 a spec tuple (see :data:`REQUEST_SPECS` / :data:`REPLY_SPECS`) so both
-sides pack and unpack from one table.  No pickling, no JSON on the hot
-path — an append's payload bytes travel uncopied inside the frame.
+sides pack and unpack from one table.  No pickling; the one JSON body is
+the ``stats`` reply.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import struct
 from dataclasses import dataclass
 
 #: Frames above this are protocol violations (guards the server against a
-#: garbage length prefix allocating gigabytes).  Generous enough for the
-#: largest sane append through the daemon.
-MAX_FRAME = 64 * 1024 * 1024
+#: garbage length prefix allocating gigabytes).  A request is one path;
+#: the largest reply is the stats document.
+MAX_FRAME = 4 * 1024 * 1024
 
 LEN_PREFIX = struct.Struct("!I")
 REQ_HEADER = struct.Struct("!BI")  # opcode, request_id
@@ -34,88 +34,39 @@ STATUS_OK = 0
 STATUS_ERROR = 1
 
 # ---------------------------------------------------------------------- #
-# opcodes
+# opcodes (numbered as in version 1: the gaps are its retired data opcodes)
 # ---------------------------------------------------------------------- #
 
 OP_HELLO = 1
-OP_OPEN = 2
-OP_CLOSE = 3
-OP_WRITE = 4
-OP_READ = 5
-OP_SYNC = 6
-OP_GETATTR = 7
-OP_TRUNC = 8
 OP_CREATE = 9
-OP_UNLINK = 10
 OP_STATS = 11
 OP_PING = 12
 OP_SHUTDOWN = 13
-OP_ATTACH_SHM = 14
-OP_WRITE_SHM = 15
 
 OP_NAMES = {
     OP_HELLO: "hello",
-    OP_OPEN: "open",
-    OP_CLOSE: "close",
-    OP_WRITE: "write",
-    OP_READ: "read",
-    OP_SYNC: "sync",
-    OP_GETATTR: "getattr",
-    OP_TRUNC: "trunc",
     OP_CREATE: "create",
-    OP_UNLINK: "unlink",
     OP_STATS: "stats",
     OP_PING: "ping",
     OP_SHUTDOWN: "shutdown",
-    OP_ATTACH_SHM: "attach_shm",
-    OP_WRITE_SHM: "write_shm",
 }
 
 #: request body per opcode: a tuple of (name, type) fields, packed in order
 REQUEST_SPECS: dict[int, tuple[tuple[str, str], ...]] = {
     OP_HELLO: (("name", "str"),),
-    OP_OPEN: (("path", "str"), ("flags", "u32"), ("mode", "u32")),
-    OP_CLOSE: (("handle", "u32"),),
-    OP_WRITE: (("handle", "u32"), ("offset", "u64"), ("data", "bytes")),
-    OP_READ: (("handle", "u32"), ("offset", "u64"), ("count", "u64")),
-    OP_SYNC: (("handle", "u32"),),
-    OP_GETATTR: (("handle", "u32"),),
-    OP_TRUNC: (("handle", "u32"), ("offset", "u64")),
-    OP_CREATE: (("path", "str"), ("mode", "u32")),
-    OP_UNLINK: (("path", "str"),),
+    OP_CREATE: (("path", "str"), ("mode", "u32"), ("exclusive", "u32")),
     OP_STATS: (),
     OP_PING: (),
     OP_SHUTDOWN: (),
-    # The shared-memory data plane: large appends park their payload in a
-    # client-owned shm segment and send only this descriptor — the daemon
-    # appends straight from the mapped pages, so big writes never cross
-    # the socket at all.
-    OP_ATTACH_SHM: (("name", "str"), ("size", "u64")),
-    OP_WRITE_SHM: (
-        ("handle", "u32"),
-        ("offset", "u64"),
-        ("shm_off", "u64"),
-        ("count", "u64"),
-    ),
 }
 
 #: success-reply body per opcode
 REPLY_SPECS: dict[int, tuple[tuple[str, str], ...]] = {
     OP_HELLO: (("client_id", "u32"), ("server_pid", "u32"), ("version", "u32")),
-    OP_OPEN: (("handle", "u32"),),
-    OP_CLOSE: (("refs", "u32"),),
-    OP_WRITE: (("written", "u64"),),
-    OP_READ: (("data", "bytes"),),
-    OP_SYNC: (),
-    OP_GETATTR: (("size", "u64"), ("mode", "u32"), ("mtime_ns", "u64")),
-    OP_TRUNC: (),
     OP_CREATE: (),
-    OP_UNLINK: (),
     OP_STATS: (("json", "bytes"),),
     OP_PING: (("server_pid", "u32"),),
     OP_SHUTDOWN: (),
-    OP_ATTACH_SHM: (),
-    OP_WRITE_SHM: (("written", "u64"),),
 }
 
 ERROR_SPEC: tuple[tuple[str, str], ...] = (
@@ -124,10 +75,9 @@ ERROR_SPEC: tuple[tuple[str, str], ...] = (
     ("message", "str"),
 )
 
-VERSION = 1
+VERSION = 2
 
 _U32 = struct.Struct("!I")
-_U64 = struct.Struct("!Q")
 _I32 = struct.Struct("!i")
 
 
@@ -181,8 +131,6 @@ def _pack_fields(spec, values: dict) -> bytes:
         value = values[name]
         if ftype == "u32":
             out.append(_U32.pack(value))
-        elif ftype == "u64":
-            out.append(_U64.pack(value))
         elif ftype == "i32":
             out.append(_I32.pack(value))
         elif ftype == "str":
@@ -191,24 +139,19 @@ def _pack_fields(spec, values: dict) -> bytes:
             out.append(raw)
         elif ftype == "bytes":
             out.append(_U32.pack(len(value)))
-            out.append(bytes(value) if not isinstance(value, (bytes, bytearray)) else value)
+            out.append(value)
         else:  # pragma: no cover - spec tables are static
             raise ProtocolError(f"unknown field type {ftype!r}")
     return b"".join(out)
 
 
-def _unpack_fields(
-    spec, buf: memoryview, pos: int, *, copy_bytes: bool = True
-) -> tuple[dict, int]:
+def _unpack_fields(spec, buf: memoryview, pos: int) -> tuple[dict, int]:
     values: dict = {}
     for name, ftype in spec:
         try:
             if ftype == "u32":
                 (values[name],) = _U32.unpack_from(buf, pos)
                 pos += 4
-            elif ftype == "u64":
-                (values[name],) = _U64.unpack_from(buf, pos)
-                pos += 8
             elif ftype == "i32":
                 (values[name],) = _I32.unpack_from(buf, pos)
                 pos += 4
@@ -219,15 +162,9 @@ def _unpack_fields(
                     raise ProtocolError(
                         f"field {name!r} claims {n} bytes past frame end"
                     )
-                view = buf[pos : pos + n]
+                raw = bytes(buf[pos : pos + n])
                 pos += n
-                if ftype == "str":
-                    values[name] = bytes(view).decode("utf-8")
-                else:
-                    # With copy_bytes=False the payload stays a memoryview
-                    # over the frame — the server threads it through to the
-                    # writer's zero-copy append without ever duplicating it.
-                    values[name] = bytes(view) if copy_bytes else view
+                values[name] = raw.decode("utf-8") if ftype == "str" else raw
             else:  # pragma: no cover - spec tables are static
                 raise ProtocolError(f"unknown field type {ftype!r}")
         except struct.error as exc:
@@ -250,16 +187,14 @@ def encode_request(opcode: int, request_id: int, **fields) -> bytes:
     return LEN_PREFIX.pack(len(body)) + body
 
 
-def decode_request(payload: bytes, *, copy_bytes: bool = True) -> Request:
+def decode_request(payload: bytes) -> Request:
     if len(payload) < REQ_HEADER.size:
         raise ProtocolError(f"request frame too short: {len(payload)} bytes")
     opcode, request_id = REQ_HEADER.unpack_from(payload, 0)
     spec = REQUEST_SPECS.get(opcode)
     if spec is None:
         raise ProtocolError(f"unknown opcode {opcode}")
-    fields, pos = _unpack_fields(
-        spec, memoryview(payload), REQ_HEADER.size, copy_bytes=copy_bytes
-    )
+    fields, pos = _unpack_fields(spec, memoryview(payload), REQ_HEADER.size)
     if pos != len(payload):
         raise ProtocolError(
             f"{OP_NAMES[opcode]} request carries {len(payload) - pos} trailing bytes"

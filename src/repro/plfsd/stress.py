@@ -4,7 +4,7 @@ The paper's §V.C result: on a Lustre deployment with a *dedicated*
 metadata server, a 3,072-core FLASH-IO create storm melts down — every
 rank's dropping creation serializes on the one MDS and PLFS flips from
 accelerator to bottleneck.  The daemon reproduces that topology honestly:
-all metadata operations queue on one global lock, so driving N client
+every container create queues on one global lock, so driving N client
 processes into simultaneous creates makes per-client queue wait grow with
 N — the meltdown curve, measured with real containers and real bytes.
 
@@ -40,7 +40,7 @@ def wait_ready(socket_path: str, timeout: float = 10.0) -> None:
     deadline = time.monotonic() + timeout
     while True:
         try:
-            with plfsd_client.PlfsdClient(socket_path, timeout=1.0) as probe:
+            with plfsd_client.PlfsdClient(socket_path) as probe:
                 probe.ping()
             return
         except (OSError, plfsd_client.PlfsdUnavailable):
@@ -51,23 +51,10 @@ def wait_ready(socket_path: str, timeout: float = 10.0) -> None:
             time.sleep(0.02)
 
 
-def start_daemon(
-    socket_path: str,
-    *,
-    timeout: float = 10.0,
-    env: dict[str, str] | None = None,
-    extra_args: list[str] | None = None,
-) -> subprocess.Popen:
+def start_daemon(socket_path: str, *, timeout: float = 10.0) -> subprocess.Popen:
     """Launch ``repro-plfsd`` as a subprocess and wait until it serves."""
-    cmd = [
-        sys.executable,
-        "-m",
-        "repro.plfsd.cli",
-        "--socket",
-        socket_path,
-        *(extra_args or []),
-    ]
-    proc = subprocess.Popen(cmd, env=env if env is not None else os.environ.copy())
+    cmd = [sys.executable, "-m", "repro.plfsd.cli", "--socket", socket_path]
+    proc = subprocess.Popen(cmd)
     try:
         wait_ready(socket_path, timeout)
     except Exception:
@@ -80,7 +67,7 @@ def start_daemon(
 def stop_daemon(proc: subprocess.Popen, socket_path: str, timeout: float = 10.0) -> None:
     """Ask the daemon to shut down over the wire; escalate if it lingers."""
     try:
-        with plfsd_client.PlfsdClient(socket_path, timeout=2.0) as ctl:
+        with plfsd_client.PlfsdClient(socket_path) as ctl:
             ctl.shutdown_server()
     except (OSError, plfsd_client.PlfsdUnavailable):
         pass
@@ -131,8 +118,8 @@ def _await_peers(
 
 
 def _worker_create_storm(args) -> dict:
-    """One client of the storm: create+close *count* fresh logical files
-    as fast as possible, timing every open round-trip."""
+    """One client of the storm: create *count* fresh logical files as fast
+    as possible, timing every create round-trip."""
     client = plfsd_client.connect(args.socket, name=f"storm-{args.client_id}")
     latencies: list[float] = []
     _await_peers(client, "storm-", args.expect)
@@ -141,9 +128,8 @@ def _worker_create_storm(args) -> dict:
         for i in range(args.count):
             path = os.path.join(args.dir, f"storm.{args.client_id}.{i}")
             t1 = time.monotonic()
-            fd = client.open(path, os.O_CREAT | os.O_WRONLY, 0o644)
+            client.create(path, 0o644)
             latencies.append(time.monotonic() - t1)
-            fd.close()
     elapsed = time.monotonic() - t0
     latencies.sort()
     return {
@@ -159,71 +145,31 @@ def _worker_create_storm(args) -> dict:
 
 def _worker_append(args) -> dict:
     """One tenant: stream *count* chunks of *size* bytes into its own
-    logical file through the daemon's remote data plane (shared memory
-    when the daemon accepts a segment, the wire otherwise)."""
-    client = plfsd_client.connect(args.socket, name=f"tenant-{args.client_id}")
-    chunk = bytes((args.client_id + j) % 256 for j in range(args.size))
-    with client:
-        _await_peers(client, "tenant-", args.expect)
-        t0 = time.monotonic()
-        path = os.path.join(args.dir, f"tenant.{args.client_id}")
-        fd = client.open(path, os.O_CREAT | os.O_WRONLY, 0o644)
-        # Pipelined stream: chunk N+1 crosses to the daemon while it is
-        # still writing chunk N to its dropping.  No fsync inside the
-        # timed region — its cost is identical on the direct path, and
-        # disk-flush noise would swamp the daemon overhead being measured.
-        client.write_many(fd.handle, (chunk for _ in range(args.count)), 0)
-        fd.close()
-        elapsed = time.monotonic() - t0
-    total = args.count * args.size
-    return {
-        "client_id": args.client_id,
-        "bytes": total,
-        "elapsed_seconds": elapsed,
-        "mib_per_second": (total / (1024 * 1024)) / elapsed if elapsed else 0.0,
-    }
-
-
-def _worker_append_delegated(args) -> dict:
-    """One tenant on the delegated data plane: the daemon serializes the
-    metadata create (its MDS role) and the droppings stream from this
-    process straight to the backend — the paper's data/metadata split."""
+    logical file.  Through the daemon the create is the one hop and the
+    droppings go from this process straight to the backend — the paper's
+    data/metadata split; with ``--socket -`` it is the direct-path
+    yardstick, touching no daemon at all, run through the same worker
+    machinery so it meets identical interpreter and scheduling conditions."""
     from repro.plfs import api as plfs_api
 
-    client = plfsd_client.connect(args.socket, name=f"tenant-{args.client_id}")
     chunk = bytes((args.client_id + j) % 256 for j in range(args.size))
-    with client:
-        _await_peers(client, "tenant-", args.expect)
+    path = os.path.join(args.dir, f"tenant.{args.client_id}")
+    flags = os.O_CREAT | os.O_WRONLY
+    client = None
+    if args.socket != "-":
+        client = plfsd_client.connect(args.socket, name=f"tenant-{args.client_id}")
+    try:
+        if client is not None:
+            _await_peers(client, "tenant-", args.expect)
         t0 = time.monotonic()
-        path = os.path.join(args.dir, f"tenant.{args.client_id}")
-        fd = client.open_delegated(path, os.O_CREAT | os.O_WRONLY, 0o644)
+        fd = plfs_api.plfs_open(path, flags) if client is None else client.open(path, flags)
         for j in range(args.count):
             plfs_api.plfs_write(fd, chunk, args.size, j * args.size)
         plfs_api.plfs_close(fd)
         elapsed = time.monotonic() - t0
-    total = args.count * args.size
-    return {
-        "client_id": args.client_id,
-        "bytes": total,
-        "elapsed_seconds": elapsed,
-        "mib_per_second": (total / (1024 * 1024)) / elapsed if elapsed else 0.0,
-    }
-
-
-def _worker_append_direct(args) -> dict:
-    """The yardstick: a plain direct-path writer touching no daemon at
-    all.  Run through the same worker machinery so it meets identical
-    interpreter and scheduling conditions as the daemon tenants."""
-    from repro.plfs import api as plfs_api
-
-    chunk = bytes((args.client_id + j) % 256 for j in range(args.size))
-    t0 = time.monotonic()
-    path = os.path.join(args.dir, f"direct.{args.client_id}")
-    fd = plfs_api.plfs_open(path, os.O_CREAT | os.O_WRONLY)
-    for j in range(args.count):
-        plfs_api.plfs_write(fd, chunk, args.size, j * args.size)
-    plfs_api.plfs_close(fd)
-    elapsed = time.monotonic() - t0
+    finally:
+        if client is not None:
+            client.close()
     total = args.count * args.size
     return {
         "client_id": args.client_id,
@@ -236,8 +182,6 @@ def _worker_append_direct(args) -> dict:
 _WORKERS = {
     "create-storm": _worker_create_storm,
     "append": _worker_append,
-    "append-delegated": _worker_append_delegated,
-    "append-direct": _worker_append_direct,
 }
 
 
@@ -326,25 +270,16 @@ def run_append_workload(
     clients: int,
     appends_per_client: int,
     chunk_bytes: int,
-    *,
-    delegated: bool = False,
 ) -> dict:
-    """N tenants streaming appends concurrently; returns the aggregate
-    throughput across all of them.  ``delegated=True`` uses the delegated
-    data plane (daemon does metadata, droppings written in-process);
-    otherwise payloads travel to the daemon over shm or the wire.  The
+    """N tenants streaming appends concurrently, each create through the
+    daemon; returns the aggregate throughput across all of them.  The
     aggregate is total bytes over the *slowest worker's own elapsed
     time*: workers rendezvous on a start barrier and time only their I/O
     region, so interpreter startup of the worker processes (which dwarfs
     a smoke-scale workload) never counts as transfer time."""
     t0 = time.monotonic()
     workers = _spawn_workers(
-        "append-delegated" if delegated else "append",
-        socket_path,
-        backend_dir,
-        clients,
-        appends_per_client,
-        chunk_bytes,
+        "append", socket_path, backend_dir, clients, appends_per_client, chunk_bytes
     )
     wall = time.monotonic() - t0
     stats = daemon_stats(socket_path)
@@ -352,7 +287,6 @@ def run_append_workload(
     elapsed = max(w["elapsed_seconds"] for w in workers)
     return {
         "clients": clients,
-        "data_plane": "delegated" if delegated else "remote",
         "server": stats,
         "appends_per_client": appends_per_client,
         "chunk_bytes": chunk_bytes,
@@ -371,9 +305,7 @@ def run_direct_baseline(
 ) -> dict:
     """Single-process direct-path writer (no daemon), timed in a worker
     subprocess under the same conditions as the daemon tenants."""
-    worker = _spawn_workers(
-        "append-direct", "-", backend_dir, 1, appends, chunk_bytes
-    )[0]
+    worker = _spawn_workers("append", "-", backend_dir, 1, appends, chunk_bytes)[0]
     return {
         "total_bytes": worker["bytes"],
         "elapsed_seconds": worker["elapsed_seconds"],

@@ -12,9 +12,8 @@ place that enumerates them, so the runtime detector
 
 The static side is a list of :class:`GuardSpec` contracts (the three
 ``repro.core`` structures, the shared index cache, the backing-store
-global, the openhost-marker claims) plus :class:`LockSpec` entries for
-the plfsd daemon's asyncio locks so the lock-order graph sees the
-meta/writer nesting.
+global, the openhost-marker claims) plus a :class:`LockSpec` for the
+plfsd daemon's asyncio metadata lock.
 """
 
 from __future__ import annotations
@@ -48,19 +47,12 @@ class GuardSpec:
 
 @dataclass(frozen=True)
 class LockSpec:
-    """One known lock: where it lives and how it is acquired.
-
-    ``factory`` names a method whose *return value* is a member of this
-    lock family (``PlfsdServer._writer_lock(path)`` hands out one asyncio
-    lock per container) — acquiring the factory's result acquires the
-    family node in the lock-order graph.
-    """
+    """One known lock: where it lives and how it is acquired."""
 
     module: str
     owner: str  # class name, "" for a module-level global
     attr: str  # attribute / global name holding the lock
     kind: str = "threading"  # "threading" | "asyncio"
-    factory: str = ""  # method returning a member of this family
 
     @property
     def label(self) -> str:
@@ -94,17 +86,8 @@ def _default_locks() -> list[LockSpec]:
     for guard in EXTENDED_GUARDS:
         spec = lock_from_guard(guard)
         locks[(spec.module, spec.owner, spec.attr)] = spec
-    for spec in (
-        LockSpec("repro.plfsd.server", "PlfsdServer", "_meta_lock", kind="asyncio"),
-        LockSpec(
-            "repro.plfsd.server",
-            "PlfsdServer",
-            "_writer_locks",
-            kind="asyncio",
-            factory="_writer_lock",
-        ),
-    ):
-        locks[(spec.module, spec.owner, spec.attr)] = spec
+    spec = LockSpec("repro.plfsd.server", "PlfsdServer", "_meta_lock", kind="asyncio")
+    locks[(spec.module, spec.owner, spec.attr)] = spec
     return [locks[key] for key in sorted(locks)]
 
 

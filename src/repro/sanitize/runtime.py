@@ -1,8 +1,8 @@
 """plfs-san: the runtime lockset race detector.
 
 Static analysis proves what it can resolve; everything else — executor
-threads touching writer state, the daemon's lock-free read path, shim
-threads hammering one FdTable — needs a witness at runtime.  This module
+threads touching writer state, reader threads on one shared index cache,
+shim threads hammering one FdTable — needs a witness at runtime.  This module
 is that witness: an Eraser-style lockset checker over the shared state
 the production classes register via ``_SANITIZE_SHARED``.
 
@@ -17,18 +17,18 @@ How it attaches (all reversible, nothing imported by production code):
 - **Locks** (the guard attributes, plus anything in ``_SANITIZE_LOCKS``)
   are wrapped in :class:`TrackedLock` / :class:`TrackedAsyncLock`, which
   maintain the per-thread (per-task for asyncio) held set.
-- **Executor inheritance**: the daemon runs blocking PLFS calls in a
-  thread pool while holding asyncio locks.  A patched
+- **Executor inheritance**: the daemon runs its blocking container create
+  in a thread pool while holding its asyncio metadata lock.  A patched
   ``BaseEventLoop.run_in_executor`` pushes the submitting task's held
   asyncio locks into the worker thread's lockset for the duration of the
   call, restoring the happens-before the pool hop erased.
 - **Handle-domain virtual locks**: ``plfs_*`` calls taking an open handle
   push ``plfs-handle#<id>`` for the call's duration.  Per-handle
-  serialization (the daemon's per-container writer locks, a client's own
-  fd) is a real happens-before that no lock object represents; the
-  virtual lock stands in for it.  The cost is honesty about scope: races
-  *within* one handle's operations are masked, exactly like a TSan
-  suppression, and the static passes stay authoritative there.
+  serialization (a client's own fd) is a real happens-before that no
+  lock object represents; the virtual lock stands in for it.  The cost
+  is honesty about scope: races *within* one handle's operations are
+  masked, exactly like a TSan suppression, and the static passes stay
+  authoritative there.
 
 The lockset algorithm is Eraser's state machine per variable: virgin →
 exclusive(first thread) → shared / shared-modified on the first foreign
@@ -604,9 +604,9 @@ def _install_lock(cls: type, name: str) -> None:
 def _patch_run_in_executor() -> None:
     """Inherit the submitting task's asyncio locks into the pool thread.
 
-    The daemon's happens-before for blocking PLFS calls is 'this task
-    holds the writer/meta lock while the call runs in the executor'; the
-    thread hop would otherwise erase that edge from the lockset.
+    The daemon's happens-before for its blocking create is 'this task
+    holds the meta lock while the call runs in the executor'; the thread
+    hop would otherwise erase that edge from the lockset.
     """
     original = asyncio.base_events.BaseEventLoop.run_in_executor
 
@@ -680,21 +680,6 @@ def _patch_api() -> None:
             _patch(plfs_pkg, name, wrapper)
 
 
-def _patch_writer_lock(server_cls: type) -> None:
-    original = server_cls._writer_lock  # type: ignore[attr-defined]
-
-    def patched(self: Any, path: str) -> Any:
-        lock = original(self, path)
-        if _enabled and not isinstance(lock, TrackedAsyncLock):
-            lock = TrackedAsyncLock(
-                lock, f"PlfsdServer._writer_locks[{path}]"
-            )
-            self._writer_locks[path] = lock
-        return lock
-
-    _patch(server_cls, "_writer_lock", patched)
-
-
 # ---------------------------------------------------------------------- #
 # lifecycle
 # ---------------------------------------------------------------------- #
@@ -712,8 +697,6 @@ def _instrument_class(cls: type) -> None:
         _install_field(cls, attr)
     for attr in lock_attrs:
         _install_lock(cls, attr)
-    if cls.__name__ == "PlfsdServer":
-        _patch_writer_lock(cls)
 
 
 def enable(classes: Iterable[type] | None = None) -> None:

@@ -1,6 +1,8 @@
 """Property-based differential test: the same seeded op stream replayed
 through the direct in-process path and through a live ``repro-plfsd``
-daemon must leave byte-identical logical file contents and sizes.
+daemon must leave byte-identical logical file contents and sizes, and —
+the ``daemon`` config being ``direct`` plus one hop — identical counters
+but for ``daemon_creates``, which counts the hop itself.
 
 This is the correctness contract behind the bench suite's config axis:
 if the two backends ever diverge, comparing their trajectories would be
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from repro import plfs
 from repro.bench.runner import execute_stream
 from repro.bench.scenarios import SCENARIOS
+from repro.plfs.cache import shared_cache
 
 TINY = {
     "metadata_storm": {"clients": 2, "files_per_client": 3, "payload_bytes": 200},
@@ -75,8 +78,21 @@ def test_direct_and_daemon_agree_byte_for_byte(arena, daemon_sock, name, seed):
     n = next(_example)
     direct_root = os.path.join(arena, f"ex{n}", "direct")
     daemon_root = os.path.join(arena, f"ex{n}", "daemon")
-    execute_stream(ops, direct_root, "direct", seed)
-    execute_stream(ops, daemon_root, "daemon", seed, socket_path=daemon_sock)
+    counters = {}
+    for config, root in (("direct", direct_root), ("daemon", daemon_root)):
+        shared_cache().clear()
+        shared_cache().reset_stats()
+        counters[config] = execute_stream(
+            ops, root, config, seed, socket_path=daemon_sock
+        ).counters
+
+    # every op the executor runs opens with O_CREAT: a ``create`` once,
+    # a handle's first ``read``/``write``/``fsync`` once per file
+    creating_opens = sum(op.kind == "create" for op in ops) + len(
+        {op.file for op in ops if op.kind != "create"}
+    )
+    assert counters["daemon"].pop("daemon_creates") == creating_opens
+    assert counters["daemon"] == counters["direct"]
 
     for file in sorted({op.file for op in ops}):
         via_direct = _logical(direct_root, file)

@@ -39,6 +39,10 @@ to overlook is DESIGN §5 decision 15's list, and nothing else:
   durable: after ``repro-fsck`` a file may read back as any state the flat
   file passed through since its mount side's last ``fsync`` or ``close``;
 - unlink/rename of a file with open descriptors are not rules yet.
+
+``DaemonMountEquivalence`` runs the same machine on a mount whose backend
+spec carries ``?daemon=<socket>`` of a live ``repro-plfsd``: every
+creating open's create is then the daemon's, and nothing may differ.
 """
 
 from __future__ import annotations
@@ -120,6 +124,9 @@ def not_at_the_cursor(offset: int) -> int:
 
 
 class MountEquivalence(RuleBasedStateMachine):
+    #: mount options appended to the backend spec
+    backend_options = ""
+
     def __init__(self):
         super().__init__()
         self.base = tempfile.mkdtemp(prefix="ldplfs-equiv-")
@@ -127,7 +134,7 @@ class MountEquivalence(RuleBasedStateMachine):
         os.mkdir(self.ref_dir)
         self.backend = os.path.join(self.base, "backend")
         self.mnt = os.path.join(self.base, "mnt")
-        self.interposer = Interposer([(self.mnt, self.backend)])
+        self.interposer = Interposer([(self.mnt, self.backend + self.backend_options)])
         self.interposer.install()
         self.real = self.interposer.real
         #: open descriptor pairs, (file name, flat fd, mount fd)
@@ -437,6 +444,47 @@ MountEquivalence.TestCase.settings = settings(
     max_examples=20, stateful_step_count=25, deadline=None
 )
 TestMountEquivalence = MountEquivalence.TestCase
+
+
+class DaemonMountEquivalence(MountEquivalence):
+    """The machine on a ``daemon=`` mount: each creating open's create is
+    a live daemon's."""
+
+    #: shim counters summed over every run, checked when the daemon stops
+    totals = {"daemon_creates": 0, "daemon_fallbacks": 0}
+
+    def teardown(self):
+        try:
+            super().teardown()
+        finally:
+            for key in self.totals:
+                self.totals[key] += self.interposer.shim.stats[key]
+
+
+@pytest.fixture(scope="module")
+def plfsd_mount_option():
+    """A live daemon for the module; at its end every creating open of
+    every run must have reached it, none falling back."""
+    from repro.plfsd import stress
+
+    arena = tempfile.mkdtemp(prefix="equiv-plfsd-", dir="/tmp")
+    sock = os.path.join(arena, "d.sock")
+    proc = stress.start_daemon(sock)
+    DaemonMountEquivalence.backend_options = "?daemon=" + sock
+    try:
+        yield
+    finally:
+        stress.stop_daemon(proc, sock)
+        shutil.rmtree(arena, ignore_errors=True)
+    totals = DaemonMountEquivalence.totals
+    assert totals["daemon_creates"] > 0, totals
+    assert totals["daemon_fallbacks"] == 0, totals
+
+
+DaemonMountEquivalence.TestCase.settings = MountEquivalence.TestCase.settings
+TestDaemonMountEquivalence = pytest.mark.usefixtures("plfsd_mount_option")(
+    DaemonMountEquivalence.TestCase
+)
 
 #: what the machine found, shrunk, and the shim or PLFS was changed for:
 #: replayed through the same rules and the same comparison on every run

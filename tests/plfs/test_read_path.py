@@ -528,7 +528,7 @@ class TestFdCacheBound:
                 assert r.read(len(expect), 0) == expect
                 assert r._gen_fd is not None
                 assert open_fds() - baseline == 5 + 1
-                assert r.reap_idle_fds(0.0) == 5  # data descriptors; the held one goes too
+                r.refresh()  # the data descriptors and the held one go
                 assert r._gen_fd is None and open_fds() == baseline
             r.read(4, 0)
             r.refresh()
@@ -553,8 +553,8 @@ class TestFdCacheBound:
 
 class TestDescriptorsAcrossARebuild:
     """A rebuild the handle starts itself (it saw a flush) keeps each data
-    descriptor whose dropping id still names the same file; ``refresh()``,
-    ``reap_idle_fds()`` and ``close()`` release everything, as above."""
+    descriptor whose dropping id still names the same file; ``refresh()``
+    and ``close()`` release everything, as above."""
 
     def test_a_flush_elsewhere_costs_the_reader_only_its_generation_descriptor(self, container):
         write_stripes(container, droppings=3, stripe=4)
@@ -604,47 +604,6 @@ class TestDescriptorsAcrossARebuild:
         assert open_fds() == baseline and not r._fd_cache
         assert r.read(8, 0) == b"\x01" * 4 + b"\x02" * 4
         r.close()
-
-
-class TestIdleFdReaper:
-    def test_reaps_only_idle_descriptors(self, container):
-        write_stripes(container, droppings=3, stripe=4)
-        with ReadFile(container) as r:
-            r.read(4, 0)  # dropping 0
-            r.read(4, 4)  # dropping 1
-            # Simulate dropping 0 going idle while dropping 1 stays hot.
-            r._fd_last_use[0] -= 100.0
-            assert r.reap_idle_fds(30.0) == 1
-            assert set(r._fd_cache) == {1}
-            assert r.stats["fds_reaped"] == 1
-
-    def test_zero_idle_empties_cache(self, container):
-        write_stripes(container, droppings=4, stripe=4)
-        with ReadFile(container) as r:
-            expect = r.read(16, 0)
-            cached = len(r._fd_cache)
-            assert r.reap_idle_fds(0.0) == cached
-            assert not r._fd_cache
-            assert not r._fd_last_use
-            # The handle stays fully usable: fds reopen transparently.
-            assert r.read(16, 0) == expect
-
-    def test_fresh_descriptors_survive(self, container):
-        write_stripes(container, droppings=2, stripe=4)
-        with ReadFile(container) as r:
-            r.read(8, 0)
-            assert r.reap_idle_fds(3600.0) == 0
-            assert len(r._fd_cache) == 2
-
-    def test_reaped_fds_are_actually_closed(self, container):
-        write_stripes(container, droppings=2, stripe=4)
-        with ReadFile(container) as r:
-            r.read(8, 0)
-            fds = list(r._fd_cache.values())
-            assert r.reap_idle_fds(0.0) == 2
-            for fd in fds:
-                with pytest.raises(OSError):
-                    os.fstat(fd)
 
 
 # ---------------------------------------------------------------------- #

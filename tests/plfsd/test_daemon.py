@@ -1,5 +1,5 @@
-"""Integration tests for the plfsd daemon: wire ops, shim routing,
-fallback, multi-client coherence, the idle-handle reaper.
+"""Integration tests for the plfsd daemon: the create hop, shim routing,
+fallback (a missing, dying or stopped daemon), multi-client coherence.
 
 Unix socket paths are capped around 107 bytes, so sockets live in a short
 ``/tmp`` directory rather than under pytest's (deep) tmp_path.
@@ -10,18 +10,21 @@ from __future__ import annotations
 import errno
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
-import time
+import threading
 
 import pytest
 
 from repro import plfs
 from repro.core.interpose import Interposer
-from repro.plfs.errors import ContainerNotFoundError
+from repro.plfs.api import access_mode
+from repro.plfs.errors import ContainerExistsError
+from repro.plfsd import client as client_mod
 from repro.plfsd import stress
-from repro.plfsd.client import PlfsdClient, PlfsdUnavailable, connect
+from repro.plfsd.client import PlfsdUnavailable, connect
 
 
 @pytest.fixture
@@ -48,10 +51,8 @@ def dbackend(arena):
 
 @pytest.fixture
 def daemon(sock):
-    """A running daemon subprocess (fast reaper for the reaper tests)."""
-    proc = stress.start_daemon(
-        sock, extra_args=["--idle-timeout", "0.2", "--reap-interval", "0.05"]
-    )
+    """A running daemon subprocess."""
+    proc = stress.start_daemon(sock)
     try:
         yield proc
     finally:
@@ -60,112 +61,75 @@ def daemon(sock):
 
 class TestWireOperations:
     def test_write_read_getattr_roundtrip(self, daemon, sock, dbackend):
+        """Every access mode opens through the client: the create is the
+        daemon's, the handle an ordinary in-process one."""
         path = os.path.join(dbackend, "file")
         with connect(sock, name="t1") as client:
             fd = client.open(path, os.O_CREAT | os.O_RDWR, 0o600)
-            assert fd.write(b"hello daemon", None, 0) == 12
-            assert fd.read(6, 6) == b"daemon"
-            fd.sync()
-            st = fd.getattr()
-            assert st.st_size == 12
-            assert fd.close() == 0
-        # Bytes are real: a direct in-process reader sees them.
+            assert isinstance(fd, plfs.Plfs_fd)
+            assert plfs.plfs_write(fd, b"hello daemon", 12, 0) == 12
+            assert plfs.plfs_read(fd, 6, 6) == b"daemon"
+            plfs.plfs_sync(fd)
+            assert plfs.plfs_getattr(fd).st_size == 12
+            assert plfs.plfs_close(fd) == 0
+            assert client.stats()["aggregate"]["creates"] == 1
+        assert plfs.Container(path).mode() == 0o600  # the create's mode
         rfd = plfs.plfs_open(path, os.O_RDONLY)
         assert plfs.plfs_read(rfd, 12, 0) == b"hello daemon"
         plfs.plfs_close(rfd)
 
     def test_create_unlink(self, daemon, sock, dbackend):
+        """The daemon keeps no memory of what it created: a container
+        unlinked behind its back is created again on the next request."""
         path = os.path.join(dbackend, "made")
         with connect(sock) as client:
             client.create(path, 0o644)
             assert plfs.is_container(path)
-            client.unlink(path)
+            plfs.plfs_unlink(path)
             assert not plfs.is_container(path)
+            client.create(path, 0o644, exclusive=True)
+            assert plfs.is_container(path)
 
     def test_trunc_through_daemon(self, daemon, sock, dbackend):
+        """A truncating create keeps ``O_TRUNC``: only ``O_CREAT``/``O_EXCL``
+        stay behind with the daemon."""
         path = os.path.join(dbackend, "t")
         with connect(sock) as client:
-            fd = client.open(path, os.O_CREAT | os.O_RDWR)
-            fd.write(b"0123456789", None, 0)
-            fd.trunc(4)
-            assert fd.getattr().st_size == 4
-            assert fd.read(10, 0) == b"0123"
-            fd.close()
+            fd = client.open(path, os.O_CREAT | os.O_WRONLY)
+            plfs.plfs_write(fd, b"0123456789", 10, 0)
+            plfs.plfs_close(fd)
+            fd = client.open(path, os.O_CREAT | os.O_TRUNC | os.O_RDWR)
+            assert plfs.plfs_getattr(fd).st_size == 0
+            plfs.plfs_write(fd, b"abc", 3, 0)
+            assert plfs.plfs_read(fd, 10, 0) == b"abc"
+            plfs.plfs_close(fd)
 
     def test_error_envelope_preserves_class_and_errno(self, daemon, sock, dbackend):
+        path = os.path.join(dbackend, "twice")
         with connect(sock) as client:
-            with pytest.raises(ContainerNotFoundError) as exc_info:
-                client.open(os.path.join(dbackend, "missing"), os.O_RDONLY)
-            assert exc_info.value.errno == errno.ENOENT
+            client.create(path)
+            with pytest.raises(ContainerExistsError) as exc_info:
+                client.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            assert exc_info.value.errno == errno.EEXIST
             # The connection survives the error: next request works.
             assert client.ping() > 0
-
-    def test_foreign_handle_rejected(self, daemon, sock, dbackend):
-        path = os.path.join(dbackend, "mine")
-        with connect(sock, name="owner") as owner:
-            fd = owner.open(path, os.O_CREAT | os.O_WRONLY)
-            with connect(sock, name="thief") as thief:
-                with pytest.raises(OSError) as exc_info:
-                    thief.write(fd.handle, b"stolen", 0)
-                assert exc_info.value.errno == errno.EBADF
-            fd.close()
+            assert client.stats()["aggregate"]["errors"] == 1
 
     def test_stats_accounting(self, daemon, sock, dbackend):
-        path = os.path.join(dbackend, "acct")
         with connect(sock, name="counter") as client:
-            fd = client.open(path, os.O_CREAT | os.O_RDWR)
-            fd.write(b"x" * 100, None, 0)
-            fd.write(b"y" * 50, None, 100)
-            fd.sync()
-            fd.read(150, 0)
-            fd.close()
+            for i in range(3):
+                plfs.plfs_close(
+                    client.open(os.path.join(dbackend, f"acct{i}"), os.O_CREAT | os.O_RDWR)
+                )
+            # an open that creates nothing never reaches the daemon
+            plfs.plfs_close(client.open(os.path.join(dbackend, "acct0"), os.O_RDONLY))
             stats = client.stats()
         agg = stats["aggregate"]
-        assert agg["opens"] >= 1
-        assert agg["creates"] >= 1
-        assert agg["appends"] >= 2
-        assert agg["bytes_written"] >= 150
-        assert agg["bytes_read"] >= 150
-        assert agg["closes"] >= 1
-        assert "queue_wait_seconds" in agg
-        named = [c for c in stats["per_client"] if c["name"] == "counter"]
-        assert named and named[0]["bytes_written"] >= 150
-
-    def test_disconnect_reclaims_handles(self, daemon, sock, dbackend):
-        path = os.path.join(dbackend, "leak")
-        dirty = connect(sock, name="dirty")
-        fd = dirty.open(path, os.O_CREAT | os.O_WRONLY)
-        fd.write(b"left behind", None, 0)
-        dirty.close()  # vanishes without closing its handle
-        deadline = time.monotonic() + 5
-        with connect(sock, name="probe") as probe:
-            while True:
-                if probe.stats()["open_handles"] == 0:
-                    break
-                assert time.monotonic() < deadline, "handle never reclaimed"
-                time.sleep(0.02)
-        # The abandoned writer was closed server-side: data is durable.
-        rfd = plfs.plfs_open(path, os.O_RDONLY)
-        assert plfs.plfs_read(rfd, 11, 0) == b"left behind"
-        plfs.plfs_close(rfd)
-
-    def test_idle_reaper_closes_read_fds(self, daemon, sock, dbackend):
-        path = os.path.join(dbackend, "idle")
-        wfd = plfs.plfs_open(path, os.O_CREAT | os.O_WRONLY)
-        plfs.plfs_write(wfd, b"z" * 4096, 4096, 0)
-        plfs.plfs_close(wfd)
-        with connect(sock, name="sleepy") as client:
-            fd = client.open(path, os.O_RDONLY)
-            assert fd.read(4096, 0) == b"z" * 4096
-            # Daemon runs with idle-timeout 0.2s / sweep 0.05s: wait for
-            # the reaper to shed this handle's cached dropping fds.
-            deadline = time.monotonic() + 5
-            while client.stats()["totals"]["fds_reaped"] == 0:
-                assert time.monotonic() < deadline, "reaper never fired"
-                time.sleep(0.05)
-            # The handle still works afterwards (fds reopen on demand).
-            assert fd.read(10, 0) == b"z" * 10
-            fd.close()
+        assert agg["creates"] == 3
+        assert agg["queue_wait_seconds"] >= 0.0
+        assert agg["errors"] == 0
+        (named,) = [c for c in stats["per_client"] if c["name"] == "counter"]
+        assert named["creates"] == 3 and named["id"] == client.client_id
 
 
 class TestShimRouting:
@@ -179,7 +143,7 @@ class TestShimRouting:
             with open(os.path.join(mnt, "app.dat"), "rb") as fh:
                 assert fh.read() == b"A" * 512
             assert os.stat(os.path.join(mnt, "app.dat")).st_size == 512
-            assert ip.shim.stats["daemon_opens"] >= 2
+            assert ip.shim.stats["daemon_creates"] == 1
             assert ip.shim.stats["daemon_fallbacks"] == 0
         finally:
             ip.uninstall()
@@ -191,12 +155,15 @@ class TestShimRouting:
         try:
             with open(os.path.join(mnt, "dl.dat"), "wb") as fh:
                 fh.write(b"B" * 1024)
+                entry = ip.shim.table.lookup(fh.fileno())
+                assert isinstance(entry.plfs_fd, plfs.Plfs_fd)
             with open(os.path.join(mnt, "dl.dat"), "rb") as fh:
                 assert fh.read() == b"B" * 1024
-            # The write-only open took the delegated plane; the read open
-            # stayed fully remote (it wants the shared index cache).
-            assert ip.shim.stats["daemon_delegated_opens"] == 1
-            assert ip.shim.stats["daemon_opens"] == 2
+            # The create was the daemon's; the read open created nothing
+            # and never reached it.
+            assert ip.shim.stats["daemon_creates"] == 1
+            with connect(sock) as probe:
+                assert probe.stats()["aggregate"]["creates"] == 1
         finally:
             ip.uninstall()
 
@@ -209,8 +176,8 @@ class TestShimRouting:
                 fh.write(b"still works")
             with open(os.path.join(mnt, "fb.dat"), "rb") as fh:
                 assert fh.read() == b"still works"
-            assert ip.shim.stats["daemon_opens"] == 0
-            assert ip.shim.stats["daemon_fallbacks"] >= 2
+            assert ip.shim.stats["daemon_creates"] == 0
+            assert ip.shim.stats["daemon_fallbacks"] == 1  # the read creates nothing
         finally:
             ip.uninstall()
 
@@ -222,7 +189,7 @@ class TestShimRouting:
         try:
             with open(os.path.join(mnt, "one.dat"), "wb") as fh:
                 fh.write(b"via daemon")
-            assert ip.shim.stats["daemon_opens"] == 1
+            assert ip.shim.stats["daemon_creates"] == 1
             stress.stop_daemon(proc, sock)
             with open(os.path.join(mnt, "two.dat"), "wb") as fh:
                 fh.write(b"via fallback")
@@ -237,9 +204,39 @@ class TestShimRouting:
                 proc.terminate()
                 proc.wait(timeout=5)
 
+    def test_stopped_daemon_falls_back_instead_of_hanging(
+        self, daemon, sock, dbackend, arena, monkeypatch
+    ):
+        """A daemon that accepts but never answers (here: ``SIGSTOP``) costs
+        a creating open one request timeout, then the in-process open."""
+        monkeypatch.setattr(client_mod, "TIMEOUT", 0.5)
+        mnt = os.path.join(arena, "mnt")
+        ip = Interposer([(mnt, dbackend + "?daemon=" + sock)])
+        os.kill(daemon.pid, signal.SIGSTOP)
+        try:
+            ip.install()
+            try:
+                def create_and_write():
+                    with open(os.path.join(mnt, "late.dat"), "wb") as fh:
+                        fh.write(b"not hung")
+
+                worker = threading.Thread(target=create_and_write, daemon=True)
+                worker.start()
+                worker.join(timeout=30)
+                assert not worker.is_alive(), "creating open hung on a stopped daemon"
+                assert ip.shim.stats["daemon_fallbacks"] == 1
+                assert ip.shim.stats["daemon_creates"] == 0
+                with open(os.path.join(mnt, "late.dat"), "rb") as fh:
+                    assert fh.read() == b"not hung"
+            finally:
+                ip.uninstall()
+        finally:
+            os.kill(daemon.pid, signal.SIGCONT)
+
 
 DAEMON_WRITER = """
 import os, sys
+from repro import plfs
 from repro.plfsd.client import connect
 
 sock, path, rank, block, steps = (
@@ -250,24 +247,24 @@ with connect(sock, name=f"writer-{rank}") as client:
     payload = bytes([65 + rank]) * block
     for step in range(steps):
         offset = (step * 4 + rank) * block
-        assert fd.write(payload, None, offset) == block
-    fd.close()
+        assert plfs.plfs_write(fd, payload, block, offset) == block
+    plfs.plfs_close(fd)
 print("ok")
 """
 
 
 class TestCoherence:
     def test_four_daemon_writers_one_direct_reader(self, daemon, sock, dbackend):
-        """Satellite: ≥4 concurrent writer clients through the daemon plus
-        one *direct-path* reader in this process.  The PR-5 generation-file
-        protocol is the only coherence mechanism between them: every daemon
-        flush bumps the container's generation file, and the reader's
-        epoch-validated index revalidates with one stat."""
+        """≥4 concurrent writer processes creating through the daemon plus
+        one direct-path reader in this process.  The generation-file
+        protocol is the only coherence mechanism between them: every
+        writer's flush bumps the container's generation file, and the
+        reader's epoch-validated index revalidates with one stat."""
         path = os.path.join(dbackend, "shared")
         block, steps, ranks = 256, 4, 4
 
         # Open the direct-path reader BEFORE the storm: its cached index
-        # must revalidate across the daemon's writes, not just load late.
+        # must revalidate across the writers' flushes, not just load late.
         seed = plfs.plfs_open(path, os.O_CREAT | os.O_WRONLY)
         plfs.plfs_close(seed)
         reader = plfs.plfs_open(path, os.O_RDONLY)
@@ -290,7 +287,7 @@ class TestCoherence:
             assert p.returncode == 0 and out.strip() == "ok"
 
         # Same process-unmodified handle, post-storm: size and bytes must
-        # reflect what the daemon's writers flushed in another process.
+        # reflect what the writers flushed in other processes.
         expected = b"".join(
             bytes([65 + rank]) * block
             for _ in range(steps)
@@ -302,8 +299,8 @@ class TestCoherence:
         assert reader._reader.stats["cross_process_refreshes"] >= 1
         plfs.plfs_close(reader)
 
-        # Each daemon handle kept its own dropping stream (handle-id-as-pid
-        # preserves PLFS's per-writer partitioning through the daemon).
+        # Each writer process kept its own dropping stream (PLFS's
+        # per-writer partitioning; the daemon only made the container).
         assert len(plfs.Container(path).droppings()) >= ranks
 
 
@@ -318,129 +315,30 @@ class TestClientRobustness:
         with pytest.raises(PlfsdUnavailable):
             client.ping()
 
-    def test_remote_fd_double_close_is_idempotent(self, daemon, sock, dbackend):
-        with connect(sock) as client:
-            fd = client.open(os.path.join(dbackend, "dc"), os.O_CREAT | os.O_WRONLY)
-            fd.write(b"data", None, 0)
-            assert fd.close() == 0
-            assert fd.close() == 0  # no second wire close, no error
-            assert client.ping() > 0
-
-    def test_large_write_split_over_frames(self, daemon, sock, dbackend, monkeypatch):
-        from repro.plfsd import client as client_mod
-
-        monkeypatch.setattr(client_mod, "MAX_WIRE_WRITE", 1024)
-        payload = bytes(i % 251 for i in range(5000))
-        path = os.path.join(dbackend, "big")
-        with connect(sock) as client:
-            fd = client.open(path, os.O_CREAT | os.O_RDWR)
-            assert fd.write(payload, None, 0) == len(payload)
-            assert fd.read(len(payload), 0) == payload
-            fd.close()
-
-
-class TestFaultPropagation:
-    def test_env_spec_arms_injector_inside_daemon(self, sock, dbackend, arena):
-        """REPRO_FAULTS in the daemon's environment must torture daemon-side
-        writes exactly as it would any direct-path process: the first data
-        append hits an injected ENOSPC, which rides the error envelope back
-        to the client — proving the injector armed inside the daemon."""
-        env = dict(
-            os.environ,
-            REPRO_FAULTS="data_write:enospc:op=1",
-            REPRO_FAULT_SEED="3",
-        )
-        proc = stress.start_daemon(sock, env=env)
-        try:
-            with connect(sock) as client:
-                fd = client.open(
-                    os.path.join(dbackend, "tortured"), os.O_CREAT | os.O_WRONLY
-                )
-                with pytest.raises(OSError) as exc_info:
-                    fd.write(b"boom", None, 0)
-                assert exc_info.value.errno == errno.ENOSPC
-                # The spec is spent after one firing: the retry goes through.
-                assert fd.write(b"fine", None, 0) == 4
-                fd.close()
-        finally:
-            stress.stop_daemon(proc, sock)
-
-
-class TestShmDataPlane:
-    def test_large_write_travels_via_shm(self, daemon, sock, dbackend):
-        from repro.plfsd import client as client_mod
-
-        payload = bytes(i % 253 for i in range(client_mod.SHM_THRESHOLD * 2))
-        path = os.path.join(dbackend, "shmfile")
-        with connect(sock, name="shm-user") as client:
-            fd = client.open(path, os.O_CREAT | os.O_WRONLY)
-            assert fd.write(payload, None, 0) == len(payload)
-            totals = client.stats()["totals"]
-            assert totals["shm_attaches"] >= 1
-            assert totals["shm_appends"] >= 1
-            fd.close()
-        # Bytes are real: a direct in-process reader sees them.
-        rfd = plfs.plfs_open(path, os.O_RDONLY)
-        assert plfs.plfs_read(rfd, len(payload), 0) == payload
-        plfs.plfs_close(rfd)
-
-    def test_no_shm_daemon_degrades_to_wire(self, sock, dbackend):
-        from repro.plfsd import client as client_mod
-
-        proc = stress.start_daemon(sock, extra_args=["--no-shm"])
-        payload = bytes(i % 241 for i in range(client_mod.SHM_THRESHOLD * 2))
-        path = os.path.join(dbackend, "wired")
-        try:
-            with connect(sock) as client:
-                fd = client.open(path, os.O_CREAT | os.O_WRONLY)
-                assert fd.write(payload, None, 0) == len(payload)
-                # The refused attach pins this connection to the wire path.
-                assert client._shm is None
-                assert client._shm_failed
-                totals = client.stats()["totals"]
-                assert totals["shm_appends"] == 0
-                fd.close()
-        finally:
-            stress.stop_daemon(proc, sock)
-        rfd = plfs.plfs_open(path, os.O_RDONLY)
-        assert plfs.plfs_read(rfd, len(payload), 0) == payload
-        plfs.plfs_close(rfd)
-
-    def test_segment_released_on_close(self, daemon, sock, dbackend):
-        client = connect(sock)
-        fd = client.open(os.path.join(dbackend, "seg"), os.O_CREAT | os.O_WRONLY)
-        fd.write(b"\xaa" * (1 << 20), None, 0)
-        assert client._shm is not None
-        seg_name = client._shm.name
-        fd.close()
-        client.close()
-        assert client._shm is None
-        # The client owned the segment; closing unlinked it from /dev/shm.
-        assert not os.path.exists(os.path.join("/dev/shm", seg_name))
-
 
 class TestDelegation:
     def test_daemon_metadata_local_data(self, daemon, sock, dbackend):
         path = os.path.join(dbackend, "delegated")
         with connect(sock, name="delegator") as client:
-            fd = client.open_delegated(path, os.O_CREAT | os.O_WRONLY)
+            fd = client.open(path, os.O_CREAT | os.O_WRONLY)
             # The data plane is in-process: an ordinary local handle.
-            assert not getattr(fd, "is_remote", False)
+            assert isinstance(fd, plfs.Plfs_fd)
             assert plfs.plfs_write(fd, b"delegated bytes", 15, 0) == 15
             plfs.plfs_close(fd)
-            agg = client.stats()["aggregate"]
-            assert agg["creates"] >= 1  # the metadata hop went to the MDS
-            assert agg["appends"] == 0  # no payload crossed the daemon
-            # Coherence: a daemon-held reader sees the foreign writer's
-            # bytes (generation-file revalidation, not the socket).
-            rfd = client.open(path, os.O_RDONLY)
-            assert rfd.read(15, 0) == b"delegated bytes"
-            rfd.close()
+            assert client.stats()["aggregate"]["creates"] == 1  # the MDS hop
+        rfd = plfs.plfs_open(path, os.O_RDONLY)
+        assert plfs.plfs_read(rfd, 15, 0) == b"delegated bytes"
+        plfs.plfs_close(rfd)
 
-    def test_delegation_requires_plain_wronly(self, daemon, sock, dbackend):
-        path = os.path.join(dbackend, "nope")
+    def test_every_access_mode_and_exclusive_create_delegate(self, daemon, sock, dbackend):
+        """``O_RDONLY``/``O_RDWR`` creates and ``O_EXCL`` go through the one
+        ``open`` too; the exclusive create is atomic in the daemon."""
         with connect(sock) as client:
-            with pytest.raises(ValueError):
-                client.open_delegated(path, os.O_CREAT | os.O_RDWR)
-            with pytest.raises(ValueError):
-                client.open_delegated(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            for i, acc in enumerate((os.O_RDONLY, os.O_WRONLY, os.O_RDWR)):
+                path = os.path.join(dbackend, f"mode{i}")
+                fd = client.open(path, os.O_CREAT | os.O_EXCL | acc)
+                assert (fd.readable, fd.writable) == access_mode(acc)
+                plfs.plfs_close(fd)
+                with pytest.raises(ContainerExistsError):
+                    client.open(path, os.O_CREAT | os.O_EXCL | acc)
+            assert client.stats()["aggregate"]["creates"] == 3

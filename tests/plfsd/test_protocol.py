@@ -16,26 +16,10 @@ class TestRequestRoundTrip:
         "opcode,fields",
         [
             (proto.OP_HELLO, {"name": "client-7"}),
-            (proto.OP_OPEN, {"path": "/b/файл", "flags": 0o102, "mode": 0o644}),
-            (proto.OP_CLOSE, {"handle": 42}),
-            (
-                proto.OP_WRITE,
-                {"handle": 1, "offset": 2**40, "data": b"\x00\xffpayload"},
-            ),
-            (proto.OP_READ, {"handle": 1, "offset": 0, "count": 2**33}),
-            (proto.OP_SYNC, {"handle": 9}),
-            (proto.OP_GETATTR, {"handle": 3}),
-            (proto.OP_TRUNC, {"handle": 3, "offset": 128}),
-            (proto.OP_CREATE, {"path": "/b/x", "mode": 0o600}),
-            (proto.OP_UNLINK, {"path": "/b/x"}),
+            (proto.OP_CREATE, {"path": "/b/файл", "mode": 0o600, "exclusive": 1}),
             (proto.OP_STATS, {}),
             (proto.OP_PING, {}),
             (proto.OP_SHUTDOWN, {}),
-            (proto.OP_ATTACH_SHM, {"name": "psm_cafe01", "size": 1 << 24}),
-            (
-                proto.OP_WRITE_SHM,
-                {"handle": 5, "offset": 2**40, "shm_off": 3 << 20, "count": 1 << 20},
-            ),
         ],
     )
     def test_every_opcode_round_trips(self, opcode, fields):
@@ -47,12 +31,6 @@ class TestRequestRoundTrip:
         assert request.request_id == 77
         assert request.fields == fields
 
-    def test_empty_write_payload(self):
-        frame = proto.encode_request(
-            proto.OP_WRITE, 1, handle=1, offset=0, data=b""
-        )
-        assert proto.decode_request(frame[4:]).fields["data"] == b""
-
     def test_unknown_opcode_rejected(self):
         with pytest.raises(proto.ProtocolError):
             proto.encode_request(200, 1)
@@ -63,39 +41,18 @@ class TestRequestRoundTrip:
 
 class TestReplyRoundTrip:
     def test_ok_reply(self):
-        frame = proto.encode_reply(proto.OP_OPEN, 5, handle=123)
-        reply = proto.decode_reply(frame[4:], proto.OP_OPEN)
+        frame = proto.encode_reply(
+            proto.OP_HELLO, 5, client_id=123, server_pid=77, version=proto.VERSION
+        )
+        reply = proto.decode_reply(frame[4:], proto.OP_HELLO)
         assert reply.ok
         assert reply.request_id == 5
-        assert reply.fields == {"handle": 123}
+        assert reply.fields == {"client_id": 123, "server_pid": 77, "version": 2}
 
-    def test_read_reply_carries_raw_bytes(self):
+    def test_stats_reply_carries_raw_bytes(self):
         payload = bytes(range(256))
-        frame = proto.encode_reply(proto.OP_READ, 8, data=payload)
-        assert proto.decode_reply(frame[4:], proto.OP_READ).fields["data"] == payload
-
-    def test_getattr_reply(self):
-        frame = proto.encode_reply(
-            proto.OP_GETATTR, 2, size=2**42, mode=0o100644, mtime_ns=123456789
-        )
-        fields = proto.decode_reply(frame[4:], proto.OP_GETATTR).fields
-        assert fields == {"size": 2**42, "mode": 0o100644, "mtime_ns": 123456789}
-
-    def test_write_shm_reply_decodes_with_write_spec(self):
-        # The pipelined client drains mixed OP_WRITE / OP_WRITE_SHM replies
-        # with one decode call; the two reply specs must stay identical.
-        frame = proto.encode_reply(proto.OP_WRITE_SHM, 9, written=1 << 20)
-        assert proto.decode_reply(frame[4:], proto.OP_WRITE).fields == {
-            "written": 1 << 20
-        }
-
-    def test_zero_copy_request_decode_leaves_memoryview(self):
-        frame = proto.encode_request(
-            proto.OP_WRITE, 3, handle=1, offset=0, data=b"abc123"
-        )
-        fields = proto.decode_request(frame[4:], copy_bytes=False).fields
-        assert isinstance(fields["data"], memoryview)
-        assert bytes(fields["data"]) == b"abc123"
+        frame = proto.encode_reply(proto.OP_STATS, 8, json=payload)
+        assert proto.decode_reply(frame[4:], proto.OP_STATS).fields["json"] == payload
 
 
 class TestErrorEnvelope:
@@ -103,7 +60,7 @@ class TestErrorEnvelope:
         frame = proto.encode_error(
             9, errno.ENOENT, "ContainerNotFoundError", "no such file: /b/x"
         )
-        reply = proto.decode_reply(frame[4:], proto.OP_OPEN)
+        reply = proto.decode_reply(frame[4:], proto.OP_CREATE)
         assert not reply.ok
         with pytest.raises(plfs_errors.ContainerNotFoundError) as exc_info:
             proto.raise_remote(reply)
@@ -111,7 +68,7 @@ class TestErrorEnvelope:
 
     def test_unknown_kind_becomes_remote_error(self):
         frame = proto.encode_error(9, errno.EBADF, "SomethingWeird", "boom")
-        reply = proto.decode_reply(frame[4:], proto.OP_CLOSE)
+        reply = proto.decode_reply(frame[4:], proto.OP_STATS)
         with pytest.raises(proto.RemoteError) as exc_info:
             proto.raise_remote(reply)
         assert exc_info.value.errno == errno.EBADF
@@ -129,12 +86,12 @@ class TestErrorEnvelope:
 
 class TestMalformedFrames:
     def test_truncated_fixed_field(self):
-        frame = proto.encode_request(proto.OP_CLOSE, 3, handle=7)
+        frame = proto.encode_request(proto.OP_CREATE, 3, path="/b/x", mode=0o644, exclusive=0)
         with pytest.raises(proto.ProtocolError):
             proto.decode_request(frame[4:-2])
 
     def test_string_length_past_frame_end(self):
-        body = struct.pack("!BI", proto.OP_UNLINK, 1) + struct.pack("!I", 999) + b"ab"
+        body = struct.pack("!BI", proto.OP_CREATE, 1) + struct.pack("!I", 999) + b"ab"
         with pytest.raises(proto.ProtocolError):
             proto.decode_request(body)
 
@@ -151,13 +108,7 @@ class TestMalformedFrames:
 
     def test_oversized_request_refused_at_encode(self):
         with pytest.raises(proto.ProtocolError):
-            proto.encode_request(
-                proto.OP_WRITE,
-                1,
-                handle=1,
-                offset=0,
-                data=b"\x00" * (proto.MAX_FRAME + 1),
-            )
+            proto.encode_request(proto.OP_HELLO, 1, name="x" * (proto.MAX_FRAME + 1))
 
 
 class TestSyncFraming:
