@@ -1,5 +1,5 @@
 """``repro.bench`` — production workload suite, kept as a conformance
-suite: seeded op streams replayed under five configs, held to committed
+suite: seeded op streams replayed under four configs, held to committed
 digests and exact counters.  It times nothing; ``benchmarks/ledger`` does.
 
 Layers:
@@ -8,8 +8,8 @@ Layers:
   (metadata storm, hot/cold Zipf mix, multi-tenant interference,
   crash-recovery soak);
 - :mod:`~repro.bench.runner` — executes a scenario against the direct,
-  WAL-batched, daemon, CAWL-sim or objectstore configuration and
-  assembles a versioned BenchRecord;
+  WAL-batched, daemon or objectstore configuration and assembles a
+  versioned BenchRecord;
 - :mod:`~repro.bench.record` — the schema + canonical record files
   (``BENCH_*.json``);
 - :mod:`~repro.bench.guard` — record-vs-baseline comparison, plus the A/B

@@ -14,15 +14,11 @@ Configurations (the ``config`` axis of a BenchRecord):
     :class:`~repro.plfsd.client.PlfsdClient` per tenant, every create
     serializing on the daemon's meta lock — the paper's dedicated MDS),
     and the data path is the in-process one.
-``sim``
-    The CAWL cache-aware write-back model in :mod:`repro.sim.cawl` —
-    same op stream, simulated clock, so the simulated and real
-    trajectories are directly comparable.
 ``objectstore``
     The tiered object backend (:mod:`repro.plfs.objectstore`) installed
     behind ``plfs.backing``: writes land on the local tier and drain to
-    the content-addressed store under the CAWL write-back policy — the
-    real-path twin of the ``sim`` configuration.
+    the content-addressed store under the tier's constant write-back
+    policy, so its wakeup, upload and multipart counters are exact.
 
 Execution is deliberately *sequential and deterministic*: the generator
 already interleaves tenants, so every counter in the record reproduces
@@ -72,7 +68,6 @@ WAL_BATCH_RECORDS = 16
 class BenchConfig:
     name: str
     daemon: bool = False
-    sim: bool = False
     wal: bool = False
     wal_batch: int = 1
     objectstore: bool = False
@@ -89,7 +84,6 @@ CONFIGS: dict[str, BenchConfig] = {
         "wal_batched", wal=True, wal_batch=WAL_BATCH_RECORDS
     ),
     "daemon": BenchConfig("daemon", daemon=True),
-    "sim": BenchConfig("sim", sim=True),
     "objectstore": BenchConfig("objectstore", objectstore=True),
 }
 
@@ -368,18 +362,13 @@ def execute_stream(
 
     For the ``daemon`` config the caller owns the daemon lifecycle and
     passes its *socket_path* (so differential tests can replay several
-    streams against one daemon).  ``sim`` streams never touch *root*.
-    The ``objectstore`` config installs the tiered object backend for
-    the duration of the replay (*object_store_dir* defaults to a sibling
-    of *root*) and drains the tier at the end — the sync barrier the
-    CAWL sim charges for.
+    streams against one daemon).  The ``objectstore`` config installs the
+    tiered object backend for the duration of the replay
+    (*object_store_dir* defaults to a sibling of *root*) and drains the
+    tier at the end, so every uploaded byte is counted in the record.
     """
     cfg = CONFIGS[config] if isinstance(config, str) else config
     params = params or {}
-    if cfg.sim:
-        from repro.sim.cawl import execute_sim_stream
-
-        return ExecutionResult(execute_sim_stream(ops, seed, params=params).counters)
     if cfg.daemon and socket_path is None:
         raise ValueError("daemon config requires socket_path")
     executor = _Executor(root, cfg, seed, params, socket_path if cfg.daemon else None)

@@ -5,7 +5,7 @@ of :class:`Op` — no wall-clock, no host state, no randomness outside one
 ``random.Random(seed)`` stream — so the same seed always yields the same
 op stream on every machine and Python version (the Mersenne Twister is
 part of the language spec).  The runner replays the stream against any
-backend (direct, WAL-batched, daemon, CAWL sim) and the differential
+backend (direct, WAL-batched, daemon, objectstore) and the differential
 tests replay it against two backends and demand identical bytes.
 
 The four production shapes (ROADMAP item 4):
@@ -379,7 +379,7 @@ SCENARIOS: dict[str, Scenario] = {
                 "short": dict(hot_files=4, cold_files=16, ops=320),
                 "full": dict(hot_files=8, cold_files=64, ops=4096),
             },
-            configs=("direct", "wal_batched", "daemon", "sim", "objectstore"),
+            configs=("direct", "wal_batched", "daemon", "objectstore"),
         ),
         Scenario(
             "multi_tenant",

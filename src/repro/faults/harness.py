@@ -266,12 +266,12 @@ def run_objectstore_case(
     entry.
     """
     from repro.plfs import backing
-    from repro.plfs.objectstore import ObjectStore, ObjectStoreBackingStore, TierConfig
+    from repro.plfs.objectstore import ObjectStore, ObjectStoreBackingStore
+    from repro.plfs.objectstore.tier import PART_BYTES
 
     root = os.path.dirname(os.path.abspath(path))
     store = ObjectStore(store_root or os.path.abspath(path) + ".objects")
-    config = TierConfig(multipart_part_bytes=part_bytes) if part_bytes else TierConfig()
-    backend = ObjectStoreBackingStore(store, root, config)
+    backend = ObjectStoreBackingStore(store, root, part_bytes=part_bytes or PART_BYTES)
 
     previous = backing.install(backend)
     try:

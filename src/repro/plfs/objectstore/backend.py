@@ -7,9 +7,9 @@ object storage, which is the paper's thesis applied one layer down: the
 
 Writes are write-through to local disk (the ``inner`` store, default
 direct ``os`` calls) and then noted with the write-back tier, which
-uploads dirty files per the CAWL policy.  ``fsync`` maps to a full tier
-drain: when PLFS asks for durability, every dirty dropping must be in
-the object store, mirroring how the CAWL sim treats a sync barrier.
+uploads dirty files under its constant policy (:mod:`.tier`).  ``fsync``
+maps to a full tier drain: when PLFS asks for durability, every dirty
+dropping must be in the object store, not merely on the local disk.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import os
 from repro.plfs import backing
 
 from .store import ObjectStore
-from .tier import TierConfig, WriteBackTier
+from .tier import PART_BYTES, WriteBackTier
 
 
 class ObjectStoreBackingStore(backing.BackingStore):
@@ -27,10 +27,11 @@ class ObjectStoreBackingStore(backing.BackingStore):
 
     *root* is the directory whose files map to object keys (container
     parent); *inner* performs the local writes (default: the plain
-    ``BackingStore``, i.e. direct ``os`` calls).  The object-layer ops
-    (``put_blob``/``commit_key``/…) are inherited from the base class
-    unchanged — they *are* the local blob-directory implementation — so
-    a :class:`~repro.faults.injector.FaultyBackingStore` wrapped around
+    ``BackingStore``, i.e. direct ``os`` calls); *part_bytes* is the
+    tier's multipart threshold.  The object-layer ops (``put_blob``/
+    ``commit_key``/…) are inherited from the base class unchanged — they
+    *are* the local blob-directory implementation — so a
+    :class:`~repro.faults.injector.FaultyBackingStore` wrapped around
     this backend injects into both the dropping writes and the uploads.
     """
 
@@ -38,12 +39,13 @@ class ObjectStoreBackingStore(backing.BackingStore):
         self,
         store: ObjectStore,
         root: str,
-        config: TierConfig | None = None,
         inner: backing.BackingStore | None = None,
+        *,
+        part_bytes: int = PART_BYTES,
     ):
         self.store = store
         self.inner = inner or backing.BackingStore()
-        self.tier = WriteBackTier(store, root, config)
+        self.tier = WriteBackTier(store, root, part_bytes=part_bytes)
 
     # ------------------------------------------------------------------ #
     # persistence surface: local write-through + tier accounting
@@ -99,12 +101,8 @@ class ObjectStoreBackingStore(backing.BackingStore):
         return out
 
 
-def make_backend(
-    root: str,
-    store_root: str | None = None,
-    config: TierConfig | None = None,
-) -> ObjectStoreBackingStore:
+def make_backend(root: str, store_root: str | None = None) -> ObjectStoreBackingStore:
     """Convenience constructor: an object store at *store_root* (default
     ``<root>.objects``) fronting the files under *root*."""
     store = ObjectStore(store_root or os.path.abspath(root) + ".objects")
-    return ObjectStoreBackingStore(store, root, config)
+    return ObjectStoreBackingStore(store, root)

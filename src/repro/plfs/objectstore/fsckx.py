@@ -27,7 +27,7 @@ import os
 from repro.plfs import constants
 from repro.plfs.route import posix
 
-from .store import ObjectStore, ObjectStoreError
+from .store import ObjectStore, ObjectStoreError, key_under
 
 #: local names never mirrored to the store: fsck quarantine and
 #: in-flight atomic-commit temporaries
@@ -41,12 +41,12 @@ _LOCAL_ONLY = (constants.GENERATION_FILE,)
 
 
 def _container_prefix(container_path: str, store_root: str) -> str:
-    rel = os.path.relpath(os.path.abspath(container_path), os.path.abspath(store_root))
-    if rel.startswith(".."):
+    key = key_under(store_root, container_path)
+    if key is None:
         raise ValueError(
             f"container {container_path!r} is outside the tiered root {store_root!r}"
         )
-    return rel.replace(os.sep, "/") + "/"
+    return key + "/"
 
 
 def _skip(name: str) -> bool:

@@ -73,6 +73,16 @@ def check_key(key: str) -> str:
     return key
 
 
+def key_under(root: str, path: str) -> str | None:
+    """The object key of *path* relative to the tiered *root*, or ``None``
+    when *path* is not under it.  Only a ``..`` component leaves the
+    root; a name that merely starts with ``..`` (``..ckpt``) is inside."""
+    rel = os.path.relpath(os.path.abspath(path), os.path.abspath(root))
+    if rel == os.pardir or rel.startswith(os.pardir + os.sep):
+        return None
+    return rel.replace(os.sep, "/")
+
+
 class MultipartUpload:
     """One in-flight multipart upload (the S3 create/part/complete shape).
 
@@ -172,8 +182,8 @@ class ObjectStore:
 
     def put(self, key: str, payload: bytes, *, part_size: int | None = None) -> ObjectInfo:
         """Store *payload* under *key*; multipart when it exceeds
-        *part_size* (the tier passes its flush-chunk size here, so large
-        droppings upload the way CAWL's flusher drains — in chunks)."""
+        *part_size* (the tier passes its part size here, so a dropping
+        larger than one part uploads in bounded pieces)."""
         payload = bytes(payload)
         check_key(key)
         if part_size and len(payload) > part_size:

@@ -3,14 +3,21 @@
 The tier is a *cache*; the object store is the *authority* (the same
 decision PR 4 made for the compacted index).  Droppings are written to
 local disk first — absorbing PLFS's append-heavy pattern at local
-latency — and uploaded by a dirty-byte flusher whose policy mirrors
-``repro.sim.cawl`` exactly (capacity, hiwater 0.75, lowater 0.25, 64 KiB
-multipart chunks) so the sim twin and the real backend stay comparable
-under the bench schema.
+latency — and uploaded by a dirty-byte flusher.  The policy is four
+constants, defined here and nowhere else:
 
-Dirty entries flush FIFO (oldest write first, like CAWL's flusher walks
-its dirty list); clean entries form an LRU that :meth:`evict` trims.
-The two hygiene invariants the error-path sweep pins down:
+* at most :data:`CAPACITY_BYTES` (128 KiB) of un-uploaded bytes are
+  meant to sit on local disk;
+* a write that takes the dirty total past :data:`HIWATER` of it wakes
+  the flusher, which uploads until the total is at most :data:`LOWATER`
+  of it — a burst is absorbed locally and then paid for in one batch,
+  not one PUT per append;
+* a dropping larger than :data:`PART_BYTES` (64 KiB) uploads as a
+  multipart object, so no single PUT grows with the dropping.
+
+Dirty entries flush FIFO (oldest write first); clean entries form an
+LRU that :meth:`evict` trims.  The two hygiene invariants the error-path
+sweep pins down:
 
 * a **failed PUT keeps the entry dirty** — ``flush_to_lowater`` records
   the error and moves on; only a PUT that returned success moves the
@@ -25,33 +32,16 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from dataclasses import dataclass
 
-from .store import ObjectStore
+from .store import ObjectStore, key_under
 
-#: mirrors repro.sim.cawl DEFAULTS — keep the twins in lock-step
-DEFAULT_CAPACITY_BYTES = 128 * 1024
-DEFAULT_HIWATER = 0.75
-DEFAULT_LOWATER = 0.25
-DEFAULT_PART_BYTES = 64 * 1024
+CAPACITY_BYTES = 128 * 1024
+HIWATER = 0.75
+LOWATER = 0.25
+PART_BYTES = 64 * 1024
 
-
-@dataclass(frozen=True)
-class TierConfig:
-    """Write-back policy knobs (defaults = the CAWL sim policy)."""
-
-    capacity_bytes: int = DEFAULT_CAPACITY_BYTES
-    hiwater: float = DEFAULT_HIWATER
-    lowater: float = DEFAULT_LOWATER
-    multipart_part_bytes: int = DEFAULT_PART_BYTES
-
-    @property
-    def hiwater_bytes(self) -> int:
-        return int(self.capacity_bytes * self.hiwater)
-
-    @property
-    def lowater_bytes(self) -> int:
-        return int(self.capacity_bytes * self.lowater)
+HIWATER_BYTES = int(CAPACITY_BYTES * HIWATER)
+LOWATER_BYTES = int(CAPACITY_BYTES * LOWATER)
 
 
 class WriteBackTier:
@@ -60,12 +50,13 @@ class WriteBackTier:
     *root* is the directory whose files are tiered (the container's
     parent in practice); keys are paths relative to it, which makes them
     exactly the container-relative object keys the store expects.
+    *part_bytes* is the multipart threshold (default :data:`PART_BYTES`).
     """
 
-    def __init__(self, store: ObjectStore, root: str, config: TierConfig | None = None):
+    def __init__(self, store: ObjectStore, root: str, *, part_bytes: int = PART_BYTES):
         self.store = store
         self.root = os.path.abspath(root)
-        self.config = config or TierConfig()
+        self.part_bytes = part_bytes
         # key -> pending dirty bytes, oldest-written first (flush order)
         self._dirty: OrderedDict[str, int] = OrderedDict()
         # key -> last-known size, least-recently-uploaded first (evict order)
@@ -93,10 +84,7 @@ class WriteBackTier:
     def key_for(self, path: str) -> str | None:
         """Container-relative object key for *path*, or ``None`` if the
         path escapes the tiered root (not ours to track)."""
-        rel = os.path.relpath(os.path.abspath(path), self.root)
-        if rel.startswith(".."):
-            return None
-        return rel.replace(os.sep, "/")
+        return key_under(self.root, path)
 
     def local_path(self, key: str) -> str:
         return os.path.join(self.root, *key.split("/"))
@@ -114,14 +102,14 @@ class WriteBackTier:
             return
         if key in self._dirty:
             # already pending: the coming flush uploads the whole file,
-            # so this write rides along — CAWL's absorbed-write case
+            # so this write rides along at no upload cost of its own
             self.stats["tier_absorbed_writes"] += 1
             self._dirty[key] += nbytes
         else:
             self._clean.pop(key, None)
             self._dirty[key] = nbytes
         self._dirty_total += nbytes
-        if self._dirty_total > self.config.hiwater_bytes:
+        if self._dirty_total > HIWATER_BYTES:
             self.stats["tier_hiwater_wakeups"] += 1
             self.flush_to_lowater()
 
@@ -131,7 +119,7 @@ class WriteBackTier:
         entry *stays dirty*; the flusher moves on (a sync barrier will
         surface the error via :meth:`drain`)."""
         for key in list(self._dirty):
-            if self._dirty_total <= self.config.lowater_bytes:
+            if self._dirty_total <= LOWATER_BYTES:
                 break
             try:
                 self._writeback(key)
@@ -168,7 +156,7 @@ class WriteBackTier:
             self.store.delete(key)
             self.stats["tier_vanished"] += 1
             return
-        self.store.put(key, data, part_size=self.config.multipart_part_bytes)
+        self.store.put(key, data, part_size=self.part_bytes)
         pending = self._dirty.pop(key, 0)
         self._dirty_total -= pending
         self._clean[key] = len(data)

@@ -19,8 +19,8 @@ BASELINES = record.load_all(
 )
 
 
-def test_all_eight_baselines_are_committed():
-    assert len(BASELINES) == 8
+def test_all_seven_baselines_are_committed():
+    assert len(BASELINES) == 7
 
 
 @pytest.mark.parametrize("name", sorted(BASELINES))

@@ -44,10 +44,18 @@ def test_run_emits_schema_valid_record(out_dir, capsys):
 
 
 def test_run_skips_unsupported_config(out_dir, capsys):
-    # metadata_storm has no sim config: selection is empty -> exit 2
+    # collective_io has no objectstore config: selection is empty -> exit 2
     assert (
         cli.main(
-            ["run", "--scenario", "metadata_storm", "--config", "sim", "--out", out_dir]
+            [
+                "run",
+                "--scenario",
+                "collective_io",
+                "--config",
+                "objectstore",
+                "--out",
+                out_dir,
+            ]
         )
         == 2
     )

@@ -124,14 +124,10 @@ def test_crash_soak_rejects_non_direct_configs():
         runner.run_scenario("crash_soak", config="daemon")
 
 
-def test_unknown_config_raises():
+@pytest.mark.parametrize("config", ["quantum", "sim"])
+def test_unknown_config_raises(config):
     with pytest.raises(ValueError, match="does not support"):
-        runner.run_scenario("metadata_storm", config="quantum")
-
-
-def test_sim_config_only_where_registered():
-    with pytest.raises(ValueError, match="does not support"):
-        runner.run_scenario("metadata_storm", config="sim")
+        runner.run_scenario("metadata_storm", config=config)
 
 
 def test_execute_stream_daemon_requires_socket(tmp_path):

@@ -11,12 +11,23 @@ for the orphaned extent — never a silent truncation)."""
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 
 from repro.faults import FAULT_MATRIX, matrix_by_name
-from repro.faults.harness import random_schedule, read_back, run_objectstore_case
+from repro.faults.harness import (
+    WriteOp,
+    random_schedule,
+    read_back,
+    run_objectstore_case,
+    run_schedule,
+)
+from repro.faults.injector import FaultInjector, FaultSpec
+from repro.plfs import backing
 from repro.plfs.fsck import fsck
+from repro.plfs.objectstore import make_backend
+from repro.plfs.objectstore.tier import HIWATER_BYTES
 
 OBJECT_ARMS = [
     pytest.param(case.name, wal, id=f"{case.name}-{'wal' if wal else 'nowal'}")
@@ -194,3 +205,73 @@ def test_dry_run_touches_neither_container_nor_store(
     # the dry run predicts the same verdicts the real run delivers
     real = fsck(container_path, objectstore=store, objectstore_root=root)
     assert bool(preview.unrecoverable) == bool(real.unrecoverable)
+
+
+@pytest.mark.parametrize("wal", [False, True], ids=["nowal", "wal"])
+def test_flusher_crash_racing_eviction_keeps_the_dirty_copy(
+    container_path, fault_seed, wal
+):
+    """The tier flusher's fault arm: a schedule's writes push the dirty
+    total past high water, so one ``plfs_write`` runs the flush, and the
+    flush's second PUT crashes.  The crash leaves ``plfs_write``; an
+    eviction right after it takes only what was uploaded, never the entry
+    whose PUT crashed; and restore + fsck recover a state the harness
+    accepts for the schedule."""
+    rng = random.Random(fault_seed)
+    schedule = [
+        WriteOp(rng.randrange(64 * 1024), rng.randbytes(8 * 1024)) for _ in range(16)
+    ]
+    assert sum(len(op.data) for op in schedule) > HIWATER_BYTES
+    root = os.path.dirname(container_path)
+    backend = make_backend(root)
+    tier = backend.tier
+    injector = FaultInjector([FaultSpec("object_put", "crash", op=2)], seed=fault_seed)
+    previous = backing.install(backend)
+    try:
+        out = run_schedule(container_path, schedule, wal=wal, injector=injector)
+    finally:
+        backing.install(previous)
+
+    assert out.crashed and [e.point for e in out.events] == ["object_put"]
+    assert tier.stats["tier_hiwater_wakeups"] == 1
+    inflight = schedule[len(out.applied)]  # the plfs_write the crash left
+    assert not out.errors and len(out.applied) < len(schedule)
+
+    dirty = tier.dirty_keys()
+    uploaded = tier.clean_keys()
+    assert dirty and uploaded
+    tier.evict()
+    assert tier.dirty_keys() == dirty
+    assert all(os.path.exists(tier.local_path(k)) for k in dirty), (
+        "eviction reaped an entry whose PUT crashed: its only copy is local"
+    )
+    assert sorted(tier.restore_missing()) == sorted(uploaded)
+
+    report = fsck(container_path, objectstore=backend.store, objectstore_root=root)
+    assert report.check is not None and report.check.ok, report.render()
+    # the write the flush interrupted had appended its data (and, with a
+    # WAL, its promise) before the flush it triggered: whole, it is the
+    # landed part of the op that crashed
+    out.partial = (inflight.offset, inflight.data)
+    content = read_back(container_path)
+    assert content in out.acceptable_states()
+    if wal:
+        assert content == out.expected_full()
+    else:
+        assert report.unrecoverable, "lost unindexed bytes must be reported"
+
+
+def test_fsck_reconciles_a_container_whose_name_starts_with_dotdot(backend, fault_seed):
+    """``..ckpt`` lies under the tiered root: fsck scopes its reconcile to
+    the container's prefix instead of refusing it as outside the root."""
+    path = os.path.join(backend, "..ckpt")
+    be = make_backend(backend)
+    previous = backing.install(be)
+    try:
+        out = run_schedule(path, random_schedule(fault_seed, ops=12), sync_every=4)
+    finally:
+        backing.install(previous)
+    report = fsck(path, objectstore=be.store, objectstore_root=backend)
+    assert report.ok, report.render()
+    assert read_back(path) == out.expected_full()
+    assert be.store.list("..ckpt/")

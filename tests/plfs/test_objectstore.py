@@ -10,16 +10,17 @@ import os
 
 import pytest
 
+from repro import plfs
 from repro.faults.injector import FaultInjector, FaultSpec, InjectedCrash
 from repro.plfs import backing
 from repro.plfs.objectstore import (
     ObjectStore,
     ObjectStoreBackingStore,
     ObjectStoreError,
-    TierConfig,
     WriteBackTier,
     make_backend,
 )
+from repro.plfs.objectstore.tier import LOWATER_BYTES
 
 
 @pytest.fixture
@@ -31,7 +32,7 @@ def store(tmp_path):
 def tiered(tmp_path, store):
     root = tmp_path / "tiered"
     root.mkdir()
-    return store, WriteBackTier(store, str(root), TierConfig(capacity_bytes=1024))
+    return store, WriteBackTier(store, str(root))
 
 
 def _seed_local(tier, key: str, data: bytes) -> str:
@@ -147,12 +148,13 @@ class TestWriteBackTier:
         assert store.get("c/f") == b"hello"
 
     def test_hiwater_triggers_flush_to_lowater(self, tiered):
-        store, tier = tiered  # capacity 1024: hiwater 768, lowater 256
+        store, tier = tiered  # hiwater 96 KiB, lowater 32 KiB
+        chunk = 30 * 1024
         for i in range(4):
-            path = _seed_local(tier, f"c/f{i}", b"x" * 250)
-            tier.note_write(path, 250)
+            path = _seed_local(tier, f"c/f{i}", b"x" * chunk)
+            tier.note_write(path, chunk)
         assert tier.stats["tier_hiwater_wakeups"] == 1
-        assert tier.dirty_bytes() <= tier.config.lowater_bytes
+        assert tier.dirty_bytes() <= LOWATER_BYTES
         # oldest-first: f0 flushed before f3
         assert "c/f0" in tier.clean_keys()
 
@@ -171,6 +173,9 @@ class TestWriteBackTier:
         tier.note_write(str(outside), 1)
         assert tier.dirty_keys() == []
         assert tier.stats["tier_untracked_writes"] == 1
+        tier.note_write(os.path.join(tier.root, "..", "x"), 1)
+        assert tier.dirty_keys() == []
+        assert tier.stats["tier_untracked_writes"] == 2
 
     def test_evict_reclaims_clean_only_and_restore_refills(self, tiered):
         store, tier = tiered
@@ -234,8 +239,8 @@ class TestTierHygiene:
         assert store.get("c/f") == b"must survive"
 
     def test_background_flush_swallows_error_but_stays_dirty(self, tiered):
-        # enough dirty bytes that flush_to_lowater actually attempts a PUT
-        store, tier, path = self._dirty_tier(tiered, data=b"x" * 300)
+        # past lowater, so flush_to_lowater actually attempts a PUT
+        store, tier, path = self._dirty_tier(tiered, data=b"x" * (LOWATER_BYTES + 1024))
         injector = FaultInjector([FaultSpec("object_put", "enospc", op=1)])
         with injector.armed():
             tier.flush_to_lowater()  # background flusher: record, move on
@@ -306,6 +311,26 @@ class TestObjectStoreBackingStore:
         assert be.tier.dirty_keys() == []
         assert be.store.get("f") == b"durable"
         assert be.counters()["tier_sync_drains"] == 1
+
+    def test_a_name_starting_with_dotdot_is_under_the_root(self, tmp_path):
+        """``..ckpt`` is a child of the tiered root, not its parent: its
+        droppings reach the store on sync exactly as a sibling's do."""
+        root = tmp_path / "root"
+        root.mkdir()
+        be = make_backend(str(root))
+        uploaded = {}
+        previous = backing.install(be)
+        try:
+            for name in ("ckpt", "..ckpt"):
+                fd = plfs.plfs_open(str(root / name), os.O_CREAT | os.O_WRONLY, mode=0o644)
+                plfs.plfs_write(fd, b"checkpoint", 10, 0)
+                plfs.plfs_sync(fd)
+                uploaded[name] = len(be.store.list(name + "/"))
+                plfs.plfs_close(fd)
+        finally:
+            backing.install(previous)
+        assert be.tier.stats["tier_untracked_writes"] == 0
+        assert uploaded["..ckpt"] == uploaded["ckpt"] > 0
 
     def test_armed_injector_wraps_the_installed_backend(self, tmp_path):
         """The routing bugfix: arming over an installed objectstore
