@@ -4,7 +4,9 @@ The paper's primary contribution: a dynamically installed shim that
 retargets POSIX file operations on paths under PLFS mount points to the
 PLFS user-level API, with no application modification.  See
 :mod:`repro.core.interpose` for activation and :mod:`repro.core.shim` for
-the interposed call set.
+the interposed call set.  The tracer's names (:mod:`repro.core.trace`)
+resolve on first touch (PEP 562): it loads the simulator's statistics,
+which a process that only interposes never needs.
 """
 
 from .config import (
@@ -28,7 +30,6 @@ from .interpose import (
 )
 from .mounts import Mount, MountTable
 from .shim import RealOS, RetryPolicy, Shim
-from .trace import FileStats, TraceReport, Tracer, traced
 
 __all__ = [
     "Interposer",
@@ -57,3 +58,14 @@ __all__ = [
     "TraceReport",
     "FileStats",
 ]
+
+
+_LAZY = ("Tracer", "traced", "TraceReport", "FileStats")
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import trace
+
+    return getattr(trace, name)

@@ -197,7 +197,7 @@ class Shim:
         # One buffer (every file-object read) is handed down and filled in
         # place; several cover one contiguous logical span, so they are one
         # plfs_read_into (one plan, one revalidation), then scattered.
-        # Non-byte buffers (array('i'), numpy views) count bytes, and a
+        # Non-byte buffers (array('i'), typed N-d views) count bytes, and a
         # non-contiguous one raises — the contract os.readv has.
         if offset < 0:
             raise _einval()

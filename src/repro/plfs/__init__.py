@@ -74,7 +74,7 @@ from .errors import (
     NotAContainerError,
     PlfsError,
 )
-from .index import INDEX_DTYPE, ExtentMap, GlobalIndex, ReadSlice
+from .index import RECORD, ExtentMap, GlobalIndex, ReadSlice
 from .reader import ReadFile
 from .writer import WriteFile
 
@@ -88,7 +88,7 @@ __all__ = [
     "GlobalIndex",
     "ExtentMap",
     "ReadSlice",
-    "INDEX_DTYPE",
+    "RECORD",
     "PlfsError",
     "NotAContainerError",
     "ContainerNotFoundError",

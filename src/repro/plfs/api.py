@@ -17,15 +17,14 @@ rather than returned as ``-errno``.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import cache as index_cache
 from .container import ABSENT, CONTAINER, DIRECTORY, Container, classify
 from .container import is_container, readdir_logical, rmdir_logical
 from .errors import BadFlagsError, ContainerExistsError, ContainerNotFoundError, NotAContainerError
-from .index import pack_records, segment_records
+from .index import segment_records
 from .reader import ReadFile, byte_view
 from .route import posix
 from .util import unique_timestamp
@@ -395,14 +394,14 @@ def plfs_flatten_index(path: str, *, clip: int | None = None) -> int:
     container = Container(path)
     reader = ReadFile(container)
     try:
-        starts, ends, _, _ = reader.index.as_arrays()
+        starts, lengths, _, _ = reader.index.as_arrays()
         if clip is not None:
-            keep = int(np.searchsorted(starts, clip, side="left"))
-            starts, ends = starts[:keep], np.minimum(ends[:keep], clip)
+            keep = bisect_left(starts, clip)
+            starts = starts[:keep]
+            lengths = [min(length, clip - start) for start, length in zip(starts, lengths)]
         # Read every surviving extent *before* wiping the droppings.
         chunks: list[tuple[int, bytes]] = [
-            (start, reader.read(length, start))
-            for start, length in zip(starts.tolist(), (ends - starts).tolist())
+            (start, reader.read(length, start)) for start, length in zip(starts, lengths)
         ]
     finally:
         reader.close()
@@ -453,10 +452,8 @@ def plfs_dump_index(path: str) -> bytes:
     container = Container(path)
     reader = ReadFile(container)
     try:
-        recs = segment_records(reader.index.as_arrays())
         # Flattened segments are disjoint: there is no recency between
         # them to record, so all carry the time of the dump.
-        recs["timestamp"] = unique_timestamp()
-        return pack_records(recs)
+        return segment_records(reader.index.as_arrays(), unique_timestamp())
     finally:
         reader.close()

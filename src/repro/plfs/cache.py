@@ -11,7 +11,7 @@ container over and over.  This module removes the tax three ways:
    and on a clean close that leaves something for it to skip
    (:func:`compact_where_it_pays`), the merged index is flattened into a
    single ``global.index`` file in the container root.  :func:`load_index`
-   loads it back with one read + one NumPy parse (its records are the index's
+   loads it back with one read and one parse (its records are the index's
    sorted columns, field by field) instead of re-reading and re-sorting N
    droppings.  The file carries the *container epoch* it was built at
    (:meth:`~repro.plfs.container.Container.index_epoch`); a mismatch —
@@ -48,8 +48,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import backing, constants
 from .container import Container, DroppingMark, Droppings
 from .errors import CorruptIndexError
@@ -60,7 +58,7 @@ from .index import (
     load_global_index,
     pack_compacted,
     parse_compacted,
-    parse_records,
+    with_dropping,
 )
 from .route import posix
 
@@ -117,15 +115,12 @@ def load_index(
             records, rel_paths, file_epoch, _size = parse_compacted(
                 raw, source=gpath
             )
+            index = index_from_compacted(records) if file_epoch == epoch else None
         except CorruptIndexError:
-            pass
-        else:
-            if file_epoch == epoch:
-                index = index_from_compacted(records)
-                data_paths = [
-                    os.path.join(container.path, rel) for rel in rel_paths
-                ]
-                return LoadedIndex(index, data_paths, epoch, "compacted", marks)
+            index = None
+        if index is not None:
+            data_paths = [os.path.join(container.path, rel) for rel in rel_paths]
+            return LoadedIndex(index, data_paths, epoch, "compacted", marks)
     index, data_paths = load_global_index(
         droppings, sizes=[mark.index_size for mark in marks]
     )
@@ -178,17 +173,15 @@ def extend_index(
             return None
         if grown:
             tails.append((gid, parsed, grown))
-    arrays = []
+    batches = []
     for gid, start, length in tails:
         raw = _read_tail(droppings[gid][0], start, length)
         if raw is None:
             return None
-        records = parse_records(raw)
-        records["dropping"] = gid
-        arrays.append(records)
+        batches.append(with_dropping(raw, gid))
     index = held.index
-    if arrays:
-        index = index.extended(np.concatenate(arrays) if len(arrays) > 1 else arrays[0])
+    if batches:
+        index = index.extended(b"".join(batches))
         if index is None:
             return None
     return LoadedIndex(index, data_paths, epoch, held.source, marks)

@@ -78,7 +78,15 @@ from . import constants, util
 from .cache import invalidate as invalidate_index_cache
 from .container import Container, assert_container, is_container
 from .errors import CorruptIndexError, PlfsError
-from .index import GlobalIndex, clip_to_physical, pack_records, parse_compacted, split_torn
+from .index import (
+    RECORD_SIZE,
+    GlobalIndex,
+    clip_to_physical,
+    parse_compacted,
+    split_torn,
+    unpack_records,
+    with_dropping,
+)
 from .route import posix
 
 BROKEN = "broken"
@@ -248,10 +256,10 @@ def _record_coverage(index_path: str) -> int:
         records, _ = split_torn(_read(index_path))
     except OSError:
         return 0
-    return int(records["length"].sum()) if records.shape[0] else 0
+    return sum(record.length for record in unpack_records(records))
 
 
-def _replace_index(index_path: str, records) -> None:
+def _replace_index(index_path: str, records: bytes) -> None:
     """Write-then-rename a repaired index dropping beside the damaged one.
 
     Truncating in place would destroy the only copy of the records before
@@ -263,15 +271,16 @@ def _replace_index(index_path: str, records) -> None:
         os.path.dirname(index_path), REPAIR_TMP_PREFIX + os.path.basename(index_path)
     )
     with posix.builtins_open(tmp, "wb") as fh:
-        fh.write(pack_records(records))
+        fh.write(records)
     posix.replace(tmp, index_path)
 
 
 def _trim_tail(report, rel_data, data_path, data_size, records, why, loss, *, dry_run) -> int:
     """Trim data bytes past the last indexed byte; returns the bytes kept."""
-    indexed_end = 0
-    if records.shape[0]:
-        indexed_end = int((records["physical_offset"] + records["length"]).max())
+    indexed_end = max(
+        (record.physical_offset + record.length for record in unpack_records(records)),
+        default=0,
+    )
     if data_size <= indexed_end:
         return data_size
     stranded = data_size - indexed_end
@@ -298,7 +307,7 @@ def _repair_dropping(report, container_path, hostdir, data_name, *, dry_run):
     if posix.exists(wal_path):
         records, torn = split_torn(_read(wal_path))
         clipped, lost = clip_to_physical(records, data_size)
-        detail = f"rebuilt {clipped.shape[0]} record(s) from write-ahead index"
+        detail = f"rebuilt {len(clipped) // RECORD_SIZE} record(s) from write-ahead index"
         if torn:
             detail += f", discarded {torn} torn WAL byte(s)"
         if lost:
@@ -510,10 +519,10 @@ def fsck(
             touched |= len(report.actions) > before
             if kept is not None:
                 records, physical = kept
-                records["dropping"] = report.droppings  # in memory: any rewrite is done
-                kept_records.append(records)
+                # the global id is for the in-memory index only: any rewrite is done
+                kept_records.append(with_dropping(records, report.droppings))
                 report.droppings += 1
-                report.records += int(records.shape[0])
+                report.records += len(records) // RECORD_SIZE
                 report.physical_bytes += physical
 
     # 3. orphan index and WAL droppings
@@ -530,8 +539,8 @@ def fsck(
     # 5. cached metadata, from the repaired index
     index = GlobalIndex(kept_records)
     report.logical_size = index.logical_size
-    starts, ends, _, _ = index.as_arrays()
-    report.garbage_bytes = max(0, report.physical_bytes - int((ends - starts).sum()))
+    _, lengths, _, _ = index.as_arrays()
+    report.garbage_bytes = max(0, report.physical_bytes - sum(lengths))
     echo = report.repaired  # then the repair it follows carries the grade
     cached = None if echo else container.cached_size()
     if echo or cached not in (None, index.logical_size):

@@ -38,43 +38,33 @@ from __future__ import annotations
 import os
 import threading
 
-import numpy as np
-
 from . import backing, util
 from .cache import invalidate_cross_process as _invalidate_cross_process
 from .container import Container
 from .errors import BadFlagsError
-from .index import INDEX_DTYPE
+from .index import RECORD
 from .route import posix
 
 #: Flush buffered index records to disk after this many accumulate, bounding
 #: memory for very write-heavy workloads.
 INDEX_FLUSH_THRESHOLD = 4096
 
-#: Cap on one merged index record's ``length``.  ``INDEX_DTYPE`` stores the
+#: Cap on one merged index record's ``length``.  ``RECORD`` stores the
 #: length as an unsigned 64-bit field; an uncapped sequential run merged for
 #: long enough would silently wrap it.  1 TiB per record keeps merged
 #: extents far from the field width while still collapsing any realistic
 #: sequential stream into a handful of records.
 MERGE_LENGTH_CAP = 1 << 40
 
-# Buffered records are plain Python rows — packed into a structured array
-# in bulk at flush time, so the per-append hot path allocates no NumPy
-# objects.  Column order of one row:
+# Buffered records are plain Python rows — a merge extends one in place —
+# packed at flush time.  Column order of one row:
 _LOGICAL, _PHYSICAL, _LENGTH, _PID, _TS = range(5)
 
 
-def _rows_to_records(rows: list[list]) -> np.ndarray:
-    """Bulk-pack buffered rows into an :data:`INDEX_DTYPE` array."""
-    records = np.zeros(len(rows), dtype=INDEX_DTYPE)
-    if rows:
-        cols = list(zip(*rows))
-        records["logical_offset"] = cols[_LOGICAL]
-        records["physical_offset"] = cols[_PHYSICAL]
-        records["length"] = cols[_LENGTH]
-        records["pid"] = cols[_PID]
-        records["timestamp"] = cols[_TS]
-    return records
+def _rows_to_records(rows: list[list]) -> bytes:
+    """Pack buffered rows as :data:`RECORD` rows of dropping 0."""
+    pack = RECORD.pack
+    return b"".join([pack(lo, phys, length, 0, pid, ts) for lo, phys, length, pid, ts in rows])
 
 
 class _Dropping:
@@ -259,7 +249,7 @@ class _Dropping:
         with self._lock:
             rows, self.wal_rows = self.wal_rows, []
         try:
-            payload = _rows_to_records(rows).tobytes()
+            payload = _rows_to_records(rows)
             backing.current().write_wal(self.wal_fd, payload, self.wal_path)
         except BaseException:
             with self._lock:
@@ -287,7 +277,7 @@ class _Dropping:
                 self.flush_wal()
             if not rows:
                 return
-            payload = _rows_to_records(rows).tobytes()
+            payload = _rows_to_records(rows)
             backing.current().append_index(self.index_path, payload)
         except BaseException:
             with self._lock:

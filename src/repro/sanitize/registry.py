@@ -99,7 +99,7 @@ def runtime_classes() -> list[type]:
     """The production classes carrying ``_SANITIZE_SHARED`` hooks.
 
     Imported lazily: the registry must be importable without dragging in
-    the daemon (or numpy) — only the runtime detector pays this cost.
+    the daemon — only the runtime detector pays this cost.
     """
     from repro.core.fdtable import FdTable
     from repro.core.mounts import MountTable

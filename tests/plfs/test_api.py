@@ -103,22 +103,22 @@ class TestReadWrite:
         rvalue have different structures``); ``os.readv`` counts bytes."""
         from array import array
 
-        import numpy as np
-
         values = array("i", range(8))
         fd = plfs.plfs_open(container_path, os.O_CREAT | os.O_RDWR)
         plfs.plfs_write(fd, values.tobytes(), None, 0)
         ints = array("i", [0] * 4)
         assert plfs.plfs_read_into(fd, ints, 0) == 4 * ints.itemsize
         assert ints == values[:4]
-        slab = np.zeros((2, 4), dtype=np.int32)
-        assert plfs.plfs_read_into(fd, slab[1], 16) == 16  # a contiguous row view
-        assert slab.tolist() == [[0] * 4, [4, 5, 6, 7]]
-        assert plfs.plfs_read_into(fd, slab, 0) == 32  # N-d, contiguous
-        assert slab.ravel().tolist() == list(range(8))
+        slab = bytearray(32)
+        row = memoryview(slab).cast("i")[4:]
+        assert plfs.plfs_read_into(fd, row, 16) == 16  # a contiguous row view
+        assert memoryview(slab).cast("i").tolist() == [0] * 4 + [4, 5, 6, 7]
+        grid = memoryview(slab).cast("i", (2, 4))
+        assert plfs.plfs_read_into(fd, grid, 0) == 32  # N-d, contiguous
+        assert grid.tolist() == [[0, 1, 2, 3], [4, 5, 6, 7]]
         # a destination that cannot be filled in place: os.readv's error
         with pytest.raises(BufferError, match="not C-contiguous"):
-            plfs.plfs_read_into(fd, slab[:, ::2], 0)
+            plfs.plfs_read_into(fd, memoryview(ints)[::2], 0)
         with pytest.raises(BufferError, match="not C-contiguous"):
             plfs.plfs_read_into(fd, memoryview(bytearray(8))[::2], 0)
         plfs.plfs_close(fd)
@@ -342,18 +342,17 @@ class TestMaintenance:
         plfs.plfs_write(fd, b"ab", 2, 0)
         plfs.plfs_write(fd, b"cde", 3, 10)
         plfs.plfs_close(fd)
-        from repro.plfs.index import parse_records
+        from repro.plfs.index import parse_records, unpack_records
 
-        records = parse_records(plfs.plfs_dump_index(container_path))
-        assert records.shape == (2,)
-        assert records[0]["length"] == 2
+        records = unpack_records(parse_records(plfs.plfs_dump_index(container_path)))
+        assert len(records) == 2
+        assert records[0].length == 2
         dumped = [
-            (r["logical_offset"], r["logical_offset"] + r["length"],
-             r["dropping"], r["physical_offset"])
+            (r.logical_offset, r.logical_offset + r.length, r.dropping, r.physical_offset)
             for r in records
         ]
         assert dumped == plfs.plfs_map(container_path)
-        assert (records["timestamp"] > 0).all() and (records["pid"] == 0).all()
+        assert all(r.timestamp > 0 and r.pid == 0 for r in records)
 
     def test_readdir_mkdir_rmdir(self, backend):
         d = os.path.join(backend, "dir")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,12 +103,12 @@ class TestAsArrays:
         m = ExtentMap()
         m.assign(0, 10, 1, 5)
         m.assign(20, 25, 2, 7)
-        starts, ends, drops, phys = m.as_arrays()
+        starts, lengths, drops, phys = m.as_arrays()
         assert starts.tolist() == [0, 20]
-        assert ends.tolist() == [10, 25]
+        assert lengths.tolist() == [10, 5]
         assert drops.tolist() == [1, 2]
         assert phys.tolist() == [5, 7]
-        assert starts.dtype == np.int64
+        assert starts.typecode == lengths.typecode == drops.typecode == phys.typecode == "q"
 
 
 # --------------------------------------------------------------------- #
@@ -134,17 +133,17 @@ def test_extent_map_matches_array_model(writes):
     """Replaying the same writes into a plain array must agree byte-for-byte
     with the extent map (which write owns each byte)."""
     m = ExtentMap()
-    model = np.full(FILE_LIMIT + 64, -1, dtype=np.int64)
+    model = [-1] * (FILE_LIMIT + 64)
     for write_id, (start, length) in enumerate(writes):
         end = start + length
         m.assign(start, end, write_id, start * 1000)
-        model[start:end] = write_id
+        model[start:end] = [write_id] * length
 
     # Segment view and model must agree on ownership of every byte.
-    owner = np.full(FILE_LIMIT + 64, -1, dtype=np.int64)
+    owner = [-1] * (FILE_LIMIT + 64)
     for s, e, d, p in m.segments():
         assert s < e
-        owner[s:e] = d
+        owner[s:e] = [d] * (e - s)
         # physical offset must be consistent with the original write: the
         # original write of id d started at some start0 with phys
         # start0*1000, so p - s*? ... the fragment's physical offset equals
@@ -154,7 +153,7 @@ def test_extent_map_matches_array_model(writes):
         assert p == orig_start * 1000 + (s - orig_start)
         assert orig_start <= s and e <= orig_start + orig_len
 
-    assert np.array_equal(owner, model)
+    assert owner == model
 
     # Segments must be sorted and non-overlapping.
     segs = m.segments()

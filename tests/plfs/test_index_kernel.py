@@ -10,29 +10,28 @@ read plans and compacted bytes must equal the reference's.
 from __future__ import annotations
 
 import os
+from array import array
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import plfs
 from repro.plfs import constants
 from repro.plfs.index import (
-    INDEX_DTYPE,
     ExtentMap,
     GlobalIndex,
     ReadSlice,
     pack_compacted,
+    pack_records,
     read_index_dropping,
+    unpack_records,
+    with_dropping,
 )
 
 
-def records_from(rows) -> np.ndarray:
+def records_from(rows) -> bytes:
     """(logical_offset, length, dropping, physical_offset, timestamp) rows."""
-    recs = np.zeros(len(rows), dtype=INDEX_DTYPE)
-    for i, (lo, ln, dr, po, ts) in enumerate(rows):
-        recs[i] = (lo, po, ln, dr, 7, ts)
-    return recs
+    return pack_records((lo, po, ln, dr, 7, ts) for lo, ln, dr, po, ts in rows)
 
 
 def sweep(batches, base: ExtentMap | None = None) -> ExtentMap:
@@ -40,14 +39,10 @@ def sweep(batches, base: ExtentMap | None = None) -> ExtentMap:
     after batch, over *base*."""
     extents = base if base is not None else ExtentMap()
     for records in batches:
-        for i in np.argsort(records["timestamp"], kind="stable").tolist():
-            lo = int(records["logical_offset"][i])
-            extents.assign(
-                lo,
-                lo + int(records["length"][i]),
-                int(records["dropping"][i]),
-                int(records["physical_offset"][i]),
-            )
+        # sorted() is stable: equal timestamps keep their order in the batch
+        for r in sorted(unpack_records(records), key=lambda r: r.timestamp):
+            extents.assign(r.logical_offset, r.logical_offset + r.length, r.dropping,
+                           r.physical_offset)
     return extents
 
 
@@ -115,7 +110,7 @@ def test_add_records_matches_sweep(batches):
 @given(batches=batches)
 def test_constructor_concatenation_matches_sweep(batches):
     arrays = [records_from(rows) for rows in batches]
-    assert_same_index(GlobalIndex(arrays), sweep([np.concatenate(arrays)]))
+    assert_same_index(GlobalIndex(arrays), sweep([b"".join(arrays)]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -278,12 +273,11 @@ def test_global_index_of_strided_writers_is_byte_identical_to_the_sweep(tmp_path
 
     pairs = container.droppings()
     assert len(pairs) == writers
-    arrays = []
-    for gid, (index_path, _) in enumerate(pairs):
-        records = read_index_dropping(index_path)
-        records["dropping"] = gid
-        arrays.append(records)
-    reference = sweep([np.concatenate(arrays)])
+    batches = [
+        with_dropping(read_index_dropping(index_path), gid)
+        for gid, (index_path, _) in enumerate(pairs)
+    ]
+    reference = sweep([b"".join(batches)])
     assert len(reference) == writers * rounds
     expected = pack_compacted(
         reference.as_arrays(),
@@ -304,25 +298,22 @@ def parent_add_records(cols, records):
     """``GlobalIndex.add_records`` as it stood before the kernel was
     factored out, over bare columns: held segments and batch always sorted
     together.  Returns the new columns, or None where it went to the sweep."""
-    fields = ("logical_offset", "length", "dropping", "physical_offset")
-    lo, ln, dr, po = (records[name].view(np.int64) for name in fields)
-    new = (lo, lo + ln, dr, po)
-    if cols[0].size:
-        new = tuple(np.concatenate(pair) for pair in zip(cols, new))
-    order = np.argsort(new[0], kind="stable") if new[0].size > 1 else [0]
-    starts, ends, drops, phys = (col[order] for col in new)
-    live = ends > starts
-    if not live.all():
-        starts, ends, drops, phys = starts[live], ends[live], drops[live], phys[live]
-    if (starts[1:] >= ends[:-1]).all():
-        return starts, ends, drops, phys
+    held = [(s, s + ln, d, p) for s, ln, d, p in zip(*cols)]
+    new = [
+        (r.logical_offset, r.logical_offset + r.length, r.dropping, r.physical_offset)
+        for r in unpack_records(records)
+    ]
+    rows = sorted([*held, *new], key=lambda row: row[0])  # stable
+    rows = [(s, e - s, d, p) for s, e, d, p in rows if e > s]
+    if all(b[0] >= a[0] + a[1] for a, b in zip(rows, rows[1:])):
+        return tuple(array("q", col) for col in zip(*rows)) if rows else (array("q"),) * 4
     return None
 
 
 def assert_bit_identical(got, expected) -> None:
     assert len(got) == len(expected) == 4
     for a, b in zip(got, expected):
-        assert a.dtype == b.dtype == np.int64 and a.shape == b.shape
+        assert a.typecode == b.typecode == "q" and len(a) == len(b)
         assert a.tobytes() == b.tobytes()
 
 
@@ -349,16 +340,50 @@ def test_add_records_is_bit_identical_to_the_kernel_it_was_factored_from(base, b
 def test_a_batch_past_everything_held_is_sorted_alone(monkeypatch):
     """The follower's case: the held columns are not sorted again."""
     index = GlobalIndex([records_from([(100 * k, 100, 0, 100 * k, 1.0) for k in range(64)])])
-    sorted_sizes = []
-    real = np.argsort
-    monkeypatch.setattr(
-        np, "argsort", lambda a, **kw: sorted_sizes.append(a.size) or real(a, **kw))
+    sorted_sizes = spy_on_sorts(monkeypatch)
     batch = records_from([(6400 + 100 * k, 100, 0, 6400 + 100 * k, 2.0) for k in (2, 0, 1)])
     grown = index.extended(batch)
     assert sorted_sizes == [3]
     assert len(index) == 64 and len(grown) == 67
     assert grown.segments()[-3:] == [
         (6400, 6500, 0, 6400), (6500, 6600, 0, 6500), (6600, 6700, 0, 6600)]
+
+
+def spy_on_sorts(monkeypatch) -> list:
+    """The length of everything the index module sorts, in order."""
+    from repro.plfs import index as index_module
+
+    sizes: list = []
+    monkeypatch.setattr(
+        index_module, "sorted", lambda a, **kw: sizes.append(len(a)) or sorted(a, **kw),
+        raising=False)
+    return sizes
+
+
+def test_strided_writers_are_dealt_round_robin_without_a_sort(monkeypatch):
+    """4 writers x 8 strided blocks, one index dropping after another (the
+    N-1 checkpoint): the runs dealt round-robin are the flattened index,
+    and only the 4 runs' first starts are sorted."""
+    rows = [
+        (4096 * (4 * k + w), 4096, w, 4096 * k, 100.0 - k) for w in (2, 0, 3, 1) for k in range(8)
+    ]
+    sizes = spy_on_sorts(monkeypatch)
+    index = GlobalIndex([records_from(rows)])
+    assert sizes == [4]
+    assert index.segments() == sweep([records_from(rows)]).segments()
+    assert len(index) == 32
+
+
+def test_runs_that_do_not_deal_into_order_are_sorted(monkeypatch):
+    """Two runs of three, disjoint but one wholly after the other: dealt,
+    they would interleave out of order, so the batch is sorted."""
+    rows = [(25, 2, 1, 0, 1.0), (30, 2, 1, 2, 1.0), (35, 2, 1, 4, 1.0),
+            (0, 5, 0, 0, 2.0), (10, 5, 0, 5, 2.0), (20, 5, 0, 10, 2.0)]
+    sizes = spy_on_sorts(monkeypatch)
+    index = GlobalIndex([records_from(rows)])
+    assert sizes == [2, 6]
+    assert index.segments() == sweep([records_from(rows)]).segments()
+    assert [s for s, *_ in index.segments()] == [0, 10, 20, 25, 30, 35]
 
 
 def any_overlap(*row_lists) -> bool:
@@ -375,7 +400,7 @@ def test_extended_is_the_sweep_over_a_new_index_or_nothing(base, rows):
     it returns None: flattened segments have no timestamps to resolve by."""
     index = GlobalIndex([records_from(base)] if base else None)
     columns = index.as_arrays()
-    frozen = [col.copy() for col in columns]
+    frozen = [array("q", col) for col in columns]
     grown = index.extended(records_from(rows))
     assert index.as_arrays() is columns
     assert_bit_identical(columns, frozen)

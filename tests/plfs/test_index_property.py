@@ -7,7 +7,6 @@ plan must reproduce exactly the bytes a naive byte-at-a-time model holds.
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,7 +72,7 @@ def test_query_plans_reproduce_model_bytes(records, queries):
         model[offset : offset + length] = chunk
 
     index = (
-        GlobalIndex([np.concatenate(all_records)]) if all_records else GlobalIndex()
+        GlobalIndex([b"".join(all_records)]) if all_records else GlobalIndex()
     )
     droppings = {d: bytes(p) for d, p in payloads.items()}
 

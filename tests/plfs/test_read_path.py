@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import errno
 import os
+import struct
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.plfs.cache import IndexCache, compact, load_index, shared_cache
 from repro.plfs.container import Container
 from repro.plfs.errors import CorruptIndexError
 from repro.plfs import util
-from repro.plfs.index import RECORD_SIZE, load_global_index, parse_compacted
+from repro.plfs.index import RECORD_SIZE, Record, load_global_index, parse_compacted
 from repro.plfs import reader as reader_module
 from repro.plfs.reader import ReadFile, logical_size
 from repro.plfs.writer import WriteFile
@@ -83,7 +84,7 @@ class TestCompactedIndex:
                 fh.read(), source=gpath
             )
         assert size == 11
-        assert records.shape[0] == 2
+        assert len(records) == 2 * RECORD_SIZE
         assert epoch == Container(container_path).index_epoch()
         # data paths are container-relative: the container can be renamed
         assert all(not os.path.isabs(p) for p in paths)
@@ -130,6 +131,41 @@ class TestCompactedIndex:
     def test_parse_compacted_rejects_garbage(self, mangle):
         with pytest.raises(CorruptIndexError):
             parse_compacted(mangle, source="<test>")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dropping", constants.HOLE),  # read back as a hole: zeros
+            ("dropping", -2),  # indexes the data-path table from the end
+            ("dropping", 2),  # past the table
+            ("logical_offset", -1),
+            ("physical_offset", -4096),
+            ("length", -1),
+        ],
+    )
+    def test_a_record_naming_no_real_extent_takes_the_merge(
+        self, container_path, field, value
+    ):
+        """Regression: ``parse_compacted`` bounded only the largest dropping
+        id, so a negative one was trusted — a hole's zeros, or another
+        dropping's bytes, where the droppings say otherwise."""
+        fd = plfs_open(container_path, os.O_CREAT | os.O_WRONLY)
+        plfs_write(fd, b"A" * 4096, offset=0, pid=1)
+        plfs_write(fd, b"B" * 4096, offset=4096, pid=2)
+        plfs_close(fd)
+        container = Container(container_path)
+        gpath = container.global_index_path()
+        with open(gpath, "rb") as fh:
+            at = fh.read().index(b"\n") + 1 + 8 * Record._fields.index(field)
+        with open(gpath, "r+b") as fh:  # record 0, the epoch left as it was
+            fh.seek(at)
+            fh.write(struct.pack("<q", value))
+        assert load_index(container).source == "merged"
+        fd = plfs_open(container_path, os.O_RDONLY)
+        try:
+            assert plfs_read(fd, 8192, 0) == b"A" * 4096 + b"B" * 4096
+        finally:
+            plfs_close(fd)
 
     def test_truncate_drops_compacted_index(self, container_path):
         fd = plfs_open(container_path, os.O_CREAT | os.O_RDWR)

@@ -29,6 +29,7 @@ from repro.plfs import backing, constants
 from repro.plfs import writer as writer_module
 from repro.plfs.cache import shared_cache
 from repro.plfs.container import Container
+from repro.plfs.index import unpack_records
 from repro.plfs.reader import ReadFile
 from repro.plfs.writer import WriteFile
 
@@ -150,8 +151,8 @@ class TestVectoredAppend:
     def test_append_many_is_one_append_one_record(self, container, recording):
         with WriteFile(container) as w:
             assert w.append_many([b"abc", b"defg", b"hi"], 0, pid=1) == 9
-            recs = writer_module._rows_to_records(w._droppings[1].pending)
-            assert len(recs) == 1 and recs["length"][0] == 9
+            recs = unpack_records(writer_module._rows_to_records(w._droppings[1].pending))
+            assert len(recs) == 1 and recs[0].length == 9
             assert w.stats["vectored_appends"] == 1
             assert w.stats["vectored_buffers"] == 3
         assert recording.ops.count("data_writev") == 1
@@ -163,8 +164,8 @@ class TestVectoredAppend:
         with WriteFile(container) as w:
             w.write(b"abc", 0, pid=1)
             w.append_many([b"def", b"ghi"], 3, pid=1)
-            recs = writer_module._rows_to_records(w._droppings[1].pending)
-            assert len(recs) == 1 and recs["length"][0] == 9
+            recs = unpack_records(writer_module._rows_to_records(w._droppings[1].pending))
+            assert len(recs) == 1 and recs[0].length == 9
 
     def test_empty_iovec_is_a_noop(self, container):
         with WriteFile(container) as w:
@@ -340,8 +341,8 @@ class TestWriterHygiene:
         with WriteFile(container) as w:
             for i in range(4):
                 w.write(b"abcd", i * 4, pid=1)
-            recs = writer_module._rows_to_records(w._droppings[1].pending)
-            assert list(recs["length"]) == [8, 8]
+            recs = unpack_records(writer_module._rows_to_records(w._droppings[1].pending))
+            assert [r.length for r in recs] == [8, 8]
         with ReadFile(container, use_shared_cache=False) as r:
             assert r.read(16, 0) == b"abcd" * 4
 

@@ -86,11 +86,11 @@ class TestWriteFile:
             w.write(b"abcd", i * 4, pid=1)
         w.close()
         [(index_path, _)] = container.droppings()
-        from repro.plfs.index import read_index_dropping
+        from repro.plfs.index import read_index_dropping, unpack_records
 
-        records = read_index_dropping(index_path)
-        assert records.shape == (1,)
-        assert records[0]["length"] == 400
+        records = unpack_records(read_index_dropping(index_path))
+        assert len(records) == 1
+        assert records[0].length == 400
         r = ReadFile(container)
         assert r.read(400, 0) == b"abcd" * 100
         r.close()
@@ -100,10 +100,10 @@ class TestWriteFile:
         for i in range(10):
             w.write(b"abcd", i * 8, pid=1)  # a 4-byte hole after each
         w.close()
-        from repro.plfs.index import read_index_dropping
+        from repro.plfs.index import RECORD_SIZE, read_index_dropping
 
         [(index_path, _)] = container.droppings()
-        assert read_index_dropping(index_path).shape == (10,)
+        assert len(read_index_dropping(index_path)) == 10 * RECORD_SIZE
 
     def test_no_merge_across_pids(self, container):
         w = WriteFile(container)
@@ -112,12 +112,10 @@ class TestWriteFile:
         w.write(b"cc", 4, pid=1)
         w.close()
         # Three records total: pid 1's writes were separated by pid 2's.
-        from repro.plfs.index import read_index_dropping
+        from repro.plfs.index import RECORD_SIZE, read_index_dropping
 
-        total = sum(
-            read_index_dropping(ip).shape[0] for ip, _ in container.droppings()
-        )
-        assert total == 3
+        total = sum(len(read_index_dropping(ip)) for ip, _ in container.droppings())
+        assert total == 3 * RECORD_SIZE
         r = ReadFile(container)
         assert r.read(6, 0) == b"aabbcc"
         r.close()
@@ -152,9 +150,11 @@ class TestWriteFile:
         w = WriteFile(container)
         w.write(b"abc", 0, pid=1)
         (dropping,) = w._droppings.values()
-        records = writer_module._rows_to_records(dropping.pending)
-        assert records.shape == (1,)
-        assert records[0]["length"] == 3
+        from repro.plfs.index import unpack_records
+
+        records = unpack_records(writer_module._rows_to_records(dropping.pending))
+        assert len(records) == 1
+        assert records[0].length == 3
         assert os.path.exists(dropping.data_path)
         w.close()
 
