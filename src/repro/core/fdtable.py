@@ -50,9 +50,11 @@ class FdEntry:
 
 
 class FdTable:
-    """Thread-safe fd → :class:`FdEntry` lookup table."""
+    """Thread-safe fd → :class:`FdEntry` lookup table: mutators lock,
+    :meth:`lookup` does not."""
 
     #: plfs-san registration (see repro.sanitize): field -> guarding lock
+    #: of its writes (reads are lock-free: sanitize.registry)
     _SANITIZE_SHARED = {"_entries": "_lock"}
 
     def __init__(self, real_os):
@@ -103,8 +105,11 @@ class FdTable:
         return entry
 
     def lookup(self, fd: int) -> FdEntry | None:
-        with self._lock:
-            return self._entries.get(fd)
+        # No lock: one dict.get is atomic under the GIL and sees an entry
+        # either wholly inserted or not at all; only the mutators lock.
+        # The generated dispatch binds ``_entries.get`` itself, so the dict
+        # is never rebound, only mutated.
+        return self._entries.get(fd)
 
     def remove(self, fd: int) -> FdEntry | None:
         with self._lock:

@@ -138,8 +138,14 @@ _DIR_FDS = ("dir_fd", "src_dir_fd", "dst_dir_fd")
 _CWD_DEFAULT = frozenset({"listdir", "scandir"})
 
 
+def _lookup(shim):
+    """The fd table's own ``dict.get``: a lookup is a C call, no frame
+    (``FdTable.lookup``'s semantics, lock-free like it)."""
+    return shim.table._entries.get
+
+
 def _fd(name, real, plfs, shim):
-    stats, lookup = shim.stats, shim.table.lookup
+    stats, lookup = shim.stats, _lookup(shim)
 
     def call(fd, *args):
         entry = lookup(fd)
@@ -153,7 +159,7 @@ def _fd(name, real, plfs, shim):
 
 
 def _fd_pair(name, real, plfs, shim):
-    stats, lookup = shim.stats, shim.table.lookup
+    stats, lookup = shim.stats, _lookup(shim)
 
     def call(fd, fd2, *args, **kwargs):
         if lookup(fd) is None and lookup(fd2) is None:
@@ -169,7 +175,7 @@ def _fd_pair(name, real, plfs, shim):
 def _path(name, real, plfs, shim):
     # The mount table is read per call, not bound: a wrapper set on the
     # instance after install (a counting test) is what resolves.
-    stats, lookup, mounts = shim.stats, shim.table.lookup, shim.mounts
+    stats, lookup, mounts = shim.stats, _lookup(shim), shim.mounts
     by_fd = name in _BY_FD
     # Left out, the path is the cwd where the call allows that; elsewhere
     # None reaches the real call, which raises the TypeError.

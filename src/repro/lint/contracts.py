@@ -67,16 +67,8 @@ DEFAULT_CONTRACTS: list[OrderingContract] = [
         "_Dropping",
         "append",
         ("_promise",),
-        ("write_data",),
+        ("write_data", "write_datav"),
         "WAL promise persists before the data bytes it describes",
-    ),
-    OrderingContract(
-        "repro.plfs.writer",
-        "_Dropping",
-        "append_many",
-        ("_promise",),
-        ("write_datav",),
-        "WAL promises persist before the vectored data they describe",
     ),
     OrderingContract(
         "repro.plfs.writer",
@@ -97,7 +89,7 @@ DEFAULT_CONTRACTS: list[OrderingContract] = [
     OrderingContract(
         "repro.plfs.writer",
         "WriteFile",
-        "_account",
+        "write",
         ("flush_index",),
         ("_invalidate",),
         "index flush precedes the cross-process generation bump",

@@ -143,20 +143,22 @@ class BackingStore:
 
 
 _lock = threading.Lock()
-_current = BackingStore()
+#: the installed store (default: the routed OS calls).  Swapped only by
+#: :func:`install`; the write path reads it per append as ``backing.installed``
+installed = BackingStore()
 
 
 def current() -> BackingStore:
     """The installed backing store (default: the routed OS calls)."""
-    return _current
+    return installed
 
 
 def install(store: BackingStore) -> BackingStore:
     """Install *store*, returning the previously installed one."""
-    global _current
+    global installed
     with _lock:
-        previous = _current
-        _current = store
+        previous = installed
+        installed = store
         return previous
 
 

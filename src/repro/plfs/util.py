@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-import itertools
+import math
 import socket
 import threading
 import time
 
 from . import constants
 
-_seq_lock = threading.Lock()
-_seq = itertools.count()
+_stamp_lock = threading.Lock()
+_last_stamp = 0.0
 
 
 def accumulate(totals: dict, stats: dict) -> None:
@@ -28,17 +28,23 @@ def hostname() -> str:
 def unique_timestamp() -> float:
     """A strictly increasing timestamp for dropping names and index records.
 
-    ``time.time()`` alone can return equal values for back-to-back calls; the
-    PLFS index resolves overlapping writes by recency, so ties would make
-    overwrite resolution non-deterministic.  We fold in a process-wide
-    monotonically increasing sequence number at nanosecond granularity, which
-    keeps values unique within a process while remaining ordered against
-    other processes at clock resolution (the same guarantee the C library
-    relies on).
+    ``time.time()`` alone can return equal values for back-to-back calls,
+    and a smaller one after the clock steps back; the PLFS index resolves
+    overlapping writes by recency, so either would make overwrite
+    resolution arbitrary.  Each call returns the clock, or the next double
+    above the previous result when the clock has not passed it — unique and
+    ordered within a process while remaining ordered against other
+    processes at clock resolution (the same guarantee the C library relies
+    on).  A nanosecond sequence term would not do: at today's epoch a
+    double's resolution is about 0.24 µs.
     """
-    with _seq_lock:
-        n = next(_seq)
-    return time.time() + n * 1e-9
+    global _last_stamp
+    with _stamp_lock:
+        now = time.time()
+        # max(now, nextafter(last, inf)), without the calls when the clock
+        # has moved past the last stamp (then it is at least nextafter's)
+        _last_stamp = now if now > _last_stamp else math.nextafter(_last_stamp, math.inf)
+        return _last_stamp
 
 
 def hostdir_bucket(host: str, num_hostdirs: int = constants.NUM_HOSTDIRS) -> int:

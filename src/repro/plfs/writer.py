@@ -15,6 +15,10 @@ The write fast lane (mirroring the read-path work in
   without an intermediate ``bytes`` copy, and :meth:`WriteFile.append_many`
   lands a whole iovec as one vectored data append plus one (possibly
   merged) index record;
+- **records packed where they are made** — each append packs its index
+  record straight into the dropping's buffer of :data:`~repro.plfs.index.RECORD`
+  rows (a merge rewrites the last row in place), so a flush writes the
+  buffer as it stands;
 - **group-commit WAL** — with ``wal_batch > 1`` write-ahead records are
   buffered and flushed as one ``write_wal`` batch per data-append window.
   The recovery invariant weakens from *every record precedes its data* to
@@ -42,7 +46,7 @@ from . import backing, util
 from .cache import invalidate_cross_process as _invalidate_cross_process
 from .container import Container
 from .errors import BadFlagsError
-from .index import RECORD
+from .index import RECORD, RECORD_SIZE, Record, unpack_records
 from .route import posix
 
 #: Flush buffered index records to disk after this many accumulate, bounding
@@ -55,16 +59,6 @@ INDEX_FLUSH_THRESHOLD = 4096
 #: extents far from the field width while still collapsing any realistic
 #: sequential stream into a handful of records.
 MERGE_LENGTH_CAP = 1 << 40
-
-# Buffered records are plain Python rows — a merge extends one in place —
-# packed at flush time.  Column order of one row:
-_LOGICAL, _PHYSICAL, _LENGTH, _PID, _TS = range(5)
-
-
-def _rows_to_records(rows: list[list]) -> bytes:
-    """Pack buffered rows as :data:`RECORD` rows of dropping 0."""
-    pack = RECORD.pack
-    return b"".join([pack(lo, phys, length, 0, pid, ts) for lo, phys, length, pid, ts in rows])
 
 
 class _Dropping:
@@ -88,9 +82,10 @@ class _Dropping:
         "data_fd",
         "wal_fd",
         "wal_batch",
-        "wal_rows",
+        "wal_pending",
         "physical_offset",
         "pending",
+        "last",
         "records_flushed",
         "records_merged",
         "index_flushes",
@@ -128,7 +123,7 @@ class _Dropping:
             # the data dropping even before the first sync.  Routed through
             # the backing store: creating the empty sibling is a
             # persistence boundary a full backend can fail.
-            backing.current().create_meta(self.index_path)
+            backing.installed.create_meta(self.index_path)
         except OSError:
             # Error-path hygiene: never leave a data dropping behind with
             # no sibling index (an orphan the next reader must skip), a
@@ -149,16 +144,22 @@ class _Dropping:
                     pass
             raise
         self.wal_batch = max(1, int(wal_batch))
-        self.wal_rows: list[list] = []
+        #: packed write-ahead records of the open batch (dropping 0)
+        self.wal_pending = bytearray()
         self.physical_offset = 0
-        self.pending: list[list] = []
+        #: packed index records not yet flushed (dropping 0)
+        self.pending = bytearray()
+        #: (logical, physical, length, pid) of ``pending``'s last row, the
+        #: one a merge rewrites; None when ``pending`` is empty
+        self.last: tuple | None = None
         self.records_flushed = 0
         self.records_merged = 0
         self.index_flushes = 0
         self.wal_records_written = 0
         self.wal_batches = 0
         self._closed = False
-        #: held while ``pending`` is merged into, appended to or taken
+        #: held while ``pending``/``wal_pending`` are appended to, merged
+        #: into or taken
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -170,14 +171,17 @@ class _Dropping:
         *before* the data append, preserving the batch-boundary coverage
         invariant (at ``wal_batch == 1`` this is the strict per-append
         write-ahead ordering)."""
-        row = [logical_offset, self.physical_offset, length, pid, util.unique_timestamp()]
         with self._lock:
-            self.wal_rows.append(row)
-        if len(self.wal_rows) >= self.wal_batch:
+            self.wal_pending += RECORD.pack(
+                logical_offset, self.physical_offset, length, 0, pid, util.unique_timestamp()
+            )
+            full = len(self.wal_pending) >= self.wal_batch * RECORD_SIZE
+        if full:
             self.flush_wal()
 
-    def _record(self, logical_offset: int, written: int, pid: int, merge: bool) -> None:
-        """Buffer the index record of one data append.
+    def append(self, buf, logical_offset: int, pid: int, merge: bool, vectored: bool) -> int:
+        """Append *buf* — or, *vectored*, a whole iovec as one gather write —
+        to the data dropping and buffer the index record of what landed.
 
         Index compression: with *merge*, a write that continues the last
         pending record both logically and physically extends it instead
@@ -192,44 +196,43 @@ class _Dropping:
         :data:`MERGE_LENGTH_CAP` so a long sequential run can never
         overflow the record's length field.
         """
-        physical = self.physical_offset
-        self.physical_offset = physical + written
-        with self._lock:  # a reading thread of the handle may be flushing
-            if merge and self.pending:
-                last = self.pending[-1]
-                if (
-                    last[_PID] == pid
-                    and last[_LOGICAL] + last[_LENGTH] == logical_offset
-                    and last[_PHYSICAL] + last[_LENGTH] == physical
-                    and last[_LENGTH] + written <= MERGE_LENGTH_CAP
-                ):
-                    last[_LENGTH] += written
-                    last[_TS] = util.unique_timestamp()
-                    self.records_merged += 1
-                    return
-            self.pending.append([logical_offset, physical, written, pid, util.unique_timestamp()])
-
-    def append(self, buf, logical_offset: int, pid: int, merge: bool) -> int:
-        store = backing.current()
+        store = backing.installed
         if self.wal_fd >= 0:
             # The WAL record promises the full length; a torn or short data
             # write is reconciled at recovery time by clipping the record
             # to the bytes the data dropping actually holds.
-            self._promise(logical_offset, len(buf), pid)
-        written = store.write_data(self.data_fd, buf, self.data_path)
-        self._record(logical_offset, written, pid, merge)
+            self._promise(logical_offset, sum(map(len, buf)) if vectored else len(buf), pid)
+        if not vectored:
+            written = store.write_data(self.data_fd, buf, self.data_path)
+        else:
+            written = store.write_datav(self.data_fd, buf, self.data_path)
+        physical = self.physical_offset
+        self.physical_offset = physical + written
+        with self._lock:  # a reading thread of the handle may be flushing
+            stamp = util.unique_timestamp()
+            if merge and self.last is not None:
+                lo, phys, length, last_pid = self.last
+                if (
+                    last_pid == pid
+                    and lo + length == logical_offset
+                    and phys + length == physical
+                    and length + written <= MERGE_LENGTH_CAP
+                ):
+                    length += written
+                    RECORD.pack_into(
+                        self.pending, len(self.pending) - RECORD_SIZE, lo, phys, length, 0, pid, stamp
+                    )
+                    self.last = (lo, phys, length, pid)
+                    self.records_merged += 1
+                    return written
+            self.pending += RECORD.pack(logical_offset, physical, written, 0, pid, stamp)
+            self.last = (logical_offset, physical, written, pid)
         return written
 
-    def append_many(self, bufs: list, logical_offset: int, pid: int, merge: bool) -> int:
-        """Vectored append: the whole iovec lands as one data append (one
-        ``writev``), one WAL promise, and one — possibly merged — index
-        record covering the contiguous logical span."""
-        store = backing.current()
-        if self.wal_fd >= 0:
-            self._promise(logical_offset, sum(map(len, bufs)), pid)
-        written = store.write_datav(self.data_fd, bufs, self.data_path)
-        self._record(logical_offset, written, pid, merge)
-        return written
+    def pending_records(self) -> list[Record]:
+        """The buffered index records, unpacked (for inspection)."""
+        with self._lock:
+            return unpack_records(bytes(self.pending))
 
     # ------------------------------------------------------------------ #
     # flushing
@@ -244,51 +247,52 @@ class _Dropping:
         whose data never landed is zero-clipped at recovery time.  The
         buffer is taken under the lock, for :meth:`flush_index`'s reason.
         """
-        if not self.wal_rows:
+        if not self.wal_pending:
             return
         with self._lock:
-            rows, self.wal_rows = self.wal_rows, []
+            rows, self.wal_pending = self.wal_pending, bytearray()
         try:
-            payload = _rows_to_records(rows)
-            backing.current().write_wal(self.wal_fd, payload, self.wal_path)
+            backing.installed.write_wal(self.wal_fd, bytes(rows), self.wal_path)
         except BaseException:
             with self._lock:
-                self.wal_rows[:0] = rows
+                self.wal_pending[:0] = rows
             raise
-        self.wal_records_written += len(rows)
+        self.wal_records_written += len(rows) // RECORD_SIZE
         self.wal_batches += 1
 
     def flush_index(self) -> None:
         """Append the buffered records to the index dropping.  The buffer is
-        *taken* (swapped for an empty one, under the lock :meth:`_record`
+        *taken* (swapped for an empty one, under the lock :meth:`append`
         merges and appends under), not copied and cleared: a handle that
         reads flushes ahead of itself, so another of its threads may be
-        appending meanwhile, and a row or a merged length landing in a list
-        already serialised would be lost.  On failure the rows go back,
+        appending meanwhile, and a row or a merged length landing in a
+        buffer already written would be lost.  On failure the rows go back,
         ahead of the newcomers."""
         with self._lock:
-            rows, self.pending = self.pending, []
+            rows, last = self.pending, self.last
+            self.pending, self.last = bytearray(), None
         try:
             # The WAL must remain a superset of the flushed index (fsck
             # rebuilds the index wholly from it), so an open batch is
             # flushed first — after the take, so it holds every taken
             # record's promise.
-            if self.wal_fd >= 0 and self.wal_rows:
+            if self.wal_fd >= 0 and self.wal_pending:
                 self.flush_wal()
             if not rows:
                 return
-            payload = _rows_to_records(rows)
-            backing.current().append_index(self.index_path, payload)
+            backing.installed.append_index(self.index_path, bytes(rows))
         except BaseException:
             with self._lock:
+                if not self.pending:  # nothing newer: the last row is ours again
+                    self.last = last
                 self.pending[:0] = rows
             raise
-        self.records_flushed += len(rows)
+        self.records_flushed += len(rows) // RECORD_SIZE
         self.index_flushes += 1
 
     def sync(self) -> None:
         self.flush_index()
-        backing.current().fsync(self.data_fd)
+        backing.installed.fsync(self.data_fd)
 
     def close(self) -> None:
         """Flush and release.  Idempotent and exception-safe: descriptors
@@ -332,7 +336,8 @@ class _Dropping:
         flush, no WAL cleanup, buffered records dropped on the floor."""
         self._closed = True
         self.pending.clear()
-        self.wal_rows.clear()
+        self.wal_pending.clear()
+        self.last = None
         for attr in ("data_fd", "wal_fd"):
             fd = getattr(self, attr)
             setattr(self, attr, -1)
@@ -405,40 +410,41 @@ class WriteFile:
         self._generation_bumps += 1
         _invalidate_cross_process(self.container)
 
-    def _account(self, dropping: _Dropping, offset: int, written: int) -> None:
+    def write(self, buf, offset: int, pid: int, vectored: bool = False) -> int:
+        """Append *buf* for logical [offset, offset + its length).  Returns
+        the byte count written (always all of it for regular files).
+
+        *buf* is a flat bytes-like object (``len`` counts bytes);
+        ``memoryview`` payloads are threaded through to the backing store
+        without copying.  *vectored* (see :meth:`append_many`): *buf* is a
+        list of them covering one contiguous span.
+
+        The pid's dropping is made on first use, and its record may merge
+        only for back-to-back writes of one stream: an intervening write
+        from another pid must keep its own timestamp ordering against ours.
+        """
+        if self._closed:
+            raise BadFlagsError("write on closed WriteFile")
+        if vectored and not any(map(len, buf)):
+            return 0
+        dropping = self._droppings.get(pid) or self._open_dropping(pid)
+        merge = dropping is self._last_dropping
+        self._last_dropping = dropping
+        if vectored:
+            self._vectored_appends += 1
+            self._vectored_buffers += len(buf)
+        elif isinstance(buf, memoryview):
+            self._zero_copy_appends += 1
+        written = dropping.append(buf, offset, pid, merge, vectored)
         self.appends += 1  # only now: the record is where a flush finds it
         end = offset + written
         if end > self._max_logical_end:
             self._max_logical_end = end
         self._total_written += written
-        if len(dropping.pending) >= INDEX_FLUSH_THRESHOLD:
+        if len(dropping.pending) >= INDEX_FLUSH_THRESHOLD * RECORD_SIZE:
             dropping.flush_index()
             self._threshold_flushes += 1
             self._invalidate()
-
-    # write() and append_many() open alike: the closed guard, the pid's
-    # dropping (made on first use), and whether its record may merge —
-    # only for back-to-back writes of one stream, because an intervening
-    # write from another pid must keep its own timestamp ordering against
-    # ours.
-
-    def write(self, buf, offset: int, pid: int) -> int:
-        """Append *buf* for logical [offset, offset+len(buf)).  Returns the
-        byte count written (always the full buffer for regular files).
-
-        *buf* is a flat bytes-like object (``len`` counts bytes);
-        ``memoryview`` payloads are threaded through to the backing store
-        without copying.
-        """
-        if self._closed:
-            raise BadFlagsError("write on closed WriteFile")
-        dropping = self._droppings.get(pid) or self._open_dropping(pid)
-        merge = dropping is self._last_dropping
-        self._last_dropping = dropping
-        if isinstance(buf, memoryview):
-            self._zero_copy_appends += 1
-        written = dropping.append(buf, offset, pid, merge)
-        self._account(dropping, offset, written)
         return written
 
     def append_many(self, bufs: list, offset: int, pid: int) -> int:
@@ -446,18 +452,7 @@ class WriteFile:
         starting at *offset* and land as a single data append plus one
         (possibly merged) index record — the ``writev``/``pwritev`` fast
         path.  Returns total bytes written."""
-        if self._closed:
-            raise BadFlagsError("write on closed WriteFile")
-        if not any(map(len, bufs)):
-            return 0
-        dropping = self._droppings.get(pid) or self._open_dropping(pid)
-        merge = dropping is self._last_dropping
-        self._last_dropping = dropping
-        self._vectored_appends += 1
-        self._vectored_buffers += len(bufs)
-        written = dropping.append_many(bufs, offset, pid, merge)
-        self._account(dropping, offset, written)
-        return written
+        return self.write(bufs, offset, pid, vectored=True)
 
     # ------------------------------------------------------------------ #
 

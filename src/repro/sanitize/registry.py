@@ -37,12 +37,16 @@ DEFAULT_TARGETS: tuple[str, ...] = ("repro.core", "repro.plfs", "repro.plfsd")
 @dataclass(frozen=True)
 class GuardSpec:
     """One guarded-field contract: *field* of *owner* is written only
-    under *guard* (``owner=""`` means a module-level global)."""
+    under *guard* (``owner=""`` means a module-level global).  With
+    *lock_free_reads* its reads need no lock — every reader tolerates
+    seeing a write either before or after it — so the runtime detector
+    checks only its writes; the static pass checks only writes anyway."""
 
     module: str  # import path, for default source loading
     owner: str  # class name, or "" for module level
     field: str
     guard: str  # lock expression as written, e.g. "self._lock"
+    lock_free_reads: bool = False
 
 
 @dataclass(frozen=True)
@@ -70,13 +74,14 @@ def lock_from_guard(guard: GuardSpec) -> LockSpec:
 #: the interposition core's three structures plus the shared index cache,
 #: the backing global and the per-process openhost-marker claims
 EXTENDED_GUARDS: list[GuardSpec] = [
-    GuardSpec("repro.core.fdtable", "FdTable", "_entries", "self._lock"),
+    # the shim's descriptor lookup is one lock-free dict.get (an entry or None)
+    GuardSpec("repro.core.fdtable", "FdTable", "_entries", "self._lock", lock_free_reads=True),
     GuardSpec("repro.core.mounts", "MountTable", "_mounts", "self._lock"),
     GuardSpec("repro.core.interpose", "", "_installed", "_install_lock"),
     GuardSpec("repro.core.interpose", "", "_layers", "_install_lock"),
     GuardSpec("repro.plfs.cache", "IndexCache", "_entries", "self._lock"),
     GuardSpec("repro.plfs.cache", "IndexCache", "_generations", "self._lock"),
-    GuardSpec("repro.plfs.backing", "", "_current", "_lock"),
+    GuardSpec("repro.plfs.backing", "", "installed", "_lock"),
     GuardSpec("repro.plfs.container", "", "_marker_refs", "_marker_lock"),
 ]
 

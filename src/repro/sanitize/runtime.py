@@ -60,7 +60,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.lint.findings import RULES, Finding
 
-from .registry import runtime_classes
+from .registry import EXTENDED_GUARDS, runtime_classes
 
 __all__ = [
     "RaceViolation",
@@ -354,9 +354,11 @@ def _record_event(label: str, kind: str) -> None:
 
 class _DictOps:
     _san_label = "?"
+    _san_reads = True  # False: a lock-free-read field, only writes count
 
     def _ev(self, kind: str) -> None:
-        _record_event(self._san_label, kind)
+        if self._san_reads or kind == "write":
+            _record_event(self._san_label, kind)
 
     def __getitem__(self, key: Any) -> Any:
         self._ev("read")
@@ -431,9 +433,11 @@ class _TrackedOrderedDict(_DictOps, OrderedDict):
 
 class _TrackedList(list):
     _san_label = "?"
+    _san_reads = True
 
     def _ev(self, kind: str) -> None:
-        _record_event(self._san_label, kind)
+        if self._san_reads or kind == "write":
+            _record_event(self._san_label, kind)
 
     def __getitem__(self, index: Any) -> Any:
         self._ev("read")
@@ -505,8 +509,9 @@ def _owner_seq(instance: Any) -> int:
     return int(seq)
 
 
-def _adopt(value: Any, label: str) -> Any:
+def _adopt(value: Any, label: str, reads: bool = True) -> Any:
     """Wrap a container in its tracked twin; idempotent, order-preserving.
+    Without *reads* the twin reports writes only.
 
     Population goes through the base-class methods so adoption itself
     never records events.
@@ -527,6 +532,7 @@ def _adopt(value: Any, label: str) -> Any:
     else:
         return value
     tracked._san_label = label
+    tracked._san_reads = reads
     return tracked
 
 
@@ -553,9 +559,10 @@ def _unpatch_all() -> None:
                 pass
 
 
-def _install_field(cls: type, name: str) -> None:
+def _install_field(cls: type, name: str, reads: bool = True) -> None:
     """Shadow *name* with a property storing under the same key, so a
-    later ``disable()`` leaves instances untouched and readable."""
+    later ``disable()`` leaves instances untouched and readable.  Without
+    *reads*, reads of a container it holds go unchecked."""
 
     def fget(self: Any) -> Any:
         try:
@@ -564,7 +571,7 @@ def _install_field(cls: type, name: str) -> None:
             raise AttributeError(name) from None
         if _enabled:
             label = f"{cls.__name__}.{name}#{_owner_seq(self)}"
-            adopted = _adopt(value, label)
+            adopted = _adopt(value, label, reads)
             if adopted is not value:
                 self.__dict__[name] = adopted
             return adopted
@@ -574,7 +581,7 @@ def _install_field(cls: type, name: str) -> None:
         if _enabled:
             label = f"{cls.__name__}.{name}#{_owner_seq(self)}"
             _record_event(label, "write")
-            value = _adopt(value, label)
+            value = _adopt(value, label, reads)
         self.__dict__[name] = value
 
     _patch(cls, name, property(fget, fset))
@@ -693,8 +700,12 @@ def _instrument_class(cls: type) -> None:
     for extra in getattr(cls, "_SANITIZE_LOCKS", ()):
         if extra not in lock_attrs:
             lock_attrs.append(extra)
+    lock_free = {
+        g.field for g in EXTENDED_GUARDS
+        if g.lock_free_reads and (g.module, g.owner) == (cls.__module__, cls.__qualname__)
+    }
     for attr in sorted(shared):
-        _install_field(cls, attr)
+        _install_field(cls, attr, reads=attr not in lock_free)
     for attr in lock_attrs:
         _install_lock(cls, attr)
 

@@ -29,7 +29,7 @@ from repro.plfs import backing, constants
 from repro.plfs import writer as writer_module
 from repro.plfs.cache import shared_cache
 from repro.plfs.container import Container
-from repro.plfs.index import unpack_records
+from repro.plfs.index import RECORD_SIZE
 from repro.plfs.reader import ReadFile
 from repro.plfs.writer import WriteFile
 
@@ -151,7 +151,7 @@ class TestVectoredAppend:
     def test_append_many_is_one_append_one_record(self, container, recording):
         with WriteFile(container) as w:
             assert w.append_many([b"abc", b"defg", b"hi"], 0, pid=1) == 9
-            recs = unpack_records(writer_module._rows_to_records(w._droppings[1].pending))
+            recs = w._droppings[1].pending_records()
             assert len(recs) == 1 and recs[0].length == 9
             assert w.stats["vectored_appends"] == 1
             assert w.stats["vectored_buffers"] == 3
@@ -164,7 +164,7 @@ class TestVectoredAppend:
         with WriteFile(container) as w:
             w.write(b"abc", 0, pid=1)
             w.append_many([b"def", b"ghi"], 3, pid=1)
-            recs = unpack_records(writer_module._rows_to_records(w._droppings[1].pending))
+            recs = w._droppings[1].pending_records()
             assert len(recs) == 1 and recs[0].length == 9
 
     def test_empty_iovec_is_a_noop(self, container):
@@ -252,7 +252,7 @@ class TestGroupCommitWal:
         d = next(iter(w._droppings.values()))
         # Both promises retained (the WAL must stay a superset of the
         # index); the failed append never touched the data dropping.
-        assert len(d.wal_rows) == 2
+        assert len(d.wal_pending) == 2 * RECORD_SIZE
         assert d.physical_offset == 8
         assert w.write(b"B" * 8, 8, pid=1) == 8  # retry drains all rows
         assert w.stats["wal_records"] == 3
@@ -341,7 +341,7 @@ class TestWriterHygiene:
         with WriteFile(container) as w:
             for i in range(4):
                 w.write(b"abcd", i * 4, pid=1)
-            recs = unpack_records(writer_module._rows_to_records(w._droppings[1].pending))
+            recs = w._droppings[1].pending_records()
             assert [r.length for r in recs] == [8, 8]
         with ReadFile(container, use_shared_cache=False) as r:
             assert r.read(16, 0) == b"abcd" * 4
@@ -371,7 +371,7 @@ class TestThresholdFlush:
                 w.write(b"r", (i * 37) % 4096, pid=1)  # never contiguous
             d = next(iter(w._droppings.values()))
             assert w.stats["threshold_flushes"] == 70 // 8 == d.index_flushes
-            assert len(d.pending) == 70 % 8
+            assert len(d.pending_records()) == 70 % 8
             assert w.stats["generation_bumps"] == 70 // 8  # flushes invalidate
 
     def test_merged_stream_never_reaches_the_threshold(self, container, monkeypatch):
@@ -382,7 +382,7 @@ class TestThresholdFlush:
             for i in range(72):
                 w.write(b"s" * 4, i * 4, pid=1)
             d = next(iter(w._droppings.values()))
-            assert len(d.pending) == 1  # the whole stream merged
+            assert len(d.pending_records()) == 1  # the whole stream merged
             assert w.stats["records_merged"] == 71
             assert w.stats["threshold_flushes"] == 0
 

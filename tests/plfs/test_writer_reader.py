@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import os
+from types import SimpleNamespace
 
 import pytest
 
+from repro.plfs import util
 from repro.plfs import writer as writer_module
 from repro.plfs.api import plfs_close, plfs_open, plfs_read, plfs_write
 from repro.plfs.container import Container
@@ -134,7 +136,7 @@ class TestWriteFile:
         w = WriteFile(container)
         w.write(b"aa", 0, pid=1)
         w.write(b"bb", 10, pid=1)
-        assert len(w._droppings[1].pending) == 2
+        assert len(w._droppings[1].pending_records()) == 2
         w.close()
 
     def test_memoryview_payload(self, container):
@@ -150,13 +152,27 @@ class TestWriteFile:
         w = WriteFile(container)
         w.write(b"abc", 0, pid=1)
         (dropping,) = w._droppings.values()
-        from repro.plfs.index import unpack_records
-
-        records = unpack_records(writer_module._rows_to_records(dropping.pending))
+        records = dropping.pending_records()
         assert len(records) == 1
         assert records[0].length == 3
         assert os.path.exists(dropping.data_path)
         w.close()
+
+
+class TestUniqueTimestamp:
+    """Recency resolves overlapping writes, so two stamps may neither tie
+    nor go backwards, whatever the clock does."""
+
+    @pytest.mark.parametrize(
+        "clock",
+        [[1.7e9] * 8, [1.7e9 + 1, 1.7e9, 1.7e9 - 5, 1.7e9]],
+        ids=["frozen", "backwards"],
+    )
+    def test_strictly_increasing(self, monkeypatch, clock):
+        ticks = iter(clock)
+        monkeypatch.setattr(util, "time", SimpleNamespace(time=lambda: next(ticks)))
+        stamps = [util.unique_timestamp() for _ in clock]
+        assert all(a < b for a, b in zip(stamps, stamps[1:])), stamps
 
 
 class TestReadFile:

@@ -89,7 +89,9 @@ class TestLiveTree:
         pairs = {
             (c.qualname, c.first, c.then) for c in DEFAULT_CONTRACTS
         }
-        assert ("_Dropping.append", ("_promise",), ("write_data",)) in pairs
+        assert (
+            "_Dropping.append", ("_promise",), ("write_data", "write_datav")
+        ) in pairs
         assert (
             "invalidate_cross_process",
             ("bump",),
@@ -98,17 +100,17 @@ class TestLiveTree:
 
     def test_swapped_wal_and_data_append_is_caught(self):
         source = _module_source("repro.plfs.writer")
-        original = (
-            "            self._promise(logical_offset, len(buf), pid)\n"
-            "        written = store.write_data("
-            "self.data_fd, buf, self.data_path)"
+        promise = (
+            "            self._promise("
+            "logical_offset, sum(map(len, buf)) if vectored else len(buf), pid)\n"
         )
-        swapped = (
-            "            pass\n"
-            "        written = store.write_data("
+        append = (
+            "        if not vectored:\n"
+            "            written = store.write_data("
             "self.data_fd, buf, self.data_path)\n"
-            "        self._promise(logical_offset, len(buf), pid)"
         )
+        original = promise + append
+        swapped = "            pass\n" + append + promise
         assert original in source
         seeded = source.replace(original, swapped, 1)
         findings = check_contracts(sources={"repro.plfs.writer": seeded})
@@ -120,7 +122,8 @@ class TestLiveTree:
     def test_deleted_wal_promise_is_caught(self):
         source = _module_source("repro.plfs.writer")
         seeded = source.replace(
-            "            self._promise(logical_offset, len(buf), pid)\n",
+            "            self._promise("
+            "logical_offset, sum(map(len, buf)) if vectored else len(buf), pid)\n",
             "            pass\n",
             1,
         )

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import asyncio
 import os
+import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
-from repro.core.fdtable import FdTable
+from repro.core.fdtable import FdEntry, FdTable
 from repro.core.mounts import MountTable
 from repro.sanitize import runtime
 from repro.sanitize.runtime import TrackedAsyncLock, TrackedLock
@@ -165,6 +167,63 @@ class TestRealSharedState:
         for t in threads:
             t.join()
         assert len(table) == 0
+        assert runtime.violations() == []
+
+    def test_lock_free_lookup_races_every_mutator(self, san):
+        """``lookup`` takes no lock (the registry lets ``_entries`` be read
+        lock-free): at a 1 µs switch interval, lookups racing ``insert``,
+        ``dup`` and ``remove`` see the entry or ``None`` and never raise,
+        and every write is still made under the lock."""
+        table = FdTable(os)
+        latest = [0]
+        done = threading.Event()
+        errors: list[BaseException] = []
+        looked: list[int] = []
+
+        def mutate(handle: SimpleNamespace) -> None:
+            try:
+                for i in range(150):
+                    entry = table.insert(handle, os.O_RDONLY, f"/x/{i}")
+                    latest[0] = entry.fd
+                    twin = table.dup(entry, os.dup(entry.fd))
+                    latest[0] = twin.fd
+                    for fd in (entry.fd, twin.fd):
+                        table.close_shadow(table.remove(fd))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def look() -> None:
+            n = 0
+            try:
+                while not done.is_set():
+                    for fd in (latest[0], latest[0] + 1):
+                        entry = table.lookup(fd)
+                        assert entry is None or (isinstance(entry, FdEntry) and entry.fd == fd)
+                        n += 1
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            looked.append(n)
+
+        handles = [SimpleNamespace(refs=1) for _ in range(2)]  # what dup's plfs_ref counts
+        mutators = [threading.Thread(target=mutate, args=(h,)) for h in handles]
+        lookers = [threading.Thread(target=look) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in lookers + mutators:
+                t.start()
+            for t in mutators:
+                t.join(timeout=60)
+            done.set()
+            for t in lookers:
+                t.join(timeout=60)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in mutators + lookers)
+        assert errors == []
+        assert len(looked) == 2 and all(looked)
+        assert len(table) == 0 and [h.refs for h in handles] == [1 + 150] * 2
         assert runtime.violations() == []
 
     def test_mount_table_clean_under_concurrent_resolution(
