@@ -1,4 +1,4 @@
-"""Write-path fast lane: group-commit WAL, vectored and zero-copy appends.
+"""Write-path fast lane: vectored and zero-copy appends.
 
 Not a paper figure — evidence for the write-path optimisation layer.  The
 workload is the shape the paper's write benchmarks (Fig. 3 N-1 strided
@@ -33,9 +33,6 @@ class _NullStore(backing.BackingStore):
     def append_index(self, path, payload):
         return len(payload)
 
-    def write_wal(self, fd, payload, path):
-        return len(payload)
-
     def create_meta(self, path):
         pass
 
@@ -44,7 +41,6 @@ class _NullStore(backing.BackingStore):
 
 SMALL_WRITES = 8192 if FULL_SCALE else 2048
 WRITE_SIZE = 64
-WAL_BATCH = 64
 IOVEC = 16
 CHUNK = 1 << 20 if FULL_SCALE else 1 << 18
 CHUNKS = 32 if FULL_SCALE else 16
@@ -66,9 +62,9 @@ def fresh_container(tmp_path):
     return make
 
 
-def small_write_stream(container, *, wal, wal_batch):
+def small_write_stream(container):
     payload = b"s" * WRITE_SIZE
-    with WriteFile(container, wal=wal, wal_batch=wal_batch) as w:
+    with WriteFile(container) as w:
         for i in range(SMALL_WRITES):
             w.write(payload, i * WRITE_SIZE, pid=1)
         return w.stats
@@ -76,26 +72,6 @@ def small_write_stream(container, *, wal, wal_batch):
 
 def test_write_path_fast_lane(fresh_container, report):
     size_mb = SMALL_WRITES * WRITE_SIZE / 1e6
-
-    # Baseline: no WAL at all (the durability-free upper bound).
-    t_nowal = median_time(
-        lambda: small_write_stream(fresh_container(), wal=False, wal_batch=1)
-    )
-
-    # Per-append WAL: one write_wal syscall before every data append.
-    t_per_append = median_time(
-        lambda: small_write_stream(fresh_container(), wal=True, wal_batch=1)
-    )
-
-    # Group commit: one write_wal per WAL_BATCH-append window.
-    t_batched = median_time(
-        lambda: small_write_stream(fresh_container(), wal=True, wal_batch=WAL_BATCH)
-    )
-    stats = small_write_stream(
-        fresh_container(), wal=True, wal_batch=WAL_BATCH
-    )
-    assert stats["wal_records"] == SMALL_WRITES
-    assert stats["wal_batches"] == SMALL_WRITES // WAL_BATCH
 
     # Vectored appends: the same bytes as IOVEC-buffer gather writes.
     payload = b"v" * WRITE_SIZE
@@ -106,9 +82,7 @@ def test_write_path_fast_lane(fresh_container, report):
             for i in range(0, SMALL_WRITES, IOVEC):
                 w.append_many([payload] * IOVEC, i * WRITE_SIZE, pid=1)
 
-    t_scalar = median_time(
-        lambda: small_write_stream(fresh_container(), wal=False, wal_batch=1)
-    )
+    t_scalar = median_time(lambda: small_write_stream(fresh_container()))
     t_vectored = median_time(vectored)
 
     # Zero-copy: memoryview windows of one big buffer vs bytes copies.
@@ -140,12 +114,6 @@ def test_write_path_fast_lane(fresh_container, report):
         "write-path fast lane "
         f"({SMALL_WRITES} x {WRITE_SIZE} B small writes = {size_mb:.1f} MB, "
         f"median of {REPEATS})",
-        f"{'variant':28s} {'stream (ms)':>12s} {'vs per-append':>14s}",
-        f"{'no WAL':28s} {t_nowal * 1e3:12.2f} {t_per_append / t_nowal:13.2f}x",
-        f"{'per-append WAL':28s} {t_per_append * 1e3:12.2f} {1.0:13.2f}x",
-        f"{'group commit (batch=' + str(WAL_BATCH) + ')':28s} "
-        f"{t_batched * 1e3:12.2f} {t_per_append / t_batched:13.2f}x",
-        "",
         f"scalar appends              : {t_scalar * 1e3:.2f} ms",
         f"vectored appends (iovec={IOVEC:2d}) : {t_vectored * 1e3:.2f} ms "
         f"({t_scalar / t_vectored:.2f}x)",
@@ -156,11 +124,8 @@ def test_write_path_fast_lane(fresh_container, report):
     ]
     report("write_path.txt", "\n".join(lines))
 
-    # Coarse regression guards (the CI write-path job runs these): group
-    # commit must beat the per-append WAL it batches — that is its whole
-    # reason to exist — and a gather write must not lose to the scalar
-    # loop it replaces.
-    assert_faster(t_batched, t_per_append, "group-commit WAL vs per-append WAL")
+    # Coarse regression guard (the CI write-path job runs it): a gather
+    # write must not lose to the scalar loop it replaces.
     assert_faster(t_vectored, t_scalar, "vectored appends vs scalar appends")
 
 

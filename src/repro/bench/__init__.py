@@ -8,7 +8,7 @@ Layers:
   (metadata storm, hot/cold Zipf mix, multi-tenant interference,
   crash-recovery soak);
 - :mod:`~repro.bench.runner` — executes a scenario against the direct,
-  WAL-batched, daemon or objectstore configuration and assembles a
+  daemon or objectstore configuration and assembles a
   versioned BenchRecord;
 - :mod:`~repro.bench.record` — the schema + canonical record files
   (``BENCH_*.json``);

@@ -7,7 +7,7 @@ and nothing that was read off a clock:
 ``op_stream``
     The generator's summary of the replayed stream and its digest.
 ``counters``
-    Op counts, bytes, cache hits, merge/flush/WAL-batch counts.  Guards
+    Op counts, bytes, cache hits, merge/flush counts.  Guards
     compare these *exactly* — a changed counter means the code path
     changed.
 ``derived.bytes``

@@ -5,9 +5,6 @@ Configurations (the ``config`` axis of a BenchRecord):
 
 ``direct``
     In-process :mod:`repro.plfs` API — the LDPLFS fast path.
-``wal_batched``
-    Same, with the PR-5 group-commit write-ahead index
-    (``OpenOptions(write_ahead_index=True, wal_batch_records=N)``).
 ``daemon``
     ``direct`` plus one hop: every ``O_CREAT`` open makes its create in a
     ``repro-plfsd`` daemon subprocess (one
@@ -46,7 +43,6 @@ from dataclasses import dataclass, field
 
 from repro import plfs
 from repro.insights.metrics import export_runtime_counters
-from repro.plfs.api import OpenOptions
 from repro.plfs.cache import shared_cache
 from repro.plfs.util import accumulate
 
@@ -60,29 +56,15 @@ from .scenarios import (
     stream_summary,
 )
 
-#: WAL group-commit window for the ``wal_batched`` configuration
-WAL_BATCH_RECORDS = 16
-
-
 @dataclass(frozen=True)
 class BenchConfig:
     name: str
     daemon: bool = False
-    wal: bool = False
-    wal_batch: int = 1
     objectstore: bool = False
-
-    def open_options(self) -> OpenOptions:
-        return OpenOptions(
-            write_ahead_index=self.wal, wal_batch_records=self.wal_batch
-        )
 
 
 CONFIGS: dict[str, BenchConfig] = {
     "direct": BenchConfig("direct"),
-    "wal_batched": BenchConfig(
-        "wal_batched", wal=True, wal_batch=WAL_BATCH_RECORDS
-    ),
     "daemon": BenchConfig("daemon", daemon=True),
     "objectstore": BenchConfig("objectstore", objectstore=True),
 }
@@ -149,7 +131,7 @@ class _Executor:
     def _open(self, op: Op, flags: int):
         path = self._path(op.file)
         if self.socket_path is None:
-            return plfs.plfs_open(path, flags, mode=0o644, open_opt=self.config.open_options())
+            return plfs.plfs_open(path, flags, mode=0o644)
         cli = self.clients.get(op.tenant)
         if cli is None:
             from repro.plfsd import client as plfsd_client
@@ -207,7 +189,6 @@ class _Executor:
                 nodes=int(self.params.get("nodes", 4)),
                 ppn=int(self.params.get("ppn", 4)),
                 hints=MPIHints(romio_cb_write=cb, romio_cb_read=cb),
-                open_opt=self.config.open_options(),
             )
             eng.set_interleaved(int(self.params.get("record_bytes", 4096)))
             self.engines[op.file] = eng
@@ -278,7 +259,7 @@ def _run_crash_cycle(root: str, op: Op, ops_per_cycle: int, backend=None) -> dic
     from repro.plfs.fsck import fsck
     from repro.faults.injector import FaultInjector, FaultSpec
 
-    point, behavior, wal = SOAK_ARMS[op.size % len(SOAK_ARMS)]
+    point, behavior = SOAK_ARMS[op.size % len(SOAK_ARMS)]
     schedule = harness.random_schedule(op.offset, ops=ops_per_cycle)
     sync_every = max(1, len(schedule) // 2)
     if point == "index_flush":
@@ -292,12 +273,7 @@ def _run_crash_cycle(root: str, op: Op, ops_per_cycle: int, backend=None) -> dic
     path = os.path.join(root, op.file)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     outcome = harness.run_schedule(
-        path,
-        schedule,
-        wal=wal,
-        wal_batch=4 if wal else 1,
-        injector=injector,
-        sync_every=sync_every,
+        path, schedule, injector=injector, sync_every=sync_every
     )
     if backend is not None:
         backend.tier.drain()
@@ -310,7 +286,7 @@ def _run_crash_cycle(root: str, op: Op, ops_per_cycle: int, backend=None) -> dic
     acceptable = outcome.acceptable_states()
     if content not in acceptable:
         raise AssertionError(
-            f"crash_soak cycle {op.file} ({point}:{behavior}, wal={wal}) "
+            f"crash_soak cycle {op.file} ({point}:{behavior}) "
             f"recovered {len(content)} bytes outside the acceptable states "
             f"({len(acceptable)} candidates; fsck: {len(report.actions)} "
             f"actions, unrecoverable={report.unrecoverable})"
@@ -321,7 +297,6 @@ def _run_crash_cycle(root: str, op: Op, ops_per_cycle: int, backend=None) -> dic
         "full_recoveries": int(content == outcome.expected_full()),
         "acknowledged_writes": len(outcome.applied),
         "fsck_actions": len(report.actions),
-        "fsck_rebuilt_indexes": report.rebuilt_indexes,
         "fsck_unrecoverable": len(report.unrecoverable),
         "verified_bytes": len(content),
     }
@@ -397,7 +372,7 @@ def execute_stream(
         for op in ops:
             by_kind[op.kind] = by_kind.get(op.kind, 0) + 1
             if op.kind == "crash_cycle":
-                if cfg.daemon or cfg.wal:
+                if cfg.daemon:
                     raise ValueError(
                         "crash_cycle ops only run on the direct or "
                         f"objectstore configs, not {cfg.name}"

@@ -5,7 +5,7 @@ of :class:`Op` — no wall-clock, no host state, no randomness outside one
 ``random.Random(seed)`` stream — so the same seed always yields the same
 op stream on every machine and Python version (the Mersenne Twister is
 part of the language spec).  The runner replays the stream against any
-backend (direct, WAL-batched, daemon, objectstore) and the differential
+backend (direct, daemon, objectstore) and the differential
 tests replay it against two backends and demand identical bytes.
 
 The four production shapes (ROADMAP item 4):
@@ -56,14 +56,12 @@ KINDS = (
     "coll_read",
 )
 
-#: fault arms a crash_soak cycle rotates through: (point, behavior, wal)
-SOAK_ARMS: tuple[tuple[str, str, bool], ...] = (
-    ("data_write", "torn", False),
-    ("data_write", "crash", False),
-    ("index_flush", "crash", False),
-    ("data_write", "torn", True),
-    ("wal_write", "torn", True),
-    ("fsync", "crash", False),
+#: fault arms a crash_soak cycle rotates through: (point, behavior)
+SOAK_ARMS: tuple[tuple[str, str], ...] = (
+    ("data_write", "torn"),
+    ("data_write", "crash"),
+    ("index_flush", "crash"),
+    ("fsync", "crash"),
 )
 
 
@@ -339,7 +337,7 @@ class Scenario:
     generate: Callable[..., list[Op]]
     profiles: dict[str, dict] = field(default_factory=dict)
     #: runner configurations this scenario supports
-    configs: tuple[str, ...] = ("direct", "wal_batched", "daemon")
+    configs: tuple[str, ...] = ("direct", "daemon")
 
     def ops(self, seed: int, profile: str = "short", params: dict | None = None) -> list[Op]:
         if profile not in self.profiles:
@@ -379,7 +377,7 @@ SCENARIOS: dict[str, Scenario] = {
                 "short": dict(hot_files=4, cold_files=16, ops=320),
                 "full": dict(hot_files=8, cold_files=64, ops=4096),
             },
-            configs=("direct", "wal_batched", "daemon", "objectstore"),
+            configs=("direct", "daemon", "objectstore"),
         ),
         Scenario(
             "multi_tenant",

@@ -86,7 +86,6 @@ class CollectiveFile:
         hints: MPIHints = DEFAULT_HINTS,
         flags: int = os.O_CREAT | os.O_RDWR,
         mode: int = 0o644,
-        open_opt=None,
     ):
         if nodes < 1 or ppn < 1:
             raise ValueError("nodes and ppn must be >= 1")
@@ -97,7 +96,6 @@ class CollectiveFile:
         self.hints = hints
         self.flags = flags
         self.mode = mode
-        self.open_opt = open_opt
         self.aggregator_count = len(aggregators(nodes, ppn, hints))
         self.stats: dict[str, int] = {}
         self._views: dict[int, FileView] = {}
@@ -149,9 +147,7 @@ class CollectiveFile:
     # ------------------------------------------------------------------ #
 
     def _open_handle(self, pid: int):
-        return plfs_api.plfs_open(
-            self.path, self.flags, _PID_BASE + pid, self.mode, self.open_opt
-        )
+        return plfs_api.plfs_open(self.path, self.flags, _PID_BASE + pid, self.mode)
 
     def _rank_fd(self, rank: int):
         fd = self._rank_fds.get(rank)

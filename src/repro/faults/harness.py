@@ -27,7 +27,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro import plfs
-from repro.plfs.api import OpenOptions
 
 from .injector import FaultEvent, FaultInjector, FaultSpec, InjectedCrash
 from .matrix import FaultCase
@@ -78,7 +77,6 @@ class RunOutcome:
     """What one faulted run actually did, from the application's view."""
 
     schedule: list[WriteOp]
-    wal: bool
     #: acknowledged effective writes, in order (short writes store the
     #: acknowledged prefix only)
     applied: list[tuple[int, bytes]] = field(default_factory=list)
@@ -128,17 +126,14 @@ def run_schedule(
     path: str,
     schedule: list[WriteOp],
     *,
-    wal: bool = False,
-    wal_batch: int = 1,
     injector: FaultInjector | None = None,
     sync_every: int | None = None,
 ) -> RunOutcome:
     """Apply *schedule* to the container at *path* with *injector* armed,
     tracking the shadow bookkeeping a later comparison needs.  An
     :class:`InjectedCrash` ends the run the way SIGKILL would."""
-    out = RunOutcome(schedule=schedule, wal=wal)
-    opts = OpenOptions(write_ahead_index=wal, wal_batch_records=wal_batch)
-    fd = plfs.plfs_open(path, os.O_CREAT | os.O_RDWR, mode=0o644, open_opt=opts)
+    out = RunOutcome(schedule=schedule)
+    fd = plfs.plfs_open(path, os.O_CREAT | os.O_RDWR, mode=0o644)
     ctx = injector.armed() if injector is not None else nullcontext()
     current: WriteOp | None = None
     with ctx:
@@ -174,12 +169,11 @@ def run_schedule(
 
 def arm_for_case(case: FaultCase, schedule: list[WriteOp], seed: int = 0) -> FaultInjector | None:
     """Build the injector for one matrix case, targeting an operation
-    deep enough into the schedule to be interesting: data/WAL faults fire
+    deep enough into the schedule to be interesting: data faults fire
     two-thirds of the way through, index-flush faults on the second flush
     (i.e. after one successful sync), meta faults on the close-time meta
-    drop.  A case's explicit ``fire_op`` overrides the default position
-    (batch-window cases must land at a precise phase of the window), and
-    its ``companions`` are armed alongside."""
+    drop.  A case's explicit ``fire_op`` overrides the default position,
+    and its ``companions`` are armed alongside."""
     if case.mode != "inject":
         return None
     if case.fire_op is not None:
@@ -222,7 +216,6 @@ def run_case(
     case: FaultCase,
     schedule: list[WriteOp],
     *,
-    wal: bool,
     seed: int = 0,
     sync_every: int | None = None,
 ) -> RunOutcome:
@@ -231,14 +224,7 @@ def run_case(
     injector = arm_for_case(case, schedule, seed=seed)
     if sync_every is None:
         sync_every = default_sync_every(case, schedule)
-    out = run_schedule(
-        path,
-        schedule,
-        wal=wal,
-        wal_batch=case.wal_batch if wal else 1,
-        injector=injector,
-        sync_every=sync_every,
-    )
+    out = run_schedule(path, schedule, injector=injector, sync_every=sync_every)
     if case.mode == "damage":
         case.damage(path)
     return out
@@ -249,7 +235,6 @@ def run_objectstore_case(
     case: FaultCase,
     schedule: list[WriteOp],
     *,
-    wal: bool,
     seed: int = 0,
     store_root: str | None = None,
     part_bytes: int | None = None,
@@ -277,14 +262,7 @@ def run_objectstore_case(
     try:
         # Clean run: no mid-run syncs, so the drain below uploads every
         # dropping with deterministic operation numbering.
-        out = run_schedule(
-            path,
-            schedule,
-            wal=wal,
-            wal_batch=case.wal_batch if wal else 1,
-            injector=None,
-            sync_every=None,
-        )
+        out = run_schedule(path, schedule)
         injector = FaultInjector([case.spec(case.fire_op or 1)], seed=seed)
         try:
             with injector.armed():

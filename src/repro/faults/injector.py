@@ -20,9 +20,6 @@ data_write  append to a data dropping (``BackingStore.write_data`` and
             the vectored ``write_datav`` share one operation counter:
             either way it is one data append)
 index_flush append packed records to an index dropping (``append_index``)
-wal_write   append one record batch to a write-ahead dropping
-            (``write_wal``; with group commit one call covers a whole
-            batch window)
 meta_create create an empty dropping file (``create_meta``: cached-meta
             droppings *and* the writer's index-dropping touch at open)
 fsync       fsync a data dropping (``fsync``)
@@ -74,7 +71,6 @@ ENV_SEED = "REPRO_FAULT_SEED"
 POINTS = (
     "data_write",
     "index_flush",
-    "wal_write",
     "meta_create",
     "fsync",
     "global_index",
@@ -116,7 +112,7 @@ class FaultSpec:
     prob: float | None = None
     count: int | None = 1
     #: bytes actually persisted for ``short``/``torn`` on data writes; for
-    #: index/WAL payloads the default tears mid-record
+    #: index payloads the default tears mid-record
     short_bytes: int | None = None
     fired: int = field(default=0, repr=False)
 
@@ -340,12 +336,6 @@ class FaultyBackingStore(backing.BackingStore):
         if spec is not None:
             return self._fail(spec, op, path, payload, None, record_payload=True)
         return self.inner.append_index(path, payload)
-
-    def write_wal(self, fd: int, payload: bytes, path: str) -> int:
-        spec, op = self.injector.decide("wal_write")
-        if spec is not None:
-            return self._fail(spec, op, path, payload, fd, record_payload=True)
-        return self.inner.write_wal(fd, payload, path)
 
     def create_meta(self, path: str) -> None:
         spec, op = self.injector.decide("meta_create")

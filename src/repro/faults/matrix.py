@@ -6,18 +6,12 @@ operation) or a *damage* pattern (applied to the container after the run,
 modelling backend corruption such as a lost ``hostdir.N`` tree).
 
 Every case carries its **post-crash invariant** — what must hold after
-``repro-fsck`` runs — and a recovery verdict per arm:
-
-- ``recoverable_with_wal`` / ``recoverable_without_wal`` — ``True`` means
-  the recovered container must read back *byte-identical* to the expected
-  shadow content; ``False`` means the loss is inherent (no on-disk record
-  of the lost bytes' logical offsets exists) and fsck must instead
-  **detect and report** it as unrecoverable.
-
-The two arms differ in one open option:
-``OpenOptions(write_ahead_index=True)`` persists each index record before
-its data append (see the recovery invariant in :mod:`repro.plfs`), which
-upgrades every crash fault to byte-identical recoverability.
+``repro-fsck`` runs — and one recovery verdict, ``recoverable``: ``True``
+means the recovered container must read back *byte-identical* to the
+expected shadow content; ``False`` means the loss is inherent (no on-disk
+record of the lost bytes' logical offsets exists, see the recovery
+invariant in :mod:`repro.plfs`) and fsck must instead **detect and
+report** it as unrecoverable.
 """
 
 from __future__ import annotations
@@ -28,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.plfs import constants
-from repro.plfs.index import RECORD_SIZE
 
 from .injector import FaultSpec
 
@@ -42,10 +35,11 @@ class FaultCase:
     #: a clean run)
     mode: str
     description: str
-    #: what must hold after repro-fsck, regardless of arm
+    #: what must hold after repro-fsck
     invariant: str
-    recoverable_with_wal: bool
-    recoverable_without_wal: bool
+    #: the container reads back byte-identical after fsck (else fsck must
+    #: report the loss)
+    recoverable: bool
     #: injection point/behavior (inject mode)
     point: str | None = None
     behavior: str | None = None
@@ -53,13 +47,9 @@ class FaultCase:
     params: dict = field(default_factory=dict)
     #: the run "dies" mid-schedule (InjectedCrash escapes)
     crashes: bool = False
-    #: only meaningful when the write-ahead arm is on (faults the WAL itself)
-    wal_only: bool = False
-    #: group-commit window the WAL arm runs with (1 = strict per-append)
-    wal_batch: int = 1
     #: fire on exactly this operation number, overriding the harness's
     #: default arm position (needed when the fault must land at a precise
-    #: phase of a batch window)
+    #: step of the tier's upload drain)
     fire_op: int | None = None
     #: additional faults armed alongside the primary one; each entry is a
     #: dict with "point", "behavior", optional "params", and either "op"
@@ -136,8 +126,7 @@ FAULT_MATRIX: tuple[FaultCase, ...] = (
         invariant="the index records exactly the bytes the append "
         "acknowledged; the container is consistent without repair and "
         "reads back byte-identical to the acknowledged writes",
-        recoverable_with_wal=True,
-        recoverable_without_wal=True,
+        recoverable=True,
     ),
     FaultCase(
         name="enospc-data-write",
@@ -148,8 +137,7 @@ FAULT_MATRIX: tuple[FaultCase, ...] = (
         invariant="the failed write leaves no trace: no data bytes, no "
         "index record; the container reads back byte-identical to the "
         "successful writes",
-        recoverable_with_wal=True,
-        recoverable_without_wal=True,
+        recoverable=True,
     ),
     FaultCase(
         name="eintr-data-write",
@@ -161,8 +149,7 @@ FAULT_MATRIX: tuple[FaultCase, ...] = (
         invariant="identical to enospc-data-write: the interrupted call "
         "leaves no trace (the shim retry policy makes it invisible to "
         "applications; here the bare API surfaces it)",
-        recoverable_with_wal=True,
-        recoverable_without_wal=True,
+        recoverable=True,
     ),
     FaultCase(
         name="torn-data-write",
@@ -174,13 +161,10 @@ FAULT_MATRIX: tuple[FaultCase, ...] = (
         description="the process is killed mid-append: a prefix of the "
         "payload reached the data dropping, the index record only ever "
         "existed in memory",
-        invariant="with WAL: fsck clips the write-ahead record to the "
-        "bytes that landed and the file reads back byte-identical "
-        "including the torn prefix; without WAL: the torn bytes are "
-        "unindexed, fsck trims them, reports them unrecoverable, and the "
-        "file reads back as the last synced state",
-        recoverable_with_wal=True,
-        recoverable_without_wal=False,
+        invariant="the torn bytes are unindexed: fsck trims them, reports "
+        "them unrecoverable, and the file reads back as the last synced "
+        "state",
+        recoverable=False,
     ),
     FaultCase(
         name="crash-before-data-write",
@@ -189,14 +173,10 @@ FAULT_MATRIX: tuple[FaultCase, ...] = (
         behavior="crash",
         crashes=True,
         description="the process is killed the instant before a data "
-        "append: with WAL the record was already promised on disk, but "
-        "zero payload bytes ever landed",
-        invariant="with WAL: fsck clips the promised record to zero "
-        "bytes and drops it — the file reads back byte-identical to the "
-        "completed writes; without WAL: earlier unflushed records are "
-        "lost with the process and reported unrecoverable",
-        recoverable_with_wal=True,
-        recoverable_without_wal=False,
+        "append: zero payload bytes of it ever landed",
+        invariant="earlier unflushed records are lost with the process: "
+        "fsck trims their data bytes and reports them unrecoverable",
+        recoverable=False,
     ),
     FaultCase(
         name="crash-before-index-flush",
@@ -207,12 +187,9 @@ FAULT_MATRIX: tuple[FaultCase, ...] = (
         description="the process is killed after data appends but before "
         "the buffered index records are flushed (the canonical PLFS "
         "crash window)",
-        invariant="with WAL: fsck rebuilds the index dropping from the "
-        "write-ahead records and the file reads back byte-identical; "
-        "without WAL: the unindexed data bytes are trimmed and reported "
+        invariant="the unindexed data bytes are trimmed and reported "
         "unrecoverable; previously synced records always survive",
-        recoverable_with_wal=True,
-        recoverable_without_wal=False,
+        recoverable=False,
     ),
     FaultCase(
         name="torn-index-flush",
@@ -222,29 +199,10 @@ FAULT_MATRIX: tuple[FaultCase, ...] = (
         crashes=True,
         description="the process is killed mid-index-flush: the index "
         "dropping ends on a partial record",
-        invariant="with WAL: fsck discards the torn index and rebuilds "
-        "it whole from the write-ahead records (byte-identical); without "
-        "WAL: fsck truncates to the last whole record — the surviving "
-        "content is a write-order-consistent prefix and the stranded "
-        "tail is reported unrecoverable",
-        recoverable_with_wal=True,
-        recoverable_without_wal=False,
-    ),
-    FaultCase(
-        name="torn-wal-write",
-        mode="inject",
-        point="wal_write",
-        behavior="torn",
-        crashes=True,
-        wal_only=True,
-        description="the process is killed mid-WAL-append, before the "
-        "corresponding data append even started",
-        invariant="fsck parses the whole-record prefix of the WAL, clips "
-        "it to the data dropping's actual bytes, and the file reads back "
-        "byte-identical to the completed writes (the torn record's write "
-        "never happened)",
-        recoverable_with_wal=True,
-        recoverable_without_wal=True,
+        invariant="fsck truncates to the last whole record — the "
+        "surviving content is a write-order-consistent prefix and the "
+        "stranded tail is reported unrecoverable",
+        recoverable=False,
     ),
     FaultCase(
         name="short-write-then-crash-before-index-flush",
@@ -262,18 +220,11 @@ FAULT_MATRIX: tuple[FaultCase, ...] = (
         ),
         description="a mid-stream append persists only a prefix (short "
         "write), more appends follow in the same dropping, then the "
-        "process is killed before the index flush — the WAL record for "
-        "the short write promised the full length but physical_offset "
-        "only advanced by the acknowledged bytes",
-        invariant="with WAL: fsck clips the short write's promised record "
-        "to the bytes that landed (bounded by the next record's physical "
-        "start, so the later appends stay correctly mapped) and the file "
-        "reads back byte-identical to the acknowledged writes; without "
-        "WAL: the records buffered since the last sync die with the "
-        "process, the unindexed tail is trimmed and reported "
+        "process is killed before the index flush",
+        invariant="the records buffered since the last sync die with the "
+        "process: the unindexed tail is trimmed and reported "
         "unrecoverable",
-        recoverable_with_wal=True,
-        recoverable_without_wal=False,
+        recoverable=False,
     ),
     FaultCase(
         name="enospc-meta-create",
@@ -286,64 +237,19 @@ FAULT_MATRIX: tuple[FaultCase, ...] = (
         invariant="the container is fully readable without the meta "
         "cache; fsck rebuilds it from the global index and the file "
         "reads back byte-identical",
-        recoverable_with_wal=True,
-        recoverable_without_wal=True,
-    ),
-    FaultCase(
-        name="crash-inside-wal-batch",
-        mode="inject",
-        point="data_write",
-        behavior="crash",
-        crashes=True,
-        wal_only=True,
-        wal_batch=4,
-        fire_op=10,
-        description="group commit (wal_batch=4): the process is killed at "
-        "a data append while earlier appends in the same batch window "
-        "already landed — their write-ahead records were buffered, never "
-        "flushed",
-        invariant="the batch-boundary half of the recovery invariant: "
-        "fsck rebuilds the index from the flushed batches, trims the "
-        "data bytes appended inside the open batch window (nothing on "
-        "disk maps them), and reports them unrecoverable; everything up "
-        "to the last batch boundary reads back byte-identical",
-        recoverable_with_wal=False,
-        recoverable_without_wal=False,
-    ),
-    FaultCase(
-        name="torn-wal-batch-flush",
-        mode="inject",
-        point="wal_write",
-        behavior="torn",
-        params={"short_bytes": RECORD_SIZE + 5},
-        crashes=True,
-        wal_only=True,
-        wal_batch=4,
-        fire_op=2,
-        description="group commit (wal_batch=4): the process is killed "
-        "mid-batch-flush — one whole record of the batch reached the "
-        "WAL, the rest tore, and the previous window's data appends "
-        "already landed",
-        invariant="fsck keeps the WAL's whole-record prefix (flushed "
-        "batches plus the surviving head of the torn one), trims data "
-        "bytes past that coverage, and reports them unrecoverable; the "
-        "covered prefix reads back byte-identical",
-        recoverable_with_wal=False,
-        recoverable_without_wal=False,
+        recoverable=True,
     ),
     FaultCase(
         name="lost-index-droppings",
         mode="damage",
         damage=damage_lose_index_droppings,
         description="backend metadata loss deletes every index dropping "
-        "after a clean close (WALs were already deleted), orphaning the "
-        "data droppings",
-        invariant="no record of the data's logical offsets survives in "
-        "either arm: fsck quarantines the orphaned data droppings, "
+        "after a clean close, orphaning the data droppings",
+        invariant="no record of the data's logical offsets survives: "
+        "fsck quarantines the orphaned data droppings, "
         "reports every lost byte as unrecoverable, and leaves a "
         "consistent (empty) container",
-        recoverable_with_wal=False,
-        recoverable_without_wal=False,
+        recoverable=False,
     ),
     FaultCase(
         name="lost-container-skeleton",
@@ -354,8 +260,7 @@ FAULT_MATRIX: tuple[FaultCase, ...] = (
         invariant="the skeleton carries no unrecoverable state: fsck "
         "recreates it and rebuilds the meta cache from the index; the "
         "file reads back byte-identical",
-        recoverable_with_wal=True,
-        recoverable_without_wal=True,
+        recoverable=True,
     ),
     FaultCase(
         name="stale-openhost-marker",
@@ -365,8 +270,7 @@ FAULT_MATRIX: tuple[FaultCase, ...] = (
         "the size cache permanently untrusted",
         invariant="fsck clears the stale marker (it runs offline, like "
         "plfs_recover) and the file reads back byte-identical",
-        recoverable_with_wal=True,
-        recoverable_without_wal=True,
+        recoverable=True,
     ),
     # ------------------------------------------------------------------ #
     # objectstore arms: the schedule runs clean over the tiered object
@@ -389,8 +293,7 @@ FAULT_MATRIX: tuple[FaultCase, ...] = (
         "that may be dropped, but it has not been yet): fsck's resync "
         "detects the missing object, re-uploads it from the repaired "
         "local copy, and the file reads back byte-identical",
-        recoverable_with_wal=True,
-        recoverable_without_wal=True,
+        recoverable=True,
     ),
     FaultCase(
         name="torn-multipart-upload",
@@ -407,8 +310,7 @@ FAULT_MATRIX: tuple[FaultCase, ...] = (
         "manifest commit is the linearization point): fsck sweeps the "
         "staging directory, re-uploads the dropping whole from the "
         "intact local copy, and the file reads back byte-identical",
-        recoverable_with_wal=True,
-        recoverable_without_wal=True,
+        recoverable=True,
     ),
     FaultCase(
         name="stale-tier-eviction",
@@ -427,8 +329,7 @@ FAULT_MATRIX: tuple[FaultCase, ...] = (
         "(index, meta), detects the orphaned index, and reports the "
         "promised extent explicitly unrecoverable — never a silent "
         "truncation",
-        recoverable_with_wal=False,
-        recoverable_without_wal=False,
+        recoverable=False,
     ),
 )
 

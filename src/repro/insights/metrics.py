@@ -208,10 +208,6 @@ def export_runtime_counters(
         out["write_appends"] = int(writer_stats.get("appends", 0))
         out["write_records_merged"] = int(writer_stats.get("records_merged", 0))
         out["write_index_flushes"] = int(writer_stats.get("index_flushes", 0))
-        out["wal_records"] = int(writer_stats.get("wal_records", 0))
-        out["wal_batches"] = int(writer_stats.get("wal_batches", 0))
-        if out["wal_batches"]:
-            out["wal_batch_occupancy"] = out["wal_records"] / out["wal_batches"]
     if reader_stats:
         out["read_preads"] = int(reader_stats.get("preads", 0))
         out["read_preads_coalesced"] = int(reader_stats.get("coalesced_slices", 0))

@@ -1,12 +1,12 @@
 """Declared ordering contracts over the write path (the LDP3xx pass).
 
-PR 5's crash-consistency story rests on a handful of *orderings*: the WAL
-record reaches the journal before the data bytes it describes, the index
-is flushed before the cross-process generation counter announces it, data
-is durable before the barrier that claims it is.  Those invariants are
-enforced today by the order of two adjacent calls in ``writer.py`` — one
-well-meaning refactor away from silent corruption that only a crash at
-the wrong instant would ever reveal.
+Crash consistency and cross-process visibility rest on a handful of
+*orderings*: index records are written before the sync barrier claims
+them, the index is flushed before the cross-process generation counter
+announces it, the compacted index is complete before the rename that
+publishes it.  Those invariants are enforced by the order of two adjacent
+calls — one well-meaning refactor away from silent corruption that only a
+crash at the wrong instant would ever reveal.
 
 This pass turns each invariant into an :class:`OrderingContract` — "in
 this function, every call to *first* precedes every call to *then*" — and
@@ -60,24 +60,9 @@ class OrderingContract:
         }
 
 
-#: the PR-5 recovery invariants, written down as machine-checked contracts
+#: the recovery and visibility invariants, written down as machine-checked
+#: contracts
 DEFAULT_CONTRACTS: list[OrderingContract] = [
-    OrderingContract(
-        "repro.plfs.writer",
-        "_Dropping",
-        "append",
-        ("_promise",),
-        ("write_data", "write_datav"),
-        "WAL promise persists before the data bytes it describes",
-    ),
-    OrderingContract(
-        "repro.plfs.writer",
-        "_Dropping",
-        "flush_index",
-        ("flush_wal",),
-        ("append_index",),
-        "group-commit WAL batch is durable before index records land",
-    ),
     OrderingContract(
         "repro.plfs.writer",
         "_Dropping",
@@ -180,8 +165,8 @@ def check_contracts(
     """Verify every ordering contract against module source.
 
     *sources* overrides on-disk module source (module name -> text), which
-    is how the regression tests prove a swapped WAL-write/data-append
-    order is caught without mutating the tree — or is the self-audit's
+    is how the regression tests prove a swapped flush/fsync order is
+    caught without mutating the tree — or is the self-audit's
     shared :class:`~repro.lint.static.ModuleTrees`.
     """
     contracts = DEFAULT_CONTRACTS if contracts is None else contracts

@@ -359,8 +359,8 @@ RULES: dict[str, RuleSpec] = {
             "the run was degraded by storage faults",
             "treat this run's bandwidth as a lower bound, not a pattern "
             "diagnosis; run repro-fsck on containers touched by crashed "
-            "writers, and open writers with write_ahead_index if torn "
-            "writes must stay recoverable",
+            "writers, and fsync where a crash must not lose acknowledged "
+            "writes (a crashed writer keeps only what it had synced)",
         ),
         RuleSpec(
             "LDP402",

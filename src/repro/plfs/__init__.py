@@ -17,22 +17,14 @@ Quick use::
 Recovery invariant
 ------------------
 
-Crash consistency rests on one ordering rule per dropping stream:
-
-* **Without a write-ahead index** (the default), data bytes reach the
-  data dropping before their index records reach the index dropping, so
-  a crash can strand a *suffix* of unindexed data bytes.  Indexed
-  content is never damaged — ``repro-fsck`` truncates any torn index
-  tail to the last whole record and the container reads back exactly
-  the prefix that was indexed; the stranded bytes are reported as
-  unrecoverable (there is no record of their logical offsets).
-* **With a write-ahead index** (``OpenOptions(write_ahead_index=True)``),
-  every record is persisted to a sibling ``dropping.wal.*`` file
-  *before* its data append, and the WAL is deleted only on clean close.
-  After any single crash, ``repro-fsck`` rebuilds the index dropping
-  from the WAL, clipping each record to the bytes the data dropping
-  physically holds — reads then return byte-identical content to what
-  the surviving data droppings actually stored.
+Crash consistency rests on one ordering rule per dropping stream: data
+bytes reach the data dropping before their index records reach the index
+dropping.  A crash can therefore strand only a *suffix* of unindexed data
+bytes; indexed content is never damaged.  ``repro-fsck`` truncates any torn
+index tail to the last whole record, trims the unindexed data tail and
+reports it unrecoverable (there is no record of its logical offsets), so
+the container reads back exactly the prefix that was indexed — every byte
+as of the last ``fsync``, which is all a flat file promises either.
 
 The repair is :mod:`repro.plfs.fsck` (``repro-fsck``; its dry run is
 :func:`plfs_check`, which loads on first touch); :mod:`repro.faults` holds

@@ -40,20 +40,9 @@ def access_mode(flags: int) -> tuple[bool, bool]:
 
 @dataclass
 class OpenOptions:
-    """Counterpart of ``Plfs_open_opt`` (all defaulted, as LDPLFS does)."""
-
-    #: persist every index record to a write-ahead dropping before its data
-    #: append, making a crashed writer's index rebuildable by ``repro-fsck``
-    #: at the cost of one small sequential write per call
-    write_ahead_index: bool = False
-    #: group-commit window for the write-ahead index: records per
-    #: ``write_wal`` batch.  1 (the default) is the strict per-append
-    #: ordering; larger windows amortise the WAL syscall over many small
-    #: writes at the cost of intra-batch crash coverage — a crash inside a
-    #: batch can strand up to ``wal_batch_records - 1`` appends' bytes past
-    #: the WAL coverage, which ``repro-fsck`` trims and reports.
-    #: ``plfs_sync`` is always a hard barrier.
-    wal_batch_records: int = 1
+    """Counterpart of ``Plfs_open_opt``.  LDPLFS passes every field
+    defaulted, so this reproduction has none: the parameter keeps Listing 1's
+    signature and nothing an unmodified program cannot reach."""
 
 
 @dataclass
@@ -102,7 +91,8 @@ def plfs_open(
     mode: int = 0o644,
     open_opt: OpenOptions | None = None,
 ) -> Plfs_fd:
-    """Open (optionally creating) the logical file backed at *path*."""
+    """Open (optionally creating) the logical file backed at *path*.
+    *open_opt* keeps Listing 1's signature; see :class:`OpenOptions`."""
     pid = os.getpid() if pid is None else pid
     container = Container(path)
     kind = classify(path)  # the one look at the backend an open takes
@@ -126,9 +116,7 @@ def plfs_open(
     if fd.writable:
         if flags & os.O_TRUNC:
             container.wipe_data()
-        wal = bool(open_opt and open_opt.write_ahead_index)
-        wal_batch = open_opt.wal_batch_records if open_opt is not None else 1
-        fd.writer = WriteFile(container, wal=wal, wal_batch=wal_batch)
+        fd.writer = WriteFile(container)
         try:
             container.register_open(pid)
         except OSError:
@@ -349,7 +337,7 @@ def plfs_trunc(fd_or_path: Plfs_fd | str, offset: int = 0) -> None:
         container.wipe_data()
         index_cache.invalidate(container.path)
     if writer is not None:
-        fd.writer = WriteFile(container, wal=writer.wal, wal_batch=writer.wal_batch)
+        fd.writer = WriteFile(container)
     if fd is not None and fd._reader is not None:
         fd._reader.refresh()
 

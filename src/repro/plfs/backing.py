@@ -1,7 +1,7 @@
 """Backing-store indirection: the PLFS library's persistence surface.
 
 Every byte the PLFS implementation persists — data-dropping appends,
-index-dropping flushes, write-ahead index records, meta droppings — flows
+index-dropping flushes, meta droppings, the compacted index — flows
 through the :class:`BackingStore` installed here.  The default store calls
 straight into ``os``; the fault-injection layer (:mod:`repro.faults`)
 installs a wrapping store that can drop, shorten, tear or error any of
@@ -61,10 +61,6 @@ class BackingStore:
             while done < len(view):
                 done += fh.write(view[done:])
             return done
-
-    def write_wal(self, fd: int, payload: bytes, path: str) -> int:
-        """Append one packed record to a write-ahead index dropping."""
-        return posix.write(fd, payload)
 
     def create_meta(self, path: str) -> None:
         """Create one (empty) meta dropping."""

@@ -35,13 +35,6 @@ DATA_PREFIX = "dropping.data."
 #: Index dropping file name prefix: ``dropping.index.<ts>.<host>.<pid>``.
 INDEX_PREFIX = "dropping.index."
 
-#: Write-ahead index dropping prefix: ``dropping.wal.<ts>.<host>.<pid>``.
-#: Present only while a WAL-enabled writer is open (or crashed): each data
-#: append persists its index record here *before* touching the data
-#: dropping, so ``repro-fsck`` can rebuild a lost or torn index dropping.
-#: Deleted on clean close, when the index dropping becomes authoritative.
-WAL_PREFIX = "dropping.wal."
-
 #: Number of ``hostdir.N`` buckets a container is created with.  Hosts hash
 #: into a bucket, so the bucket count bounds backend-directory fan-out.
 NUM_HOSTDIRS = 32

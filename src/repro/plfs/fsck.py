@@ -2,27 +2,24 @@
 backend damage; its dry run is :func:`plfs_check`.
 
 The Python analogue of the C distribution's ``plfs_recover`` and
-``plfs_check_map``, extended for the write-ahead index.  One walk decides
-what is wrong; a dry run reports it, a real run repairs it.  Repairs are
-ordered so each step only ever sees state the previous steps made
-consistent:
+``plfs_check_map``.  One walk decides what is wrong; a dry run reports
+it, a real run repairs it.  Repairs are ordered so each step only ever
+sees state the previous steps made consistent:
 
 1. restore missing skeleton directories (``openhosts/``, ``meta/``);
-2. per data dropping, make its index authoritative again:
+2. per data dropping, make its index authoritative again.  Data lands
+   before the record that maps it, so a crash leaves at worst a torn
+   index tail and an unindexed data tail:
 
    - leftover repair temporaries (``fsck.tmp.*``: an earlier fsck died
      between writing a repaired index dropping and renaming it into
      place) are swept;
-   - a surviving write-ahead dropping is a superset of the flushed index
-     (records are written ahead of every data append and only deleted on
-     clean close), so the index is **rebuilt** from the WAL's whole-record
-     prefix, clipped to the bytes the data dropping physically holds;
-   - otherwise a torn index dropping is truncated to its last whole
-     record, and any unindexed data tail is trimmed and reported
-     **unrecoverable** (nothing on disk maps those bytes to logical
-     offsets);
-   - a data dropping with no index and no WAL is quarantined (renamed out
-     of the data namespace) and reported unrecoverable;
+   - a torn index dropping is truncated to its last whole record, records
+     promising bytes past the end of the data dropping are clipped, and
+     any unindexed data tail is trimmed and reported **unrecoverable**
+     (nothing on disk maps those bytes to logical offsets);
+   - a data dropping with no index is quarantined (renamed out of the
+     data namespace) and reported unrecoverable;
 
 3. orphan index droppings (index without data) are deleted — and when
    the orphan's records promised bytes that no quarantine holds, the
@@ -96,13 +93,11 @@ IN_FLIGHT = "in-flight"
 KINDS = {
     "restore-skeleton": IN_FLIGHT,
     "sweep-repair-tmp": IN_FLIGHT,
-    "rebuild-index": IN_FLIGHT,
     "truncate-torn-index": BROKEN,
     "clip-index": BROKEN,
     "trim-unindexed-tail": IN_FLIGHT,
     "quarantine-orphan": BROKEN,
     "drop-orphan-index": IN_FLIGHT,
-    "drop-orphan-wal": IN_FLIGHT,
     "clear-openhost": IN_FLIGHT,
     "rebuild-meta": BROKEN,
     "drop-stale-compacted": IN_FLIGHT,
@@ -151,7 +146,6 @@ class FsckReport:
     #: losses with no on-disk recovery path — the "detected, reported
     #: verdict" the fault matrix requires for non-recoverable faults
     unrecoverable: list[str] = field(default_factory=list)
-    rebuilt_indexes: int = 0
     clipped_bytes: int = 0
     trimmed_bytes: int = 0
     quarantined_bytes: int = 0
@@ -208,7 +202,6 @@ class FsckReport:
                 for a in self.actions
             ],
             "unrecoverable": list(self.unrecoverable),
-            "rebuilt_indexes": self.rebuilt_indexes,
             "clipped_bytes": self.clipped_bytes,
             "trimmed_bytes": self.trimmed_bytes,
             "quarantined_bytes": self.quarantined_bytes,
@@ -251,7 +244,7 @@ def _read(path: str) -> bytes:
 
 
 def _record_coverage(index_path: str) -> int:
-    """Bytes the whole records of an index/WAL dropping promise."""
+    """Bytes the whole records of an index dropping promise."""
     try:
         records, _ = split_torn(_read(index_path))
     except OSError:
@@ -299,50 +292,16 @@ def _repair_dropping(report, container_path, hostdir, data_name, *, dry_run):
     None when it is quarantined."""
     data_path = os.path.join(hostdir, data_name)
     index_path = os.path.join(hostdir, util.index_name_for_data(data_name))
-    wal_path = os.path.join(hostdir, util.wal_name_for_data(data_name))
     data_size = posix.getsize(data_path)
     rel_data = _rel(container_path, data_path)
     rel_index = _rel(container_path, index_path)
-
-    if posix.exists(wal_path):
-        records, torn = split_torn(_read(wal_path))
-        clipped, lost = clip_to_physical(records, data_size)
-        detail = f"rebuilt {len(clipped) // RECORD_SIZE} record(s) from write-ahead index"
-        if torn:
-            detail += f", discarded {torn} torn WAL byte(s)"
-        if lost:
-            detail += f", clipped {lost} promised byte(s) that never landed"
-        report.act("rebuild-index", rel_data, detail + " (writer crashed or still running)")
-        report.rebuilt_indexes += 1
-        report.clipped_bytes += lost
-        if not dry_run:
-            _replace_index(index_path, clipped)
-        # The clipped WAL byte(s) were never acknowledged to the writer —
-        # clipping is reconciliation, not loss; no unrecoverable verdict.
-        # Data bytes *past* the WAL coverage are a different matter: with
-        # group commit (wal_batch > 1) a crash inside a batch window can
-        # land appends whose records never reached the WAL.  Nothing on
-        # disk maps those bytes, so they are trimmed and reported — the
-        # batch-boundary half of the recovery invariant.
-        kept = _trim_tail(
-            report, rel_data, data_path, data_size, clipped,
-            "past the write-ahead coverage",
-            f"byte(s) in {rel_data} were appended inside a write-ahead batch "
-            "window whose records never reached the WAL (the writer died "
-            "before the batch flush)",
-            dry_run=dry_run,
-        )
-        if not dry_run:
-            posix.unlink(wal_path)
-        return clipped, kept
 
     if not posix.exists(index_path):
         quarantine = QUARANTINE_PREFIX + data_name
         report.act(
             "quarantine-orphan",
             rel_data,
-            f"{data_size} data byte(s) have no index and no write-ahead "
-            f"index; moved to {quarantine}",
+            f"{data_size} data byte(s) have no index; moved to {quarantine}",
         )
         report.quarantined_bytes += data_size
         report.lose(
@@ -380,48 +339,40 @@ def _repair_dropping(report, container_path, hostdir, data_name, *, dry_run):
         "no index record covers (writer died between the data append and "
         "the index flush)",
         f"unindexed byte(s) in {rel_data}: the writer died between the data "
-        "append and the index flush, and no write-ahead index was enabled",
+        "append and the index flush",
         dry_run=dry_run,
     )
     return clipped, kept
 
 
 def _drop_orphans(report, container_path, hostdir, *, dry_run) -> None:
-    """Step 3: index and WAL droppings whose data dropping is gone.
+    """Step 3: index droppings whose data dropping is gone.
 
     Deleting the orphan is right — nothing can serve reads from it — but
     the bytes its records promised were acknowledged to a writer, and if
     no quarantine file holds them the data dropping itself vanished (a
     lost PUT, a vanished backend file): that extent must be reported
-    unrecoverable, not silently truncated away with the index.  A WAL
-    carries that verdict only when no index sibling carried it (the WAL is
-    a superset of the flushed index)."""
+    unrecoverable, not silently truncated away with the index."""
     names = sorted(posix.listdir(hostdir))
     present = set(names)
-    for prefix, kind in ((constants.INDEX_PREFIX, "drop-orphan-index"),
-                         (constants.WAL_PREFIX, "drop-orphan-wal")):
-        for name in names:
-            if not name.startswith(prefix):
-                continue
-            suffix = name[len(prefix):]
-            data_name = constants.DATA_PREFIX + suffix
-            if data_name in present:
-                continue
-            path = os.path.join(hostdir, name)
-            rel = _rel(container_path, path)
-            covered = _record_coverage(path)
-            carried = QUARANTINE_PREFIX + data_name in present or (
-                kind == "drop-orphan-wal" and constants.INDEX_PREFIX + suffix in present
+    for name in names:
+        if not name.startswith(constants.INDEX_PREFIX):
+            continue
+        data_name = constants.DATA_PREFIX + name[len(constants.INDEX_PREFIX):]
+        if data_name in present:
+            continue
+        path = os.path.join(hostdir, name)
+        rel = _rel(container_path, path)
+        covered = _record_coverage(path)
+        if covered and QUARANTINE_PREFIX + data_name not in present:
+            report.lose(
+                f"{covered} byte(s) promised by {rel} have no data "
+                "dropping behind them: the backend lost the data (a lost "
+                "PUT or vanished dropping), not just records"
             )
-            if covered and not carried:
-                report.lose(
-                    f"{covered} byte(s) promised by {rel} have no data "
-                    "dropping behind them: the backend lost the data (a lost "
-                    "PUT or vanished dropping), not just records"
-                )
-            report.act(kind, rel, f"{covered} promised byte(s) and no data dropping")
-            if not dry_run:
-                posix.unlink(path)
+        report.act("drop-orphan-index", rel, f"{covered} promised byte(s) and no data dropping")
+        if not dry_run:
+            posix.unlink(path)
 
 
 def _audit_compacted(report, container, touched: bool, *, dry_run) -> None:
@@ -525,7 +476,7 @@ def fsck(
                 report.records += len(records) // RECORD_SIZE
                 report.physical_bytes += physical
 
-    # 3. orphan index and WAL droppings
+    # 3. orphan index droppings
     for hostdir in container.hostdirs():
         _drop_orphans(report, container.path, hostdir, dry_run=dry_run)
 

@@ -122,7 +122,7 @@ def parse_records(data, *, source: str = "<memory>") -> bytes:
 def split_torn(data) -> tuple[bytes, int]:
     """Take as many whole records as *data* holds, tolerating a torn tail.
 
-    A crash mid-flush (or mid-WAL-append) leaves an index dropping whose
+    A crash mid-flush leaves an index dropping whose
     byte count is not a multiple of the record size; the prefix of whole
     records is still sound because records are appended atomically in
     memory and sequentially on disk.  Returns ``(records, torn_bytes)``
@@ -135,8 +135,7 @@ def split_torn(data) -> tuple[bytes, int]:
 def clip_to_physical(records, data_size: int) -> tuple[bytes, int]:
     """Clip *records* to the bytes a data dropping actually holds.
 
-    Recovery reconciliation: a record (from a WAL or an index dropping)
-    may promise bytes past the end of its data dropping — the write was
+    Recovery reconciliation: an index dropping's record may promise bytes past the end of its data dropping — the write was
     torn, or never happened before the crash.  Records are physically
     sequential within one dropping, so each record's true extent is
     bounded below by the next record's start and by *data_size*.  Returns

@@ -1,7 +1,7 @@
 """``BackingStore`` implementation backed by the object store + tier.
 
 Install via :func:`repro.plfs.backing.install` and the whole PLFS
-library — droppings, WAL, meta, compacted index — runs unmodified over
+library — droppings, meta, compacted index — runs unmodified over
 object storage, which is the paper's thesis applied one layer down: the
 *library* didn't change either.
 
@@ -63,11 +63,6 @@ class ObjectStoreBackingStore(backing.BackingStore):
 
     def append_index(self, path: str, payload: bytes) -> int:
         n = self.inner.append_index(path, payload)
-        self.tier.note_write(path, n)
-        return n
-
-    def write_wal(self, fd: int, payload: bytes, path: str) -> int:
-        n = self.inner.write_wal(fd, payload, path)
         self.tier.note_write(path, n)
         return n
 

@@ -165,7 +165,7 @@ def reconcile_after(
             store.put(key, data)
 
     # …and delete objects repair left without a local counterpart, so a
-    # later restore cannot resurrect a stale WAL, cleared meta dropping,
+    # later restore cannot resurrect a cleared meta dropping, an orphan index,
     # or bytes fsck quarantined/trimmed.
     local_now = set(_local_files(container_path))
     for key in store.list(prefix):

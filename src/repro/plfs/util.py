@@ -73,17 +73,6 @@ def index_dropping_name(host: str, pid: int, ts: float) -> str:
     return constants.INDEX_PREFIX + dropping_suffix(host, pid, ts)
 
 
-def wal_dropping_name(host: str, pid: int, ts: float) -> str:
-    return constants.WAL_PREFIX + dropping_suffix(host, pid, ts)
-
-
-def wal_name_for_data(data_name: str) -> str:
-    """Map a data dropping file name to its sibling WAL dropping name."""
-    if not data_name.startswith(constants.DATA_PREFIX):
-        raise ValueError(f"not a data dropping name: {data_name!r}")
-    return constants.WAL_PREFIX + data_name[len(constants.DATA_PREFIX):]
-
-
 def index_name_for_data(data_name: str) -> str:
     """Map a data dropping file name to its sibling index dropping name."""
     if not data_name.startswith(constants.DATA_PREFIX):

@@ -5,7 +5,10 @@ Every ``write(buf, offset)`` appends the payload to the data dropping —
 strictly sequentially, regardless of the logical offset, which is the
 log-structuring that converts random application writes into sequential disk
 writes — and buffers one index record.  Records are flushed to the index
-dropping on ``sync``/``close``.
+dropping on ``sync``/``close`` (or when :data:`INDEX_FLUSH_THRESHOLD`
+accumulate).  Data always lands before the record that maps it, so a
+crashed writer leaves at worst an unindexed data tail, which
+``repro-fsck`` trims and reports.
 
 The write fast lane (mirroring the read-path work in
 :mod:`repro.plfs.cache`):
@@ -19,15 +22,6 @@ The write fast lane (mirroring the read-path work in
   record straight into the dropping's buffer of :data:`~repro.plfs.index.RECORD`
   rows (a merge rewrites the last row in place), so a flush writes the
   buffer as it stands;
-- **group-commit WAL** — with ``wal_batch > 1`` write-ahead records are
-  buffered and flushed as one ``write_wal`` batch per data-append window.
-  The recovery invariant weakens from *every record precedes its data* to
-  *every data byte is covered by a WAL record before or within the same
-  batch boundary*: a crash inside a batch window can strand up to
-  ``wal_batch - 1`` appends' bytes past the WAL coverage, which
-  ``repro-fsck`` trims and reports (``sync`` is a hard barrier — it flushes
-  the batch).  ``wal_batch == 1`` (the default) reproduces the strict
-  per-append ordering exactly;
 - **record merging** — a write that continues the previous one of its
   stream extends the last buffered index record instead of adding one, so
   BT-style sequential small-write streams keep a single pending record
@@ -62,63 +56,30 @@ MERGE_LENGTH_CAP = 1 << 40
 
 
 class _Dropping:
-    """One open (data, index) dropping pair for a single pid.
-
-    With *wal* enabled, every append buffers its index record for a
-    sibling write-ahead dropping; the buffer is flushed as one batch per
-    *wal_batch* appends, **before** the batch-closing data append touches
-    the data dropping, so a crash at any instruction leaves enough on disk
-    for ``repro-fsck`` to rebuild the index clipped to the bytes that
-    physically arrived — up to the batch boundary (bytes appended inside
-    an unflushed batch window are trimmed and reported).  The WAL is
-    deleted on clean close, when the flushed index dropping becomes
-    authoritative.
-    """
+    """One open (data, index) dropping pair for a single pid."""
 
     __slots__ = (
         "data_path",
         "index_path",
-        "wal_path",
         "data_fd",
-        "wal_fd",
-        "wal_batch",
-        "wal_pending",
         "physical_offset",
         "pending",
         "last",
         "records_flushed",
         "records_merged",
         "index_flushes",
-        "wal_records_written",
-        "wal_batches",
         "_closed",
         "_lock",
     )
 
-    def __init__(
-        self,
-        hostdir: str,
-        host: str,
-        pid: int,
-        *,
-        wal: bool = False,
-        wal_batch: int = 1,
-    ):
+    def __init__(self, hostdir: str, host: str, pid: int):
         ts = util.unique_timestamp()
         self.data_path = os.path.join(hostdir, util.data_dropping_name(host, pid, ts))
         self.index_path = os.path.join(hostdir, util.index_dropping_name(host, pid, ts))
-        self.wal_path = (
-            os.path.join(hostdir, util.wal_dropping_name(host, pid, ts)) if wal else None
-        )
         self.data_fd = posix.open(
             self.data_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
         )
-        self.wal_fd = -1
         try:
-            if wal:
-                self.wal_fd = posix.open(
-                    self.wal_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-                )
             # Touch the index dropping immediately so readers pair it with
             # the data dropping even before the first sync.  Routed through
             # the backing store: creating the empty sibling is a
@@ -126,26 +87,19 @@ class _Dropping:
             backing.installed.create_meta(self.index_path)
         except OSError:
             # Error-path hygiene: never leave a data dropping behind with
-            # no sibling index (an orphan the next reader must skip), a
-            # stranded write-ahead dropping, nor a leaked descriptor.
-            for fd in (self.data_fd, self.wal_fd):
-                if fd >= 0:
-                    try:
-                        posix.close(fd)
-                    except OSError:
-                        pass
-            self.data_fd = self.wal_fd = -1
-            for p in (self.data_path, self.index_path, self.wal_path):
-                if p is None:
-                    continue
+            # no sibling index (an orphan the next reader must skip), nor a
+            # leaked descriptor.
+            try:
+                posix.close(self.data_fd)
+            except OSError:
+                pass
+            self.data_fd = -1
+            for p in (self.data_path, self.index_path):
                 try:
                     posix.unlink(p)
                 except OSError:
                     pass
             raise
-        self.wal_batch = max(1, int(wal_batch))
-        #: packed write-ahead records of the open batch (dropping 0)
-        self.wal_pending = bytearray()
         self.physical_offset = 0
         #: packed index records not yet flushed (dropping 0)
         self.pending = bytearray()
@@ -155,29 +109,13 @@ class _Dropping:
         self.records_flushed = 0
         self.records_merged = 0
         self.index_flushes = 0
-        self.wal_records_written = 0
-        self.wal_batches = 0
         self._closed = False
-        #: held while ``pending``/``wal_pending`` are appended to, merged
-        #: into or taken
+        #: held while ``pending`` is appended to, merged into or taken
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # the append hot path
     # ------------------------------------------------------------------ #
-
-    def _promise(self, logical_offset: int, length: int, pid: int) -> None:
-        """Buffer one write-ahead record and flush the batch when full —
-        *before* the data append, preserving the batch-boundary coverage
-        invariant (at ``wal_batch == 1`` this is the strict per-append
-        write-ahead ordering)."""
-        with self._lock:
-            self.wal_pending += RECORD.pack(
-                logical_offset, self.physical_offset, length, 0, pid, util.unique_timestamp()
-            )
-            full = len(self.wal_pending) >= self.wal_batch * RECORD_SIZE
-        if full:
-            self.flush_wal()
 
     def append(self, buf, logical_offset: int, pid: int, merge: bool, vectored: bool) -> int:
         """Append *buf* — or, *vectored*, a whole iovec as one gather write —
@@ -197,11 +135,6 @@ class _Dropping:
         overflow the record's length field.
         """
         store = backing.installed
-        if self.wal_fd >= 0:
-            # The WAL record promises the full length; a torn or short data
-            # write is reconciled at recovery time by clipping the record
-            # to the bytes the data dropping actually holds.
-            self._promise(logical_offset, sum(map(len, buf)) if vectored else len(buf), pid)
         if not vectored:
             written = store.write_data(self.data_fd, buf, self.data_path)
         else:
@@ -238,28 +171,6 @@ class _Dropping:
     # flushing
     # ------------------------------------------------------------------ #
 
-    def flush_wal(self) -> None:
-        """Persist the buffered write-ahead records as one batch.
-
-        On failure the rows are *kept*: earlier rows in the batch may
-        already cover data that physically landed, and the WAL must stay a
-        superset of whatever the index dropping will claim.  A retried row
-        whose data never landed is zero-clipped at recovery time.  The
-        buffer is taken under the lock, for :meth:`flush_index`'s reason.
-        """
-        if not self.wal_pending:
-            return
-        with self._lock:
-            rows, self.wal_pending = self.wal_pending, bytearray()
-        try:
-            backing.installed.write_wal(self.wal_fd, bytes(rows), self.wal_path)
-        except BaseException:
-            with self._lock:
-                self.wal_pending[:0] = rows
-            raise
-        self.wal_records_written += len(rows) // RECORD_SIZE
-        self.wal_batches += 1
-
     def flush_index(self) -> None:
         """Append the buffered records to the index dropping.  The buffer is
         *taken* (swapped for an empty one, under the lock :meth:`append`
@@ -271,15 +182,9 @@ class _Dropping:
         with self._lock:
             rows, last = self.pending, self.last
             self.pending, self.last = bytearray(), None
+        if not rows:
+            return
         try:
-            # The WAL must remain a superset of the flushed index (fsck
-            # rebuilds the index wholly from it), so an open batch is
-            # flushed first — after the take, so it holds every taken
-            # record's promise.
-            if self.wal_fd >= 0 and self.wal_pending:
-                self.flush_wal()
-            if not rows:
-                return
             backing.installed.append_index(self.index_path, bytes(rows))
         except BaseException:
             with self._lock:
@@ -295,10 +200,8 @@ class _Dropping:
         backing.installed.fsync(self.data_fd)
 
     def close(self) -> None:
-        """Flush and release.  Idempotent and exception-safe: descriptors
-        are released even when the final flush fails, and the WAL is
-        deleted only on a *clean* flush (a failed flush leaves it as the
-        recovery source ``repro-fsck`` needs)."""
+        """Flush and release.  Idempotent and exception-safe: the
+        descriptor is released even when the final flush fails."""
         if self._closed:
             return
         self._closed = True
@@ -307,45 +210,27 @@ class _Dropping:
             self.flush_index()
         except BaseException as exc:  # noqa: B036 - InjectedCrash must pass through
             flush_exc = exc
-        close_exc: OSError | None = None
-        for attr in ("data_fd", "wal_fd"):
-            fd = getattr(self, attr)
-            setattr(self, attr, -1)
-            if fd >= 0:
-                try:
-                    posix.close(fd)
-                except OSError as exc:
-                    if close_exc is None:
-                        close_exc = exc
-        if flush_exc is None and self.wal_path is not None:
-            # Clean close: the flushed index dropping is now authoritative;
-            # the write-ahead copy of the records is redundant.  This holds
-            # even when a descriptor close failed above — the flush itself
-            # succeeded.
-            try:
-                posix.unlink(self.wal_path)
-            except OSError:
-                pass
+        fd, self.data_fd = self.data_fd, -1
+        try:
+            posix.close(fd)
+        except OSError:
+            if flush_exc is None:
+                raise
         if flush_exc is not None:
             raise flush_exc
-        if close_exc is not None:
-            raise close_exc
 
     def abandon(self) -> None:
         """Release OS resources as a crashed process would: no index
-        flush, no WAL cleanup, buffered records dropped on the floor."""
+        flush, buffered records dropped on the floor."""
         self._closed = True
         self.pending.clear()
-        self.wal_pending.clear()
         self.last = None
-        for attr in ("data_fd", "wal_fd"):
-            fd = getattr(self, attr)
-            setattr(self, attr, -1)
-            if fd >= 0:
-                try:
-                    posix.close(fd)
-                except OSError:
-                    pass
+        fd, self.data_fd = self.data_fd, -1
+        if fd >= 0:
+            try:
+                posix.close(fd)
+            except OSError:
+                pass
 
 
 class WriteFile:
@@ -362,14 +247,7 @@ class WriteFile:
     #: lock the api layer pushes
     _SANITIZE_SHARED = {"_droppings": None}
 
-    def __init__(
-        self,
-        container: Container,
-        *,
-        host: str | None = None,
-        wal: bool = False,
-        wal_batch: int = 1,
-    ):
+    def __init__(self, container: Container, *, host: str | None = None):
         self.container = container
         self.host = host or util.hostname()
         self.hostdir = container.ensure_hostdir(self.host)
@@ -377,13 +255,6 @@ class WriteFile:
         self._max_logical_end = 0
         self._total_written = 0
         self._closed = False
-        #: write-ahead index: persist each record before its data append so
-        #: a crash never strands unindexed data (see repro.plfs.fsck)
-        self.wal = wal
-        #: group-commit window: WAL records per write_wal batch (1 = strict
-        #: per-append ordering; >1 trades intra-batch crash coverage for
-        #: one WAL syscall per window)
-        self.wal_batch = max(1, int(wal_batch))
         self._last_dropping: _Dropping | None = None
         #: data appends whose record is buffered or flushed, and the count
         #: at the last :meth:`flush_indexes`: a handle that also reads flushes
@@ -399,9 +270,7 @@ class WriteFile:
     # ------------------------------------------------------------------ #
 
     def _open_dropping(self, pid: int) -> _Dropping:
-        d = self._droppings[pid] = _Dropping(
-            self.hostdir, self.host, pid, wal=self.wal, wal_batch=self.wal_batch
-        )
+        d = self._droppings[pid] = _Dropping(self.hostdir, self.host, pid)
         return d
 
     def _invalidate(self) -> None:
@@ -422,10 +291,14 @@ class WriteFile:
         The pid's dropping is made on first use, and its record may merge
         only for back-to-back writes of one stream: an intervening write
         from another pid must keep its own timestamp ordering against ours.
+
+        An empty write — scalar or vectored — returns 0 and touches nothing:
+        no dropping is made and the handle's size does not move, as a flat
+        file's zero-length ``pwrite`` leaves its size alone.
         """
         if self._closed:
             raise BadFlagsError("write on closed WriteFile")
-        if vectored and not any(map(len, buf)):
+        if not (any(map(len, buf)) if vectored else len(buf)):
             return 0
         dropping = self._droppings.get(pid) or self._open_dropping(pid)
         merge = dropping is self._last_dropping
@@ -482,22 +355,17 @@ class WriteFile:
             "records_merged": 0,
             "records_flushed": 0,
             "index_flushes": 0,
-            "wal_records": 0,
-            "wal_batches": 0,
         }
         for d in self._droppings.values():
             out["records_merged"] += d.records_merged
             out["records_flushed"] += d.records_flushed
             out["index_flushes"] += d.index_flushes
-            out["wal_records"] += d.wal_records_written
-            out["wal_batches"] += d.wal_batches
         return out
 
     # ------------------------------------------------------------------ #
 
     def sync(self) -> None:
-        """Flush buffered records (a hard barrier for any open WAL batch)
-        and fsync the data droppings."""
+        """Flush buffered records and fsync the data droppings."""
         for d in self._droppings.values():
             d.sync()
         self._invalidate()

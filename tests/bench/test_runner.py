@@ -66,18 +66,6 @@ def test_hot_cold_reads_return_written_bytes():
     assert rec["counters"]["read_preads"] > 0
 
 
-def test_wal_batched_config_engages_wal():
-    rec = runner.run_scenario(
-        "hot_cold_mix",
-        profile="short",
-        config="wal_batched",
-        seed=42,
-        params=TINY["hot_cold_mix"],
-    )
-    assert rec["counters"]["wal_records"] > 0
-    assert rec["counters"]["wal_batches"] > 0
-
-
 def test_multi_tenant_reports_both_tenants():
     rec = _run("multi_tenant")
     assert rec["op_stream"]["tenants"] == 2
@@ -124,7 +112,7 @@ def test_crash_soak_rejects_non_direct_configs():
         runner.run_scenario("crash_soak", config="daemon")
 
 
-@pytest.mark.parametrize("config", ["quantum", "sim"])
+@pytest.mark.parametrize("config", ["quantum", "sim", "wal_batched"])
 def test_unknown_config_raises(config):
     with pytest.raises(ValueError, match="does not support"):
         runner.run_scenario("metadata_storm", config=config)

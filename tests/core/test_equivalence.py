@@ -40,6 +40,11 @@ to overlook is DESIGN §5 decision 15's list, and nothing else:
   file passed through since its mount side's last ``fsync`` or ``close``;
 - unlink/rename of a file with open descriptors are not rules yet.
 
+Once a run is over and the interposer uninstalled, the process holds
+exactly the descriptors it held before the mount was made, and no
+``*.tmp.*`` temporary (``fsck.tmp.``, ``global.index.tmp.``,
+``generation.tmp.``) is left under the backend.
+
 ``DaemonMountEquivalence`` runs the same machine on a mount whose backend
 spec carries ``?daemon=<socket>`` of a live ``repro-plfsd``: every
 creating open's create is then the daemon's, and nothing may differ.
@@ -134,6 +139,8 @@ class MountEquivalence(RuleBasedStateMachine):
         os.mkdir(self.ref_dir)
         self.backend = os.path.join(self.base, "backend")
         self.mnt = os.path.join(self.base, "mnt")
+        #: the process's descriptors before the mount (see nothing_left_behind)
+        self.fds_before = set(os.listdir("/proc/self/fd"))
         self.interposer = Interposer([(self.mnt, self.backend + self.backend_options)])
         self.interposer.install()
         self.real = self.interposer.real
@@ -422,22 +429,44 @@ class MountEquivalence(RuleBasedStateMachine):
                 assert fh.read() == expected
 
     def teardown(self):
+        clean = sys.exc_info()[1] is None  # else: a rule failed, and said so
         try:
-            if sys.exc_info()[1] is None:  # else: a rule failed, and said so
+            if clean:
                 while self.pairs:
                     self.both(self.pairs.pop(), os.close)
                 self.trees_agree()  # final bytes, every descriptor closed
+        except BaseException:
+            clean = False
+            raise
         finally:
-            self.drain_and_remove()
+            self.drain_and_remove(check=clean)
 
-    def drain_and_remove(self):
+    def drain_and_remove(self, check=False):
         try:
             for _, ref_fd, _ in self.pairs:  # left open by a failing rule
                 os.close(ref_fd)
             self.interposer.drain()
             self.interposer.uninstall()
+            if check:
+                self.nothing_left_behind()
         finally:
             shutil.rmtree(self.base, ignore_errors=True)
+
+    def nothing_left_behind(self):
+        """The leak gate: every descriptor the run opened — flat, mount,
+        dropping, generation, daemon socket — is closed again, and no
+        repair, compaction or generation temporary survives."""
+        now = set(os.listdir("/proc/self/fd"))
+        assert now == self.fds_before, (
+            f"leaked {sorted(now - self.fds_before)}, closed {sorted(self.fds_before - now)}"
+        )
+        temporaries = [
+            os.path.join(dirpath, name)
+            for dirpath, _, files in os.walk(self.backend)
+            for name in files
+            if ".tmp." in name
+        ]
+        assert temporaries == []
 
 
 MountEquivalence.TestCase.settings = settings(

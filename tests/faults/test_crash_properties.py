@@ -1,6 +1,6 @@
 """Property-based crash-consistency: every fault-matrix arm, random writes.
 
-For each matrix case × WAL arm × seeded schedule: run the schedule with the
+For each matrix case × seeded schedule: run the schedule with the
 fault armed (or the damage applied), run ``repro-fsck``, and check the
 case's recovery verdict:
 
@@ -27,34 +27,31 @@ from repro.faults.harness import random_schedule, read_back, run_case
 from repro.plfs.fsck import fsck
 
 # objectstore arms run under their own harness (the fault fires during
-# the tier drain, not the schedule) — see test_objectstore_faults.py
+# the tier drain, not the schedule) — see test_objectstore_faults.py.  The
+# ids keep their historical "-nowal" suffix so a case's results stay
+# comparable across the suite's history.
 ARMS = [
-    pytest.param(case.name, wal, id=f"{case.name}-{'wal' if wal else 'nowal'}")
+    pytest.param(case.name, id=f"{case.name}-nowal")
     for case in FAULT_MATRIX
     if not case.objectstore
-    for wal in (False, True)
-    if wal or not case.wal_only
 ]
 
 
 @pytest.mark.parametrize("schedule_index", range(3))
-@pytest.mark.parametrize("case_name,wal", ARMS)
+@pytest.mark.parametrize("case_name", ARMS)
 def test_fault_then_fsck_meets_verdict(
-    container_path, fault_seed, case_name, wal, schedule_index
+    container_path, fault_seed, case_name, schedule_index
 ):
     case = matrix_by_name(case_name)
     schedule = random_schedule(fault_seed * 101 + schedule_index, ops=18)
-    out = run_case(container_path, case, schedule, wal=wal, seed=fault_seed)
+    out = run_case(container_path, case, schedule, seed=fault_seed)
 
     assert out.crashed == (case.mode == "inject" and case.crashes)
 
     report = fsck(container_path)
     content = read_back(container_path)
-    recoverable = (
-        case.recoverable_with_wal if wal else case.recoverable_without_wal
-    )
 
-    if recoverable:
+    if case.recoverable:
         assert content == out.expected_full(), (
             f"{case.name}: recovered content diverges from the shadow model"
         )
@@ -83,11 +80,11 @@ def test_fault_then_fsck_meets_verdict(
     assert plfs.plfs_getattr(container_path).st_size == len(content)
 
 
-@pytest.mark.parametrize("case_name,wal", ARMS)
-def test_dry_run_changes_nothing(container_path, fault_seed, case_name, wal):
+@pytest.mark.parametrize("case_name", ARMS)
+def test_dry_run_changes_nothing(container_path, fault_seed, case_name):
     case = matrix_by_name(case_name)
     schedule = random_schedule(fault_seed * 103, ops=12)
-    run_case(container_path, case, schedule, wal=wal, seed=fault_seed)
+    run_case(container_path, case, schedule, seed=fault_seed)
 
     def snapshot():
         state = {}
@@ -112,4 +109,4 @@ def test_every_matrix_case_exercised():
     names = {case.name for case in FAULT_MATRIX}
     legacy = {case.name for case in FAULT_MATRIX if not case.objectstore}
     covered = {p.values[0] for p in ARMS}
-    assert covered == legacy and len(legacy) == 15 and len(names) == 18
+    assert covered == legacy and len(legacy) == 12 and len(names) == 15

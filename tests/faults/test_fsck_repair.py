@@ -19,10 +19,9 @@ from repro.plfs.container import Container
 from repro.plfs.index import RECORD_SIZE, load_global_index
 
 
-def write_blocks(path: str, blocks, *, wal: bool = False) -> None:
+def write_blocks(path: str, blocks) -> None:
     """One record per block: none continues the one before it."""
-    opts = plfs.OpenOptions(write_ahead_index=wal)
-    fd = plfs.plfs_open(path, os.O_CREAT | os.O_WRONLY, open_opt=opts)
+    fd = plfs.plfs_open(path, os.O_CREAT | os.O_WRONLY)
     for block in blocks:
         plfs.plfs_write(fd, bytes([65 + block]) * 16, 16, 16 * block)
     plfs.plfs_close(fd)
@@ -63,37 +62,27 @@ def test_a_crash_before_the_rename_leaves_the_old_dropping_whole(container_path,
     assert not fsck(container_path).repaired
 
 
-def test_a_grown_index_dropping_is_a_new_file_to_another_processes_cache(container_path):
-    """The WAL holds more records than the flushed index: the rebuild grows
-    the dropping.  A cache that no in-process invalidation reaches must not
-    take "same name, no shorter" for an append."""
-    write_blocks(container_path, (2, 1, 0), wal=True)
+def test_a_clipped_index_dropping_is_a_new_file_to_another_processes_cache(container_path):
+    """The data dropping lost its tail: the repair shortens the last
+    record's length and the index dropping keeps its size.  A cache that no
+    in-process invalidation reaches must not take "same name, same size"
+    for an unchanged dropping."""
+    write_blocks(container_path, (2, 1, 0))
     container = Container(container_path)
-    index_path = container.droppings()[0][0]
-    # the writer comes back, flushes two records and dies with one buffered
-    opts = plfs.OpenOptions(write_ahead_index=True)
-    fd = plfs.plfs_open(container_path, os.O_WRONLY, open_opt=opts)
-    plfs.plfs_write(fd, b"x" * 16, 16, 48)
-    plfs.plfs_write(fd, b"y" * 16, 16, 80)
-    plfs.plfs_sync(fd)
-    plfs.plfs_write(fd, b"z" * 16, 16, 64)
-    fd.writer.abandon()
-
-    second = container.droppings()[1][0]
-    assert os.path.getsize(second) == 2 * RECORD_SIZE
+    index_path, data_path = container.droppings()[0]
+    os.truncate(data_path, 3 * 16 - 5)  # the last block's tail never landed
     cache = IndexCache()  # stands for another process
     cache.get(container)
-    before = os.stat(second)
+    before = os.stat(index_path)
 
     report = fsck(container_path)
-    assert "rebuild-index" in [a.kind for a in report.actions] and report.ok
-    after = os.stat(second)
-    assert after.st_size == 3 * RECORD_SIZE > before.st_size
+    assert "clip-index" in [a.kind for a in report.actions]
+    after = os.stat(index_path)
+    assert after.st_size == 3 * RECORD_SIZE == before.st_size
     assert (after.st_dev, after.st_ino) != (before.st_dev, before.st_ino)
-    assert os.path.getsize(index_path) == 3 * RECORD_SIZE
 
     loaded, _ = cache.get(container)
     assert cache.stats["merged_builds"] == 2 and cache.stats["extensions"] == 0
     scratch, paths = load_global_index(container.droppings())
     assert loaded.data_paths == paths and loaded.index.segments() == scratch.segments()
-    assert loaded.index.logical_size == 96
+    assert tuple(loaded.index.segments()[0][:2]) == (0, 16 - 5)  # the clipped record

@@ -29,11 +29,11 @@ from repro.plfs.fsck import fsck
 from repro.plfs.objectstore import make_backend
 from repro.plfs.objectstore.tier import HIWATER_BYTES
 
+#: ids keep the "-nowal" suffix of test_crash_properties.ARMS
 OBJECT_ARMS = [
-    pytest.param(case.name, wal, id=f"{case.name}-{'wal' if wal else 'nowal'}")
+    pytest.param(case.name, id=f"{case.name}-nowal")
     for case in FAULT_MATRIX
     if case.objectstore
-    for wal in (False, True)
 ]
 
 #: small enough that harness-sized data droppings multipart, large enough
@@ -42,14 +42,13 @@ OBJECT_ARMS = [
 PART_BYTES = 2048
 
 
-def _run(container_path, case_name, wal, fault_seed, schedule_index=0):
+def _run(container_path, case_name, fault_seed, schedule_index=0):
     case = matrix_by_name(case_name)
     schedule = random_schedule(fault_seed * 107 + schedule_index, ops=18)
     out, store, backend = run_objectstore_case(
         container_path,
         case,
         schedule,
-        wal=wal,
         seed=fault_seed,
         part_bytes=PART_BYTES if case.point == "object_part" else None,
     )
@@ -57,13 +56,11 @@ def _run(container_path, case_name, wal, fault_seed, schedule_index=0):
 
 
 @pytest.mark.parametrize("schedule_index", range(2))
-@pytest.mark.parametrize("case_name,wal", OBJECT_ARMS)
+@pytest.mark.parametrize("case_name", OBJECT_ARMS)
 def test_objectstore_fault_then_fsck_meets_verdict(
-    container_path, fault_seed, case_name, wal, schedule_index
+    container_path, fault_seed, case_name, schedule_index
 ):
-    case, out, store, backend = _run(
-        container_path, case_name, wal, fault_seed, schedule_index
-    )
+    case, out, store, backend = _run(container_path, case_name, fault_seed, schedule_index)
     assert out.crashed == case.crashes
     assert any(e.point == case.point for e in out.events), (
         f"{case.name}: the armed fault never fired"
@@ -72,12 +69,9 @@ def test_objectstore_fault_then_fsck_meets_verdict(
     root = os.path.dirname(container_path)
     report = fsck(container_path, objectstore=store, objectstore_root=root)
     content = read_back(container_path)
-    recoverable = (
-        case.recoverable_with_wal if wal else case.recoverable_without_wal
-    )
     kinds = {a.kind for a in report.actions}
 
-    if recoverable:
+    if case.recoverable:
         assert content == out.expected_full(), (
             f"{case.name}: recovered content diverges from the shadow model"
         )
@@ -112,7 +106,7 @@ def test_lost_put_is_healed_by_resync(container_path, fault_seed):
     """The lost PUT's signature: the data dropping's manifest is missing
     from the store while the local copy is intact; resync re-uploads it
     and a full evict/restore round trip then survives."""
-    case, out, store, backend = _run(container_path, "lost-object-put", False, fault_seed)
+    case, out, store, backend = _run(container_path, "lost-object-put", fault_seed)
     lost = out.events[-1]
     assert lost.behavior == "lost" and "dropping.data" in lost.path
 
@@ -138,9 +132,7 @@ def test_lost_put_is_healed_by_resync(container_path, fault_seed):
 def test_torn_multipart_leaves_no_visible_object_and_is_swept(
     container_path, fault_seed
 ):
-    case, out, store, backend = _run(
-        container_path, "torn-multipart-upload", False, fault_seed
-    )
+    case, out, store, backend = _run(container_path, "torn-multipart-upload", fault_seed)
     assert out.crashed
     # the torn staging is pending, and no key was ever committed for it
     pending = store.pending_uploads()
@@ -162,9 +154,7 @@ def test_stale_tier_eviction_reports_the_extent_not_silence(
     """The satellite verdict bugfix end to end: both copies of the data
     dropping are gone, and fsck must *say so* for the promised extent —
     silently truncating past the index coverage is the bug."""
-    case, out, store, backend = _run(
-        container_path, "stale-tier-eviction", False, fault_seed
-    )
+    case, out, store, backend = _run(container_path, "stale-tier-eviction", fault_seed)
     root = os.path.dirname(container_path)
     report = fsck(container_path, objectstore=store, objectstore_root=root)
 
@@ -180,11 +170,9 @@ def test_stale_tier_eviction_reports_the_extent_not_silence(
     assert report.check is not None and report.check.ok
 
 
-@pytest.mark.parametrize("case_name,wal", OBJECT_ARMS)
-def test_dry_run_touches_neither_container_nor_store(
-    container_path, fault_seed, case_name, wal
-):
-    case, out, store, backend = _run(container_path, case_name, wal, fault_seed)
+@pytest.mark.parametrize("case_name", OBJECT_ARMS)
+def test_dry_run_touches_neither_container_nor_store(container_path, fault_seed, case_name):
+    case, out, store, backend = _run(container_path, case_name, fault_seed)
     root = os.path.dirname(container_path)
 
     def snapshot(base):
@@ -207,10 +195,7 @@ def test_dry_run_touches_neither_container_nor_store(
     assert bool(preview.unrecoverable) == bool(real.unrecoverable)
 
 
-@pytest.mark.parametrize("wal", [False, True], ids=["nowal", "wal"])
-def test_flusher_crash_racing_eviction_keeps_the_dirty_copy(
-    container_path, fault_seed, wal
-):
+def test_flusher_crash_racing_eviction_keeps_the_dirty_copy(container_path, fault_seed):
     """The tier flusher's fault arm: a schedule's writes push the dirty
     total past high water, so one ``plfs_write`` runs the flush, and the
     flush's second PUT crashes.  The crash leaves ``plfs_write``; an
@@ -228,7 +213,7 @@ def test_flusher_crash_racing_eviction_keeps_the_dirty_copy(
     injector = FaultInjector([FaultSpec("object_put", "crash", op=2)], seed=fault_seed)
     previous = backing.install(backend)
     try:
-        out = run_schedule(container_path, schedule, wal=wal, injector=injector)
+        out = run_schedule(container_path, schedule, injector=injector)
     finally:
         backing.install(previous)
 
@@ -249,16 +234,12 @@ def test_flusher_crash_racing_eviction_keeps_the_dirty_copy(
 
     report = fsck(container_path, objectstore=backend.store, objectstore_root=root)
     assert report.check is not None and report.check.ok, report.render()
-    # the write the flush interrupted had appended its data (and, with a
-    # WAL, its promise) before the flush it triggered: whole, it is the
-    # landed part of the op that crashed
+    # the write the flush interrupted had appended its data before the
+    # flush it triggered: whole, it is the landed part of the op that crashed
     out.partial = (inflight.offset, inflight.data)
     content = read_back(container_path)
     assert content in out.acceptable_states()
-    if wal:
-        assert content == out.expected_full()
-    else:
-        assert report.unrecoverable, "lost unindexed bytes must be reported"
+    assert report.unrecoverable, "lost unindexed bytes must be reported"
 
 
 def test_fsck_reconciles_a_container_whose_name_starts_with_dotdot(backend, fault_seed):

@@ -94,7 +94,7 @@ class TestProfileFromRun:
         assert d["server_concurrency"] == SIERRA.perf.server_concurrency
         # evidence fields no detector read and no caller filled are gone
         for gone in ("index_cache_hits", "read_preads", "write_appends",
-                     "wal_batches", "cb_rounds", "listio_runs",
+                     "cb_rounds", "listio_runs",
                      "ds_sieve_hits", "daemon_clients"):
             assert gone not in d
 

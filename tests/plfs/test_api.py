@@ -26,6 +26,16 @@ class TestOpenFlags:
         plfs.plfs_close(fd)
         assert plfs.is_container(container_path)
 
+    def test_open_options_is_listing_1s_empty_struct(self, container_path):
+        """``Plfs_open_opt`` keeps its place in the signature; LDPLFS
+        defaults every field and this reproduction has none."""
+        import dataclasses
+
+        assert dataclasses.fields(plfs.OpenOptions) == ()
+        fd = plfs.plfs_open(container_path, os.O_CREAT | os.O_WRONLY, open_opt=plfs.OpenOptions())
+        plfs.plfs_close(fd)
+        assert plfs.is_container(container_path)
+
     def test_open_excl_on_existing_raises(self, container_path):
         fd = plfs.plfs_open(container_path, os.O_CREAT | os.O_WRONLY)
         plfs.plfs_close(fd)
@@ -152,6 +162,27 @@ class TestReadWrite:
         fd = plfs.plfs_open(container_path, os.O_RDONLY)
         assert plfs.plfs_read(fd, 10, 0) == b"persistent"
         plfs.plfs_close(fd)
+
+    def test_zero_length_write_changes_nothing(self, container_path):
+        """As a flat ``os.pwrite(fd, b"", 1000)``: returns 0, the size stays
+        0 while the handle is open, and no dropping pair is made — scalar
+        or vectored."""
+        fd = plfs.plfs_open(container_path, os.O_CREAT | os.O_RDWR)
+        assert plfs.plfs_write(fd, b"", 0, 1000) == 0
+        assert plfs.plfs_write(fd, b"abc", 0, 2000) == 0
+        assert plfs.plfs_writev(fd, [b"", bytearray()], 3000) == 0
+        assert fd.writer.append_many([b""], 4000, fd.pid) == 0
+        assert plfs.plfs_getattr(fd).st_size == 0
+        droppings = [
+            name
+            for _, _, names in os.walk(container_path)
+            for name in names
+            if name.startswith("dropping.")
+        ]
+        assert droppings == []
+        assert fd.writer.stats["appends"] == 0
+        plfs.plfs_close(fd)
+        assert plfs.plfs_getattr(container_path).st_size == 0
 
     def test_sync_without_writer_is_noop(self, container_path):
         plfs.plfs_create(container_path)

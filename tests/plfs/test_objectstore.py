@@ -195,15 +195,15 @@ class TestWriteBackTier:
 
     def test_vanished_local_file_deletes_stale_object(self, tiered):
         store, tier = tiered
-        path = _seed_local(tier, "c/wal", b"write-ahead")
+        path = _seed_local(tier, "c/gone", b"short-lived")
         tier.note_write(path, 11)
         tier.drain()
-        assert store.head("c/wal") is not None
-        # clean close deletes the WAL locally, then more bytes are noted
+        assert store.head("c/gone") is not None
+        # more bytes are noted, then the workload deletes the file locally
         tier.note_write(path, 4)
         os.unlink(path)
         tier.drain()
-        assert store.head("c/wal") is None, (
+        assert store.head("c/gone") is None, (
             "a restore must not resurrect a file the workload deleted"
         )
         assert tier.stats["tier_vanished"] == 1

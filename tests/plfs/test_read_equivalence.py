@@ -4,8 +4,7 @@ The fast lane adds two shortcuts the read path may take — the persistent
 compacted ``global.index`` and the process-wide shared index cache — on
 top of the slow per-dropping merge.  Whatever route a read takes, the
 bytes must be identical: over seeded random write schedules (overwrites,
-holes, many pids), after a ``repro-fsck`` repair, and with the
-write-ahead index enabled.  And whatever *entry point* a window is read
+holes, many pids) and after a ``repro-fsck`` repair.  And whatever *entry point* a window is read
 through — ``read``, ``read_into``, the shim's ``os.pread`` / ``os.readv``
 / file-object ``readinto``, the one-pread-per-slice reference — the bytes
 must be the model's.
@@ -157,38 +156,13 @@ def test_every_entry_point_reads_the_models_window(writes, windows):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-@settings(max_examples=25, deadline=None)
-@given(writes=schedules)
-def test_routes_agree_with_write_ahead_index(writes):
-    tmp = tempfile.mkdtemp()
-    try:
-        path = os.path.join(tmp, "f")
-        fd = plfs.plfs_open(
-            path,
-            os.O_CREAT | os.O_WRONLY,
-            open_opt=plfs.OpenOptions(write_ahead_index=True),
-        )
-        for offset, payload, pid in writes:
-            plfs.plfs_write(fd, payload, len(payload), offset, pid=pid)
-        plfs.plfs_close(fd)
-        # Clean close compacted exactly where there was a merge to skip
-        # (one dropping per pid; decision 17); all routes must agree with
-        # the model either way.
-        merge_to_skip = len({pid for _, _, pid in writes}) > 1
-        expect = "compacted" if merge_to_skip else "merged"
-        assert load_index(Container(path)).source == expect
-        read_all_routes(path, apply_model(writes))
-    finally:
-        shared_cache().clear()
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
 @settings(max_examples=20, deadline=None)
 @given(writes=schedules)
 def test_routes_agree_after_fsck_repair(writes):
-    """A crashed WAL writer leaves no index droppings; fsck rebuilds them.
-    Every read route over the repaired container must match the model —
-    and the pre-crash compacted index must never leak stale bytes in."""
+    """A writer that crashes after a sync leaves an unindexed data tail;
+    fsck trims it.  Every read route over the repaired container must
+    match the synced model — and the pre-crash compacted index must never
+    leak stale bytes in."""
     tmp = tempfile.mkdtemp()
     try:
         path = os.path.join(tmp, "f")
@@ -203,10 +177,14 @@ def test_routes_agree_after_fsck_repair(writes):
         compact(container)
         assert os.path.exists(container.global_index_path())
 
-        # A writer that "crashes": data + WAL persisted, index never
-        # flushed, openhost marker left behind.
-        w = WriteFile(container, wal=True)
-        for offset, payload, pid in writes:
+        # A writer that "crashes": the first half synced, the rest's data
+        # persisted but its index never flushed, openhost marker left behind.
+        synced = writes[: len(writes) // 2]
+        w = WriteFile(container)
+        for offset, payload, pid in synced:
+            w.write(payload, offset, pid=pid)
+        w.sync()
+        for offset, payload, pid in writes[len(synced):]:
             w.write(payload, offset, pid=pid)
         container.register_open(os.getpid())
         del w  # no close(): the index flush never happens
@@ -217,7 +195,7 @@ def test_routes_agree_after_fsck_repair(writes):
         assert not os.path.exists(container.global_index_path())
 
         model = bytearray(b"\xee" * 32)
-        for offset, payload, _pid in writes:
+        for offset, payload, _pid in synced:
             end = offset + len(payload)
             if len(model) < end:
                 model.extend(b"\x00" * (end - len(model)))

@@ -25,7 +25,6 @@ from repro.plfs.api import (
 from repro.plfs.cache import IndexCache, compact, load_index, shared_cache
 from repro.plfs.container import Container
 from repro.plfs.errors import CorruptIndexError
-from repro.plfs import util
 from repro.plfs.index import RECORD_SIZE, Record, load_global_index, parse_compacted
 from repro.plfs import reader as reader_module
 from repro.plfs.reader import ReadFile, logical_size
@@ -837,8 +836,7 @@ class TestOneLaneForEveryHandle:
     other; what is the handle's own is the flush ahead of its read."""
 
     @pytest.mark.parametrize("stride", [2, 1], ids=["holes", "contiguous"])
-    @pytest.mark.parametrize("wal", [False, True])
-    def test_two_threads_on_one_handle_lose_nothing(self, container_path, wal, stride):
+    def test_two_threads_on_one_handle_lose_nothing(self, container_path, stride):
         """One thread appends disjoint blocks, one reads through the same
         handle (so flushes the appender's records from under it): a block
         is absent or whole in every read, and all there after the join.
@@ -849,11 +847,8 @@ class TestOneLaneForEveryHandle:
         import threading
         import time
 
-        from repro.plfs.api import OpenOptions
-
         block, blocks, window = 16, 1500, 8
-        fd = plfs_open(container_path, os.O_CREAT | os.O_RDWR,
-                       open_opt=OpenOptions(write_ahead_index=wal, wal_batch_records=3))
+        fd = plfs_open(container_path, os.O_CREAT | os.O_RDWR)
         errors: list = []
         started, done = threading.Event(), threading.Event()
         appended, progress_seen = [0], set()
@@ -904,17 +899,13 @@ class TestOneLaneForEveryHandle:
         assert errors == []
         assert len(progress_seen) > 10  # the reads did flush from under the appender
         check(0, blocks, everything=True)
-        plfs_sync(fd)  # a hard barrier for the open WAL batch
+        plfs_sync(fd)
         container = Container(container_path)
-        ((index_path, data_path),) = container.droppings()
+        ((index_path, _),) = container.droppings()
         records, rest = divmod(os.path.getsize(index_path), RECORD_SIZE)
         assert rest == 0
         # contiguous: merged, and flushed mid-run
         assert records == blocks if stride == 2 else 1 < records < blocks
-        if wal:
-            wal_path = os.path.join(
-                os.path.dirname(data_path), util.wal_name_for_data(os.path.basename(data_path)))
-            assert os.path.getsize(wal_path) == blocks * RECORD_SIZE
         plfs_close(fd)
 
     def test_a_read_landing_inside_a_record_merge_loses_nothing(self, container_path):

@@ -210,10 +210,11 @@ class TestNoCompactedIndexIsHealthy:
             from repro.plfs.writer import WriteFile
 
             c = plfs.Container(filled)
-            w = WriteFile(c, wal=True)
+            w = WriteFile(c)
             w.write(b"D" * 30, 250, pid=7)
+            w.sync()
             c.register_open(pid=7)
-            w.abandon()  # no index flush, no close: the marker stays
+            w.abandon()  # synced, then no close: the marker stays
         assert not os.path.exists(plfs.Container(filled).global_index_path())
         return filled, request.param
 

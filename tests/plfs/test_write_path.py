@@ -1,5 +1,5 @@
-"""The write-path fast lane: group-commit WAL, zero-copy and vectored
-appends, threshold index flushing, and cross-process index invalidation.
+"""The write-path fast lane: zero-copy and vectored appends, threshold
+index flushing, and cross-process index invalidation.
 
 Companion to ``test_read_path``-style coverage on the read side.  A
 recording backing store pins the *mechanics* (which persistence operation
@@ -29,7 +29,6 @@ from repro.plfs import backing, constants
 from repro.plfs import writer as writer_module
 from repro.plfs.cache import shared_cache
 from repro.plfs.container import Container
-from repro.plfs.index import RECORD_SIZE
 from repro.plfs.reader import ReadFile
 from repro.plfs.writer import WriteFile
 
@@ -53,10 +52,6 @@ class RecordingStore(backing.BackingStore):
         self.data_bufs.append(list(buffers))
         return super().write_datav(fd, buffers, path)
 
-    def write_wal(self, fd, payload, path):
-        self.ops.append("wal_write")
-        return super().write_wal(fd, payload, path)
-
     def append_index(self, path, payload):
         self.ops.append("index_flush")
         return super().append_index(path, payload)
@@ -77,15 +72,6 @@ def container(container_path):
     c = Container(container_path)
     c.create()
     return c
-
-
-def wal_files(container_root: str) -> list[str]:
-    return [
-        name
-        for _, _, names in os.walk(container_root)
-        for name in names
-        if name.startswith(constants.WAL_PREFIX)
-    ]
 
 
 # ---------------------------------------------------------------------- #
@@ -200,80 +186,6 @@ class TestVectoredAppend:
 
 
 # ---------------------------------------------------------------------- #
-# group-commit WAL
-# ---------------------------------------------------------------------- #
-
-
-class TestGroupCommitWal:
-    def test_batch_flushes_once_per_window(self, container, recording):
-        with WriteFile(container, wal=True, wal_batch=4) as w:
-            for i in range(8):
-                w.write(b"x" * 8, i * 8, pid=1)
-            assert w.stats["wal_batches"] == 2
-            assert w.stats["wal_records"] == 8
-        assert recording.ops.count("wal_write") == 2
-
-    def test_batch_of_one_keeps_strict_per_append_order(self, container, recording):
-        with WriteFile(container, wal=True, wal_batch=1) as w:
-            for i in range(3):
-                w.write(bytes([65 + i]) * 4, i * 100, pid=1)
-        ops = [op for op in recording.ops if op in ("wal_write", "data_write")]
-        assert ops == ["wal_write", "data_write"] * 3
-
-    def test_batch_flush_precedes_its_closing_data_append(
-        self, container, recording
-    ):
-        with WriteFile(container, wal=True, wal_batch=3) as w:
-            for i in range(3):
-                w.write(b"y" * 4, i * 50, pid=1)
-        ops = [op for op in recording.ops if op in ("wal_write", "data_write")]
-        # The window's promises hit the WAL *before* the append that would
-        # close the window touches the data dropping.
-        assert ops == ["data_write", "data_write", "wal_write", "data_write"]
-
-    def test_sync_is_a_hard_barrier(self, container, recording):
-        with WriteFile(container, wal=True, wal_batch=8) as w:
-            w.write(b"a" * 4, 0, pid=1)
-            w.write(b"b" * 4, 100, pid=1)
-            assert w.stats["wal_records"] == 0  # window still open
-            w.sync()
-            assert w.stats["wal_records"] == 2
-            assert w.stats["wal_batches"] == 1
-        # flush_index drained the WAL before touching the index dropping.
-        assert recording.ops.index("wal_write") < recording.ops.index("index_flush")
-
-    def test_failed_batch_flush_keeps_rows_for_retry(self, container):
-        inj = FaultInjector([FaultSpec("wal_write", "enospc", op=1)])
-        w = WriteFile(container, wal=True, wal_batch=2)
-        w.write(b"A" * 8, 0, pid=1)
-        with inj.armed():
-            with pytest.raises(OSError):
-                w.write(b"B" * 8, 8, pid=1)
-        d = next(iter(w._droppings.values()))
-        # Both promises retained (the WAL must stay a superset of the
-        # index); the failed append never touched the data dropping.
-        assert len(d.wal_pending) == 2 * RECORD_SIZE
-        assert d.physical_offset == 8
-        assert w.write(b"B" * 8, 8, pid=1) == 8  # retry drains all rows
-        assert w.stats["wal_records"] == 3
-        w.close()
-        with ReadFile(container, use_shared_cache=False) as r:
-            assert r.read(16, 0) == b"A" * 8 + b"B" * 8
-
-    def test_clean_close_removes_the_wal(self, container):
-        with WriteFile(container, wal=True, wal_batch=4) as w:
-            w.write(b"data", 0, pid=1)
-        assert wal_files(container.path) == []
-
-    def test_open_options_thread_the_batch_size(self, container_path):
-        opts = plfs.OpenOptions(write_ahead_index=True, wal_batch_records=16)
-        fd = plfs.plfs_open(container_path, os.O_CREAT | os.O_WRONLY, open_opt=opts)
-        assert fd.writer.wal and fd.writer.wal_batch == 16
-        plfs.plfs_write(fd, b"z", 1, 0)
-        plfs.plfs_close(fd)
-
-
-# ---------------------------------------------------------------------- #
 # writer hygiene (the bug sweep)
 # ---------------------------------------------------------------------- #
 
@@ -281,10 +193,9 @@ class TestGroupCommitWal:
 class TestWriterHygiene:
     def test_failed_index_touch_leaves_no_droppings(self, container):
         """Regression: an ENOSPC on the index-dropping touch at open used
-        to leak the already-created data and WAL droppings (and their
-        descriptors)."""
+        to leak the already-created data dropping (and its descriptor)."""
         inj = FaultInjector([FaultSpec("meta_create", "enospc", op=1)])
-        w = WriteFile(container, wal=True)
+        w = WriteFile(container)
         with inj.armed():
             with pytest.raises(OSError):
                 w.write(b"doomed", 0, pid=1)
@@ -296,13 +207,12 @@ class TestWriterHygiene:
             assert r.read(4, 0) == b"fine"
 
     def test_close_survives_descriptor_close_failure(self, container, monkeypatch):
-        """A failing ``close(2)`` must not leak the sibling descriptor,
-        skip the WAL cleanup (the flush *did* succeed), or break
-        idempotence."""
-        w = WriteFile(container, wal=True)
+        """A failing ``close(2)`` must not lose the flushed index (the flush
+        *did* succeed) or break idempotence."""
+        w = WriteFile(container)
         w.write(b"payload", 0, pid=1)
         d = next(iter(w._droppings.values()))
-        data_fd, wal_path = d.data_fd, d.wal_path
+        data_fd = d.data_fd
         real_close = os.close
         fired = []
 
@@ -317,24 +227,23 @@ class TestWriterHygiene:
             w.close()
         monkeypatch.undo()
         assert fired
-        assert d.data_fd == -1 and d.wal_fd == -1
-        assert not os.path.exists(wal_path)
+        assert d.data_fd == -1
         w.close()  # idempotent: no double-close, no second raise
         with ReadFile(container, use_shared_cache=False) as r:
             assert r.read(7, 0) == b"payload"
 
-    def test_failed_close_flush_keeps_wal_for_recovery(self, container):
+    def test_failed_close_flush_still_releases_the_descriptor(self, container):
         inj = FaultInjector([FaultSpec("index_flush", "enospc", op=1)])
-        w = WriteFile(container, wal=True)
+        w = WriteFile(container)
         w.write(b"keep me", 0, pid=1)
         d = next(iter(w._droppings.values()))
+        data_fd = d.data_fd
         with inj.armed():
             with pytest.raises(OSError):
                 w.close()
-        # The flush failed, so the WAL stays behind as the recovery
-        # source — but the descriptors are still released.
-        assert os.path.exists(d.wal_path)
-        assert d.data_fd == -1 and d.wal_fd == -1
+        assert d.data_fd == -1
+        with pytest.raises(OSError):
+            os.fstat(data_fd)  # released, not leaked
 
     def test_merged_record_length_is_capped(self, container, monkeypatch):
         monkeypatch.setattr(writer_module, "MERGE_LENGTH_CAP", 8)
@@ -401,21 +310,6 @@ plfs.plfs_write(fd, b"BBBB", 4, 4)
 plfs.plfs_close(fd)
 """
 
-BATCH_WRITER = """
-import os, sys
-from repro import plfs
-
-path, rank, block = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-opts = plfs.OpenOptions(write_ahead_index=True, wal_batch_records=4)
-fd = plfs.plfs_open(path, os.O_CREAT | os.O_WRONLY, open_opt=opts)
-payload = bytes([65 + rank]) * block
-for step in range(6):
-    offset = (step * 3 + rank) * block
-    plfs.plfs_write(fd, payload, block, offset)
-plfs.plfs_close(fd)
-"""
-
-
 class TestCrossProcessInvalidation:
     def test_generation_token_tracks_bumps(self, container):
         assert container.generation_token() is None  # never bumped yet
@@ -462,33 +356,8 @@ class TestCrossProcessInvalidation:
         assert (stats["index_builds"], stats["cross_process_refreshes"]) == (2, 1)
         plfs.plfs_close(fd)
 
-    def test_concurrent_batched_wal_writers_read_back_exactly(self, container_path):
-        ranks, block = 3, 128
-        procs = [
-            subprocess.Popen(
-                [
-                    sys.executable, "-c", BATCH_WRITER,
-                    container_path, str(rank), str(block),
-                ]
-            )
-            for rank in range(ranks)
-        ]
-        for p in procs:
-            assert p.wait() == 0
-        assert wal_files(container_path) == []  # every close was clean
-        fd = plfs.plfs_open(container_path, os.O_RDONLY)
-        data = plfs.plfs_read(fd, ranks * 6 * block, 0)
-        plfs.plfs_close(fd)
-        expected = b"".join(
-            bytes([65 + rank]) * block for _ in range(6) for rank in range(ranks)
-        )
-        assert data == expected
-        report = plfs.plfs_check(container_path)
-        assert report.ok, report.render()
-
-
 # ---------------------------------------------------------------------- #
-# merge × flush × batch interleavings (property)
+# merge × flush × sync interleavings (property)
 # ---------------------------------------------------------------------- #
 
 
@@ -504,15 +373,11 @@ class TestCrossProcessInvalidation:
         max_size=40,
     ),
     threshold=st.integers(1, 6),
-    wal_batch=st.integers(1, 5),
 )
-def test_interleaved_merge_flush_batches_read_back_exactly(
-    writes, threshold, wal_batch
-):
-    """Over random schedules with a tiny flush threshold and every batch
-    size: whatever interleaving of merges, threshold flushes, syncs and
-    WAL windows occurs, the read-back equals the flat-file model and a
-    clean close leaves no WAL behind."""
+def test_interleaved_merge_flush_batches_read_back_exactly(writes, threshold):
+    """Over random schedules with a tiny flush threshold: whatever
+    interleaving of merges, threshold flushes and syncs occurs, the
+    read-back equals the flat-file model."""
     old = writer_module.INDEX_FLUSH_THRESHOLD
     writer_module.INDEX_FLUSH_THRESHOLD = threshold
     tmp = tempfile.mkdtemp()
@@ -521,7 +386,7 @@ def test_interleaved_merge_flush_batches_read_back_exactly(
         container = Container(path)
         container.create()
         model = bytearray()
-        with WriteFile(container, wal=True, wal_batch=wal_batch) as w:
+        with WriteFile(container) as w:
             for offset, payload, do_sync in writes:
                 w.write(payload, offset, pid=1)
                 end = offset + len(payload)
@@ -532,7 +397,6 @@ def test_interleaved_merge_flush_batches_read_back_exactly(
                     w.sync()
         with ReadFile(container, use_shared_cache=False) as r:
             assert r.read(len(model) + 8, 0) == bytes(model)
-        assert wal_files(path) == []
     finally:
         writer_module.INDEX_FLUSH_THRESHOLD = old
         shared_cache().clear()

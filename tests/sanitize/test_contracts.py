@@ -1,8 +1,8 @@
 """The ordering-contract checker (LDP3xx pass).
 
 The contracts are authority, the checker is evidence: HEAD must satisfy
-every declared write-path ordering, a seeded swap of the WAL promise and
-the data append must fail, and a deleted operation must surface as a
+every declared write-path ordering, a seeded swap of the index flush and
+the fsync barrier must fail, and a deleted operation must surface as a
 stale contract rather than silently passing.
 """
 
@@ -85,52 +85,42 @@ class TestLiveTree:
     def test_head_satisfies_every_contract(self):
         assert check_contracts() == []
 
-    def test_contracts_cover_the_wal_invariant(self):
+    def test_contracts_cover_the_recovery_invariant(self):
         pairs = {
             (c.qualname, c.first, c.then) for c in DEFAULT_CONTRACTS
         }
-        assert (
-            "_Dropping.append", ("_promise",), ("write_data", "write_datav")
-        ) in pairs
+        assert ("_Dropping.sync", ("flush_index",), ("fsync",)) in pairs
         assert (
             "invalidate_cross_process",
             ("bump",),
             ("bump_generation",),
         ) in pairs
+        assert len(DEFAULT_CONTRACTS) == 6
 
-    def test_swapped_wal_and_data_append_is_caught(self):
+    SYNC_BODY = (
+        "        self.flush_index()\n"
+        "        backing.installed.fsync(self.data_fd)\n"
+    )
+
+    def test_swapped_flush_and_fsync_is_caught(self):
         source = _module_source("repro.plfs.writer")
-        promise = (
-            "            self._promise("
-            "logical_offset, sum(map(len, buf)) if vectored else len(buf), pid)\n"
-        )
-        append = (
-            "        if not vectored:\n"
-            "            written = store.write_data("
-            "self.data_fd, buf, self.data_path)\n"
-        )
-        original = promise + append
-        swapped = "            pass\n" + append + promise
-        assert original in source
-        seeded = source.replace(original, swapped, 1)
+        flush, fsync = self.SYNC_BODY.splitlines(keepends=True)
+        assert self.SYNC_BODY in source
+        seeded = source.replace(self.SYNC_BODY, fsync + flush, 1)
         findings = check_contracts(sources={"repro.plfs.writer": seeded})
         assert [f.rule for f in findings] == ["LDP301"]
         (f,) = findings
         assert f.file == "repro.plfs.writer"
-        assert f.evidence["observed"] == "write_data"
+        assert f.evidence["observed"] == "fsync"
 
-    def test_deleted_wal_promise_is_caught(self):
+    def test_deleted_sync_flush_is_caught(self):
         source = _module_source("repro.plfs.writer")
-        seeded = source.replace(
-            "            self._promise("
-            "logical_offset, sum(map(len, buf)) if vectored else len(buf), pid)\n",
-            "            pass\n",
-            1,
-        )
+        flush, fsync = self.SYNC_BODY.splitlines(keepends=True)
+        seeded = source.replace(self.SYNC_BODY, fsync, 1)
         assert seeded != source
         findings = check_contracts(sources={"repro.plfs.writer": seeded})
         assert [f.rule for f in findings] == ["LDP302"]
-        assert findings[0].evidence["missing"] == "_promise"
+        assert findings[0].evidence["missing"] == "flush_index"
 
     def test_findings_are_deterministically_sorted(self):
         first = check_contracts(

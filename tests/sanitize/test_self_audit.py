@@ -50,9 +50,9 @@ class TestSeededViolations:
             OrderingContract(
                 "repro.plfs.writer",
                 "_Dropping",
-                "append",
-                ("write_data",),  # inverted on purpose
-                ("_promise",),
+                "sync",
+                ("fsync",),  # inverted on purpose
+                ("flush_index",),
                 "deliberately inverted for the regression test",
             )
         ]
