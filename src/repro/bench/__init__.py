@@ -1,5 +1,5 @@
 """``repro.bench`` — production workload suite, kept as a conformance
-suite: seeded op streams replayed under four configs, held to committed
+suite: seeded op streams replayed under two configs, held to committed
 digests and exact counters.  It times nothing; ``benchmarks/ledger`` does.
 
 Layers:
@@ -7,9 +7,8 @@ Layers:
 - :mod:`~repro.bench.scenarios` — deterministic workload generators
   (metadata storm, hot/cold Zipf mix, multi-tenant interference,
   crash-recovery soak);
-- :mod:`~repro.bench.runner` — executes a scenario against the direct,
-  daemon or objectstore configuration and assembles a
-  versioned BenchRecord;
+- :mod:`~repro.bench.runner` — executes a scenario against the direct
+  or daemon configuration and assembles a versioned BenchRecord;
 - :mod:`~repro.bench.record` — the schema + canonical record files
   (``BENCH_*.json``);
 - :mod:`~repro.bench.guard` — record-vs-baseline comparison, plus the A/B

@@ -7,9 +7,7 @@ Two consumers:
   :func:`compare_records` / :func:`guard_directory` to hold fresh records to
   the committed ``BENCH_*.json``: the op-stream digest and every counter
   are deterministic under a fixed seed, so any drift is a behaviour change
-  and fails exactly.  The object-store byte totals embed the hostname and
-  pid, travel in ``derived.bytes`` and are held to
-  :data:`HOST_SIZED_TOLERANCE` instead.
+  and fails exactly.
 - the four real-I/O smokes under ``benchmarks/`` use the sampling and
   assertion helpers (:func:`median_time`, :func:`assert_faster`,
   :func:`assert_inflection`, :func:`best_ratio`): both sides of each
@@ -25,9 +23,6 @@ import time
 from dataclasses import dataclass, field
 
 from . import record as record_mod
-
-#: how far a ``derived.bytes`` total may sit from the baseline's, either way
-HOST_SIZED_TOLERANCE = 0.05
 
 
 # ---------------------------------------------------------------------- #
@@ -97,7 +92,6 @@ class GuardResult:
     name: str
     violations: list[str] = field(default_factory=list)
     checked_counters: int = 0
-    checked_metrics: int = 0
 
     @property
     def ok(self) -> bool:
@@ -130,18 +124,6 @@ def compare_records(current: dict, baseline: dict, *, name: str = "") -> GuardRe
             result.violations.append(
                 f"counter {key}: {base_val!r} -> {cur_val!r} "
                 "(counters are deterministic; exact match required)"
-            )
-
-    cur_bytes = current.get("derived", {}).get("bytes", {})
-    for key, base_val in sorted(baseline.get("derived", {}).get("bytes", {}).items()):
-        result.checked_metrics += 1
-        cur_val = cur_bytes.get(key)
-        if cur_val is None:
-            result.violations.append(f"bytes.{key}: missing from current record")
-        elif abs(cur_val - base_val) > HOST_SIZED_TOLERANCE * base_val:
-            result.violations.append(
-                f"bytes.{key}: {base_val} -> {cur_val} "
-                f"(more than {HOST_SIZED_TOLERANCE:.0%} from the baseline)"
             )
     return result
 
@@ -190,10 +172,7 @@ def render_results(results: list[GuardResult]) -> str:
     lines = []
     for res in results:
         status = "ok" if res.ok else "FAIL"
-        lines.append(
-            f"{status:4s} {res.name}  "
-            f"({res.checked_counters} counters, {res.checked_metrics} metrics)"
-        )
+        lines.append(f"{status:4s} {res.name}  ({res.checked_counters} counters)")
         for v in res.violations:
             lines.append(f"       - {v}")
     total = sum(len(r.violations) for r in results)

@@ -10,15 +10,10 @@ and nothing that was read off a clock:
     Op counts, bytes, cache hits, merge/flush counts.  Guards
     compare these *exactly* — a changed counter means the code path
     changed.
-``derived.bytes``
-    Object-store byte totals whose payloads embed the hostname and pid
-    (the tiers move the container's access file): the host does not
-    cancel out of those, so they are compared as a ratio rather than as
-    exact ``counters``.  Present only on the objectstore config.
 
 Validation is hand-rolled (no jsonschema in the image): it checks the
-required keys, their types, and the split above, and returns a list of
-problems so callers can report all of them at once.
+required keys, their types, and that every counter is a number, and
+returns a list of problems so callers can report all of them at once.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from repro.analysis.export import canonical_json
 SCHEMA_VERSION = 1
 RECORD_KIND = "bench-record"
 
-#: every key a record may carry; all but ``derived`` are required
+#: every key a record carries
 _KEYS: dict[str, type] = {
     "schema_version": int,
     "kind": str,
@@ -43,7 +38,6 @@ _KEYS: dict[str, type] = {
     "params": dict,
     "counters": dict,
     "op_stream": dict,
-    "derived": dict,
 }
 
 
@@ -56,10 +50,9 @@ def make_record(
     params: dict,
     counters: dict,
     op_stream: dict,
-    host_sized_bytes: dict | None = None,
 ) -> dict:
     """Assemble a schema-`validate`-clean record dict."""
-    record = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "kind": RECORD_KIND,
         "scenario": scenario,
@@ -70,9 +63,6 @@ def make_record(
         "counters": counters,
         "op_stream": op_stream,
     }
-    if host_sized_bytes:
-        record["derived"] = {"bytes": host_sized_bytes}
-    return record
 
 
 def validate(record) -> list[str]:
@@ -82,8 +72,7 @@ def validate(record) -> list[str]:
         return [f"record must be a dict, got {type(record).__name__}"]
     for key, typ in _KEYS.items():
         if key not in record:
-            if key != "derived":
-                problems.append(f"missing required key: {key}")
+            problems.append(f"missing required key: {key}")
         elif not isinstance(record[key], typ):
             problems.append(
                 f"{key} must be {typ.__name__}, got {type(record[key]).__name__}"
@@ -99,12 +88,6 @@ def validate(record) -> list[str]:
     for key, value in record["counters"].items():
         if not isinstance(value, Number) or isinstance(value, bool):
             problems.append(f"counters[{key!r}] must be a number")
-    host_sized = record.get("derived", {}).get("bytes", {})
-    if not isinstance(host_sized, dict):
-        return problems + ["derived.bytes must be a dict"]
-    for key, value in host_sized.items():
-        if not isinstance(value, Number) or isinstance(value, bool):
-            problems.append(f"derived.bytes[{key!r}] must be a number")
     return problems
 
 

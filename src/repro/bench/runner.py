@@ -11,11 +11,6 @@ Configurations (the ``config`` axis of a BenchRecord):
     :class:`~repro.plfsd.client.PlfsdClient` per tenant, every create
     serializing on the daemon's meta lock — the paper's dedicated MDS),
     and the data path is the in-process one.
-``objectstore``
-    The tiered object backend (:mod:`repro.plfs.objectstore`) installed
-    behind ``plfs.backing``: writes land on the local tier and drain to
-    the content-addressed store under the tier's constant write-back
-    policy, so its wakeup, upload and multipart counters are exact.
 
 Execution is deliberately *sequential and deterministic*: the generator
 already interleaves tenants, so every counter in the record reproduces
@@ -60,13 +55,11 @@ from .scenarios import (
 class BenchConfig:
     name: str
     daemon: bool = False
-    objectstore: bool = False
 
 
 CONFIGS: dict[str, BenchConfig] = {
     "direct": BenchConfig("direct"),
     "daemon": BenchConfig("daemon", daemon=True),
-    "objectstore": BenchConfig("objectstore", objectstore=True),
 }
 
 
@@ -75,22 +68,7 @@ class ExecutionResult:
     """Raw outcome of one op-stream replay."""
 
     counters: dict = field(default_factory=dict)
-    #: object-store byte totals (see :data:`HOST_SIZED_BYTES`)
-    host_sized_bytes: dict = field(default_factory=dict)
 
-
-#: Byte totals of the object-store backend.  Their payloads include the
-#: access file (``host=<hostname>\npid=<pid>``), so they move with
-#: hostname length and pid width: they travel in the ratio-compared
-#: ``derived.bytes`` section; the matching *counts* stay exact counters.
-HOST_SIZED_BYTES = (
-    "object_put_bytes",
-    "object_get_bytes",
-    "tier_writeback_bytes",
-    "tier_evicted_bytes",
-    "tier_cycle_evicted_bytes",
-    "tier_restored_bytes",
-)
 
 
 # ---------------------------------------------------------------------- #
@@ -241,19 +219,14 @@ class _Executor:
 
 
 # ---------------------------------------------------------------------- #
-# crash-soak cycles (direct/objectstore only: faults inject in-process)
+# crash-soak cycles (direct only: faults inject in-process)
 # ---------------------------------------------------------------------- #
 
 
-def _run_crash_cycle(root: str, op: Op, ops_per_cycle: int, backend=None) -> dict:
+def _run_crash_cycle(root: str, op: Op, ops_per_cycle: int) -> dict:
     """One seeded crash/recovery cycle: faulted schedule -> fsck ->
     reread -> verify against the recovery invariant.  Returns the cycle's
     deterministic counter deltas.
-
-    Under the objectstore config (*backend* given) the cycle additionally
-    drains the tier, hands the store to fsck's reconcile passes, then
-    round-trips the container through a prefix-scoped evict + restore —
-    proving the recovered content survives losing every local copy.
     """
     from repro.faults import harness
     from repro.plfs.fsck import fsck
@@ -275,13 +248,7 @@ def _run_crash_cycle(root: str, op: Op, ops_per_cycle: int, backend=None) -> dic
     outcome = harness.run_schedule(
         path, schedule, injector=injector, sync_every=sync_every
     )
-    if backend is not None:
-        backend.tier.drain()
-        report = fsck(
-            path, objectstore=backend.store, objectstore_root=backend.tier.root
-        )
-    else:
-        report = fsck(path)
+    report = fsck(path)
     content = harness.read_back(path)
     acceptable = outcome.acceptable_states()
     if content not in acceptable:
@@ -291,7 +258,7 @@ def _run_crash_cycle(root: str, op: Op, ops_per_cycle: int, backend=None) -> dic
             f"({len(acceptable)} candidates; fsck: {len(report.actions)} "
             f"actions, unrecoverable={report.unrecoverable})"
         )
-    deltas = {
+    return {
         "cycles": 1,
         "crashes": int(outcome.crashed),
         "full_recoveries": int(content == outcome.expected_full()),
@@ -300,22 +267,7 @@ def _run_crash_cycle(root: str, op: Op, ops_per_cycle: int, backend=None) -> dic
         "fsck_unrecoverable": len(report.unrecoverable),
         "verified_bytes": len(content),
     }
-    if backend is not None:
-        # The store is the authority: evict every local copy of this
-        # container and fault it back, demanding identical logical reads.
-        prefix = (
-            os.path.relpath(path, backend.tier.root).replace(os.sep, "/") + "/"
-        )
-        deltas["tier_cycle_evicted_bytes"] = backend.tier.evict(prefix)
-        deltas["tier_cycle_restores"] = len(backend.tier.restore_missing(prefix))
-        roundtrip = harness.read_back(path)
-        if roundtrip != content:
-            raise AssertionError(
-                f"crash_soak cycle {op.file}: evict/restore round trip "
-                f"changed the recovered content "
-                f"({len(roundtrip)} vs {len(content)} bytes)"
-            )
-    return deltas
+
 
 
 # ---------------------------------------------------------------------- #
@@ -331,31 +283,18 @@ def execute_stream(
     *,
     params: dict | None = None,
     socket_path: str | None = None,
-    object_store_dir: str | None = None,
 ) -> ExecutionResult:
     """Replay *ops* against *root* under *config*.
 
     For the ``daemon`` config the caller owns the daemon lifecycle and
     passes its *socket_path* (so differential tests can replay several
-    streams against one daemon).  The ``objectstore`` config installs the
-    tiered object backend for the duration of the replay
-    (*object_store_dir* defaults to a sibling of *root*) and drains the
-    tier at the end, so every uploaded byte is counted in the record.
+    streams against one daemon).
     """
     cfg = CONFIGS[config] if isinstance(config, str) else config
     params = params or {}
     if cfg.daemon and socket_path is None:
         raise ValueError("daemon config requires socket_path")
     executor = _Executor(root, cfg, seed, params, socket_path if cfg.daemon else None)
-
-    backend = None
-    previous = None
-    if cfg.objectstore:
-        from repro.plfs import backing
-        from repro.plfs.objectstore import make_backend
-
-        backend = make_backend(root, object_store_dir)
-        previous = backing.install(backend)
 
     result = ExecutionResult()
     dispatch = {
@@ -368,41 +307,27 @@ def execute_stream(
         dispatch.update(coll_write=executor.coll_write, coll_read=executor.coll_read)
     by_kind: dict[str, int] = {}
     bytes_read = 0
-    try:
-        for op in ops:
-            by_kind[op.kind] = by_kind.get(op.kind, 0) + 1
-            if op.kind == "crash_cycle":
-                if cfg.daemon:
-                    raise ValueError(
-                        "crash_cycle ops only run on the direct or "
-                        f"objectstore configs, not {cfg.name}"
-                    )
-                deltas = _run_crash_cycle(
-                    root, op, int(params.get("ops_per_cycle", 18)), backend=backend
+    for op in ops:
+        by_kind[op.kind] = by_kind.get(op.kind, 0) + 1
+        if op.kind == "crash_cycle":
+            if cfg.daemon:
+                raise ValueError(
+                    f"crash_cycle ops only run on the direct config, not {cfg.name}"
                 )
-                accumulate(result.counters, deltas)
+            deltas = _run_crash_cycle(root, op, int(params.get("ops_per_cycle", 18)))
+            accumulate(result.counters, deltas)
+        else:
+            fn = dispatch.get(op.kind)
+            if fn is None:
+                raise ValueError(
+                    f"op kind {op.kind!r} is not supported by the "
+                    f"{cfg.name} config"
+                )
+            if op.kind in ("read", "coll_read"):
+                bytes_read += fn(op)
             else:
-                fn = dispatch.get(op.kind)
-                if fn is None:
-                    raise ValueError(
-                        f"op kind {op.kind!r} is not supported by the "
-                        f"{cfg.name} config"
-                    )
-                if op.kind in ("read", "coll_read"):
-                    bytes_read += fn(op)
-                else:
-                    fn(op)
-        result.counters.update(executor.finish())
-        if backend is not None:
-            backend.tier.drain()
-    finally:
-        if backend is not None:
-            backing.install(previous)
-    if backend is not None:
-        result.counters.update(backend.counters())
-        for key in HOST_SIZED_BYTES:
-            if key in result.counters:
-                result.host_sized_bytes[key] = result.counters.pop(key)
+                fn(op)
+    result.counters.update(executor.finish())
     result.counters["ops_total"] = len(ops)
     for kind, n in sorted(by_kind.items()):
         result.counters[f"ops_{kind}"] = n
@@ -475,6 +400,5 @@ def run_scenario(
             params={k: merged_params[k] for k in sorted(merged_params)},
             op_stream=stream_summary(ops),
             counters=result.counters,
-            host_sized_bytes=result.host_sized_bytes,
         )
     )

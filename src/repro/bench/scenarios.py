@@ -5,7 +5,7 @@ of :class:`Op` — no wall-clock, no host state, no randomness outside one
 ``random.Random(seed)`` stream — so the same seed always yields the same
 op stream on every machine and Python version (the Mersenne Twister is
 part of the language spec).  The runner replays the stream against any
-backend (direct, daemon, objectstore) and the differential
+backend (direct, daemon) and the differential
 tests replay it against two backends and demand identical bytes.
 
 The four production shapes (ROADMAP item 4):
@@ -377,7 +377,7 @@ SCENARIOS: dict[str, Scenario] = {
                 "short": dict(hot_files=4, cold_files=16, ops=320),
                 "full": dict(hot_files=8, cold_files=64, ops=4096),
             },
-            configs=("direct", "daemon", "objectstore"),
+            configs=("direct", "daemon"),
         ),
         Scenario(
             "multi_tenant",
@@ -422,7 +422,7 @@ SCENARIOS: dict[str, Scenario] = {
                 "short": dict(cycles=6, ops_per_cycle=18),
                 "full": dict(cycles=48, ops_per_cycle=32),
             },
-            configs=("direct", "objectstore"),
+            configs=("direct",),
         ),
     )
 }

@@ -172,13 +172,10 @@ def arm_for_case(case: FaultCase, schedule: list[WriteOp], seed: int = 0) -> Fau
     deep enough into the schedule to be interesting: data faults fire
     two-thirds of the way through, index-flush faults on the second flush
     (i.e. after one successful sync), meta faults on the close-time meta
-    drop.  A case's explicit ``fire_op`` overrides the default position,
-    and its ``companions`` are armed alongside."""
+    drop.  A case's ``companions`` are armed alongside."""
     if case.mode != "inject":
         return None
-    if case.fire_op is not None:
-        op = case.fire_op
-    elif case.point == "meta_create":
+    if case.point == "meta_create":
         # create_meta op 1 is the writer's index-dropping touch at the
         # first write; op 2 is the cached-size meta drop at close time.
         op = 2
@@ -228,60 +225,6 @@ def run_case(
     if case.mode == "damage":
         case.damage(path)
     return out
-
-
-def run_objectstore_case(
-    path: str,
-    case: FaultCase,
-    schedule: list[WriteOp],
-    *,
-    seed: int = 0,
-    store_root: str | None = None,
-    part_bytes: int | None = None,
-):
-    """Run one *objectstore* matrix case: the schedule executes clean over
-    the tiered object backend, then the fault fires during the tier's
-    upload drain (where every objectstore failure mode lives).  Returns
-    ``(outcome, store, backend)``; fsck — with the store passed along —
-    and the comparison are the caller's job.
-
-    *part_bytes* shrinks the multipart threshold so harness-sized
-    droppings exercise the multipart path; ``case.tier_evict`` arms the
-    post-drain evict-and-restore round trip that exposes a falsely-clean
-    entry.
-    """
-    from repro.plfs import backing
-    from repro.plfs.objectstore import ObjectStore, ObjectStoreBackingStore
-    from repro.plfs.objectstore.tier import PART_BYTES
-
-    root = os.path.dirname(os.path.abspath(path))
-    store = ObjectStore(store_root or os.path.abspath(path) + ".objects")
-    backend = ObjectStoreBackingStore(store, root, part_bytes=part_bytes or PART_BYTES)
-
-    previous = backing.install(backend)
-    try:
-        # Clean run: no mid-run syncs, so the drain below uploads every
-        # dropping with deterministic operation numbering.
-        out = run_schedule(path, schedule)
-        injector = FaultInjector([case.spec(case.fire_op or 1)], seed=seed)
-        try:
-            with injector.armed():
-                backend.tier.drain()
-        except InjectedCrash:
-            out.crashed = True
-        except OSError as exc:
-            out.errors.append(exc)
-        out.events = injector.fired()
-    finally:
-        backing.install(previous)
-
-    if case.tier_evict:
-        # Capacity pressure after the (faulted) drain: evict everything
-        # the tier believes is clean, then restore what the store truly
-        # holds — a falsely-clean entry comes back from neither.
-        backend.tier.evict()
-        backend.tier.restore_missing()
-    return out, store, backend
 
 
 def read_back(path: str) -> bytes:

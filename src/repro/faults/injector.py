@@ -24,14 +24,6 @@ meta_create create an empty dropping file (``create_meta``: cached-meta
             droppings *and* the writer's index-dropping touch at open)
 fsync       fsync a data dropping (``fsync``)
 global_index write the compacted global index (``write_global_index``)
-object_put  commit one content-addressed blob to the object store
-            (``put_blob``; the write-back tier's PUT of a dropping)
-object_part append one multipart-upload part to its staging file
-            (``write_part``)
-object_commit commit the key manifest that makes an object visible
-            (``commit_key``; the object store's linearization point)
-object_get  read one committed blob back (``get_object``; the tier's
-            restore / fault-in path)
 ========= ==============================================================
 
 Behaviours (the ``behavior``):
@@ -45,11 +37,6 @@ Behaviours (the ``behavior``):
   died *before* the operation took effect).
 - ``torn``   — persist a partial payload, then raise
   :class:`InjectedCrash` (the process died *mid*-operation).
-- ``lost``   — persist nothing but *acknowledge success* (return the full
-  byte count).  The silent-loss mode object stores are notorious for: a
-  PUT the caller believes landed, an object that never existed.  On
-  ``object_get`` the inversion: the object the caller committed reads
-  back as vanished (``ENOENT``).
 """
 
 from __future__ import annotations
@@ -74,12 +61,8 @@ POINTS = (
     "meta_create",
     "fsync",
     "global_index",
-    "object_put",
-    "object_part",
-    "object_commit",
-    "object_get",
 )
-BEHAVIORS = ("short", "eintr", "eagain", "enospc", "crash", "torn", "lost")
+BEHAVIORS = ("short", "eintr", "eagain", "enospc", "crash", "torn")
 
 
 class InjectedCrash(BaseException):
@@ -231,12 +214,12 @@ class FaultInjector:
         store, even when an :class:`InjectedCrash` escapes).
 
         The wrapper delegates to the store installed *at arming time*, not
-        a fresh default — arming over an installed object-store backend
-        (or any other interposer) must inject faults into that backend's
-        operations, not silently route around it (the same routing-gap
-        class the vectored-append audit caught on ``write_datav``).
+        a fresh default — arming over another interposer must inject
+        faults into its operations, not silently route around it (the
+        same routing-gap class the vectored-append audit caught on
+        ``write_datav``).
         """
-        previous = backing.install(FaultyBackingStore(self, inner=backing.current()))
+        previous = backing.install(FaultyBackingStore(self, inner=backing.installed))
         try:
             yield self
         finally:
@@ -280,18 +263,9 @@ class FaultyBackingStore(backing.BackingStore):
         record_payload: bool = False,
     ) -> int:
         """Apply *spec* to an append of *payload*; returns the short count
-        for ``short``, the (false) full count for ``lost``, raises for
-        everything else."""
+        for ``short``, raises for everything else."""
         size = len(payload)
         actual = 0
-        if spec.behavior == "lost":
-            # Acknowledge success, persist nothing: the caller cannot tell
-            # this apart from a clean operation — only a later reconcile
-            # (or read) can.
-            self.injector.record(
-                FaultEvent(spec.point, spec.behavior, op, path, size, 0)
-            )
-            return size
         if spec.behavior in ("short", "torn"):
             actual = self._torn_cut(spec, size, record_payload=record_payload)
             if actual and fd is not None:
@@ -361,63 +335,6 @@ class FaultyBackingStore(backing.BackingStore):
             self._fail(spec, op, "<fsync>", b"", None)
             return
         self.inner.fsync(fd)
-
-    # ------------------------------------------------------------------ #
-    # object-store layer
-    # ------------------------------------------------------------------ #
-
-    def put_blob(self, path: str, payload: bytes, key: str) -> int:
-        spec, op = self.injector.decide("object_put")
-        if spec is not None:
-            # Short/torn bytes land in the blob's *temporary* — a crashed
-            # PUT never half-commits a content-addressed blob; the stray
-            # temporary is repro-fsck's to sweep.
-            tmp = f"{path}.tmp.{os.getpid()}"
-            return self._fail(spec, op, tmp, payload, None)
-        return self.inner.put_blob(path, payload, key)
-
-    def write_part(self, fd: int, payload: bytes, path: str) -> int:
-        spec, op = self.injector.decide("object_part")
-        if spec is not None:
-            return self._fail(spec, op, path, payload, fd)
-        return self.inner.write_part(fd, payload, path)
-
-    def commit_key(self, path: str, payload: bytes, key: str) -> None:
-        spec, op = self.injector.decide("object_commit")
-        if spec is not None:
-            # "lost" returns success here without the rename ever
-            # happening: the acknowledged-but-nonexistent object.
-            tmp = f"{path}.tmp.{os.getpid()}"
-            self._fail(spec, op, tmp, payload, None)
-            return
-        self.inner.commit_key(path, payload, key)
-
-    def get_object(self, path: str, key: str) -> bytes:
-        spec, op = self.injector.decide("object_get")
-        if spec is not None:
-            data = self.inner.get_object(path, key)
-            if spec.behavior == "lost":
-                # The committed object reads back as vanished.
-                self.injector.record(
-                    FaultEvent(spec.point, spec.behavior, op, path, len(data), 0)
-                )
-                raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-            if spec.behavior in ("short", "torn"):
-                # A truncated GET: the store's etag/size check must catch
-                # it rather than hand corrupt bytes to the tier.
-                actual = self._torn_cut(spec, len(data), record_payload=False)
-                self.injector.record(
-                    FaultEvent(spec.point, spec.behavior, op, path, len(data), actual)
-                )
-                if spec.behavior == "torn":
-                    raise InjectedCrash(
-                        f"object_get op {op} on {os.path.basename(path)}: "
-                        "killed mid-read"
-                    )
-                return data[:actual]
-            self._fail(spec, op, path, b"", None)
-        return self.inner.get_object(path, key)
-
 
 def injector_from_env(environ=None) -> FaultInjector | None:
     """Build (but do not arm) an injector from ``REPRO_FAULTS`` /

@@ -47,22 +47,10 @@ class FaultCase:
     params: dict = field(default_factory=dict)
     #: the run "dies" mid-schedule (InjectedCrash escapes)
     crashes: bool = False
-    #: fire on exactly this operation number, overriding the harness's
-    #: default arm position (needed when the fault must land at a precise
-    #: step of the tier's upload drain)
-    fire_op: int | None = None
     #: additional faults armed alongside the primary one; each entry is a
     #: dict with "point", "behavior", optional "params", and either "op"
     #: (absolute) or "op_frac" (fraction of the schedule length)
     companions: tuple = ()
-    #: objectstore arm: the schedule runs over the tiered object backend
-    #: and the fault fires during the post-run tier drain (upload), not
-    #: during the schedule itself — see ``harness.run_objectstore_case``
-    objectstore: bool = False
-    #: after the (faulted) drain, evict the tier's clean entries and
-    #: restore from the store — exposing any entry a failed upload
-    #: falsely marked clean (the stale-tier-eviction failure mode)
-    tier_evict: bool = False
     #: damage function (damage mode): takes the container path
     damage: Callable[[str], None] | None = None
 
@@ -271,65 +259,6 @@ FAULT_MATRIX: tuple[FaultCase, ...] = (
         invariant="fsck clears the stale marker (it runs offline, like "
         "plfs_recover) and the file reads back byte-identical",
         recoverable=True,
-    ),
-    # ------------------------------------------------------------------ #
-    # objectstore arms: the schedule runs clean over the tiered object
-    # backend; the fault fires during the tier's upload drain.
-    # ------------------------------------------------------------------ #
-    FaultCase(
-        name="lost-object-put",
-        mode="inject",
-        point="object_commit",
-        behavior="lost",
-        objectstore=True,
-        # drain order is FIFO by first local write: the index dropping is
-        # touched at open (commit 1), the data dropping's first append
-        # enters second (commit 2), the close-time meta drop third
-        fire_op=2,
-        description="the object store acknowledges the data dropping's "
-        "PUT but persists nothing (a lost PUT): the key manifest never "
-        "commits, yet the tier's flusher sees success",
-        invariant="the local tier copy survives (it is only a *cache* "
-        "that may be dropped, but it has not been yet): fsck's resync "
-        "detects the missing object, re-uploads it from the repaired "
-        "local copy, and the file reads back byte-identical",
-        recoverable=True,
-    ),
-    FaultCase(
-        name="torn-multipart-upload",
-        mode="inject",
-        point="object_part",
-        behavior="torn",
-        crashes=True,
-        objectstore=True,
-        fire_op=2,
-        description="the uploader is killed mid-multipart-upload: part "
-        "one of the data dropping landed in staging, part two tore, no "
-        "key manifest was ever committed",
-        invariant="the torn staging is invisible to readers (the "
-        "manifest commit is the linearization point): fsck sweeps the "
-        "staging directory, re-uploads the dropping whole from the "
-        "intact local copy, and the file reads back byte-identical",
-        recoverable=True,
-    ),
-    FaultCase(
-        name="stale-tier-eviction",
-        mode="inject",
-        point="object_commit",
-        behavior="lost",
-        objectstore=True,
-        tier_evict=True,
-        fire_op=2,  # the data dropping's commit; see lost-object-put
-        description="a lost PUT is compounded by capacity pressure: the "
-        "tier — believing the acknowledged upload — marks the data "
-        "dropping clean and evicts its local copy before anyone notices "
-        "the object never landed",
-        invariant="both copies are gone; the index records promise "
-        "bytes nothing holds.  fsck restores what the store does have "
-        "(index, meta), detects the orphaned index, and reports the "
-        "promised extent explicitly unrecoverable — never a silent "
-        "truncation",
-        recoverable=False,
     ),
 )
 

@@ -288,13 +288,11 @@ OFF_ROUTE_COMPOSITES = frozenset(
 
 def routed_modules() -> list[str]:
     """The modules that may touch files only through ``repro.plfs.route``:
-    ``repro/plfs/*.py`` (bar the route itself; ``fsck`` among them), the
-    shim's two, and the object tier's fsck pass (recovery runs in-process,
-    under an installed interposer)."""
+    ``repro/plfs/*.py`` (bar the route itself; ``fsck`` among them) and
+    the shim's two."""
     plfs = pkgutil.iter_modules(repro.plfs.__path__, "repro.plfs.")
     names = [m.name for m in plfs if not m.ispkg and m.name != "repro.plfs.route"]
-    return sorted(names + ["repro.core.shim", "repro.core.fdtable",
-                           "repro.plfs.objectstore.fsckx"])
+    return sorted(names + ["repro.core.shim", "repro.core.fdtable"])
 
 
 def audit_route(sources: Mapping[str, str] | ModuleTrees | None = None) -> list[Finding]:

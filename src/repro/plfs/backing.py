@@ -86,67 +86,11 @@ class BackingStore:
     def fsync(self, fd: int) -> None:
         posix.fsync(fd)
 
-    # ------------------------------------------------------------------ #
-    # object-store layer (repro.plfs.objectstore)
-    # ------------------------------------------------------------------ #
-    #
-    # The object backend routes its blob and manifest commits through the
-    # installed store so the fault injector can fail them the same way it
-    # fails dropping appends: a lost PUT, a torn multipart part, a crash
-    # between the blob landing and the key commit.  For the default store
-    # these are plain atomic file operations; *key* rides along purely as
-    # context for wrappers (the path already encodes the physical target).
-
-    def put_blob(self, path: str, payload: bytes, key: str) -> int:
-        """Atomically commit one immutable content-addressed blob.
-
-        Write-then-rename: a crash mid-write leaves only an invisible
-        temporary (swept by ``repro-fsck``'s object reconcile pass), never
-        a half-written blob under its content hash.
-        """
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with posix.builtins_open(tmp, "wb") as fh:
-            n = fh.write(payload)
-        posix.replace(tmp, path)
-        return n
-
-    def write_part(self, fd: int, payload: bytes, path: str) -> int:
-        """Append one multipart-upload part to its staging file."""
-        return posix.write(fd, payload)
-
-    def commit_key(self, path: str, payload: bytes, key: str) -> None:
-        """Atomically commit the key manifest that makes an object visible.
-
-        This is the object store's linearization point: until the rename,
-        the object does not exist no matter how many blob bytes landed.
-        """
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with posix.builtins_open(tmp, "wb") as fh:
-            fh.write(payload)
-        posix.replace(tmp, path)
-
-    def get_object(self, path: str, key: str) -> bytes:
-        """Read one committed blob back (the restore / fault-in path).
-
-        Reads normally stay out of the backing surface, but a GET that
-        returns wrong bytes *does* corrupt: the tier materializes its
-        result as a local dropping other readers then trust.  Routing it
-        here lets the injector model a corrupt or vanished object, and the
-        store's etag check turn that into a detected error.
-        """
-        with posix.builtins_open(path, "rb") as fh:
-            return fh.read()
-
 
 _lock = threading.Lock()
 #: the installed store (default: the routed OS calls).  Swapped only by
 #: :func:`install`; the write path reads it per append as ``backing.installed``
 installed = BackingStore()
-
-
-def current() -> BackingStore:
-    """The installed backing store (default: the routed OS calls)."""
-    return installed
 
 
 def install(store: BackingStore) -> BackingStore:
@@ -157,7 +101,3 @@ def install(store: BackingStore) -> BackingStore:
         installed = store
         return previous
 
-
-def reset() -> BackingStore:
-    """Restore the default store (used by test teardown)."""
-    return install(BackingStore())

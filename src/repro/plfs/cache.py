@@ -201,7 +201,7 @@ def compact(container: Container, *, droppings: Droppings | None = None) -> int:
     payload = pack_compacted(
         loaded.index.as_arrays(), rel, loaded.epoch, loaded.index.logical_size
     )
-    backing.current().write_global_index(container.global_index_path(), payload)
+    backing.installed.write_global_index(container.global_index_path(), payload)
     return len(loaded.index)
 
 

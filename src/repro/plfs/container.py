@@ -423,10 +423,10 @@ class Container:
         d = os.path.join(self.path, constants.META_DIR)
         path = os.path.join(d, f"{last_offset}.{total_bytes}.{host}")
         try:
-            backing.current().create_meta(path)
+            backing.installed.create_meta(path)
         except FileNotFoundError:
             posix.ensure_dir(d)  # ``meta/`` went missing: see register_open
-            backing.current().create_meta(path)
+            backing.installed.create_meta(path)
 
     def meta_droppings(self) -> list[MetaDropping]:
         d = os.path.join(self.path, constants.META_DIR)
@@ -484,19 +484,14 @@ class Container:
                 from .reader import logical_size  # local import: avoid cycle
 
                 size = logical_size(self)
+        # The container directory's ids and times, int, float and ``_ns``;
+        # the size and block count are the logical file's.  Past the ten
+        # fields a tuple shows, Linux's result takes them in this order.
         return os.stat_result(
-            (
-                mode,
-                st.st_ino,
-                st.st_dev,
-                1,
-                st.st_uid,
-                st.st_gid,
-                size,
-                int(st.st_atime),
-                int(st.st_mtime),
-                int(st.st_ctime),
-            )
+            (mode, st.st_ino, st.st_dev, 1, st.st_uid, st.st_gid, size) + st[7:10]
+            + (st.st_atime, st.st_mtime, st.st_ctime,
+               st.st_atime_ns, st.st_mtime_ns, st.st_ctime_ns,
+               st.st_blksize, -(-size // 512), 0)
         )
 
     def unlink(self) -> None:

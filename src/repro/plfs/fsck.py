@@ -24,7 +24,7 @@ sees state the previous steps made consistent:
 3. orphan index droppings (index without data) are deleted — and when
    the orphan's records promised bytes that no quarantine holds, the
    extent is reported **unrecoverable** rather than silently dropped
-   (the lost-PUT / vanished-dropping verdict);
+   (the vanished-dropping verdict);
 4. stale openhost markers are cleared (fsck runs offline, like the C
    tool);
 5. the cached-size metadata is rebuilt from the repaired index when
@@ -42,30 +42,20 @@ problems, its in-flight ones its warnings.  ``rebuild-meta`` is graded by
 why it is announced: on its own (``meta/`` contradicts the index) it is
 broken; after another repair it is that repair's echo, in-flight.
 
-When the container is tiered over an object store (*objectstore* /
-*objectstore_root* arguments), the reconcile passes of
-:mod:`repro.plfs.objectstore.fsckx` bracket the repair: committed objects
-whose local copies are missing are restored first (the store is the
-authority; the tier is a cache), and after repair the store is swept and
-resynced to the repaired container so stale objects cannot resurrect.
-
 From the shell::
 
     repro-fsck [--dry-run] [--json] CONTAINER [CONTAINER ...]
     repro-fsck [--dry-run] [--json] --scan BACKEND_DIR
-    repro-fsck --objectstore STORE_DIR [--objectstore-root DIR] CONTAINER
 
 ``--scan`` walks a backend directory tree and repairs every container it
-finds (``--objectstore-root`` defaults to it, else to each container's
-parent).  Exit status: 0 — every container clean or fully recovered;
+finds.  Exit status: 0 — every container clean or fully recovered;
 1 — repairs left unrecoverable losses (reported) or a container is still
-broken; 2 — usage error, path is not a container, or no such store.
+broken; 2 — usage error, or a path is not a container.
 """
 
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import os
 import sys
@@ -103,14 +93,6 @@ KINDS = {
     "drop-stale-compacted": IN_FLIGHT,
     "sweep-compaction-tmp": IN_FLIGHT,
     "sweep-generation-tmp": IN_FLIGHT,
-    # the object-store reconcile passes
-    "restore-from-object": IN_FLIGHT,
-    "skip-corrupt-object": BROKEN,
-    "sweep-torn-upload": IN_FLIGHT,
-    "sweep-object-tmp": IN_FLIGHT,
-    "reupload-object": IN_FLIGHT,
-    "drop-stale-object": IN_FLIGHT,
-    "sweep-orphan-blobs": IN_FLIGHT,
 }
 
 #: prefix quarantined (orphaned) data droppings are renamed under, taking
@@ -350,9 +332,9 @@ def _drop_orphans(report, container_path, hostdir, *, dry_run) -> None:
 
     Deleting the orphan is right — nothing can serve reads from it — but
     the bytes its records promised were acknowledged to a writer, and if
-    no quarantine file holds them the data dropping itself vanished (a
-    lost PUT, a vanished backend file): that extent must be reported
-    unrecoverable, not silently truncated away with the index."""
+    no quarantine file holds them the data dropping itself vanished: that
+    extent must be reported unrecoverable, not silently truncated away
+    with the index."""
     names = sorted(posix.listdir(hostdir))
     present = set(names)
     for name in names:
@@ -367,8 +349,8 @@ def _drop_orphans(report, container_path, hostdir, *, dry_run) -> None:
         if covered and QUARANTINE_PREFIX + data_name not in present:
             report.lose(
                 f"{covered} byte(s) promised by {rel} have no data "
-                "dropping behind them: the backend lost the data (a lost "
-                "PUT or vanished dropping), not just records"
+                "dropping behind them: the backend lost the data (a "
+                "vanished dropping), not just records"
             )
         report.act("drop-orphan-index", rel, f"{covered} promised byte(s) and no data dropping")
         if not dry_run:
@@ -410,36 +392,12 @@ def _sweep(report, directory, name, kind, detail, *, dry_run) -> None:
             pass
 
 
-def fsck(
-    path: str,
-    *,
-    dry_run: bool = False,
-    objectstore=None,
-    objectstore_root: str | None = None,
-) -> FsckReport:
+def fsck(path: str, *, dry_run: bool = False) -> FsckReport:
     """Repair the container at *path*; see the module docstring for the
-    repair sequence.  Read-only when *dry_run*.
-
-    *objectstore* is an :class:`~repro.plfs.objectstore.ObjectStore` (or
-    the path of one's root directory, which must exist) the container is
-    tiered over; *objectstore_root* is the tiered local root object keys
-    are relative to (default: the container's parent directory).
-    """
+    repair sequence.  Read-only when *dry_run*."""
     assert_container(path)
-    if isinstance(objectstore, str) and not posix.isdir(objectstore):
-        raise FileNotFoundError(errno.ENOENT, "no object store", objectstore)
     container = Container(path)
     report = FsckReport(path=os.path.abspath(path), dry_run=dry_run)
-
-    store = None
-    if objectstore is not None:
-        from .objectstore import ObjectStore, fsckx
-
-        store = ObjectStore(objectstore) if isinstance(objectstore, str) else objectstore
-        store_root = objectstore_root or os.path.dirname(os.path.abspath(path))
-        # 0. the store is authority: restore evicted/lost local copies
-        # before the ordinary repair steps reason about what's missing
-        fsckx.reconcile_before(store, path, store_root, report, dry_run=dry_run)
 
     # 1. skeleton
     missing = [
@@ -523,12 +481,6 @@ def fsck(
         # Repairs changed what readers should see; tell other processes.
         container.bump_generation()
 
-    # 6b. object-store sweep + resync: the repaired container is what
-    # this fsck decided the truth is — push it to the authority and
-    # delete anything stale enough to resurrect later.
-    if store is not None:
-        fsckx.reconcile_after(store, path, store_root, report, dry_run=dry_run)
-
     # 7. verify
     if not dry_run:
         report.check = fsck(path, dry_run=True)
@@ -571,18 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report repairs, verdicts and usage without touching anything",
     )
     parser.add_argument("--json", action="store_true", help="emit one JSON report per container")
-    parser.add_argument(
-        "--objectstore",
-        metavar="DIR",
-        help="object-store root the containers are tiered over; enables "
-        "the restore/sweep/resync reconcile passes",
-    )
-    parser.add_argument(
-        "--objectstore-root",
-        metavar="DIR",
-        help="tiered local root object keys are relative to (default: "
-        "each container's parent directory, or the --scan directory)",
-    )
     return parser
 
 
@@ -610,12 +550,7 @@ def main(argv: list[str] | None = None) -> int:
     reports = []
     for path in targets:
         try:
-            report = fsck(
-                path,
-                dry_run=args.dry_run,
-                objectstore=args.objectstore,
-                objectstore_root=args.objectstore_root or args.scan,
-            )
+            report = fsck(path, dry_run=args.dry_run)
         except (PlfsError, FileNotFoundError) as exc:
             print(f"repro-fsck: {path}: {exc}", file=sys.stderr)
             return 2

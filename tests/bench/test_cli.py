@@ -44,7 +44,7 @@ def test_run_emits_schema_valid_record(out_dir, capsys):
 
 
 def test_run_skips_unsupported_config(out_dir, capsys):
-    # collective_io has no objectstore config: selection is empty -> exit 2
+    # collective_io has no daemon config: selection is empty -> exit 2
     assert (
         cli.main(
             [
@@ -52,7 +52,7 @@ def test_run_skips_unsupported_config(out_dir, capsys):
                 "--scenario",
                 "collective_io",
                 "--config",
-                "objectstore",
+                "daemon",
                 "--out",
                 out_dir,
             ]

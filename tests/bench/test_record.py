@@ -18,7 +18,6 @@ def _minimal(**over):
         params={"clients": 4},
         counters={"ops_total": 48},
         op_stream={"digest": "abc", "ops": 48},
-        host_sized_bytes={"object_put_bytes": 1000},
     )
     rec.update(over)
     return rec
@@ -26,13 +25,6 @@ def _minimal(**over):
 
 def test_valid_record_passes():
     assert record.validate(_minimal()) == []
-
-
-def test_derived_is_present_only_with_host_sized_bytes():
-    rec = _minimal()
-    assert rec["derived"] == {"bytes": {"object_put_bytes": 1000}}
-    del rec["derived"]
-    assert record.validate(rec) == []
 
 
 def test_missing_key_fails():
@@ -52,12 +44,6 @@ def test_non_numeric_counter_fails():
     assert any("bad" in p for p in record.validate(rec))
     rec["counters"]["bad"] = True  # bools are not counters
     assert any("bad" in p for p in record.validate(rec))
-
-
-def test_non_numeric_derived_fails():
-    rec = _minimal()
-    rec["derived"]["bytes"]["bad"] = None
-    assert any("derived.bytes" in p for p in record.validate(rec))
 
 
 def test_assert_valid_raises_with_all_problems():

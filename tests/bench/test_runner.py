@@ -43,7 +43,6 @@ def test_direct_run_produces_valid_record(name):
     rec = _run(name)
     assert record_mod.validate(rec) == []
     assert rec["counters"]["ops_total"] == rec["op_stream"]["ops"]
-    assert "derived" not in rec  # only the objectstore config has one
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -81,30 +80,6 @@ def test_crash_soak_recovers_every_cycle():
     assert c["crashes"] >= 1  # the tiny arms include hard crashes
     assert c["full_recoveries"] + c["cycles"] >= c["cycles"]  # sanity
     assert c["verified_bytes"] > 0
-
-
-def test_objectstore_counters_do_not_depend_on_the_hostname(monkeypatch):
-    """`repro-bench guard` compares counters exactly, so nothing in them
-    may move with the host: the access file's ``host=<hostname>`` body is
-    payload the object tiers count bytes of."""
-    from repro.plfs import util
-
-    records = []
-    for host in ("n1", "a-much-longer-node-name_example_org"):
-        monkeypatch.setattr(util, "hostname", lambda host=host: host)
-        records.append(
-            runner.run_scenario("crash_soak", profile="short", config="objectstore")
-        )
-    short, long_ = records
-    assert short["counters"] == long_["counters"]
-    assert short["counters"]["object_puts"] > 0  # counts stay exact
-    assert not set(runner.HOST_SIZED_BYTES) & set(short["counters"])
-    # the byte totals moved to the ratio-compared section, and do differ
-    assert set(short["derived"]["bytes"]) <= set(runner.HOST_SIZED_BYTES)
-    assert (
-        short["derived"]["bytes"]["object_put_bytes"]
-        < long_["derived"]["bytes"]["object_put_bytes"]
-    )
 
 
 def test_crash_soak_rejects_non_direct_configs():

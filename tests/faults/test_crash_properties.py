@@ -26,15 +26,9 @@ from repro.faults import FAULT_MATRIX, matrix_by_name
 from repro.faults.harness import random_schedule, read_back, run_case
 from repro.plfs.fsck import fsck
 
-# objectstore arms run under their own harness (the fault fires during
-# the tier drain, not the schedule) — see test_objectstore_faults.py.  The
-# ids keep their historical "-nowal" suffix so a case's results stay
+# The ids keep their historical "-nowal" suffix so a case's results stay
 # comparable across the suite's history.
-ARMS = [
-    pytest.param(case.name, id=f"{case.name}-nowal")
-    for case in FAULT_MATRIX
-    if not case.objectstore
-]
+ARMS = [pytest.param(case.name, id=f"{case.name}-nowal") for case in FAULT_MATRIX]
 
 
 @pytest.mark.parametrize("schedule_index", range(3))
@@ -107,6 +101,5 @@ def test_dry_run_changes_nothing(container_path, fault_seed, case_name):
 
 def test_every_matrix_case_exercised():
     names = {case.name for case in FAULT_MATRIX}
-    legacy = {case.name for case in FAULT_MATRIX if not case.objectstore}
     covered = {p.values[0] for p in ARMS}
-    assert covered == legacy and len(legacy) == 12 and len(names) == 15
+    assert covered == names and len(names) == 12

@@ -88,19 +88,44 @@ class TestDeterminism:
 
 class TestArmed:
     def test_armed_installs_and_restores(self):
-        before = backing.current()
+        before = backing.installed
         inj = FaultInjector([])
         with inj.armed():
-            assert isinstance(backing.current(), FaultyBackingStore)
-        assert backing.current() is before
+            assert isinstance(backing.installed, FaultyBackingStore)
+        assert backing.installed is before
 
     def test_armed_restores_after_crash(self):
-        before = backing.current()
+        before = backing.installed
         inj = FaultInjector([FaultSpec("data_write", "crash", op=1)])
         with pytest.raises(InjectedCrash):
             with inj.armed():
-                backing.current().write_data(-1, b"x", "/nope")
-        assert backing.current() is before
+                backing.installed.write_data(-1, b"x", "/nope")
+        assert backing.installed is before
+
+    def test_armed_wraps_the_store_installed_at_arming_time(self):
+        """Arming over another interposer injects into its operations,
+        not around them into a fresh default store."""
+
+        class Recording(backing.BackingStore):
+            def __init__(self):
+                self.writes = []
+
+            def write_data(self, fd, buf, path):
+                self.writes.append(bytes(buf))
+                return len(buf)
+
+        recording = Recording()
+        previous = backing.install(recording)
+        try:
+            inj = FaultInjector([FaultSpec("data_write", "enospc", op=2)])
+            with inj.armed():
+                assert backing.installed.inner is recording
+                assert backing.installed.write_data(-1, b"first", "/nope") == 5
+                with pytest.raises(OSError):
+                    backing.installed.write_data(-1, b"second", "/nope")
+            assert backing.installed is recording and recording.writes == [b"first"]
+        finally:
+            backing.install(previous)
 
     def test_injected_crash_is_not_an_exception(self):
         # Library except-Exception cleanup must not swallow the "kill".

@@ -32,9 +32,6 @@ class TestLiveTree:
                 "repro.plfs.backing", "repro.plfs.reader", "repro.plfs.writer",
                 "repro.plfs.cache", "repro.plfs.index", "repro.plfs.api",
                 "repro.plfs.fsck"} <= set(modules)
-        # of the object tier only its fsck arm: it runs beside plfs.fsck
-        assert [m for m in modules if m.startswith("repro.plfs.objectstore")] == [
-            "repro.plfs.objectstore.fsckx"]
 
     def test_no_bare_os_call_left(self):
         assert audit_route() == []

@@ -20,14 +20,13 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro import plfs
-from repro.plfs import backing, util
+from repro.plfs import util
 from repro.plfs import cache as cache_module
 from repro.plfs.cache import IndexCache, compact, invalidate_cross_process, shared_cache
 from repro.plfs.container import Container
 from repro.plfs.errors import CorruptIndexError
 from repro.plfs.fsck import fsck
 from repro.plfs.index import RECORD_SIZE, load_global_index
-from repro.plfs.objectstore.backend import make_backend
 from repro.plfs.reader import ReadFile
 from repro.plfs.writer import WriteFile
 
@@ -453,8 +452,6 @@ class FollowedContainer(RuleBasedStateMachine):
         self.tmp = tempfile.mkdtemp()
         root = os.path.join(self.tmp, "root")
         os.mkdir(root)
-        self.backend = make_backend(root)  # an object tier under everything
-        self.previous = backing.install(self.backend)
         self.path = os.path.join(root, "file")
         self.container = Container(self.path)
         self.container.create()
@@ -587,12 +584,17 @@ class FollowedContainer(RuleBasedStateMachine):
 
     @intact
     @rule()
-    def evict_and_restore(self):
+    def rewrite_in_place(self):
+        """Every dropping replaced by its own bytes: the sizes stay, the
+        inode and mtime are new."""
         self.close_writers()
-        tier = self.backend.tier
-        tier.drain()
-        tier.evict()
-        tier.restore_missing()
+        for pair in self.container.droppings():
+            for path in pair:
+                if os.path.exists(path):
+                    fd, tmp = tempfile.mkstemp(dir=self.tmp)
+                    os.close(fd)
+                    shutil.copyfile(path, tmp)
+                    os.replace(tmp, path)
 
     # -- the property ----------------------------------------------------- #
 
@@ -619,7 +621,6 @@ class FollowedContainer(RuleBasedStateMachine):
         try:
             self.abandon_writers()
         finally:
-            backing.install(self.previous)
             shutil.rmtree(self.tmp, ignore_errors=True)
 
 

@@ -616,7 +616,7 @@ class TestDescriptorsAcrossARebuild:
             assert r.read(8, 0) == b"\x01" * 4 + b"\x02" * 4
             kept = r._fd_cache[0]
             victim = r._data_paths[1]
-            os.unlink(victim)  # what an object-tier evict + restore does
+            os.unlink(victim)  # a dropping replaced under a new inode
             with open(victim, "wb") as fh:
                 fh.write(b"\x09" * 4)
             index_cache.shared_cache().bump(container.path)

@@ -220,9 +220,6 @@ class TestLiveTree:
         assert "repro.core.fdtable" in analysis.modules
         assert "repro.plfs.writer" in analysis.modules
         assert "repro.plfsd.server" in analysis.modules
-        # subpackages recurse: the objectstore backend is in the audit
-        assert "repro.plfs.objectstore.tier" in analysis.modules
-        assert "repro.plfs.objectstore.store" in analysis.modules
         assert analysis.functions > 0
         assert analysis.call_edges > 0
 
