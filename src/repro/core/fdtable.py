@@ -16,15 +16,14 @@ description and therefore share the cursor, just like POSIX requires.
 
 One deliberate deviation: the paper opens ``/dev/random`` as the shadow
 file; character devices do not reliably keep arbitrary seek positions, so
-we shadow with an unlinked temporary file, which has full regular-file
-cursor semantics and also never leaks a directory entry.
+we shadow with an anonymous ``memfd_create`` file: a regular file with a
+kernel offset (``lseek`` anywhere, ``dup`` shares it) that has no name, so
+it needs no temporary directory and can never leak a directory entry.
 """
 
 from __future__ import annotations
 
-import errno
 import os
-import tempfile
 import threading
 from dataclasses import dataclass, field
 
@@ -58,41 +57,20 @@ class FdTable:
     _SANITIZE_SHARED = {"_entries": "_lock"}
 
     def __init__(self, real_os):
-        # ``real_os`` exposes the *unpatched* os functions (open, close,
-        # lseek, dup).  Using the patched ones here would recurse.
+        # ``real_os`` exposes the *unpatched* os functions (close,
+        # lseek).  Using the patched ones here would recurse.
         self._real = real_os
         self._lock = threading.RLock()
         self._entries: dict[int, FdEntry] = {}
-
-    # ------------------------------------------------------------------ #
-    # shadow descriptors
-    # ------------------------------------------------------------------ #
-
-    def _open_shadow_fd(self) -> int:
-        """Reserve a genuine POSIX descriptor backed by an unlinked temp
-        file whose offset serves as the emulated PLFS file pointer:
-        ``mkstemp`` (random name, ``O_EXCL``, bounded tries) in real calls."""
-        real = self._real
-        flags = os.O_RDWR | os.O_CREAT | os.O_EXCL | getattr(os, "O_NOFOLLOW", 0)
-        for _ in range(tempfile.TMP_MAX):
-            path = os.path.join(tempfile.gettempdir(), f"ldplfs-shadow-{os.urandom(8).hex()}")
-            try:
-                fd = real.open(path, flags, 0o600)
-            except FileExistsError:
-                continue
-            try:
-                real.unlink(path)
-            except OSError:
-                pass
-            return fd
-        raise FileExistsError(errno.EEXIST, "no usable shadow file name found")
 
     # ------------------------------------------------------------------ #
     # table operations
     # ------------------------------------------------------------------ #
 
     def insert(self, plfs_fd: Plfs_fd, flags: int, logical_path: str) -> FdEntry:
-        fd = self._open_shadow_fd()
+        # The shadow descriptor: close-on-exec like every one ``os.open``
+        # makes, and not an interposed call, so no layer sees it.
+        fd = os.memfd_create("ldplfs-shadow")
         try:
             entry = FdEntry(fd, plfs_fd, flags, logical_path)
             with self._lock:

@@ -95,13 +95,14 @@ def plfs_open(
     *open_opt* keeps Listing 1's signature; see :class:`OpenOptions`."""
     pid = os.getpid() if pid is None else pid
     container = Container(path)
-    kind = classify(path)  # the one look at the backend an open takes
+    exclusive = bool(flags & os.O_CREAT and flags & os.O_EXCL)
+    kind = classify(path, exclusive)  # the one look at the backend an open takes
     if kind == DIRECTORY and container.exists():
         # Creation is atomic, so a directory that is no container is
         # foreign — unless a creator renamed between classify()'s two looks.
         kind = CONTAINER
     if kind == CONTAINER:
-        if flags & os.O_CREAT and flags & os.O_EXCL:
+        if exclusive:
             raise ContainerExistsError(f"container exists: {path}")
     elif kind == DIRECTORY:
         raise NotAContainerError(f"is a directory: {path}")
@@ -110,7 +111,7 @@ def plfs_open(
     elif not flags & os.O_CREAT:
         raise ContainerNotFoundError(f"no such file: {path}")
     else:
-        container._build(mode, bool(flags & os.O_EXCL), pid)
+        container._build(mode, exclusive, pid)
 
     fd = Plfs_fd(container=container, flags=flags, pid=pid)
     if fd.writable:
@@ -158,12 +159,13 @@ def plfs_close(fd, pid: int | None = None, flags: int | None = None) -> int:
             # cleanup — a crash kills the process, it doesn't tidy up.)
             fd.container.unregister_open(pid if pid is not None else fd.pid)
             raise
-        fd.container.unregister_open(pid if pid is not None else fd.pid)
+        held = fd.container.unregister_open(pid if pid is not None else fd.pid)
         if total:
             fd.container.drop_meta(last, total)
-        if total and not fd.container.open_writers():
-            # Clean last close: where the next reader has a merge to skip,
-            # leave it the flattened index (the rule has one home).
+        if total and not held:
+            # This process's last write handle: where the next reader has a
+            # merge to skip, leave it the flattened index (the rule, and its
+            # look for writers in other processes, has one home).
             index_cache.compact_where_it_pays(
                 fd.container, writer.stats["records_flushed"]
             )

@@ -214,14 +214,18 @@ def compact_where_it_pays(container: Container, records: int) -> bool:
     :data:`~repro.plfs.constants.COMPACT_MIN_RECORDS` records; *records* is
     what the closing writer flushed, which for a container of one dropping
     is all there is.  One listing decides and, where it says yes, feeds the
-    compaction.  The compacted index is an accelerator: failing to write it
-    never fails the close (readers just take the merge).
+    compaction; only then is ``openhosts/`` listed, and a writer still open
+    anywhere defers it to that writer's close.  The compacted index is an
+    accelerator: failing to write it never fails the close (readers just
+    take the merge).
     """
     droppings = container.droppings()
     try:
         if len(droppings) < 2 and records <= constants.COMPACT_MIN_RECORDS:
             if droppings.compacted:  # of an earlier state: only a cost now
                 container.drop_global_index()
+            return False
+        if container.open_writers():
             return False
         compact(container, droppings=droppings)
     except OSError:

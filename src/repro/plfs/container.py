@@ -66,20 +66,25 @@ class Droppings(list):
 
 def is_container(path: str) -> bool:
     """True if *path* is a PLFS container directory."""
-    return posix.isfile(os.path.join(path, constants.ACCESS_FILE))
+    return posix.isfile(f"{path}/{constants.ACCESS_FILE}")
 
 
-def classify(path: str) -> int:
+def classify(path: str, exclusive: bool = False) -> int:
     """What *path* is: :data:`CONTAINER`, :data:`DIRECTORY`, :data:`FILE`
     (anything else that exists) or :data:`ABSENT` — in one ``stat`` (of
-    the access file) for a container, two for everything else."""
-    if is_container(path):
+    the access file) for a container, two for everything else.  An
+    *exclusive* create, which succeeds only on an absent path, looks at the
+    path first: one failed ``stat`` for :data:`ABSENT`, and the access file
+    only behind a directory."""
+    if not exclusive and is_container(path):
         return CONTAINER
     try:
         mode = posix.stat(path).st_mode
     except (OSError, ValueError):
         return ABSENT
-    return DIRECTORY if stat_module.S_ISDIR(mode) else FILE
+    if not stat_module.S_ISDIR(mode):
+        return FILE
+    return CONTAINER if exclusive and is_container(path) else DIRECTORY
 
 
 def assert_container(path: str) -> None:
@@ -138,13 +143,11 @@ class Container:
         except FileNotFoundError:  # the parent is not there yet
             posix.ensure_dir(os.path.dirname(self.path))
             posix.mkdir(tmp)
-        posix.mkdir(os.path.join(tmp, constants.OPENHOSTS_DIR))
-        posix.mkdir(os.path.join(tmp, constants.META_DIR))
+        posix.mkdir(f"{tmp}/{constants.OPENHOSTS_DIR}")
+        posix.mkdir(f"{tmp}/{constants.META_DIR}")
         # The bookkeeping files are a few bytes each: written raw, they
         # pay for no text layer and no buffer (one ``write`` each).
-        with posix.builtins_open(
-            os.path.join(tmp, constants.CREATOR_FILE), "wb", buffering=0
-        ) as fh:
+        with posix.builtins_open(f"{tmp}/{constants.CREATOR_FILE}", "wb", buffering=0) as fh:
             fh.write(
                 f"version={constants.FORMAT_VERSION}\n"
                 f"host={util.hostname()}\npid={pid}\n"
@@ -152,9 +155,7 @@ class Container:
             )
         # The access file stores the logical file's mode bits; writing it
         # last inside tmp means a renamed container is always complete.
-        with posix.builtins_open(
-            os.path.join(tmp, constants.ACCESS_FILE), "wb", buffering=0
-        ) as fh:
+        with posix.builtins_open(f"{tmp}/{constants.ACCESS_FILE}", "wb", buffering=0) as fh:
             fh.write(b"%o\n" % mode)
         try:
             posix.rename(tmp, self.path)
@@ -175,7 +176,7 @@ class Container:
         access file *is* the container check)."""
         try:
             with posix.builtins_open(
-                os.path.join(self.path, constants.ACCESS_FILE), "rb", buffering=0
+                f"{self.path}/{constants.ACCESS_FILE}", "rb", buffering=0
             ) as fh:
                 return int(fh.read().strip() or b"644", 8)
         except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
@@ -187,9 +188,8 @@ class Container:
     # ------------------------------------------------------------------ #
 
     def hostdir_path(self, host: str | None = None) -> str:
-        host = host or util.hostname()
-        bucket = util.hostdir_bucket(host)
-        return os.path.join(self.path, f"{constants.HOSTDIR_PREFIX}{bucket}")
+        bucket = util.hostdir_bucket(host or util.hostname())
+        return f"{self.path}/{constants.HOSTDIR_PREFIX}{bucket}"
 
     def ensure_hostdir(self, host: str | None = None) -> str:
         path = self.hostdir_path(host)
@@ -212,18 +212,16 @@ class Container:
         for entry in entries:
             if not entry.startswith(constants.HOSTDIR_PREFIX):
                 continue
-            hostdir = os.path.join(self.path, entry)
+            hostdir = f"{self.path}/{entry}"
             try:
                 names = sorted(posix.listdir(hostdir))
             except NotADirectoryError:
                 continue
             for name in names:
                 if name.startswith(constants.DATA_PREFIX):
-                    data_path = os.path.join(hostdir, name)
-                    index_path = os.path.join(
-                        hostdir, util.index_name_for_data(name)
+                    pairs.append(
+                        (f"{hostdir}/{util.index_name_for_data(name)}", f"{hostdir}/{name}")
                     )
-                    pairs.append((index_path, data_path))
         return pairs
 
     def hostdirs(self) -> list[str]:
@@ -235,7 +233,7 @@ class Container:
         out = []
         for entry in entries:
             if entry.startswith(constants.HOSTDIR_PREFIX):
-                p = os.path.join(self.path, entry)
+                p = f"{self.path}/{entry}"
                 if posix.isdir(p):
                     out.append(p)
         return out
@@ -246,7 +244,7 @@ class Container:
 
     def global_index_path(self) -> str:
         """Backend path of the persistent compacted global index."""
-        return os.path.join(self.path, constants.GLOBAL_INDEX_FILE)
+        return f"{self.path}/{constants.GLOBAL_INDEX_FILE}"
 
     def index_epoch(self, droppings: list[tuple[str, str]] | None = None) -> str:
         """Fingerprint of the container's dropping state.
@@ -294,7 +292,7 @@ class Container:
 
     def generation_path(self) -> str:
         """Backend path of the per-container generation file."""
-        return os.path.join(self.path, constants.GENERATION_FILE)
+        return f"{self.path}/{constants.GENERATION_FILE}"
 
     def bump_generation(self) -> None:
         """Signal readers in other processes that the container changed.
@@ -351,7 +349,7 @@ class Container:
         assert_container(self.path)
         restored = []
         for name in (constants.OPENHOSTS_DIR, constants.META_DIR):
-            p = os.path.join(self.path, name)
+            p = f"{self.path}/{name}"
             if not posix.isdir(p):
                 posix.ensure_dir(p)
                 restored.append(name)
@@ -373,10 +371,7 @@ class Container:
     # ------------------------------------------------------------------ #
 
     def _openhost_marker(self, pid: int, host: str | None = None) -> str:
-        host = host or util.hostname()
-        return os.path.join(
-            self.path, constants.OPENHOSTS_DIR, f"{host}.{pid}"
-        )
+        return f"{self.path}/{constants.OPENHOSTS_DIR}/{host or util.hostname()}.{pid}"
 
     def register_open(self, pid: int, host: str | None = None) -> None:
         marker = self._openhost_marker(pid, host)
@@ -396,32 +391,32 @@ class Container:
                 fh.write(stamp)
             _marker_refs[marker] = held + 1
 
-    def unregister_open(self, pid: int, host: str | None = None) -> None:
-        """Drop one handle's claim; the last one out removes the marker."""
+    def unregister_open(self, pid: int, host: str | None = None) -> bool:
+        """Drop one handle's claim; the last one out removes the marker.
+        Returns whether this process still holds the marker."""
         marker = self._openhost_marker(pid, host)
         with _marker_lock:
             held = _marker_refs.pop(marker, 1) - 1
             if held > 0:
                 _marker_refs[marker] = held
-                return
+                return True
             try:
                 posix.unlink(marker)
             except FileNotFoundError:
                 pass
+            return False
 
     def open_writers(self) -> list[str]:
         """Names of openhost markers currently present."""
-        d = os.path.join(self.path, constants.OPENHOSTS_DIR)
         try:
-            return sorted(posix.listdir(d))
+            return sorted(posix.listdir(f"{self.path}/{constants.OPENHOSTS_DIR}"))
         except FileNotFoundError:
             return []
 
     def drop_meta(self, last_offset: int, total_bytes: int, host: str | None = None) -> None:
         """Record cached size metadata at close time (``meta/`` dropping)."""
-        host = host or util.hostname()
-        d = os.path.join(self.path, constants.META_DIR)
-        path = os.path.join(d, f"{last_offset}.{total_bytes}.{host}")
+        d = f"{self.path}/{constants.META_DIR}"
+        path = f"{d}/{last_offset}.{total_bytes}.{host or util.hostname()}"
         try:
             backing.installed.create_meta(path)
         except FileNotFoundError:
@@ -429,10 +424,9 @@ class Container:
             backing.installed.create_meta(path)
 
     def meta_droppings(self) -> list[MetaDropping]:
-        d = os.path.join(self.path, constants.META_DIR)
         out: list[MetaDropping] = []
         try:
-            names = posix.listdir(d)
+            names = posix.listdir(f"{self.path}/{constants.META_DIR}")
         except FileNotFoundError:
             return out
         for name in names:
@@ -446,11 +440,11 @@ class Container:
         return out
 
     def clear_meta(self) -> None:
-        d = os.path.join(self.path, constants.META_DIR)
+        d = f"{self.path}/{constants.META_DIR}"
         try:
             for name in posix.listdir(d):
                 try:
-                    posix.unlink(os.path.join(d, name))
+                    posix.unlink(f"{d}/{name}")
                 except FileNotFoundError:
                     pass
         except FileNotFoundError:
@@ -505,7 +499,7 @@ class Container:
         assert_container(self.path)
         for entry in posix.listdir(self.path):
             if entry.startswith(constants.HOSTDIR_PREFIX):
-                posix.rmtree(os.path.join(self.path, entry), ignore_errors=True)
+                posix.rmtree(f"{self.path}/{entry}", ignore_errors=True)
         self.clear_meta()
         self.drop_global_index()
         self.bump_generation()

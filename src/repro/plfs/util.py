@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import socket
 import threading
@@ -20,8 +21,10 @@ def accumulate(totals: dict, stats: dict) -> None:
             totals[key] = totals.get(key, 0) + value
 
 
+@functools.cache
 def hostname() -> str:
-    """Return this host's name, sanitised for use inside dropping names."""
+    """Return this host's name, sanitised for use inside dropping names
+    (asked of the system once per process, not once per path naming it)."""
     return socket.gethostname().replace(".", "_") or "localhost"
 
 
@@ -47,11 +50,14 @@ def unique_timestamp() -> float:
         return _last_stamp
 
 
+@functools.lru_cache(maxsize=64)
 def hostdir_bucket(host: str, num_hostdirs: int = constants.NUM_HOSTDIRS) -> int:
     """Deterministically hash *host* into a ``hostdir.N`` bucket.
 
     Uses a small FNV-1a so the mapping is stable across Python processes
-    (``hash()`` is salted per-process and must not be used here).
+    (``hash()`` is salted per-process and must not be used here); the
+    buckets of the last 64 hosts asked about are remembered, so the local
+    host's is computed once per process.
     """
     h = 0xCBF29CE484222325
     for byte in host.encode():
@@ -63,14 +69,6 @@ def hostdir_bucket(host: str, num_hostdirs: int = constants.NUM_HOSTDIRS) -> int
 def dropping_suffix(host: str, pid: int, ts: float) -> str:
     """The common ``<ts>.<host>.<pid>`` tail of data/index dropping names."""
     return f"{ts:.9f}.{host}.{pid}"
-
-
-def data_dropping_name(host: str, pid: int, ts: float) -> str:
-    return constants.DATA_PREFIX + dropping_suffix(host, pid, ts)
-
-
-def index_dropping_name(host: str, pid: int, ts: float) -> str:
-    return constants.INDEX_PREFIX + dropping_suffix(host, pid, ts)
 
 
 def index_name_for_data(data_name: str) -> str:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import os
 import threading
 
-from . import backing, util
+from . import backing, constants, util
 from .cache import invalidate_cross_process as _invalidate_cross_process
 from .container import Container
 from .errors import BadFlagsError
@@ -73,9 +73,9 @@ class _Dropping:
     )
 
     def __init__(self, hostdir: str, host: str, pid: int):
-        ts = util.unique_timestamp()
-        self.data_path = os.path.join(hostdir, util.data_dropping_name(host, pid, ts))
-        self.index_path = os.path.join(hostdir, util.index_dropping_name(host, pid, ts))
+        suffix = util.dropping_suffix(host, pid, util.unique_timestamp())
+        self.data_path = f"{hostdir}/{constants.DATA_PREFIX}{suffix}"
+        self.index_path = f"{hostdir}/{constants.INDEX_PREFIX}{suffix}"
         self.data_fd = posix.open(
             self.data_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
         )

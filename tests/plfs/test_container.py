@@ -67,6 +67,23 @@ class TestCreate:
         assert "pid=123" in text
 
 
+class TestClassify:
+    @pytest.mark.parametrize("kind", ["absent", "file", "directory", "container"])
+    def test_the_exclusive_order_gives_the_same_answer(self, container_path, kind):
+        """An exclusive create looks at the path before the access file;
+        whatever is there, both orders name it alike."""
+        from repro.plfs.container import ABSENT, CONTAINER, DIRECTORY, FILE, classify
+
+        if kind == "file":
+            open(container_path, "w").close()
+        elif kind == "directory":
+            os.mkdir(container_path)
+        elif kind == "container":
+            Container(container_path).create()
+        expected = {"absent": ABSENT, "file": FILE, "directory": DIRECTORY, "container": CONTAINER}
+        assert classify(container_path) == classify(container_path, True) == expected[kind]
+
+
 class TestCreateRaces:
     def test_creator_that_saw_the_path_absent_still_loses_the_race(
         self, container_path, monkeypatch
@@ -77,7 +94,7 @@ class TestCreateRaces:
         from repro.plfs.container import ABSENT
 
         Container(container_path).create()
-        monkeypatch.setattr(api, "classify", lambda path: ABSENT)
+        monkeypatch.setattr(api, "classify", lambda path, exclusive: ABSENT)
         with pytest.raises(ContainerExistsError):
             plfs_open(container_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         plfs_close(plfs_open(container_path, os.O_CREAT | os.O_WRONLY))  # theirs serves

@@ -298,6 +298,25 @@ class TestCompactionWhereItPays:
         loaded = load_index(container)
         assert loaded.source == "compacted" and loaded.index.logical_size == 1024
 
+    @pytest.mark.parametrize("pids", [1, 16])
+    def test_sixteen_writers_compact_exactly_once(self, container_path, monkeypatch, pids):
+        """Only the last of 16 write handles compacts: in one process the
+        earlier closes still hold the marker, across pids they see it held."""
+        compacted = []
+        real = index_cache.compact
+        monkeypatch.setattr(
+            index_cache, "compact", lambda c, **kw: compacted.append(c.path) or real(c, **kw)
+        )
+        owners = [100 + i % pids for i in range(16)]
+        fds = [(plfs_open(container_path, os.O_CREAT | os.O_WRONLY, pid=pid), pid) for pid in owners]
+        for i, (fd, pid) in enumerate(fds):
+            plfs_write(fd, b"%02d" % i, offset=2 * i, pid=pid)
+        for fd, pid in fds:
+            plfs_close(fd, pid=pid)
+        assert compacted == [Container(container_path).path]
+        assert load_index(Container(container_path)).source == "compacted"
+        assert self.read_back(container_path) == b"".join(b"%02d" % i for i in range(16))
+
     def test_one_that_describes_an_earlier_state_does_not_outlive_a_close_that_writes_none(
         self, container_path
     ):
